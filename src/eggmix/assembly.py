@@ -227,8 +227,12 @@ class MixedSystem:
         self._template = np.zeros((topology.n_sigma, 2))
         self._template[topology.boundary_indices] = boundary_values
 
-        self._build_patches()
-        self._build_matrices()
+        # (mbar, obar, kbar) per patch and direction, shared by both builders
+        univariate = [(_univariate_matrices(bb.kv_xi, tb.kv_xi),
+                       _univariate_matrices(bb.kv_eta, tb.kv_eta))
+                      for tb, bb in zip(topology.bases, topology.bar_bases)]
+        self._build_patches(univariate)
+        self._build_matrices(univariate)
         self.rn_eval_count = 0
         self.last_min_denominator = np.inf
         self._blocks = None
@@ -251,17 +255,14 @@ class MixedSystem:
                 f"{'eta' if mode == 'xi' else 'xi'} direction, which requires "
                 "C>=1 continuity there (interior multiplicities <= degree-1)")
 
-    def _build_patches(self):
+    def _build_patches(self, univariate):
         topo = self.topology
         need_second = self.mode != "full"
         self.patches = []
         for i in range(topo.n_patches):
             cache = build_quadrature(topo.bases[i], topo.bar_bases[i], need_second)
             am = topo.maps[i]
-            mbar_s, _, _ = _univariate_matrices(topo.bar_bases[i].kv_xi,
-                                                topo.bases[i].kv_xi)
-            mbar_t, _, _ = _univariate_matrices(topo.bar_bases[i].kv_eta,
-                                                topo.bases[i].kv_eta)
+            (mbar_s, _, _), (mbar_t, _, _) = univariate[i]
             vol = abs(am.det)
             self.patches.append(_PatchContext(
                 cache=cache,
@@ -271,7 +272,7 @@ class MixedSystem:
                 vol=vol,
                 kron=KronSolver(mbar_s, mbar_t, blocks=1, scale=vol)))
 
-    def _build_matrices(self):
+    def _build_matrices(self, univariate):
         """Global sparse operators on the discontinuous union:
         ``_mt_gather`` maps coupled auxiliary coefficients to union moments,
         ``_btilde[dir]`` maps full primal coefficient vectors to union moments
@@ -282,11 +283,10 @@ class MixedSystem:
         bxi_rows, bxi_cols, bxi_vals = [], [], []
         beta_rows, beta_cols, beta_vals = [], [], []
         for i in range(topo.n_patches):
-            tb, bb, am = topo.bases[i], topo.bar_bases[i], topo.maps[i]
+            am = topo.maps[i]
             vol = abs(am.det)
             ia = am.inv
-            mbar_s, obar_s, kbar_s = _univariate_matrices(bb.kv_xi, tb.kv_xi)
-            mbar_t, obar_t, kbar_t = _univariate_matrices(bb.kv_eta, tb.kv_eta)
+            (mbar_s, obar_s, kbar_s), (mbar_t, obar_t, kbar_t) = univariate[i]
             mt_blocks.append(vol * sparse.kron(
                 sparse.csr_matrix(mbar_s), sparse.csr_matrix(mbar_t)))
             ks = sparse.kron(sparse.csr_matrix(kbar_s), sparse.csr_matrix(obar_t))
@@ -400,8 +400,8 @@ class MixedSystem:
             q = ctx.cache
             ia = ctx.inv_a
             C = net[ctx.act_sig_glob]
-            x_s = np.einsum("eqa,eac->eqc", q.w_s, C)
-            x_t = np.einsum("eqa,eac->eqc", q.w_t, C)
+            x_s = q.w_s @ C
+            x_t = q.w_t @ C
             x_xi = ia[0, 0] * x_s + ia[1, 0] * x_t
             x_eta = ia[0, 1] * x_s + ia[1, 1] * x_t
             g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)
@@ -412,15 +412,15 @@ class MixedSystem:
 
             def aux_derivs(f0):
                 D = self._gather_aux(ctx.act_bar_glob, d, f0)
-                a_s = np.einsum("eqb,ebc->eqc", q.wb_s, D)
-                a_t = np.einsum("eqb,ebc->eqc", q.wb_t, D)
+                a_s = q.wb_s @ D
+                a_t = q.wb_t @ D
                 return (ia[0, 0] * a_s + ia[1, 0] * a_t,
                         ia[0, 1] * a_s + ia[1, 1] * a_t)
 
             if self.mode != "full":
-                x_ss = np.einsum("eqa,eac->eqc", q.w_ss, C)
-                x_st = np.einsum("eqa,eac->eqc", q.w_st, C)
-                x_tt = np.einsum("eqa,eac->eqc", q.w_tt, C)
+                x_ss = q.w_ss @ C
+                x_st = q.w_st @ C
+                x_tt = q.w_tt @ C
                 x_xieta = (ia[0, 0] * ia[0, 1] * x_ss
                            + (ia[0, 0] * ia[1, 1] + ia[1, 0] * ia[0, 1]) * x_st
                            + ia[1, 0] * ia[1, 1] * x_tt)
@@ -449,7 +449,8 @@ class MixedSystem:
                 num = (g22e * x_xixi - 2.0 * g12e * (chi * x_xieta + (1 - chi) * v_xi)
                        + g11e * v_eta)
             U = num / denom[..., None]
-            contrib = np.einsum("eq,eqa,eqc->eac", ctx.vol * q.weights, q.w, U)
+            wU = (ctx.vol * q.weights)[..., None] * U
+            contrib = np.swapaxes(q.w, 1, 2) @ wU
             idx = ctx.act_sig_glob.ravel()
             for comp in range(2):
                 res[:, comp] += np.bincount(idx, weights=contrib[..., comp].ravel(),

@@ -372,7 +372,7 @@ def cmd_solve(args) -> int:
         except StagnationError as exc:
             report = exc.report
             _, c = exc.state
-            system = getattr(exc, "system", None) or system
+            system = exc.system or system
             stagnated = True
     except (InputError, EggmixError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -42,6 +42,12 @@ class BijectivityReport:
         return self.fold_count == 0 and self.min_detj > 0.0
 
 
+def _tensor_apply(Ax, Ay, C):
+    """out[x, y, c] = sum_ij Ax[x, i] Ay[y, j] C[i, j, c], one direction at
+    a time (sum factorisation over the tensor grid)."""
+    return np.tensordot(Ax, np.tensordot(Ay, C, axes=(1, 1)), axes=(1, 1))
+
+
 class SplineMap:
     """A planar map from the unit square spanned by a tensor B-spline basis.
 
@@ -89,14 +95,14 @@ class SplineMap:
         Bx = self.basis.kv_xi.collocation(xs, nderiv)
         By = self.basis.kv_eta.collocation(ys, nderiv)
         C = self.net()
-        out = {"x": np.einsum("xi,yj,ijc->xyc", Bx[0], By[0], C)}
+        out = {"x": _tensor_apply(Bx[0], By[0], C)}
         if nderiv >= 1:
-            out["x_xi"] = np.einsum("xi,yj,ijc->xyc", Bx[1], By[0], C)
-            out["x_eta"] = np.einsum("xi,yj,ijc->xyc", Bx[0], By[1], C)
+            out["x_xi"] = _tensor_apply(Bx[1], By[0], C)
+            out["x_eta"] = _tensor_apply(Bx[0], By[1], C)
         if nderiv >= 2:
-            out["x_xixi"] = np.einsum("xi,yj,ijc->xyc", Bx[2], By[0], C)
-            out["x_xieta"] = np.einsum("xi,yj,ijc->xyc", Bx[1], By[1], C)
-            out["x_etaeta"] = np.einsum("xi,yj,ijc->xyc", Bx[0], By[2], C)
+            out["x_xixi"] = _tensor_apply(Bx[2], By[0], C)
+            out["x_xieta"] = _tensor_apply(Bx[1], By[1], C)
+            out["x_etaeta"] = _tensor_apply(Bx[0], By[2], C)
         return out
 
     def copy(self):
@@ -240,8 +246,9 @@ def winslow_gradient(m: SplineMap, quad_order: int = None):
     Fb[..., 1] -= F / detj * a[..., 0]
     Bx = m.basis.kv_xi.collocation(px, 1)
     By = m.basis.kv_eta.collocation(py, 1)
-    grad = (np.einsum("xy,xyc,xi,yj->ijc", W2, Fa, Bx[1], By[0])
-            + np.einsum("xy,xyc,xi,yj->ijc", W2, Fb, Bx[0], By[1]))
+    W2e = W2[..., None]
+    grad = (_tensor_apply(Bx[1].T, By[0].T, W2e * Fa)
+            + _tensor_apply(Bx[0].T, By[1].T, W2e * Fb))
     return W, grad.reshape(m.basis.dim, 2)[m.inner_indices]
 
 

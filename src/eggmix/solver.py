@@ -1,16 +1,19 @@
 """Schur-complement Jacobian-free Newton-Krylov driver.
 
-The constant auxiliary block is eliminated exactly (single patch) or through
-the patchwise-separable restriction approximation (multipatch); the Schur
-operator is applied by finite differencing the nonlinear residual only. A
-backtracking line search on the residual norm globalizes the iteration, and
-convergence is declared on the Newton-step norm relative to the first
-accepted step.
+The constant auxiliary block is eliminated exactly: by patchwise Kronecker
+solves on a single patch, and on multipatch problems by conjugate gradients
+on the coupled mass, preconditioned with the patchwise-separable
+restriction. The Schur operator is applied by finite differencing the
+nonlinear residual only. A backtracking line search on the residual norm
+globalizes the iteration, and convergence is declared on the Newton-step
+norm relative to the first accepted step, only after a converged GMRES
+solve.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -73,6 +76,7 @@ class SolverReport:
     nu_values: list = field(default_factory=list)
     gmres_iterations: list = field(default_factory=list)
     gmres_matvecs: list = field(default_factory=list)
+    gmres_converged: list = field(default_factory=list)
     rn_evals: int = 0
     line_search_evals: int = 0
     wall_time: float = 0.0
@@ -92,6 +96,7 @@ class SolverReport:
             "nu_values": [float(v) for v in self.nu_values],
             "gmres_iterations": list(self.gmres_iterations),
             "gmres_matvecs": list(self.gmres_matvecs),
+            "gmres_converged": [bool(v) for v in self.gmres_converged],
             "rn_evals": self.rn_evals,
             "line_search_evals": self.line_search_evals,
             "final_residual": float(self.final_residual),
@@ -209,6 +214,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         report.step_norms.append(n_norm)
         report.gmres_iterations.append(gm.iterations)
         report.gmres_matvecs.append(gm.matvec_count)
+        report.gmres_converged.append(bool(gm.converged))
 
         threshold = config.newton_abs_floor
         if n_ref is not None:
@@ -217,8 +223,12 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             print(json.dumps({
                 "newton_iteration": it, "residual_norm": state.r_norm,
                 "step_norm": n_norm, "gmres_iterations": gm.iterations,
-                "rn_evals": system.rn_eval_count - rn0}, sort_keys=True))
-        if n_norm <= threshold:
+                "gmres_converged": bool(gm.converged),
+                "rn_evals": system.rn_eval_count - rn0}, sort_keys=True),
+                file=sys.stderr)
+        # a step from an unconverged linear solve says nothing about
+        # convergence: it is only line-searched
+        if gm.converged and n_norm <= threshold:
             converged = True
             break
 
@@ -235,10 +245,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             report.wall_time = time.perf_counter() - t0
             report.final_residual = state.r_norm
             report.stagnated = True
-            exc.report = report
-            exc.state = (d, c)
-            exc.system = system
-            raise
+            raise StagnationError(str(exc), report=report, state=(d, c),
+                                  system=system) from None
         report.line_search_evals += probes
         report.nu_values.append(nu)
         d = d + nu * delta_d
@@ -397,6 +405,7 @@ def coarse_to_fine_solve(hierarchy, initial, config: SolverConfig | None = None)
         nu_values=final.nu_values,
         gmres_iterations=final.gmres_iterations,
         gmres_matvecs=final.gmres_matvecs,
+        gmres_converged=final.gmres_converged,
         rn_evals=sum(r.rn_evals for r in reports),
         line_search_evals=sum(r.line_search_evals for r in reports),
         wall_time=time.perf_counter() - t0,

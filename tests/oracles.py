@@ -105,3 +105,114 @@ def greville_interpolate_2d(basis, fn):
     tmp = tmp.reshape(len(gy), len(gx), 2).transpose(1, 0, 2)
     out = np.linalg.solve(Ax, tmp.reshape(len(gx), -1))
     return out.reshape(basis.dim, 2)
+
+
+# -- batched einsum formulations of the tensor kernels -------------------------
+#
+# These are the plain einsum forms of MixedSystem.eval_RN, SplineMap.grid_jet
+# and winslow_gradient; the library evaluates the same contractions with
+# matmul/tensordot.
+
+def einsum_eval_RN(system, d, c):
+    """Nonlinear residual of ``system`` with every contraction written as one
+    batched einsum over the per-element quadrature tables."""
+    topo = system.topology
+    net = system.full_control_net(c)
+    d = np.asarray(d, dtype=float).reshape(system.n_fields, -1)
+    res = np.zeros((topo.n_sigma, 2))
+    for ctx in system.patches:
+        q = ctx.cache
+        ia = ctx.inv_a
+        C = net[ctx.act_sig_glob]
+        x_s = np.einsum("eqa,eac->eqc", q.w_s, C)
+        x_t = np.einsum("eqa,eac->eqc", q.w_t, C)
+        x_xi = ia[0, 0] * x_s + ia[1, 0] * x_t
+        x_eta = ia[0, 1] * x_s + ia[1, 1] * x_t
+        g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)[..., None]
+        g12 = np.einsum("eqc,eqc->eq", x_xi, x_eta)[..., None]
+        g22 = np.einsum("eqc,eqc->eq", x_eta, x_eta)[..., None]
+
+        def aux_derivs(f0):
+            D = np.stack([d[f0][ctx.act_bar_glob], d[f0 + 1][ctx.act_bar_glob]],
+                         axis=-1)
+            a_s = np.einsum("eqb,ebc->eqc", q.wb_s, D)
+            a_t = np.einsum("eqb,ebc->eqc", q.wb_t, D)
+            return (ia[0, 0] * a_s + ia[1, 0] * a_t,
+                    ia[0, 1] * a_s + ia[1, 1] * a_t)
+
+        chi = system.chi
+        if system.mode == "full":
+            u_xi, u_eta = aux_derivs(0)
+            v_xi, v_eta = aux_derivs(2)
+            num = (g22 * u_xi - 2.0 * g12 * (chi * u_eta + (1 - chi) * v_xi)
+                   + g11 * v_eta)
+        else:
+            x_ss = np.einsum("eqa,eac->eqc", q.w_ss, C)
+            x_st = np.einsum("eqa,eac->eqc", q.w_st, C)
+            x_tt = np.einsum("eqa,eac->eqc", q.w_tt, C)
+            x_xieta = (ia[0, 0] * ia[0, 1] * x_ss
+                       + (ia[0, 0] * ia[1, 1] + ia[1, 0] * ia[0, 1]) * x_st
+                       + ia[1, 0] * ia[1, 1] * x_tt)
+            if system.mode == "xi":
+                u_xi, u_eta = aux_derivs(0)
+                x_etaeta = (ia[0, 1] ** 2 * x_ss
+                            + 2.0 * ia[0, 1] * ia[1, 1] * x_st
+                            + ia[1, 1] ** 2 * x_tt)
+                num = (g22 * u_xi
+                       - 2.0 * g12 * (chi * u_eta + (1 - chi) * x_xieta)
+                       + g11 * x_etaeta)
+            else:
+                v_xi, v_eta = aux_derivs(0)
+                x_xixi = (ia[0, 0] ** 2 * x_ss
+                          + 2.0 * ia[0, 0] * ia[1, 0] * x_st
+                          + ia[1, 0] ** 2 * x_tt)
+                num = (g22 * x_xixi
+                       - 2.0 * g12 * (chi * x_xieta + (1 - chi) * v_xi)
+                       + g11 * v_eta)
+        U = num / (g11 + g22 + system.mu)
+        contrib = np.einsum("eq,eqa,eqc->eac", ctx.vol * q.weights, q.w, U)
+        np.add.at(res, ctx.act_sig_glob.ravel(), contrib.reshape(-1, 2))
+    inner = topo.inner_indices
+    return np.concatenate([res[inner, 0], res[inner, 1]])
+
+
+def einsum_grid_jet(m, xs, ys, nderiv=1):
+    """SplineMap.grid_jet with each tensor-grid evaluation as one einsum."""
+    Bx = m.basis.kv_xi.collocation(xs, nderiv)
+    By = m.basis.kv_eta.collocation(ys, nderiv)
+    C = m.net()
+    keys = {(0, 0): "x", (1, 0): "x_xi", (0, 1): "x_eta",
+            (2, 0): "x_xixi", (1, 1): "x_xieta", (0, 2): "x_etaeta"}
+    return {key: np.einsum("xi,yj,ijc->xyc", Bx[i], By[j], C)
+            for (i, j), key in keys.items() if i + j <= nderiv}
+
+
+def einsum_winslow_gradient(m, quad_order):
+    """Winslow energy and its gradient with respect to the inner control
+    points, by Gauss quadrature of order ``quad_order`` per span, with the
+    test-function contraction as one einsum per derivative direction."""
+    q, w = np.polynomial.legendre.leggauss(quad_order)
+    q = 0.5 * (q + 1.0)
+    w = 0.5 * w
+
+    def rule(kv):
+        h = np.diff(kv.breakpoints)
+        pts = kv.breakpoints[:-1, None] + h[:, None] * q[None, :]
+        return pts.ravel(), (h[:, None] * w[None, :]).ravel()
+
+    px, wx = rule(m.basis.kv_xi)
+    py, wy = rule(m.basis.kv_eta)
+    jets = einsum_grid_jet(m, px, py, 1)
+    a, b = jets["x_xi"], jets["x_eta"]
+    detj = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    F = (np.sum(a * a, axis=-1) + np.sum(b * b, axis=-1)) / detj
+    W2 = wx[:, None] * wy[None, :]
+    rot_a = np.stack([a[..., 1], -a[..., 0]], axis=-1)
+    rot_b = np.stack([-b[..., 1], b[..., 0]], axis=-1)
+    Fa = (2.0 * a + F[..., None] * rot_b) / detj[..., None]
+    Fb = (2.0 * b + F[..., None] * rot_a) / detj[..., None]
+    Bx = m.basis.kv_xi.collocation(px, 1)
+    By = m.basis.kv_eta.collocation(py, 1)
+    grad = (np.einsum("xy,xyc,xi,yj->ijc", W2, Fa, Bx[1], By[0])
+            + np.einsum("xy,xyc,xi,yj->ijc", W2, Fb, Bx[0], By[1]))
+    return float(np.sum(W2 * F)), grad.reshape(m.basis.dim, 2)[m.inner_indices]

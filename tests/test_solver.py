@@ -173,6 +173,45 @@ def test_line_search_stagnates():
         _line_search(lambda nu: 1.0, 1.0, cfg)
 
 
+def test_unconverged_gmres_never_counts_as_newton_convergence():
+    # one GMRES iteration cannot meet 1e-12, and the huge absolute floor
+    # would accept the first step if the failed solve were ignored
+    sys_, geo = annulus_system(2, 4)
+    c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
+    cfg = SolverConfig(gmres_max_iter=1, gmres_tol=1e-12,
+                       newton_abs_floor=1e3, max_newton=3)
+    c, rep = newton_solve(sys_, c0, cfg)
+    assert not rep.converged and rep.newton_iterations == 3
+    assert rep.gmres_converged == [False, False, False]
+    assert rep.to_dict()["gmres_converged"] == [False, False, False]
+
+
+def test_converged_solve_records_gmres_flags():
+    sys_, geo = annulus_system(2, 4)
+    c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
+    c, rep = newton_solve(sys_, c0, SolverConfig())
+    assert rep.converged
+    assert rep.gmres_converged == [True] * rep.newton_iterations
+
+
+def test_stagnation_error_declares_system(monkeypatch):
+    assert StagnationError("stuck").system is None
+    sys_, geo = annulus_system(2, 4)
+    c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
+
+    def stuck(*args):
+        raise StagnationError("stuck")
+
+    monkeypatch.setattr("eggmix.solver._line_search", stuck)
+    with pytest.raises(StagnationError) as info:
+        newton_solve(sys_, c0, SolverConfig())
+    exc = info.value
+    assert exc.system is sys_
+    assert exc.report.stagnated and exc.report.newton_iterations == 1
+    d, c = exc.state
+    np.testing.assert_array_equal(c, c0)
+
+
 def test_accepted_steps_decrease_residual():
     sys_, geo = annulus_system(2, 4)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
@@ -240,7 +279,7 @@ def test_keep_d_flag():
 def test_verbose_emits_json_lines(capsys):
     sys_, m = square_system(1, 2)
     newton_solve(sys_, m, SolverConfig(verbose=True))
-    out = capsys.readouterr().out.strip().splitlines()
+    out = capsys.readouterr().err.strip().splitlines()
     import json
     assert len(out) >= 1
     rec = json.loads(out[0])
