@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import CornerMismatchError, InputError, ModeError
 from .linalg import KronSolver
@@ -78,19 +79,13 @@ def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
     n_es = len(h)
     pts = a[:, None] + h[:, None] * q[None, :]
     wts = h[:, None] * wq[None, :]
-    first_s = np.empty(n_es, dtype=int)
-    tab_s = np.empty((n_es, nq, nderiv_sig + 1, p + 1))
-    first_b = np.empty(n_es, dtype=int)
-    tab_b = np.empty((n_es, nq, 2, kv_bar.degree + 1))
-    for e in range(n_es):
-        mid = 0.5 * (kv_bar.breakpoints[e] + kv_bar.breakpoints[e + 1])
-        first_s[e] = kv_sig.find_span(mid) - p
-        first_b[e] = kv_bar.find_span(mid) - kv_bar.degree
-        for k in range(nq):
-            _, ts = kv_sig.eval_padded(pts[e, k], nderiv_sig)
-            tab_s[e, k] = ts
-            _, tb = kv_bar.eval_padded(pts[e, k], 1)
-            tab_b[e, k] = tb
+    first_s, tab_s = kv_sig.eval_many(pts.ravel(), nderiv_sig)
+    first_b, tab_b = kv_bar.eval_many(pts.ravel(), 1)
+    # all Gauss points of a span share its active functions
+    first_s = first_s.reshape(n_es, nq)[:, 0]
+    first_b = first_b.reshape(n_es, nq)[:, 0]
+    tab_s = tab_s.reshape(n_es, nq, nderiv_sig + 1, p + 1)
+    tab_b = tab_b.reshape(n_es, nq, 2, kv_bar.degree + 1)
     return pts, wts, first_s, tab_s, first_b, tab_b
 
 
@@ -158,20 +153,23 @@ def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
     kbar[i,j] = int wbar_i w_j'."""
     p = max(kv_bar.degree, kv_sig.degree)
     q, wq = gauss_legendre(p + 1)
+    a = kv_bar.breakpoints[:-1]
+    h = np.diff(kv_bar.breakpoints)
+    pts = a[:, None] + h[:, None] * q[None, :]
+    wts = h[:, None] * wq[None, :]
+    n_e, nq = pts.shape
+    first_b, tab_b = kv_bar.eval_many(pts.ravel(), 0)
+    first_s, tab_s = kv_sig.eval_many(pts.ravel(), 1)
+    tab_b = tab_b.reshape(n_e, nq, 1, kv_bar.degree + 1)
+    tab_s = tab_s.reshape(n_e, nq, 2, kv_sig.degree + 1)
     mbar = np.zeros((kv_bar.dim, kv_bar.dim))
     obar = np.zeros((kv_bar.dim, kv_sig.dim))
     kbar = np.zeros((kv_bar.dim, kv_sig.dim))
-    for e in range(kv_bar.nelems):
-        a, b = kv_bar.breakpoints[e], kv_bar.breakpoints[e + 1]
-        pts = a + (b - a) * q
-        wts = (b - a) * wq
-        fb = kv_bar.find_span(pts.mean()) - kv_bar.degree
-        fs = kv_sig.find_span(pts.mean()) - kv_sig.degree
+    for e in range(n_e):
+        fb, fs = first_b[e * nq], first_s[e * nq]
         sb = slice(fb, fb + kv_bar.degree + 1)
         ss = slice(fs, fs + kv_sig.degree + 1)
-        for x, wt in zip(pts, wts):
-            _, tb = kv_bar.eval(x, 0)
-            _, ts = kv_sig.eval(x, 1)
+        for wt, tb, ts in zip(wts[e], tab_b[e], tab_s[e]):
             mbar[sb, sb] += wt * np.outer(tb[0], tb[0])
             obar[sb, ss] += wt * np.outer(tb[0], ts[0])
             kbar[sb, ss] += wt * np.outer(tb[0], ts[1])
@@ -313,13 +311,15 @@ class MixedSystem:
         self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
         self.restriction: RestrictionOperator = build_restriction(topo)
         # with coupled DOFs the patchwise solve plus det-weighted restriction
-        # is only an approximation of A^-1 (it even has a null space), so
-        # exact mass inverses are computed by conjugate gradients
-        # preconditioned with that restriction operator; everything stays a
-        # sequence of patchwise separable operations plus scatters
+        # is only an approximation of A^-1 (it even has a null space), so the
+        # coupled mass is factored once here by a sparse LU with a
+        # fill-reducing symmetric ordering; it is SPD, so no pivoting
         self._coupled = topo.n_tilde != topo.n_sigbar
-        self._mass_coupled = (gather.T @ self._mt_gather).tocsr() \
-            if self._coupled else None
+        self._mass_lu = None
+        if self._coupled:
+            self._mass_lu = splu(
+                (gather.T @ self._mt_gather).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
     # -- shapes and layout -------------------------------------------------
 
@@ -466,25 +466,15 @@ class MixedSystem:
     # -- A^-1 products -------------------------------------------------------
 
     def ainv_tilde(self, tilde):
-        """Exact patchwise solve of the block-diagonal union mass matrix."""
+        """Exact patchwise solve of the block-diagonal union mass matrix, all
+        fields of a patch in one batched Kronecker solve."""
         tilde = np.atleast_2d(tilde)
         offs = self.topology.tilde_offsets
         out = np.empty_like(tilde)
-        for f in range(tilde.shape[0]):
-            for i, ctx in enumerate(self.patches):
-                out[f, offs[i]: offs[i + 1]] = ctx.kron.solve_block(
-                    tilde[f, offs[i]: offs[i + 1]])
+        for i, ctx in enumerate(self.patches):
+            out[:, offs[i]: offs[i + 1]] = ctx.kron.solve_block(
+                tilde[:, offs[i]: offs[i + 1]])
         return out
-
-    def restrict(self, tilde):
-        tilde = np.atleast_2d(tilde)
-        return np.vstack([self.restriction.apply(row) for row in tilde])
-
-    def ainv_from_tilde(self, tilde):
-        """Approximate coupled A^-1 applied to union moments: patchwise solve
-        followed by the det-weighted restriction. Exact when nothing is
-        coupled (single patch)."""
-        return self.restrict(self.ainv_tilde(tilde))
 
     def _derivative_moments(self, net):
         """Union moments of (x_xi, x_eta) fields of a full control net, one
@@ -494,56 +484,36 @@ class MixedSystem:
             out[f] = self._btilde[direction] @ net[:, comp]
         return out
 
-    def _mass_pcg(self, t, tol=1e-12, max_iter=200):
-        """CG on the coupled mass, preconditioned by the det-weighted
-        patchwise solve (restriction on both sides keeps it SPD)."""
-        A = self._mass_coupled
-        Rt = self.restriction.matrix
-
-        def precond(r):
-            return Rt @ self.ainv_tilde((Rt.T @ r)[None, :])[0]
-
-        tnorm = float(np.linalg.norm(t))
-        x = np.zeros_like(t)
-        if tnorm == 0.0:
-            return x
-        r = t.copy()
-        z = precond(r)
-        p = z.copy()
-        rz = r @ z
-        for _ in range(max_iter):
-            Ap = A @ p
-            alpha = rz / (p @ Ap)
-            x += alpha * p
-            r -= alpha * Ap
-            if np.linalg.norm(r) <= tol * tnorm:
-                break
-            z = precond(r)
-            rz_new = r @ z
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        return x
+    def _mass_pcg(self, coupled):
+        """Coupled A^-1 applied to every row of ``coupled`` (coupled moments,
+        one row per field) by one multi-RHS solve with the sparse LU factor
+        computed at construction. The name is that of the conjugate-gradient
+        solve this replaced; ``perfbench/tracing.py`` looks the method up by
+        it."""
+        return self._mass_lu.solve(coupled.T).T
 
     def ainv_exact(self, tilde):
-        """Exact coupled A^-1 applied to union moments; falls back to the
-        (then exact) patchwise path when nothing is coupled."""
+        """Exact coupled A^-1 applied to union moments: the factored coupled
+        mass, or the patchwise Kronecker solves when nothing is coupled (the
+        restriction is then the identity)."""
         if not self._coupled:
-            return self.ainv_from_tilde(tilde)
-        coupled = self.reduce_tilde(tilde)
-        return np.vstack([self._mass_pcg(row) for row in coupled])
+            return self.ainv_tilde(tilde)
+        return self._mass_pcg(self.reduce_tilde(tilde))
 
     def apply_ainv_b_restricted(self, s):
-        """One application of the patchwise-separable approximation of
-        A^-1 B s: patch-local L2 projections of the derivative fields of
-        x0[s], merged by the det-weighted restriction. Exact without
-        coupling; used as the preconditioner of the exact solve."""
+        """The patchwise-separable approximation of A^-1 B s: patch-local L2
+        projections of the derivative fields of x0[s], merged by the
+        det-weighted restriction. Exact without coupling; the solver does not
+        use it (see :meth:`apply_ainv_b`)."""
         net = np.zeros((self.topology.n_sigma, 2))
         net[self.topology.inner_indices] = self.c_as_net(s)
-        return self.ainv_from_tilde(self._derivative_moments(net)).ravel()
+        local = self.ainv_tilde(self._derivative_moments(net))
+        return self.restriction.apply(local.T).T.ravel()
 
     def apply_ainv_b(self, s):
-        """A^-1 B s to solver accuracy (restriction-preconditioned CG under
-        coupling, plain Kronecker solves otherwise)."""
+        """A^-1 B s, solved exactly for all fields in one call (batched
+        patchwise Kronecker factors when uncoupled, the factored coupled mass
+        otherwise)."""
         net = np.zeros((self.topology.n_sigma, 2))
         net[self.topology.inner_indices] = self.c_as_net(s)
         return self.ainv_exact(self._derivative_moments(net)).ravel()
@@ -555,9 +525,10 @@ class MixedSystem:
         return self.ainv_exact(self._derivative_moments(net)).ravel()
 
     def solve_delta_d(self, a_tilde, delta_c):
-        """A delta_d = a + B delta_c, solved exactly (patchwise Kronecker
-        factors when uncoupled, the factored coupled mass otherwise);
-        ``a_tilde`` are the union moments of a (sign already applied)."""
+        """A delta_d = a + B delta_c, solved exactly for all fields in one
+        call (batched patchwise Kronecker factors when uncoupled, the
+        factored coupled mass otherwise); ``a_tilde`` are the union moments
+        of a (sign already applied)."""
         net = np.zeros((self.topology.n_sigma, 2))
         net[self.topology.inner_indices] = self.c_as_net(delta_c)
         return self.ainv_exact(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assembly import MixedSystem, boundary_values_from_faces
 from .errors import CornerMismatchError, EggmixError, InputError, \
-    KnotMismatchError, StagnationError
+    KnotMismatchError, NonbijectiveMapError, StagnationError
 from .mapping import sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
 from .solver import SolverConfig, build_system_hierarchy, coarse_to_fine_solve, \
@@ -205,17 +205,18 @@ def _quality_block(topology, control):
         min_detj = min(min_detj, rep.min_detj)
         folds += rep.fold_count
         per_patch.append(rep)
-    block = {"min_detj": float(min_detj), "fold_count": int(folds),
-             "nonbijective": folds > 0}
+    ws = None
     if folds == 0:
-        ws = [winslow(topology.patch_map(i, control))
-              for i in range(topology.n_patches)]
-        block["winslow_per_patch"] = [float(w) for w in ws]
-        block["winslow_total"] = float(sum(ws))
-    else:
-        block["winslow_per_patch"] = None
-        block["winslow_total"] = None
-    return block
+        # the map can still fold between the samples, at a quadrature point
+        try:
+            ws = [winslow(topology.patch_map(i, control))
+                  for i in range(topology.n_patches)]
+        except NonbijectiveMapError:
+            pass
+    return {"min_detj": float(min_detj), "fold_count": int(folds),
+            "nonbijective": ws is None,
+            "winslow_per_patch": None if ws is None else [float(w) for w in ws],
+            "winslow_total": None if ws is None else float(sum(ws))}
 
 
 def _residual_norm_of_solution(system: MixedSystem, c):
@@ -287,16 +288,23 @@ def load_solution(path) -> dict:
     return sol
 
 
+def solution_control(sol: dict):
+    """The parsed geometry of a solution and its global (n_sigma, 2) control
+    net."""
+    geo = parse_geometry(sol["geometry"])
+    control = np.zeros((geo.topology.n_sigma, 2))
+    for i, net in enumerate(sol["control_nets"]):
+        control[geo.topology.sig_l2g[i]] = np.asarray(net, dtype=float)
+    return geo, control
+
+
 def solution_system(sol: dict):
     """Rebuild the mixed system and coefficient vector stored in a solution."""
-    geo = parse_geometry(sol["geometry"])
+    geo, control = solution_control(sol)
     settings = sol["solver_settings"]
     bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
     system = MixedSystem(geo.topology, bvals, mode=settings["mode"],
                          chi=settings["chi"], mu=settings["mu"])
-    control = np.zeros((geo.topology.n_sigma, 2))
-    for i, net in enumerate(sol["control_nets"]):
-        control[geo.topology.sig_l2g[i]] = np.asarray(net, dtype=float)
     c = system.net_as_c(control[geo.topology.inner_indices])
     return system, c, control
 
@@ -357,7 +365,7 @@ def cmd_solve(args) -> int:
                       file=sys.stderr)
                 return 1
             prev = load_solution(args.initial_file)
-            _, _, c_full = solution_system(prev)
+            _, c_full = solution_control(prev)
             if c_full.shape[0] != system.topology.n_sigma:
                 raise InputError(
                     "--initial-file solution does not match this geometry")
@@ -388,8 +396,9 @@ def cmd_solve(args) -> int:
           f"residual: {sol['residual_norm']:.3e}")
     q = sol["quality"]
     if q["nonbijective"]:
-        print(f"quality: nonbijective ({q['fold_count']} folded samples, "
-              f"min detJ {q['min_detj']:.3e})")
+        where = f"{q['fold_count']} folded samples" if q["fold_count"] \
+            else "det J <= 0 between the samples"
+        print(f"quality: nonbijective ({where}, min detJ {q['min_detj']:.3e})")
     else:
         print(f"quality: winslow {q['winslow_total']:.6f}  min detJ "
               f"{q['min_detj']:.3e}")
@@ -552,10 +561,15 @@ def cmd_quality(args) -> int:
             print(f"patch {i}: nonbijective ({rep.fold_count} folded samples)")
             for loc in rep.fold_locations[:10]:
                 print("  fold at s=%.4f t=%.4f detJ=%.3e" % loc)
-        else:
+            continue
+        try:
             w = winslow(m)
-            total += w
-            print(f"patch {i}: winslow {w:.6f}  min detJ {rep.min_detj:.6e}")
+        except NonbijectiveMapError as exc:
+            bijective = False
+            print(f"patch {i}: nonbijective between the samples ({exc})")
+            continue
+        total += w
+        print(f"patch {i}: winslow {w:.6f}  min detJ {rep.min_detj:.6e}")
     if bijective:
         print(f"total winslow: {total:.6f}")
     else:

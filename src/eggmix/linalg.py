@@ -41,7 +41,8 @@ class Banded1DCholesky:
 
     def solve(self, rhs):
         """Solve M x = rhs; rhs may carry extra trailing axes."""
-        return scipy.linalg.cho_solve_banded((self._cb, True), rhs)
+        return scipy.linalg.cho_solve_banded((self._cb, True), rhs,
+                                             check_finite=False)
 
     def dense_factor(self):
         """Reconstruct the dense lower-triangular factor (for tests)."""
@@ -83,15 +84,20 @@ class KronSolver:
         return self.n_xi * self.n_eta
 
     def solve_block(self, rhs):
-        """Solve one (m_xi x m_eta) block; rhs has length n_xi * n_eta in
-        xi-major ordering."""
-        X = np.asarray(rhs, dtype=float).reshape(self.n_xi, self.n_eta)
-        Y = self.chol_xi.solve(X)
-        Z = self.chol_eta.solve(Y.T).T
-        self.solve_count += 1
-        self.work_units += self.block_size * (
+        """Solve k stacked (m_xi x m_eta) blocks with one pair of banded
+        solves; rhs has shape (n_xi * n_eta,) or (k, n_xi * n_eta), each
+        block in xi-major ordering, and the result has the shape of rhs."""
+        rhs = np.asarray(rhs, dtype=float)
+        n_xi, n_eta = self.n_xi, self.n_eta
+        X = rhs.reshape(-1, n_xi, n_eta)
+        k = X.shape[0]
+        Y = self.chol_xi.solve(X.transpose(1, 0, 2).reshape(n_xi, k * n_eta))
+        Y = Y.reshape(n_xi, k, n_eta).transpose(2, 1, 0).reshape(n_eta, k * n_xi)
+        Z = self.chol_eta.solve(Y).reshape(n_eta, k, n_xi).transpose(1, 2, 0)
+        self.solve_count += k
+        self.work_units += k * self.block_size * (
             2 * (self.chol_xi.bandwidth + 1) + 2 * (self.chol_eta.bandwidth + 1))
-        return (Z / self.scale).ravel()
+        return (Z / self.scale).reshape(rhs.shape)
 
     def solve(self, rhs):
         rhs = np.asarray(rhs, dtype=float)
@@ -99,11 +105,7 @@ class KronSolver:
             raise InputError(
                 f"rhs length {rhs.shape} incompatible with "
                 f"{self.blocks} blocks of size {self.block_size}")
-        out = np.empty_like(rhs)
-        bs = self.block_size
-        for b in range(self.blocks):
-            out[b * bs: (b + 1) * bs] = self.solve_block(rhs[b * bs: (b + 1) * bs])
-        return out
+        return self.solve_block(rhs.reshape(self.blocks, -1)).ravel()
 
 
 def kron_solve(ks: KronSolver, rhs):

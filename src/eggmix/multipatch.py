@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from .errors import InputError, KnotMismatchError
 from .splines import KNOT_TOL, TensorBasis
@@ -68,40 +69,28 @@ class Interface:
                 f"{self.patch_b}.{self.face_b}{flip})")
 
 
-class _DSU:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
+def _components(n, edges):
+    """Connected-component labels of an undirected graph on ``n`` nodes;
+    components are numbered in order of their lowest node."""
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    graph = sparse.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)
 
 
 def _couple(dims, face_index_lists):
-    """Union-find over stacked local DOFs; returns local-to-global tables and
-    the global dimension. Global numbering follows first appearance in
-    (patch, local index) order."""
+    """Couple stacked local DOFs along glued faces; returns local-to-global
+    tables and the global dimension. Global numbering follows first
+    appearance in (patch, local index) order."""
     offsets = np.concatenate([[0], np.cumsum(dims)])
-    dsu = _DSU(offsets[-1])
-    for (pa, idx_a), (pb, idx_b) in face_index_lists:
-        for la, lb in zip(idx_a, idx_b):
-            dsu.union(offsets[pa] + la, offsets[pb] + lb)
-    root_to_global = {}
-    l2g = np.empty(offsets[-1], dtype=int)
-    for i in range(offsets[-1]):
-        r = dsu.find(i)
-        if r not in root_to_global:
-            root_to_global[r] = len(root_to_global)
-        l2g[i] = root_to_global[r]
+    edges = [np.stack([offsets[pa] + np.asarray(idx_a),
+                       offsets[pb] + np.asarray(idx_b)], axis=1)
+             for (pa, idx_a), (pb, idx_b) in face_index_lists]
+    n_global, labels = _components(offsets[-1],
+                                   np.concatenate(edges) if edges else [])
+    l2g = labels.astype(int)
     tables = [l2g[offsets[p]: offsets[p + 1]] for p in range(len(dims))]
-    return tables, len(root_to_global)
+    return tables, n_global
 
 
 @dataclass
@@ -266,12 +255,10 @@ def build_topology(patches, interfaces) -> PatchTopology:
     sig_l2g, n_sigma = _couple([tb.dim for tb in bases], pairs(bases))
     bar_l2g, n_sigbar = _couple([tb.dim for tb in bar_bases], pairs(bar_bases))
 
-    if len(bases) > 1:
-        dsu = _DSU(len(bases))
-        for itf in interfaces:
-            dsu.union(itf.patch_a, itf.patch_b)
-        if len({dsu.find(i) for i in range(len(bases))}) > 1:
-            raise InputError("multipatch domain is not connected")
+    n_parts, _ = _components(len(bases), [(itf.patch_a, itf.patch_b)
+                                          for itf in interfaces])
+    if n_parts > 1:
+        raise InputError("multipatch domain is not connected")
 
     unglued = []
     boundary = np.zeros(n_sigma, dtype=bool)
@@ -335,9 +322,10 @@ def multipatch_residual(system, d, c):
 
 
 def multipatch_ainv_b(system, s):
-    """Patchwise-separable approximation of A^-1 B s (exact when no DOFs are
-    coupled); the solver reuses it as the preconditioner of its exact
-    mass solves."""
+    """Patchwise-separable approximation of A^-1 B s: patchwise projections
+    merged by the det-J-weighted restriction (exact when no DOFs are
+    coupled). The solver does not use it; its exact mass solves go through
+    the factored coupled mass."""
     return system.apply_ainv_b_restricted(s)
 
 

@@ -1,13 +1,13 @@
 """Schur-complement Jacobian-free Newton-Krylov driver.
 
 The constant auxiliary block is eliminated exactly: by patchwise Kronecker
-solves on a single patch, and on multipatch problems by conjugate gradients
-on the coupled mass, preconditioned with the patchwise-separable
-restriction. The Schur operator is applied by finite differencing the
-nonlinear residual only. A backtracking line search on the residual norm
-globalizes the iteration, and convergence is declared on the Newton-step
-norm relative to the first accepted step, only after a converged GMRES
-solve.
+solves on a single patch, and on multipatch problems by a sparse LU factor
+of the coupled mass, computed once when the system is built; either way all
+auxiliary fields are solved in one batched call. The Schur operator is
+applied by finite differencing the nonlinear residual only. A backtracking
+line search on the residual norm globalizes the iteration, and convergence
+is declared on the Newton-step norm relative to the first accepted step,
+only after a converged GMRES solve.
 """
 
 from __future__ import annotations

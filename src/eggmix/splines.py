@@ -40,10 +40,13 @@ def _group_knots(knots):
 
 def _ders_basis(t, p, span, x, n):
     """Values and first ``n`` derivatives of the p+1 basis functions active
-    on knot span ``span`` at ``x`` (the A2.3 triangular-table recursion)."""
-    ndu = np.empty((p + 1, p + 1))
-    left = np.empty(p + 1)
-    right = np.empty(p + 1)
+    on knot span ``span[i]`` at ``x[i]`` (the A2.3 triangular-table
+    recursion, vectorised over the points). Returns an array of shape
+    (n + 1, p + 1, len(x))."""
+    m = len(x)
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
         left[j] = x - t[span + 1 - j]
@@ -55,9 +58,9 @@ def _ders_basis(t, p, span, x, n):
             ndu[r, j] = saved + right[r + 1] * temp
             saved = left[j - r] * temp
         ndu[j, j] = saved
-    ders = np.zeros((n + 1, p + 1))
+    ders = np.zeros((n + 1, p + 1, m))
     ders[0] = ndu[:, p]
-    a = np.empty((2, p + 1))
+    a = np.empty((2, p + 1, m))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -72,10 +75,10 @@ def _ders_basis(t, p, span, x, n):
             j2 = k - 1 if r - 1 <= pk else p - r
             for j in range(j1, j2 + 1):
                 a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
+                d = d + a[s2, j] * ndu[rk + j, pk]
             if r <= pk:
                 a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
+                d = d + a[s2, k] * ndu[r, pk]
             ders[k, r] = d
             s1, s2 = s2, s1
     fac = float(p)
@@ -158,22 +161,32 @@ class KnotVector:
         Returns ``(first, table)``: ``table[k, j]`` holds the k-th derivative
         of basis function ``first + j``, j = 0..degree.
         """
-        x = float(x)
-        if not 0.0 <= x <= 1.0:
-            raise DomainError(f"evaluation point {x} outside [0, 1]")
         if not 0 <= nderiv <= self.degree:
             raise InputError(f"derivative order {nderiv} not in [0, {self.degree}]")
-        span = self.find_span(x)
-        return span - self.degree, _ders_basis(self.knots, self.degree, span, x, nderiv)
+        return self.eval_padded(x, nderiv)
 
     def eval_padded(self, x: float, nderiv: int):
         """Like :meth:`eval` but zero-pads derivative orders above the degree."""
-        first, tab = self.eval(x, min(nderiv, self.degree))
-        if nderiv > self.degree:
-            pad = np.zeros((nderiv + 1, self.degree + 1))
-            pad[: self.degree + 1] = tab
-            tab = pad
-        return first, tab
+        first, tab = self.eval_many([float(x)], nderiv)
+        return int(first[0]), tab[0]
+
+    def eval_many(self, pts, nderiv: int):
+        """:meth:`eval_padded` at every point of ``pts`` at once: returns
+        ``(first, table)`` with ``table[i, k, j]`` the k-th derivative of
+        basis function ``first[i] + j`` at ``pts[i]``."""
+        pts = np.asarray(pts, dtype=float)
+        outside = ~((pts >= 0.0) & (pts <= 1.0))
+        if outside.any():
+            raise DomainError(f"evaluation point {pts[outside][0]} outside [0, 1]")
+        if nderiv < 0:
+            raise InputError(f"derivative order {nderiv} is negative")
+        p = self.degree
+        span = np.clip(np.searchsorted(self.knots, pts, side="right") - 1,
+                       p, self.dim - 1)
+        tab = np.zeros((len(pts), nderiv + 1, p + 1))
+        n = min(nderiv, p)
+        tab[:, : n + 1] = np.moveaxis(_ders_basis(self.knots, p, span, pts, n), 2, 0)
+        return span - p, tab
 
     @cached_property
     def greville(self):
@@ -227,12 +240,12 @@ class KnotVector:
     def collocation(self, pts, nderiv: int = 0):
         """Dense collocation matrices: one (len(pts), dim) array per
         derivative order 0..nderiv."""
-        pts = np.asarray(pts, dtype=float)
-        out = [np.zeros((len(pts), self.dim)) for _ in range(nderiv + 1)]
-        for i, x in enumerate(pts):
-            first, tab = self.eval_padded(x, nderiv)
-            for k in range(nderiv + 1):
-                out[k][i, first: first + self.degree + 1] = tab[k]
+        first, tab = self.eval_many(pts, nderiv)
+        rows = np.arange(len(first))[:, None]
+        cols = first[:, None] + np.arange(self.degree + 1)
+        out = [np.zeros((len(first), self.dim)) for _ in range(nderiv + 1)]
+        for k in range(nderiv + 1):
+            out[k][rows, cols] = tab[:, k]
         return out
 
     def interpolate(self, data):

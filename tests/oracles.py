@@ -61,6 +61,19 @@ def dense_row(kv, x, deriv=0):
     return row
 
 
+def loop_collocation(kv, pts, nderiv=0):
+    """Collocation matrices built point by point from ``eval_padded``: the
+    per-point loop the vectorised ``KnotVector.collocation`` replaced. It
+    checks span lookup and scatter; the recursion itself is checked against
+    ``naive_bspline``."""
+    out = [np.zeros((len(pts), kv.dim)) for _ in range(nderiv + 1)]
+    for i, x in enumerate(pts):
+        first, tab = kv.eval_padded(x, nderiv)
+        for k in range(nderiv + 1):
+            out[k][i, first: first + kv.degree + 1] = tab[k]
+    return out
+
+
 def fd_jacobian_blocks(system, d, c, h=1e-6):
     """Central-difference Jacobian blocks C = dR_N/dd and D = dR_N/dc of the
     nonlinear residual, assembled column by column."""

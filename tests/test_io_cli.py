@@ -310,6 +310,63 @@ def test_solve_initial_from_file(square_solution, tmp_path):
     assert load_solution(out)["report"]["newton_iterations"] <= 2
 
 
+def test_restart_builds_one_system(tmp_path, monkeypatch):
+    import eggmix.io_cli
+    from eggmix.assembly import MixedSystem
+    from eggmix.solver import SolverConfig, newton_solve
+    start = tmp_path / "tp.solution.json"
+    assert run_cli("solve", bundled_path("two_patch_square"),
+                   "--initial", "folded", "--out", start) == 0
+    built = []
+
+    class CountingSystem(MixedSystem):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(eggmix.io_cli, "MixedSystem", CountingSystem)
+    out = tmp_path / "restart.solution.json"
+    assert run_cli("solve", bundled_path("two_patch_square"), "--initial",
+                   "file", "--initial-file", start, "--out", out) == 0
+    assert len(built) == 1
+    # the nets a restart through the stored solution's own system writes
+    system, c0, _ = solution_system(load_solution(start))
+    c, _ = newton_solve(system, c0, SolverConfig())
+    control = system.full_control_net(c)
+    want = [system.topology.gather_local(i, control).tolist()
+            for i in range(system.topology.n_patches)]
+    assert load_solution(out)["control_nets"] == want
+
+
+def _fold_between_samples(sol):
+    """The square solution with the inner control point next to the (0, 0)
+    corner moved to (-0.1, -0.1): det J stays positive at all 5 samples per
+    element but not at the Gauss points nearer the corner."""
+    geo = parse_geometry(sol["geometry"])
+    net = np.asarray(sol["control_nets"][0])
+    corner = geo.topology.bases[0].inner_indices[0]
+    assert np.allclose(net[corner], [0.125, 0.125])
+    net[corner] = [-0.1, -0.1]
+    return geo, net
+
+
+def test_quality_reports_fold_between_samples(square_solution, tmp_path,
+                                              capsys):
+    from eggmix.io_cli import _quality_block
+    sol = load_solution(square_solution)
+    geo, net = _fold_between_samples(sol)
+    block = _quality_block(geo.topology, net)
+    assert block["fold_count"] == 0 and block["min_detj"] > 0.0
+    assert block["nonbijective"]
+    assert block["winslow_per_patch"] is None and block["winslow_total"] is None
+    sol["control_nets"][0] = net.tolist()
+    p = tmp_path / "between.solution.json"
+    p.write_text(json.dumps(sol))
+    assert run_cli("quality", p) == 0
+    out = capsys.readouterr().out
+    assert "nonbijective" in out and "total winslow" not in out
+
+
 def test_tube_solves(tmp_path):
     out = tmp_path / "tube.solution.json"
     assert run_cli("solve", bundled_path("tube"), "--out", out) == 0

@@ -70,6 +70,13 @@ def test_kron_roundtrip_and_blockwise(rng):
     per_block = np.concatenate([single.solve(rhs[i * A.shape[0]:(i + 1) * A.shape[0]])
                                 for i in range(3)])
     np.testing.assert_array_equal(sol, per_block)
+    # one batched solve_block call on k blocks equals k single-block calls
+    blocks = rhs.reshape(3, -1)
+    before = single.solve_count
+    batched = single.solve_block(blocks)
+    assert single.solve_count == before + 3
+    np.testing.assert_array_equal(
+        batched, np.stack([single.solve_block(b) for b in blocks]))
 
 
 def test_kron_dense_oracle_small_blocks(rng):

@@ -216,6 +216,31 @@ def test_ainv_b_coupled_projection_residual_ratio(capsys):
     assert np.isfinite(ratio) and ratio < 0.5
 
 
+@pytest.mark.parametrize("builder", [build_bat, build_two_patch_square])
+def test_ainv_exact_matches_dense_coupled_mass(builder, rng):
+    geo = parse_geometry(builder())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    sys_ = MixedSystem(geo.topology, bv)
+    n = geo.topology.n_sigbar
+    tilde = rng.standard_normal((sys_.n_fields, geo.topology.n_tilde))
+    calls = []
+    lu = sys_._mass_lu
+
+    class CountingFactor:
+        def solve(self, b):
+            calls.append(b.shape)
+            return lu.solve(b)
+
+    sys_._mass_lu = CountingFactor()
+    got = sys_.ainv_exact(tilde)
+    assert calls == [(n, sys_.n_fields)]  # every field in one call
+    A, _, _ = sys_.assemble_constant_blocks()
+    mass = A.toarray()[:n, :n]
+    ref = np.linalg.solve(mass, sys_.reduce_tilde(tilde).T).T
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_reversed_interface_two_patch_rectangle():
     # patch 1 is rotated by 180 degrees, so the shared segment runs against
     # patch 0's east face and needs the reversed flag

@@ -6,7 +6,7 @@ from eggmix.errors import DomainError, InputError
 from eggmix.splines import KnotVector, TensorBasis, eval_univariate, greville, \
     h_refine, tensor_eval, uniform_knots
 
-from oracles import naive_all_values
+from oracles import loop_collocation, naive_all_values
 
 knot_vectors = st.builds(
     uniform_knots,
@@ -59,6 +59,27 @@ def test_derivatives_match_naive_recursion():
         dense = np.zeros(kv.dim)
         dense[first: first + 4] = tab[deriv]
         np.testing.assert_allclose(dense, ref, atol=1e-13)
+
+
+def test_collocation_matches_pointwise_loop():
+    rng = np.random.default_rng(7)
+    for kv in (uniform_knots(1, 3), uniform_knots(2, 4),
+               uniform_knots(3, 4, c0_breaks=(0.5,)),
+               KnotVector(2, [0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1])):
+        # every knot, both ends and random interior points
+        pts = np.concatenate([kv.knots, [0.0, 1.0], rng.uniform(0, 1, 30)])
+        for nderiv in (0, 1, 2):
+            got = kv.collocation(pts, nderiv)
+            ref = loop_collocation(kv, pts, nderiv)
+            assert len(got) == nderiv + 1
+            for k, (g, r) in enumerate(zip(got, ref)):
+                assert g.shape == r.shape
+                assert np.abs(g - r).max() <= 1e-14 * max(1.0, np.abs(r).max())
+                # and against the plain recursion, which shares no code
+                naive = np.array([naive_all_values(kv, x, k) for x in pts])
+                assert np.abs(g - naive).max() <= 1e-11 * max(1.0, np.abs(naive).max())
+    with pytest.raises(DomainError):
+        uniform_knots(2, 2).collocation([0.5, 1.5])
 
 
 @settings(max_examples=25, deadline=None)
