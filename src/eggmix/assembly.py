@@ -10,6 +10,7 @@ pipeline are the same code path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ from .multipatch import (PatchTopology, RestrictionOperator, build_restriction,
 from .splines import KnotVector, TensorBasis, gauss_legendre
 
 MODES = ("full", "xi", "eta")
+# elements per block when the frozen-metric Laplacian is assembled
+LAPLACIAN_CHUNK = 128
 
 
 @dataclass
@@ -309,7 +312,6 @@ class MixedSystem:
             shape=(n_tilde, topo.n_sigbar))
         self._gather_bar = gather
         self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
-        self.restriction: RestrictionOperator = build_restriction(topo)
         # with coupled DOFs the patchwise solve plus det-weighted restriction
         # is only an approximation of A^-1 (it even has a null space), so the
         # coupled mass is factored once here by a sparse LU with a
@@ -320,6 +322,12 @@ class MixedSystem:
             self._mass_lu = splu(
                 (gather.T @ self._mt_gather).tocsc(), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    @functools.cached_property
+    def restriction(self) -> RestrictionOperator:
+        """The det-weighted restriction of the paper, built on first use:
+        only :meth:`apply_ainv_b_restricted` needs it, the solver does not."""
+        return build_restriction(self.topology)
 
     # -- shapes and layout -------------------------------------------------
 
@@ -462,6 +470,95 @@ class MixedSystem:
 
     def residual(self, d, c) -> ResidualVector:
         return ResidualVector(r_l=self.eval_RL(d, c), r_n=self.eval_RN(d, c))
+
+    # -- Schur preconditioner ------------------------------------------------
+
+    def _chunks(self):
+        """(patch context, element slice) blocks of at most ``LAPLACIAN_CHUNK``
+        elements, in a fixed order."""
+        for ctx in self.patches:
+            for e0 in range(0, ctx.cache.n_el, LAPLACIAN_CHUNK):
+                yield ctx, slice(e0, e0 + LAPLACIAN_CHUNK)
+
+    @functools.cached_property
+    def _laplacian_pattern(self):
+        """Fixed CSR pattern of the inner primal couplings, built on first
+        use: ``(indices, indptr, positions)``, where ``positions`` holds per
+        block of :meth:`_chunks` the place in the CSR data of every
+        element-matrix entry (nnz for one in a boundary row or column)."""
+        n = self.n_inner
+        inner_of = np.full(self.topology.n_sigma, -1)
+        inner_of[self.topology.inner_indices] = np.arange(n)
+
+        def keys(ctx, els):
+            loc = inner_of[ctx.act_sig_glob[els]]
+            key = loc[:, :, None] * n + loc[:, None, :]
+            return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
+                            n * n, key)
+
+        pattern = np.empty(0, dtype=np.int64)
+        for ctx, els in self._chunks():
+            pattern = np.union1d(pattern, keys(ctx, els))
+        pattern = pattern[pattern < n * n]
+        positions = [np.searchsorted(pattern, keys(ctx, els)).astype(np.int32)
+                     for ctx, els in self._chunks()]
+        indptr = np.searchsorted(pattern // n, np.arange(n + 1))
+        return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
+
+    def frozen_laplacian(self, c):
+        """Frozen-metric Laplacian on the inner primal basis at the iterate c:
+        K_ij = int grad(w_i)^T Q grad(w_j) / (g11 + g22 + mu), gradients in
+        (xi, eta), with Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]].
+
+        -K is the principal part of the Schur operator with the metric frozen
+        (integrate the numerator of R_N by parts). The mu/2 shift makes Q
+        positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
+        so K is SPD even on folded iterates. Element matrices are formed one
+        block of :meth:`_chunks` at a time and summed into the fixed pattern,
+        so the temporaries stay small; returns a CSR matrix."""
+        indices, indptr, positions = self._laplacian_pattern
+        nnz = len(indices)
+        data = np.zeros(nnz + 1)
+        net = self.full_control_net(c)
+        half_mu = 0.5 * self.mu
+        for (ctx, els), pos in zip(self._chunks(), positions):
+            q = ctx.cache
+            ia = ctx.inv_a
+            w_xi = ia[0, 0] * q.w_s[els] + ia[1, 0] * q.w_t[els]
+            w_eta = ia[0, 1] * q.w_s[els] + ia[1, 1] * q.w_t[els]
+            C = net[ctx.act_sig_glob[els]]
+            x_xi = w_xi @ C
+            x_eta = w_eta @ C
+            g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)
+            g12 = np.einsum("eqc,eqc->eq", x_xi, x_eta)
+            g22 = np.einsum("eqc,eqc->eq", x_eta, x_eta)
+            scale = ctx.vol * q.weights[els] / (g11 + g22 + self.mu)
+            q11 = (scale * (g22 + half_mu))[..., None]
+            q12 = (scale * -g12)[..., None]
+            q22 = (scale * (g11 + half_mu))[..., None]
+            # element matrices: sum over points of grad(w_i)^T (scaled Q) grad(w_j)
+            grads = np.concatenate([w_xi, w_eta], axis=1)
+            flux = np.concatenate([q11 * w_xi + q12 * w_eta,
+                                   q12 * w_xi + q22 * w_eta], axis=1)
+            Ke = np.swapaxes(grads, 1, 2) @ flux
+            data += np.bincount(pos.ravel(), weights=Ke.ravel(),
+                                minlength=nnz + 1)
+        n = self.n_inner
+        return sparse.csr_matrix((data[:nnz], indices, indptr), shape=(n, n))
+
+    def laplace_preconditioner(self, c):
+        """P^-1 for the Schur operator at the iterate c, with P = -K on each
+        component (K from :meth:`frozen_laplacian`): a callable taking and
+        returning vectors in the (x..., y...) layout. K is factored once by
+        a sparse LU with a fill-reducing symmetric ordering (it is SPD, so
+        without pivoting) and both components are solved in one call."""
+        lu = splu(self.frozen_laplacian(c).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        n = self.n_inner
+
+        def apply(y):
+            return -lu.solve(np.reshape(y, (2, n)).T).T.ravel()
+        return apply
 
     # -- A^-1 products -------------------------------------------------------
 

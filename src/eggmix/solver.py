@@ -4,7 +4,10 @@ The constant auxiliary block is eliminated exactly: by patchwise Kronecker
 solves on a single patch, and on multipatch problems by a sparse LU factor
 of the coupled mass, computed once when the system is built; either way all
 auxiliary fields are solved in one batched call. The Schur operator is
-applied by finite differencing the nonlinear residual only. A backtracking
+applied by finite differencing the nonlinear residual only. GMRES solves the
+Schur equation right-preconditioned by the frozen-metric Laplacian of the
+current iterate (its principal part, sparse-LU factored once per Newton
+step), so its stopping test stays on the true Schur residual. A backtracking
 line search on the residual norm globalizes the iteration, and convergence
 is declared on the Newton-step norm relative to the first accepted step,
 only after a converged GMRES solve.
@@ -77,6 +80,8 @@ class SolverReport:
     gmres_iterations: list = field(default_factory=list)
     gmres_matvecs: list = field(default_factory=list)
     gmres_converged: list = field(default_factory=list)
+    gmres_residuals: list = field(default_factory=list)
+    min_denominators: list = field(default_factory=list)
     rn_evals: int = 0
     line_search_evals: int = 0
     wall_time: float = 0.0
@@ -97,6 +102,8 @@ class SolverReport:
             "gmres_iterations": list(self.gmres_iterations),
             "gmres_matvecs": list(self.gmres_matvecs),
             "gmres_converged": [bool(v) for v in self.gmres_converged],
+            "gmres_residuals": [float(v) for v in self.gmres_residuals],
+            "min_denominators": [float(v) for v in self.min_denominators],
             "rn_evals": self.rn_evals,
             "line_search_evals": self.line_search_evals,
             "final_residual": float(self.final_residual),
@@ -155,6 +162,23 @@ def schur_rhs(system: MixedSystem, state: NewtonState,
     return b - (rn - state.r_n) / eps
 
 
+def schur_solve(system: MixedSystem, state: NewtonState, rhs,
+                config: SolverConfig | None = None):
+    """Newton step delta_c of the Schur equation S delta_c = rhs.
+
+    GMRES runs on the right-preconditioned operator y -> S P^-1 y, with P
+    the frozen-metric Laplacian of the iterate, and delta_c = P^-1 y. Its
+    stopping test ||rhs - S delta_c|| <= gmres_tol ||rhs|| is therefore on
+    the true Schur residual. Returns ``(delta_c, GmresResult)``.
+    """
+    config = config or SolverConfig()
+    precond = system.laplace_preconditioner(state.c)
+    gm = gmres(lambda y: schur_matvec(system, state, precond(y), config), rhs,
+               tol=config.gmres_tol, restart=config.gmres_restart,
+               max_iter=config.gmres_max_iter)
+    return precond(gm.solution), gm
+
+
 def _line_search(residual_norm_of, r_old: float, config: SolverConfig):
     """Backtracking on the residual norm; returns (nu, new_norm, probes).
 
@@ -203,11 +227,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     for it in range(1, config.max_newton + 1):
         state = NewtonState(system, d, c)
         report.residual_norms.append(state.r_norm)
+        report.min_denominators.append(system.last_min_denominator)
         rhs = schur_rhs(system, state, config)
-        gm = gmres(lambda s: schur_matvec(system, state, s, config), rhs,
-                   tol=config.gmres_tol, restart=config.gmres_restart,
-                   max_iter=config.gmres_max_iter)
-        delta_c = gm.solution
+        delta_c, gm = schur_solve(system, state, rhs, config)
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))
         report.newton_iterations = it
@@ -215,6 +237,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         report.gmres_iterations.append(gm.iterations)
         report.gmres_matvecs.append(gm.matvec_count)
         report.gmres_converged.append(bool(gm.converged))
+        r0 = gm.residual_norms[0]
+        gmres_residual = gm.residual_norms[-1] / r0 if r0 > 0.0 else 0.0
+        report.gmres_residuals.append(gmres_residual)
 
         threshold = config.newton_abs_floor
         if n_ref is not None:
@@ -224,6 +249,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                 "newton_iteration": it, "residual_norm": state.r_norm,
                 "step_norm": n_norm, "gmres_iterations": gm.iterations,
                 "gmres_converged": bool(gm.converged),
+                "gmres_residual": gmres_residual,
+                "min_denominator": report.min_denominators[-1],
                 "rn_evals": system.rn_eval_count - rn0}, sort_keys=True),
                 file=sys.stderr)
         # a step from an unconverged linear solve says nothing about
@@ -406,6 +433,8 @@ def coarse_to_fine_solve(hierarchy, initial, config: SolverConfig | None = None)
         gmres_iterations=final.gmres_iterations,
         gmres_matvecs=final.gmres_matvecs,
         gmres_converged=final.gmres_converged,
+        gmres_residuals=final.gmres_residuals,
+        min_denominators=final.min_denominators,
         rn_evals=sum(r.rn_evals for r in reports),
         line_search_evals=sum(r.line_search_evals for r in reports),
         wall_time=time.perf_counter() - t0,

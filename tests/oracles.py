@@ -229,3 +229,32 @@ def einsum_winslow_gradient(m, quad_order):
     grad = (np.einsum("xy,xyc,xi,yj->ijc", W2, Fa, Bx[1], By[0])
             + np.einsum("xy,xyc,xi,yj->ijc", W2, Fb, Bx[0], By[1]))
     return float(np.sum(W2 * F)), grad.reshape(m.basis.dim, 2)[m.inner_indices]
+
+
+def loop_frozen_laplacian(system, c):
+    """Dense frozen-metric Laplacian on the inner primal basis, assembled one
+    quadrature point at a time with the gradients and the metric in (xi, eta):
+    K_ij = int grad(w_i)^T Q grad(w_j) / (g11 + g22 + mu),
+    Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]]."""
+    topo = system.topology
+    net = system.full_control_net(c)
+    mu = system.mu
+    K = np.zeros((topo.n_sigma, topo.n_sigma))
+    for ctx in system.patches:
+        q = ctx.cache
+        ia = ctx.inv_a
+        for e in range(q.n_el):
+            act = ctx.act_sig_glob[e]
+            for k in range(q.nq):
+                w_xi = ia[0, 0] * q.w_s[e, k] + ia[1, 0] * q.w_t[e, k]
+                w_eta = ia[0, 1] * q.w_s[e, k] + ia[1, 1] * q.w_t[e, k]
+                x_xi = w_xi @ net[act]
+                x_eta = w_eta @ net[act]
+                g11, g12, g22 = x_xi @ x_xi, x_xi @ x_eta, x_eta @ x_eta
+                wt = ctx.vol * q.weights[e, k] / (g11 + g22 + mu)
+                K[np.ix_(act, act)] += wt * (
+                    (g22 + 0.5 * mu) * np.outer(w_xi, w_xi)
+                    - g12 * (np.outer(w_xi, w_eta) + np.outer(w_eta, w_xi))
+                    + (g11 + 0.5 * mu) * np.outer(w_eta, w_eta))
+    inner = topo.inner_indices
+    return K[np.ix_(inner, inner)]
