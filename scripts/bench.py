@@ -1,0 +1,120 @@
+#!/usr/bin/env python3
+"""Newton-Krylov counts and solve times over the baseline case table.
+
+Each case runs ``newton_solve`` with the default ``SolverConfig`` in a fresh
+single-threaded child process, so that its peak RSS
+(``resource.getrusage``) is its own. Per case the output records the primal
+DOF count, Newton/GMRES/``rn_evals`` counts, whether every GMRES solve
+converged, the solve wall time and the peak RSS.
+
+Usage: python scripts/bench.py [--out FILE]
+
+Without ``--out`` the JSON goes to stdout. Counts repeat exactly between
+runs; times depend on the machine and its load.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import resource
+import subprocess
+import sys
+import time
+
+import numpy as np
+import scipy
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.geometries import BUILDERS  # noqa: E402
+from eggmix.io_cli import parse_geometry  # noqa: E402
+from eggmix.solver import SolverConfig, build_system_hierarchy, \
+    folded_initial_guess, newton_solve, transfinite_global  # noqa: E402
+
+# key -> (geometry, mode, h-refinement level, folded start)
+CASES = {
+    "quarter_annulus-L0": ("quarter_annulus", "full", 0, False),
+    "quarter_annulus-L1": ("quarter_annulus", "full", 1, False),
+    "quarter_annulus-L2": ("quarter_annulus", "full", 2, False),
+    "lbend-xi-L0": ("lbend", "xi", 0, False),
+    "lbend-xi-L1": ("lbend", "xi", 1, False),
+    "tube-xi-L0": ("tube", "xi", 0, False),
+    "bat-folded-L0": ("bat", "full", 0, True),
+    "bat-folded-L1": ("bat", "full", 1, True),
+}
+PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1"}
+
+
+def run_case(key):
+    """Solve one case in this process; returns its record."""
+    name, mode, level, folded = CASES[key]
+    geo = parse_geometry(BUILDERS[name]())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
+    net = transfinite_global(system)
+    if folded:
+        net = folded_initial_guess(system, net)
+    c0 = system.net_as_c(net[system.topology.inner_indices])
+    t0 = time.perf_counter()
+    _, rep = newton_solve(system, c0, SolverConfig())
+    solve_s = time.perf_counter() - t0
+    return {
+        "n_sigma": system.topology.n_sigma,
+        "converged": bool(rep.converged),
+        "newton": rep.newton_iterations,
+        "gmres": int(sum(rep.gmres_iterations)),
+        "rn_evals": rep.rn_evals,
+        "gmres_all_converged": all(rep.gmres_converged),
+        "max_gmres_per_step": max(rep.gmres_iterations),
+        "solve_s": solve_s,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+def run_child(key):
+    env = dict(os.environ, **PINNED)
+    proc = subprocess.run([sys.executable, __file__, "--child", key], env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"bench: case {key} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=pathlib.Path)
+    ap.add_argument("--child", choices=sorted(CASES), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        print(json.dumps(run_case(args.child)))
+        return
+
+    cases = {}
+    for key in CASES:
+        cases[key] = run_child(key)
+        r = cases[key]
+        print(f"{key:20s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
+              f"{r['solve_s']:7.2f} s {r['peak_rss_mb']:7.1f} MB",
+              file=sys.stderr)
+    doc = {
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__,
+                    **PINNED},
+        "cases": cases,
+    }
+    text = json.dumps(doc, indent=1)
+    if args.out:
+        args.out.write_text(text + "\n", encoding="utf-8")
+    else:
+        print(text)
+
+
+if __name__ == "__main__":
+    main()

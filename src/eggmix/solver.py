@@ -7,10 +7,15 @@ auxiliary fields are solved in one batched call. The Schur operator is
 applied by finite differencing the nonlinear residual only. GMRES solves the
 Schur equation right-preconditioned by the frozen-metric Laplacian of the
 current iterate (its principal part, sparse-LU factored once per Newton
-step), so its stopping test stays on the true Schur residual. A backtracking
-line search on the residual norm globalizes the iteration, and convergence
-is declared on the Newton-step norm relative to the first accepted step,
-only after a converged GMRES solve.
+step), so its stopping test stays on the true Schur residual. Its relative
+tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17 (1996),
+with Kelley's safeguard): ``gmres_tol`` for the first Newton step, then
+loose while the residual falls slowly and back down to ``gmres_tol`` in the
+fast local phase. A backtracking line search on the residual norm globalizes
+the iteration; the probe it accepts becomes the next iterate's state, so its
+residual is not evaluated twice. Convergence is declared on the Newton-step
+norm relative to the first accepted step, only after a converged GMRES
+solve.
 """
 
 from __future__ import annotations
@@ -30,6 +35,12 @@ from .assembly import MixedSystem
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
+# Eisenstat-Walker choice 2: eta_k = EW_GAMMA (||R_k|| / ||R_k-1||)^EW_ALPHA,
+# at most EW_ETA_MAX
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+EW_ETA_MAX = 0.9
+
 
 @dataclass
 class SolverConfig:
@@ -37,7 +48,9 @@ class SolverConfig:
 
     ``newton_tol`` is relative to the first accepted step norm;
     ``newton_abs_floor`` is the absolute fallback below which any step counts
-    as converged.
+    as converged. ``gmres_tol`` is the first and the smallest forcing term:
+    the relative GMRES tolerance of the first Newton step and the floor of
+    every later one (see ``forcing_term``).
     """
     newton_tol: float = 1e-8
     newton_abs_floor: float = 1e-12
@@ -62,6 +75,9 @@ class SolverConfig:
             raise InputError("ls_backtrack must lie in (0, 1)")
         if not 0.0 < self.ls_min_nu <= 1.0:
             raise InputError("ls_min_nu must lie in (0, 1]")
+        # at 1 or above GMRES returns the zero step, which reads as converged
+        if self.gmres_tol > EW_ETA_MAX:
+            raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
 
     def fd_epsilon(self, state_norm: float, dir_norm: float) -> float:
         """Finite-difference step: sqrt(machine eps) * (1 + |state|) / |s|,
@@ -81,6 +97,7 @@ class SolverReport:
     gmres_matvecs: list = field(default_factory=list)
     gmres_converged: list = field(default_factory=list)
     gmres_residuals: list = field(default_factory=list)
+    forcing_terms: list = field(default_factory=list)
     min_denominators: list = field(default_factory=list)
     rn_evals: int = 0
     line_search_evals: int = 0
@@ -103,6 +120,7 @@ class SolverReport:
             "gmres_matvecs": list(self.gmres_matvecs),
             "gmres_converged": [bool(v) for v in self.gmres_converged],
             "gmres_residuals": [float(v) for v in self.gmres_residuals],
+            "forcing_terms": [float(v) for v in self.forcing_terms],
             "min_denominators": [float(v) for v in self.min_denominators],
             "rn_evals": self.rn_evals,
             "line_search_evals": self.line_search_evals,
@@ -114,15 +132,26 @@ class SolverReport:
 
 
 class NewtonState:
-    """One (d, c) iterate with lazily cached residual pieces."""
+    """One (d, c) iterate with its residual pieces.
 
-    def __init__(self, system: MixedSystem, d, c):
+    ``r_n`` and ``min_denominator`` may be passed in when ``eval_RN`` has
+    already run at (d, c) (the accepted line-search probe); otherwise they
+    are evaluated here. The linear pieces are always recomputed: they are
+    sparse products, and the Schur right-hand side needs the union moments.
+    """
+
+    def __init__(self, system: MixedSystem, d, c, r_n=None,
+                 min_denominator=None):
         self.system = system
         self.d = np.asarray(d, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.rl_tilde = system.eval_RL_tilde(d, c)
         self.r_l = system.reduce_tilde(self.rl_tilde).ravel()
-        self.r_n = system.eval_RN(d, c)
+        if r_n is None:
+            r_n = system.eval_RN(d, c)
+            min_denominator = system.last_min_denominator
+        self.r_n = r_n
+        self.min_denominator = min_denominator
         self.r_norm = float(np.sqrt(self.r_l @ self.r_l + self.r_n @ self.r_n))
         self.state_norm = float(np.sqrt(self.d @ self.d + self.c @ self.c))
 
@@ -162,21 +191,40 @@ def schur_rhs(system: MixedSystem, state: NewtonState,
     return b - (rn - state.r_n) / eps
 
 
-def schur_solve(system: MixedSystem, state: NewtonState, rhs,
+def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
                 config: SolverConfig | None = None):
     """Newton step delta_c of the Schur equation S delta_c = rhs.
 
     GMRES runs on the right-preconditioned operator y -> S P^-1 y, with P
     the frozen-metric Laplacian of the iterate, and delta_c = P^-1 y. Its
-    stopping test ||rhs - S delta_c|| <= gmres_tol ||rhs|| is therefore on
-    the true Schur residual. Returns ``(delta_c, GmresResult)``.
+    stopping test ||rhs - S delta_c|| <= tol ||rhs|| is therefore on the
+    true Schur residual. Returns ``(delta_c, GmresResult)``.
     """
     config = config or SolverConfig()
     precond = system.laplace_preconditioner(state.c)
     gm = gmres(lambda y: schur_matvec(system, state, precond(y), config), rhs,
-               tol=config.gmres_tol, restart=config.gmres_restart,
+               tol=tol, restart=config.gmres_restart,
                max_iter=config.gmres_max_iter)
     return precond(gm.solution), gm
+
+
+def forcing_term(gmres_tol: float, residual_norms, forcing_terms) -> float:
+    """Eisenstat-Walker (choice 2) GMRES tolerance of the next Newton step.
+
+    ``residual_norms`` ends with the current ||R_k|| and ``forcing_terms``
+    holds the terms of the steps before it. The first term is ``gmres_tol``;
+    then eta_k = gamma (||R_k|| / ||R_k-1||)^alpha, raised to
+    gamma eta_k-1^alpha when that exceeds 0.1 (Kelley's safeguard against
+    a term falling faster than the residual), and clipped to
+    [gmres_tol, EW_ETA_MAX].
+    """
+    if not forcing_terms:
+        return gmres_tol
+    eta = EW_GAMMA * (residual_norms[-1] / residual_norms[-2]) ** EW_ALPHA
+    safeguard = EW_GAMMA * forcing_terms[-1] ** EW_ALPHA
+    if safeguard > 0.1:
+        eta = max(eta, safeguard)
+    return min(max(eta, gmres_tol), EW_ETA_MAX)
 
 
 def _line_search(residual_norm_of, r_old: float, config: SolverConfig):
@@ -222,14 +270,16 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     t0 = time.perf_counter()
     n_ref = None
     converged = False
-    state = None
+    state = NewtonState(system, d, c)
 
     for it in range(1, config.max_newton + 1):
-        state = NewtonState(system, d, c)
         report.residual_norms.append(state.r_norm)
-        report.min_denominators.append(system.last_min_denominator)
+        report.min_denominators.append(state.min_denominator)
+        eta = forcing_term(config.gmres_tol, report.residual_norms,
+                           report.forcing_terms)
+        report.forcing_terms.append(eta)
         rhs = schur_rhs(system, state, config)
-        delta_c, gm = schur_solve(system, state, rhs, config)
+        delta_c, gm = schur_solve(system, state, rhs, eta, config)
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))
         report.newton_iterations = it
@@ -249,8 +299,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                 "newton_iteration": it, "residual_norm": state.r_norm,
                 "step_norm": n_norm, "gmres_iterations": gm.iterations,
                 "gmres_converged": bool(gm.converged),
-                "gmres_residual": gmres_residual,
-                "min_denominator": report.min_denominators[-1],
+                "gmres_residual": gmres_residual, "forcing_term": eta,
+                "min_denominator": state.min_denominator,
                 "rn_evals": system.rn_eval_count - rn0}, sort_keys=True),
                 file=sys.stderr)
         # a step from an unconverged linear solve says nothing about
@@ -259,10 +309,14 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             converged = True
             break
 
+        probe = {}
+
         def trial_norm(nu):
             rl = system.eval_RL(d + nu * delta_d,
                                 c + nu * delta_c)
             rn = system.eval_RN(d + nu * delta_d, c + nu * delta_c)
+            # the accepted probe is the last one: it becomes the next state
+            probe.update(r_n=rn, min_denominator=system.last_min_denominator)
             return float(np.sqrt(rl @ rl + rn @ rn))
 
         try:
@@ -278,13 +332,14 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         report.nu_values.append(nu)
         d = d + nu * delta_d
         c = c + nu * delta_c
+        state = NewtonState(system, d, c, **probe)
         if n_ref is None:
             n_ref = n_norm
 
     report.converged = converged
     report.rn_evals = system.rn_eval_count - rn0
     report.wall_time = time.perf_counter() - t0
-    report.final_residual = state.r_norm if state is not None else np.nan
+    report.final_residual = state.r_norm
     if config.keep_d:
         report.d_final = d
     if converged and target_map is not None:
@@ -434,6 +489,7 @@ def coarse_to_fine_solve(hierarchy, initial, config: SolverConfig | None = None)
         gmres_matvecs=final.gmres_matvecs,
         gmres_converged=final.gmres_converged,
         gmres_residuals=final.gmres_residuals,
+        forcing_terms=final.forcing_terms,
         min_denominators=final.min_denominators,
         rn_evals=sum(r.rn_evals for r in reports),
         line_search_evals=sum(r.line_search_evals for r in reports),

@@ -10,6 +10,15 @@ from eggmix.solver import SolverConfig, newton_solve, transfinite_global, \
     folded_initial_guess
 
 
+def start(system, folded=False):
+    """Inner coefficients of the transfinite starting net, optionally
+    folded."""
+    net = transfinite_global(system)
+    if folded:
+        net = folded_initial_guess(system, net)
+    return system.net_as_c(net[system.topology.inner_indices])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

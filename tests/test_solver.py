@@ -254,9 +254,10 @@ def test_rn_eval_accounting():
     n0 = sys_.rn_eval_count
     c, rep = newton_solve(sys_, c0, SolverConfig())
     assert rep.rn_evals == sys_.rn_eval_count - n0
-    # one base eval per iteration + gmres matvecs + line-search probes
-    # + at most one rhs finite-difference eval per iteration
-    base = rep.newton_iterations + sum(rep.gmres_matvecs) + rep.line_search_evals
+    # one eval at the start (every later state is the accepted line-search
+    # probe) + gmres matvecs + line-search probes + at most one rhs
+    # finite-difference eval per iteration
+    base = 1 + sum(rep.gmres_matvecs) + rep.line_search_evals
     assert base <= rep.rn_evals <= base + rep.newton_iterations
 
 
