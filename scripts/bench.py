@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Newton-Krylov counts and solve times over the baseline case table.
 
-Each case runs ``newton_solve`` with the default ``SolverConfig`` in a fresh
-single-threaded child process, so that its peak RSS
-(``resource.getrusage``) is its own. Per case the output records the primal
-DOF count, Newton/GMRES/``rn_evals`` counts, whether every GMRES solve
-converged, the solve wall time and the peak RSS.
+Each case runs in a fresh single-threaded child process, so that its peak
+RSS (``resource.getrusage``) is its own. A solve case runs ``newton_solve``
+with the default ``SolverConfig`` and records the primal DOF count,
+Newton/GMRES/``rn_evals`` counts, whether every GMRES solve converged, the
+solve wall time and the peak RSS. A setup case times
+``build_system_hierarchy`` and then the first frozen-Laplacian pattern
+(``MixedSystem._laplacian_pattern``) of the finest system, next to the DOF
+count, the element count and the pattern's nonzero count.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -47,6 +50,10 @@ CASES = {
     "bat-folded-L0": ("bat", "full", 0, True),
     "bat-folded-L1": ("bat", "full", 1, True),
 }
+# key -> (geometry, mode, h-refinement level)
+SETUP_CASES = {
+    "bat-L2-setup": ("bat", "full", 2),
+}
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
@@ -78,6 +85,27 @@ def run_case(key):
     }
 
 
+def run_setup_case(key):
+    """Build one hierarchy and its finest pattern in this process; returns
+    its record."""
+    name, mode, level = SETUP_CASES[key]
+    geo = parse_geometry(BUILDERS[name]())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    t0 = time.perf_counter()
+    system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
+    t1 = time.perf_counter()
+    indices, _, _ = system._laplacian_pattern
+    t2 = time.perf_counter()
+    return {
+        "n_sigma": system.topology.n_sigma,
+        "n_elements": sum(ctx.cache.n_el for ctx in system.patches),
+        "pattern_nnz": len(indices),
+        "hierarchy_s": t1 - t0,
+        "pattern_s": t2 - t1,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 def run_child(key):
     env = dict(os.environ, **PINNED)
     proc = subprocess.run([sys.executable, __file__, "--child", key], env=env,
@@ -90,10 +118,12 @@ def run_child(key):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=pathlib.Path)
-    ap.add_argument("--child", choices=sorted(CASES), help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=sorted(CASES) + sorted(SETUP_CASES),
+                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(run_case(args.child)))
+        run = run_case if args.child in CASES else run_setup_case
+        print(json.dumps(run(args.child)))
         return
 
     cases = {}
@@ -103,6 +133,11 @@ def main(argv=None):
         print(f"{key:20s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
               f"{r['solve_s']:7.2f} s {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
+    for key in SETUP_CASES:
+        cases[key] = run_child(key)
+        r = cases[key]
+        print(f"{key:20s} {r['hierarchy_s']:7.2f} + {r['pattern_s']:5.2f} s "
+              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,

@@ -281,8 +281,7 @@ class MixedSystem:
         topo = self.topology
         offs = topo.tilde_offsets
         mt_blocks = []
-        bxi_rows, bxi_cols, bxi_vals = [], [], []
-        beta_rows, beta_cols, beta_vals = [], [], []
+        coo = {"xi": [], "eta": []}
         for i in range(topo.n_patches):
             am = topo.maps[i]
             vol = abs(am.det)
@@ -292,20 +291,16 @@ class MixedSystem:
                 sparse.csr_matrix(mbar_s), sparse.csr_matrix(mbar_t)))
             ks = sparse.kron(sparse.csr_matrix(kbar_s), sparse.csr_matrix(obar_t))
             kt = sparse.kron(sparse.csr_matrix(obar_s), sparse.csr_matrix(kbar_t))
-            bxi = (vol * (ia[0, 0] * ks + ia[1, 0] * kt)).tocoo()
-            beta = (vol * (ia[0, 1] * ks + ia[1, 1] * kt)).tocoo()
-            for mat, (rows, cols, vals) in ((bxi, (bxi_rows, bxi_cols, bxi_vals)),
-                                            (beta, (beta_rows, beta_cols, beta_vals))):
-                rows.extend(mat.row + offs[i])
-                cols.extend(topo.sig_l2g[i][mat.col])
-                vals.extend(mat.data)
+            for key, col in (("xi", 0), ("eta", 1)):
+                mat = (vol * (ia[0, col] * ks + ia[1, col] * kt)).tocoo()
+                coo[key].append((mat.data, mat.row + offs[i],
+                                 topo.sig_l2g[i][mat.col]))
         n_tilde = topo.n_tilde
-        self._btilde = {
-            "xi": sparse.csr_matrix((bxi_vals, (bxi_rows, bxi_cols)),
-                                    shape=(n_tilde, topo.n_sigma)),
-            "eta": sparse.csr_matrix((beta_vals, (beta_rows, beta_cols)),
-                                     shape=(n_tilde, topo.n_sigma)),
-        }
+        self._btilde = {}
+        for key, blocks in coo.items():
+            vals, rows, cols = map(np.concatenate, zip(*blocks))
+            self._btilde[key] = sparse.csr_matrix(
+                (vals, (rows, cols)), shape=(n_tilde, topo.n_sigma))
         self._tilde2g = topo.tilde_to_global()
         gather = sparse.csr_matrix(
             (np.ones(n_tilde), (np.arange(n_tilde), self._tilde2g)),
@@ -496,12 +491,11 @@ class MixedSystem:
             return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
                             n * n, key)
 
-        pattern = np.empty(0, dtype=np.int64)
-        for ctx, els in self._chunks():
-            pattern = np.union1d(pattern, keys(ctx, els))
+        chunk_keys = [keys(ctx, els) for ctx, els in self._chunks()]
+        pattern = np.unique(np.concatenate([k.ravel() for k in chunk_keys]))
         pattern = pattern[pattern < n * n]
-        positions = [np.searchsorted(pattern, keys(ctx, els)).astype(np.int32)
-                     for ctx, els in self._chunks()]
+        positions = [np.searchsorted(pattern, k).astype(np.int32)
+                     for k in chunk_keys]
         indptr = np.searchsorted(pattern // n, np.arange(n + 1))
         return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
 

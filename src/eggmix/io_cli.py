@@ -483,18 +483,17 @@ def _write_vtk(path, patches_samples):
 
 
 def svg_isolines(maps, resolution):
-    """Images of all element-boundary knot lines, one polyline per line."""
+    """Images of all element-boundary knot lines, one polyline per line.
+
+    Each patch is sampled once on a grid of r = ``max(resolution, 4)``
+    points per element, whose every r-th line is a breakpoint line."""
+    r = max(resolution, 4)
     polylines = []
     for pmap in maps:
         kx, ky = pmap.basis.kv_xi, pmap.basis.kv_eta
-        dense_x = _sample_grid(kx, max(resolution, 4))
-        dense_y = _sample_grid(ky, max(resolution, 4))
-        for xv in kx.breakpoints:
-            jets = pmap.grid_jet([xv], dense_y, 0)
-            polylines.append(jets["x"][0])
-        for yv in ky.breakpoints:
-            jets = pmap.grid_jet(dense_x, [yv], 0)
-            polylines.append(jets["x"][:, 0])
+        X = pmap.grid_jet(_sample_grid(kx, r), _sample_grid(ky, r), 0)["x"]
+        polylines.extend(X[::r])
+        polylines.extend(X[:, ::r].swapaxes(0, 1))
     return polylines
 
 
@@ -532,13 +531,12 @@ def cmd_sample(args) -> int:
         print(f"input error: unknown format {args.format!r}", file=sys.stderr)
         return 1
     out = args.out or os.path.splitext(args.input)[0] + "." + args.format
-    samples = [_sample_patch(m, args.resolution) for m in maps]
-    if args.format == "csv":
-        _write_csv(out, samples)
-    elif args.format == "vtk":
-        _write_vtk(out, samples)
-    else:
+    if args.format == "svg":
         _write_svg(out, maps, args.resolution)
+    elif args.format == "csv":
+        _write_csv(out, [_sample_patch(m, args.resolution) for m in maps])
+    else:
+        _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
     print(f"wrote {out}")
     return 0
 

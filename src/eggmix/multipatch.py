@@ -10,7 +10,7 @@ topology, so single- and multipatch paths are literally the same code.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -96,7 +96,9 @@ def _couple(dims, face_index_lists):
 @dataclass
 class PatchTopology:
     """Patches with their primal/auxiliary basis pair, affine maps, interface
-    list and the derived local-to-global DOF tables."""
+    list and the derived local-to-global DOF tables. Each auxiliary basis is
+    the global h-refinement of its primal basis; ``bar_prolongations`` holds
+    the matching prolongations (primal to auxiliary coefficients)."""
     bases: list
     bar_bases: list
     maps: list
@@ -108,7 +110,7 @@ class PatchTopology:
     boundary_indices: np.ndarray
     inner_indices: np.ndarray
     unglued_faces: list
-    bar_prolongations: list = field(default_factory=list)
+    bar_prolongations: list
 
     @property
     def n_patches(self):

@@ -418,20 +418,18 @@ class HierarchyLevel:
 
 
 def _refined_topology(topo):
-    patches = [(tb.refine()[0], topo.maps[i]) for i, tb in enumerate(topo.bases)]
+    patches = list(zip(topo.bar_bases, topo.maps))
     return build_topology(patches, topo.interfaces)
 
 
 def _prolong_net(topo_c, topo_f, prolongations, net):
+    """Fine control net from a coarse one: each global fine DOF takes its
+    value from the first (patch, local index) that holds it."""
+    fine = np.concatenate([P @ net[l2g] for P, l2g
+                           in zip(prolongations, topo_c.sig_l2g)])
+    dofs, first = np.unique(np.concatenate(topo_f.sig_l2g), return_index=True)
     out = np.zeros((topo_f.n_sigma, 2))
-    done = np.zeros(topo_f.n_sigma, dtype=bool)
-    for p in range(topo_c.n_patches):
-        local = net[topo_c.sig_l2g[p]]
-        fine_local = prolongations[p] @ local
-        for loc, g in enumerate(topo_f.sig_l2g[p]):
-            if not done[g]:
-                out[g] = fine_local[loc]
-                done[g] = True
+    out[dofs] = fine[first]
     return out
 
 
@@ -446,7 +444,9 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
                                       mode=mode, chi=chi, mu=mu))]
     topo = topology
     for _ in range(levels):
-        prol = [tb.refine()[1] for tb in topo.bases]
+        # the auxiliary bases of a topology are the global h-refinement of
+        # its primal bases, so they are the next level's primal bases
+        prol = topo.bar_prolongations
         topo_f = _refined_topology(topo)
         net_f = _prolong_net(topo, topo_f, prol, out[-1].system._template)
         sysf = MixedSystem(topo_f, net_f[topo_f.boundary_indices],

@@ -138,7 +138,9 @@ class KnotVector:
                 and np.allclose(self.knots, other.knots, atol=KNOT_TOL, rtol=0.0))
 
     def __hash__(self):
-        return hash((self.degree, len(self.knots), float(self.knots.sum())))
+        # __eq__ compares knots only within KNOT_TOL, so only the exactly
+        # compared parts may enter the hash
+        return hash((self.degree, len(self.knots)))
 
     def __repr__(self):
         return f"KnotVector(p={self.degree}, nelems={self.nelems}, dim={self.dim})"
@@ -200,42 +202,41 @@ class KnotVector:
             return 0
         return int(self.multiplicities[1:-1].max())
 
-    def _insert(self, xbar: float):
-        """Insert a single new knot value; returns (KnotVector, prolongation)."""
-        t, p, n = self.knots, self.degree, self.dim
-        k = self.find_span(xbar)
-        rows, cols, vals = [], [], []
-        for i in range(n + 1):
-            if i <= k - p:
-                alpha = 1.0
-            elif i >= k + 1:
-                alpha = 0.0
-            else:
-                alpha = (xbar - t[i]) / (t[i + p] - t[i])
-            if alpha != 0.0:
-                rows.append(i)
-                cols.append(i)
-                vals.append(alpha)
-            if alpha != 1.0:
-                rows.append(i)
-                cols.append(i - 1)
-                vals.append(1.0 - alpha)
-        P = sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
-        return KnotVector(p, np.insert(t, k + 1, xbar)), P
-
     def refine(self):
         """Bisect every nonempty span.
 
         Returns the refined knot vector and the sparse prolongation matrix
-        mapping coarse to fine coefficients exactly.
+        mapping coarse to fine coefficients exactly. All midpoints are
+        inserted at once (one sort), and the prolongation is formed directly
+        by the Oslo algorithm (Cohen, Lyche & Riesenfeld, "Discrete
+        B-splines and subdivision techniques in computer-aided geometric
+        design", CGIP 14 (1980)): fine row i, with t[mu] <= tau[i] <
+        t[mu + 1], holds the discrete B-splines of coarse coefficients
+        mu-p..mu, the product R_1(tau[i+1]) ... R_p(tau[i+p]) of the
+        B-spline recurrence matrices, evaluated for all rows in p passes.
         """
+        t, p = self.knots, self.degree
         mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
-        kv = self
-        P = sparse.identity(self.dim, format="csr")
-        for x in mids:
-            kv, Pk = kv._insert(x)
-            P = Pk @ P
-        return kv, P.tocsr()
+        tau = np.sort(np.concatenate([t, mids]))
+        n_fine = len(tau) - p - 1
+        mu = np.clip(np.searchsorted(t, tau[:n_fine], side="right") - 1,
+                     p, self.dim - 1)
+        # after pass k, alpha[i, r] weighs coarse coefficient mu[i] - k + r
+        alpha = np.ones((n_fine, 1))
+        for k in range(1, p + 1):
+            j = mu[:, None] + np.arange(1 - k, 1)
+            x = tau[k: k + n_fine, None]
+            w = (x - t[j]) / (t[j + k] - t[j])
+            nxt = np.zeros((n_fine, k + 1))
+            nxt[:, :k] = alpha * (1.0 - w)
+            nxt[:, 1:] += alpha * w
+            alpha = nxt
+        P = sparse.csr_matrix(
+            (alpha.ravel(), ((mu - p)[:, None] + np.arange(p + 1)).ravel(),
+             np.arange(0, n_fine * (p + 1) + 1, p + 1)),
+            shape=(n_fine, self.dim))
+        P.eliminate_zeros()
+        return KnotVector(p, tau), P
 
     def collocation(self, pts, nderiv: int = 0):
         """Dense collocation matrices: one (len(pts), dim) array per
@@ -383,23 +384,3 @@ class TensorBasis:
             out.w_xieta = np.outer(tx[1], ty[1]).ravel()
             out.w_etaeta = np.outer(tx[0], ty[2]).ravel()
         return out
-
-
-# Spec-level operation aliases -------------------------------------------------
-
-def eval_univariate(kv: KnotVector, x: float, max_deriv: int = 0):
-    """Values and derivatives of the nonzero basis functions at ``x``."""
-    return kv.eval(x, max_deriv)
-
-
-def greville(kv: KnotVector):
-    return kv.greville
-
-
-def h_refine(kv):
-    """Global h-refinement of a KnotVector or TensorBasis."""
-    return kv.refine()
-
-
-def tensor_eval(tb: TensorBasis, xi: float, eta: float, max_deriv: int = 1):
-    return tb.eval(xi, eta, max_deriv)

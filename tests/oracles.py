@@ -258,3 +258,100 @@ def loop_frozen_laplacian(system, c):
                     + (g11 + 0.5 * mu) * np.outer(w_eta, w_eta))
     inner = topo.inner_indices
     return K[np.ix_(inner, inner)]
+
+
+def insert_knot(kv, xbar):
+    """Insert one knot value (Boehm's algorithm); returns the new knot
+    vector and the sparse (dim + 1, dim) prolongation."""
+    from scipy import sparse
+    from eggmix.splines import KnotVector
+
+    t, p, n = kv.knots, kv.degree, kv.dim
+    k = min(max(int(np.searchsorted(t, xbar, side="right")) - 1, p), n - 1)
+    rows, cols, vals = [], [], []
+    for i in range(n + 1):
+        if i <= k - p:
+            alpha = 1.0
+        elif i >= k + 1:
+            alpha = 0.0
+        else:
+            alpha = (xbar - t[i]) / (t[i + p] - t[i])
+        if alpha != 0.0:
+            rows.append(i)
+            cols.append(i)
+            vals.append(alpha)
+        if alpha != 1.0:
+            rows.append(i)
+            cols.append(i - 1)
+            vals.append(1.0 - alpha)
+    P = sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, n))
+    return KnotVector(p, np.insert(t, k + 1, xbar)), P
+
+
+def knot_by_knot_refine(kv):
+    """Bisect every nonempty span by inserting the midpoints one at a time
+    and chaining the single-knot prolongations: the loop the one-pass
+    ``KnotVector.refine`` replaced."""
+    from scipy import sparse
+
+    mids = 0.5 * (kv.breakpoints[:-1] + kv.breakpoints[1:])
+    P = sparse.identity(kv.dim, format="csr")
+    for x in mids:
+        kv, Pk = insert_knot(kv, x)
+        P = Pk @ P
+    return kv, P.tocsr()
+
+
+def union1d_laplacian_pattern(system):
+    """``MixedSystem._laplacian_pattern`` grown by one ``np.union1d`` per
+    block of ``_chunks``: the loop the single sort replaced."""
+    n = system.n_inner
+    inner_of = np.full(system.topology.n_sigma, -1)
+    inner_of[system.topology.inner_indices] = np.arange(n)
+
+    def keys(ctx, els):
+        loc = inner_of[ctx.act_sig_glob[els]]
+        key = loc[:, :, None] * n + loc[:, None, :]
+        return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
+                        n * n, key)
+
+    pattern = np.empty(0, dtype=np.int64)
+    for ctx, els in system._chunks():
+        pattern = np.union1d(pattern, keys(ctx, els))
+    pattern = pattern[pattern < n * n]
+    positions = [np.searchsorted(pattern, keys(ctx, els)).astype(np.int32)
+                 for ctx, els in system._chunks()]
+    indptr = np.searchsorted(pattern // n, np.arange(n + 1))
+    return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
+
+
+def loop_prolong_net(topo_c, topo_f, prolongations, net):
+    """Fine control net from a coarse one, each global fine DOF taken from
+    the first (patch, local index) that holds it, one DOF at a time."""
+    out = np.zeros((topo_f.n_sigma, 2))
+    done = np.zeros(topo_f.n_sigma, dtype=bool)
+    for p in range(topo_c.n_patches):
+        fine_local = prolongations[p] @ net[topo_c.sig_l2g[p]]
+        for loc, g in enumerate(topo_f.sig_l2g[p]):
+            if not done[g]:
+                out[g] = fine_local[loc]
+                done[g] = True
+    return out
+
+
+def per_line_svg_isolines(maps, resolution):
+    """Images of all element-boundary knot lines with one ``grid_jet`` call
+    per knot line, sampled on the dense grid of ``max(resolution, 4)``
+    points per element."""
+    from eggmix.io_cli import _sample_grid
+
+    polylines = []
+    for pmap in maps:
+        kx, ky = pmap.basis.kv_xi, pmap.basis.kv_eta
+        dense_x = _sample_grid(kx, max(resolution, 4))
+        dense_y = _sample_grid(ky, max(resolution, 4))
+        for xv in kx.breakpoints:
+            polylines.append(pmap.grid_jet([xv], dense_y, 0)["x"][0])
+        for yv in ky.breakpoints:
+            polylines.append(pmap.grid_jet(dense_x, [yv], 0)["x"][:, 0])
+    return polylines

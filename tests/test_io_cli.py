@@ -1,13 +1,21 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import eggmix.io_cli
 from eggmix.io_cli import load_solution, main, parse_geometry, \
-    solution_system, svg_isolines, validate_geometry
+    solution_patch_maps, solution_system, svg_isolines, validate_geometry
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
 from eggmix.errors import InputError
+
+from oracles import per_line_svg_isolines
+
+RESTART_SOLUTIONS = sorted(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart")
+    .glob("*.solution.json"))
 
 
 def run_cli(*args):
@@ -239,6 +247,25 @@ def test_svg_isolines_mirror_symmetric(lbend_solution):
                   or np.abs(q[::-1] - target).max() < 1e-6))
             for q in polylines)
         assert found
+
+
+@pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
+                         ids=lambda p: p.name.split(".")[0])
+def test_svg_matches_per_line_isolines(solution, tmp_path, monkeypatch):
+    _, maps = solution_patch_maps(load_solution(solution))
+    for resolution in (1, 4, 7):
+        got = svg_isolines(maps, resolution)
+        want = per_line_svg_isolines(maps, resolution)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-14 * max(1.0, np.abs(w).max())
+    out = tmp_path / "one_grid.svg"
+    assert run_cli("sample", solution, "--format", "svg", "--out", out) == 0
+    monkeypatch.setattr(eggmix.io_cli, "svg_isolines", per_line_svg_isolines)
+    ref = tmp_path / "per_line.svg"
+    assert run_cli("sample", solution, "--format", "svg", "--out", ref) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_quality_identity(square_solution, capsys):

@@ -10,7 +10,8 @@ import pytest
 import eggmix.assembly
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
-from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus
+from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
+    build_two_patch_square
 from eggmix.io_cli import parse_geometry
 from eggmix.mapping import sampled_bijectivity, unit_square_map
 from eggmix.solver import NewtonState, SolverConfig, build_system_hierarchy, \
@@ -18,7 +19,7 @@ from eggmix.solver import NewtonState, SolverConfig, build_system_hierarchy, \
 from eggmix.splines import TensorBasis, uniform_knots
 
 from conftest import start
-from oracles import loop_frozen_laplacian
+from oracles import loop_frozen_laplacian, union1d_laplacian_pattern
 
 
 def geometry_system(doc, mode="full"):
@@ -51,6 +52,28 @@ def test_frozen_laplacian_matches_pointwise_loop(case, rng):
     K_ref = loop_frozen_laplacian(system, c)
     assert K.shape == (system.n_inner, system.n_inner)
     assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+
+
+def lbend_xi_l1_system():
+    geo = parse_geometry(build_lbend())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    return build_system_hierarchy(geo.topology, bv, 1, mode="xi")[-1].system
+
+
+@pytest.mark.parametrize("make_system", [
+    lambda: geometry_system(build_bat()),
+    lbend_xi_l1_system,
+    lambda: geometry_system(build_two_patch_square()),
+], ids=["bat", "lbend-xi-L1", "two_patch_square"])
+def test_laplacian_pattern_matches_union1d_loop(make_system):
+    system = make_system()
+    indices, indptr, positions = system._laplacian_pattern
+    indices_ref, indptr_ref, positions_ref = union1d_laplacian_pattern(system)
+    for got, want in ((indices, indices_ref), (indptr, indptr_ref)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert len(positions) == len(positions_ref)
+    for got, want in zip(positions, positions_ref):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_frozen_laplacian_spd_on_folded_bat():

@@ -5,15 +5,15 @@ from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.errors import StagnationError
 from eggmix.io_cli import parse_geometry
-from eggmix.geometries import build_lbend, build_quarter_annulus, \
-    exact_annulus_map
+from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
+    build_two_patch_square, exact_annulus_map
 from eggmix.mapping import unit_square_map
 from eggmix.solver import NewtonState, SolverConfig, _line_search, \
     build_system_hierarchy, coarse_to_fine_solve, initial_d_from_c, \
     newton_solve, schur_matvec, schur_rhs, transfinite_global
 from eggmix.splines import TensorBasis, uniform_knots, gauss_legendre
 
-from oracles import explicit_schur
+from oracles import explicit_schur, loop_prolong_net
 
 
 def square_system(p=2, ne=3, mode="full"):
@@ -320,6 +320,26 @@ def test_coarse_to_fine_prolongation_reproduces_coarse_map():
     for x, y in rng.uniform(0, 1, size=(50, 2)):
         np.testing.assert_allclose(mc.eval_jet(x, y, 0)["x"],
                                    mf.eval_jet(x, y, 0)["x"], atol=1e-12)
+
+
+@pytest.mark.parametrize("build, levels", [(build_bat, 1),
+                                            (build_two_patch_square, 2)])
+def test_hierarchy_reuses_auxiliary_refinement(build, levels, rng):
+    geo = parse_geometry(build())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    hier = build_system_hierarchy(geo.topology, bv, levels)
+    for coarse, fine in zip(hier[:-1], hier[1:]):
+        tc, tf = coarse.system.topology, fine.system.topology
+        assert all(b is bb for b, bb in zip(tf.bases, tc.bar_bases))
+        for tb, P in zip(tc.bases, tc.bar_prolongations):
+            assert np.array_equal(P.toarray(), tb.refine()[1].toarray())
+        net = rng.standard_normal((tc.n_sigma, 2))
+        want = loop_prolong_net(tc, tf, tc.bar_prolongations, net)
+        assert np.array_equal(fine.prolong(net), want)
+        bnd = tf.boundary_indices
+        want = loop_prolong_net(tc, tf, tc.bar_prolongations,
+                                coarse.system._template)
+        assert np.array_equal(fine.system._template[bnd], want[bnd])
 
 
 def test_coarse_to_fine_lbend_iterations_not_worse():

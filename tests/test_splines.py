@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eggmix.errors import DomainError, InputError
-from eggmix.splines import KnotVector, TensorBasis, eval_univariate, greville, \
-    h_refine, tensor_eval, uniform_knots
+from eggmix.geometries import BUILDERS
+from eggmix.io_cli import parse_geometry
+from eggmix.splines import KNOT_TOL, KnotVector, TensorBasis, uniform_knots
 
-from oracles import loop_collocation, naive_all_values
+from oracles import knot_by_knot_refine, loop_collocation, naive_all_values
 
 knot_vectors = st.builds(
     uniform_knots,
@@ -29,7 +30,7 @@ def test_validation_rejects_bad_inputs():
 
 def test_hat_function_midpoint():
     kv = KnotVector(1, [0, 0, 0.5, 1, 1])
-    first, tab = eval_univariate(kv, 0.25, 0)
+    first, tab = kv.eval(0.25, 0)
     assert first == 0
     np.testing.assert_allclose(tab[0], [0.5, 0.5])
 
@@ -108,9 +109,9 @@ def test_derivatives_match_finite_differences():
 
 
 def test_greville_examples():
-    np.testing.assert_allclose(greville(KnotVector(1, [0, 0, 0.5, 1, 1])),
+    np.testing.assert_allclose(KnotVector(1, [0, 0, 0.5, 1, 1]).greville,
                                [0, 0.5, 1])
-    np.testing.assert_allclose(greville(KnotVector(2, [0, 0, 0, 1, 1, 1])),
+    np.testing.assert_allclose(KnotVector(2, [0, 0, 0, 1, 1, 1]).greville,
                                [0, 0.5, 1])
     kv = uniform_knots(3, 4)
     expect = [kv.knots[i + 1: i + 4].mean() for i in range(kv.dim)]
@@ -126,7 +127,7 @@ def test_greville_sorted_in_unit_interval():
 
 def test_h_refine_linear_case():
     kv = KnotVector(1, [0, 0, 1, 1])
-    fine, P = h_refine(kv)
+    fine, P = kv.refine()
     np.testing.assert_allclose(fine.knots, [0, 0, 0.5, 1, 1])
     np.testing.assert_allclose(P.toarray(), [[1, 0], [0.5, 0.5], [0, 1]])
 
@@ -140,6 +141,49 @@ def test_h_refine_preserves_multiplicity_and_constants():
     assert fine.nelems == 2 * kv.nelems
     ones = np.ones(kv.dim)
     np.testing.assert_allclose(P @ ones, np.ones(fine.dim), atol=1e-14)
+
+
+def assert_refine_matches_insertion(kv):
+    fine, P = kv.refine()
+    fine_ref, P_ref = knot_by_knot_refine(kv)
+    assert np.array_equal(fine.knots, fine_ref.knots)
+    assert P.shape == P_ref.shape
+    assert np.abs(P.toarray() - P_ref.toarray()).max() <= 1e-14
+
+
+BUNDLED_KNOT_VECTORS = [
+    pytest.param(kv, id=f"{name}-{i}")
+    for name, build in sorted(BUILDERS.items())
+    for i, kv in enumerate(kv for tb in parse_geometry(build()).topology.bases
+                           for kv in (tb.kv_xi, tb.kv_eta))]
+
+
+@pytest.mark.parametrize("kv", [
+    uniform_knots(1, 1), uniform_knots(1, 6), uniform_knots(2, 3),
+    uniform_knots(3, 7), uniform_knots(2, 4, c0_breaks=(0.5,)),
+    uniform_knots(3, 4, c0_breaks=(0.25, 0.75)),
+    uniform_knots(1, 4, c0_breaks=(0.5,)),
+    KnotVector(2, [0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1]),
+    KnotVector(3, [0, 0, 0, 0, 0.1, 0.1, 0.1, 0.2, 0.9, 1, 1, 1, 1]),
+    KnotVector(3, [0, 0, 0, 0, 0.05, 0.6, 0.6, 1, 1, 1, 1]),
+] + BUNDLED_KNOT_VECTORS)
+def test_refine_matches_knot_by_knot_insertion(kv):
+    assert_refine_matches_insertion(kv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(knot_vectors)
+def test_refine_matches_knot_by_knot_insertion_randomized(kv):
+    assert_refine_matches_insertion(kv)
+
+
+def test_knot_vector_hash_consistent_with_eq():
+    a = KnotVector(2, [0, 0, 0, 0.3, 1, 1, 1])
+    c = KnotVector(2, [0, 0, 0, 0.3 + 0.4 * KNOT_TOL, 1, 1, 1])
+    assert a == c and a.knots.sum() != c.knots.sum()
+    assert hash(a) == hash(c)
+    assert len({a, c}) == 1
+    assert len({a, KnotVector(2, [0, 0, 0, 0.4, 1, 1, 1])}) == 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,7 +210,7 @@ def test_tensor_flat_index_bijection():
 def test_tensor_eval_bezier_corner():
     tb = TensorBasis(KnotVector(2, [0, 0, 0, 1, 1, 1]),
                      KnotVector(2, [0, 0, 0, 1, 1, 1]))
-    te = tensor_eval(tb, 0.0, 0.0, 0)
+    te = tb.eval(0.0, 0.0, 0)
     corner = tb.flat(0, 0)
     values = dict(zip(te.active, te.w))
     assert abs(values[corner] - 1.0) < 1e-14
