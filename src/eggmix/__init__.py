@@ -15,7 +15,7 @@ from .assembly import MixedSystem, single_patch_system
 from .multipatch import AffinePatchMap, Interface, PatchTopology, \
     build_topology, build_restriction, multipatch_solve, single_patch_topology
 from .solver import SolverConfig, SolverReport, newton_solve, \
-    coarse_to_fine_solve, build_system_hierarchy, initial_d_from_c
+    coarse_to_fine_solve, build_system_hierarchy
 
 __all__ = [
     "KnotVector", "TensorBasis", "uniform_knots",
@@ -25,5 +25,5 @@ __all__ = [
     "AffinePatchMap", "Interface", "PatchTopology", "build_topology",
     "build_restriction", "multipatch_solve", "single_patch_topology",
     "SolverConfig", "SolverReport", "newton_solve", "coarse_to_fine_solve",
-    "build_system_hierarchy", "initial_d_from_c",
+    "build_system_hierarchy",
 ]

@@ -19,27 +19,12 @@ from scipy.sparse.linalg import splu
 
 from .errors import CornerMismatchError, InputError, ModeError
 from .linalg import KronSolver
-from .multipatch import (PatchTopology, RestrictionOperator, build_restriction,
-                         single_patch_topology)
+from .multipatch import PatchTopology, single_patch_topology
 from .splines import KnotVector, TensorBasis, gauss_legendre
 
 MODES = ("full", "xi", "eta")
 # elements per block when the frozen-metric Laplacian is assembled
 LAPLACIAN_CHUNK = 128
-
-
-@dataclass
-class ResidualVector:
-    """Linear and nonlinear residual parts, concatenated as (R_L, R_N)."""
-    r_l: np.ndarray
-    r_n: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.r_l @ self.r_l + self.r_n @ self.r_n))
-
-    def concatenated(self):
-        return np.concatenate([self.r_l, self.r_n])
 
 
 @dataclass
@@ -271,7 +256,7 @@ class MixedSystem:
                 act_bar_glob=topo.bar_l2g[i][cache.act_bar],
                 inv_a=am.inv,
                 vol=vol,
-                kron=KronSolver(mbar_s, mbar_t, blocks=1, scale=vol)))
+                kron=KronSolver(mbar_s, mbar_t, scale=vol)))
 
     def _build_matrices(self, univariate):
         """Global sparse operators on the discontinuous union:
@@ -307,22 +292,14 @@ class MixedSystem:
             shape=(n_tilde, topo.n_sigbar))
         self._gather_bar = gather
         self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
-        # with coupled DOFs the patchwise solve plus det-weighted restriction
-        # is only an approximation of A^-1 (it even has a null space), so the
-        # coupled mass is factored once here by a sparse LU with a
-        # fill-reducing symmetric ordering; it is SPD, so no pivoting
+        # with coupled DOFs the coupled mass is factored once here by a sparse
+        # LU with a fill-reducing symmetric ordering; it is SPD, so no pivoting
         self._coupled = topo.n_tilde != topo.n_sigbar
         self._mass_lu = None
         if self._coupled:
             self._mass_lu = splu(
                 (gather.T @ self._mt_gather).tocsc(), permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-
-    @functools.cached_property
-    def restriction(self) -> RestrictionOperator:
-        """The det-weighted restriction of the paper, built on first use:
-        only :meth:`apply_ainv_b_restricted` needs it, the solver does not."""
-        return build_restriction(self.topology)
 
     # -- shapes and layout -------------------------------------------------
 
@@ -463,9 +440,6 @@ class MixedSystem:
         inner = topo.inner_indices
         return np.concatenate([res[inner, 0], res[inner, 1]])
 
-    def residual(self, d, c) -> ResidualVector:
-        return ResidualVector(r_l=self.eval_RL(d, c), r_n=self.eval_RN(d, c))
-
     # -- Schur preconditioner ------------------------------------------------
 
     def _chunks(self):
@@ -591,16 +565,6 @@ class MixedSystem:
             return self.ainv_tilde(tilde)
         return self._mass_pcg(self.reduce_tilde(tilde))
 
-    def apply_ainv_b_restricted(self, s):
-        """The patchwise-separable approximation of A^-1 B s: patch-local L2
-        projections of the derivative fields of x0[s], merged by the
-        det-weighted restriction. Exact without coupling; the solver does not
-        use it (see :meth:`apply_ainv_b`)."""
-        net = np.zeros((self.topology.n_sigma, 2))
-        net[self.topology.inner_indices] = self.c_as_net(s)
-        local = self.ainv_tilde(self._derivative_moments(net))
-        return self.restriction.apply(local.T).T.ravel()
-
     def apply_ainv_b(self, s):
         """A^-1 B s, solved exactly for all fields in one call (batched
         patchwise Kronecker factors when uncoupled, the factored coupled mass
@@ -701,16 +665,3 @@ def boundary_values_from_faces(topology: PatchTopology, boundary_data):
         raise InputError(f"{len(missing)} boundary DOFs received no curve data")
     return values[topology.boundary_indices]
 
-
-# Spec-level operation aliases -------------------------------------------------
-
-def assemble_constant_blocks(system: MixedSystem):
-    return system.assemble_constant_blocks()
-
-
-def eval_RL(system: MixedSystem, d, c):
-    return system.eval_RL(d, c)
-
-
-def eval_RN(system: MixedSystem, d, c):
-    return system.eval_RN(d, c)

@@ -2,7 +2,8 @@
 
 Geometry and solution files are JSON (schema in docs/geometry_schema.json);
 mesh export writes legacy-VTK structured grids, SVG isoline plots or CSV
-point tables. Exit codes: 0 converged, 1 input error, 2 non-converged.
+point tables. Exit codes: 0 converged to a bijective map, 1 input error,
+2 not converged or converged to a folded map.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,15 +23,26 @@ import numpy as np
 from .assembly import MixedSystem, boundary_values_from_faces
 from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError, StagnationError
-from .mapping import sampled_bijectivity, winslow
+from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
-from .solver import SolverConfig, build_system_hierarchy, coarse_to_fine_solve, \
-    folded_initial_guess, newton_solve, transfinite_global
+from .solver import EW_ETA_MAX, SolverConfig, build_system_hierarchy, \
+    coarse_to_fine_solve, folded_initial_guess, newton_solve, transfinite_global
 from .splines import KnotVector, TensorBasis
 
 FACE_NAMES = ("south", "north", "west", "east")
-SOLVER_KEYS = ("mode", "mu", "chi", "newton_tol", "max_newton", "gmres_tol",
-               "gmres_restart", "gmres_max_iter", "coarse_levels")
+# the numeric solver settings of docs/geometry_schema.json:
+# key -> (integer, minimum, minimum excluded, maximum)
+SOLVER_RANGES = {
+    "mu": (False, 0, True, math.inf),
+    "chi": (False, 0, False, 1),
+    "newton_tol": (False, 0, True, math.inf),
+    "max_newton": (True, 1, False, math.inf),
+    "gmres_tol": (False, 0, True, EW_ETA_MAX),
+    "gmres_restart": (True, 1, False, math.inf),
+    "gmres_max_iter": (True, 1, False, math.inf),
+    "coarse_levels": (True, 0, False, math.inf),
+}
+SOLVER_KEYS = ("mode",) + tuple(SOLVER_RANGES)
 
 
 @dataclass
@@ -139,6 +152,17 @@ def validate_geometry(doc) -> list:
                                    "unknown solver setting (ignored)"))
         if "mode" in solver and solver["mode"] not in ("full", "xi", "eta"):
             err("/solver/mode", "expected full, xi or eta")
+        for key, (integer, lo, lo_open, hi) in SOLVER_RANGES.items():
+            if key not in solver:
+                continue
+            v = solver[key]
+            ok = ((isinstance(v, int) and not isinstance(v, bool)) if integer
+                  else (_is_number(v) and math.isfinite(v)))
+            if not (ok and (v > lo if lo_open else v >= lo) and v <= hi):
+                kind = "an integer" if integer else "a finite number"
+                upper = f" and <= {hi:g}" if hi < math.inf else ""
+                err(f"/solver/{key}", f"expected {kind} "
+                    f"{'>' if lo_open else '>='} {lo:g}{upper}")
     return out
 
 
@@ -196,27 +220,31 @@ def _atomic_write(path, text: str):
         raise
 
 
-def _quality_block(topology, control):
+def _quality_block(maps):
+    """Bijectivity/energy report of per-patch maps: ``(block, per_patch)``,
+    with ``block`` the solution file's quality block and ``per_patch`` a
+    (sampled report, energy) pair per patch. The energy is the Winslow
+    energy, or the error message when the map folds between the samples,
+    or None when a sample folds."""
     per_patch = []
-    min_detj = np.inf
-    folds = 0
-    for i in range(topology.n_patches):
-        rep = sampled_bijectivity(topology.patch_map(i, control), 5)
-        min_detj = min(min_detj, rep.min_detj)
-        folds += rep.fold_count
-        per_patch.append(rep)
-    ws = None
-    if folds == 0:
-        # the map can still fold between the samples, at a quadrature point
-        try:
-            ws = [winslow(topology.patch_map(i, control))
-                  for i in range(topology.n_patches)]
-        except NonbijectiveMapError:
-            pass
-    return {"min_detj": float(min_detj), "fold_count": int(folds),
-            "nonbijective": ws is None,
-            "winslow_per_patch": None if ws is None else [float(w) for w in ws],
-            "winslow_total": None if ws is None else float(sum(ws))}
+    for m in maps:
+        rep = sampled_bijectivity(m, 5)
+        energy = None
+        if not rep.fold_count:
+            # the map can still fold between the samples, at a quadrature point
+            try:
+                energy = winslow(m)
+            except NonbijectiveMapError as exc:
+                energy = str(exc)
+        per_patch.append((rep, energy))
+    ws = [e for _, e in per_patch]
+    bijective = all(isinstance(e, float) for e in ws)
+    block = {"min_detj": float(min(rep.min_detj for rep, _ in per_patch)),
+             "fold_count": int(sum(rep.fold_count for rep, _ in per_patch)),
+             "nonbijective": not bijective,
+             "winslow_per_patch": [float(w) for w in ws] if bijective else None,
+             "winslow_total": float(sum(ws)) if bijective else None}
+    return block, per_patch
 
 
 def _residual_norm_of_solution(system: MixedSystem, c):
@@ -259,9 +287,10 @@ def geometry_doc_from_system(system: MixedSystem) -> dict:
 
 def solution_document(geometry_doc: dict, system: MixedSystem, c, report,
                       settings) -> dict:
+    topo = system.topology
     control = system.full_control_net(c)
-    nets = [[[float(x), float(y)] for x, y in system.topology.gather_local(i, control)]
-            for i in range(system.topology.n_patches)]
+    maps = [topo.patch_map(i, control) for i in range(topo.n_patches)]
+    nets = [[[float(x), float(y)] for x, y in m.control] for m in maps]
     return {
         "format": "eggmix-solution",
         "version": 1,
@@ -272,7 +301,7 @@ def solution_document(geometry_doc: dict, system: MixedSystem, c, report,
         "converged": bool(report.converged),
         "residual_norm": _residual_norm_of_solution(system, c),
         "report": report.to_dict(),
-        "quality": _quality_block(system.topology, control),
+        "quality": _quality_block(maps)[0],
     }
 
 
@@ -283,7 +312,7 @@ def write_solution(path, sol: dict):
 def load_solution(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         sol = json.load(fh)
-    if sol.get("format") != "eggmix-solution":
+    if not isinstance(sol, dict) or sol.get("format") != "eggmix-solution":
         raise InputError(f"{path} is not a solution file")
     return sol
 
@@ -291,10 +320,10 @@ def load_solution(path) -> dict:
 def solution_control(sol: dict):
     """The parsed geometry of a solution and its global (n_sigma, 2) control
     net."""
-    geo = parse_geometry(sol["geometry"])
+    geo, maps = solution_patch_maps(sol)
     control = np.zeros((geo.topology.n_sigma, 2))
-    for i, net in enumerate(sol["control_nets"]):
-        control[geo.topology.sig_l2g[i]] = np.asarray(net, dtype=float)
+    for l2g, m in zip(geo.topology.sig_l2g, maps):
+        control[l2g] = m.control
     return geo, control
 
 
@@ -310,12 +339,20 @@ def solution_system(sol: dict):
 
 
 def solution_patch_maps(sol: dict):
-    geo = parse_geometry(sol["geometry"])
+    """The parsed geometry of a solution and its per-patch maps, each
+    control net checked against its patch basis."""
+    geo = parse_geometry(sol.get("geometry"))
+    bases = geo.topology.bases
+    nets = sol.get("control_nets")
+    if not isinstance(nets, list) or len(nets) != len(bases):
+        raise InputError(f"/control_nets: expected {len(bases)} control nets, "
+                         "one per patch")
     maps = []
-    for i, net in enumerate(sol["control_nets"]):
-        maps.append(geo.topology.patch_map(
-            i, np.zeros((geo.topology.n_sigma, 2))))
-        maps[-1].control[:] = np.asarray(net, dtype=float)
+    for i, (tb, net) in enumerate(zip(bases, nets)):
+        try:
+            maps.append(SplineMap(tb, net))
+        except (InputError, TypeError, ValueError) as exc:
+            raise InputError(f"/control_nets/{i}: {exc}") from None
     return geo, maps
 
 
@@ -333,21 +370,16 @@ def cmd_solve(args) -> int:
         v = getattr(args, key, None)
         if v is not None:
             settings[key] = v  # CLI flags win over file settings
-    config_kwargs = {}
-    for src, dst in (("newton_tol", "newton_tol"), ("max_newton", "max_newton"),
-                     ("gmres_tol", "gmres_tol"), ("gmres_restart", "gmres_restart"),
-                     ("gmres_max_iter", "gmres_max_iter")):
-        if src in geo.solver:
-            config_kwargs[dst] = geo.solver[src]
+    config_kwargs = {k: geo.solver[k] for k in
+                     ("newton_tol", "max_newton", "gmres_tol", "gmres_restart",
+                      "gmres_max_iter") if k in geo.solver}
     if args.tol is not None:
         config_kwargs["newton_tol"] = args.tol
-    config = SolverConfig(verbose=args.verbose,
-                          coarse_levels=int(settings["coarse_levels"]),
-                          **config_kwargs)
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
+        config = SolverConfig(verbose=args.verbose, **config_kwargs)
         bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
-        levels = config.coarse_levels
+        levels = int(settings["coarse_levels"])
         if levels > 0:
             hierarchy = build_system_hierarchy(
                 geo.topology, bvals, levels, mode=settings["mode"],
@@ -382,7 +414,7 @@ def cmd_solve(args) -> int:
             _, c = exc.state
             system = exc.system or system
             stagnated = True
-    except (InputError, EggmixError) as exc:
+    except (InputError, EggmixError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     # the embedded geometry must describe the basis the control nets live on
@@ -402,7 +434,9 @@ def cmd_solve(args) -> int:
     else:
         print(f"quality: winslow {q['winslow_total']:.6f}  min detJ "
               f"{q['min_detj']:.3e}")
-    return 0 if (report.converged and not stagnated) else 2
+    # a converged map that folds has not reached the fold-free solution
+    return 0 if (report.converged and not stagnated
+                 and not q["nonbijective"]) else 2
 
 
 def cmd_check(args) -> int:
@@ -548,31 +582,21 @@ def cmd_quality(args) -> int:
     except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    total = 0.0
-    bijective = True
-    min_detj = np.inf
-    for i, m in enumerate(maps):
-        rep = sampled_bijectivity(m, 5)
-        min_detj = min(min_detj, rep.min_detj)
+    block, per_patch = _quality_block(maps)
+    for i, (rep, energy) in enumerate(per_patch):
         if rep.fold_count:
-            bijective = False
             print(f"patch {i}: nonbijective ({rep.fold_count} folded samples)")
             for loc in rep.fold_locations[:10]:
                 print("  fold at s=%.4f t=%.4f detJ=%.3e" % loc)
-            continue
-        try:
-            w = winslow(m)
-        except NonbijectiveMapError as exc:
-            bijective = False
-            print(f"patch {i}: nonbijective between the samples ({exc})")
-            continue
-        total += w
-        print(f"patch {i}: winslow {w:.6f}  min detJ {rep.min_detj:.6e}")
-    if bijective:
-        print(f"total winslow: {total:.6f}")
-    else:
+        elif isinstance(energy, str):
+            print(f"patch {i}: nonbijective between the samples ({energy})")
+        else:
+            print(f"patch {i}: winslow {energy:.6f}  min detJ {rep.min_detj:.6e}")
+    if block["nonbijective"]:
         print("nonbijective")
-    print(f"min detJ: {min_detj:.6e}")
+    else:
+        print(f"total winslow: {block['winslow_total']:.6f}")
+    print(f"min detJ: {block['min_detj']:.6e}")
     return 0
 
 

@@ -52,64 +52,41 @@ class Banded1DCholesky:
         return L
 
 
-def cholesky_banded(matrix) -> Banded1DCholesky:
-    return Banded1DCholesky(matrix)
-
-
 class KronSolver:
     """Applies (m_xi x m_eta)^-1 blockwise to stacked right-hand sides.
 
     ``scale`` divides the result, accounting for a constant Jacobian factor
-    multiplying the separable mass matrix. ``work_units`` accumulates an
-    operation-count proxy (entries touched per banded solve) so tests can
-    assert the O(N) cost per block.
+    multiplying the separable mass matrix. ``solve_count`` counts the blocks
+    solved so far.
     """
 
-    def __init__(self, m_xi, m_eta, blocks: int = 1, scale: float = 1.0):
-        if blocks < 1:
-            raise InputError("blocks must be >= 1")
+    def __init__(self, m_xi, m_eta, scale: float = 1.0):
         if scale == 0.0:
             raise InputError("scale must be nonzero")
-        self.chol_xi = m_xi if isinstance(m_xi, Banded1DCholesky) else Banded1DCholesky(m_xi)
-        self.chol_eta = m_eta if isinstance(m_eta, Banded1DCholesky) else Banded1DCholesky(m_eta)
+        self.chol_xi = Banded1DCholesky(m_xi)
+        self.chol_eta = Banded1DCholesky(m_eta)
         self.n_xi = self.chol_xi.n
         self.n_eta = self.chol_eta.n
-        self.blocks = blocks
         self.scale = float(scale)
         self.solve_count = 0
-        self.work_units = 0
-
-    @property
-    def block_size(self):
-        return self.n_xi * self.n_eta
 
     def solve_block(self, rhs):
         """Solve k stacked (m_xi x m_eta) blocks with one pair of banded
-        solves; rhs has shape (n_xi * n_eta,) or (k, n_xi * n_eta), each
+        solves; rhs has shape (k * n_xi * n_eta,) or (k, n_xi * n_eta), each
         block in xi-major ordering, and the result has the shape of rhs."""
         rhs = np.asarray(rhs, dtype=float)
         n_xi, n_eta = self.n_xi, self.n_eta
+        if rhs.ndim == 0 or rhs.shape[-1] % (n_xi * n_eta):
+            raise InputError(
+                f"rhs shape {rhs.shape} is not made of blocks of size "
+                f"{n_xi * n_eta}")
         X = rhs.reshape(-1, n_xi, n_eta)
         k = X.shape[0]
         Y = self.chol_xi.solve(X.transpose(1, 0, 2).reshape(n_xi, k * n_eta))
         Y = Y.reshape(n_xi, k, n_eta).transpose(2, 1, 0).reshape(n_eta, k * n_xi)
         Z = self.chol_eta.solve(Y).reshape(n_eta, k, n_xi).transpose(1, 2, 0)
         self.solve_count += k
-        self.work_units += k * self.block_size * (
-            2 * (self.chol_xi.bandwidth + 1) + 2 * (self.chol_eta.bandwidth + 1))
         return (Z / self.scale).reshape(rhs.shape)
-
-    def solve(self, rhs):
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.blocks * self.block_size,):
-            raise InputError(
-                f"rhs length {rhs.shape} incompatible with "
-                f"{self.blocks} blocks of size {self.block_size}")
-        return self.solve_block(rhs.reshape(self.blocks, -1)).ravel()
-
-
-def kron_solve(ks: KronSolver, rhs):
-    return ks.solve(rhs)
 
 
 @dataclass

@@ -294,9 +294,6 @@ class RestrictionOperator:
     matrix: sparse.csr_matrix
     weights: list
 
-    def apply(self, tilde_values):
-        return self.matrix @ tilde_values
-
 
 def build_restriction(topology: PatchTopology) -> RestrictionOperator:
     offsets = topology.tilde_offsets
@@ -314,21 +311,6 @@ def build_restriction(topology: PatchTopology) -> RestrictionOperator:
     mat = sparse.csr_matrix((vals, (rows, cols)),
                             shape=(topology.n_sigbar, topology.n_tilde))
     return RestrictionOperator(matrix=mat, weights=weights)
-
-
-# Thin spec-level wrappers around the assembled system --------------------------
-
-def multipatch_residual(system, d, c):
-    """Coupled residual of the mixed system at state (d, c)."""
-    return system.residual(d, c)
-
-
-def multipatch_ainv_b(system, s):
-    """Patchwise-separable approximation of A^-1 B s: patchwise projections
-    merged by the det-J-weighted restriction (exact when no DOFs are
-    coupled). The solver does not use it; its exact mass solves go through
-    the factored coupled mass."""
-    return system.apply_ainv_b_restricted(s)
 
 
 def multipatch_solve(topology, boundary_data, config=None, *, mode="full",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError, StagnationError
 from .linalg import gmres
-from .mapping import SplineMap
+from .mapping import SplineMap, transfinite_initial_guess
 from .multipatch import build_topology
 from .assembly import MixedSystem
 
@@ -41,48 +41,50 @@ EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_ETA_MAX = 0.9
 
+# backtracking line search: accept nu when ||R_new|| <= (1 - LS_DECREASE nu)
+# ||R_old||, else multiply nu by LS_BACKTRACK; give up below LS_MIN_NU
+LS_BACKTRACK = 0.5
+LS_DECREASE = 1e-4
+LS_MIN_NU = 1e-4
+# floor of the direction norm in the finite-difference step
+FD_FLOOR = 1e-14
+
 
 @dataclass
 class SolverConfig:
-    """Tolerances and knobs for the Newton-Krylov solve.
+    """Tolerances of the Newton-Krylov solve.
 
     ``newton_tol`` is relative to the first accepted step norm;
     ``newton_abs_floor`` is the absolute fallback below which any step counts
-    as converged. ``gmres_tol`` is the first and the smallest forcing term:
-    the relative GMRES tolerance of the first Newton step and the floor of
-    every later one (see ``forcing_term``).
+    as converged; ``max_newton`` caps the Newton steps. ``gmres_tol`` is the
+    first and the smallest forcing term: the relative GMRES tolerance of the
+    first Newton step and the floor of every later one (see
+    ``forcing_term``). ``gmres_restart`` and ``gmres_max_iter`` bound each
+    GMRES solve. ``verbose`` writes one JSON line per Newton step to stderr.
+    The line-search and finite-difference constants are module constants
+    (``LS_*``, ``FD_FLOOR``).
     """
     newton_tol: float = 1e-8
     newton_abs_floor: float = 1e-12
     max_newton: int = 50
-    ls_backtrack: float = 0.5
-    ls_decrease: float = 1e-4
-    ls_min_nu: float = 1e-4
     gmres_tol: float = 1e-3
     gmres_restart: int = 50
     gmres_max_iter: int = 200
-    coarse_levels: int = 0
-    fd_floor: float = 1e-14
     verbose: bool = False
-    keep_d: bool = False
 
     def __post_init__(self):
-        for name in ("newton_tol", "newton_abs_floor", "gmres_tol",
-                     "ls_min_nu", "fd_floor"):
+        for name in ("newton_tol", "newton_abs_floor", "gmres_tol"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
-        if not 0.0 < self.ls_backtrack < 1.0:
-            raise InputError("ls_backtrack must lie in (0, 1)")
-        if not 0.0 < self.ls_min_nu <= 1.0:
-            raise InputError("ls_min_nu must lie in (0, 1]")
         # at 1 or above GMRES returns the zero step, which reads as converged
         if self.gmres_tol > EW_ETA_MAX:
             raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
 
-    def fd_epsilon(self, state_norm: float, dir_norm: float) -> float:
-        """Finite-difference step: sqrt(machine eps) * (1 + |state|) / |s|,
-        with the direction norm floored."""
-        return SQRT_EPS * (1.0 + state_norm) / max(dir_norm, self.fd_floor)
+
+def fd_epsilon(state_norm: float, dir_norm: float) -> float:
+    """Finite-difference step: sqrt(machine eps) * (1 + |state|) / |s|,
+    with the direction norm floored."""
+    return SQRT_EPS * (1.0 + state_norm) / max(dir_norm, FD_FLOOR)
 
 
 @dataclass
@@ -103,7 +105,6 @@ class SolverReport:
     line_search_evals: int = 0
     wall_time: float = 0.0
     final_residual: float = np.nan
-    d_final: np.ndarray | None = None
     levels: list = field(default_factory=list)
 
     def to_dict(self):
@@ -156,43 +157,34 @@ class NewtonState:
         self.state_norm = float(np.sqrt(self.d @ self.d + self.c @ self.c))
 
 
-def initial_d_from_c(system: MixedSystem, c):
-    """Auxiliary start values: separable L2 projection of x_xi, x_eta."""
-    return system.project_d(c)
-
-
-def schur_matvec(system: MixedSystem, state: NewtonState, s,
-                 config: SolverConfig | None = None):
+def schur_matvec(system: MixedSystem, state: NewtonState, s):
     """Finite-difference product of the Schur complement with ``s``."""
-    config = config or SolverConfig()
     s = np.asarray(s, dtype=float)
     q = system.apply_ainv_b(s)
-    eps = config.fd_epsilon(state.state_norm, float(np.linalg.norm(s)))
+    eps = fd_epsilon(state.state_norm, float(np.linalg.norm(s)))
     rn = system.eval_RN(state.d + eps * q, state.c + eps * s)
     return (rn - state.r_n) / eps
 
 
-def schur_rhs(system: MixedSystem, state: NewtonState,
-              config: SolverConfig | None = None):
+def schur_rhs(system: MixedSystem, state: NewtonState):
     """Right-hand side b - C A^-1 a of the Schur equation.
 
     A consistent linear part (a ~ 0, i.e. pure solver noise) short-circuits
     the finite-difference term and returns b exactly.
     """
-    config = config or SolverConfig()
     a = -state.r_l
     b = -state.r_n
     anorm = float(np.linalg.norm(a))
     if anorm <= 1e-12 * max(1.0, float(np.linalg.norm(b))):
         return b
     q = system.ainv_exact(-state.rl_tilde).ravel()
-    eps = config.fd_epsilon(state.state_norm, float(np.linalg.norm(q)))
+    eps = fd_epsilon(state.state_norm, float(np.linalg.norm(q)))
     rn = system.eval_RN(state.d + eps * q, state.c)
     return b - (rn - state.r_n) / eps
 
 
 def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
-                config: SolverConfig | None = None):
+                config: SolverConfig):
     """Newton step delta_c of the Schur equation S delta_c = rhs.
 
     GMRES runs on the right-preconditioned operator y -> S P^-1 y, with P
@@ -200,9 +192,8 @@ def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
     stopping test ||rhs - S delta_c|| <= tol ||rhs|| is therefore on the
     true Schur residual. Returns ``(delta_c, GmresResult)``.
     """
-    config = config or SolverConfig()
     precond = system.laplace_preconditioner(state.c)
-    gm = gmres(lambda y: schur_matvec(system, state, precond(y), config), rhs,
+    gm = gmres(lambda y: schur_matvec(system, state, precond(y)), rhs,
                tol=tol, restart=config.gmres_restart,
                max_iter=config.gmres_max_iter)
     return precond(gm.solution), gm
@@ -227,22 +218,22 @@ def forcing_term(gmres_tol: float, residual_norms, forcing_terms) -> float:
     return min(max(eta, gmres_tol), EW_ETA_MAX)
 
 
-def _line_search(residual_norm_of, r_old: float, config: SolverConfig):
+def _line_search(residual_norm_of, r_old: float):
     """Backtracking on the residual norm; returns (nu, new_norm, probes).
 
-    Accepts the first nu with ||R_new|| <= (1 - ls_decrease * nu) ||R_old||;
-    raises StagnationError below the nu floor.
+    Accepts the first nu with ||R_new|| <= (1 - LS_DECREASE * nu) ||R_old||;
+    raises StagnationError below the nu floor LS_MIN_NU.
     """
     nu = 1.0
     probes = 0
-    while nu >= config.ls_min_nu:
+    while nu >= LS_MIN_NU:
         r_new = residual_norm_of(nu)
         probes += 1
-        if r_new <= (1.0 - config.ls_decrease * nu) * r_old:
+        if r_new <= (1.0 - LS_DECREASE * nu) * r_old:
             return nu, r_new, probes
-        nu *= config.ls_backtrack
+        nu *= LS_BACKTRACK
     raise StagnationError(
-        f"line search hit nu floor {config.ls_min_nu:g} without decrease "
+        f"line search hit nu floor {LS_MIN_NU:g} without decrease "
         f"from ||R|| = {r_old:.3e}")
 
 
@@ -278,7 +269,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         eta = forcing_term(config.gmres_tol, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
-        rhs = schur_rhs(system, state, config)
+        rhs = schur_rhs(system, state)
         delta_c, gm = schur_solve(system, state, rhs, eta, config)
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))
@@ -320,7 +311,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             return float(np.sqrt(rl @ rl + rn @ rn))
 
         try:
-            nu, _, probes = _line_search(trial_norm, state.r_norm, config)
+            nu, _, probes = _line_search(trial_norm, state.r_norm)
         except StagnationError as exc:
             report.rn_evals = system.rn_eval_count - rn0
             report.wall_time = time.perf_counter() - t0
@@ -340,8 +331,6 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     report.rn_evals = system.rn_eval_count - rn0
     report.wall_time = time.perf_counter() - t0
     report.final_residual = state.r_norm
-    if config.keep_d:
-        report.d_final = d
     if converged and target_map is not None:
         target_map.control[target_map.inner_indices] = system.c_as_net(c)
     return c, report
@@ -350,7 +339,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
 # -- initial guesses -----------------------------------------------------------
 
 def transfinite_global(system: MixedSystem):
-    """Control-net transfinite (Coons) interior on every patch.
+    """Control-net transfinite (Coons) interior on every patch, by
+    :func:`~eggmix.mapping.transfinite_initial_guess`.
 
     Interface curves, which are unknowns, get straight-segment placeholders
     between their endpoint values (domain centroid when an endpoint is itself
@@ -379,21 +369,11 @@ def transfinite_global(system: MixedSystem):
                 net[g] = (1.0 - r) * v0 + r * v1
                 known[g] = True
 
-    for p in range(topo.n_patches):
-        tb = topo.bases[p]
-        local = net[topo.sig_l2g[p]].reshape(tb.n_xi, tb.n_eta, 2)
-        s = tb.kv_xi.greville[:, None, None]
-        t = tb.kv_eta.greville[None, :, None]
-        F = ((1 - s) * local[0][None, :, :] + s * local[-1][None, :, :]
-             + (1 - t) * local[:, 0][:, None, :] + t * local[:, -1][:, None, :]
-             - ((1 - s) * (1 - t) * local[0, 0] + s * (1 - t) * local[-1, 0]
-                + (1 - s) * t * local[0, -1] + s * t * local[-1, -1]))
-        flat = F.reshape(tb.dim, 2)
-        for loc in range(tb.dim):
-            g = topo.sig_l2g[p][loc]
-            if not known[g]:
-                net[g] = flat[loc]
-                known[g] = True
+    # every face of a patch is now known, and a patch's inner DOFs belong
+    # to that patch alone
+    for p, tb in enumerate(topo.bases):
+        net[topo.sig_l2g[p][tb.inner_indices]] = transfinite_initial_guess(
+            topo.patch_map(p, net))
     return net
 
 

@@ -355,3 +355,104 @@ def per_line_svg_isolines(maps, resolution):
         for yv in ky.breakpoints:
             polylines.append(pmap.grid_jet(dense_x, [yv], 0)["x"][:, 0])
     return polylines
+
+
+def coons_loop_transfinite_global(system):
+    """Control-net Coons interior of every patch, written out per patch
+    with a per-DOF fill of the unknown DOFs; interface curves get the same
+    straight-segment placeholders as ``transfinite_global``."""
+    topo = system.topology
+    net = system._template.copy()
+    known = np.zeros(topo.n_sigma, dtype=bool)
+    known[topo.boundary_indices] = True
+    centroid = net[topo.boundary_indices].mean(axis=0)
+
+    for itf in topo.interfaces:
+        tb = topo.bases[itf.patch_a]
+        gl = topo.sig_l2g[itf.patch_a][tb.face_indices(itf.face_a)]
+        for g in (gl[0], gl[-1]):
+            if not known[g]:
+                net[g] = centroid
+                known[g] = True
+    for itf in topo.interfaces:
+        tb = topo.bases[itf.patch_a]
+        gl = topo.sig_l2g[itf.patch_a][tb.face_indices(itf.face_a)]
+        ratios = tb.face_knotvector(itf.face_a).greville
+        v0, v1 = net[gl[0]], net[gl[-1]]
+        for g, r in zip(gl[1:-1], ratios[1:-1]):
+            if not known[g]:
+                net[g] = (1.0 - r) * v0 + r * v1
+                known[g] = True
+
+    for p in range(topo.n_patches):
+        tb = topo.bases[p]
+        local = net[topo.sig_l2g[p]].reshape(tb.n_xi, tb.n_eta, 2)
+        s = tb.kv_xi.greville[:, None, None]
+        t = tb.kv_eta.greville[None, :, None]
+        F = ((1 - s) * local[0][None, :, :] + s * local[-1][None, :, :]
+             + (1 - t) * local[:, 0][:, None, :] + t * local[:, -1][:, None, :]
+             - ((1 - s) * (1 - t) * local[0, 0] + s * (1 - t) * local[-1, 0]
+                + (1 - s) * t * local[0, -1] + s * t * local[-1, -1]))
+        flat = F.reshape(tb.dim, 2)
+        for loc in range(tb.dim):
+            g = topo.sig_l2g[p][loc]
+            if not known[g]:
+                net[g] = flat[loc]
+                known[g] = True
+    return net
+
+
+def two_pass_quality_block(maps):
+    """The solution file's quality block: Winslow energies only when no
+    patch has a folded sample, and then of every patch."""
+    from eggmix.errors import NonbijectiveMapError
+    from eggmix.mapping import sampled_bijectivity, winslow
+
+    min_detj = np.inf
+    folds = 0
+    for m in maps:
+        rep = sampled_bijectivity(m, 5)
+        min_detj = min(min_detj, rep.min_detj)
+        folds += rep.fold_count
+    ws = None
+    if folds == 0:
+        try:
+            ws = [winslow(m) for m in maps]
+        except NonbijectiveMapError:
+            pass
+    return {"min_detj": float(min_detj), "fold_count": int(folds),
+            "nonbijective": ws is None,
+            "winslow_per_patch": None if ws is None else [float(w) for w in ws],
+            "winslow_total": None if ws is None else float(sum(ws))}
+
+
+def two_pass_quality_text(maps):
+    """The stdout of ``eggmix quality``, computed patch by patch on its
+    own."""
+    from eggmix.errors import NonbijectiveMapError
+    from eggmix.mapping import sampled_bijectivity, winslow
+
+    lines = []
+    total = 0.0
+    bijective = True
+    min_detj = np.inf
+    for i, m in enumerate(maps):
+        rep = sampled_bijectivity(m, 5)
+        min_detj = min(min_detj, rep.min_detj)
+        if rep.fold_count:
+            bijective = False
+            lines.append(f"patch {i}: nonbijective ({rep.fold_count} folded samples)")
+            for loc in rep.fold_locations[:10]:
+                lines.append("  fold at s=%.4f t=%.4f detJ=%.3e" % loc)
+            continue
+        try:
+            w = winslow(m)
+        except NonbijectiveMapError as exc:
+            bijective = False
+            lines.append(f"patch {i}: nonbijective between the samples ({exc})")
+            continue
+        total += w
+        lines.append(f"patch {i}: winslow {w:.6f}  min detJ {rep.min_detj:.6e}")
+    lines.append(f"total winslow: {total:.6f}" if bijective else "nonbijective")
+    lines.append(f"min detJ: {min_detj:.6e}")
+    return "\n".join(lines) + "\n"

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eggmix.assembly import MixedSystem, assemble_constant_blocks, \
-    build_quadrature, eval_RL, eval_RN, single_patch_system
+from eggmix.assembly import MixedSystem, build_quadrature, \
+    single_patch_system
 from eggmix.errors import InputError, ModeError
 from eggmix.io_cli import parse_geometry
 from eggmix.geometries import build_quarter_annulus, exact_annulus_map
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import build_topology
-from eggmix.solver import initial_d_from_c
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
 from oracles import dense_row, greville_interpolate_2d, \
@@ -44,7 +43,7 @@ def test_quadrature_integrates_bilinear_exactly():
 
 def test_mass_of_constant_is_area():
     sys_, _ = square_system(2, 3)
-    A, _, _ = assemble_constant_blocks(sys_)
+    A, _, _ = sys_.assemble_constant_blocks()
     nbar = sys_.topology.n_sigbar
     ones = np.ones(nbar)
     total = ones @ (A[:nbar, :nbar] @ ones)
@@ -67,7 +66,7 @@ def test_hat_mass_matrix():
 
 def test_derivative_matrix_column_sums_vanish_for_interior():
     sys_, _ = square_system(2, 3)
-    _, B, B_bnd = assemble_constant_blocks(sys_)
+    _, B, B_bnd = sys_.assemble_constant_blocks()
     topo = sys_.topology
     nbar = topo.n_sigbar
     # first field block row of B holds the xi-derivative columns of the
@@ -90,7 +89,7 @@ def test_mass_matches_reference_quadrature():
     tb = TensorBasis(kv, kv)
     sys_ = MixedSystem(build_topology([(tb, None)], []),
                        unit_square_map(tb).control[tb.boundary_indices])
-    A, _, _ = assemble_constant_blocks(sys_)
+    A, _, _ = sys_.assemble_constant_blocks()
     bb = sys_.topology.bar_bases[0]
     ref_1d = reference_univariate_integral(bb.kv_xi, bb.kv_xi)
     ref = np.kron(ref_1d, ref_1d)
@@ -100,7 +99,7 @@ def test_mass_matches_reference_quadrature():
 
 def test_mass_times_ones_gives_basis_integrals():
     sys_, _ = square_system(3, 2)
-    A, _, _ = assemble_constant_blocks(sys_)
+    A, _, _ = sys_.assemble_constant_blocks()
     bb = sys_.topology.bar_bases[0]
     nbar = sys_.topology.n_sigbar
     got = A[:nbar, :nbar] @ np.ones(nbar)
@@ -113,17 +112,17 @@ def test_mass_times_ones_gives_basis_integrals():
 def test_eval_RL_zero_for_consistent_state():
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices])
-    d = initial_d_from_c(sys_, c)
-    assert np.abs(eval_RL(sys_, d, c)).max() < 1e-12
+    d = sys_.project_d(c)
+    assert np.abs(sys_.eval_RL(d, c)).max() < 1e-12
 
 
 def test_eval_RL_zero_state_gives_boundary_term():
     sys_, _ = square_system(2, 3)
     d = np.zeros(sys_.d_size)
     c = np.zeros(sys_.c_size)
-    _, _, B_bnd = assemble_constant_blocks(sys_)
+    _, _, B_bnd = sys_.assemble_constant_blocks()
     expect = -(B_bnd @ sys_.boundary_c)
-    np.testing.assert_allclose(eval_RL(sys_, d, c), expect, atol=1e-14)
+    np.testing.assert_allclose(sys_.eval_RL(d, c), expect, atol=1e-14)
 
 
 def test_eval_RL_matches_direct_quadrature_oracle(rng):
@@ -131,7 +130,7 @@ def test_eval_RL_matches_direct_quadrature_oracle(rng):
     topo = sys_.topology
     d = rng.standard_normal(sys_.d_size)
     c = rng.standard_normal(sys_.c_size)
-    got = eval_RL(sys_, d, c)
+    got = sys_.eval_RL(d, c)
     # direct loop: int wbar_i (u - x_xi) and (v - x_eta) per component
     tb, bb = topo.bases[0], topo.bar_bases[0]
     net = sys_.full_control_net(c)
@@ -166,9 +165,9 @@ def test_eval_RL_linearity(alpha, beta, seed):
     c = rng.standard_normal(sys_.c_size)
     d1 = rng.standard_normal(sys_.d_size)
     d2 = rng.standard_normal(sys_.d_size)
-    lhs = eval_RL(sys_, alpha * d1 + beta * d2, c)
-    rhs = (alpha * eval_RL(sys_, d1, c) + beta * eval_RL(sys_, d2, c)
-           + (alpha + beta - 1.0) * -eval_RL(sys_, np.zeros(sys_.d_size), c))
+    lhs = sys_.eval_RL(alpha * d1 + beta * d2, c)
+    rhs = (alpha * sys_.eval_RL(d1, c) + beta * sys_.eval_RL(d2, c)
+           + (alpha + beta - 1.0) * -sys_.eval_RL(np.zeros(sys_.d_size), c))
     # rearranged: RL(a d1 + b d2, c) = a RL(d1,c) + b RL(d2,c) - (a+b-1) RL(0,c)
     scale = max(1.0, np.abs(lhs).max())
     assert np.abs(lhs - rhs).max() < 1e-10 * scale
@@ -178,8 +177,8 @@ def test_eval_RN_identity_state_residual_below_projection_error():
     for mode in ("full", "xi", "eta"):
         sys_, m = square_system(2, 3, mode=mode)
         c = sys_.net_as_c(m.control[m.inner_indices])
-        d = initial_d_from_c(sys_, c)
-        assert np.abs(eval_RN(sys_, d, c)).max() < 1e-10
+        d = sys_.project_d(c)
+        assert np.abs(sys_.eval_RN(d, c)).max() < 1e-10
 
 
 def test_chi_variants_differ_but_agree_on_identity(rng):
@@ -189,7 +188,7 @@ def test_chi_variants_differ_but_agree_on_identity(rng):
     for chi in (0.0, 1.0):
         sys_ = single_patch_system(m, mode="full", chi=chi)
         c_id = sys_.net_as_c(m.control[m.inner_indices])
-        d_id = initial_d_from_c(sys_, c_id)
+        d_id = sys_.project_d(c_id)
         assert np.abs(sys_.eval_RN(d_id, c_id)).max() < 1e-10
         rng_local = np.random.default_rng(11)
         c = c_id + 0.2 * rng_local.standard_normal(sys_.c_size)
@@ -214,7 +213,7 @@ def test_scaling_consistency():
     sys_ = MixedSystem(geo.topology, bv, mode="full", mu=1e-4)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
     c, rep = newton_solve(sys_, c0, SolverConfig(newton_tol=1e-10))
-    d = initial_d_from_c(sys_, c)
+    d = sys_.project_d(c)
     r0 = np.linalg.norm(sys_.eval_RN(d, c))
     s = 3.0
     sys_s = MixedSystem(geo.topology, s * bv, mode="full", mu=1e-4 * s * s)
@@ -233,7 +232,7 @@ def test_element_order_independence(rng):
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices]) \
         + 0.1 * rng.standard_normal(sys_.c_size)
-    d = initial_d_from_c(sys_, c) + 0.05 * rng.standard_normal(sys_.d_size)
+    d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     r1 = sys_.eval_RN(d, c)
     ctx = sys_.patches[0]
     q = ctx.cache
@@ -276,7 +275,7 @@ def test_exact_solution_residual_decreases_under_refinement():
             geo.topology.bases[0],
             lambda x, y: exact_annulus_map(x, y))
         c = sys_.net_as_c(control[geo.topology.inner_indices])
-        d = initial_d_from_c(sys_, c)
+        d = sys_.project_d(c)
         norms.append(np.linalg.norm(sys_.eval_RN(d, c)))
     assert norms[1] < 0.6 * norms[0]
     assert norms[2] < 0.6 * norms[1]

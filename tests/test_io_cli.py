@@ -10,12 +10,14 @@ from eggmix.io_cli import load_solution, main, parse_geometry, \
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
 from eggmix.errors import InputError
+from eggmix.mapping import SplineMap
 
-from oracles import per_line_svg_isolines
+from oracles import per_line_svg_isolines, two_pass_quality_block, \
+    two_pass_quality_text
 
-RESTART_SOLUTIONS = sorted(
-    (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart")
-    .glob("*.solution.json"))
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+RESTART = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart"
+RESTART_SOLUTIONS = sorted(RESTART.glob("*.solution.json"))
 
 
 def run_cli(*args):
@@ -382,7 +384,7 @@ def test_quality_reports_fold_between_samples(square_solution, tmp_path,
     from eggmix.io_cli import _quality_block
     sol = load_solution(square_solution)
     geo, net = _fold_between_samples(sol)
-    block = _quality_block(geo.topology, net)
+    block, _ = _quality_block([SplineMap(geo.topology.bases[0], net)])
     assert block["fold_count"] == 0 and block["min_detj"] > 0.0
     assert block["nonbijective"]
     assert block["winslow_per_patch"] is None and block["winslow_total"] is None
@@ -399,3 +401,105 @@ def test_tube_solves(tmp_path):
     assert run_cli("solve", bundled_path("tube"), "--out", out) == 0
     sol = load_solution(out)
     assert sol["converged"] and sol["quality"]["fold_count"] == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("mode", "diagonal"), ("mu", "abc"), ("mu", 0.0), ("mu", True),
+    ("chi", None), ("chi", 1.5), ("chi", -0.1), ("newton_tol", "x"),
+    ("newton_tol", -1e-8), ("newton_tol", float("nan")), ("max_newton", 2.5),
+    ("max_newton", True), ("max_newton", 0), ("gmres_tol", 0.95),
+    ("gmres_tol", 0), ("gmres_restart", 0), ("gmres_max_iter", "10"),
+    ("coarse_levels", -1), ("coarse_levels", False)])
+def test_malformed_solver_setting_exits_1(key, value, tmp_path, capsys):
+    doc = build_square()
+    doc["solver"] = {key: value}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", p) == 1
+    assert f"/solver/{key}" in capsys.readouterr().out
+    out = tmp_path / "bad.solution.json"
+    assert run_cli("solve", p, "--out", out) == 1
+    assert f"/solver/{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solver_settings_at_their_bounds_accepted():
+    doc = build_square()
+    doc["solver"] = {"mode": "xi", "mu": 1e-6, "chi": 1, "newton_tol": 1e-6,
+                     "max_newton": 1, "gmres_tol": 0.9, "gmres_restart": 1,
+                     "gmres_max_iter": 1, "coarse_levels": 0}
+    assert validate_geometry(doc) == []
+    doc["solver"]["chi"] = 0.0
+    assert validate_geometry(doc) == []
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text"])
+def test_malformed_solution_nets_exit_1(damage, tmp_path, capsys):
+    sol = load_solution(RESTART / "bat.solution.json")
+    nets = sol["control_nets"]
+    if damage == "truncated":
+        nets[1] = nets[1][:-3]
+    elif damage == "missing":
+        nets.pop()
+    elif damage == "extra":
+        nets.append(nets[0])
+    else:
+        nets[2][4] = ["x", "y"]
+    p = tmp_path / "bad.solution.json"
+    p.write_text(json.dumps(sol))
+    assert run_cli("quality", p) == 1
+    assert run_cli("sample", p, "--format", "svg",
+                   "--out", tmp_path / "bad.svg") == 1
+    assert run_cli("solve", bundled_path("bat"), "--initial", "file",
+                   "--initial-file", p, "--out", tmp_path / "out.json") == 1
+    err = capsys.readouterr().err
+    assert err.count("/control_nets") == 3
+    assert not (tmp_path / "bad.svg").exists()
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_non_object_solution_file_exits_1(tmp_path):
+    p = tmp_path / "list.solution.json"
+    p.write_text("[1, 2]")
+    assert run_cli("quality", p) == 1
+    assert run_cli("sample", p, "--out", tmp_path / "list.vtk") == 1
+    assert run_cli("solve", bundled_path("square"), "--initial", "file",
+                   "--initial-file", p, "--out", tmp_path / "out.json") == 1
+
+
+def test_solve_exit_2_on_converged_folded_map(tmp_path, capsys):
+    # a coarse bat whose boundary moved by 3% of each face: from the folded
+    # start the solve converges to a map that folds between the samples
+    out = tmp_path / "folds.solution.json"
+    assert run_cli("solve", DATA / "bat_small_folded.json", "--initial",
+                   "folded", "--out", out) == 2
+    sol = load_solution(out)
+    assert sol["converged"] and sol["quality"]["nonbijective"]
+    assert "quality: nonbijective" in capsys.readouterr().out
+    assert run_cli("quality", out) == 0
+    assert "nonbijective" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", [p.name.split(".")[0] for p in RESTART_SOLUTIONS]
+                         + ["between", "swapped"])
+def test_quality_matches_two_pass_report(case, tmp_path, capsys):
+    if case in ("between", "swapped"):
+        sol = load_solution(RESTART / "square.solution.json")
+        if case == "between":
+            _, net = _fold_between_samples(sol)
+        else:
+            net = np.asarray(sol["control_nets"][0])
+            inner = parse_geometry(sol["geometry"]).topology.bases[0].inner_indices
+            net[[inner[0], inner[-1]]] = net[[inner[-1], inner[0]]]
+        sol["control_nets"][0] = net.tolist()
+        path = tmp_path / f"{case}.solution.json"
+        path.write_text(json.dumps(sol))
+    else:
+        path = RESTART / f"{case}.solution.json"
+        sol = load_solution(path)
+    _, maps = solution_patch_maps(sol)
+    block, _ = eggmix.io_cli._quality_block(maps)
+    assert json.dumps(block) == json.dumps(two_pass_quality_block(maps))
+    assert run_cli("quality", path) == 0
+    assert capsys.readouterr().out == two_pass_quality_text(maps)
+

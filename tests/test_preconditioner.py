@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-import eggmix.assembly
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
@@ -102,10 +101,10 @@ def test_right_preconditioning_keeps_true_residual_test(case, rng):
     system, c = case(rng)
     cfg = SolverConfig()
     state = NewtonState(system, system.project_d(c), c)
-    rhs = schur_rhs(system, state, cfg)
+    rhs = schur_rhs(system, state)
     delta_c, gm = schur_solve(system, state, rhs, cfg.gmres_tol, cfg)
     assert gm.converged
-    true_res = rhs - schur_matvec(system, state, delta_c, cfg)
+    true_res = rhs - schur_matvec(system, state, delta_c)
     assert np.linalg.norm(true_res) <= cfg.gmres_tol * np.linalg.norm(rhs)
 
 
@@ -141,17 +140,3 @@ def test_report_records_gmres_residuals_and_denominators(capsys):
     assert [ln["gmres_residual"] for ln in lines] == rep.gmres_residuals
     assert [ln["min_denominator"] for ln in lines] == rep.min_denominators
 
-
-def test_restriction_built_on_first_use(monkeypatch):
-    calls = []
-    original = eggmix.assembly.build_restriction
-
-    def counting(topo):
-        calls.append(topo)
-        return original(topo)
-
-    monkeypatch.setattr(eggmix.assembly, "build_restriction", counting)
-    system = geometry_system(build_bat())
-    assert calls == []
-    assert system.restriction is system.restriction
-    assert len(calls) == 1

@@ -5,15 +5,18 @@ from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.errors import StagnationError
 from eggmix.io_cli import parse_geometry
-from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
-    build_two_patch_square, exact_annulus_map
+from eggmix.geometries import BUILDERS, build_bat, build_lbend, \
+    build_quarter_annulus, build_two_patch_square, exact_annulus_map, \
+    load as load_bundled
 from eggmix.mapping import unit_square_map
 from eggmix.solver import NewtonState, SolverConfig, _line_search, \
-    build_system_hierarchy, coarse_to_fine_solve, initial_d_from_c, \
-    newton_solve, schur_matvec, schur_rhs, transfinite_global
+    build_system_hierarchy, coarse_to_fine_solve, fd_epsilon, \
+    folded_initial_guess, newton_solve, schur_matvec, schur_rhs, \
+    transfinite_global
 from eggmix.splines import TensorBasis, uniform_knots, gauss_legendre
 
-from oracles import explicit_schur, loop_prolong_net
+from oracles import coons_loop_transfinite_global, explicit_schur, \
+    loop_prolong_net
 
 
 def square_system(p=2, ne=3, mode="full"):
@@ -31,7 +34,7 @@ def annulus_system(p=2, ne=4):
 def test_initial_d_constant_fields():
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices])
-    d = initial_d_from_c(sys_, c).reshape(4, -1)
+    d = sys_.project_d(c).reshape(4, -1)
     nbar = sys_.topology.n_sigbar
     np.testing.assert_allclose(d[0], np.ones(nbar), atol=1e-12)   # u_x = 1
     np.testing.assert_allclose(d[1], np.zeros(nbar), atol=1e-12)  # u_y = 0
@@ -46,7 +49,7 @@ def test_initial_d_anisotropic_scaling():
     m2.control[:, 1] *= 3.0
     sys2 = single_patch_system(m2)
     c = sys2.net_as_c(m2.control[m2.inner_indices])
-    d = initial_d_from_c(sys2, c).reshape(4, -1)
+    d = sys2.project_d(c).reshape(4, -1)
     np.testing.assert_allclose(d[0], 2.0, atol=1e-12)
     np.testing.assert_allclose(d[3], 3.0, atol=1e-12)
 
@@ -54,7 +57,7 @@ def test_initial_d_anisotropic_scaling():
 def test_initial_d_solves_normal_equations(rng):
     sys_, _ = square_system(2, 3)
     c = rng.standard_normal(sys_.c_size)
-    d = initial_d_from_c(sys_, c)
+    d = sys_.project_d(c)
     A, B, B_bnd = sys_.assemble_constant_blocks()
     res = A @ d - (B @ c + B_bnd @ sys_.boundary_c)
     assert np.abs(res).max() < 1e-11
@@ -65,16 +68,15 @@ def test_schur_matvec_and_rhs_match_explicit_oracle(rng):
         sys_, m = square_system(2, 3, mode=mode)
         c = sys_.net_as_c(m.control[m.inner_indices]) \
             + 0.15 * rng.standard_normal(sys_.c_size)
-        d = initial_d_from_c(sys_, c) + 0.1 * rng.standard_normal(sys_.d_size)
+        d = sys_.project_d(c) + 0.1 * rng.standard_normal(sys_.d_size)
         Dt, rhs_ref = explicit_schur(sys_, d, c)
         state = NewtonState(sys_, d, c)
-        cfg = SolverConfig()
         for _ in range(5):
             s = rng.standard_normal(sys_.c_size)
-            got = schur_matvec(sys_, state, s, cfg)
+            got = schur_matvec(sys_, state, s)
             ref = Dt @ s
             assert np.linalg.norm(got - ref) < 1e-5 * np.linalg.norm(ref)
-        rhs = schur_rhs(sys_, state, cfg)
+        rhs = schur_rhs(sys_, state)
         assert np.linalg.norm(rhs - rhs_ref) < 1e-5 * np.linalg.norm(rhs_ref)
 
 
@@ -86,16 +88,15 @@ def test_schur_matvec_matches_oracle_under_coupling(rng):
     sys_ = MixedSystem(geo.topology, bv)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
     c = c0 + 0.1 * rng.standard_normal(sys_.c_size)
-    d = initial_d_from_c(sys_, c) + 0.05 * rng.standard_normal(sys_.d_size)
+    d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     Dt, rhs_ref = explicit_schur(sys_, d, c)
     state = NewtonState(sys_, d, c)
-    cfg = SolverConfig()
     for _ in range(5):
         s = rng.standard_normal(sys_.c_size)
-        got = schur_matvec(sys_, state, s, cfg)
+        got = schur_matvec(sys_, state, s)
         ref = Dt @ s
         assert np.linalg.norm(got - ref) < 1e-5 * np.linalg.norm(ref)
-    rhs = schur_rhs(sys_, state, cfg)
+    rhs = schur_rhs(sys_, state)
     assert np.linalg.norm(rhs - rhs_ref) < 1e-5 * np.linalg.norm(rhs_ref)
 
 
@@ -105,12 +106,11 @@ def test_forward_quotient_matches_central_in_linear_configuration(rng):
     # far below the general finite-difference tolerance
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices])
-    d = initial_d_from_c(sys_, c)
+    d = sys_.project_d(c)
     state = NewtonState(sys_, d, c)
-    cfg = SolverConfig()
     for _ in range(5):
         q = rng.standard_normal(sys_.d_size)
-        eps = cfg.fd_epsilon(state.state_norm, float(np.linalg.norm(q)))
+        eps = fd_epsilon(state.state_norm, float(np.linalg.norm(q)))
         forward = (sys_.eval_RN(d + eps * q, c) - state.r_n) / eps
         central = (sys_.eval_RN(d + eps * q, c)
                    - sys_.eval_RN(d - eps * q, c)) / (2 * eps)
@@ -121,9 +121,9 @@ def test_forward_quotient_matches_central_in_linear_configuration(rng):
 def test_schur_matvec_guards_tiny_direction(rng):
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices])
-    d = initial_d_from_c(sys_, c)
+    d = sys_.project_d(c)
     state = NewtonState(sys_, d, c)
-    out = schur_matvec(sys_, state, np.zeros(sys_.c_size), SolverConfig())
+    out = schur_matvec(sys_, state, np.zeros(sys_.c_size))
     assert np.isfinite(out).all()
 
 
@@ -132,9 +132,9 @@ def test_schur_rhs_short_circuits_on_consistent_d():
     rng = np.random.default_rng(0)
     c = sys_.net_as_c(m.control[m.inner_indices]) \
         + 0.1 * rng.standard_normal(sys_.c_size)
-    d = initial_d_from_c(sys_, c)
+    d = sys_.project_d(c)
     state = NewtonState(sys_, d, c)
-    rhs = schur_rhs(sys_, state, SolverConfig())
+    rhs = schur_rhs(sys_, state)
     np.testing.assert_array_equal(rhs, -state.r_n)
 
 
@@ -150,27 +150,24 @@ def test_newton_identity_converges_immediately():
 
 
 def test_line_search_accepts_full_step():
-    cfg = SolverConfig()
-    nu, r_new, probes = _line_search(lambda nu: 0.5, 1.0, cfg)
+    nu, r_new, probes = _line_search(lambda nu: 0.5, 1.0)
     assert nu == 1.0 and probes == 1
 
 
 def test_line_search_backtracks_then_accepts():
-    cfg = SolverConfig()
     calls = []
 
     def trial(nu):
         calls.append(nu)
         return 2.0 if nu > 0.3 else 0.9
 
-    nu, r_new, probes = _line_search(trial, 1.0, cfg)
+    nu, r_new, probes = _line_search(trial, 1.0)
     assert nu == 0.25 and probes == 3
 
 
 def test_line_search_stagnates():
-    cfg = SolverConfig()
     with pytest.raises(StagnationError):
-        _line_search(lambda nu: 1.0, 1.0, cfg)
+        _line_search(lambda nu: 1.0, 1.0)
 
 
 def test_unconverged_gmres_never_counts_as_newton_convergence():
@@ -266,15 +263,6 @@ def test_solver_report_serializable():
     c, rep = newton_solve(sys_, m, SolverConfig())
     import json
     json.dumps(rep.to_dict())
-
-
-def test_keep_d_flag():
-    sys_, m = square_system(1, 2)
-    c, rep = newton_solve(sys_, m, SolverConfig())
-    assert rep.d_final is None
-    sys2, m2 = square_system(1, 2)
-    c2, rep2 = newton_solve(sys2, m2, SolverConfig(keep_d=True))
-    assert rep2.d_final is not None and rep2.d_final.shape == (sys2.d_size,)
 
 
 def test_verbose_emits_json_lines(capsys):
@@ -421,3 +409,15 @@ def test_exact_annulus_interpolant_l2_error_decreases():
         from eggmix.mapping import sampled_bijectivity
         assert sampled_bijectivity(m, 5).min_detj > 0.0
     assert errs[1] < 0.3 * errs[0]
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_transfinite_global_matches_coons_loop(name):
+    geo = parse_geometry(load_bundled(name))
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    system = MixedSystem(geo.topology, bv)
+    ref = coons_loop_transfinite_global(system)
+    net = transfinite_global(system)
+    assert net.tobytes() == ref.tobytes()
+    assert folded_initial_guess(system).tobytes() == \
+        folded_initial_guess(system, ref).tobytes()
