@@ -5,10 +5,16 @@ Each case runs in a fresh single-threaded child process, so that its peak
 RSS (``resource.getrusage``) is its own. A solve case runs ``newton_solve``
 with the default ``SolverConfig`` and records the primal DOF count,
 Newton/GMRES/``rn_evals`` counts, whether every GMRES solve converged, the
-solve wall time and the peak RSS. A setup case times
-``build_system_hierarchy`` and then the first frozen-Laplacian pattern
-(``MixedSystem._laplacian_pattern``) of the finest system, next to the DOF
-count, the element count and the pattern's nonzero count.
+solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
+(the nonlinear residual) and of ``MixedSystem.laplace_preconditioner``
+(frozen-metric Laplacian assembly and factorisation) inside that solve,
+and the peak RSS. A setup case times ``build_system_hierarchy`` and then
+the first frozen-Laplacian pattern (``MixedSystem._laplacian_pattern``) of
+the finest system, next to the DOF count, the element count and the
+pattern's nonzero count. A kernel case builds the finest system of a
+hierarchy at its start iterate, without solving, and records the median
+milliseconds of ``eval_RN`` and ``laplace_preconditioner`` over repeated
+calls.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -54,20 +60,48 @@ CASES = {
 SETUP_CASES = {
     "bat-L2-setup": ("bat", "full", 2),
 }
+# key -> (geometry, mode, h-refinement level, folded start, calls timed)
+KERNEL_CASES = {
+    "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
+}
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
 
-def run_case(key):
-    """Solve one case in this process; returns its record."""
-    name, mode, level, folded = CASES[key]
+def start_system(name, mode, level, folded):
+    """Finest system of a hierarchy and its start iterate."""
     geo = parse_geometry(BUILDERS[name]())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
     net = transfinite_global(system)
     if folded:
         net = folded_initial_guess(system, net)
-    c0 = system.net_as_c(net[system.topology.inner_indices])
+    return system, system.net_as_c(net[system.topology.inner_indices])
+
+
+def time_calls(system, name, seconds):
+    """Shadow the method ``name`` of ``system`` by a wrapper that appends
+    each call's wall time to ``seconds``."""
+    method = getattr(system, name)
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        out = method(*args)
+        seconds.append(time.perf_counter() - t0)
+        return out
+    setattr(system, name, timed)
+
+
+def mean_ms(seconds):
+    return 1e3 * sum(seconds) / len(seconds) if seconds else None
+
+
+def run_case(key):
+    """Solve one case in this process; returns its record."""
+    system, c0 = start_system(*CASES[key])
+    rn_s, precond_s = [], []
+    time_calls(system, "eval_RN", rn_s)
+    time_calls(system, "laplace_preconditioner", precond_s)
     t0 = time.perf_counter()
     _, rep = newton_solve(system, c0, SolverConfig())
     solve_s = time.perf_counter() - t0
@@ -80,6 +114,8 @@ def run_case(key):
         "gmres_all_converged": all(rep.gmres_converged),
         "max_gmres_per_step": max(rep.gmres_iterations),
         "solve_s": solve_s,
+        "eval_rn_ms": mean_ms(rn_s),
+        "laplace_preconditioner_ms": mean_ms(precond_s),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -106,6 +142,35 @@ def run_setup_case(key):
     }
 
 
+def run_kernel_case(key):
+    """Time the residual and preconditioner kernels of one system in this
+    process; returns its record."""
+    name, mode, level, folded, calls = KERNEL_CASES[key]
+    system, c0 = start_system(name, mode, level, folded)
+    d0 = system.project_d(c0)
+    system.laplace_preconditioner(c0)  # builds the Laplacian pattern
+    rn_s, precond_s = [], []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        system.eval_RN(d0, c0)
+        t1 = time.perf_counter()
+        system.laplace_preconditioner(c0)
+        precond_s.append(time.perf_counter() - t1)
+        rn_s.append(t1 - t0)
+    return {
+        "n_sigma": system.topology.n_sigma,
+        "calls": calls,
+        "eval_rn_ms": 1e3 * float(np.median(rn_s)),
+        "laplace_preconditioner_ms": 1e3 * float(np.median(precond_s)),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
+RUNNERS = {**dict.fromkeys(CASES, run_case),
+           **dict.fromkeys(SETUP_CASES, run_setup_case),
+           **dict.fromkeys(KERNEL_CASES, run_kernel_case)}
+
+
 def run_child(key):
     env = dict(os.environ, **PINNED)
     proc = subprocess.run([sys.executable, __file__, "--child", key], env=env,
@@ -118,12 +183,10 @@ def run_child(key):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=pathlib.Path)
-    ap.add_argument("--child", choices=sorted(CASES) + sorted(SETUP_CASES),
-                    help=argparse.SUPPRESS)
+    ap.add_argument("--child", choices=sorted(RUNNERS), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        run = run_case if args.child in CASES else run_setup_case
-        print(json.dumps(run(args.child)))
+        print(json.dumps(RUNNERS[args.child](args.child)))
         return
 
     cases = {}
@@ -131,13 +194,20 @@ def main(argv=None):
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:20s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
-              f"{r['solve_s']:7.2f} s {r['peak_rss_mb']:7.1f} MB",
-              file=sys.stderr)
+              f"{r['solve_s']:7.2f} s  eval_RN {r['eval_rn_ms']:7.2f} ms  "
+              f"precond {r['laplace_preconditioner_ms']:7.2f} ms "
+              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in SETUP_CASES:
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:20s} {r['hierarchy_s']:7.2f} + {r['pattern_s']:5.2f} s "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+    for key in KERNEL_CASES:
+        cases[key] = run_child(key)
+        r = cases[key]
+        print(f"{key:20s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
+              f"{r['laplace_preconditioner_ms']:7.2f} ms {r['peak_rss_mb']:7.1f} MB",
+              file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,

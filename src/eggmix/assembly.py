@@ -1,16 +1,21 @@
 """Galerkin assembly of the mixed first-order system.
 
 The constant blocks (auxiliary mass A and derivative projections B) are
-assembled once from separable univariate integrals; the nonlinear residual is
-evaluated from per-element quadrature tables that are precomputed and reused
-across all Newton iterations. Every problem is treated as a (possibly
-1-patch) topology, so the single-patch pipeline and the degenerate multipatch
-pipeline are the same code path.
+assembled once from separable univariate integrals. The nonlinear residual is
+evaluated by sum factorisation: each patch's Gauss points form a tensor grid,
+so every field and derivative there is a product ``Bx @ C @ By.T`` of
+univariate collocation factors, built once per system, and the moments
+against the test functions are ``Bx.T @ (w U) @ By``. The frozen-metric
+Laplacian that preconditions the Schur GMRES takes its metric from the same
+jet and forms element matrices from a stored gradient table. Every problem
+is treated as a (possibly 1-patch) topology, so the single-patch pipeline
+and the degenerate multipatch pipeline are the same code path.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,53 +33,91 @@ LAPLACIAN_CHUNK = 128
 
 
 @dataclass
-class QuadratureCache:
-    """Per-patch Gauss points on the finest knot grid with precomputed basis
-    tables for the primal and auxiliary bases.
+class DirectionFactors:
+    """Univariate quadrature and collocation data of one parametric direction
+    of a patch, on the Gauss points of every span of the fine (auxiliary)
+    knot vector, span-major: point ``k`` lies in span ``k // nq``.
 
-    Element index is lexicographic (s-major); ``act_*`` arrays hold the local
-    flat indices of the active functions per element.
+    ``first_*``/``tab_*`` are the padded tables of :meth:`KnotVector.eval_many`
+    per span (``tab[e, q, k, j]`` is the k-th derivative of function
+    ``first[e] + j`` at point q of span e, zero above the degree); ``sig``
+    and ``bar`` are the same values as dense collocation factors,
+    ``sig[k, i, a]`` the k-th derivative of primal function a at point i.
     """
-    n_el: int
     nq: int
-    points: np.ndarray      # (n_el, nq, 2), strictly element-interior
-    weights: np.ndarray     # (n_el, nq), sums to the local element area
-    areas: np.ndarray       # (n_el,)
+    points: np.ndarray      # (n_spans * nq,), strictly span-interior
+    weights: np.ndarray     # (n_spans * nq,), sums to each span's length
+    first_sig: np.ndarray   # (n_spans,)
+    tab_sig: np.ndarray     # (n_spans, nq, nderiv + 1, p + 1)
+    first_bar: np.ndarray   # (n_spans,)
+    tab_bar: np.ndarray     # (n_spans, nq, 2, p_bar + 1)
+    sig: np.ndarray         # (nderiv + 1, n_spans * nq, n_sig)
+    bar: np.ndarray         # (2, n_spans * nq, n_bar)
+
+    @property
+    def n_spans(self) -> int:
+        return len(self.first_sig)
+
+
+@dataclass
+class QuadratureCache:
+    """Tensor Gauss grid of one patch on the finest knot grid: the univariate
+    factors of both directions and the active primal functions per element.
+
+    Every field and derivative on the grid is a product
+    ``xi.sig[k] @ C @ eta.sig[l].T`` of univariate factors. Element index is
+    lexicographic (xi-span major); ``act_sig`` holds the local flat indices
+    of the active primal functions per element.
+    """
+    xi: DirectionFactors
+    eta: DirectionFactors
     act_sig: np.ndarray     # (n_el, na)
-    act_bar: np.ndarray     # (n_el, nb)
-    w: np.ndarray           # (n_el, nq, na) primal values
-    w_s: np.ndarray
-    w_t: np.ndarray
-    wb_s: np.ndarray        # (n_el, nq, nb) auxiliary first derivatives
-    wb_t: np.ndarray
-    w_ss: np.ndarray | None = None
-    w_st: np.ndarray | None = None
-    w_tt: np.ndarray | None = None
+
+    @property
+    def n_el(self) -> int:
+        return self.xi.n_spans * self.eta.n_spans
+
+    @property
+    def nq(self) -> int:
+        return self.xi.nq * self.eta.nq
+
+
+def _dense_factor(first, tab, dim):
+    """(nderiv + 1, n_points, dim) collocation factors from padded per-span
+    tables."""
+    n_spans, nq, nd1, width = tab.shape
+    out = np.zeros((nd1, n_spans * nq, dim))
+    rows = np.arange(n_spans * nq)[:, None]
+    cols = np.repeat(first, nq)[:, None] + np.arange(width)
+    out[:, rows, cols] = np.moveaxis(tab.reshape(n_spans * nq, nd1, width), 1, 0)
+    return out
 
 
 def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
     """Univariate tables on every nonempty span of the fine knot vector.
 
     Gauss order is degree+1 per span, which integrates the auxiliary mass
-    exactly. Returns points, weights and (first index, value table) pairs for
-    both bases; tables are zero-padded above the degree.
-    """
+    exactly."""
     p = kv_sig.degree
     nq = p + 1
     q, wq = gauss_legendre(nq)
     a = kv_bar.breakpoints[:-1]
     h = np.diff(kv_bar.breakpoints)
     n_es = len(h)
-    pts = a[:, None] + h[:, None] * q[None, :]
-    wts = h[:, None] * wq[None, :]
-    first_s, tab_s = kv_sig.eval_many(pts.ravel(), nderiv_sig)
-    first_b, tab_b = kv_bar.eval_many(pts.ravel(), 1)
+    pts = (a[:, None] + h[:, None] * q[None, :]).ravel()
+    wts = (h[:, None] * wq[None, :]).ravel()
+    first_s, tab_s = kv_sig.eval_many(pts, nderiv_sig)
+    first_b, tab_b = kv_bar.eval_many(pts, 1)
     # all Gauss points of a span share its active functions
     first_s = first_s.reshape(n_es, nq)[:, 0]
     first_b = first_b.reshape(n_es, nq)[:, 0]
     tab_s = tab_s.reshape(n_es, nq, nderiv_sig + 1, p + 1)
     tab_b = tab_b.reshape(n_es, nq, 2, kv_bar.degree + 1)
-    return pts, wts, first_s, tab_s, first_b, tab_b
+    return DirectionFactors(
+        nq=nq, points=pts, weights=wts,
+        first_sig=first_s, tab_sig=tab_s, first_bar=first_b, tab_bar=tab_b,
+        sig=_dense_factor(first_s, tab_s, kv_sig.dim),
+        bar=_dense_factor(first_b, tab_b, kv_bar.dim))
 
 
 def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
@@ -85,54 +128,12 @@ def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
         if not set(np.round(kc.breakpoints, 12)) <= set(np.round(kf.breakpoints, 12)):
             raise InputError("auxiliary knot lines must contain the primal ones")
     nds = 2 if need_second else 1
-    ps_x, ws_x, fs_x, ts_x, fb_x, tb_x = _direction_tables(
-        sigma.kv_xi, sigma_bar.kv_xi, nds)
-    ps_y, ws_y, fs_y, ts_y, fb_y, tb_y = _direction_tables(
-        sigma.kv_eta, sigma_bar.kv_eta, nds)
-    n_es, n_et = len(fs_x), len(fs_y)
-    n_el = n_es * n_et
-    nqx, nqy = ps_x.shape[1], ps_y.shape[1]
-    nq = nqx * nqy
-
-    points = np.empty((n_es, n_et, nqx, nqy, 2))
-    points[..., 0] = ps_x[:, None, :, None]
-    points[..., 1] = ps_y[None, :, None, :]
-    points = points.reshape(n_el, nq, 2)
-    weights = (ws_x[:, None, :, None] * ws_y[None, :, None, :]).reshape(n_el, nq)
-    areas = np.multiply.outer(
-        np.diff(sigma_bar.kv_xi.breakpoints),
-        np.diff(sigma_bar.kv_eta.breakpoints)).reshape(n_el)
-
-    def active(first_x, first_y, nfx, nfy, n_eta):
-        ax = np.arange(nfx)
-        ay = np.arange(nfy)
-        loc = ((first_x[:, None, None, None] + ax[None, None, :, None]) * n_eta
-               + first_y[None, :, None, None] + ay[None, None, None, :])
-        return loc.reshape(n_el, nfx * nfy)
-
-    act_sig = active(fs_x, fs_y, sigma.kv_xi.degree + 1,
-                     sigma.kv_eta.degree + 1, sigma.n_eta)
-    act_bar = active(fb_x, fb_y, sigma_bar.kv_xi.degree + 1,
-                     sigma_bar.kv_eta.degree + 1, sigma_bar.n_eta)
-
-    def combine(tx, ty):
-        out = np.einsum("eqa,frb->efqrab", tx, ty)
-        na = tx.shape[2] * ty.shape[2]
-        return out.reshape(n_el, nq, na)
-
-    cache = QuadratureCache(
-        n_el=n_el, nq=nq, points=points, weights=weights, areas=areas,
-        act_sig=act_sig, act_bar=act_bar,
-        w=combine(ts_x[:, :, 0], ts_y[:, :, 0]),
-        w_s=combine(ts_x[:, :, 1], ts_y[:, :, 0]),
-        w_t=combine(ts_x[:, :, 0], ts_y[:, :, 1]),
-        wb_s=combine(tb_x[:, :, 1], tb_y[:, :, 0]),
-        wb_t=combine(tb_x[:, :, 0], tb_y[:, :, 1]))
-    if need_second:
-        cache.w_ss = combine(ts_x[:, :, 2], ts_y[:, :, 0])
-        cache.w_st = combine(ts_x[:, :, 1], ts_y[:, :, 1])
-        cache.w_tt = combine(ts_x[:, :, 0], ts_y[:, :, 2])
-    return cache
+    fx = _direction_tables(sigma.kv_xi, sigma_bar.kv_xi, nds)
+    fy = _direction_tables(sigma.kv_eta, sigma_bar.kv_eta, nds)
+    ax = fx.first_sig[:, None, None, None] + np.arange(sigma.kv_xi.degree + 1)[:, None]
+    ay = fy.first_sig[None, :, None, None] + np.arange(sigma.kv_eta.degree + 1)
+    act_sig = (ax * sigma.n_eta + ay).reshape(fx.n_spans * fy.n_spans, -1)
+    return QuadratureCache(xi=fx, eta=fy, act_sig=act_sig)
 
 
 def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
@@ -164,14 +165,96 @@ def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
     return mbar, obar, kbar
 
 
+# Primal jet rows of the residual kernel, grouped by eta-derivative order:
+# (l, k0, k1) stands for the rows (k0, l), ..., (k1 - 1, l), where row (k, l)
+# holds the derivative d^k/ds^k d^l/dt^l of x on the Gauss grid.
+FIRST_JET = ((0, 1, 2), (1, 0, 1))                 # x_s, x_t
+SECOND_JET = ((0, 1, 3), (1, 0, 2), (2, 0, 1))     # x_s, x_ss, x_t, x_st, x_tt
+
+
+def _residual_combination(mode, chi, ia, n_aux):
+    """(5, n_rows) matrix taking the raw grid rows of :meth:`MixedSystem.eval_RN`
+    to (x_xi, x_eta, Y11, Y22, Y12), where the numerator of the residual is
+    g11 Y11 + g22 Y22 + g12 Y12.
+
+    The raw rows are the primal jet in the patch coordinates (s, t)
+    (``FIRST_JET`` or ``SECOND_JET``), then the s-derivatives and the
+    t-derivatives of the ``n_aux`` auxiliary vector fields; ``ia`` is the
+    inverse Jacobian of the affine patch map, d/dxi = ia[0, 0] d/ds +
+    ia[1, 0] d/dt and d/deta = ia[0, 1] d/ds + ia[1, 1] d/dt."""
+    groups = FIRST_JET if mode == "full" else SECOND_JET
+    labels = [("x", k, l) for l, k0, k1 in groups for k in range(k0, k1)]
+    labels += [("a", f, 1, 0) for f in range(n_aux)]
+    labels += [("a", f, 0, 1) for f in range(n_aux)]
+    col = {label: j for j, label in enumerate(labels)}
+    d_xi = {(1, 0): ia[0, 0], (0, 1): ia[1, 0]}
+    d_eta = {(1, 0): ia[0, 1], (0, 1): ia[1, 1]}
+
+    def prod(p, q):
+        out = {}
+        for (k1, l1), a in p.items():
+            for (k2, l2), b in q.items():
+                out[k1 + k2, l1 + l2] = out.get((k1 + k2, l1 + l2), 0.0) + a * b
+        return out
+
+    def row(*terms):
+        """Sum of scale * op(field) over (scale, field, op) terms."""
+        r = np.zeros(len(labels))
+        for scale, field, op in terms:
+            for kl, coef in op.items():
+                r[col[field + kl]] += scale * coef
+        return r
+
+    x, u, v = ("x",), ("a", 0), ("a", n_aux - 1)
+    mix = -2.0 * chi, -2.0 * (1.0 - chi)
+    if mode == "full":
+        y11 = row((1.0, v, d_eta))
+        y22 = row((1.0, u, d_xi))
+        y12 = row((mix[0], u, d_eta), (mix[1], v, d_xi))
+    elif mode == "xi":
+        y11 = row((1.0, x, prod(d_eta, d_eta)))
+        y22 = row((1.0, u, d_xi))
+        y12 = row((mix[0], u, d_eta), (mix[1], x, prod(d_xi, d_eta)))
+    else:
+        y11 = row((1.0, v, d_eta))
+        y22 = row((1.0, x, prod(d_xi, d_xi)))
+        y12 = row((mix[0], x, prod(d_xi, d_eta)), (mix[1], v, d_xi))
+    return np.array([row((1.0, x, d_xi)), row((1.0, x, d_eta)), y11, y22, y12])
+
+
+def _gradient_table(cache: QuadratureCache, ia):
+    """(n_el, 2 nq, na) gradients in (xi, eta) of the active primal functions
+    at the Gauss points of every element: all xi-derivatives, then all
+    eta-derivatives."""
+    tx, ty = cache.xi.tab_sig, cache.eta.tab_sig
+
+    def combine(a, b):
+        return np.einsum("eqa,frb->efqrab", a, b).reshape(cache.n_el, cache.nq, -1)
+
+    w_s = combine(tx[:, :, 1], ty[:, :, 0])
+    w_t = combine(tx[:, :, 0], ty[:, :, 1])
+    out = np.empty((cache.n_el, 2, cache.nq, w_s.shape[-1]))
+    for j in range(2):
+        np.multiply(ia[0, j], w_s, out=out[:, j])
+        out[:, j] += ia[1, j] * w_t
+    return out.reshape(cache.n_el, 2 * cache.nq, -1)
+
+
 @dataclass
 class _PatchContext:
+    """Per-patch data of the residual and preconditioner kernels. Grid arrays
+    are indexed (xi Gauss point, component, eta Gauss point)."""
     cache: QuadratureCache
-    act_sig_glob: np.ndarray
-    act_bar_glob: np.ndarray
     inv_a: np.ndarray
     vol: float
     kron: KronSolver
+    act_sig_glob: np.ndarray   # (n_el, na) global primal indices per element
+    grads: np.ndarray          # (n_el, 2 nq, na), see _gradient_table
+    wgrid: np.ndarray          # (n_xi points, n_eta points) vol * w_xi (x) w_eta
+    sig_idx: np.ndarray        # (n_xi, 2, n_eta) positions in the flat control net
+    bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
+    out_idx: np.ndarray        # (n_xi, 2, n_eta) positions in R_N, 2 n_inner if fixed
+    combo: np.ndarray          # _residual_combination of the patch
 
 
 class MixedSystem:
@@ -191,8 +274,8 @@ class MixedSystem:
             raise InputError(f"mode must be one of {MODES}, got {mode!r}")
         if not 0.0 <= chi <= 1.0:
             raise InputError(f"chi must lie in [0, 1], got {chi}")
-        if mu <= 0.0:
-            raise InputError(f"mu must be positive, got {mu}")
+        if not (math.isfinite(mu) and mu > 0.0):
+            raise InputError(f"mu must be positive and finite, got {mu}")
         self._validate_mode(topology, mode)
         self.topology = topology
         self.mode = mode
@@ -243,20 +326,34 @@ class MixedSystem:
 
     def _build_patches(self, univariate):
         topo = self.topology
-        need_second = self.mode != "full"
+        n_aux = self.n_fields // 2
+        inner_of = np.full(topo.n_sigma, 2 * self.n_inner)
+        inner_of[topo.inner_indices] = np.arange(self.n_inner)
+        comp = np.arange(2)[:, None]
+        fields = 2 * np.arange(n_aux)[:, None, None, None] + comp
         self.patches = []
         for i in range(topo.n_patches):
-            cache = build_quadrature(topo.bases[i], topo.bar_bases[i], need_second)
+            tb, bb = topo.bases[i], topo.bar_bases[i]
+            cache = build_quadrature(tb, bb, self.mode != "full")
             am = topo.maps[i]
             (mbar_s, _, _), (mbar_t, _, _) = univariate[i]
             vol = abs(am.det)
+            sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
+            inner = inner_of[sig]
             self.patches.append(_PatchContext(
                 cache=cache,
-                act_sig_glob=topo.sig_l2g[i][cache.act_sig],
-                act_bar_glob=topo.bar_l2g[i][cache.act_bar],
                 inv_a=am.inv,
                 vol=vol,
-                kron=KronSolver(mbar_s, mbar_t, scale=vol)))
+                kron=KronSolver(mbar_s, mbar_t, scale=vol),
+                act_sig_glob=topo.sig_l2g[i][cache.act_sig],
+                grads=_gradient_table(cache, am.inv),
+                wgrid=vol * np.multiply.outer(cache.xi.weights, cache.eta.weights),
+                sig_idx=2 * sig + comp,
+                bar_idx=fields * topo.n_sigbar
+                + topo.bar_l2g[i].reshape(1, bb.n_xi, 1, bb.n_eta),
+                out_idx=np.where(inner < self.n_inner, comp * self.n_inner + inner,
+                                 2 * self.n_inner),
+                combo=_residual_combination(self.mode, self.chi, am.inv, n_aux)))
 
     def _build_matrices(self, univariate):
         """Global sparse operators on the discontinuous union:
@@ -364,90 +461,80 @@ class MixedSystem:
 
     # -- nonlinear part ------------------------------------------------------
 
-    def _gather_aux(self, cache_act, d, f0):
-        """(n_el, nb, 2) coefficients of one auxiliary vector field."""
-        return np.stack([d[f0][cache_act], d[f0 + 1][cache_act]], axis=-1)
+    @staticmethod
+    def _jet(ctx, net, groups, out):
+        """Primal jet rows of ``groups`` on the patch's Gauss grid, written
+        into ``out`` (n_rows, n_xi points, 2, n_eta points): row (k, l) of
+        component c is xi.sig[k] @ C_c @ eta.sig[l].T, with C the patch's
+        control points from the flat control net ``net``."""
+        fx, fy = ctx.cache.xi, ctx.cache.eta
+        C = net[ctx.sig_idx]
+        nx, _, ny = C.shape
+        kmax = max(k1 for _, _, k1 in groups)
+        T = (fx.sig[:kmax].reshape(-1, nx) @ C.reshape(nx, -1)).reshape(kmax, -1, ny)
+        r = 0
+        for l, k0, k1 in groups:
+            n = k1 - k0
+            np.matmul(T[k0:k1].reshape(-1, ny), fy.sig[l].T,
+                      out=out[r: r + n].reshape(-1, out.shape[-1]))
+            r += n
+
+    @staticmethod
+    def _metric(X):
+        """(3, n_xi points, n_eta points) array of g11, g22, g12 from the
+        grid derivatives X = (x_xi, x_eta), each (n_xi points, 2, n_eta
+        points)."""
+        g = np.empty((3, X.shape[1], X.shape[3]))
+        np.sum(np.square(X), axis=2, out=g[:2])
+        np.sum(X[0] * X[1], axis=1, out=g[2])
+        return g
 
     def eval_RN(self, d, c):
         """Nonlinear residual: moments of the scaled operator against every
-        inner primal basis function, components stacked (x..., y...)."""
-        topo = self.topology
-        net = self.full_control_net(c)
-        d = np.asarray(d, dtype=float).reshape(self.n_fields, -1)
-        res = np.zeros((topo.n_sigma, 2))
+        inner primal basis function, components stacked (x..., y...).
+
+        Sum factorisation: on each patch every field and derivative on the
+        tensor Gauss grid is a product of univariate collocation factors,
+        Bx @ C @ By.T, and so are the moments against the test functions,
+        Bx.T @ (w U) @ By."""
+        net = self.full_control_net(c).ravel()
+        d = np.asarray(d, dtype=float).ravel()
+        n_res = 2 * self.n_inner
+        res = np.zeros(n_res + 1)
         min_denom = np.inf
+        groups = FIRST_JET if self.mode == "full" else SECOND_JET
+        n_jet = sum(k1 - k0 for _, k0, k1 in groups)
         for ctx in self.patches:
-            q = ctx.cache
-            ia = ctx.inv_a
-            C = net[ctx.act_sig_glob]
-            x_s = q.w_s @ C
-            x_t = q.w_t @ C
-            x_xi = ia[0, 0] * x_s + ia[1, 0] * x_t
-            x_eta = ia[0, 1] * x_s + ia[1, 1] * x_t
-            g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)
-            g12 = np.einsum("eqc,eqc->eq", x_xi, x_eta)
-            g22 = np.einsum("eqc,eqc->eq", x_eta, x_eta)
-            denom = g11 + g22 + self.mu
+            fx, fy = ctx.cache.xi, ctx.cache.eta
+            npx, npy = ctx.wgrid.shape
+            n_aux, nbx, _, nby = ctx.bar_idx.shape
+            rows = np.empty((n_jet + 2 * n_aux, npx, 2, npy))
+            self._jet(ctx, net, groups, rows)
+            D = d[ctx.bar_idx].reshape(n_aux, nbx, -1)
+            for r0, (k, l) in ((n_jet, (1, 0)), (n_jet + n_aux, (0, 1))):
+                np.matmul((fx.bar[k] @ D).reshape(-1, nby), fy.bar[l].T,
+                          out=rows[r0: r0 + n_aux].reshape(-1, npy))
+            Z = (ctx.combo @ rows.reshape(len(rows), -1)).reshape(5, npx, 2, npy)
+            g = self._metric(Z[:2])
+            denom = g[0] + g[1] + self.mu
             min_denom = min(min_denom, float(denom.min()))
-
-            def aux_derivs(f0):
-                D = self._gather_aux(ctx.act_bar_glob, d, f0)
-                a_s = q.wb_s @ D
-                a_t = q.wb_t @ D
-                return (ia[0, 0] * a_s + ia[1, 0] * a_t,
-                        ia[0, 1] * a_s + ia[1, 1] * a_t)
-
-            if self.mode != "full":
-                x_ss = q.w_ss @ C
-                x_st = q.w_st @ C
-                x_tt = q.w_tt @ C
-                x_xieta = (ia[0, 0] * ia[0, 1] * x_ss
-                           + (ia[0, 0] * ia[1, 1] + ia[1, 0] * ia[0, 1]) * x_st
-                           + ia[1, 0] * ia[1, 1] * x_tt)
-
-            g11e = g11[..., None]
-            g12e = g12[..., None]
-            g22e = g22[..., None]
-            chi = self.chi
-            if self.mode == "full":
-                u_xi, u_eta = aux_derivs(0)
-                v_xi, v_eta = aux_derivs(2)
-                num = (g22e * u_xi - 2.0 * g12e * (chi * u_eta + (1 - chi) * v_xi)
-                       + g11e * v_eta)
-            elif self.mode == "xi":
-                u_xi, u_eta = aux_derivs(0)
-                x_etaeta = (ia[0, 1] ** 2 * x_ss
-                            + 2.0 * ia[0, 1] * ia[1, 1] * x_st
-                            + ia[1, 1] ** 2 * x_tt)
-                num = (g22e * u_xi - 2.0 * g12e * (chi * u_eta + (1 - chi) * x_xieta)
-                       + g11e * x_etaeta)
-            else:
-                v_xi, v_eta = aux_derivs(0)
-                x_xixi = (ia[0, 0] ** 2 * x_ss
-                          + 2.0 * ia[0, 0] * ia[1, 0] * x_st
-                          + ia[1, 0] ** 2 * x_tt)
-                num = (g22e * x_xixi - 2.0 * g12e * (chi * x_xieta + (1 - chi) * v_xi)
-                       + g11e * v_eta)
-            U = num / denom[..., None]
-            wU = (ctx.vol * q.weights)[..., None] * U
-            contrib = np.swapaxes(q.w, 1, 2) @ wU
-            idx = ctx.act_sig_glob.ravel()
-            for comp in range(2):
-                res[:, comp] += np.bincount(idx, weights=contrib[..., comp].ravel(),
-                                            minlength=topo.n_sigma)
+            wU = (g[:, :, None] * Z[2:]).sum(axis=0)
+            wU *= (ctx.wgrid / denom)[:, None]
+            moments = (fx.sig[0].T @ wU.reshape(npx, -1)).reshape(-1, npy) @ fy.sig[0]
+            res += np.bincount(ctx.out_idx.ravel(), weights=moments.ravel(),
+                               minlength=n_res + 1)
         self.rn_eval_count += 1
         self.last_min_denominator = min_denom
-        inner = topo.inner_indices
-        return np.concatenate([res[inner, 0], res[inner, 1]])
+        return res[:n_res]
 
     # -- Schur preconditioner ------------------------------------------------
 
     def _chunks(self):
-        """(patch context, element slice) blocks of at most ``LAPLACIAN_CHUNK``
+        """(patch index, element slice) blocks of at most ``LAPLACIAN_CHUNK``
         elements, in a fixed order."""
-        for ctx in self.patches:
+        for i, ctx in enumerate(self.patches):
             for e0 in range(0, ctx.cache.n_el, LAPLACIAN_CHUNK):
-                yield ctx, slice(e0, e0 + LAPLACIAN_CHUNK)
+                yield i, slice(e0, e0 + LAPLACIAN_CHUNK)
 
     @functools.cached_property
     def _laplacian_pattern(self):
@@ -459,13 +546,13 @@ class MixedSystem:
         inner_of = np.full(self.topology.n_sigma, -1)
         inner_of[self.topology.inner_indices] = np.arange(n)
 
-        def keys(ctx, els):
-            loc = inner_of[ctx.act_sig_glob[els]]
+        def keys(i, els):
+            loc = inner_of[self.patches[i].act_sig_glob[els]]
             key = loc[:, :, None] * n + loc[:, None, :]
             return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
                             n * n, key)
 
-        chunk_keys = [keys(ctx, els) for ctx, els in self._chunks()]
+        chunk_keys = [keys(i, els) for i, els in self._chunks()]
         pattern = np.unique(np.concatenate([k.ravel() for k in chunk_keys]))
         pattern = pattern[pattern < n * n]
         positions = [np.searchsorted(pattern, k).astype(np.int32)
@@ -481,31 +568,36 @@ class MixedSystem:
         -K is the principal part of the Schur operator with the metric frozen
         (integrate the numerator of R_N by parts). The mu/2 shift makes Q
         positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
-        so K is SPD even on folded iterates. Element matrices are formed one
-        block of :meth:`_chunks` at a time and summed into the fixed pattern,
-        so the temporaries stay small; returns a CSR matrix."""
+        so K is SPD even on folded iterates. The metric comes from the same
+        sum-factorised jet as :meth:`eval_RN`; element matrices are formed
+        from the stored gradient tables one block of :meth:`_chunks` at a
+        time and summed into the fixed pattern, so the temporaries stay
+        small. Returns a CSR matrix."""
         indices, indptr, positions = self._laplacian_pattern
         nnz = len(indices)
         data = np.zeros(nnz + 1)
-        net = self.full_control_net(c)
+        net = self.full_control_net(c).ravel()
         half_mu = 0.5 * self.mu
-        for (ctx, els), pos in zip(self._chunks(), positions):
-            q = ctx.cache
-            ia = ctx.inv_a
-            w_xi = ia[0, 0] * q.w_s[els] + ia[1, 0] * q.w_t[els]
-            w_eta = ia[0, 1] * q.w_s[els] + ia[1, 1] * q.w_t[els]
-            C = net[ctx.act_sig_glob[els]]
-            x_xi = w_xi @ C
-            x_eta = w_eta @ C
-            g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)
-            g12 = np.einsum("eqc,eqc->eq", x_xi, x_eta)
-            g22 = np.einsum("eqc,eqc->eq", x_eta, x_eta)
-            scale = ctx.vol * q.weights[els] / (g11 + g22 + self.mu)
-            q11 = (scale * (g22 + half_mu))[..., None]
-            q12 = (scale * -g12)[..., None]
-            q22 = (scale * (g11 + half_mu))[..., None]
+        # scaled entries of Q per patch, (3, n_el, nq, 1) in element order
+        coeffs = []
+        for ctx in self.patches:
+            fx, fy = ctx.cache.xi, ctx.cache.eta
+            rows = np.empty((2,) + ctx.wgrid.shape[:1] + (2,) + ctx.wgrid.shape[1:])
+            self._jet(ctx, net, FIRST_JET, rows)
+            X = (ctx.inv_a.T @ rows.reshape(2, -1)).reshape(rows.shape)
+            g = self._metric(X)
+            scale = ctx.wgrid / (g[0] + g[1] + self.mu)
+            q = np.stack([scale * (g[1] + half_mu), scale * -g[2],
+                          scale * (g[0] + half_mu)])
+            q = q.reshape(3, fx.n_spans, fx.nq, fy.n_spans, fy.nq)
+            coeffs.append(q.transpose(0, 1, 3, 2, 4).reshape(
+                3, ctx.cache.n_el, ctx.cache.nq, 1))
+        for (i, els), pos in zip(self._chunks(), positions):
+            q11, q12, q22 = coeffs[i][:, els]
+            grads = self.patches[i].grads[els]
+            nq = q11.shape[1]
+            w_xi, w_eta = grads[:, :nq], grads[:, nq:]
             # element matrices: sum over points of grad(w_i)^T (scaled Q) grad(w_j)
-            grads = np.concatenate([w_xi, w_eta], axis=1)
             flux = np.concatenate([q11 * w_xi + q12 * w_eta,
                                    q12 * w_xi + q22 * w_eta], axis=1)
             Ke = np.swapaxes(grads, 1, 2) @ flux

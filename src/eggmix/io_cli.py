@@ -152,18 +152,25 @@ def validate_geometry(doc) -> list:
                                    "unknown solver setting (ignored)"))
         if "mode" in solver and solver["mode"] not in ("full", "xi", "eta"):
             err("/solver/mode", "expected full, xi or eta")
-        for key, (integer, lo, lo_open, hi) in SOLVER_RANGES.items():
-            if key not in solver:
-                continue
-            v = solver[key]
-            ok = ((isinstance(v, int) and not isinstance(v, bool)) if integer
-                  else (_is_number(v) and math.isfinite(v)))
-            if not (ok and (v > lo if lo_open else v >= lo) and v <= hi):
-                kind = "an integer" if integer else "a finite number"
-                upper = f" and <= {hi:g}" if hi < math.inf else ""
-                err(f"/solver/{key}", f"expected {kind} "
-                    f"{'>' if lo_open else '>='} {lo:g}{upper}")
+        for key in SOLVER_RANGES:
+            if key in solver:
+                problem = _solver_setting_error(key, solver[key])
+                if problem:
+                    err(f"/solver/{key}", problem)
     return out
+
+
+def _solver_setting_error(key, v):
+    """Why ``v`` is not a valid value of the numeric solver setting ``key``
+    (see ``SOLVER_RANGES``), or None when it is."""
+    integer, lo, lo_open, hi = SOLVER_RANGES[key]
+    ok = ((isinstance(v, int) and not isinstance(v, bool)) if integer
+          else (_is_number(v) and math.isfinite(v)))
+    if ok and (v > lo if lo_open else v >= lo) and v <= hi:
+        return None
+    kind = "an integer" if integer else "a finite number"
+    upper = f" and <= {hi:g}" if hi < math.inf else ""
+    return f"expected {kind} {'>' if lo_open else '>='} {lo:g}{upper}"
 
 
 def parse_geometry(doc) -> GeometryFile:
@@ -369,6 +376,11 @@ def cmd_solve(args) -> int:
     for key in ("mode", "mu", "chi", "coarse_levels"):
         v = getattr(args, key, None)
         if v is not None:
+            problem = None if key == "mode" else _solver_setting_error(key, v)
+            if problem:
+                flag = "--" + key.replace("_", "-")
+                print(f"input error: {flag}: {problem}", file=sys.stderr)
+                return 1
             settings[key] = v  # CLI flags win over file settings
     config_kwargs = {k: geo.solver[k] for k in
                      ("newton_tol", "max_newton", "gmres_tol", "gmres_restart",

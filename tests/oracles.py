@@ -124,21 +124,69 @@ def greville_interpolate_2d(basis, fn):
 #
 # These are the plain einsum forms of MixedSystem.eval_RN, SplineMap.grid_jet
 # and winslow_gradient; the library evaluates the same contractions with
-# matmul/tensordot.
+# matmul/tensordot and, for eval_RN, by sum factorisation.
+
+def element_tables(system, i):
+    """Per-element quadrature tables of patch ``i`` of ``system``, built
+    from the padded univariate tables of ``build_quadrature`` alone: Gauss
+    weights (n_el, nq), values and derivatives (n_el, nq, na) of the active
+    primal functions ("w", "w_s", ..., second derivatives when present), first
+    derivatives (n_el, nq, nb) of the active auxiliary functions ("wb_s",
+    "wb_t") and the global indices of both active sets."""
+    topo = system.topology
+    cache = system.patches[i].cache
+    fx, fy = cache.xi, cache.eta
+    n_el = fx.n_spans * fy.n_spans
+    nq = fx.nq * fy.nq
+
+    def combine(tx, ty):
+        out = np.einsum("eqa,frb->efqrab", tx, ty)
+        return out.reshape(n_el, nq, tx.shape[2] * ty.shape[2])
+
+    def active(first_x, first_y, nfx, nfy, n_eta):
+        loc = ((first_x[:, None, None, None] + np.arange(nfx)[:, None]) * n_eta
+               + first_y[None, :, None, None] + np.arange(nfy))
+        return loc.reshape(n_el, nfx * nfy)
+
+    tb, bb = topo.bases[i], topo.bar_bases[i]
+    ts_x, ts_y = fx.tab_sig, fy.tab_sig
+    tb_x, tb_y = fx.tab_bar, fy.tab_bar
+    out = {
+        "weights": np.multiply.outer(fx.weights.reshape(fx.n_spans, fx.nq),
+                                     fy.weights.reshape(fy.n_spans, fy.nq))
+        .transpose(0, 2, 1, 3).reshape(n_el, nq),
+        "act_sig": topo.sig_l2g[i][active(fx.first_sig, fy.first_sig,
+                                          ts_x.shape[3], ts_y.shape[3], tb.n_eta)],
+        "act_bar": topo.bar_l2g[i][active(fx.first_bar, fy.first_bar,
+                                          tb_x.shape[3], tb_y.shape[3], bb.n_eta)],
+        "w": combine(ts_x[:, :, 0], ts_y[:, :, 0]),
+        "w_s": combine(ts_x[:, :, 1], ts_y[:, :, 0]),
+        "w_t": combine(ts_x[:, :, 0], ts_y[:, :, 1]),
+        "wb_s": combine(tb_x[:, :, 1], tb_y[:, :, 0]),
+        "wb_t": combine(tb_x[:, :, 0], tb_y[:, :, 1]),
+    }
+    if ts_x.shape[2] > 2:
+        out["w_ss"] = combine(ts_x[:, :, 2], ts_y[:, :, 0])
+        out["w_st"] = combine(ts_x[:, :, 1], ts_y[:, :, 1])
+        out["w_tt"] = combine(ts_x[:, :, 0], ts_y[:, :, 2])
+    return out
+
 
 def einsum_eval_RN(system, d, c):
     """Nonlinear residual of ``system`` with every contraction written as one
-    batched einsum over the per-element quadrature tables."""
+    batched einsum over per-element quadrature tables (:func:`element_tables`);
+    returns the residual and the minimum Winslow denominator."""
     topo = system.topology
     net = system.full_control_net(c)
     d = np.asarray(d, dtype=float).reshape(system.n_fields, -1)
     res = np.zeros((topo.n_sigma, 2))
-    for ctx in system.patches:
-        q = ctx.cache
+    min_denom = np.inf
+    for i, ctx in enumerate(system.patches):
+        q = element_tables(system, i)
         ia = ctx.inv_a
-        C = net[ctx.act_sig_glob]
-        x_s = np.einsum("eqa,eac->eqc", q.w_s, C)
-        x_t = np.einsum("eqa,eac->eqc", q.w_t, C)
+        C = net[q["act_sig"]]
+        x_s = np.einsum("eqa,eac->eqc", q["w_s"], C)
+        x_t = np.einsum("eqa,eac->eqc", q["w_t"], C)
         x_xi = ia[0, 0] * x_s + ia[1, 0] * x_t
         x_eta = ia[0, 1] * x_s + ia[1, 1] * x_t
         g11 = np.einsum("eqc,eqc->eq", x_xi, x_xi)[..., None]
@@ -146,10 +194,10 @@ def einsum_eval_RN(system, d, c):
         g22 = np.einsum("eqc,eqc->eq", x_eta, x_eta)[..., None]
 
         def aux_derivs(f0):
-            D = np.stack([d[f0][ctx.act_bar_glob], d[f0 + 1][ctx.act_bar_glob]],
+            D = np.stack([d[f0][q["act_bar"]], d[f0 + 1][q["act_bar"]]],
                          axis=-1)
-            a_s = np.einsum("eqb,ebc->eqc", q.wb_s, D)
-            a_t = np.einsum("eqb,ebc->eqc", q.wb_t, D)
+            a_s = np.einsum("eqb,ebc->eqc", q["wb_s"], D)
+            a_t = np.einsum("eqb,ebc->eqc", q["wb_t"], D)
             return (ia[0, 0] * a_s + ia[1, 0] * a_t,
                     ia[0, 1] * a_s + ia[1, 1] * a_t)
 
@@ -160,9 +208,9 @@ def einsum_eval_RN(system, d, c):
             num = (g22 * u_xi - 2.0 * g12 * (chi * u_eta + (1 - chi) * v_xi)
                    + g11 * v_eta)
         else:
-            x_ss = np.einsum("eqa,eac->eqc", q.w_ss, C)
-            x_st = np.einsum("eqa,eac->eqc", q.w_st, C)
-            x_tt = np.einsum("eqa,eac->eqc", q.w_tt, C)
+            x_ss = np.einsum("eqa,eac->eqc", q["w_ss"], C)
+            x_st = np.einsum("eqa,eac->eqc", q["w_st"], C)
+            x_tt = np.einsum("eqa,eac->eqc", q["w_tt"], C)
             x_xieta = (ia[0, 0] * ia[0, 1] * x_ss
                        + (ia[0, 0] * ia[1, 1] + ia[1, 0] * ia[0, 1]) * x_st
                        + ia[1, 0] * ia[1, 1] * x_tt)
@@ -182,11 +230,13 @@ def einsum_eval_RN(system, d, c):
                 num = (g22 * x_xixi
                        - 2.0 * g12 * (chi * x_xieta + (1 - chi) * v_xi)
                        + g11 * v_eta)
-        U = num / (g11 + g22 + system.mu)
-        contrib = np.einsum("eq,eqa,eqc->eac", ctx.vol * q.weights, q.w, U)
-        np.add.at(res, ctx.act_sig_glob.ravel(), contrib.reshape(-1, 2))
+        denom = g11 + g22 + system.mu
+        min_denom = min(min_denom, float(denom.min()))
+        U = num / denom
+        contrib = np.einsum("eq,eqa,eqc->eac", ctx.vol * q["weights"], q["w"], U)
+        np.add.at(res, q["act_sig"].ravel(), contrib.reshape(-1, 2))
     inner = topo.inner_indices
-    return np.concatenate([res[inner, 0], res[inner, 1]])
+    return np.concatenate([res[inner, 0], res[inner, 1]]), min_denom
 
 
 def einsum_grid_jet(m, xs, ys, nderiv=1):
@@ -233,25 +283,28 @@ def einsum_winslow_gradient(m, quad_order):
 
 def loop_frozen_laplacian(system, c):
     """Dense frozen-metric Laplacian on the inner primal basis, assembled one
-    quadrature point at a time with the gradients and the metric in (xi, eta):
+    quadrature point at a time from :func:`element_tables`, with the
+    gradients and the metric in (xi, eta):
     K_ij = int grad(w_i)^T Q grad(w_j) / (g11 + g22 + mu),
     Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]]."""
     topo = system.topology
     net = system.full_control_net(c)
     mu = system.mu
     K = np.zeros((topo.n_sigma, topo.n_sigma))
-    for ctx in system.patches:
-        q = ctx.cache
+    for i, ctx in enumerate(system.patches):
+        q = element_tables(system, i)
         ia = ctx.inv_a
-        for e in range(q.n_el):
-            act = ctx.act_sig_glob[e]
-            for k in range(q.nq):
-                w_xi = ia[0, 0] * q.w_s[e, k] + ia[1, 0] * q.w_t[e, k]
-                w_eta = ia[0, 1] * q.w_s[e, k] + ia[1, 1] * q.w_t[e, k]
+        n_el, nq = q["weights"].shape
+        for e in range(n_el):
+            act = q["act_sig"][e]
+            for k in range(nq):
+                w_s, w_t = q["w_s"][e, k], q["w_t"][e, k]
+                w_xi = ia[0, 0] * w_s + ia[1, 0] * w_t
+                w_eta = ia[0, 1] * w_s + ia[1, 1] * w_t
                 x_xi = w_xi @ net[act]
                 x_eta = w_eta @ net[act]
                 g11, g12, g22 = x_xi @ x_xi, x_xi @ x_eta, x_eta @ x_eta
-                wt = ctx.vol * q.weights[e, k] / (g11 + g22 + mu)
+                wt = ctx.vol * q["weights"][e, k] / (g11 + g22 + mu)
                 K[np.ix_(act, act)] += wt * (
                     (g22 + 0.5 * mu) * np.outer(w_xi, w_xi)
                     - g12 * (np.outer(w_xi, w_eta) + np.outer(w_eta, w_xi))
@@ -309,18 +362,18 @@ def union1d_laplacian_pattern(system):
     inner_of = np.full(system.topology.n_sigma, -1)
     inner_of[system.topology.inner_indices] = np.arange(n)
 
-    def keys(ctx, els):
-        loc = inner_of[ctx.act_sig_glob[els]]
+    def keys(i, els):
+        loc = inner_of[system.patches[i].act_sig_glob[els]]
         key = loc[:, :, None] * n + loc[:, None, :]
         return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
                         n * n, key)
 
     pattern = np.empty(0, dtype=np.int64)
-    for ctx, els in system._chunks():
-        pattern = np.union1d(pattern, keys(ctx, els))
+    for i, els in system._chunks():
+        pattern = np.union1d(pattern, keys(i, els))
     pattern = pattern[pattern < n * n]
-    positions = [np.searchsorted(pattern, keys(ctx, els)).astype(np.int32)
-                 for ctx, els in system._chunks()]
+    positions = [np.searchsorted(pattern, keys(i, els)).astype(np.int32)
+                 for i, els in system._chunks()]
     indptr = np.searchsorted(pattern // n, np.arange(n + 1))
     return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
 

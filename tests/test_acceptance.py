@@ -234,7 +234,9 @@ def test_criterion_8_property_suites(lbend_solved):
     tb = TensorBasis(uniform_knots(3, 3, c0_breaks=(0.5,)), uniform_knots(2, 4))
     from eggmix.assembly import build_quadrature
     cache = build_quadrature(tb, tb.refine()[0])
-    assert np.abs(cache.w.sum(axis=2) - 1.0).max() < 1e-12
+    # primal values on the tensor grid: products of the univariate factors
+    w = np.einsum("pa,qb->pqab", cache.xi.sig[0], cache.eta.sig[0])
+    assert np.abs(w.sum(axis=(2, 3)) - 1.0).max() < 1e-12
     # metric identity on a random net
     from eggmix.mapping import metric_at
     m = unit_square_map(TensorBasis(uniform_knots(3, 3), uniform_knots(3, 3)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eggmix import assembly
 from eggmix.assembly import MixedSystem, build_quadrature, \
     single_patch_system
 from eggmix.errors import InputError, ModeError
@@ -23,21 +24,28 @@ def square_system(p=2, ne=3, mode="full", **kw):
 
 def test_quadrature_points_interior_weights_positive():
     tb = TensorBasis(uniform_knots(3, 2, c0_breaks=(0.5,)), uniform_knots(3, 3))
-    cache = build_quadrature(tb, tb.refine()[0])
-    assert (cache.weights > 0).all()
-    np.testing.assert_allclose(cache.weights.sum(axis=1), cache.areas,
-                               atol=1e-15)
-    assert abs(cache.weights.sum() - 1.0) < 1e-13  # unit square area
+    bar = tb.refine()[0]
+    cache = build_quadrature(tb, bar)
+    weights = np.multiply.outer(cache.xi.weights, cache.eta.weights)
+    assert (weights > 0).all()
+    # per element, the tensor weights sum to the element area
+    fx, fy = cache.xi, cache.eta
+    per_element = weights.reshape(fx.n_spans, fx.nq, fy.n_spans, fy.nq).sum(axis=(1, 3))
+    areas = np.multiply.outer(np.diff(bar.kv_xi.breakpoints),
+                              np.diff(bar.kv_eta.breakpoints))
+    np.testing.assert_allclose(per_element, areas, atol=1e-15)
+    assert abs(weights.sum() - 1.0) < 1e-13  # unit square area
     # strictly element-interior: no point sits on any knot line
-    kx = tb.refine()[0].kv_xi.breakpoints
-    for v in cache.points[..., 0].ravel():
+    kx = bar.kv_xi.breakpoints
+    for v in cache.xi.points:
         assert np.abs(kx - v).min() > 1e-10
 
 
 def test_quadrature_integrates_bilinear_exactly():
     tb = TensorBasis(uniform_knots(1, 1), uniform_knots(1, 1))
     cache = build_quadrature(tb, tb.refine()[0])
-    val = np.sum(cache.weights * cache.points[..., 0] * cache.points[..., 1])
+    val = np.sum(np.multiply.outer(cache.xi.weights * cache.xi.points,
+                                   cache.eta.weights * cache.eta.points))
     assert abs(val - 0.25) < 1e-15
 
 
@@ -228,21 +236,30 @@ def test_scaling_consistency():
     np.testing.assert_allclose(r_scaled, s * r_plain, rtol=1e-10, atol=1e-13)
 
 
-def test_element_order_independence(rng):
+def test_element_order_independence(rng, monkeypatch):
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices]) \
         + 0.1 * rng.standard_normal(sys_.c_size)
     d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     r1 = sys_.eval_RN(d, c)
+    K1 = sys_.frozen_laplacian(c).toarray()
+    # permute the xi Gauss points: factor rows together with their weights
     ctx = sys_.patches[0]
-    q = ctx.cache
-    for name in ("points", "weights", "areas", "act_sig", "act_bar",
-                 "w", "w_s", "w_t", "wb_s", "wb_t"):
-        setattr(q, name, np.ascontiguousarray(getattr(q, name)[::-1]))
-    ctx.act_sig_glob = np.ascontiguousarray(ctx.act_sig_glob[::-1])
-    ctx.act_bar_glob = np.ascontiguousarray(ctx.act_bar_glob[::-1])
+    fx = ctx.cache.xi
+    perm = rng.permutation(len(fx.points))
+    fx.sig = np.ascontiguousarray(fx.sig[:, perm])
+    fx.bar = np.ascontiguousarray(fx.bar[:, perm])
+    ctx.wgrid = np.ascontiguousarray(ctx.wgrid[perm])
     r2 = sys_.eval_RN(d, c)
     assert np.abs(r1 - r2).max() < 1e-13
+    # assemble the frozen-metric Laplacian in small element blocks, reversed
+    monkeypatch.setattr(assembly, "LAPLACIAN_CHUNK", 5)
+    sys_rev, _ = square_system(2, 3)
+    chunks = list(sys_rev._chunks())[::-1]
+    assert len(chunks) > 1
+    sys_rev._chunks = lambda: iter(chunks)
+    K2 = sys_rev.frozen_laplacian(c).toarray()
+    assert np.abs(K1 - K2).max() < 1e-13
 
 
 def test_mode_validation():
@@ -260,8 +277,9 @@ def test_mode_validation():
         single_patch_system(m, mode="diagonal")
     with pytest.raises(InputError):
         single_patch_system(m, chi=1.5)
-    with pytest.raises(InputError):
-        single_patch_system(m, mu=0.0)
+    for mu in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            single_patch_system(m, mu=mu)
 
 
 def test_exact_solution_residual_decreases_under_refinement():

@@ -423,6 +423,17 @@ def test_malformed_solver_setting_exits_1(key, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--mu", "nan"), ("--mu", "inf"), ("--mu", "0"), ("--mu", "-1"),
+    ("--chi", "nan"), ("--chi", "1.5"), ("--coarse-levels", "-2")])
+def test_malformed_solver_flag_exits_1(flag, value, tmp_path, capsys):
+    out = tmp_path / "bad.solution.json"
+    assert run_cli("solve", bundled_path("square"), flag, value,
+                   "--out", out) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solver_settings_at_their_bounds_accepted():
     doc = build_square()
     doc["solver"] = {"mode": "xi", "mu": 1e-6, "chi": 1, "newton_tol": 1e-6,
