@@ -8,10 +8,13 @@ Newton/GMRES/``rn_evals`` counts, whether every GMRES solve converged, the
 solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
 (the nonlinear residual) and of ``MixedSystem.laplace_preconditioner``
 (frozen-metric Laplacian assembly and factorisation) inside that solve,
-and the peak RSS. A setup case times ``build_system_hierarchy`` and then
-the first frozen-Laplacian pattern (``MixedSystem._laplacian_pattern``) of
-the finest system, next to the DOF count, the element count and the
-pattern's nonzero count. A kernel case builds the finest system of a
+and the peak RSS. A restart case solves from the transfinite start and
+then runs ``newton_solve`` again from the converged net, recording the
+Newton/GMRES/``rn_evals`` counts of that second solve, so that a restart
+that iterates on roundoff shows. A setup case times
+``build_system_hierarchy`` and then the first frozen-Laplacian pattern
+(``MixedSystem._laplacian_pattern``) of the finest system, next to the DOF
+count, the element count and the pattern's nonzero count. A kernel case builds the finest system of a
 hierarchy at its start iterate, without solving, and records the median
 milliseconds of ``eval_RN`` and ``laplace_preconditioner`` over repeated
 calls.
@@ -40,6 +43,7 @@ import scipy
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.errors import StagnationError  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
 from eggmix.io_cli import parse_geometry  # noqa: E402
 from eggmix.solver import SolverConfig, build_system_hierarchy, \
@@ -55,6 +59,16 @@ CASES = {
     "tube-xi-L0": ("tube", "xi", 0, False),
     "bat-folded-L0": ("bat", "full", 0, True),
     "bat-folded-L1": ("bat", "full", 1, True),
+}
+# key -> (geometry, mode, h-refinement level)
+RESTART_CASES = {
+    "square-restart": ("square", "full", 0),
+    "quarter_annulus-restart": ("quarter_annulus", "full", 0),
+    "lbend-xi-restart": ("lbend", "xi", 0),
+    "lbend-xi-L1-restart": ("lbend", "xi", 1),
+    "tube-xi-restart": ("tube", "xi", 0),
+    "two_patch_square-restart": ("two_patch_square", "full", 0),
+    "bat-restart": ("bat", "full", 0),
 }
 # key -> (geometry, mode, h-refinement level)
 SETUP_CASES = {
@@ -121,6 +135,31 @@ def run_case(key):
     }
 
 
+def run_restart_case(key):
+    """Solve one case, then restart from its converged net, in this
+    process; returns the restart's record."""
+    system, c0 = start_system(*RESTART_CASES[key], False)
+    c, rep = newton_solve(system, c0, SolverConfig())
+    if not rep.converged:
+        raise SystemExit(f"bench: {key} did not converge before the restart")
+    t0 = time.perf_counter()
+    try:
+        c_restart, rep = newton_solve(system, c, SolverConfig())
+    except StagnationError as exc:
+        (_, c_restart), rep = exc.state, exc.report
+    solve_s = time.perf_counter() - t0
+    return {
+        "n_sigma": system.topology.n_sigma,
+        "converged": bool(rep.converged),
+        "stagnated": bool(rep.stagnated),
+        "newton": rep.newton_iterations,
+        "gmres": int(sum(rep.gmres_iterations)),
+        "rn_evals": rep.rn_evals,
+        "max_net_change": float(np.abs(c_restart - c).max()),
+        "solve_s": solve_s,
+    }
+
+
 def run_setup_case(key):
     """Build one hierarchy and its finest pattern in this process; returns
     its record."""
@@ -167,6 +206,7 @@ def run_kernel_case(key):
 
 
 RUNNERS = {**dict.fromkeys(CASES, run_case),
+           **dict.fromkeys(RESTART_CASES, run_restart_case),
            **dict.fromkeys(SETUP_CASES, run_setup_case),
            **dict.fromkeys(KERNEL_CASES, run_kernel_case)}
 
@@ -193,19 +233,26 @@ def main(argv=None):
     for key in CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:20s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
+        print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
               f"{r['solve_s']:7.2f} s  eval_RN {r['eval_rn_ms']:7.2f} ms  "
               f"precond {r['laplace_preconditioner_ms']:7.2f} ms "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+    for key in RESTART_CASES:
+        cases[key] = run_child(key)
+        r = cases[key]
+        print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
+              f"{r['solve_s']:7.2f} s  net change {r['max_net_change']:.1e}"
+              f"{'  stagnated' if r['stagnated'] else ''}",
+              file=sys.stderr)
     for key in SETUP_CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:20s} {r['hierarchy_s']:7.2f} + {r['pattern_s']:5.2f} s "
+        print(f"{key:24s} {r['hierarchy_s']:7.2f} + {r['pattern_s']:5.2f} s "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in KERNEL_CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:20s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
+        print(f"{key:24s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
               f"{r['laplace_preconditioner_ms']:7.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
     doc = {

@@ -304,7 +304,6 @@ class MixedSystem:
         self._build_matrices(univariate)
         self.rn_eval_count = 0
         self.last_min_denominator = np.inf
-        self._blocks = None
 
     # -- construction ----------------------------------------------------
 
@@ -387,7 +386,6 @@ class MixedSystem:
         gather = sparse.csr_matrix(
             (np.ones(n_tilde), (np.arange(n_tilde), self._tilde2g)),
             shape=(n_tilde, topo.n_sigbar))
-        self._gather_bar = gather
         self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
         # with coupled DOFs the coupled mass is factored once here by a sparse
         # LU with a fill-reducing symmetric ordering; it is SPD, so no pivoting
@@ -458,6 +456,21 @@ class MixedSystem:
 
     def eval_RL(self, d, c):
         return self.reduce_tilde(self.eval_RL_tilde(d, c)).ravel()
+
+    def residual_scale(self):
+        """S = ||R_L(d=0, c=0)||: the linear residual of the boundary net
+        alone, i.e. the coupled derivative moments of the net that holds the
+        boundary data and zero inner coefficients. The net is first
+        translated so that its first boundary point is the origin, because
+        the residual is translation invariant and its scale must be too.
+        S depends only on the boundary data and the discretisation, scales
+        with the size of the domain, and is zero when all boundary points
+        coincide."""
+        bnd = self.topology.boundary_indices
+        net = np.zeros_like(self._template)
+        net[bnd] = self._template[bnd] - self._template[bnd[0]]
+        return float(np.linalg.norm(
+            self.reduce_tilde(self._derivative_moments(net))))
 
     # -- nonlinear part ------------------------------------------------------
 
@@ -680,37 +693,6 @@ class MixedSystem:
         net[self.topology.inner_indices] = self.c_as_net(delta_c)
         return self.ainv_exact(
             a_tilde + self._derivative_moments(net)).ravel()
-
-    # -- assembled constant blocks (tests and small problems) ----------------
-
-    def assemble_constant_blocks(self):
-        """Sparse (A, B, B_bnd) with A = diag(coupled mass) per field and the
-        derivative-projection columns split into inner and boundary parts."""
-        if self._blocks is None:
-            topo = self.topology
-            mglob = (self._gather_bar.T @ self._mt_gather).tocsr()
-            bglob = {direction: (self._gather_bar.T @ self._btilde[direction]).tocsr()
-                     for direction in ("xi", "eta")}
-            A = sparse.block_diag([mglob] * self.n_fields, format="csr")
-            inner, bnd = topo.inner_indices, topo.boundary_indices
-            rows_in, rows_bnd = [], []
-            for direction, comp in self.fields:
-                row_in = [None, None]
-                row_bnd = [None, None]
-                row_in[comp] = bglob[direction][:, inner]
-                row_bnd[comp] = bglob[direction][:, bnd]
-                rows_in.append(row_in)
-                rows_bnd.append(row_bnd)
-            B = sparse.bmat(rows_in, format="csr")
-            B_bnd = sparse.bmat(rows_bnd, format="csr")
-            self._blocks = (A, B, B_bnd)
-        return self._blocks
-
-    @property
-    def boundary_c(self):
-        """Boundary coefficients in the (x..., y...) layout matching B_bnd."""
-        b = self._template[self.topology.boundary_indices]
-        return np.concatenate([b[:, 0], b[:, 1]])
 
 
 def single_patch_system(m, *, mode: str = "full", chi: float = 0.5,

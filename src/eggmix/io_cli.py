@@ -2,8 +2,8 @@
 
 Geometry and solution files are JSON (schema in docs/geometry_schema.json);
 mesh export writes legacy-VTK structured grids, SVG isoline plots or CSV
-point tables. Exit codes: 0 converged to a bijective map, 1 input error,
-2 not converged or converged to a folded map.
+point tables. Exit codes: 0 converged to a bijective map, 1 input or usage
+error, 2 not converged or converged to a folded map.
 """
 
 from __future__ import annotations
@@ -373,20 +373,19 @@ def cmd_solve(args) -> int:
         return 1
     settings = {"mode": "full", "mu": 1e-4, "chi": 0.5, "coarse_levels": 0}
     settings.update({k: v for k, v in geo.solver.items() if k in SOLVER_KEYS})
-    for key in ("mode", "mu", "chi", "coarse_levels"):
-        v = getattr(args, key, None)
+    for key, flag in (("mode", "--mode"), ("mu", "--mu"), ("chi", "--chi"),
+                      ("coarse_levels", "--coarse-levels"),
+                      ("newton_tol", "--tol")):
+        v = getattr(args, key)
         if v is not None:
             problem = None if key == "mode" else _solver_setting_error(key, v)
             if problem:
-                flag = "--" + key.replace("_", "-")
                 print(f"input error: {flag}: {problem}", file=sys.stderr)
                 return 1
             settings[key] = v  # CLI flags win over file settings
-    config_kwargs = {k: geo.solver[k] for k in
+    config_kwargs = {k: settings[k] for k in
                      ("newton_tol", "max_newton", "gmres_tol", "gmres_restart",
-                      "gmres_max_iter") if k in geo.solver}
-    if args.tol is not None:
-        config_kwargs["newton_tol"] = args.tol
+                      "gmres_max_iter") if k in settings}
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
         config = SolverConfig(verbose=args.verbose, **config_kwargs)
@@ -626,7 +625,10 @@ def main(argv=None) -> int:
     ps.add_argument("--mu", type=float, default=None)
     ps.add_argument("--chi", type=float, default=None)
     ps.add_argument("--coarse-levels", dest="coarse_levels", type=int, default=None)
-    ps.add_argument("--tol", type=float, default=None)
+    ps.add_argument("--tol", dest="newton_tol", type=float, default=None,
+                    help="stop when the residual norm is at most TOL times "
+                         "the residual scale of the boundary data "
+                         "(default 1e-8)")
     ps.add_argument("--initial", choices=("transfinite", "file", "folded"),
                     default="transfinite")
     ps.add_argument("--initial-file", default=None)
@@ -648,7 +650,12 @@ def main(argv=None) -> int:
     pq.add_argument("input")
     pq.set_defaults(fn=cmd_quality)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, after printing its message;
+        # 2 is this program's non-convergence code, so report 1 instead
+        return 1 if exc.code else 0
     return args.fn(args)
 
 

@@ -13,14 +13,23 @@ with Kelley's safeguard): ``gmres_tol`` for the first Newton step, then
 loose while the residual falls slowly and back down to ``gmres_tol`` in the
 fast local phase. A backtracking line search on the residual norm globalizes
 the iteration; the probe it accepts becomes the next iterate's state, so its
-residual is not evaluated twice. Convergence is declared on the Newton-step
-norm relative to the first accepted step, only after a converged GMRES
-solve.
+residual is not evaluated twice.
+
+There is one stopping test, checked at every iterate before any Schur work:
+the iterate has converged when ||(R_L, R_N)|| <= ``newton_tol`` * S. The scale
+S = ||R_L(d=0, c=0)|| is the linear residual of the boundary net alone (see
+:meth:`~eggmix.assembly.MixedSystem.residual_scale`); it depends only on the
+boundary data and the discretisation, not on the iterate. Convergence is
+therefore always a residual measured at an accepted iterate, never a step
+inferred from a possibly failed GMRES solve, and a start that already meets
+the test returns after 0 Newton steps (Kelley, Iterative Methods for Linear
+and Nonlinear Equations, SIAM 1995, sections 5.2 and 8.2).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -54,18 +63,17 @@ FD_FLOOR = 1e-14
 class SolverConfig:
     """Tolerances of the Newton-Krylov solve.
 
-    ``newton_tol`` is relative to the first accepted step norm;
-    ``newton_abs_floor`` is the absolute fallback below which any step counts
-    as converged; ``max_newton`` caps the Newton steps. ``gmres_tol`` is the
-    first and the smallest forcing term: the relative GMRES tolerance of the
-    first Newton step and the floor of every later one (see
-    ``forcing_term``). ``gmres_restart`` and ``gmres_max_iter`` bound each
-    GMRES solve. ``verbose`` writes one JSON line per Newton step to stderr.
-    The line-search and finite-difference constants are module constants
-    (``LS_*``, ``FD_FLOOR``).
+    ``newton_tol`` is the stopping test: an iterate has converged when
+    ||(R_L, R_N)|| <= newton_tol * S, with S the residual scale of the
+    boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
+    Newton steps. ``gmres_tol`` is the first and the smallest forcing term:
+    the relative GMRES tolerance of the first Newton step and the floor of
+    every later one (see ``forcing_term``). ``gmres_restart`` and
+    ``gmres_max_iter`` bound each GMRES solve. ``verbose`` writes one JSON
+    line per Newton step to stderr. The line-search and finite-difference
+    constants are module constants (``LS_*``, ``FD_FLOOR``).
     """
     newton_tol: float = 1e-8
-    newton_abs_floor: float = 1e-12
     max_newton: int = 50
     gmres_tol: float = 1e-3
     gmres_restart: int = 50
@@ -73,9 +81,10 @@ class SolverConfig:
     verbose: bool = False
 
     def __post_init__(self):
-        for name in ("newton_tol", "newton_abs_floor", "gmres_tol"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+        for name in ("newton_tol", "gmres_tol"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise InputError(f"{name} must be positive and finite, got {v}")
         # at 1 or above GMRES returns the zero step, which reads as converged
         if self.gmres_tol > EW_ETA_MAX:
             raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
@@ -243,7 +252,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     ``initial`` is a SplineMap (single patch; its inner control points seed
     the iteration and receive the solution on success) or an inner
     coefficient array. Returns ``(c_final, report)`` with c in the flat
-    (x..., y...) layout. Bijectivity of the start is not required.
+    (x..., y...) layout. Bijectivity of the start is not required. Raises
+    InputError when the residual scale is zero (all boundary points
+    coincide).
     """
     config = config or SolverConfig()
     target_map = initial if isinstance(initial, SplineMap) else None
@@ -254,18 +265,25 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         if c.shape == (system.n_inner, 2):
             c = system.net_as_c(c)
     c = c.copy()
+    scale = system.residual_scale()
+    if scale == 0.0:
+        raise InputError("all boundary points coincide: the residual scale "
+                         "of the boundary data is zero")
+    r_tol = config.newton_tol * scale
     d = system.project_d(c)
 
     report = SolverReport()
     rn0 = system.rn_eval_count
     t0 = time.perf_counter()
-    n_ref = None
     converged = False
     state = NewtonState(system, d, c)
 
-    for it in range(1, config.max_newton + 1):
+    for it in range(config.max_newton + 1):
         report.residual_norms.append(state.r_norm)
         report.min_denominators.append(state.min_denominator)
+        converged = state.r_norm <= r_tol
+        if converged or it == config.max_newton:
+            break
         eta = forcing_term(config.gmres_tol, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
@@ -273,7 +291,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         delta_c, gm = schur_solve(system, state, rhs, eta, config)
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))
-        report.newton_iterations = it
+        report.newton_iterations = it + 1
         report.step_norms.append(n_norm)
         report.gmres_iterations.append(gm.iterations)
         report.gmres_matvecs.append(gm.matvec_count)
@@ -281,24 +299,15 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         r0 = gm.residual_norms[0]
         gmres_residual = gm.residual_norms[-1] / r0 if r0 > 0.0 else 0.0
         report.gmres_residuals.append(gmres_residual)
-
-        threshold = config.newton_abs_floor
-        if n_ref is not None:
-            threshold = max(threshold, config.newton_tol * n_ref)
         if config.verbose:
             print(json.dumps({
-                "newton_iteration": it, "residual_norm": state.r_norm,
+                "newton_iteration": it + 1, "residual_norm": state.r_norm,
                 "step_norm": n_norm, "gmres_iterations": gm.iterations,
                 "gmres_converged": bool(gm.converged),
                 "gmres_residual": gmres_residual, "forcing_term": eta,
                 "min_denominator": state.min_denominator,
                 "rn_evals": system.rn_eval_count - rn0}, sort_keys=True),
                 file=sys.stderr)
-        # a step from an unconverged linear solve says nothing about
-        # convergence: it is only line-searched
-        if gm.converged and n_norm <= threshold:
-            converged = True
-            break
 
         probe = {}
 
@@ -324,8 +333,6 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         d = d + nu * delta_d
         c = c + nu * delta_c
         state = NewtonState(system, d, c, **probe)
-        if n_ref is None:
-            n_ref = n_norm
 
     report.converged = converged
     report.rn_evals = system.rn_eval_count - rn0

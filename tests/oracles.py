@@ -6,6 +6,7 @@ checks.
 """
 
 import numpy as np
+from scipy import sparse
 
 
 def naive_bspline(knots, p, i, x, deriv=0):
@@ -93,11 +94,42 @@ def fd_jacobian_blocks(system, d, c, h=1e-6):
     return C, D
 
 
+def constant_blocks(system):
+    """Sparse (A, B, B_bnd) of a MixedSystem: A = diag(coupled mass) per
+    field, and the derivative-projection columns split into inner and
+    boundary parts, so that R_L = A d - (B c + B_bnd boundary_c(system))."""
+    topo = system.topology
+    n_tilde = topo.n_tilde
+    gather = sparse.csr_matrix(
+        (np.ones(n_tilde), (np.arange(n_tilde), topo.tilde_to_global())),
+        shape=(n_tilde, topo.n_sigbar))
+    mglob = (gather.T @ system._mt_gather).tocsr()
+    bglob = {direction: (gather.T @ system._btilde[direction]).tocsr()
+             for direction in ("xi", "eta")}
+    A = sparse.block_diag([mglob] * system.n_fields, format="csr")
+    inner, bnd = topo.inner_indices, topo.boundary_indices
+    rows_in, rows_bnd = [], []
+    for direction, comp in system.fields:
+        row_in = [None, None]
+        row_bnd = [None, None]
+        row_in[comp] = bglob[direction][:, inner]
+        row_bnd[comp] = bglob[direction][:, bnd]
+        rows_in.append(row_in)
+        rows_bnd.append(row_bnd)
+    return A, sparse.bmat(rows_in, format="csr"), sparse.bmat(rows_bnd, format="csr")
+
+
+def boundary_c(system):
+    """Boundary coefficients in the (x..., y...) layout of B_bnd."""
+    b = system._template[system.topology.boundary_indices]
+    return np.concatenate([b[:, 0], b[:, 1]])
+
+
 def explicit_schur(system, d, c, h=1e-6):
     """Dense Schur complement and right-hand side from the explicit
     finite-difference Jacobian blocks."""
     C, D = fd_jacobian_blocks(system, d, c, h)
-    A, B, B_bnd = system.assemble_constant_blocks()
+    A, B, B_bnd = constant_blocks(system)
     Ad = A.toarray()
     # Jacobian block dR_L/dc is -B, so the Schur complement is D + C A^-1 B
     Dt = D + C @ np.linalg.solve(Ad, B.toarray())

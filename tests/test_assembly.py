@@ -12,8 +12,8 @@ from eggmix.mapping import unit_square_map
 from eggmix.multipatch import build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
-from oracles import dense_row, greville_interpolate_2d, \
-    reference_univariate_integral
+from oracles import boundary_c, constant_blocks, dense_row, \
+    greville_interpolate_2d, reference_univariate_integral
 
 
 def square_system(p=2, ne=3, mode="full", **kw):
@@ -51,7 +51,7 @@ def test_quadrature_integrates_bilinear_exactly():
 
 def test_mass_of_constant_is_area():
     sys_, _ = square_system(2, 3)
-    A, _, _ = sys_.assemble_constant_blocks()
+    A, _, _ = constant_blocks(sys_)
     nbar = sys_.topology.n_sigbar
     ones = np.ones(nbar)
     total = ones @ (A[:nbar, :nbar] @ ones)
@@ -74,7 +74,7 @@ def test_hat_mass_matrix():
 
 def test_derivative_matrix_column_sums_vanish_for_interior():
     sys_, _ = square_system(2, 3)
-    _, B, B_bnd = sys_.assemble_constant_blocks()
+    _, B, B_bnd = constant_blocks(sys_)
     topo = sys_.topology
     nbar = topo.n_sigbar
     # first field block row of B holds the xi-derivative columns of the
@@ -97,7 +97,7 @@ def test_mass_matches_reference_quadrature():
     tb = TensorBasis(kv, kv)
     sys_ = MixedSystem(build_topology([(tb, None)], []),
                        unit_square_map(tb).control[tb.boundary_indices])
-    A, _, _ = sys_.assemble_constant_blocks()
+    A, _, _ = constant_blocks(sys_)
     bb = sys_.topology.bar_bases[0]
     ref_1d = reference_univariate_integral(bb.kv_xi, bb.kv_xi)
     ref = np.kron(ref_1d, ref_1d)
@@ -107,7 +107,7 @@ def test_mass_matches_reference_quadrature():
 
 def test_mass_times_ones_gives_basis_integrals():
     sys_, _ = square_system(3, 2)
-    A, _, _ = sys_.assemble_constant_blocks()
+    A, _, _ = constant_blocks(sys_)
     bb = sys_.topology.bar_bases[0]
     nbar = sys_.topology.n_sigbar
     got = A[:nbar, :nbar] @ np.ones(nbar)
@@ -128,8 +128,8 @@ def test_eval_RL_zero_state_gives_boundary_term():
     sys_, _ = square_system(2, 3)
     d = np.zeros(sys_.d_size)
     c = np.zeros(sys_.c_size)
-    _, _, B_bnd = sys_.assemble_constant_blocks()
-    expect = -(B_bnd @ sys_.boundary_c)
+    _, _, B_bnd = constant_blocks(sys_)
+    expect = -(B_bnd @ boundary_c(sys_))
     np.testing.assert_allclose(sys_.eval_RL(d, c), expect, atol=1e-14)
 
 

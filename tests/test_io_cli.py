@@ -215,11 +215,31 @@ def test_sample_vtk_multipatch_one_file_per_patch(tmp_path):
     assert len(rows) == 1 + 2 * (3 * 4 + 1) ** 2  # patches * (res*elems+1)^2
 
 
-def test_sample_unknown_format(square_solution, tmp_path):
+def test_sample_unknown_format(square_solution, tmp_path, capsys):
     assert run_cli("sample", square_solution, "--format", "csv",
                    "--out", tmp_path / "ok.csv") == 0
-    with pytest.raises(SystemExit):
-        run_cli("sample", square_solution, "--format", "obj")
+    capsys.readouterr()
+    assert run_cli("sample", square_solution, "--format", "obj") == 1
+    assert "invalid choice: 'obj'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "SQUARE", "--mu", "abc", "--out", "OUT"],
+    ["solve", "SQUARE", "--mu", "-1e-4", "--out", "OUT"],
+    ["solve", "SQUARE", "--initial", "nowhere", "--out", "OUT"],
+    ["frobnicate"], []])
+def test_usage_errors_exit_1(argv, tmp_path, capsys):
+    # argparse's own exit code 2 would read as non-convergence
+    out = tmp_path / "out.json"
+    names = {"SQUARE": bundled_path("square"), "OUT": out}
+    assert run_cli(*[names.get(a, a) for a in argv]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert run_cli("solve", "--help") == 0
+    assert "--tol" in capsys.readouterr().out
 
 
 def test_sample_deterministic_bytes(square_solution, tmp_path):
@@ -339,6 +359,33 @@ def test_solve_initial_from_file(square_solution, tmp_path):
     assert load_solution(out)["report"]["newton_iterations"] <= 2
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_restart_from_own_solution_takes_at_most_one_step(name, tmp_path):
+    first = tmp_path / f"{name}.solution.json"
+    assert run_cli("solve", bundled_path(name), "--out", first) == 0
+    again = tmp_path / f"{name}.restart.json"
+    assert run_cli("solve", bundled_path(name), "--initial", "file",
+                   "--initial-file", first, "--out", again) == 0
+    sol = load_solution(again)
+    assert sol["converged"] and sol["report"]["newton_iterations"] <= 1
+    a, b = (np.vstack(load_solution(p)["control_nets"]) for p in (first, again))
+    diam = np.linalg.norm(a.max(axis=0) - a.min(axis=0))
+    assert np.abs(a - b).max() <= 1e-8 * diam
+
+
+def test_coincident_boundary_points_exit_1(tmp_path, capsys):
+    doc = build_square()
+    boundary = doc["patches"][0]["boundary"]
+    for face, arr in boundary.items():
+        boundary[face] = [[0.3, 0.7]] * len(arr)
+    p = tmp_path / "point.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "point.solution.json"
+    assert run_cli("solve", p, "--out", out) == 1
+    assert "boundary points coincide" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_restart_builds_one_system(tmp_path, monkeypatch):
     import eggmix.io_cli
     from eggmix.assembly import MixedSystem
@@ -425,7 +472,8 @@ def test_malformed_solver_setting_exits_1(key, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--mu", "nan"), ("--mu", "inf"), ("--mu", "0"), ("--mu", "-1"),
-    ("--chi", "nan"), ("--chi", "1.5"), ("--coarse-levels", "-2")])
+    ("--chi", "nan"), ("--chi", "1.5"), ("--coarse-levels", "-2"),
+    ("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"), ("--tol", "-1")])
 def test_malformed_solver_flag_exits_1(flag, value, tmp_path, capsys):
     out = tmp_path / "bad.solution.json"
     assert run_cli("solve", bundled_path("square"), flag, value,

@@ -22,11 +22,11 @@ def test_traced_cli_derives_every_per_layer_metric(tmp_path, monkeypatch):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     # run.py adds the tracing overhead itself, from untraced repetitions
     want = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_frac"}
-    sol = tmp_path / "tp.solution.json"
+    sol = tmp_path / "qa.solution.json"
     calls = [
-        ["solve", bundled_path("two_patch_square"), "--out", sol],
+        ["solve", bundled_path("quarter_annulus"), "--out", sol],
         ["quality", sol],
-        ["sample", sol, "--format", "svg", "--out", tmp_path / "tp.svg"],
+        ["sample", sol, "--format", "svg", "--out", tmp_path / "qa.svg"],
     ]
     tracer = tracing.Tracer()
     tracer.install()

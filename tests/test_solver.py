@@ -3,7 +3,7 @@ import pytest
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
-from eggmix.errors import StagnationError
+from eggmix.errors import InputError, StagnationError
 from eggmix.io_cli import parse_geometry
 from eggmix.geometries import BUILDERS, build_bat, build_lbend, \
     build_quarter_annulus, build_two_patch_square, exact_annulus_map, \
@@ -15,8 +15,8 @@ from eggmix.solver import NewtonState, SolverConfig, _line_search, \
     transfinite_global
 from eggmix.splines import TensorBasis, uniform_knots, gauss_legendre
 
-from oracles import coons_loop_transfinite_global, explicit_schur, \
-    loop_prolong_net
+from oracles import boundary_c, constant_blocks, \
+    coons_loop_transfinite_global, explicit_schur, loop_prolong_net
 
 
 def square_system(p=2, ne=3, mode="full"):
@@ -58,8 +58,8 @@ def test_initial_d_solves_normal_equations(rng):
     sys_, _ = square_system(2, 3)
     c = rng.standard_normal(sys_.c_size)
     d = sys_.project_d(c)
-    A, B, B_bnd = sys_.assemble_constant_blocks()
-    res = A @ d - (B @ c + B_bnd @ sys_.boundary_c)
+    A, B, B_bnd = constant_blocks(sys_)
+    res = A @ d - (B @ c + B_bnd @ boundary_c(sys_))
     assert np.abs(res).max() < 1e-11
 
 
@@ -139,14 +139,61 @@ def test_schur_rhs_short_circuits_on_consistent_d():
 
 
 def test_newton_identity_converges_immediately():
+    # the identity net is the exact solution on the square: the start meets
+    # the stopping test, so no step and no Schur solve is taken
     sys_, m = square_system(3, 3)
     before = m.control[m.boundary_indices].tobytes()
     c, rep = newton_solve(sys_, m, SolverConfig())
-    assert rep.converged and rep.newton_iterations <= 2
+    assert rep.converged and rep.newton_iterations == 0
+    assert rep.rn_evals == 1 and rep.gmres_iterations == []
+    assert len(rep.residual_norms) == len(rep.min_denominators) == 1
     assert rep.final_residual < 1e-10
     assert m.control[m.boundary_indices].tobytes() == before  # bitwise fixed
     np.testing.assert_allclose(
         sys_.c_as_net(c), m.basis.greville_grid()[m.inner_indices], atol=1e-9)
+
+
+def test_residual_scale_is_the_boundary_net_residual(rng):
+    sys_, geo = annulus_system(2, 4)
+    bnd = geo.topology.boundary_indices
+    bv = sys_._template[bnd]
+    # R_L(0, 0) of the boundary data moved to put its first point at 0
+    moved = MixedSystem(geo.topology, bv - bv[0])
+    rl = moved.eval_RL(np.zeros(moved.d_size), np.zeros(moved.c_size))
+    assert sys_.residual_scale() == np.linalg.norm(rl)
+    # translation invariant, linear in the size of the domain
+    shifted = MixedSystem(geo.topology, bv + rng.uniform(-50, 50, 2))
+    assert abs(shifted.residual_scale() - sys_.residual_scale()) \
+        <= 1e-12 * sys_.residual_scale()
+    scaled = MixedSystem(geo.topology, 3.0 * bv)
+    assert abs(scaled.residual_scale() - 3.0 * sys_.residual_scale()) \
+        <= 1e-12 * sys_.residual_scale()
+    # zero, and refused, when every boundary point is the same point
+    point = MixedSystem(geo.topology, np.full_like(bv, 0.3))
+    assert point.residual_scale() == 0.0
+    with pytest.raises(InputError, match="coincide"):
+        newton_solve(point, np.zeros(point.c_size), SolverConfig())
+
+
+@pytest.mark.parametrize("key", ["newton_tol", "gmres_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8])
+def test_solver_config_rejects_bad_tolerances(key, value):
+    with pytest.raises(InputError, match=key):
+        SolverConfig(**{key: value})
+
+
+def test_restart_from_converged_lbend_xi_l1():
+    # a restart that used to iterate on roundoff until the line search
+    # stagnated
+    geo = parse_geometry(build_lbend())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    sys_ = build_system_hierarchy(geo.topology, bv, 1, mode="xi")[-1].system
+    c0 = sys_.net_as_c(transfinite_global(sys_)[sys_.topology.inner_indices])
+    c, rep = newton_solve(sys_, c0, SolverConfig())
+    assert rep.converged
+    c2, rep2 = newton_solve(sys_, c, SolverConfig())
+    assert rep2.converged and rep2.newton_iterations <= 1
+    assert np.abs(c2 - c).max() <= 1e-8 * np.abs(c).max()
 
 
 def test_line_search_accepts_full_step():
@@ -171,12 +218,11 @@ def test_line_search_stagnates():
 
 
 def test_unconverged_gmres_never_counts_as_newton_convergence():
-    # one GMRES iteration cannot meet 1e-12, and the huge absolute floor
-    # would accept the first step if the failed solve were ignored
+    # one GMRES iteration cannot meet 1e-12; its steps are only
+    # line-searched, and convergence is judged on the residual alone
     sys_, geo = annulus_system(2, 4)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
-    cfg = SolverConfig(gmres_max_iter=1, gmres_tol=1e-12,
-                       newton_abs_floor=1e3, max_newton=3)
+    cfg = SolverConfig(gmres_max_iter=1, gmres_tol=1e-12, max_newton=3)
     c, rep = newton_solve(sys_, c0, cfg)
     assert not rep.converged and rep.newton_iterations == 3
     assert rep.gmres_converged == [False, False, False]
@@ -266,8 +312,11 @@ def test_solver_report_serializable():
 
 
 def test_verbose_emits_json_lines(capsys):
-    sys_, m = square_system(1, 2)
-    newton_solve(sys_, m, SolverConfig(verbose=True))
+    # the square's own net is exact, so start from a perturbed one
+    sys_, m = square_system(2, 3)
+    c0 = sys_.net_as_c(m.control[m.inner_indices]) \
+        + 0.05 * np.random.default_rng(0).standard_normal(sys_.c_size)
+    newton_solve(sys_, c0, SolverConfig(verbose=True))
     out = capsys.readouterr().err.strip().splitlines()
     import json
     assert len(out) >= 1
@@ -373,11 +422,11 @@ def test_eta_mode_on_transposed_lbend_matches_winslow(lbend_solved):
 
 
 def test_driver_terminates_when_pushed_past_achievable_accuracy():
-    # demanding steps below the finite-difference noise floor must end in a
-    # clean stagnation error or a non-convergence report, never a hang
+    # demanding a residual below the roundoff floor must end in a clean
+    # stagnation error or a non-convergence report, never a hang
     sys_, geo = annulus_system(2, 4)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
-    cfg = SolverConfig(newton_tol=1e-16, newton_abs_floor=1e-30, max_newton=25)
+    cfg = SolverConfig(newton_tol=1e-30, max_newton=25)
     try:
         c, rep = newton_solve(sys_, c0, cfg)
         assert not rep.converged and rep.newton_iterations == 25
