@@ -11,13 +11,16 @@ solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
 and the peak RSS. A restart case solves from the transfinite start and
 then runs ``newton_solve`` again from the converged net, recording the
 Newton/GMRES/``rn_evals`` counts of that second solve, so that a restart
-that iterates on roundoff shows. A setup case times
-``build_system_hierarchy`` and then the first frozen-Laplacian pattern
-(``MixedSystem._laplacian_pattern``) of the finest system, next to the DOF
-count, the element count and the pattern's nonzero count. A kernel case builds the finest system of a
-hierarchy at its start iterate, without solving, and records the median
-milliseconds of ``eval_RN`` and ``laplace_preconditioner`` over repeated
-calls.
+that iterates on roundoff shows. A coarse-to-fine case solves a hierarchy
+with ``coarse_to_fine_solve`` from a start on its coarsest level, the path
+``eggmix solve --coarse-levels`` takes, and records the totals and, per
+level, the same counts and per-call times as a solve case. A setup case
+times ``build_system_hierarchy`` and then the first-use pattern and pair
+factors of the frozen Laplacian (``MixedSystem._laplacian_factors``) of the
+finest system, next to the DOF count, the element count and the pattern's
+nonzero count. A kernel case builds the finest system of a hierarchy at its
+start iterate, without solving, and records the median milliseconds of
+``eval_RN`` and ``laplace_preconditioner`` over repeated calls.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -47,7 +50,8 @@ from eggmix.errors import StagnationError  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
 from eggmix.io_cli import parse_geometry  # noqa: E402
 from eggmix.solver import SolverConfig, build_system_hierarchy, \
-    folded_initial_guess, newton_solve, transfinite_global  # noqa: E402
+    coarse_to_fine_solve, folded_initial_guess, newton_solve, \
+    transfinite_global  # noqa: E402
 
 # key -> (geometry, mode, h-refinement level, folded start)
 CASES = {
@@ -70,6 +74,10 @@ RESTART_CASES = {
     "two_patch_square-restart": ("two_patch_square", "full", 0),
     "bat-restart": ("bat", "full", 0),
 }
+# key -> (geometry, mode, finest h-refinement level, folded start)
+COARSE_TO_FINE_CASES = {
+    "bat-folded-L2-c2f": ("bat", "full", 2, True),
+}
 # key -> (geometry, mode, h-refinement level)
 SETUP_CASES = {
     "bat-L2-setup": ("bat", "full", 2),
@@ -82,15 +90,24 @@ PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
 
-def start_system(name, mode, level, folded):
-    """Finest system of a hierarchy and its start iterate."""
+def hierarchy_of(name, mode, level):
     geo = parse_geometry(BUILDERS[name]())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
-    system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
+    return build_system_hierarchy(geo.topology, bv, level, mode=mode)
+
+
+def start_iterate(system, folded):
+    """Transfinite start of ``system``, folded if asked."""
     net = transfinite_global(system)
     if folded:
         net = folded_initial_guess(system, net)
-    return system, system.net_as_c(net[system.topology.inner_indices])
+    return system.net_as_c(net[system.topology.inner_indices])
+
+
+def start_system(name, mode, level, folded):
+    """Finest system of a hierarchy and its start iterate."""
+    system = hierarchy_of(name, mode, level)[-1].system
+    return system, start_iterate(system, folded)
 
 
 def time_calls(system, name, seconds):
@@ -135,6 +152,42 @@ def run_case(key):
     }
 
 
+def run_coarse_to_fine_case(key):
+    """Solve one hierarchy coarse-to-fine in this process; returns its
+    record with one entry per level."""
+    name, mode, level, folded = COARSE_TO_FINE_CASES[key]
+    hierarchy = hierarchy_of(name, mode, level)
+    c0 = start_iterate(hierarchy[0].system, folded)
+    timers = []
+    for lv in hierarchy:
+        timers.append(([], []))
+        time_calls(lv.system, "eval_RN", timers[-1][0])
+        time_calls(lv.system, "laplace_preconditioner", timers[-1][1])
+    t0 = time.perf_counter()
+    _, rep = coarse_to_fine_solve(hierarchy, c0, SolverConfig())
+    solve_s = time.perf_counter() - t0
+    levels = [{
+        "n_sigma": lv.system.topology.n_sigma,
+        "converged": bool(r.converged),
+        "newton": r.newton_iterations,
+        "gmres": int(sum(r.gmres_iterations)),
+        "rn_evals": r.rn_evals,
+        "gmres_all_converged": all(r.gmres_converged),
+        "eval_rn_ms": mean_ms(rn_s),
+        "laplace_preconditioner_ms": mean_ms(precond_s),
+    } for lv, r, (rn_s, precond_s) in zip(hierarchy, rep.levels, timers)]
+    return {
+        "n_sigma": levels[-1]["n_sigma"],
+        "converged": bool(rep.converged),
+        "newton": rep.newton_iterations,
+        "gmres": sum(r["gmres"] for r in levels),
+        "rn_evals": rep.rn_evals,
+        "solve_s": solve_s,
+        "levels": levels,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
+
+
 def run_restart_case(key):
     """Solve one case, then restart from its converged net, in this
     process; returns the restart's record."""
@@ -169,7 +222,7 @@ def run_setup_case(key):
     t0 = time.perf_counter()
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
     t1 = time.perf_counter()
-    indices, _, _ = system._laplacian_pattern
+    indices = system._laplacian_factors.indices
     t2 = time.perf_counter()
     return {
         "n_sigma": system.topology.n_sigma,
@@ -187,7 +240,7 @@ def run_kernel_case(key):
     name, mode, level, folded, calls = KERNEL_CASES[key]
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
-    system.laplace_preconditioner(c0)  # builds the Laplacian pattern
+    system.laplace_preconditioner(c0)  # builds the Laplacian pattern and factors
     rn_s, precond_s = [], []
     for _ in range(calls):
         t0 = time.perf_counter()
@@ -206,6 +259,7 @@ def run_kernel_case(key):
 
 
 RUNNERS = {**dict.fromkeys(CASES, run_case),
+           **dict.fromkeys(COARSE_TO_FINE_CASES, run_coarse_to_fine_case),
            **dict.fromkeys(RESTART_CASES, run_restart_case),
            **dict.fromkeys(SETUP_CASES, run_setup_case),
            **dict.fromkeys(KERNEL_CASES, run_kernel_case)}
@@ -236,6 +290,14 @@ def main(argv=None):
         print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
               f"{r['solve_s']:7.2f} s  eval_RN {r['eval_rn_ms']:7.2f} ms  "
               f"precond {r['laplace_preconditioner_ms']:7.2f} ms "
+              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+    for key in COARSE_TO_FINE_CASES:
+        cases[key] = run_child(key)
+        r = cases[key]
+        print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
+              f"{r['solve_s']:7.2f} s  finest: eval_RN "
+              f"{r['levels'][-1]['eval_rn_ms']:7.2f} ms  precond "
+              f"{r['levels'][-1]['laplace_preconditioner_ms']:7.2f} ms "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in RESTART_CASES:
         cases[key] = run_child(key)

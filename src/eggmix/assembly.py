@@ -7,9 +7,12 @@ so every field and derivative there is a product ``Bx @ C @ By.T`` of
 univariate collocation factors, built once per system, and the moments
 against the test functions are ``Bx.T @ (w U) @ By``. The frozen-metric
 Laplacian that preconditions the Schur GMRES takes its metric from the same
-jet and forms element matrices from a stored gradient table. Every problem
-is treated as a (possibly 1-patch) topology, so the single-patch pipeline
-and the degenerate multipatch pipeline are the same code path.
+jet and is assembled by the same sum factorisation: per patch it is
+``X.T @ M @ Y`` summed over the four derivative pairings, with ``X`` and
+``Y`` univariate products of B-splines over the coupled function pairs of
+each direction, so no element matrix is formed. Every problem is treated as
+a (possibly 1-patch) topology, so the single-patch pipeline and the
+degenerate multipatch pipeline are the same code path.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .multipatch import PatchTopology, single_patch_topology
 from .splines import KnotVector, TensorBasis, gauss_legendre
 
 MODES = ("full", "xi", "eta")
-# elements per block when the frozen-metric Laplacian is assembled
-LAPLACIAN_CHUNK = 128
 
 
 @dataclass
@@ -62,24 +63,18 @@ class DirectionFactors:
 @dataclass
 class QuadratureCache:
     """Tensor Gauss grid of one patch on the finest knot grid: the univariate
-    factors of both directions and the active primal functions per element.
+    factors of both directions.
 
     Every field and derivative on the grid is a product
     ``xi.sig[k] @ C @ eta.sig[l].T`` of univariate factors. Element index is
-    lexicographic (xi-span major); ``act_sig`` holds the local flat indices
-    of the active primal functions per element.
+    lexicographic (xi-span major).
     """
     xi: DirectionFactors
     eta: DirectionFactors
-    act_sig: np.ndarray     # (n_el, na)
 
     @property
     def n_el(self) -> int:
         return self.xi.n_spans * self.eta.n_spans
-
-    @property
-    def nq(self) -> int:
-        return self.xi.nq * self.eta.nq
 
 
 def _dense_factor(first, tab, dim):
@@ -130,16 +125,14 @@ def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
     nds = 2 if need_second else 1
     fx = _direction_tables(sigma.kv_xi, sigma_bar.kv_xi, nds)
     fy = _direction_tables(sigma.kv_eta, sigma_bar.kv_eta, nds)
-    ax = fx.first_sig[:, None, None, None] + np.arange(sigma.kv_xi.degree + 1)[:, None]
-    ay = fy.first_sig[None, :, None, None] + np.arange(sigma.kv_eta.degree + 1)
-    act_sig = (ax * sigma.n_eta + ay).reshape(fx.n_spans * fy.n_spans, -1)
-    return QuadratureCache(xi=fx, eta=fy, act_sig=act_sig)
+    return QuadratureCache(xi=fx, eta=fy)
 
 
 def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
     """Dense univariate integral factors over the fine span grid:
     mbar[i,j] = int wbar_i wbar_j, obar[i,j] = int wbar_i w_j,
-    kbar[i,j] = int wbar_i w_j'."""
+    kbar[i,j] = int wbar_i w_j'. Span integrals are batched products of the
+    padded tables, scattered with one ``bincount`` per factor."""
     p = max(kv_bar.degree, kv_sig.degree)
     q, wq = gauss_legendre(p + 1)
     a = kv_bar.breakpoints[:-1]
@@ -149,20 +142,21 @@ def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
     n_e, nq = pts.shape
     first_b, tab_b = kv_bar.eval_many(pts.ravel(), 0)
     first_s, tab_s = kv_sig.eval_many(pts.ravel(), 1)
-    tab_b = tab_b.reshape(n_e, nq, 1, kv_bar.degree + 1)
+    tab_b = tab_b.reshape(n_e, nq, kv_bar.degree + 1)
     tab_s = tab_s.reshape(n_e, nq, 2, kv_sig.degree + 1)
-    mbar = np.zeros((kv_bar.dim, kv_bar.dim))
-    obar = np.zeros((kv_bar.dim, kv_sig.dim))
-    kbar = np.zeros((kv_bar.dim, kv_sig.dim))
-    for e in range(n_e):
-        fb, fs = first_b[e * nq], first_s[e * nq]
-        sb = slice(fb, fb + kv_bar.degree + 1)
-        ss = slice(fs, fs + kv_sig.degree + 1)
-        for wt, tb, ts in zip(wts[e], tab_b[e], tab_s[e]):
-            mbar[sb, sb] += wt * np.outer(tb[0], tb[0])
-            obar[sb, ss] += wt * np.outer(tb[0], ts[0])
-            kbar[sb, ss] += wt * np.outer(tb[0], ts[1])
-    return mbar, obar, kbar
+    rows = first_b[::nq, None] + np.arange(kv_bar.degree + 1)
+    # (n_e, p_bar + 1, nq) weighted test functions of every span
+    w_tb = np.swapaxes(wts[:, :, None] * tab_b, 1, 2)
+
+    def scatter(local, first, dim):
+        cols = first[::nq, None] + np.arange(local.shape[-1])
+        flat = rows[:, :, None] * dim + cols[:, None, :]
+        return np.bincount(flat.ravel(), weights=local.ravel(),
+                           minlength=kv_bar.dim * dim).reshape(kv_bar.dim, dim)
+
+    return (scatter(w_tb @ tab_b, first_b, kv_bar.dim),
+            scatter(w_tb @ tab_s[:, :, 0], first_s, kv_sig.dim),
+            scatter(w_tb @ tab_s[:, :, 1], first_s, kv_sig.dim))
 
 
 # Primal jet rows of the residual kernel, grouped by eta-derivative order:
@@ -222,22 +216,65 @@ def _residual_combination(mode, chi, ia, n_aux):
     return np.array([row((1.0, x, d_xi)), row((1.0, x, d_eta)), y11, y22, y12])
 
 
-def _gradient_table(cache: QuadratureCache, ia):
-    """(n_el, 2 nq, na) gradients in (xi, eta) of the active primal functions
-    at the Gauss points of every element: all xi-derivatives, then all
-    eta-derivatives."""
-    tx, ty = cache.xi.tab_sig, cache.eta.tab_sig
+# Derivative pairings (a, b) of the frozen Laplacian on a patch: the term
+# M_ab d_a w_I d_b w_J, with 0 = s and 1 = t. The xi-direction factor of the
+# pairing carries the derivative orders (1 - a, 1 - b), the eta factor (a, b).
+PAIRINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def combine(a, b):
-        return np.einsum("eqa,frb->efqrab", a, b).reshape(cache.n_el, cache.nq, -1)
 
-    w_s = combine(tx[:, :, 1], ty[:, :, 0])
-    w_t = combine(tx[:, :, 0], ty[:, :, 1])
-    out = np.empty((cache.n_el, 2, cache.nq, w_s.shape[-1]))
-    for j in range(2):
-        np.multiply(ia[0, j], w_s, out=out[:, j])
-        out[:, j] += ia[1, j] * w_t
-    return out.reshape(cache.n_el, 2 * cache.nq, -1)
+def _pair_factors(f: DirectionFactors, orders, diagonal: bool):
+    """Univariate pair factors of one direction of a patch for the frozen
+    Laplacian, on its coupled pairs S = {(i, j): some span carries both
+    primal functions i and j}.
+
+    Returns ``(pairs, F)``: ``pairs`` is the (|S|, 2) array of (i, j), sorted
+    by i * n + j, and ``F`` a CSR matrix with one block per entry
+    (k, l) of ``orders``, block b holding at row r and Gauss point m the
+    product d^k w_i(x_m) d^l w_j(x_m) of pair r = (i, j). Blocks are stacked
+    along the diagonal (``diagonal``, shape (n_blocks |S|, n_blocks n_points))
+    or side by side (shape (|S|, n_blocks n_points)). Each Gauss point only
+    meets the (p + 1)^2 pairs of its span, so F has n_points (p + 1)^2
+    entries per block."""
+    n_spans, nq, _, width = f.tab_sig.shape
+    dim = f.sig.shape[-1]
+    loc = np.arange(width)
+    keys = ((f.first_sig[:, None, None] + loc[:, None]) * dim
+            + f.first_sig[:, None, None] + loc).reshape(n_spans, -1)
+    uniq, pair = np.unique(keys, return_inverse=True)
+    n_pairs, n_points = len(uniq), n_spans * nq
+    shape = (n_spans, nq, width * width)
+    rows = np.broadcast_to(pair.reshape(n_spans, 1, -1), shape)
+    cols = np.broadcast_to(np.arange(n_points).reshape(n_spans, nq, 1), shape)
+    blocks = range(len(orders))
+    vals = [f.tab_sig[:, :, k, :, None] * f.tab_sig[:, :, l, None, :]
+            for k, l in orders]
+    F = sparse.csr_matrix(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([(b * n_pairs if diagonal else 0) + rows.ravel()
+                          for b in blocks]),
+          np.concatenate([b * n_points + cols.ravel() for b in blocks]))),
+        shape=((len(orders) if diagonal else 1) * n_pairs, len(orders) * n_points))
+    return np.stack([uniq // dim, uniq % dim], axis=1), F
+
+
+def _patch_metric_map(ia):
+    """(4, 3) matrix taking the scaled (Q11, Q12, Q22) in (xi, eta) to the
+    entries (M_ss, M_st, M_ts, M_tt) of M = ia Q ia^T in the patch
+    coordinates, ``ia`` the inverse Jacobian of the affine patch map
+    (grad_(xi, eta) = ia^T grad_(s, t))."""
+    return np.array([[ia[a, 0] * ia[b, 0], ia[a, 0] * ia[b, 1] + ia[a, 1] * ia[b, 0],
+                      ia[a, 1] * ia[b, 1]] for a, b in PAIRINGS])
+
+
+@dataclass
+class _LaplacianFactors:
+    """Fixed CSR pattern of the frozen Laplacian and the pair factors of
+    every patch, see :meth:`MixedSystem._laplacian_factors`."""
+    indices: np.ndarray     # (nnz,) int32 CSR column indices
+    indptr: np.ndarray      # (n_inner + 1,) int32 CSR row pointers
+    positions: np.ndarray   # CSR data position of every patch entry, nnz if dropped
+    x: list                 # per patch, block-diagonal xi factors (4 |S_xi|, 4 n_xi)
+    y: list                 # per patch, side-by-side eta factors (|S_eta|, 4 n_eta)
 
 
 @dataclass
@@ -248,8 +285,6 @@ class _PatchContext:
     inv_a: np.ndarray
     vol: float
     kron: KronSolver
-    act_sig_glob: np.ndarray   # (n_el, na) global primal indices per element
-    grads: np.ndarray          # (n_el, 2 nq, na), see _gradient_table
     wgrid: np.ndarray          # (n_xi points, n_eta points) vol * w_xi (x) w_eta
     sig_idx: np.ndarray        # (n_xi, 2, n_eta) positions in the flat control net
     bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
@@ -344,8 +379,6 @@ class MixedSystem:
                 inv_a=am.inv,
                 vol=vol,
                 kron=KronSolver(mbar_s, mbar_t, scale=vol),
-                act_sig_glob=topo.sig_l2g[i][cache.act_sig],
-                grads=_gradient_table(cache, am.inv),
                 wgrid=vol * np.multiply.outer(cache.xi.weights, cache.eta.weights),
                 sig_idx=2 * sig + comp,
                 bar_idx=fields * topo.n_sigbar
@@ -542,36 +575,43 @@ class MixedSystem:
 
     # -- Schur preconditioner ------------------------------------------------
 
-    def _chunks(self):
-        """(patch index, element slice) blocks of at most ``LAPLACIAN_CHUNK``
-        elements, in a fixed order."""
-        for i, ctx in enumerate(self.patches):
-            for e0 in range(0, ctx.cache.n_el, LAPLACIAN_CHUNK):
-                yield i, slice(e0, e0 + LAPLACIAN_CHUNK)
-
     @functools.cached_property
-    def _laplacian_pattern(self):
-        """Fixed CSR pattern of the inner primal couplings, built on first
-        use: ``(indices, indptr, positions)``, where ``positions`` holds per
-        block of :meth:`_chunks` the place in the CSR data of every
-        element-matrix entry (nnz for one in a boundary row or column)."""
+    def _laplacian_factors(self):
+        """Pair factors of every patch (:func:`_pair_factors`, the xi factors
+        block-diagonal in the order of ``PAIRINGS``, the eta factors side by
+        side) and the fixed CSR pattern of the inner primal couplings, built
+        on first use.
+
+        The couplings of a patch are S_xi x S_eta: functions (i1, i2) and
+        (j1, j2) share an element exactly when (i1, j1) is in S_xi and
+        (i2, j2) in S_eta. The pattern is their union over patches, mapped
+        to inner indices; ``positions`` holds the place in the CSR data of
+        every patch entry, laid out as the (|S_eta|, |S_xi|) products of
+        :meth:`frozen_laplacian` patch after patch (nnz for an entry in a
+        boundary row or column)."""
         n = self.n_inner
         inner_of = np.full(self.topology.n_sigma, -1)
         inner_of[self.topology.inner_indices] = np.arange(n)
-
-        def keys(i, els):
-            loc = inner_of[self.patches[i].act_sig_glob[els]]
-            key = loc[:, :, None] * n + loc[:, None, :]
-            return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
-                            n * n, key)
-
-        chunk_keys = [keys(i, els) for i, els in self._chunks()]
-        pattern = np.unique(np.concatenate([k.ravel() for k in chunk_keys]))
-        pattern = pattern[pattern < n * n]
-        positions = [np.searchsorted(pattern, k).astype(np.int32)
-                     for k in chunk_keys]
+        xs, ys, keys = [], [], []
+        for i, ctx in enumerate(self.patches):
+            px, fx = _pair_factors(ctx.cache.xi, [(1 - a, 1 - b) for a, b in PAIRINGS],
+                                   diagonal=True)
+            py, fy = _pair_factors(ctx.cache.eta, PAIRINGS, diagonal=False)
+            xs.append(fx)
+            ys.append(fy)
+            loc = inner_of[self.topology.sig_l2g[i]]
+            n_eta = ctx.cache.eta.sig.shape[-1]
+            row = loc[px[:, 0] * n_eta + py[:, None, 0]]
+            col = loc[px[:, 1] * n_eta + py[:, None, 1]]
+            keys.append(np.where((row < 0) | (col < 0), n * n, row * n + col).ravel())
+        # one sentinel key n * n, past every coupling, takes the dropped entries
+        pattern, positions = np.unique(np.concatenate(keys + [[n * n]]),
+                                       return_inverse=True)
+        pattern = pattern[:-1]
         indptr = np.searchsorted(pattern // n, np.arange(n + 1))
-        return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
+        return _LaplacianFactors(
+            indices=(pattern % n).astype(np.int32), indptr=indptr.astype(np.int32),
+            positions=positions[:-1], x=xs, y=ys)
 
     def frozen_laplacian(self, c):
         """Frozen-metric Laplacian on the inner primal basis at the iterate c:
@@ -582,51 +622,49 @@ class MixedSystem:
         (integrate the numerator of R_N by parts). The mu/2 shift makes Q
         positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
         so K is SPD even on folded iterates. The metric comes from the same
-        sum-factorised jet as :meth:`eval_RN`; element matrices are formed
-        from the stored gradient tables one block of :meth:`_chunks` at a
-        time and summed into the fixed pattern, so the temporaries stay
-        small. Returns a CSR matrix."""
-        indices, indptr, positions = self._laplacian_pattern
-        nnz = len(indices)
-        data = np.zeros(nnz + 1)
+        sum-factorised jet as :meth:`eval_RN`. In the patch coordinates the
+        scaled Q is M = ia Q ia^T (exact, the patch map being affine), and
+        the patch matrix is the sum over the pairings (a, b) of
+        X_ab^T M_ab Y_ab, two sparse-times-dense products of the pair
+        factors of :meth:`_laplacian_factors` on the tensor Gauss grid, at
+        O(n_points (p + 1)^2) cost with no element matrix. One ``bincount``
+        sums the patch entries into the fixed CSR pattern, shared interface
+        DOFs included. Returns a CSR matrix."""
+        lf = self._laplacian_factors
         net = self.full_control_net(c).ravel()
         half_mu = 0.5 * self.mu
-        # scaled entries of Q per patch, (3, n_el, nq, 1) in element order
-        coeffs = []
-        for ctx in self.patches:
-            fx, fy = ctx.cache.xi, ctx.cache.eta
-            rows = np.empty((2,) + ctx.wgrid.shape[:1] + (2,) + ctx.wgrid.shape[1:])
+        entries = []
+        for ctx, fx, fy in zip(self.patches, lf.x, lf.y):
+            npx, npy = ctx.wgrid.shape
+            rows = np.empty((2, npx, 2, npy))
             self._jet(ctx, net, FIRST_JET, rows)
             X = (ctx.inv_a.T @ rows.reshape(2, -1)).reshape(rows.shape)
             g = self._metric(X)
             scale = ctx.wgrid / (g[0] + g[1] + self.mu)
             q = np.stack([scale * (g[1] + half_mu), scale * -g[2],
                           scale * (g[0] + half_mu)])
-            q = q.reshape(3, fx.n_spans, fx.nq, fy.n_spans, fy.nq)
-            coeffs.append(q.transpose(0, 1, 3, 2, 4).reshape(
-                3, ctx.cache.n_el, ctx.cache.nq, 1))
-        for (i, els), pos in zip(self._chunks(), positions):
-            q11, q12, q22 = coeffs[i][:, els]
-            grads = self.patches[i].grads[els]
-            nq = q11.shape[1]
-            w_xi, w_eta = grads[:, :nq], grads[:, nq:]
-            # element matrices: sum over points of grad(w_i)^T (scaled Q) grad(w_j)
-            flux = np.concatenate([q11 * w_xi + q12 * w_eta,
-                                   q12 * w_xi + q22 * w_eta], axis=1)
-            Ke = np.swapaxes(grads, 1, 2) @ flux
-            data += np.bincount(pos.ravel(), weights=Ke.ravel(),
-                                minlength=nnz + 1)
+            M = _patch_metric_map(ctx.inv_a) @ q.reshape(3, -1)
+            # (4 |S_xi|, n_eta points): X_ab^T M_ab for every pairing
+            Z = fx @ M.reshape(len(PAIRINGS) * npx, npy)
+            Z = Z.reshape(len(PAIRINGS), -1, npy).transpose(0, 2, 1)
+            entries.append((fy @ Z.reshape(len(PAIRINGS) * npy, -1)).ravel())
+        nnz = len(lf.indices)
+        data = np.bincount(lf.positions, weights=np.concatenate(entries),
+                           minlength=nnz + 1)
         n = self.n_inner
-        return sparse.csr_matrix((data[:nnz], indices, indptr), shape=(n, n))
+        return sparse.csr_matrix((data[:nnz], lf.indices, lf.indptr), shape=(n, n))
 
     def laplace_preconditioner(self, c):
         """P^-1 for the Schur operator at the iterate c, with P = -K on each
         component (K from :meth:`frozen_laplacian`): a callable taking and
         returning vectors in the (x..., y...) layout. K is factored once by
         a sparse LU with a fill-reducing symmetric ordering (it is SPD, so
-        without pivoting) and both components are solved in one call."""
-        lu = splu(self.frozen_laplacian(c).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        without pivoting) and both components are solved in one call. K is
+        symmetric, so its CSR arrays are handed to the LU as CSC unchanged."""
+        K = self.frozen_laplacian(c)
+        lu = splu(sparse.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
         n = self.n_inner
 
         def apply(y):

@@ -80,6 +80,7 @@ def validate_geometry(doc) -> list:
     if not isinstance(patches, list) or not patches:
         err("/patches", "expected a nonempty array of patches")
         patches = []
+    points = set()  # distinct boundary points of well-formed faces
     for i, p in enumerate(patches):
         ptr = f"/patches/{i}"
         if not isinstance(p, dict):
@@ -124,6 +125,10 @@ def validate_geometry(doc) -> list:
                           and all(isinstance(q, list) and len(q) == 2
                                   and all(_is_number(v) for v in q) for q in arr)):
                     err(f"{ptr}/boundary/{face}", "expected an array of [x, y] pairs")
+                else:
+                    points.update(tuple(q) for q in arr)
+    if len(points) == 1:
+        err("/patches", "all boundary points coincide")
     itfs = doc.get("interfaces", [])
     if not isinstance(itfs, list):
         err("/interfaces", "expected an array")

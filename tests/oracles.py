@@ -387,27 +387,45 @@ def knot_by_knot_refine(kv):
     return kv, P.tocsr()
 
 
-def union1d_laplacian_pattern(system):
-    """``MixedSystem._laplacian_pattern`` grown by one ``np.union1d`` per
-    block of ``_chunks``: the loop the single sort replaced."""
+def element_union_laplacian_pattern(system):
+    """CSR ``(indices, indptr)`` of the frozen Laplacian as the union of the
+    element couplings: every pair of inner primal functions active on one
+    element (:func:`element_tables`), grown by one ``np.union1d`` per patch."""
     n = system.n_inner
     inner_of = np.full(system.topology.n_sigma, -1)
     inner_of[system.topology.inner_indices] = np.arange(n)
-
-    def keys(i, els):
-        loc = inner_of[system.patches[i].act_sig_glob[els]]
-        key = loc[:, :, None] * n + loc[:, None, :]
-        return np.where((loc[:, :, None] < 0) | (loc[:, None, :] < 0),
-                        n * n, key)
-
     pattern = np.empty(0, dtype=np.int64)
-    for i, els in system._chunks():
-        pattern = np.union1d(pattern, keys(i, els))
-    pattern = pattern[pattern < n * n]
-    positions = [np.searchsorted(pattern, keys(i, els)).astype(np.int32)
-                 for i, els in system._chunks()]
+    for i in range(system.topology.n_patches):
+        loc = inner_of[element_tables(system, i)["act_sig"]]
+        key = loc[:, :, None] * n + loc[:, None, :]
+        both_inner = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
+        pattern = np.union1d(pattern, key[both_inner])
     indptr = np.searchsorted(pattern // n, np.arange(n + 1))
-    return (pattern % n).astype(np.int32), indptr.astype(np.int32), positions
+    return (pattern % n).astype(np.int32), indptr.astype(np.int32)
+
+
+def loop_univariate_matrices(kv_bar, kv_sig):
+    """``assembly._univariate_matrices`` summed one Gauss point at a time
+    with ``np.outer`` (the loop the batched products replaced):
+    mbar = int wbar wbar^T, obar = int wbar w^T, kbar = int wbar w'^T over
+    the fine span grid."""
+    from eggmix.splines import gauss_legendre
+
+    p = max(kv_bar.degree, kv_sig.degree)
+    q, wq = gauss_legendre(p + 1)
+    mbar = np.zeros((kv_bar.dim, kv_bar.dim))
+    obar = np.zeros((kv_bar.dim, kv_sig.dim))
+    kbar = np.zeros((kv_bar.dim, kv_sig.dim))
+    for a, b in zip(kv_bar.breakpoints[:-1], kv_bar.breakpoints[1:]):
+        for x, wt in zip(a + (b - a) * q, (b - a) * wq):
+            fb, tb = kv_bar.eval_padded(x, 0)
+            fs, ts = kv_sig.eval_padded(x, 1)
+            sb = slice(fb, fb + kv_bar.degree + 1)
+            ss = slice(fs, fs + kv_sig.degree + 1)
+            mbar[sb, sb] += wt * np.outer(tb[0], tb[0])
+            obar[sb, ss] += wt * np.outer(tb[0], ts[0])
+            kbar[sb, ss] += wt * np.outer(tb[0], ts[1])
+    return mbar, obar, kbar
 
 
 def loop_prolong_net(topo_c, topo_f, prolongations, net):

@@ -13,7 +13,8 @@ from eggmix.multipatch import build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
 from oracles import boundary_c, constant_blocks, dense_row, \
-    greville_interpolate_2d, reference_univariate_integral
+    greville_interpolate_2d, loop_univariate_matrices, \
+    reference_univariate_integral
 
 
 def square_system(p=2, ne=3, mode="full", **kw):
@@ -236,30 +237,41 @@ def test_scaling_consistency():
     np.testing.assert_allclose(r_scaled, s * r_plain, rtol=1e-10, atol=1e-13)
 
 
-def test_element_order_independence(rng, monkeypatch):
+def test_element_order_independence(rng):
     sys_, m = square_system(2, 3)
     c = sys_.net_as_c(m.control[m.inner_indices]) \
         + 0.1 * rng.standard_normal(sys_.c_size)
     d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     r1 = sys_.eval_RN(d, c)
     K1 = sys_.frozen_laplacian(c).toarray()
-    # permute the xi Gauss points: factor rows together with their weights
+    # permute the xi Gauss points: factor rows and the point columns of the
+    # Laplacian's xi pair factors together with their weights
     ctx = sys_.patches[0]
     fx = ctx.cache.xi
-    perm = rng.permutation(len(fx.points))
+    n_points = len(fx.points)
+    perm = rng.permutation(n_points)
     fx.sig = np.ascontiguousarray(fx.sig[:, perm])
     fx.bar = np.ascontiguousarray(fx.bar[:, perm])
     ctx.wgrid = np.ascontiguousarray(ctx.wgrid[perm])
+    lf = sys_._laplacian_factors
+    blocks = lf.x[0].shape[1] // n_points
+    lf.x[0] = lf.x[0][:, np.concatenate([b * n_points + perm for b in range(blocks)])]
     r2 = sys_.eval_RN(d, c)
     assert np.abs(r1 - r2).max() < 1e-13
-    # assemble the frozen-metric Laplacian in small element blocks, reversed
-    monkeypatch.setattr(assembly, "LAPLACIAN_CHUNK", 5)
-    sys_rev, _ = square_system(2, 3)
-    chunks = list(sys_rev._chunks())[::-1]
-    assert len(chunks) > 1
-    sys_rev._chunks = lambda: iter(chunks)
-    K2 = sys_rev.frozen_laplacian(c).toarray()
+    K2 = sys_.frozen_laplacian(c).toarray()
     assert np.abs(K1 - K2).max() < 1e-13
+
+
+@pytest.mark.parametrize("kv", [
+    uniform_knots(1, 3), uniform_knots(2, 5), uniform_knots(3, 4, c0_breaks=(0.5,)),
+    KnotVector(2, [0, 0, 0, 0.1, 0.45, 0.45, 0.7, 1, 1, 1]),
+], ids=["p1", "p2", "p3-C0", "p2-nonuniform"])
+def test_univariate_matrices_match_pointwise_loop(kv):
+    kv_bar = kv.refine()[0]
+    got = assembly._univariate_matrices(kv_bar, kv)
+    for g, want in zip(got, loop_univariate_matrices(kv_bar, kv)):
+        assert g.shape == want.shape
+        assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_mode_validation():

@@ -386,6 +386,19 @@ def test_coincident_boundary_points_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_refuses_coincident_boundary_points(tmp_path, capsys):
+    doc = build_square()
+    boundary = doc["patches"][0]["boundary"]
+    for face, arr in boundary.items():
+        boundary[face] = [[0.3, 0.7]] * len(arr)
+    p = tmp_path / "point.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", p) == 1
+    out = capsys.readouterr().out
+    assert "error: /patches: all boundary points coincide" in out
+    assert "ok" not in out.split()
+
+
 def test_restart_builds_one_system(tmp_path, monkeypatch):
     import eggmix.io_cli
     from eggmix.assembly import MixedSystem

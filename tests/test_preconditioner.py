@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
@@ -13,12 +14,13 @@ from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
     build_two_patch_square
 from eggmix.io_cli import parse_geometry
 from eggmix.mapping import sampled_bijectivity, unit_square_map
+from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.solver import NewtonState, SolverConfig, build_system_hierarchy, \
     newton_solve, schur_matvec, schur_rhs, schur_solve
-from eggmix.splines import TensorBasis, uniform_knots
+from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
 from conftest import start
-from oracles import loop_frozen_laplacian, union1d_laplacian_pattern
+from oracles import element_union_laplacian_pattern, loop_frozen_laplacian
 
 
 def geometry_system(doc, mode="full"):
@@ -66,13 +68,47 @@ def lbend_xi_l1_system():
 ], ids=["bat", "lbend-xi-L1", "two_patch_square"])
 def test_laplacian_pattern_matches_union1d_loop(make_system):
     system = make_system()
-    indices, indptr, positions = system._laplacian_pattern
-    indices_ref, indptr_ref, positions_ref = union1d_laplacian_pattern(system)
-    for got, want in ((indices, indices_ref), (indptr, indptr_ref)):
+    lf = system._laplacian_factors
+    indices_ref, indptr_ref = element_union_laplacian_pattern(system)
+    for got, want in ((lf.indices, indices_ref), (lf.indptr, indptr_ref)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert len(positions) == len(positions_ref)
-    for got, want in zip(positions, positions_ref):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def knot_vectors(draw):
+    """Open knot vector of degree 1-3 with one to two interior breakpoints,
+    each repeated up to the degree (a C0 line at full multiplicity)."""
+    p = draw(st.integers(1, 3))
+    breaks = sorted(draw(st.lists(st.sampled_from([0.2, 0.35, 0.5, 0.8]),
+                                  min_size=1, max_size=2, unique=True)))
+    knots = [0.0] * (p + 1)
+    for b in breaks:
+        knots += [b] * draw(st.integers(1, p))
+    return KnotVector(p, knots + [1.0] * (p + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(knot_vectors(), knot_vectors(), st.floats(0.0, 2 * np.pi),
+       st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(-0.5, 0.5),
+       st.integers(0, 2 ** 31 - 1))
+def test_frozen_laplacian_on_random_patch(kv_xi, kv_eta, angle, s1, s2, shear, seed):
+    # one patch under a random affine map (det > 0) with a perturbed net:
+    # at C0 lines the coupled pairs are narrower than the 2p + 1 band
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    rng = np.random.default_rng(seed)
+    am = AffinePatchMap(rot @ np.array([[s1, shear], [0.0, s2]]), rng.uniform(-1, 1, 2))
+    tb = TensorBasis(kv_xi, kv_eta)
+    topo = build_topology([(tb, am)], [])
+    net = am.apply(unit_square_map(tb).control)
+    net += 0.05 * rng.standard_normal(net.shape)
+    system = MixedSystem(topo, net[topo.boundary_indices])
+    c = system.net_as_c(net[topo.inner_indices])
+    K = system.frozen_laplacian(c)
+    K_ref = loop_frozen_laplacian(system, c)
+    assert np.abs(K.toarray() - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+    indices_ref, indptr_ref = element_union_laplacian_pattern(system)
+    assert np.array_equal(K.indices, indices_ref)
+    assert np.array_equal(K.indptr, indptr_ref)
 
 
 def test_frozen_laplacian_spd_on_folded_bat():
