@@ -6,21 +6,26 @@ RSS (``resource.getrusage``) is its own. A solve case runs ``newton_solve``
 with the default ``SolverConfig`` and records the primal DOF count,
 Newton/GMRES/``rn_evals`` counts, whether every GMRES solve converged, the
 solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
-(the nonlinear residual) and of ``MixedSystem.laplace_preconditioner``
-(frozen-metric Laplacian assembly and factorisation) inside that solve,
-and the peak RSS. A restart case solves from the transfinite start and
-then runs ``newton_solve`` again from the converged net, recording the
-Newton/GMRES/``rn_evals`` counts of that second solve, so that a restart
-that iterates on roundoff shows. A coarse-to-fine case solves a hierarchy
-with ``coarse_to_fine_solve`` from a start on its coarsest level, the path
-``eggmix solve --coarse-levels`` takes, and records the totals and, per
-level, the same counts and per-call times as a solve case. A setup case
-times ``build_system_hierarchy`` and then the first-use pattern and pair
+(the nonlinear residual), of ``MixedSystem.laplace_preconditioner``
+(frozen-metric Laplacian assembly and factorisation) and of
+``MixedSystem.apply_ainv_b`` (the exact auxiliary-mass solve behind every
+Schur matvec) inside that solve, and the peak RSS. A restart case solves
+from the transfinite start and then runs ``newton_solve`` again from the
+converged net, recording the Newton/GMRES/``rn_evals`` counts of that
+second solve, so that a restart that iterates on roundoff shows. A
+coarse-to-fine case solves a hierarchy with ``coarse_to_fine_solve`` from a
+start on its coarsest level, the path ``eggmix solve --coarse-levels``
+takes, and records the totals and, per level, the same counts and per-call
+times as a solve case. A setup case times ``build_system_hierarchy``,
+within it the mass-solver build of the finest system
+(``MixedSystem._build_mass``: interior Kronecker factors and the factored
+interface Schur complement), and then the first-use pattern and pair
 factors of the frozen Laplacian (``MixedSystem._laplacian_factors``) of the
-finest system, next to the DOF count, the element count and the pattern's
-nonzero count. A kernel case builds the finest system of a hierarchy at its
-start iterate, without solving, and records the median milliseconds of
-``eval_RN`` and ``laplace_preconditioner`` over repeated calls.
+finest system, next to the DOF count, the interface DOF count, the element
+count and the pattern's nonzero count. A kernel case builds the
+finest system of a hierarchy at its start iterate, without solving, and
+records the median milliseconds of ``eval_RN``, ``laplace_preconditioner``
+and ``apply_ainv_b`` over repeated calls.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -45,7 +50,7 @@ import scipy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
 from eggmix.errors import StagnationError  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
 from eggmix.io_cli import parse_geometry  # noqa: E402
@@ -81,6 +86,7 @@ COARSE_TO_FINE_CASES = {
 # key -> (geometry, mode, h-refinement level)
 SETUP_CASES = {
     "bat-L2-setup": ("bat", "full", 2),
+    "bat-L3-setup": ("bat", "full", 3),
 }
 # key -> (geometry, mode, h-refinement level, folded start, calls timed)
 KERNEL_CASES = {
@@ -110,17 +116,17 @@ def start_system(name, mode, level, folded):
     return system, start_iterate(system, folded)
 
 
-def time_calls(system, name, seconds):
-    """Shadow the method ``name`` of ``system`` by a wrapper that appends
-    each call's wall time to ``seconds``."""
-    method = getattr(system, name)
+def time_calls(owner, name, seconds):
+    """Shadow the method ``name`` of ``owner`` (a system, or a class) by a
+    wrapper that appends each call's wall time to ``seconds``."""
+    method = getattr(owner, name)
 
     def timed(*args):
         t0 = time.perf_counter()
         out = method(*args)
         seconds.append(time.perf_counter() - t0)
         return out
-    setattr(system, name, timed)
+    setattr(owner, name, timed)
 
 
 def mean_ms(seconds):
@@ -130,9 +136,10 @@ def mean_ms(seconds):
 def run_case(key):
     """Solve one case in this process; returns its record."""
     system, c0 = start_system(*CASES[key])
-    rn_s, precond_s = [], []
+    rn_s, precond_s, ainv_s = [], [], []
     time_calls(system, "eval_RN", rn_s)
     time_calls(system, "laplace_preconditioner", precond_s)
+    time_calls(system, "apply_ainv_b", ainv_s)
     t0 = time.perf_counter()
     _, rep = newton_solve(system, c0, SolverConfig())
     solve_s = time.perf_counter() - t0
@@ -147,6 +154,7 @@ def run_case(key):
         "solve_s": solve_s,
         "eval_rn_ms": mean_ms(rn_s),
         "laplace_preconditioner_ms": mean_ms(precond_s),
+        "apply_ainv_b_ms": mean_ms(ainv_s),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -219,6 +227,8 @@ def run_setup_case(key):
     name, mode, level = SETUP_CASES[key]
     geo = parse_geometry(BUILDERS[name]())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    mass_s = []
+    time_calls(MixedSystem, "_build_mass", mass_s)
     t0 = time.perf_counter()
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
     t1 = time.perf_counter()
@@ -226,9 +236,12 @@ def run_setup_case(key):
     t2 = time.perf_counter()
     return {
         "n_sigma": system.topology.n_sigma,
+        "n_gamma": len(system._gamma),
         "n_elements": sum(ctx.cache.n_el for ctx in system.patches),
         "pattern_nnz": len(indices),
         "hierarchy_s": t1 - t0,
+        # the finest system is built last
+        "mass_build_s": mass_s[-1],
         "pattern_s": t2 - t1,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -241,19 +254,23 @@ def run_kernel_case(key):
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
     system.laplace_preconditioner(c0)  # builds the Laplacian pattern and factors
-    rn_s, precond_s = [], []
+    rn_s, precond_s, ainv_s = [], [], []
     for _ in range(calls):
         t0 = time.perf_counter()
         system.eval_RN(d0, c0)
         t1 = time.perf_counter()
         system.laplace_preconditioner(c0)
-        precond_s.append(time.perf_counter() - t1)
+        t2 = time.perf_counter()
+        system.apply_ainv_b(c0)
+        ainv_s.append(time.perf_counter() - t2)
+        precond_s.append(t2 - t1)
         rn_s.append(t1 - t0)
     return {
         "n_sigma": system.topology.n_sigma,
         "calls": calls,
         "eval_rn_ms": 1e3 * float(np.median(rn_s)),
         "laplace_preconditioner_ms": 1e3 * float(np.median(precond_s)),
+        "apply_ainv_b_ms": 1e3 * float(np.median(ainv_s)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -289,7 +306,8 @@ def main(argv=None):
         r = cases[key]
         print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
               f"{r['solve_s']:7.2f} s  eval_RN {r['eval_rn_ms']:7.2f} ms  "
-              f"precond {r['laplace_preconditioner_ms']:7.2f} ms "
+              f"precond {r['laplace_preconditioner_ms']:7.2f} ms  "
+              f"A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in COARSE_TO_FINE_CASES:
         cases[key] = run_child(key)
@@ -309,13 +327,14 @@ def main(argv=None):
     for key in SETUP_CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:24s} {r['hierarchy_s']:7.2f} + {r['pattern_s']:5.2f} s "
-              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+        print(f"{key:24s} {r['hierarchy_s']:7.2f} (mass {r['mass_build_s']:5.3f}) "
+              f"+ {r['pattern_s']:5.2f} s {r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in KERNEL_CASES:
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:24s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
-              f"{r['laplace_preconditioner_ms']:7.2f} ms {r['peak_rss_mb']:7.1f} MB",
+              f"{r['laplace_preconditioner_ms']:7.2f} ms  A^-1 B "
+              f"{r['apply_ainv_b_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),

@@ -5,7 +5,11 @@ assembled once from separable univariate integrals. The nonlinear residual is
 evaluated by sum factorisation: each patch's Gauss points form a tensor grid,
 so every field and derivative there is a product ``Bx @ C @ By.T`` of
 univariate collocation factors, built once per system, and the moments
-against the test functions are ``Bx.T @ (w U) @ By``. The frozen-metric
+against the test functions are ``Bx.T @ (w U) @ By``. The coupled auxiliary
+mass is solved exactly by static condensation onto the auxiliary DOFs that
+patches share: banded Kronecker solves on each patch's remaining tensor
+range and one dense Cholesky factor on the shared DOFs, so a single patch
+takes the plain Kronecker solve on the same path. The frozen-metric
 Laplacian that preconditions the Schur GMRES takes its metric from the same
 jet and is assembled by the same sum factorisation: per patch it is
 ``X.T @ M @ Y`` summed over the four derivative pairings, with ``X`` and
@@ -19,9 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
@@ -279,17 +284,43 @@ class _LaplacianFactors:
 
 @dataclass
 class _PatchContext:
-    """Per-patch data of the residual and preconditioner kernels. Grid arrays
-    are indexed (xi Gauss point, component, eta Gauss point)."""
+    """Per-patch data of the residual, preconditioner and mass kernels. Grid
+    arrays are indexed (xi Gauss point, component, eta Gauss point).
+
+    The mass fields are set by :meth:`MixedSystem._build_mass`. The
+    auxiliary DOFs of the patch's glued faces lie on the lines ``rows`` (xi
+    index) and ``cols`` (eta index); the others form the tensor range
+    ``inner`` = (sx, sy), whose mass vol Mxi[sx, sx] (x) Meta[sy, sy] ``kron``
+    solves. ``gx`` holds the columns ``rows`` of Gxi = Mxi[sx, sx]^-1
+    Mxi[sx, :], the identity on every other column, and ``gy`` those of
+    Geta."""
     cache: QuadratureCache
     inv_a: np.ndarray
     vol: float
-    kron: KronSolver
     wgrid: np.ndarray          # (n_xi points, n_eta points) vol * w_xi (x) w_eta
     sig_idx: np.ndarray        # (n_xi, 2, n_eta) positions in the flat control net
     bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
     out_idx: np.ndarray        # (n_xi, 2, n_eta) positions in R_N, 2 n_inner if fixed
     combo: np.ndarray          # _residual_combination of the patch
+    kron: KronSolver = field(init=False)
+    inner: tuple = field(init=False)          # (sx, sy) slices
+    rows: slice = field(init=False)           # glued xi lines, among 0 and nbar_xi - 1
+    cols: slice = field(init=False)           # glued eta lines
+    gx: np.ndarray = field(init=False)        # (|sx|, |rows|)
+    gy: np.ndarray = field(init=False)        # (|sy|, |cols|)
+    inner_dofs: np.ndarray = field(init=False)  # (|sx| |sy|,) coupled DOFs of the range
+    face_dofs: np.ndarray = field(init=False)   # interface positions of the face DOFs
+
+
+def _glued_lines(n, faces, unglued):
+    """Slices of the glued grid lines of one direction of an auxiliary basis
+    with ``n`` functions, ``faces`` its (first, last) face names, and of the
+    other lines. Glued lines are first and/or last, so both are slices;
+    first and last together are the stride n - 1."""
+    first, last = (face not in unglued for face in faces)
+    glued = {(True, True): slice(0, n, n - 1), (True, False): slice(0, 1),
+             (False, True): slice(n - 1, n), (False, False): slice(0, 0)}
+    return glued[first, last], slice(int(first), n - int(last))
 
 
 class MixedSystem:
@@ -335,8 +366,9 @@ class MixedSystem:
         univariate = [(_univariate_matrices(bb.kv_xi, tb.kv_xi),
                        _univariate_matrices(bb.kv_eta, tb.kv_eta))
                       for tb, bb in zip(topology.bases, topology.bar_bases)]
-        self._build_patches(univariate)
+        self._build_patches()
         self._build_matrices(univariate)
+        self._build_mass(univariate)
         self.rn_eval_count = 0
         self.last_min_denominator = np.inf
 
@@ -358,7 +390,7 @@ class MixedSystem:
                 f"{'eta' if mode == 'xi' else 'xi'} direction, which requires "
                 "C>=1 continuity there (interior multiplicities <= degree-1)")
 
-    def _build_patches(self, univariate):
+    def _build_patches(self):
         topo = self.topology
         n_aux = self.n_fields // 2
         inner_of = np.full(topo.n_sigma, 2 * self.n_inner)
@@ -370,7 +402,6 @@ class MixedSystem:
             tb, bb = topo.bases[i], topo.bar_bases[i]
             cache = build_quadrature(tb, bb, self.mode != "full")
             am = topo.maps[i]
-            (mbar_s, _, _), (mbar_t, _, _) = univariate[i]
             vol = abs(am.det)
             sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
             inner = inner_of[sig]
@@ -378,7 +409,6 @@ class MixedSystem:
                 cache=cache,
                 inv_a=am.inv,
                 vol=vol,
-                kron=KronSolver(mbar_s, mbar_t, scale=vol),
                 wgrid=vol * np.multiply.outer(cache.xi.weights, cache.eta.weights),
                 sig_idx=2 * sig + comp,
                 bar_idx=fields * topo.n_sigbar
@@ -420,14 +450,65 @@ class MixedSystem:
             (np.ones(n_tilde), (np.arange(n_tilde), self._tilde2g)),
             shape=(n_tilde, topo.n_sigbar))
         self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
-        # with coupled DOFs the coupled mass is factored once here by a sparse
-        # LU with a fill-reducing symmetric ordering; it is SPD, so no pivoting
-        self._coupled = topo.n_tilde != topo.n_sigbar
-        self._mass_lu = None
-        if self._coupled:
-            self._mass_lu = splu(
-                (gather.T @ self._mt_gather).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+    def _build_mass(self, univariate):
+        """Static condensation of the coupled auxiliary mass A onto Gamma,
+        the auxiliary DOFs shared by more than one patch (Smith, Bjorstad &
+        Gropp, Domain Decomposition, CUP 1996, ch. 4).
+
+        The shared DOFs of a patch are those of its glued faces, so the
+        others form a tensor range sx x sy and the patch's interior block is
+        vol Mxi[sx, sx] (x) Meta[sy, sy], solved by banded Kronecker factors.
+        Gamma couples to the interiors only through the patch masses, and
+        M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x) Peta with Pxi = Mxi[:, sx]
+        Gxi, so the interface Schur complement is the sum over patches of
+        vol (Mxi (x) Meta - Pxi (x) Peta) on the face DOFs. Pxi differs from
+        Mxi only on the glued lines, by the univariate Schur complement
+        Dxi, so each term is vol (Dxi (x) Meta + Mxi (x) Deta - Dxi (x)
+        Deta), formed on the face DOFs alone: O(n_Gamma^2) work and no dense
+        block of interior rows. The sum is dense in n_Gamma and factored
+        once by dense Cholesky."""
+        topo = self.topology
+        shared = np.bincount(self._tilde2g, minlength=topo.n_sigbar) > 1
+        self._gamma = np.flatnonzero(shared)
+        n_gamma = len(self._gamma)
+        position = np.cumsum(shared) - 1
+        keys, blocks = [], []
+        for i, (ctx, ((mx, _, _), (my, _, _))) in enumerate(zip(self.patches, univariate)):
+            bb = topo.bar_bases[i]
+            unglued = topo.unglued_faces[i]
+            ctx.rows, sx = _glued_lines(bb.n_xi, ("west", "east"), unglued)
+            ctx.cols, sy = _glued_lines(bb.n_eta, ("south", "north"), unglued)
+            ctx.inner = sx, sy
+            ctx.kron = KronSolver(mx[sx, sx], my[sy, sy], scale=ctx.vol)
+            ctx.gx = ctx.kron.chol_xi.solve(mx[sx, ctx.rows])
+            ctx.gy = ctx.kron.chol_eta.solve(my[sy, ctx.cols])
+            local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
+            ctx.inner_dofs = topo.bar_l2g[i][local[sx, sy].ravel()]
+            # face DOFs: the glued xi lines whole, then the glued eta lines
+            # inside the range sx
+            face = np.concatenate([local[ctx.rows].ravel(),
+                                   local[sx, ctx.cols].ravel()])
+            ctx.face_dofs = position[topo.bar_l2g[i][face]]
+            if not face.size:
+                continue
+            dx = np.zeros_like(mx)
+            dx[ctx.rows, ctx.rows] = mx[ctx.rows, ctx.rows] - mx[ctx.rows, sx] @ ctx.gx
+            dy = np.zeros_like(my)
+            dy[ctx.cols, ctx.cols] = my[ctx.cols, ctx.cols] - my[ctx.cols, sy] @ ctx.gy
+            fa, fb = np.divmod(face, bb.n_eta)
+            a, b = np.ix_(fa, fa), np.ix_(fb, fb)
+            blocks.append(ctx.vol * (dx[a] * my[b] + mx[a] * dy[b] - dx[a] * dy[b]))
+            keys.append(ctx.face_dofs[:, None] * n_gamma + ctx.face_dofs)
+        self._gamma_factor = None
+        if keys:
+            schur = np.bincount(
+                np.concatenate([k.ravel() for k in keys]),
+                weights=np.concatenate([s.ravel() for s in blocks]),
+                minlength=n_gamma * n_gamma).reshape(n_gamma, n_gamma)
+            self._gamma_factor = scipy.linalg.cho_factor(schur, lower=True)
+        self._face_dofs = np.concatenate([ctx.face_dofs for ctx in self.patches])
+        self._tilde_bounds = list(zip(topo.tilde_offsets[:-1], topo.tilde_offsets[1:]))
 
     # -- shapes and layout -------------------------------------------------
 
@@ -673,17 +754,6 @@ class MixedSystem:
 
     # -- A^-1 products -------------------------------------------------------
 
-    def ainv_tilde(self, tilde):
-        """Exact patchwise solve of the block-diagonal union mass matrix, all
-        fields of a patch in one batched Kronecker solve."""
-        tilde = np.atleast_2d(tilde)
-        offs = self.topology.tilde_offsets
-        out = np.empty_like(tilde)
-        for i, ctx in enumerate(self.patches):
-            out[:, offs[i]: offs[i + 1]] = ctx.kron.solve_block(
-                tilde[:, offs[i]: offs[i + 1]])
-        return out
-
     def _derivative_moments(self, net):
         """Union moments of (x_xi, x_eta) fields of a full control net, one
         row per auxiliary field."""
@@ -692,41 +762,96 @@ class MixedSystem:
             out[f] = self._btilde[direction] @ net[:, comp]
         return out
 
-    def _mass_pcg(self, coupled):
-        """Coupled A^-1 applied to every row of ``coupled`` (coupled moments,
-        one row per field) by one multi-RHS solve with the sparse LU factor
-        computed at construction. The name is that of the conjugate-gradient
-        solve this replaced; ``perfbench/tracing.py`` looks the method up by
-        it."""
-        return self._mass_lu.solve(coupled.T).T
+    def _mass_pcg(self, tilde):
+        """Exact coupled A^-1 applied to every row of the union moments
+        ``tilde`` (one row per field), all fields batched, by the static
+        condensation of :meth:`_build_mass`.
+
+        Per patch, the interior moments b_I are solved by one Kronecker
+        solve, z_I = M_II^-1 b_I, and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
+        taken on the face DOFs alone, by contractions with the glued columns
+        of Gxi and Geta. One dense solve on Gamma gives the interface values
+        y, and the back-substitution x_I = z_I - (Gxi (x) Geta) y touches
+        the same columns. A patch without glued faces skips the face work,
+        so with no shared DOFs (a single patch) this is the plain Kronecker
+        solve. The name is that of the
+        conjugate-gradient solve this replaced; it stays because
+        ``perfbench/tracing.py`` looks the method up by it, until the
+        benchmark's hooks are renamed (ROADMAP item 5)."""
+        k = len(tilde)
+        interiors, faces = [], []
+        for ctx, (lo, hi) in zip(self.patches, self._tilde_bounds):
+            sx, sy = ctx.inner
+            (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
+            t = tilde[:, lo:hi].reshape(k, n_xi + n_rows, n_eta + n_cols)
+            b = t[:, sx, sy]
+            interiors.append(
+                ctx.kron.solve_block(b.reshape(k, -1)).reshape(k, n_xi, n_eta))
+            if ctx.face_dofs.size:
+                # face moments minus M_GammaI z_I, in the face order of
+                # _build_mass
+                g_b = ctx.gx.T @ b
+                f_rows = t[:, ctx.rows].copy()
+                f_rows[:, :, sy] -= g_b
+                f_rows[:, :, ctx.cols] -= g_b @ ctx.gy
+                faces += [f_rows.reshape(k, -1),
+                          (t[:, sx, ctx.cols] - b @ ctx.gy).reshape(k, -1)]
+        out = np.empty((k, self.topology.n_sigbar))
+        if faces:
+            faces = np.concatenate(faces, axis=1)
+            rhs = np.stack([np.bincount(self._face_dofs, weights=f,
+                                        minlength=len(self._gamma))
+                            for f in faces], axis=1)
+            y = scipy.linalg.cho_solve(self._gamma_factor, rhs, check_finite=False).T
+            out[:, self._gamma] = y
+            for ctx, x in zip(self.patches, interiors):
+                if not ctx.face_dofs.size:
+                    continue
+                sx, sy = ctx.inner
+                (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
+                split = n_rows * (n_eta + n_cols)
+                y_face = y[:, ctx.face_dofs]
+                y_rows = y_face[:, :split].reshape(k, n_rows, n_eta + n_cols)
+                y_cols = y_face[:, split:].reshape(k, n_xi, n_cols)
+                # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
+                # gy^T (the glued rows through both factors, the glued
+                # columns inside the range through Geta), one batched
+                # product of rank n_rows + n_cols
+                left = np.concatenate(
+                    [np.broadcast_to(ctx.gx, (k, n_xi, n_rows)), y_cols], axis=2)
+                right = np.concatenate(
+                    [y_rows[:, :, sy] + y_rows[:, :, ctx.cols] @ ctx.gy.T,
+                     np.broadcast_to(ctx.gy.T, (k, n_cols, n_eta))], axis=1)
+                x -= left @ right
+        for ctx, x in zip(self.patches, interiors):
+            for row, x_row in zip(out, x.reshape(k, -1)):
+                row[ctx.inner_dofs] = x_row
+        return out
 
     def ainv_exact(self, tilde):
-        """Exact coupled A^-1 applied to union moments: the factored coupled
-        mass, or the patchwise Kronecker solves when nothing is coupled (the
-        restriction is then the identity)."""
-        if not self._coupled:
-            return self.ainv_tilde(tilde)
-        return self._mass_pcg(self.reduce_tilde(tilde))
+        """Exact coupled A^-1 applied to union moments, all fields in one
+        call: the one mass solve, by static condensation onto the interface
+        DOFs (:meth:`_mass_pcg`)."""
+        return self._mass_pcg(np.atleast_2d(tilde))
 
     def apply_ainv_b(self, s):
-        """A^-1 B s, solved exactly for all fields in one call (batched
-        patchwise Kronecker factors when uncoupled, the factored coupled mass
-        otherwise)."""
+        """A^-1 B s, solved exactly for all fields in one call of
+        :meth:`ainv_exact`."""
         net = np.zeros((self.topology.n_sigma, 2))
         net[self.topology.inner_indices] = self.c_as_net(s)
         return self.ainv_exact(self._derivative_moments(net)).ravel()
 
     def project_d(self, c):
         """Auxiliary coefficients from the L2 projection of x_xi and x_eta of
-        the current map (boundary included); exact also under coupling."""
+        the current map (boundary included) onto the coupled auxiliary
+        basis, solved exactly by :meth:`ainv_exact`."""
         net = self.full_control_net(c)
         return self.ainv_exact(self._derivative_moments(net)).ravel()
 
     def solve_delta_d(self, a_tilde, delta_c):
         """A delta_d = a + B delta_c, solved exactly for all fields in one
-        call (batched patchwise Kronecker factors when uncoupled, the
-        factored coupled mass otherwise); ``a_tilde`` are the union moments
-        of a (sign already applied)."""
+        call of :meth:`ainv_exact`; ``a_tilde`` are the union moments of a
+        (sign already applied)."""
         net = np.zeros((self.topology.n_sigma, 2))
         net[self.topology.inner_indices] = self.c_as_net(delta_c)
         return self.ainv_exact(

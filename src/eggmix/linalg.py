@@ -1,6 +1,6 @@
 """Structured linear algebra: banded Cholesky factors for univariate mass
-matrices, Kronecker-product solves for the block-diagonal auxiliary mass, and
-a restarted GMRES used for the Schur-complement systems."""
+matrices, Kronecker-product solves for the tensor blocks of the auxiliary
+mass, and a restarted GMRES used for the Schur-complement systems."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import FactorizationError, InputError
 
@@ -39,10 +40,14 @@ class Banded1DCholesky:
         self._cb = cb
         cb.setflags(write=False)
 
-    def solve(self, rhs):
-        """Solve M x = rhs; rhs may carry extra trailing axes."""
-        return scipy.linalg.cho_solve_banded((self._cb, True), rhs,
-                                             check_finite=False)
+    def solve(self, rhs, overwrite=False):
+        """Solve M x = rhs for a vector or the columns of a matrix, by one
+        LAPACK ``pbtrs`` call. With ``overwrite`` a Fortran-ordered float
+        ``rhs`` is solved in place."""
+        x, info = dpbtrs(self._cb, rhs, lower=1, overwrite_b=overwrite)
+        if info:
+            raise InputError(f"pbtrs rejected argument {-info}")
+        return x
 
     def dense_factor(self):
         """Reconstruct the dense lower-triangular factor (for tests)."""
@@ -82,11 +87,14 @@ class KronSolver:
                 f"{n_xi * n_eta}")
         X = rhs.reshape(-1, n_xi, n_eta)
         k = X.shape[0]
-        Y = self.chol_xi.solve(X.transpose(1, 0, 2).reshape(n_xi, k * n_eta))
-        Y = Y.reshape(n_xi, k, n_eta).transpose(2, 1, 0).reshape(n_eta, k * n_xi)
-        Z = self.chol_eta.solve(Y).reshape(n_eta, k, n_xi).transpose(1, 2, 0)
+        # each direction is solved down the columns of a Fortran-ordered
+        # matrix, made by one transposing copy and solved in place
+        Y = self.chol_xi.solve(
+            X.transpose(0, 2, 1).copy().reshape(k * n_eta, n_xi).T, overwrite=True)
+        Y = Y.T.reshape(k, n_eta, n_xi).transpose(0, 2, 1).copy()
+        Z = self.chol_eta.solve(Y.reshape(k * n_xi, n_eta).T, overwrite=True)
         self.solve_count += k
-        return (Z / self.scale).reshape(rhs.shape)
+        return (Z.T / self.scale).reshape(rhs.shape)
 
 
 @dataclass

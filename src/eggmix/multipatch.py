@@ -9,6 +9,7 @@ topology, so single- and multipatch paths are literally the same code.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -78,6 +79,19 @@ def _components(n, edges):
     return csgraph.connected_components(graph, directed=False)
 
 
+def _face_pairs(interfaces, basis_list):
+    """((patch_a, face DOFs), (patch_b, face DOFs)) of every interface in
+    the bases ``basis_list``, patch_b's DOFs flipped on a reversed one."""
+    out = []
+    for itf in interfaces:
+        ia = basis_list[itf.patch_a].face_indices(itf.face_a)
+        ib = basis_list[itf.patch_b].face_indices(itf.face_b)
+        if itf.reversed:
+            ib = ib[::-1]
+        out.append(((itf.patch_a, ia), (itf.patch_b, ib)))
+    return out
+
+
 def _couple(dims, face_index_lists):
     """Couple stacked local DOFs along glued faces; returns local-to-global
     tables and the global dimension. Global numbering follows first
@@ -95,22 +109,49 @@ def _couple(dims, face_index_lists):
 
 @dataclass
 class PatchTopology:
-    """Patches with their primal/auxiliary basis pair, affine maps, interface
-    list and the derived local-to-global DOF tables. Each auxiliary basis is
-    the global h-refinement of its primal basis; ``bar_prolongations`` holds
-    the matching prolongations (primal to auxiliary coefficients)."""
+    """Patches with their primal basis, affine maps, interface list and the
+    derived primal local-to-global DOF tables.
+
+    The auxiliary side is built on first use, so that commands that only
+    read the primal bases never refine them: each auxiliary basis
+    (``bar_bases``) is the global h-refinement of its primal basis,
+    ``bar_prolongations`` holds the matching prolongations (primal to
+    auxiliary coefficients), and ``bar_l2g``/``n_sigbar`` couple the
+    auxiliary DOFs along the same interfaces."""
     bases: list
-    bar_bases: list
     maps: list
     interfaces: list
     sig_l2g: list
-    bar_l2g: list
     n_sigma: int
-    n_sigbar: int
     boundary_indices: np.ndarray
     inner_indices: np.ndarray
     unglued_faces: list
-    bar_prolongations: list
+
+    @functools.cached_property
+    def _refined(self):
+        return [tb.refine() for tb in self.bases]
+
+    @functools.cached_property
+    def bar_bases(self):
+        return [bb for bb, _ in self._refined]
+
+    @functools.cached_property
+    def bar_prolongations(self):
+        return [prol for _, prol in self._refined]
+
+    @functools.cached_property
+    def _bar_coupling(self):
+        bar_bases = self.bar_bases
+        return _couple([bb.dim for bb in bar_bases],
+                       _face_pairs(self.interfaces, bar_bases))
+
+    @property
+    def bar_l2g(self):
+        return self._bar_coupling[0]
+
+    @property
+    def n_sigbar(self):
+        return self._bar_coupling[1]
 
     @property
     def n_patches(self):
@@ -208,8 +249,9 @@ def build_topology(patches, interfaces) -> PatchTopology:
 
     ``patches``: sequence of (TensorBasis, AffinePatchMap) pairs. The
     auxiliary basis of each patch is the global h-refinement of its primal
-    basis. Gluing requires identical knot vectors along each interface (after
-    the orientation flip); each face may be glued at most once.
+    basis, refined and coupled on first use. Gluing requires identical knot
+    vectors along each interface (after the orientation flip); each face
+    may be glued at most once.
     """
     if not patches:
         raise InputError("need at least one patch")
@@ -221,10 +263,6 @@ def build_topology(patches, interfaces) -> PatchTopology:
         maps.append(am if am is not None else AffinePatchMap.identity())
     interfaces = [itf if isinstance(itf, Interface) else Interface(*itf)
                   for itf in interfaces]
-    refined = [tb.refine() for tb in bases]
-    bar_bases = [r[0] for r in refined]
-    bar_prol = [r[1] for r in refined]
-
     used = set()
     glued = set()
     for itf in interfaces:
@@ -244,18 +282,8 @@ def build_topology(patches, interfaces) -> PatchTopology:
         glued.add((itf.patch_a, itf.face_a))
         glued.add((itf.patch_b, itf.face_b))
 
-    def pairs(basis_list):
-        out = []
-        for itf in interfaces:
-            ia = basis_list[itf.patch_a].face_indices(itf.face_a)
-            ib = basis_list[itf.patch_b].face_indices(itf.face_b)
-            if itf.reversed:
-                ib = ib[::-1]
-            out.append(((itf.patch_a, ia), (itf.patch_b, ib)))
-        return out
-
-    sig_l2g, n_sigma = _couple([tb.dim for tb in bases], pairs(bases))
-    bar_l2g, n_sigbar = _couple([tb.dim for tb in bar_bases], pairs(bar_bases))
+    sig_l2g, n_sigma = _couple([tb.dim for tb in bases],
+                               _face_pairs(interfaces, bases))
 
     n_parts, _ = _components(len(bases), [(itf.patch_a, itf.patch_b)
                                           for itf in interfaces])
@@ -272,13 +300,11 @@ def build_topology(patches, interfaces) -> PatchTopology:
             boundary[sig_l2g[p][tb.face_indices(f)]] = True
 
     return PatchTopology(
-        bases=bases, bar_bases=bar_bases, maps=maps, interfaces=interfaces,
-        sig_l2g=sig_l2g, bar_l2g=bar_l2g,
-        n_sigma=n_sigma, n_sigbar=n_sigbar,
+        bases=bases, maps=maps, interfaces=interfaces, sig_l2g=sig_l2g,
+        n_sigma=n_sigma,
         boundary_indices=np.flatnonzero(boundary),
         inner_indices=np.flatnonzero(~boundary),
-        unglued_faces=unglued,
-        bar_prolongations=bar_prol)
+        unglued_faces=unglued)
 
 
 def single_patch_topology(basis: TensorBasis) -> PatchTopology:

@@ -1,13 +1,16 @@
 """Schur-complement Jacobian-free Newton-Krylov driver.
 
-The constant auxiliary block is eliminated exactly: by patchwise Kronecker
-solves on a single patch, and on multipatch problems by a sparse LU factor
-of the coupled mass, computed once when the system is built; either way all
-auxiliary fields are solved in one batched call. The Schur operator is
-applied by finite differencing the nonlinear residual only. GMRES solves the
-Schur equation right-preconditioned by the frozen-metric Laplacian of the
-current iterate (its principal part, sparse-LU factored once per Newton
-step), so its stopping test stays on the true Schur residual. Its relative
+The constant auxiliary block is eliminated exactly by one solver on every
+topology: static condensation of the coupled mass onto the auxiliary DOFs
+that patches share, with banded Kronecker solves on each patch's remaining
+DOFs and a dense Cholesky factor of the interface Schur complement, built
+once with the system (a single patch has no shared DOFs, so it takes the
+plain Kronecker solve); all auxiliary fields are solved in one batched
+call. The Schur operator is applied by finite differencing the nonlinear
+residual only. GMRES solves the Schur equation right-preconditioned by the
+frozen-metric Laplacian of the current iterate (its principal part,
+sparse-LU factored once per Newton step), so its stopping test stays on the
+true Schur residual. Its relative
 tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17 (1996),
 with Kelley's safeguard): ``gmres_tol`` for the first Newton step, then
 loose while the residual falls slowly and back down to ``gmres_tol`` in the

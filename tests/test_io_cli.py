@@ -373,6 +373,29 @@ def test_restart_from_own_solution_takes_at_most_one_step(name, tmp_path):
     assert np.abs(a - b).max() <= 1e-8 * diam
 
 
+def test_auxiliary_bases_refined_only_for_a_system(tmp_path, monkeypatch):
+    from eggmix.splines import TensorBasis
+    first = tmp_path / "two_patch_square.solution.json"
+    assert run_cli("solve", bundled_path("two_patch_square"), "--out", first) == 0
+    calls = []
+    refine = TensorBasis.refine
+
+    def counting_refine(self):
+        calls.append(self)
+        return refine(self)
+
+    monkeypatch.setattr(TensorBasis, "refine", counting_refine)
+    assert run_cli("quality", first) == 0
+    assert run_cli("sample", first, "--format", "csv",
+                   "--out", tmp_path / "s.csv") == 0
+    assert calls == []
+    # a restart refines the two patches of the system it solves, not those
+    # of the start file's geometry
+    assert run_cli("solve", bundled_path("two_patch_square"), "--initial", "file",
+                   "--initial-file", first, "--out", tmp_path / "again.json") == 0
+    assert len(calls) == 2
+
+
 def test_coincident_boundary_points_exit_1(tmp_path, capsys):
     doc = build_square()
     boundary = doc["patches"][0]["boundary"]

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
@@ -11,7 +12,7 @@ from eggmix.geometries import build_bat, build_two_patch_square
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, Interface, build_restriction, \
     build_topology, multipatch_solve, single_patch_topology
-from eggmix.solver import SolverConfig, newton_solve
+from eggmix.solver import SolverConfig, build_system_hierarchy, newton_solve
 from eggmix.splines import TensorBasis, uniform_knots
 
 from oracles import constant_blocks
@@ -212,16 +213,16 @@ def test_ainv_exact_matches_dense_coupled_mass(builder, rng):
     n = geo.topology.n_sigbar
     tilde = rng.standard_normal((sys_.n_fields, geo.topology.n_tilde))
     calls = []
-    lu = sys_._mass_lu
+    solve = sys_._mass_pcg
 
-    class CountingFactor:
-        def solve(self, b):
-            calls.append(b.shape)
-            return lu.solve(b)
+    def counting_solve(b):
+        calls.append(b.shape)
+        return solve(b)
 
-    sys_._mass_lu = CountingFactor()
+    sys_._mass_pcg = counting_solve
     got = sys_.ainv_exact(tilde)
-    assert calls == [(n, sys_.n_fields)]  # every field in one call
+    # every field in one call of the one solve entry
+    assert calls == [(sys_.n_fields, geo.topology.n_tilde)]
     A, _, _ = constant_blocks(sys_)
     mass = A.toarray()[:n, :n]
     ref = np.linalg.solve(mass, sys_.reduce_tilde(tilde).T).T
@@ -229,9 +230,11 @@ def test_ainv_exact_matches_dense_coupled_mass(builder, rng):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_reversed_interface_two_patch_rectangle():
-    # patch 1 is rotated by 180 degrees, so the shared segment runs against
-    # patch 0's east face and needs the reversed flag
+def reversed_rectangle():
+    """Two unit patches forming [0, 2] x [0, 1]: patch 1 is rotated by 180
+    degrees, so the shared segment runs against patch 0's east face and
+    needs the reversed flag. Returns the topology and the boundary curves
+    of the identity map."""
     kv = uniform_knots(2, 3)
     tb = TensorBasis(kv, kv)
     rot = AffinePatchMap(np.array([[-1.0, 0.0], [0.0, -1.0]]),
@@ -239,7 +242,6 @@ def test_reversed_interface_two_patch_rectangle():
     topo = build_topology(
         [(tb, AffinePatchMap.identity()), (tb, rot)],
         [Interface(0, "east", 1, "east", reversed=True)])
-    assert topo.n_sigma == 2 * tb.dim - tb.n_eta
     g = kv.greville
     boundary = {}
     for p in range(2):
@@ -247,6 +249,87 @@ def test_reversed_interface_two_patch_rectangle():
             idx = tb.face_indices(face)
             pts = np.stack([g[idx // tb.n_eta], g[idx % tb.n_eta]], axis=1)
             boundary[(p, face)] = topo.maps[p].apply(pts)
+    return topo, boundary
+
+
+def geometry_system(doc, level=0):
+    """Mixed system of a geometry document, h-refined ``level`` times."""
+    geo = parse_geometry(doc)
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    return build_system_hierarchy(geo.topology, bv, level)[-1].system
+
+
+def reversed_rectangle_system():
+    topo, boundary = reversed_rectangle()
+    return MixedSystem(topo, boundary_values_from_faces(topo, boundary))
+
+
+MASS_CASES = {
+    "bat-L0": lambda: geometry_system(build_bat()),
+    "bat-L1": lambda: geometry_system(build_bat(), 1),
+    "two_patch_square": lambda: geometry_system(build_two_patch_square()),
+    "reversed_rectangle": reversed_rectangle_system,
+    "bat-p3-uneven": lambda: geometry_system(build_bat(3, 3, 5, 8)),
+}
+
+
+def coupled_mass(system):
+    """Sparse coupled auxiliary mass of one field."""
+    A, _, _ = constant_blocks(system)
+    n = system.topology.n_sigbar
+    return A[:n, :n].tocsc()
+
+
+@pytest.mark.parametrize("case", sorted(MASS_CASES))
+def test_condensed_mass_matches_direct_solve(case, rng):
+    sys_ = MASS_CASES[case]()
+    assert len(sys_._gamma) > 0
+    tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
+    got = sys_.ainv_exact(tilde)
+    mass = coupled_mass(sys_)
+    rhs = sys_.reduce_tilde(tilde).T
+    # dense where it fits in memory, a sparse LU at bat L1 (n = 6000)
+    if mass.shape[0] <= 3000:
+        ref = np.linalg.solve(mass.toarray(), rhs).T
+    else:
+        ref = splu(mass).solve(rhs).T
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("level, n_gamma", [(0, 70), (1, 136)])
+def test_interface_schur_complement_is_spd(level, n_gamma):
+    sys_ = geometry_system(build_bat(), level)
+    gamma = sys_._gamma
+    assert len(gamma) == n_gamma
+    # the factored S_Gamma against A_GG - A_GI A_II^-1 A_IG of the coupled mass
+    factor = np.tril(sys_._gamma_factor[0])
+    mass = coupled_mass(sys_)
+    inner = np.setdiff1d(np.arange(mass.shape[0]), gamma)
+    a_ig = mass[inner][:, gamma].toarray()
+    ref = (mass[gamma][:, gamma].toarray()
+           - a_ig.T @ splu(mass[inner][:, inner].tocsc()).solve(a_ig))
+    assert np.abs(ref - ref.T).max() <= 1e-14 * np.abs(ref).max()
+    assert np.linalg.eigvalsh(ref).min() > 0.0
+    assert np.abs(factor @ factor.T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("mode", ["full", "xi"])
+def test_single_patch_mass_solve_is_the_kronecker_solve(mode, rng):
+    tb = TensorBasis(uniform_knots(2, 3), uniform_knots(2, 5))
+    sys_ = single_patch_system(unit_square_map(tb), mode=mode)
+    ctx = sys_.patches[0]
+    bb = sys_.topology.bar_bases[0]
+    assert len(sys_._gamma) == 0
+    assert (ctx.kron.n_xi, ctx.kron.n_eta) == (bb.n_xi, bb.n_eta)
+    tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
+    want = ctx.kron.solve_block(tilde)
+    assert sys_.ainv_exact(tilde).tobytes() == want.tobytes()
+
+
+def test_reversed_interface_two_patch_rectangle():
+    topo, boundary = reversed_rectangle()
+    tb = topo.bases[0]
+    assert topo.n_sigma == 2 * tb.dim - tb.n_eta
     maps, rep = multipatch_solve(topo, boundary, SolverConfig(newton_tol=1e-10))
     assert rep.converged
     ts = np.linspace(0, 1, 17)
