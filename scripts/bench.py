@@ -5,9 +5,11 @@ Each case runs in a fresh single-threaded child process, so that its peak
 RSS (``resource.getrusage``) is its own. A solve case runs ``newton_solve``
 with the default ``SolverConfig`` and records the primal DOF count,
 Newton/GMRES/``rn_evals`` counts, whether every GMRES solve converged, the
+seconds of the solved system's construction (``MixedSystem.__init__``), the
 solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
 (the nonlinear residual), of ``MixedSystem.laplace_preconditioner``
-(frozen-metric Laplacian assembly and factorisation) and of
+(frozen-metric Laplacian assembly and factorisation), of
+``MixedSystem.eval_RL_tilde`` (the linear residual) and of
 ``MixedSystem.apply_ainv_b`` (the exact auxiliary-mass solve behind every
 Schur matvec) inside that solve, and the peak RSS. A restart case solves
 from the transfinite start and then runs ``newton_solve`` again from the
@@ -17,15 +19,15 @@ coarse-to-fine case solves a hierarchy with ``coarse_to_fine_solve`` from a
 start on its coarsest level, the path ``eggmix solve --coarse-levels``
 takes, and records the totals and, per level, the same counts and per-call
 times as a solve case. A setup case times ``build_system_hierarchy``,
-within it the mass-solver build of the finest system
+within it the construction and the mass-solver build of the finest system
 (``MixedSystem._build_mass``: interior Kronecker factors and the factored
 interface Schur complement), and then the first-use pattern and pair
 factors of the frozen Laplacian (``MixedSystem._laplacian_factors``) of the
 finest system, next to the DOF count, the interface DOF count, the element
 count and the pattern's nonzero count. A kernel case builds the
 finest system of a hierarchy at its start iterate, without solving, and
-records the median milliseconds of ``eval_RN``, ``laplace_preconditioner``
-and ``apply_ainv_b`` over repeated calls.
+records the median milliseconds of ``eval_RN``, ``laplace_preconditioner``,
+``eval_RL_tilde`` and ``apply_ainv_b`` over repeated calls.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -121,9 +123,9 @@ def time_calls(owner, name, seconds):
     wrapper that appends each call's wall time to ``seconds``."""
     method = getattr(owner, name)
 
-    def timed(*args):
+    def timed(*args, **kwargs):
         t0 = time.perf_counter()
-        out = method(*args)
+        out = method(*args, **kwargs)
         seconds.append(time.perf_counter() - t0)
         return out
     setattr(owner, name, timed)
@@ -135,10 +137,13 @@ def mean_ms(seconds):
 
 def run_case(key):
     """Solve one case in this process; returns its record."""
+    build_s = []
+    time_calls(MixedSystem, "__init__", build_s)
     system, c0 = start_system(*CASES[key])
-    rn_s, precond_s, ainv_s = [], [], []
+    rn_s, precond_s, rl_s, ainv_s = [], [], [], []
     time_calls(system, "eval_RN", rn_s)
     time_calls(system, "laplace_preconditioner", precond_s)
+    time_calls(system, "eval_RL_tilde", rl_s)
     time_calls(system, "apply_ainv_b", ainv_s)
     t0 = time.perf_counter()
     _, rep = newton_solve(system, c0, SolverConfig())
@@ -151,9 +156,12 @@ def run_case(key):
         "rn_evals": rep.rn_evals,
         "gmres_all_converged": all(rep.gmres_converged),
         "max_gmres_per_step": max(rep.gmres_iterations),
+        # the solved system is the finest, built last
+        "system_build_s": build_s[-1],
         "solve_s": solve_s,
         "eval_rn_ms": mean_ms(rn_s),
         "laplace_preconditioner_ms": mean_ms(precond_s),
+        "eval_rl_ms": mean_ms(rl_s),
         "apply_ainv_b_ms": mean_ms(ainv_s),
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -227,7 +235,8 @@ def run_setup_case(key):
     name, mode, level = SETUP_CASES[key]
     geo = parse_geometry(BUILDERS[name]())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
-    mass_s = []
+    build_s, mass_s = [], []
+    time_calls(MixedSystem, "__init__", build_s)
     time_calls(MixedSystem, "_build_mass", mass_s)
     t0 = time.perf_counter()
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
@@ -241,6 +250,7 @@ def run_setup_case(key):
         "pattern_nnz": len(indices),
         "hierarchy_s": t1 - t0,
         # the finest system is built last
+        "system_build_s": build_s[-1],
         "mass_build_s": mass_s[-1],
         "pattern_s": t2 - t1,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -254,15 +264,18 @@ def run_kernel_case(key):
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
     system.laplace_preconditioner(c0)  # builds the Laplacian pattern and factors
-    rn_s, precond_s, ainv_s = [], [], []
+    rn_s, precond_s, rl_s, ainv_s = [], [], [], []
     for _ in range(calls):
         t0 = time.perf_counter()
         system.eval_RN(d0, c0)
         t1 = time.perf_counter()
         system.laplace_preconditioner(c0)
         t2 = time.perf_counter()
+        system.eval_RL_tilde(d0, c0)
+        t3 = time.perf_counter()
         system.apply_ainv_b(c0)
-        ainv_s.append(time.perf_counter() - t2)
+        ainv_s.append(time.perf_counter() - t3)
+        rl_s.append(t3 - t2)
         precond_s.append(t2 - t1)
         rn_s.append(t1 - t0)
     return {
@@ -270,6 +283,7 @@ def run_kernel_case(key):
         "calls": calls,
         "eval_rn_ms": 1e3 * float(np.median(rn_s)),
         "laplace_preconditioner_ms": 1e3 * float(np.median(precond_s)),
+        "eval_rl_ms": 1e3 * float(np.median(rl_s)),
         "apply_ainv_b_ms": 1e3 * float(np.median(ainv_s)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -305,9 +319,10 @@ def main(argv=None):
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
-              f"{r['solve_s']:7.2f} s  eval_RN {r['eval_rn_ms']:7.2f} ms  "
+              f"build {r['system_build_s']:6.3f} s {r['solve_s']:7.2f} s  "
+              f"eval_RN {r['eval_rn_ms']:7.2f} ms  "
               f"precond {r['laplace_preconditioner_ms']:7.2f} ms  "
-              f"A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
+              f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
               f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in COARSE_TO_FINE_CASES:
         cases[key] = run_child(key)
@@ -327,14 +342,15 @@ def main(argv=None):
     for key in SETUP_CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:24s} {r['hierarchy_s']:7.2f} (mass {r['mass_build_s']:5.3f}) "
+        print(f"{key:24s} {r['hierarchy_s']:7.2f} (finest {r['system_build_s']:5.3f}, "
+              f"mass {r['mass_build_s']:5.3f}) "
               f"+ {r['pattern_s']:5.2f} s {r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in KERNEL_CASES:
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:24s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
-              f"{r['laplace_preconditioner_ms']:7.2f} ms  A^-1 B "
-              f"{r['apply_ainv_b_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
+              f"{r['laplace_preconditioner_ms']:7.2f} ms  R_L {r['eval_rl_ms']:6.3f} ms  "
+              f"A^-1 B {r['apply_ainv_b_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),

@@ -1,22 +1,17 @@
-"""Galerkin assembly of the mixed first-order system.
-
-The constant blocks (auxiliary mass A and derivative projections B) are
-assembled once from separable univariate integrals. The nonlinear residual is
-evaluated by sum factorisation: each patch's Gauss points form a tensor grid,
-so every field and derivative there is a product ``Bx @ C @ By.T`` of
-univariate collocation factors, built once per system, and the moments
-against the test functions are ``Bx.T @ (w U) @ By``. The coupled auxiliary
-mass is solved exactly by static condensation onto the auxiliary DOFs that
-patches share: banded Kronecker solves on each patch's remaining tensor
-range and one dense Cholesky factor on the shared DOFs, so a single patch
-takes the plain Kronecker solve on the same path. The frozen-metric
-Laplacian that preconditions the Schur GMRES takes its metric from the same
-jet and is assembled by the same sum factorisation: per patch it is
-``X.T @ M @ Y`` summed over the four derivative pairings, with ``X`` and
-``Y`` univariate products of B-splines over the coupled function pairs of
-each direction, so no element matrix is formed. Every problem is treated as
-a (possibly 1-patch) topology, so the single-patch pipeline and the
-degenerate multipatch pipeline are the same code path.
+"""Galerkin assembly of the mixed first-order system, by sum factorisation:
+each patch's Gauss points form a tensor grid, so every block is applied
+patch by patch as products of univariate factors, and no global operator is
+assembled. Fields and derivatives of the nonlinear residual are ``Bx @ C @
+By.T`` with univariate collocation factors, and its moments against the test
+functions ``Bx.T @ (w U) @ By``. The constant blocks are separable: a patch's
+auxiliary mass moments are ``vol Mxi D Meta.T``, its derivative moments
+``vol (ia[0, d] Kxi C Oeta.T + ia[1, d] Oxi C Keta.T)``, with dense
+univariate integral factors. The coupled auxiliary mass is solved exactly by
+static condensation onto the auxiliary DOFs that patches share (banded
+Kronecker solves on each patch's remaining tensor range, one dense Cholesky
+factor on the shared DOFs), and the frozen-metric Laplacian that
+preconditions the Schur GMRES is summed from univariate pair factors. A
+single patch is a 1-patch topology on the same code path.
 """
 
 from __future__ import annotations
@@ -284,10 +279,10 @@ class _LaplacianFactors:
 
 @dataclass
 class _PatchContext:
-    """Per-patch data of the residual, preconditioner and mass kernels. Grid
-    arrays are indexed (xi Gauss point, component, eta Gauss point).
+    """Per-patch data of the kernels. Grid arrays are indexed (xi Gauss
+    point, component, eta Gauss point).
 
-    The mass fields are set by :meth:`MixedSystem._build_mass`. The
+    The condensation fields are set by :meth:`MixedSystem._build_mass`. The
     auxiliary DOFs of the patch's glued faces lie on the lines ``rows`` (xi
     index) and ``cols`` (eta index); the others form the tensor range
     ``inner`` = (sx, sy), whose mass vol Mxi[sx, sx] (x) Meta[sy, sy] ``kron``
@@ -302,6 +297,9 @@ class _PatchContext:
     bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
     out_idx: np.ndarray        # (n_xi, 2, n_eta) positions in R_N, 2 n_inner if fixed
     combo: np.ndarray          # _residual_combination of the patch
+    left: np.ndarray           # (n_dir, nbar_xi, 2 n_xi), see _derivative_moments
+    right: np.ndarray          # (n_eta, 2 nbar_eta) [Oeta^T | Keta^T]
+    mass: tuple                # (vol Mxi, Meta)
     kron: KronSolver = field(init=False)
     inner: tuple = field(init=False)          # (sx, sy) slices
     rows: slice = field(init=False)           # glued xi lines, among 0 and nbar_xi - 1
@@ -324,7 +322,7 @@ def _glued_lines(n, faces, unglued):
 
 
 class MixedSystem:
-    """Assembled mixed system on a patch topology.
+    """Mixed system on a patch topology.
 
     ``mode`` selects the auxiliary-variable layout: 'full' carries u ~ x_xi
     and v ~ x_eta (four scalar auxiliary fields), 'xi'/'eta' carry only one of
@@ -366,11 +364,11 @@ class MixedSystem:
         univariate = [(_univariate_matrices(bb.kv_xi, tb.kv_xi),
                        _univariate_matrices(bb.kv_eta, tb.kv_eta))
                       for tb, bb in zip(topology.bases, topology.bar_bases)]
-        self._build_patches()
-        self._build_matrices(univariate)
+        self._build_patches(univariate)
         self._build_mass(univariate)
         self.rn_eval_count = 0
         self.last_min_denominator = np.inf
+        self._buffers = {}
 
     # -- construction ----------------------------------------------------
 
@@ -390,9 +388,10 @@ class MixedSystem:
                 f"{'eta' if mode == 'xi' else 'xi'} direction, which requires "
                 "C>=1 continuity there (interior multiplicities <= degree-1)")
 
-    def _build_patches(self):
+    def _build_patches(self, univariate):
         topo = self.topology
         n_aux = self.n_fields // 2
+        directions = [0] if self.mode == "xi" else [1] if self.mode == "eta" else [0, 1]
         inner_of = np.full(topo.n_sigma, 2 * self.n_inner)
         inner_of[topo.inner_indices] = np.arange(self.n_inner)
         comp = np.arange(2)[:, None]
@@ -403,11 +402,15 @@ class MixedSystem:
             cache = build_quadrature(tb, bb, self.mode != "full")
             am = topo.maps[i]
             vol = abs(am.det)
+            ia = am.inv
+            (mx, ox, kx), (my, oy, ky) = univariate[i]
             sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
             inner = inner_of[sig]
+            left = np.stack([vol * np.stack([ia[0, d] * kx, ia[1, d] * ox], axis=2)
+                             for d in directions]).reshape(len(directions), bb.n_xi, -1)
             self.patches.append(_PatchContext(
                 cache=cache,
-                inv_a=am.inv,
+                inv_a=ia,
                 vol=vol,
                 wgrid=vol * np.multiply.outer(cache.xi.weights, cache.eta.weights),
                 sig_idx=2 * sig + comp,
@@ -415,60 +418,26 @@ class MixedSystem:
                 + topo.bar_l2g[i].reshape(1, bb.n_xi, 1, bb.n_eta),
                 out_idx=np.where(inner < self.n_inner, comp * self.n_inner + inner,
                                  2 * self.n_inner),
-                combo=_residual_combination(self.mode, self.chi, am.inv, n_aux)))
-
-    def _build_matrices(self, univariate):
-        """Global sparse operators on the discontinuous union:
-        ``_mt_gather`` maps coupled auxiliary coefficients to union moments,
-        ``_btilde[dir]`` maps full primal coefficient vectors to union moments
-        of the corresponding derivative."""
-        topo = self.topology
-        offs = topo.tilde_offsets
-        mt_blocks = []
-        coo = {"xi": [], "eta": []}
-        for i in range(topo.n_patches):
-            am = topo.maps[i]
-            vol = abs(am.det)
-            ia = am.inv
-            (mbar_s, obar_s, kbar_s), (mbar_t, obar_t, kbar_t) = univariate[i]
-            mt_blocks.append(vol * sparse.kron(
-                sparse.csr_matrix(mbar_s), sparse.csr_matrix(mbar_t)))
-            ks = sparse.kron(sparse.csr_matrix(kbar_s), sparse.csr_matrix(obar_t))
-            kt = sparse.kron(sparse.csr_matrix(obar_s), sparse.csr_matrix(kbar_t))
-            for key, col in (("xi", 0), ("eta", 1)):
-                mat = (vol * (ia[0, col] * ks + ia[1, col] * kt)).tocoo()
-                coo[key].append((mat.data, mat.row + offs[i],
-                                 topo.sig_l2g[i][mat.col]))
-        n_tilde = topo.n_tilde
-        self._btilde = {}
-        for key, blocks in coo.items():
-            vals, rows, cols = map(np.concatenate, zip(*blocks))
-            self._btilde[key] = sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(n_tilde, topo.n_sigma))
-        self._tilde2g = topo.tilde_to_global()
-        gather = sparse.csr_matrix(
-            (np.ones(n_tilde), (np.arange(n_tilde), self._tilde2g)),
-            shape=(n_tilde, topo.n_sigbar))
-        self._mt_gather = sparse.block_diag(mt_blocks, format="csr") @ gather
+                combo=_residual_combination(self.mode, self.chi, ia, n_aux),
+                left=left,
+                right=np.concatenate([oy.T, ky.T], axis=1),
+                mass=(vol * mx, my)))
 
     def _build_mass(self, univariate):
         """Static condensation of the coupled auxiliary mass A onto Gamma,
         the auxiliary DOFs shared by more than one patch (Smith, Bjorstad &
-        Gropp, Domain Decomposition, CUP 1996, ch. 4).
-
-        The shared DOFs of a patch are those of its glued faces, so the
-        others form a tensor range sx x sy and the patch's interior block is
-        vol Mxi[sx, sx] (x) Meta[sy, sy], solved by banded Kronecker factors.
-        Gamma couples to the interiors only through the patch masses, and
-        M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x) Peta with Pxi = Mxi[:, sx]
-        Gxi, so the interface Schur complement is the sum over patches of
-        vol (Mxi (x) Meta - Pxi (x) Peta) on the face DOFs. Pxi differs from
-        Mxi only on the glued lines, by the univariate Schur complement
-        Dxi, so each term is vol (Dxi (x) Meta + Mxi (x) Deta - Dxi (x)
-        Deta), formed on the face DOFs alone: O(n_Gamma^2) work and no dense
-        block of interior rows. The sum is dense in n_Gamma and factored
-        once by dense Cholesky."""
+        Gropp, Domain Decomposition, CUP 1996, ch. 4). The shared DOFs of a
+        patch are those of its glued faces, so the others form a tensor
+        range sx x sy, whose block vol Mxi[sx, sx] (x) Meta[sy, sy] banded
+        Kronecker factors solve. As M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x)
+        Peta with Pxi = Mxi[:, sx] Gxi, the interface Schur complement sums
+        vol (Mxi (x) Meta - Pxi (x) Peta) over patches. Pxi differs from Mxi
+        only on the glued lines, by the univariate Schur complement Dxi, so
+        each term is vol (Dxi (x) Meta + Mxi (x) Deta - Dxi (x) Deta),
+        formed on the face DOFs alone in O(n_Gamma^2). The sum is dense in
+        n_Gamma and factored once by dense Cholesky."""
         topo = self.topology
+        self._tilde2g = topo.tilde_to_global()
         shared = np.bincount(self._tilde2g, minlength=topo.n_sigbar) > 1
         self._gamma = np.flatnonzero(shared)
         n_gamma = len(self._gamma)
@@ -551,12 +520,17 @@ class MixedSystem:
 
     def eval_RL_tilde(self, d, c):
         """Patchwise (union-basis) moments of the linear residual, one row
-        per auxiliary field."""
-        net = self.full_control_net(c)
+        per auxiliary field: the mass moments vol Mxi D_f Meta of each
+        patch minus the derivative moments (:meth:`_derivative_moments`)."""
         d = np.asarray(d, dtype=float).reshape(self.n_fields, -1)
         out = np.empty((self.n_fields, self.topology.n_tilde))
-        for f, (direction, comp) in enumerate(self.fields):
-            out[f] = self._mt_gather @ d[f] - self._btilde[direction] @ net[:, comp]
+        for ctx, (lo, hi), l2g in zip(self.patches, self._tilde_bounds,
+                                      self.topology.bar_l2g):
+            mx, my = ctx.mass
+            shape = (self.n_fields, len(mx), len(my))
+            np.matmul(mx, (d[:, l2g].reshape(-1, len(my)) @ my).reshape(shape),
+                      out=out[:, lo:hi].reshape(shape))
+        out -= self._derivative_moments(self.full_control_net(c))
         return out
 
     def reduce_tilde(self, tilde):
@@ -572,14 +546,12 @@ class MixedSystem:
         return self.reduce_tilde(self.eval_RL_tilde(d, c)).ravel()
 
     def residual_scale(self):
-        """S = ||R_L(d=0, c=0)||: the linear residual of the boundary net
-        alone, i.e. the coupled derivative moments of the net that holds the
-        boundary data and zero inner coefficients. The net is first
-        translated so that its first boundary point is the origin, because
-        the residual is translation invariant and its scale must be too.
-        S depends only on the boundary data and the discretisation, scales
-        with the size of the domain, and is zero when all boundary points
-        coincide."""
+        """S = ||R_L(d=0, c=0)||: the coupled derivative moments of the net
+        holding the boundary data and zero inner coefficients, translated so
+        that its first boundary point is the origin (the residual is
+        translation invariant, and its scale must be too). S depends only on
+        the boundary data and the discretisation, scales with the domain,
+        and is zero when all boundary points coincide."""
         bnd = self.topology.boundary_indices
         net = np.zeros_like(self._template)
         net[bnd] = self._template[bnd] - self._template[bnd[0]]
@@ -606,15 +578,25 @@ class MixedSystem:
                       out=out[r: r + n].reshape(-1, out.shape[-1]))
             r += n
 
-    @staticmethod
-    def _metric(X):
-        """(3, n_xi points, n_eta points) array of g11, g22, g12 from the
-        grid derivatives X = (x_xi, x_eta), each (n_xi points, 2, n_eta
+    def _metric(self, X):
+        """(3, n_xi points, n_eta points) scratch array of g11, g22, g12 from
+        the grid derivatives X = (x_xi, x_eta), each (n_xi points, 2, n_eta
         points)."""
-        g = np.empty((3, X.shape[1], X.shape[3]))
-        np.sum(np.square(X), axis=2, out=g[:2])
-        np.sum(X[0] * X[1], axis=1, out=g[2])
+        g, sq = self._scratch("g", 3, *X.shape[1::2]), self._scratch("gz", *X.shape)
+        np.sum(np.square(X, out=sq), axis=2, out=g[:2])
+        np.sum(np.multiply(X[0], X[1], out=sq[0]), axis=1, out=g[2])
         return g
+
+    def _scratch(self, name, *shape):
+        """A scratch array of the per-iterate kernels, reused across calls
+        and patches: their grid arrays have the same shapes at every
+        iterate, and fresh ones cost a page fault per 4 KB whenever the C
+        allocator has handed the freed memory back to the system."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def eval_RN(self, d, c):
         """Nonlinear residual: moments of the scaled operator against every
@@ -635,18 +617,21 @@ class MixedSystem:
             fx, fy = ctx.cache.xi, ctx.cache.eta
             npx, npy = ctx.wgrid.shape
             n_aux, nbx, _, nby = ctx.bar_idx.shape
-            rows = np.empty((n_jet + 2 * n_aux, npx, 2, npy))
+            rows = self._scratch("rows", n_jet + 2 * n_aux, npx, 2, npy)
             self._jet(ctx, net, groups, rows)
             D = d[ctx.bar_idx].reshape(n_aux, nbx, -1)
             for r0, (k, l) in ((n_jet, (1, 0)), (n_jet + n_aux, (0, 1))):
                 np.matmul((fx.bar[k] @ D).reshape(-1, nby), fy.bar[l].T,
                           out=rows[r0: r0 + n_aux].reshape(-1, npy))
-            Z = (ctx.combo @ rows.reshape(len(rows), -1)).reshape(5, npx, 2, npy)
+            Z = self._scratch("Z", 5, npx, 2, npy)
+            np.matmul(ctx.combo, rows.reshape(len(rows), -1), out=Z.reshape(5, -1))
             g = self._metric(Z[:2])
-            denom = g[0] + g[1] + self.mu
+            denom = np.add(g[0], g[1], out=self._scratch("denom", npx, npy))
+            denom += self.mu
             min_denom = min(min_denom, float(denom.min()))
-            wU = (g[:, :, None] * Z[2:]).sum(axis=0)
-            wU *= (ctx.wgrid / denom)[:, None]
+            gz = np.multiply(g[:, :, None], Z[2:], out=self._scratch("gz", 3, npx, 2, npy))
+            wU = np.sum(gz, axis=0, out=self._scratch("wU", npx, 2, npy))
+            wU *= np.divide(ctx.wgrid, denom, out=denom)[:, None]
             moments = (fx.sig[0].T @ wU.reshape(npx, -1)).reshape(-1, npy) @ fy.sig[0]
             res += np.bincount(ctx.out_idx.ravel(), weights=moments.ravel(),
                                minlength=n_res + 1)
@@ -702,29 +687,32 @@ class MixedSystem:
         -K is the principal part of the Schur operator with the metric frozen
         (integrate the numerator of R_N by parts). The mu/2 shift makes Q
         positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
-        so K is SPD even on folded iterates. The metric comes from the same
-        sum-factorised jet as :meth:`eval_RN`. In the patch coordinates the
-        scaled Q is M = ia Q ia^T (exact, the patch map being affine), and
-        the patch matrix is the sum over the pairings (a, b) of
-        X_ab^T M_ab Y_ab, two sparse-times-dense products of the pair
-        factors of :meth:`_laplacian_factors` on the tensor Gauss grid, at
-        O(n_points (p + 1)^2) cost with no element matrix. One ``bincount``
-        sums the patch entries into the fixed CSR pattern, shared interface
-        DOFs included. Returns a CSR matrix."""
+        so K is SPD even on folded iterates. The metric comes from the jet
+        of :meth:`eval_RN`; in the patch coordinates the scaled Q is M = ia
+        Q ia^T (the patch map is affine), and the patch matrix is the sum
+        over the pairings (a, b) of X_ab^T M_ab Y_ab, products of the pair
+        factors of :meth:`_laplacian_factors`, summed by one ``bincount``
+        into the fixed CSR pattern. Returns a CSR matrix."""
         lf = self._laplacian_factors
         net = self.full_control_net(c).ravel()
         half_mu = 0.5 * self.mu
         entries = []
         for ctx, fx, fy in zip(self.patches, lf.x, lf.y):
             npx, npy = ctx.wgrid.shape
-            rows = np.empty((2, npx, 2, npy))
+            rows = self._scratch("rows", 2, npx, 2, npy)
             self._jet(ctx, net, FIRST_JET, rows)
-            X = (ctx.inv_a.T @ rows.reshape(2, -1)).reshape(rows.shape)
+            X = self._scratch("Z", 2, npx, 2, npy)
+            np.matmul(ctx.inv_a.T, rows.reshape(2, -1), out=X.reshape(2, -1))
             g = self._metric(X)
-            scale = ctx.wgrid / (g[0] + g[1] + self.mu)
-            q = np.stack([scale * (g[1] + half_mu), scale * -g[2],
-                          scale * (g[0] + half_mu)])
-            M = _patch_metric_map(ctx.inv_a) @ q.reshape(3, -1)
+            scale = np.add(g[0], g[1], out=self._scratch("denom", npx, npy))
+            scale += self.mu
+            np.divide(ctx.wgrid, scale, out=scale)
+            q = self._scratch("q", 3, npx, npy)
+            np.multiply(scale, np.add(g[1], half_mu, out=q[0]), out=q[0])
+            np.multiply(scale, np.negative(g[2], out=q[1]), out=q[1])
+            np.multiply(scale, np.add(g[0], half_mu, out=q[2]), out=q[2])
+            M = np.matmul(_patch_metric_map(ctx.inv_a), q.reshape(3, -1),
+                          out=self._scratch("M", 4, npx * npy))
             # (4 |S_xi|, n_eta points): X_ab^T M_ab for every pairing
             Z = fx @ M.reshape(len(PAIRINGS) * npx, npy)
             Z = Z.reshape(len(PAIRINGS), -1, npy).transpose(0, 2, 1)
@@ -755,11 +743,22 @@ class MixedSystem:
     # -- A^-1 products -------------------------------------------------------
 
     def _derivative_moments(self, net):
-        """Union moments of (x_xi, x_eta) fields of a full control net, one
-        row per auxiliary field."""
+        """Union moments of the (x_xi, x_eta) fields of a full control net,
+        one row per auxiliary field: on patch i, field (direction d,
+        component k) has vol (ia[0, d] Kxi C_k Oeta^T + ia[1, d] Oxi C_k
+        Keta^T). Both components take the right factor [Oeta^T | Keta^T] in
+        one product, then each direction its left factor [vol ia[0, d] Kxi |
+        vol ia[1, d] Oxi], columns interleaved (column 2a + r meets half r
+        at xi function a), in one product written into the union layout."""
+        net = net.ravel()
         out = np.empty((self.n_fields, self.topology.n_tilde))
-        for f, (direction, comp) in enumerate(self.fields):
-            out[f] = self._btilde[direction] @ net[:, comp]
+        for ctx, (lo, hi) in zip(self.patches, self._tilde_bounds):
+            n_dir, nbx, _ = ctx.left.shape
+            C = net[ctx.sig_idx.transpose(1, 0, 2)]
+            T = C.reshape(-1, C.shape[-1]) @ ctx.right
+            nby = T.shape[1] // 2
+            np.matmul(ctx.left[:, None], T.reshape(1, 2, -1, nby),
+                      out=out[:, lo:hi].reshape(n_dir, 2, nbx, nby))
         return out
 
     def _mass_pcg(self, tilde):

@@ -40,7 +40,8 @@ SOLVER_RANGES = {
     "gmres_tol": (False, 0, True, EW_ETA_MAX),
     "gmres_restart": (True, 1, False, math.inf),
     "gmres_max_iter": (True, 1, False, math.inf),
-    "coarse_levels": (True, 0, False, math.inf),
+    # each level multiplies the element count by 4
+    "coarse_levels": (True, 0, False, 4),
 }
 SOLVER_KEYS = ("mode",) + tuple(SOLVER_RANGES)
 
@@ -371,6 +372,12 @@ def solution_patch_maps(sol: dict):
 # -- commands --------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
+    if args.initial == "file" and not args.initial_file:
+        print("input error: --initial file needs --initial-file", file=sys.stderr)
+        return 1
+    if args.initial_file and args.initial != "file":
+        print("input error: --initial-file needs --initial file", file=sys.stderr)
+        return 1
     try:
         geo = load_geometry(args.input)
     except (InputError, json.JSONDecodeError, OSError) as exc:
@@ -408,10 +415,6 @@ def cmd_solve(args) -> int:
         if args.initial == "folded":
             c_full = folded_initial_guess(system, c_full)
         elif args.initial == "file":
-            if not args.initial_file:
-                print("input error: --initial file needs --initial-file",
-                      file=sys.stderr)
-                return 1
             prev = load_solution(args.initial_file)
             _, c_full = solution_control(prev)
             if c_full.shape[0] != system.topology.n_sigma:
@@ -571,6 +574,9 @@ def _write_svg(path, maps, resolution):
 
 
 def cmd_sample(args) -> int:
+    if args.resolution < 1:
+        print("input error: --resolution: expected an integer >= 1", file=sys.stderr)
+        return 1
     try:
         sol = load_solution(args.input)
         geo, maps = solution_patch_maps(sol)

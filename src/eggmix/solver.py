@@ -150,7 +150,8 @@ class NewtonState:
     ``r_n`` and ``min_denominator`` may be passed in when ``eval_RN`` has
     already run at (d, c) (the accepted line-search probe); otherwise they
     are evaluated here. The linear pieces are always recomputed: they are
-    sparse products, and the Schur right-hand side needs the union moments.
+    per-patch products of univariate factors, cheap next to ``eval_RN``,
+    and the Schur right-hand side needs the union moments.
     """
 
     def __init__(self, system: MixedSystem, d, c, r_n=None,

@@ -2,12 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces
 from eggmix.io_cli import parse_geometry
 from eggmix.geometries import build_bat, build_lbend
 from eggmix.solver import SolverConfig, newton_solve, transfinite_global, \
     folded_initial_guess
+from eggmix.splines import KnotVector
 
 
 def start(system, folded=False):
@@ -17,6 +19,19 @@ def start(system, folded=False):
     if folded:
         net = folded_initial_guess(system, net)
     return system.net_as_c(net[system.topology.inner_indices])
+
+
+@st.composite
+def knot_vectors(draw):
+    """Open knot vector of degree 1-3 with one to two interior breakpoints,
+    each repeated up to the degree (a C0 line at full multiplicity)."""
+    p = draw(st.integers(1, 3))
+    breaks = sorted(draw(st.lists(st.sampled_from([0.2, 0.35, 0.5, 0.8]),
+                                  min_size=1, max_size=2, unique=True)))
+    knots = [0.0] * (p + 1)
+    for b in breaks:
+        knots += [b] * draw(st.integers(1, p))
+    return KnotVector(p, knots + [1.0] * (p + 1))
 
 
 @pytest.fixture

@@ -97,15 +97,32 @@ def fd_jacobian_blocks(system, d, c, h=1e-6):
 def constant_blocks(system):
     """Sparse (A, B, B_bnd) of a MixedSystem: A = diag(coupled mass) per
     field, and the derivative-projection columns split into inner and
-    boundary parts, so that R_L = A d - (B c + B_bnd boundary_c(system))."""
+    boundary parts, so that R_L = A d - (B c + B_bnd boundary_c(system)).
+
+    Assembled from the topology alone: per patch, the Kronecker products
+    vol Mxi (x) Meta and vol (ia[0, d] Kxi (x) Oeta + ia[1, d] Oxi (x)
+    Keta) of the univariate factors, scattered to the coupled auxiliary
+    rows and the global primal columns."""
+    from eggmix.assembly import _univariate_matrices
+
     topo = system.topology
-    n_tilde = topo.n_tilde
-    gather = sparse.csr_matrix(
-        (np.ones(n_tilde), (np.arange(n_tilde), topo.tilde_to_global())),
-        shape=(n_tilde, topo.n_sigbar))
-    mglob = (gather.T @ system._mt_gather).tocsr()
-    bglob = {direction: (gather.T @ system._btilde[direction]).tocsr()
-             for direction in ("xi", "eta")}
+    mglob = sparse.csr_matrix((topo.n_sigbar, topo.n_sigbar))
+    bglob = {d: sparse.csr_matrix((topo.n_sigbar, topo.n_sigma))
+             for d in ("xi", "eta")}
+    for i, (tb, bb) in enumerate(zip(topo.bases, topo.bar_bases)):
+        am = topo.maps[i]
+        vol, ia = abs(am.det), am.inv
+        mx, ox, kx = _univariate_matrices(bb.kv_xi, tb.kv_xi)
+        my, oy, ky = _univariate_matrices(bb.kv_eta, tb.kv_eta)
+        rows = sparse.csr_matrix((np.ones(bb.dim), (topo.bar_l2g[i], np.arange(bb.dim))),
+                                 shape=(topo.n_sigbar, bb.dim))
+        cols = sparse.csr_matrix((np.ones(tb.dim), (np.arange(tb.dim), topo.sig_l2g[i])),
+                                 shape=(tb.dim, topo.n_sigma))
+        mglob = mglob + rows @ (vol * sparse.kron(mx, my)) @ rows.T
+        ks, kt = sparse.kron(kx, oy), sparse.kron(ox, ky)
+        for direction, col in (("xi", 0), ("eta", 1)):
+            bglob[direction] = bglob[direction] \
+                + rows @ (vol * (ia[0, col] * ks + ia[1, col] * kt)) @ cols
     A = sparse.block_diag([mglob] * system.n_fields, format="csr")
     inner, bnd = topo.inner_indices, topo.boundary_indices
     rows_in, rows_bnd = [], []

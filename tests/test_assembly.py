@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eggmix import assembly
 from eggmix.assembly import MixedSystem, build_quadrature, \
@@ -9,9 +9,10 @@ from eggmix.errors import InputError, ModeError
 from eggmix.io_cli import parse_geometry
 from eggmix.geometries import build_quarter_annulus, exact_annulus_map
 from eggmix.mapping import unit_square_map
-from eggmix.multipatch import build_topology
+from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
+from conftest import knot_vectors
 from oracles import boundary_c, constant_blocks, dense_row, \
     greville_interpolate_2d, loop_univariate_matrices, \
     reference_univariate_integral
@@ -180,6 +181,42 @@ def test_eval_RL_linearity(alpha, beta, seed):
     # rearranged: RL(a d1 + b d2, c) = a RL(d1,c) + b RL(d2,c) - (a+b-1) RL(0,c)
     scale = max(1.0, np.abs(lhs).max())
     assert np.abs(lhs - rhs).max() < 1e-10 * scale
+
+
+@pytest.mark.filterwarnings("ignore:affine patch map reverses orientation")
+@settings(max_examples=25, deadline=None)
+@given(knot_vectors(), knot_vectors(), st.sampled_from(assembly.MODES),
+       st.floats(0.0, 2 * np.pi), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
+       st.floats(-0.5, 0.5), st.booleans(), st.integers(0, 2 ** 31 - 1))
+def test_linear_blocks_on_random_patch(kv_xi, kv_eta, mode, angle, s1, s2, shear,
+                                       reflect, seed):
+    # one patch under a random affine map: the rotation makes the inverse
+    # Jacobian off-diagonal, a reflection gives det < 0 (vol = |det|)
+    other = {"xi": kv_eta, "eta": kv_xi}.get(mode)
+    assume(other is None or other.max_interior_multiplicity() <= other.degree - 1)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    flip = np.diag([1.0, -1.0 if reflect else 1.0])
+    rng = np.random.default_rng(seed)
+    am = AffinePatchMap(rot @ np.array([[s1, shear], [0.0, s2]]) @ flip,
+                        rng.uniform(-1, 1, 2))
+    tb = TensorBasis(kv_xi, kv_eta)
+    topo = build_topology([(tb, am)], [])
+    net = am.apply(unit_square_map(tb).control)
+    net += 0.05 * rng.standard_normal(net.shape)
+    system = MixedSystem(topo, net[topo.boundary_indices], mode=mode)
+    A, B, B_bnd = constant_blocks(system)
+    c = system.net_as_c(net[topo.inner_indices])
+    d = rng.standard_normal(system.d_size)
+    s = rng.standard_normal(system.c_size)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(system.eval_RL(d, c), A @ d - B @ c - B_bnd @ boundary_c(system))
+    close(system.apply_ainv_b(s), np.linalg.solve(A.toarray(), B @ s))
+    bnd = net[topo.boundary_indices] - net[topo.boundary_indices[0]]
+    close(system.residual_scale(),
+          np.linalg.norm(B_bnd @ np.concatenate([bnd[:, 0], bnd[:, 1]])))
 
 
 def test_eval_RN_identity_state_residual_below_projection_error():

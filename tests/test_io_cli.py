@@ -518,11 +518,63 @@ def test_malformed_solver_flag_exits_1(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+@pytest.mark.parametrize("levels", [5, 30])
+def test_coarse_levels_above_4_refused_before_any_system(where, levels, tmp_path,
+                                                         capsys, monkeypatch):
+    from eggmix.assembly import MixedSystem
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a system was built")
+    monkeypatch.setattr(MixedSystem, "__init__", refuse)
+    doc = build_square()
+    argv = []
+    if where == "file":
+        doc["solver"] = {"coarse_levels": levels}
+    else:
+        argv = ["--coarse-levels", levels]
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "square.solution.json"
+    assert run_cli("solve", p, *argv, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert ("/solver/coarse_levels" if where == "file" else "--coarse-levels") in err
+    assert "expected an integer >= 0 and <= 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["vtk", "csv", "svg"])
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_sample_resolution_below_1_exits_1(square_solution, fmt, resolution,
+                                           tmp_path, capsys):
+    out = tmp_path / f"square.{fmt}"
+    assert run_cli("sample", square_solution, "--format", fmt,
+                   "--resolution", resolution, "--out", out) == 1
+    assert "input error: --resolution: expected an integer >= 1" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_initial_file_without_initial_file_mode_exits_1(square_solution, tmp_path,
+                                                        capsys):
+    out = tmp_path / "square.solution.json"
+    for start in (square_solution, tmp_path / "missing.json"):
+        assert run_cli("solve", bundled_path("square"), "--initial-file", start,
+                       "--out", out) == 1
+        assert "--initial-file needs --initial file" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli("solve", bundled_path("square"), "--initial", "folded",
+                   "--initial-file", square_solution, "--out", out) == 1
+    assert not out.exists()
+
+
 def test_solver_settings_at_their_bounds_accepted():
     doc = build_square()
     doc["solver"] = {"mode": "xi", "mu": 1e-6, "chi": 1, "newton_tol": 1e-6,
                      "max_newton": 1, "gmres_tol": 0.9, "gmres_restart": 1,
                      "gmres_max_iter": 1, "coarse_levels": 0}
+    assert validate_geometry(doc) == []
+    doc["solver"]["coarse_levels"] = 4
     assert validate_geometry(doc) == []
     doc["solver"]["chi"] = 0.0
     assert validate_geometry(doc) == []

@@ -2,6 +2,8 @@
 batched-einsum references (tests/oracles.py) to 1e-12 relative to the size
 of the result."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,26 @@ def test_frozen_laplacian_matches_pointwise_loop_lbend_xi_l1():
     K = system.frozen_laplacian(c).toarray()
     K_ref = loop_frozen_laplacian(system, c)
     assert np.abs(K - K_ref).max() <= RTOL * np.abs(K_ref).max()
+
+
+def test_iterate_kernels_reuse_scratch_memory(rng):
+    # eval_RN and frozen_laplacian share their grid arrays across patches
+    # (of three sizes on the bat) and calls: interleaved calls at two
+    # iterates still match the oracles, and after the first call eval_RN
+    # allocates no grid-sized array, since every fresh one costs page
+    # faults once the allocator has returned its memory to the system
+    system = geometry_system(build_bat(), "full")
+    states = [random_state(system, rng) for _ in range(2)]
+    for d, c in states:
+        assert_eval_rn_matches(system, d, c)
+        K = system.frozen_laplacian(c).toarray()
+        assert np.abs(K - loop_frozen_laplacian(system, c)).max() \
+            <= RTOL * np.abs(K).max()
+    tracemalloc.start()
+    system.eval_RN(*states[1])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * max(ctx.wgrid.nbytes for ctx in system.patches)
 
 
 @pytest.mark.parametrize("nderiv", [0, 1, 2])

@@ -17,9 +17,9 @@ from eggmix.mapping import sampled_bijectivity, unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.solver import NewtonState, SolverConfig, build_system_hierarchy, \
     newton_solve, schur_matvec, schur_rhs, schur_solve
-from eggmix.splines import KnotVector, TensorBasis, uniform_knots
+from eggmix.splines import TensorBasis, uniform_knots
 
-from conftest import start
+from conftest import knot_vectors, start
 from oracles import element_union_laplacian_pattern, loop_frozen_laplacian
 
 
@@ -72,19 +72,6 @@ def test_laplacian_pattern_matches_union1d_loop(make_system):
     indices_ref, indptr_ref = element_union_laplacian_pattern(system)
     for got, want in ((lf.indices, indices_ref), (lf.indptr, indptr_ref)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-@st.composite
-def knot_vectors(draw):
-    """Open knot vector of degree 1-3 with one to two interior breakpoints,
-    each repeated up to the degree (a C0 line at full multiplicity)."""
-    p = draw(st.integers(1, 3))
-    breaks = sorted(draw(st.lists(st.sampled_from([0.2, 0.35, 0.5, 0.8]),
-                                  min_size=1, max_size=2, unique=True)))
-    knots = [0.0] * (p + 1)
-    for b in breaks:
-        knots += [b] * draw(st.integers(1, p))
-    return KnotVector(p, knots + [1.0] * (p + 1))
 
 
 @settings(max_examples=25, deadline=None)
