@@ -15,7 +15,7 @@ Schur matvec) inside that solve, and the peak RSS. A restart case solves
 from the transfinite start and then runs ``newton_solve`` again from the
 converged net, recording the Newton/GMRES/``rn_evals`` counts of that
 second solve, so that a restart that iterates on roundoff shows. A
-coarse-to-fine case solves a hierarchy with ``coarse_to_fine_solve`` from a
+coarse-to-fine case solves a hierarchy with ``eggmix.io_cli.solve`` from a
 start on its coarsest level, the path ``eggmix solve --coarse-levels``
 takes, and records the totals and, per level, the same counts and per-call
 times as a solve case. A setup case times ``build_system_hierarchy``,
@@ -53,12 +53,10 @@ import scipy
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
-from eggmix.errors import StagnationError  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
-from eggmix.io_cli import parse_geometry  # noqa: E402
+from eggmix.io_cli import parse_geometry, solve  # noqa: E402
 from eggmix.solver import SolverConfig, build_system_hierarchy, \
-    coarse_to_fine_solve, folded_initial_guess, newton_solve, \
-    transfinite_global  # noqa: E402
+    folded_initial_guess, newton_solve, transfinite_global  # noqa: E402
 
 # key -> (geometry, mode, h-refinement level, folded start)
 CASES = {
@@ -173,14 +171,14 @@ def run_coarse_to_fine_case(key):
     record with one entry per level."""
     name, mode, level, folded = COARSE_TO_FINE_CASES[key]
     hierarchy = hierarchy_of(name, mode, level)
-    c0 = start_iterate(hierarchy[0].system, folded)
     timers = []
     for lv in hierarchy:
         timers.append(([], []))
         time_calls(lv.system, "eval_RN", timers[-1][0])
         time_calls(lv.system, "laplace_preconditioner", timers[-1][1])
     t0 = time.perf_counter()
-    _, rep = coarse_to_fine_solve(hierarchy, c0, SolverConfig())
+    _, _, rep = solve(hierarchy, "folded" if folded else "transfinite",
+                      SolverConfig())
     solve_s = time.perf_counter() - t0
     levels = [{
         "n_sigma": lv.system.topology.n_sigma,
@@ -196,7 +194,7 @@ def run_coarse_to_fine_case(key):
         "n_sigma": levels[-1]["n_sigma"],
         "converged": bool(rep.converged),
         "newton": rep.newton_iterations,
-        "gmres": sum(r["gmres"] for r in levels),
+        "gmres": int(sum(rep.gmres_iterations)),
         "rn_evals": rep.rn_evals,
         "solve_s": solve_s,
         "levels": levels,
@@ -212,10 +210,7 @@ def run_restart_case(key):
     if not rep.converged:
         raise SystemExit(f"bench: {key} did not converge before the restart")
     t0 = time.perf_counter()
-    try:
-        c_restart, rep = newton_solve(system, c, SolverConfig())
-    except StagnationError as exc:
-        (_, c_restart), rep = exc.state, exc.report
+    c_restart, rep = newton_solve(system, c, SolverConfig())
     solve_s = time.perf_counter() - t0
     return {
         "n_sigma": system.topology.n_sigma,

@@ -13,9 +13,9 @@ from .mapping import SplineMap, make_map, transfinite_initial_guess, \
     metric_at, winslow, sampled_bijectivity, unit_square_map
 from .assembly import MixedSystem, single_patch_system
 from .multipatch import AffinePatchMap, Interface, PatchTopology, \
-    build_topology, build_restriction, multipatch_solve, single_patch_topology
+    build_topology, build_restriction, single_patch_topology
 from .solver import SolverConfig, SolverReport, newton_solve, \
-    coarse_to_fine_solve, build_system_hierarchy
+    build_system_hierarchy
 
 __all__ = [
     "KnotVector", "TensorBasis", "uniform_knots",
@@ -23,7 +23,6 @@ __all__ = [
     "winslow", "sampled_bijectivity", "unit_square_map",
     "MixedSystem", "single_patch_system",
     "AffinePatchMap", "Interface", "PatchTopology", "build_topology",
-    "build_restriction", "multipatch_solve", "single_patch_topology",
-    "SolverConfig", "SolverReport", "newton_solve", "coarse_to_fine_solve",
-    "build_system_hierarchy",
+    "build_restriction", "single_patch_topology",
+    "SolverConfig", "SolverReport", "newton_solve", "build_system_hierarchy",
 ]

@@ -41,9 +41,3 @@ class NonbijectiveMapError(EggmixError):
 
 class StagnationError(EggmixError):
     """The line search hit its floor without finding a descent step."""
-
-    def __init__(self, message, report=None, state=None, system=None):
-        super().__init__(message)
-        self.report = report
-        self.state = state
-        self.system = system

@@ -2,8 +2,10 @@
 
 Geometry and solution files are JSON (schema in docs/geometry_schema.json);
 mesh export writes legacy-VTK structured grids, SVG isoline plots or CSV
-point tables. Exit codes: 0 converged to a bijective map, 1 input or usage
-error, 2 not converged or converged to a folded map.
+point tables. :func:`solve` is the one solve path of the command line and
+the library: a direct solve is a hierarchy of one level. Exit codes: 0
+converged to a bijective map, 1 input or usage error, 2 not converged (out
+of Newton steps, or stagnated) or converged to a folded map.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ import numpy as np
 
 from .assembly import MixedSystem, boundary_values_from_faces
 from .errors import CornerMismatchError, EggmixError, InputError, \
-    KnotMismatchError, NonbijectiveMapError, StagnationError
+    KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
-from .solver import EW_ETA_MAX, SolverConfig, build_system_hierarchy, \
-    coarse_to_fine_solve, folded_initial_guess, newton_solve, transfinite_global
+from .solver import EW_ETA_MAX, SolverConfig, SolverReport, \
+    build_system_hierarchy, folded_initial_guess, newton_solve, \
+    transfinite_global
 from .splines import KnotVector, TensorBasis
 
 FACE_NAMES = ("south", "north", "west", "east")
@@ -68,6 +71,11 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_integer(v):
+    # JSON true and false load as bool, which Python counts as an int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_geometry(doc) -> list:
     """Structural schema validation; returns findings with JSON-pointer paths."""
     out = []
@@ -75,7 +83,7 @@ def validate_geometry(doc) -> list:
     if not isinstance(doc, dict):
         err("", "document must be a JSON object")
         return out
-    if doc.get("version") != 1:
+    if not (_is_integer(doc.get("version")) and doc["version"] == 1):
         err("/version", "expected format version 1")
     patches = doc.get("patches")
     if not isinstance(patches, list) or not patches:
@@ -88,7 +96,7 @@ def validate_geometry(doc) -> list:
             err(ptr, "patch must be an object")
             continue
         for key in ("degree_xi", "degree_eta"):
-            if not isinstance(p.get(key), int) or p.get(key, 0) < 1:
+            if not _is_integer(p.get(key)) or p[key] < 1:
                 err(f"{ptr}/{key}", "expected an integer >= 1")
         for key in ("knots_xi", "knots_eta"):
             kn = p.get(key)
@@ -96,7 +104,7 @@ def validate_geometry(doc) -> list:
                 err(f"{ptr}/{key}", "expected an array of numbers")
                 continue
             deg = p.get("degree_xi" if key == "knots_xi" else "degree_eta")
-            if isinstance(deg, int) and deg >= 1:
+            if _is_integer(deg) and deg >= 1:
                 try:
                     KnotVector(deg, kn)
                 except InputError as exc:
@@ -141,7 +149,7 @@ def validate_geometry(doc) -> list:
             continue
         for key in ("patch_a", "patch_b"):
             v = itf.get(key)
-            if not isinstance(v, int) or not 0 <= v < len(patches):
+            if not _is_integer(v) or not 0 <= v < len(patches):
                 err(f"{ptr}/{key}", "expected a valid patch index")
         for key in ("face_a", "face_b"):
             if itf.get(key) not in FACE_NAMES:
@@ -170,8 +178,7 @@ def _solver_setting_error(key, v):
     """Why ``v`` is not a valid value of the numeric solver setting ``key``
     (see ``SOLVER_RANGES``), or None when it is."""
     integer, lo, lo_open, hi = SOLVER_RANGES[key]
-    ok = ((isinstance(v, int) and not isinstance(v, bool)) if integer
-          else (_is_number(v) and math.isfinite(v)))
+    ok = _is_integer(v) if integer else (_is_number(v) and math.isfinite(v))
     if ok and (v > lo if lo_open else v >= lo) and v <= hi:
         return None
     kind = "an integer" if integer else "a finite number"
@@ -225,6 +232,10 @@ def _atomic_write(path, text: str):
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # mkstemp creates the file 0600; give it the mode open() would
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -369,6 +380,46 @@ def solution_patch_maps(sol: dict):
     return geo, maps
 
 
+def solve(hierarchy, start, config: SolverConfig | None = None):
+    """Solve the levels of ``build_system_hierarchy`` coarse to fine; a
+    hierarchy of one level is the direct solve.
+
+    ``start`` is "transfinite", "folded" or a full (n_sigma, 2) control net
+    of the coarsest level. Each finer level starts from the c-component of
+    the level below, prolonged; ``newton_solve`` recomputes the auxiliary
+    part by L2 projection. The solve stops at the first level that does not
+    converge. Returns ``(system, c, report)``: the last level run, its
+    iterate and ``SolverReport.merge`` of the level reports.
+    """
+    config = config or SolverConfig()
+    system = hierarchy[0].system
+    if isinstance(start, str):
+        if start not in ("transfinite", "folded"):
+            raise InputError(f"unknown start {start!r}")
+        net = transfinite_global(system)
+        if start == "folded":
+            net = folded_initial_guess(system, net)
+    else:
+        net = np.asarray(start, dtype=float)
+        want = (system.topology.n_sigma, 2)
+        if net.shape != want:
+            raise InputError(f"the start control net has shape {net.shape}, "
+                             f"not the {want} of the coarsest level")
+    reports = []
+    for level in hierarchy:
+        if reports:
+            net = level.prolong(system.full_control_net(c))
+            system = level.system
+        # called through this module, so that a wrapper set here sees every
+        # Newton entry
+        c, report = newton_solve(
+            system, system.net_as_c(net[system.topology.inner_indices]), config)
+        reports.append(report)
+        if not report.converged:
+            break
+    return system, c, SolverReport.merge(reports)
+
+
 # -- commands --------------------------------------------------------------------
 
 def cmd_solve(args) -> int:
@@ -401,38 +452,14 @@ def cmd_solve(args) -> int:
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
         config = SolverConfig(verbose=args.verbose, **config_kwargs)
+        start = args.initial
+        if start == "file":
+            _, start = solution_control(load_solution(args.initial_file))
         bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
-        levels = int(settings["coarse_levels"])
-        if levels > 0:
-            hierarchy = build_system_hierarchy(
-                geo.topology, bvals, levels, mode=settings["mode"],
-                chi=settings["chi"], mu=settings["mu"])
-            system = hierarchy[0].system
-        else:
-            system = MixedSystem(geo.topology, bvals, mode=settings["mode"],
-                                 chi=settings["chi"], mu=settings["mu"])
-        c_full = transfinite_global(system)
-        if args.initial == "folded":
-            c_full = folded_initial_guess(system, c_full)
-        elif args.initial == "file":
-            prev = load_solution(args.initial_file)
-            _, c_full = solution_control(prev)
-            if c_full.shape[0] != system.topology.n_sigma:
-                raise InputError(
-                    "--initial-file solution does not match this geometry")
-        c0 = system.net_as_c(c_full[system.topology.inner_indices])
-        stagnated = False
-        try:
-            if levels > 0:
-                c, report = coarse_to_fine_solve(hierarchy, c0, config)
-                system = hierarchy[-1].system
-            else:
-                c, report = newton_solve(system, c0, config)
-        except StagnationError as exc:
-            report = exc.report
-            _, c = exc.state
-            system = exc.system or system
-            stagnated = True
+        hierarchy = build_system_hierarchy(
+            geo.topology, bvals, int(settings["coarse_levels"]),
+            mode=settings["mode"], chi=settings["chi"], mu=settings["mu"])
+        system, c, report = solve(hierarchy, start, config)
     except (InputError, EggmixError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -454,8 +481,7 @@ def cmd_solve(args) -> int:
         print(f"quality: winslow {q['winslow_total']:.6f}  min detJ "
               f"{q['min_detj']:.3e}")
     # a converged map that folds has not reached the fold-free solution
-    return 0 if (report.converged and not stagnated
-                 and not q["nonbijective"]) else 2
+    return 0 if report.converged and not q["nonbijective"] else 2
 
 
 def cmd_check(args) -> int:

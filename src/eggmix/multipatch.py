@@ -337,31 +337,3 @@ def build_restriction(topology: PatchTopology) -> RestrictionOperator:
     mat = sparse.csr_matrix((vals, (rows, cols)),
                             shape=(topology.n_sigbar, topology.n_tilde))
     return RestrictionOperator(matrix=mat, weights=weights)
-
-
-def multipatch_solve(topology, boundary_data, config=None, *, mode="full",
-                     chi=0.5, mu=1e-4, initial="transfinite"):
-    """Build the mixed system on a topology and run the Newton-Krylov solve.
-
-    ``boundary_data`` maps (patch index, face name) to coefficient arrays for
-    every unglued face. Returns (list of per-patch SplineMaps, report).
-    """
-    from .assembly import MixedSystem, boundary_values_from_faces
-    from .solver import SolverConfig, newton_solve, transfinite_global, folded_initial_guess
-
-    config = config or SolverConfig()
-    bvals = boundary_values_from_faces(topology, boundary_data)
-    system = MixedSystem(topology, bvals, mode=mode, chi=chi, mu=mu)
-    if isinstance(initial, str):
-        c_full = transfinite_global(system)
-        if initial == "folded":
-            c_full = folded_initial_guess(system, c_full)
-        elif initial != "transfinite":
-            raise InputError(f"unknown initial guess {initial!r}")
-        c0 = c_full[topology.inner_indices]
-    else:
-        c0 = np.asarray(initial, dtype=float)
-    c_final, report = newton_solve(system, c0, config)
-    control = system.full_control_net(c_final)
-    maps = [topology.patch_map(i, control) for i in range(topology.n_patches)]
-    return maps, report

@@ -27,6 +27,13 @@ therefore always a residual measured at an accepted iterate, never a step
 inferred from a possibly failed GMRES solve, and a start that already meets
 the test returns after 0 Newton steps (Kelley, Iterative Methods for Linear
 and Nonlinear Equations, SIAM 1995, sections 5.2 and 8.2).
+
+A solve that does not converge is not an error: ``newton_solve`` returns the
+last accepted iterate with a report that says why it stopped (the step
+limit, or a line search without descent). ``build_system_hierarchy`` builds
+the nested systems of a coarse-to-fine solve; the level loop that runs
+``newton_solve`` on them is :func:`eggmix.io_cli.solve`, the one entry of
+the command line and the library.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -99,8 +106,21 @@ def fd_epsilon(state_norm: float, dir_norm: float) -> float:
     return SQRT_EPS * (1.0 + state_norm) / max(dir_norm, FD_FLOOR)
 
 
+# the fields a multi-level report takes from its last level
+LAST_LEVEL_FIELDS = ("converged", "stagnated", "final_residual")
+
+
 @dataclass
 class SolverReport:
+    """Why a Newton-Krylov solve stopped and what it cost.
+
+    A solve that stops short of the tolerance has ``converged`` False, with
+    ``stagnated`` True when the line search found no descent along its last
+    step and False when ``max_newton`` ran out. ``residual_norms`` and
+    ``min_denominators`` hold one entry per iterate, the other lists one per
+    Newton step; ``rn_evals`` counts ``eval_RN`` calls. A solve over several
+    levels reports in the form of :meth:`merge`.
+    """
     converged: bool = False
     stagnated: bool = False
     newton_iterations: int = 0
@@ -118,6 +138,27 @@ class SolverReport:
     wall_time: float = 0.0
     final_residual: float = np.nan
     levels: list = field(default_factory=list)
+
+    @classmethod
+    def merge(cls, reports):
+        """The report of a solve that ran ``reports`` in turn, one per level:
+        every list concatenated over the levels, ``LAST_LEVEL_FIELDS`` from
+        the last level, every other field summed, and the reports themselves
+        in ``levels``. A single report is its own merge."""
+        if len(reports) == 1:
+            return reports[0]
+        merged = {}
+        for f in fields(cls):
+            values = [getattr(r, f.name) for r in reports]
+            if f.name == "levels":
+                merged[f.name] = list(reports)
+            elif f.name in LAST_LEVEL_FIELDS:
+                merged[f.name] = values[-1]
+            elif isinstance(values[0], list):
+                merged[f.name] = [v for vs in values for v in vs]
+            else:
+                merged[f.name] = sum(values)
+        return cls(**merged)
 
     def to_dict(self):
         # wall_time is deliberately left out: solution files must be
@@ -235,7 +276,8 @@ def _line_search(residual_norm_of, r_old: float):
     """Backtracking on the residual norm; returns (nu, new_norm, probes).
 
     Accepts the first nu with ||R_new|| <= (1 - LS_DECREASE * nu) ||R_old||;
-    raises StagnationError below the nu floor LS_MIN_NU.
+    raises StagnationError below the nu floor LS_MIN_NU, which
+    ``newton_solve`` reports as a stagnated solve.
     """
     nu = 1.0
     probes = 0
@@ -256,8 +298,10 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     ``initial`` is a SplineMap (single patch; its inner control points seed
     the iteration and receive the solution on success) or an inner
     coefficient array. Returns ``(c_final, report)`` with c in the flat
-    (x..., y...) layout. Bijectivity of the start is not required. Raises
-    InputError when the residual scale is zero (all boundary points
+    (x..., y...) layout: the converged iterate, or the last accepted one
+    when the solve stagnates or runs out of ``max_newton`` steps (see
+    :class:`SolverReport`). Bijectivity of the start is not required.
+    Raises InputError when the residual scale is zero (all boundary points
     coincide).
     """
     config = config or SolverConfig()
@@ -325,13 +369,10 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
 
         try:
             nu, _, probes = _line_search(trial_norm, state.r_norm)
-        except StagnationError as exc:
-            report.rn_evals = system.rn_eval_count - rn0
-            report.wall_time = time.perf_counter() - t0
-            report.final_residual = state.r_norm
+        except StagnationError:
+            # no descent along this step: the last accepted iterate stands
             report.stagnated = True
-            raise StagnationError(str(exc), report=report, state=(d, c),
-                                  system=system) from None
+            break
         report.line_search_evals += probes
         report.nu_values.append(nu)
         d = d + nu * delta_d
@@ -400,7 +441,7 @@ def folded_initial_guess(system: MixedSystem, c_full=None):
     return net
 
 
-# -- coarse-to-fine continuation -------------------------------------------------
+# -- nested hierarchy ----------------------------------------------------------
 
 @dataclass
 class HierarchyLevel:
@@ -428,8 +469,9 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
                            mode="full", chi=0.5, mu=1e-4):
     """Nested systems from ``levels`` global refinements of a root topology.
 
-    The root is the coarsest level; boundary data refines exactly through the
-    prolongation (clamped edge rows only mix edge coefficients).
+    The root is the coarsest level, and ``levels`` = 0 gives the root
+    system alone; boundary data refines exactly through the prolongation
+    (clamped edge rows only mix edge coefficients).
     """
     out = [HierarchyLevel(MixedSystem(topology, boundary_values,
                                       mode=mode, chi=chi, mu=mu))]
@@ -449,42 +491,3 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
         out.append(HierarchyLevel(sysf, make_prolong(topo, topo_f, prol)))
         topo = topo_f
     return out
-
-
-def coarse_to_fine_solve(hierarchy, initial, config: SolverConfig | None = None):
-    """Solve coarse-to-fine, prolonging only the c-component and recomputing
-    the auxiliary part by L2 projection at each level.
-
-    Returns ``(c_final, report)`` on the finest level; per-level reports are
-    collected in ``report.levels``.
-    """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    c = initial
-    reports = []
-    for k, level in enumerate(hierarchy):
-        if k > 0:
-            net = hierarchy[k - 1].system.full_control_net(c)
-            net_f = level.prolong(net)
-            c = level.system.net_as_c(net_f[level.system.topology.inner_indices])
-        c, rep = newton_solve(level.system, c, config)
-        reports.append(rep)
-    final = reports[-1]
-    out = SolverReport(
-        converged=all(r.converged for r in reports),
-        newton_iterations=sum(r.newton_iterations for r in reports),
-        residual_norms=final.residual_norms,
-        step_norms=final.step_norms,
-        nu_values=final.nu_values,
-        gmres_iterations=final.gmres_iterations,
-        gmres_matvecs=final.gmres_matvecs,
-        gmres_converged=final.gmres_converged,
-        gmres_residuals=final.gmres_residuals,
-        forcing_terms=final.forcing_terms,
-        min_denominators=final.min_denominators,
-        rn_evals=sum(r.rn_evals for r in reports),
-        line_search_evals=sum(r.line_search_evals for r in reports),
-        wall_time=time.perf_counter() - t0,
-        final_residual=final.final_residual,
-        levels=reports)
-    return c, out

@@ -10,9 +10,9 @@ import eggmix.solver
 from eggmix.assembly import MixedSystem, boundary_values_from_faces
 from eggmix.errors import InputError
 from eggmix.geometries import build_bat, build_quarter_annulus
-from eggmix.io_cli import parse_geometry
+from eggmix.io_cli import parse_geometry, solve
 from eggmix.solver import EW_ETA_MAX, NewtonState, SolverConfig, \
-    build_system_hierarchy, coarse_to_fine_solve, forcing_term, newton_solve
+    build_system_hierarchy, forcing_term, newton_solve
 
 from conftest import start
 
@@ -97,13 +97,15 @@ def test_forcing_terms_reported(capsys):
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
     hier = build_system_hierarchy(geo.topology, bv, 1)
     cfg = SolverConfig(verbose=True)
-    c, rep = coarse_to_fine_solve(hier, start(hier[0].system), cfg)
+    _, c, rep = solve(hier, "transfinite", cfg)
     assert rep.converged
     fine = rep.levels[-1]
-    assert rep.forcing_terms == fine.forcing_terms
     assert len(fine.forcing_terms) == fine.newton_iterations
+    # a multi-level report concatenates its levels' lists
+    assert rep.forcing_terms == [eta for lv in rep.levels
+                                 for eta in lv.forcing_terms]
     d = rep.to_dict()
-    assert d["forcing_terms"] == fine.forcing_terms
+    assert d["forcing_terms"] == rep.forcing_terms
     assert [lv["forcing_terms"] for lv in d["levels"]] == \
         [lv.forcing_terms for lv in rep.levels]
     assert "wall_time" not in d

@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -423,7 +425,7 @@ def test_check_refuses_coincident_boundary_points(tmp_path, capsys):
 
 
 def test_restart_builds_one_system(tmp_path, monkeypatch):
-    import eggmix.io_cli
+    import eggmix.solver
     from eggmix.assembly import MixedSystem
     from eggmix.solver import SolverConfig, newton_solve
     start = tmp_path / "tp.solution.json"
@@ -436,7 +438,8 @@ def test_restart_builds_one_system(tmp_path, monkeypatch):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(eggmix.io_cli, "MixedSystem", CountingSystem)
+    # build_system_hierarchy builds the systems of a solve
+    monkeypatch.setattr(eggmix.solver, "MixedSystem", CountingSystem)
     out = tmp_path / "restart.solution.json"
     assert run_cli("solve", bundled_path("two_patch_square"), "--initial",
                    "file", "--initial-file", start, "--out", out) == 0
@@ -605,6 +608,17 @@ def test_malformed_solution_nets_exit_1(damage, tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("levels", [0, 1])
+def test_initial_file_on_another_basis_exits_1(square_solution, levels,
+                                               tmp_path, capsys):
+    out = tmp_path / "bat.solution.json"
+    assert run_cli("solve", bundled_path("bat"), "--initial", "file",
+                   "--initial-file", square_solution, "--coarse-levels",
+                   levels, "--out", out) == 1
+    assert "start control net has shape (36, 2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_object_solution_file_exits_1(tmp_path):
     p = tmp_path / "list.solution.json"
     p.write_text("[1, 2]")
@@ -650,3 +664,93 @@ def test_quality_matches_two_pass_report(case, tmp_path, capsys):
     assert run_cli("quality", path) == 0
     assert capsys.readouterr().out == two_pass_quality_text(maps)
 
+
+def _true_patch_b(doc):
+    doc["interfaces"][0]["patch_b"] = True
+
+
+def _true_degree(doc):
+    doc["patches"][0]["degree_xi"] = True
+
+
+def _true_version(doc):
+    doc["version"] = True
+
+
+@pytest.mark.parametrize("doc, damage, pointer", [
+    (build_two_patch_square(), _true_patch_b, "/interfaces/0/patch_b"),
+    (build_square(degree=1), _true_degree, "/patches/0/degree_xi"),
+    (build_square(), _true_version, "/version")],
+    ids=["patch_b", "degree_xi", "version"])
+def test_json_booleans_are_not_integers(doc, damage, pointer, tmp_path, capsys):
+    # JSON true loads as a Python bool, which counts as the integer 1
+    damage(doc)
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", p) == 1
+    assert f"error: {pointer}: " in capsys.readouterr().out
+    out = tmp_path / "bool.solution.json"
+    assert run_cli("solve", p, "--out", out) == 1
+    assert pointer in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_files_take_the_mode_of_open(tmp_path):
+    umask = os.umask(0o022)
+    try:
+        sol = tmp_path / "square.solution.json"
+        assert run_cli("solve", bundled_path("square"), "--out", sol) == 0
+        outs = [sol]
+        for fmt in ("vtk", "svg", "csv"):
+            outs.append(tmp_path / f"square.{fmt}")
+            assert run_cli("sample", sol, "--format", fmt,
+                           "--out", outs[-1]) == 0
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w", encoding="utf-8") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(umask)
+    want = stat.S_IMODE(plain.stat().st_mode)
+    assert want == 0o644
+    assert {o.name: stat.S_IMODE(o.stat().st_mode) for o in outs} == \
+        {o.name: want for o in outs}
+
+
+def test_stalled_level_ends_a_coarse_to_fine_run(tmp_path, monkeypatch):
+    # the quarter annulus takes 3 Newton steps on each of its two levels;
+    # the square's start is already exact, so it would never line-search
+    import eggmix.solver
+    from eggmix.errors import StagnationError
+    systems = []
+    newton_solve = eggmix.io_cli.newton_solve
+    line_search = eggmix.solver._line_search
+
+    def level_newton(system, *args, **kwargs):
+        systems.append(system)
+        return newton_solve(system, *args, **kwargs)
+
+    def stall_on_level_1(*args):
+        if len(systems) == 2:
+            raise StagnationError("stalled")
+        return line_search(*args)
+
+    monkeypatch.setattr(eggmix.io_cli, "newton_solve", level_newton)
+    monkeypatch.setattr(eggmix.solver, "_line_search", stall_on_level_1)
+    out = tmp_path / "qa.solution.json"
+    assert run_cli("solve", bundled_path("quarter_annulus"),
+                   "--coarse-levels", 1, "--out", out) == 2
+    sol = load_solution(out)
+    fine = systems[1].topology
+    assert [len(net) for net in sol["control_nets"]] == \
+        [tb.dim for tb in fine.bases]
+    rep = sol["report"]
+    assert rep["stagnated"] and not rep["converged"] and not sol["converged"]
+    levels = rep["levels"]
+    assert len(levels) == 2
+    assert levels[0]["converged"] and levels[1]["stagnated"]
+    assert [lv["newton_iterations"] for lv in levels] == [3, 1]
+    for key in ("newton_iterations", "rn_evals", "line_search_evals"):
+        assert rep[key] == sum(lv[key] for lv in levels), key
+    for key in ("residual_norms", "gmres_iterations", "nu_values"):
+        assert rep[key] == [v for lv in levels for v in lv[key]], key
+    assert rep["final_residual"] == levels[1]["final_residual"]

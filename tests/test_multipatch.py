@@ -7,15 +7,26 @@ from scipy.sparse.linalg import splu
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.errors import InputError, KnotMismatchError, ModeError
-from eggmix.io_cli import parse_geometry
+from eggmix.io_cli import parse_geometry, solve
 from eggmix.geometries import build_bat, build_two_patch_square
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, Interface, build_restriction, \
-    build_topology, multipatch_solve, single_patch_topology
+    build_topology, single_patch_topology
 from eggmix.solver import SolverConfig, build_system_hierarchy, newton_solve
 from eggmix.splines import TensorBasis, uniform_knots
 
 from oracles import constant_blocks
+
+
+def solved_maps(topology, boundary_data, config):
+    """Per-patch maps of the direct solve from the transfinite start, and its
+    report."""
+    bvals = boundary_values_from_faces(topology, boundary_data)
+    system, c, rep = solve(build_system_hierarchy(topology, bvals, 0),
+                           "transfinite", config)
+    control = system.full_control_net(c)
+    return [topology.patch_map(i, control)
+            for i in range(topology.n_patches)], rep
 
 
 def linear_patch(ne=1):
@@ -330,7 +341,7 @@ def test_reversed_interface_two_patch_rectangle():
     topo, boundary = reversed_rectangle()
     tb = topo.bases[0]
     assert topo.n_sigma == 2 * tb.dim - tb.n_eta
-    maps, rep = multipatch_solve(topo, boundary, SolverConfig(newton_tol=1e-10))
+    maps, rep = solved_maps(topo, boundary, SolverConfig(newton_tol=1e-10))
     assert rep.converged
     ts = np.linspace(0, 1, 17)
     for p, m in enumerate(maps):
@@ -346,8 +357,8 @@ def test_reversed_interface_two_patch_rectangle():
 
 def test_two_patch_square_solves_to_identity():
     geo = parse_geometry(build_two_patch_square())
-    maps, rep = multipatch_solve(geo.topology, geo.boundary_data,
-                                 SolverConfig(newton_tol=1e-10))
+    maps, rep = solved_maps(geo.topology, geo.boundary_data,
+                            SolverConfig(newton_tol=1e-10))
     assert rep.converged
     ts = np.linspace(0, 1, 21)
     for p, m in enumerate(maps):
@@ -373,8 +384,8 @@ def test_interface_continuity_of_solved_maps(bat_solved):
 def test_affine_equivariance_under_rigid_motion():
     doc = build_bat(2, 4, 4, 4)
     geo = parse_geometry(doc)
-    maps0, rep0 = multipatch_solve(geo.topology, geo.boundary_data,
-                                   SolverConfig(newton_tol=1e-9))
+    maps0, rep0 = solved_maps(geo.topology, geo.boundary_data,
+                              SolverConfig(newton_tol=1e-9))
     th = 0.7
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     t = np.array([0.3, -1.1])
@@ -382,7 +393,7 @@ def test_affine_equivariance_under_rigid_motion():
                for tb, am in zip(geo.topology.bases, geo.topology.maps)]
     topo_r = build_topology(patches, geo.topology.interfaces)
     bd_r = {k: v @ R.T + t for k, v in geo.boundary_data.items()}
-    maps1, rep1 = multipatch_solve(topo_r, bd_r, SolverConfig(newton_tol=1e-9))
+    maps1, rep1 = solved_maps(topo_r, bd_r, SolverConfig(newton_tol=1e-9))
     assert rep0.converged and rep1.converged
     for m0, m1 in zip(maps0, maps1):
         np.testing.assert_allclose(m1.control, m0.control @ R.T + t, atol=1e-9)

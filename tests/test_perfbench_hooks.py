@@ -1,10 +1,15 @@
 """The benchmark's tracer (perfbench/tracing.py) finds every eggmix name it
 hooks, and its layer table (perfbench/layers.py) derives every per-layer
-metric that BENCHMARK.json declares, on one short traced CLI session."""
+metric that BENCHMARK.json declares, on one short traced CLI session. The
+benchmark's worker (perfbench/worker.py) ends each set-up measurement at the
+first call of ``eggmix.io_cli.newton_solve``, so every solve must enter
+Newton through that name."""
 
 import json
 import pathlib
 import sys
+
+import pytest
 
 import eggmix.io_cli
 from eggmix.geometries import path as bundled_path
@@ -45,3 +50,21 @@ def test_traced_cli_derives_every_per_layer_metric(tmp_path, monkeypatch):
     for name in ("io_cli.post_s", "io_cli.write_s", "multipatch.topology_s",
                  "mapping.bijectivity_s", "mapping.winslow_s"):
         assert metrics[name] > 0.0, name
+
+
+@pytest.mark.parametrize("levels, entries", [(0, 1), (1, 2)])
+def test_every_level_enters_newton_through_io_cli(levels, entries, tmp_path,
+                                                  monkeypatch):
+    calls = []
+    newton_solve = eggmix.io_cli.newton_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(eggmix.io_cli, "newton_solve", counting)
+    out = tmp_path / "qa.solution.json"
+    assert eggmix.io_cli.main(["solve", str(bundled_path("quarter_annulus")),
+                               "--coarse-levels", str(levels),
+                               "--out", str(out)]) == 0
+    assert len(calls) == entries
