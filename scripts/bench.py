@@ -26,8 +26,12 @@ factors of the frozen Laplacian (``MixedSystem._laplacian_factors``) of the
 finest system, next to the DOF count, the interface DOF count, the element
 count and the pattern's nonzero count. A kernel case builds the
 finest system of a hierarchy at its start iterate, without solving, and
-records the median milliseconds of ``eval_RN``, ``laplace_preconditioner``,
-``eval_RL_tilde`` and ``apply_ainv_b`` over repeated calls.
+records the median milliseconds over repeated calls of ``eval_RN``,
+``eval_RL_tilde``, ``apply_ainv_b`` and of the preconditioner in three
+parts: the assembly of K (``frozen_laplacian``), the factor (the
+``laplace_preconditioner`` build given an assembled K) and one apply to
+both components; ``build_plus_six_applies_ms`` adds the three as one
+Newton step of six GMRES iterations pays them.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -91,6 +95,7 @@ SETUP_CASES = {
 # key -> (geometry, mode, h-refinement level, folded start, calls timed)
 KERNEL_CASES = {
     "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
+    "bat-folded-L3-kernels": ("bat", "full", 3, True, 5),
 }
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
@@ -258,28 +263,35 @@ def run_kernel_case(key):
     name, mode, level, folded, calls = KERNEL_CASES[key]
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
-    system.laplace_preconditioner(c0)  # builds the Laplacian pattern and factors
-    rn_s, precond_s, rl_s, ainv_s = [], [], [], []
+    y = np.random.default_rng(0).standard_normal(system.c_size)
+    K = system.frozen_laplacian(c0)  # builds the Laplacian pattern and factors
+    # the preconditioner build without the assembly of K: the factor alone
+    system.frozen_laplacian = lambda c: K
+    times = {k: [] for k in ("eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
+                             "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms")}
     for _ in range(calls):
         t0 = time.perf_counter()
         system.eval_RN(d0, c0)
         t1 = time.perf_counter()
-        system.laplace_preconditioner(c0)
+        MixedSystem.frozen_laplacian(system, c0)
         t2 = time.perf_counter()
-        system.eval_RL_tilde(d0, c0)
+        precond = system.laplace_preconditioner(c0)
         t3 = time.perf_counter()
+        precond(y)
+        t4 = time.perf_counter()
+        system.eval_RL_tilde(d0, c0)
+        t5 = time.perf_counter()
         system.apply_ainv_b(c0)
-        ainv_s.append(time.perf_counter() - t3)
-        rl_s.append(t3 - t2)
-        precond_s.append(t2 - t1)
-        rn_s.append(t1 - t0)
+        t6 = time.perf_counter()
+        for k, t, u in zip(times, (t0, t1, t2, t3, t4, t5), (t1, t2, t3, t4, t5, t6)):
+            times[k].append(u - t)
+    ms = {k: 1e3 * float(np.median(v)) for k, v in times.items()}
     return {
         "n_sigma": system.topology.n_sigma,
         "calls": calls,
-        "eval_rn_ms": 1e3 * float(np.median(rn_s)),
-        "laplace_preconditioner_ms": 1e3 * float(np.median(precond_s)),
-        "eval_rl_ms": 1e3 * float(np.median(rl_s)),
-        "apply_ainv_b_ms": 1e3 * float(np.median(ainv_s)),
+        **ms,
+        "build_plus_six_applies_ms": ms["frozen_laplacian_ms"] + ms["precond_factor_ms"]
+        + 6 * ms["precond_apply_ms"],
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 
@@ -343,10 +355,11 @@ def main(argv=None):
     for key in KERNEL_CASES:
         cases[key] = run_child(key)
         r = cases[key]
-        print(f"{key:24s} eval_RN {r['eval_rn_ms']:7.2f} ms  precond "
-              f"{r['laplace_preconditioner_ms']:7.2f} ms  R_L {r['eval_rl_ms']:6.3f} ms  "
-              f"A^-1 B {r['apply_ainv_b_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
-              file=sys.stderr)
+        print(f"{key:24s} eval_RN {r['eval_rn_ms']:7.2f} ms  K "
+              f"{r['frozen_laplacian_ms']:7.2f} ms  factor "
+              f"{r['precond_factor_ms']:7.2f} ms  apply {r['precond_apply_ms']:6.2f} ms  "
+              f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
+              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,

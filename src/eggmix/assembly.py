@@ -10,8 +10,9 @@ univariate integral factors. The coupled auxiliary mass is solved exactly by
 static condensation onto the auxiliary DOFs that patches share (banded
 Kronecker solves on each patch's remaining tensor range, one dense Cholesky
 factor on the shared DOFs), and the frozen-metric Laplacian that
-preconditions the Schur GMRES is summed from univariate pair factors. A
-single patch is a 1-patch topology on the same code path.
+preconditions the Schur GMRES is summed from univariate pair factors and
+factored by banded Cholesky, in a bandwidth-reducing order fixed once per
+system. A single patch is a 1-patch topology on the same code path.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse import csgraph
 
 from .errors import CornerMismatchError, InputError, ModeError
-from .linalg import KronSolver
+from .linalg import Banded1DCholesky, KronSolver
 from .multipatch import PatchTopology, single_patch_topology
 from .splines import KnotVector, TensorBasis, gauss_legendre
 
@@ -266,15 +267,49 @@ def _patch_metric_map(ia):
                       ia[a, 1] * ia[b, 1]] for a, b in PAIRINGS])
 
 
+def _band_layout(indices, indptr):
+    """Band ordering of a symmetric CSR pattern on n unknowns: of the
+    natural order and the reverse Cuthill-McKee order (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981), the
+    one with the smaller bandwidth, the natural one on a tie. Neither wins
+    everywhere: RCM narrows the multipatch band, whose interface DOFs come
+    last in the natural order, and widens a single patch's, whose natural
+    order is the tensor order. Returns ``(order, bandwidth, places)``:
+    ``order[k]`` is the unknown in band row k, and ``places`` the flat
+    position of every pattern entry in the Fortran-ordered (bandwidth + 1,
+    n) lower band storage of the reordered matrix, (bandwidth + 1) n for an
+    entry above the diagonal."""
+    n = len(indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    graph = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    best = None
+    # csgraph has no ordering of an empty graph
+    candidates = [np.arange(n)] + (
+        [csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] if n else [])
+    for order in candidates:
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        r, s = rank[rows], rank[indices]
+        bandwidth = int(np.abs(r - s).max(initial=0))
+        if best is None or bandwidth < best[1]:
+            best = order, bandwidth, r, s
+    order, bandwidth, r, s = best
+    places = np.where(r >= s, s * (bandwidth + 1) + r - s, (bandwidth + 1) * n)
+    return order, bandwidth, places
+
+
 @dataclass
 class _LaplacianFactors:
-    """Fixed CSR pattern of the frozen Laplacian and the pair factors of
-    every patch, see :meth:`MixedSystem._laplacian_factors`."""
+    """Fixed CSR pattern of the frozen Laplacian, its band layout and the
+    pair factors of every patch, see :meth:`MixedSystem._laplacian_factors`."""
     indices: np.ndarray     # (nnz,) int32 CSR column indices
     indptr: np.ndarray      # (n_inner + 1,) int32 CSR row pointers
     positions: np.ndarray   # CSR data position of every patch entry, nnz if dropped
     x: list                 # per patch, block-diagonal xi factors (4 |S_xi|, 4 n_xi)
     y: list                 # per patch, side-by-side eta factors (|S_eta|, 4 n_eta)
+    order: np.ndarray       # (n_inner,) inner index of every band row
+    bandwidth: int
+    band_places: np.ndarray  # (nnz,) band storage place of every CSR entry
 
 
 @dataclass
@@ -645,8 +680,8 @@ class MixedSystem:
     def _laplacian_factors(self):
         """Pair factors of every patch (:func:`_pair_factors`, the xi factors
         block-diagonal in the order of ``PAIRINGS``, the eta factors side by
-        side) and the fixed CSR pattern of the inner primal couplings, built
-        on first use.
+        side), the fixed CSR pattern of the inner primal couplings and its
+        band layout (:func:`_band_layout`), built on first use.
 
         The couplings of a patch are S_xi x S_eta: functions (i1, i2) and
         (j1, j2) share an element exactly when (i1, j1) is in S_xi and
@@ -674,10 +709,12 @@ class MixedSystem:
         pattern, positions = np.unique(np.concatenate(keys + [[n * n]]),
                                        return_inverse=True)
         pattern = pattern[:-1]
-        indptr = np.searchsorted(pattern // n, np.arange(n + 1))
+        indices = (pattern % n).astype(np.int32)
+        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
+        order, bandwidth, band_places = _band_layout(indices, indptr)
         return _LaplacianFactors(
-            indices=(pattern % n).astype(np.int32), indptr=indptr.astype(np.int32),
-            positions=positions[:-1], x=xs, y=ys)
+            indices=indices, indptr=indptr, positions=positions[:-1], x=xs, y=ys,
+            order=order, bandwidth=bandwidth, band_places=band_places)
 
     def frozen_laplacian(self, c):
         """Frozen-metric Laplacian on the inner primal basis at the iterate c:
@@ -726,18 +763,24 @@ class MixedSystem:
     def laplace_preconditioner(self, c):
         """P^-1 for the Schur operator at the iterate c, with P = -K on each
         component (K from :meth:`frozen_laplacian`): a callable taking and
-        returning vectors in the (x..., y...) layout. K is factored once by
-        a sparse LU with a fill-reducing symmetric ordering (it is SPD, so
-        without pivoting) and both components are solved in one call. K is
-        symmetric, so its CSR arrays are handed to the LU as CSC unchanged."""
+        returning vectors in the (x..., y...) layout. K is SPD, so its CSR
+        data is scattered into lower band storage in the band order of
+        :meth:`_laplacian_factors` and factored by one banded Cholesky; both
+        components are solved as two columns of one banded solve. Raises
+        FactorizationError when K is not SPD."""
         K = self.frozen_laplacian(c)
-        lu = splu(sparse.csc_matrix((K.data, K.indices, K.indptr), shape=K.shape),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        n = self.n_inner
+        lf = self._laplacian_factors
+        n, width = self.n_inner, lf.bandwidth + 1
+        band = np.zeros(width * n + 1)      # the last slot takes the upper entries
+        band[lf.band_places] = K.data
+        chol = Banded1DCholesky.from_band(band[:-1].reshape(n, width).T)
+        order = lf.order
 
         def apply(y):
-            return -lu.solve(np.reshape(y, (2, n)).T).T.ravel()
+            z = chol.solve(np.reshape(y, (2, n))[:, order].T, overwrite=True)
+            out = np.empty((2, n))
+            out[:, order] = z.T
+            return np.negative(out, out=out).ravel()
         return apply
 
     # -- A^-1 products -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Structured linear algebra: banded Cholesky factors for univariate mass
-matrices, Kronecker-product solves for the tensor blocks of the auxiliary
-mass, and a restarted GMRES used for the Schur-complement systems."""
+matrices and for the frozen-metric Laplacian, Kronecker-product solves for
+the tensor blocks of the auxiliary mass, and a restarted GMRES used for the
+Schur-complement systems."""
 
 from __future__ import annotations
 
@@ -8,13 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import FactorizationError, InputError
 
 
 class Banded1DCholesky:
-    """Lower banded Cholesky factor of an SPD banded matrix.
+    """Lower banded Cholesky factor of an SPD banded matrix, by one LAPACK
+    ``pbtrf`` call.
 
     The factor is computed once and never mutated; solves are reentrant.
     """
@@ -28,15 +30,33 @@ class Banded1DCholesky:
         n = M.shape[0]
         nz = np.nonzero(M)
         bw = int(np.abs(nz[0] - nz[1]).max()) if nz[0].size else 0
-        ab = np.zeros((bw + 1, n))
+        ab = np.zeros((bw + 1, n), order="F")
         for d in range(bw + 1):
             ab[d, : n - d] = np.diagonal(M, -d)
-        try:
-            cb = scipy.linalg.cholesky_banded(ab, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise FactorizationError(f"matrix is not SPD: {exc}") from exc
-        self.n = n
-        self.bandwidth = bw
+        self._factor(ab)
+
+    @classmethod
+    def from_band(cls, ab):
+        """Factor of the SPD matrix M given by its lower band storage,
+        ``ab[d, j] = M[j + d, j]`` (the LAPACK layout, zero past the last
+        row). A Fortran-ordered float ``ab`` is factored in place."""
+        chol = cls.__new__(cls)
+        chol._factor(ab)
+        return chol
+
+    def _factor(self, ab):
+        cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise InputError(f"pbtrf rejected argument {-info}")
+        if info > 0:
+            raise FactorizationError(
+                f"matrix is not SPD: the leading minor of order {info} is "
+                "not positive")
+        # NaN passes the pivot test of pbtrf and spreads to the diagonal
+        if not np.isfinite(cb[0]).all():
+            raise FactorizationError("matrix is not finite")
+        self.n = cb.shape[1]
+        self.bandwidth = cb.shape[0] - 1
         self._cb = cb
         cb.setflags(write=False)
 
@@ -44,6 +64,9 @@ class Banded1DCholesky:
         """Solve M x = rhs for a vector or the columns of a matrix, by one
         LAPACK ``pbtrs`` call. With ``overwrite`` a Fortran-ordered float
         ``rhs`` is solved in place."""
+        if self.n == 0:
+            # LAPACK refuses the leading dimension 0 of an empty rhs
+            return np.array(rhs, dtype=float)
         x, info = dpbtrs(self._cb, rhs, lower=1, overwrite_b=overwrite)
         if info:
             raise InputError(f"pbtrs rejected argument {-info}")
@@ -114,6 +137,8 @@ def gmres(matvec, rhs, tol: float = 1e-3, restart: int = 50,
     iteration exhaustion the best iterate found so far is returned with
     ``converged`` reflecting the final residual estimate.
     """
+    if restart < 1:
+        raise InputError(f"restart must be at least 1, got {restart}")
     rhs = np.asarray(rhs, dtype=float)
     n = len(rhs)
     bnorm = float(np.linalg.norm(rhs))

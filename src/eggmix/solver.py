@@ -8,13 +8,13 @@ once with the system (a single patch has no shared DOFs, so it takes the
 plain Kronecker solve); all auxiliary fields are solved in one batched
 call. The Schur operator is applied by finite differencing the nonlinear
 residual only. GMRES solves the Schur equation right-preconditioned by the
-frozen-metric Laplacian of the current iterate (its principal part,
-sparse-LU factored once per Newton step), so its stopping test stays on the
-true Schur residual. Its relative
-tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17 (1996),
-with Kelley's safeguard): ``gmres_tol`` for the first Newton step, then
-loose while the residual falls slowly and back down to ``gmres_tol`` in the
-fast local phase. A backtracking line search on the residual norm globalizes
+frozen-metric Laplacian of the current iterate (its principal part, factored
+once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
+once per system), so its stopping test stays on the true Schur residual. Its
+relative tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17
+(1996), with Kelley's safeguard): ``gmres_tol`` for the first Newton step,
+then loose while the residual falls slowly and back down to ``gmres_tol`` in
+the fast local phase. A backtracking line search on the residual norm globalizes
 the iteration; the probe it accepts becomes the next iterate's state, so its
 residual is not evaluated twice.
 
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -79,9 +80,11 @@ class SolverConfig:
     Newton steps. ``gmres_tol`` is the first and the smallest forcing term:
     the relative GMRES tolerance of the first Newton step and the floor of
     every later one (see ``forcing_term``). ``gmres_restart`` and
-    ``gmres_max_iter`` bound each GMRES solve. ``verbose`` writes one JSON
-    line per Newton step to stderr. The line-search and finite-difference
-    constants are module constants (``LS_*``, ``FD_FLOOR``).
+    ``gmres_max_iter`` bound each GMRES solve; these two and ``max_newton``
+    are integers of at least 1. ``verbose`` writes one JSON line per Newton
+    step to stderr, with the seconds of each phase in ``TIMED_PHASES``. The
+    line-search and finite-difference constants are module constants
+    (``LS_*``, ``FD_FLOOR``).
     """
     newton_tol: float = 1e-8
     max_newton: int = 50
@@ -98,6 +101,11 @@ class SolverConfig:
         # at 1 or above GMRES returns the zero step, which reads as converged
         if self.gmres_tol > EW_ETA_MAX:
             raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
+        for name in ("max_newton", "gmres_restart", "gmres_max_iter"):
+            v = getattr(self, name)
+            # bool is an Integral too
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise InputError(f"{name} must be an integer of at least 1, got {v!r}")
 
 
 def fd_epsilon(state_norm: float, dir_norm: float) -> float:
@@ -108,6 +116,8 @@ def fd_epsilon(state_norm: float, dir_norm: float) -> float:
 
 # the fields a multi-level report takes from its last level
 LAST_LEVEL_FIELDS = ("converged", "stagnated", "final_residual")
+# the phases of a Newton step that SolverReport.timings sums, in seconds
+TIMED_PHASES = ("precond_s", "gmres_s", "line_search_s")
 
 
 @dataclass
@@ -118,8 +128,10 @@ class SolverReport:
     ``stagnated`` True when the line search found no descent along its last
     step and False when ``max_newton`` ran out. ``residual_norms`` and
     ``min_denominators`` hold one entry per iterate, the other lists one per
-    Newton step; ``rn_evals`` counts ``eval_RN`` calls. A solve over several
-    levels reports in the form of :meth:`merge`.
+    Newton step; ``rn_evals`` counts ``eval_RN`` calls. ``timings`` sums
+    the seconds of each phase in ``TIMED_PHASES`` over the Newton steps: the
+    preconditioner build, the GMRES solve and the line search. A solve over
+    several levels reports in the form of :meth:`merge`.
     """
     converged: bool = False
     stagnated: bool = False
@@ -136,6 +148,7 @@ class SolverReport:
     rn_evals: int = 0
     line_search_evals: int = 0
     wall_time: float = 0.0
+    timings: dict = field(default_factory=lambda: dict.fromkeys(TIMED_PHASES, 0.0))
     final_residual: float = np.nan
     levels: list = field(default_factory=list)
 
@@ -143,8 +156,8 @@ class SolverReport:
     def merge(cls, reports):
         """The report of a solve that ran ``reports`` in turn, one per level:
         every list concatenated over the levels, ``LAST_LEVEL_FIELDS`` from
-        the last level, every other field summed, and the reports themselves
-        in ``levels``. A single report is its own merge."""
+        the last level, every other field summed (``timings`` phase by
+        phase), and the reports themselves in ``levels``. A single report is its own merge."""
         if len(reports) == 1:
             return reports[0]
         merged = {}
@@ -156,13 +169,15 @@ class SolverReport:
                 merged[f.name] = values[-1]
             elif isinstance(values[0], list):
                 merged[f.name] = [v for vs in values for v in vs]
+            elif isinstance(values[0], dict):
+                merged[f.name] = {k: sum(v[k] for v in values) for k in values[0]}
             else:
                 merged[f.name] = sum(values)
         return cls(**merged)
 
     def to_dict(self):
-        # wall_time is deliberately left out: solution files must be
-        # byte-identical across runs with identical inputs
+        # wall_time and timings are deliberately left out: solution files
+        # must be byte-identical across runs with identical inputs
         out = {
             "converged": bool(self.converged),
             "stagnated": bool(self.stagnated),
@@ -238,15 +253,15 @@ def schur_rhs(system: MixedSystem, state: NewtonState):
 
 
 def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
-                config: SolverConfig):
+                config: SolverConfig, precond):
     """Newton step delta_c of the Schur equation S delta_c = rhs.
 
-    GMRES runs on the right-preconditioned operator y -> S P^-1 y, with P
-    the frozen-metric Laplacian of the iterate, and delta_c = P^-1 y. Its
+    GMRES runs on the right-preconditioned operator y -> S P^-1 y, with
+    ``precond`` applying P^-1 (P the frozen-metric Laplacian of the iterate,
+    ``system.laplace_preconditioner(state.c)``), and delta_c = P^-1 y. Its
     stopping test ||rhs - S delta_c|| <= tol ||rhs|| is therefore on the
     true Schur residual. Returns ``(delta_c, GmresResult)``.
     """
-    precond = system.laplace_preconditioner(state.c)
     gm = gmres(lambda y: schur_matvec(system, state, precond(y)), rhs,
                tol=tol, restart=config.gmres_restart,
                max_iter=config.gmres_max_iter)
@@ -336,7 +351,11 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                            report.forcing_terms)
         report.forcing_terms.append(eta)
         rhs = schur_rhs(system, state)
-        delta_c, gm = schur_solve(system, state, rhs, eta, config)
+        t_precond = time.perf_counter()
+        precond = system.laplace_preconditioner(state.c)
+        t_gmres = time.perf_counter()
+        delta_c, gm = schur_solve(system, state, rhs, eta, config, precond)
+        t_gmres_end = time.perf_counter()
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))
         report.newton_iterations = it + 1
@@ -347,16 +366,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         r0 = gm.residual_norms[0]
         gmres_residual = gm.residual_norms[-1] / r0 if r0 > 0.0 else 0.0
         report.gmres_residuals.append(gmres_residual)
-        if config.verbose:
-            print(json.dumps({
-                "newton_iteration": it + 1, "residual_norm": state.r_norm,
-                "step_norm": n_norm, "gmres_iterations": gm.iterations,
-                "gmres_converged": bool(gm.converged),
-                "gmres_residual": gmres_residual, "forcing_term": eta,
-                "min_denominator": state.min_denominator,
-                "rn_evals": system.rn_eval_count - rn0}, sort_keys=True),
-                file=sys.stderr)
-
+        rn_evals = system.rn_eval_count - rn0
         probe = {}
 
         def trial_norm(nu):
@@ -367,10 +377,27 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             probe.update(r_n=rn, min_denominator=system.last_min_denominator)
             return float(np.sqrt(rl @ rl + rn @ rn))
 
+        t_search = time.perf_counter()
         try:
             nu, _, probes = _line_search(trial_norm, state.r_norm)
         except StagnationError:
             # no descent along this step: the last accepted iterate stands
+            nu = None
+        step_timings = {"precond_s": t_gmres - t_precond,
+                        "gmres_s": t_gmres_end - t_gmres,
+                        "line_search_s": time.perf_counter() - t_search}
+        for phase, seconds in step_timings.items():
+            report.timings[phase] += seconds
+        if config.verbose:
+            print(json.dumps({
+                "newton_iteration": it + 1, "residual_norm": state.r_norm,
+                "step_norm": n_norm, "gmres_iterations": gm.iterations,
+                "gmres_converged": bool(gm.converged),
+                "gmres_residual": gmres_residual, "forcing_term": eta,
+                "min_denominator": state.min_denominator,
+                "rn_evals": rn_evals, **step_timings}, sort_keys=True),
+                file=sys.stderr)
+        if nu is None:
             report.stagnated = True
             break
         report.line_search_evals += probes

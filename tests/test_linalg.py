@@ -49,6 +49,28 @@ def test_cholesky_solve_roundtrip(rng):
     np.testing.assert_allclose(f.solve(M @ x), x, atol=1e-11)
 
 
+def test_cholesky_from_band_matches_dense(rng):
+    M = univariate_mass(3, 9)
+    ab = np.zeros((4, 12), order="F")
+    for d in range(4):
+        ab[d, : 12 - d] = np.diagonal(M, -d)
+    f = Banded1DCholesky.from_band(ab)
+    assert f.n == 12 and f.bandwidth == 3
+    assert f._cb.tobytes() == Banded1DCholesky(M)._cb.tobytes()
+    # two right-hand sides in one solve
+    x = rng.standard_normal((12, 2))
+    np.testing.assert_allclose(f.solve(M @ x), x, atol=1e-11)
+
+
+@pytest.mark.parametrize("ab", [
+    [[1.0, -1.0], [2.0, 0.0]],          # [[1, 2], [2, -1]]: indefinite
+    [[1.0, np.nan], [0.5, 0.0]],        # NaN passes the pivot test
+], ids=["indefinite", "nan"])
+def test_cholesky_from_band_rejects(ab):
+    with pytest.raises(FactorizationError):
+        Banded1DCholesky.from_band(np.array(ab, order="F"))
+
+
 def test_kron_identity_blocks():
     ks = KronSolver(np.eye(3), np.eye(4))
     rhs = np.arange(24, dtype=float)
@@ -123,6 +145,13 @@ def test_gmres_identity_one_iteration():
     res = gmres(lambda v: v, np.array([3.0, -1.0, 2.0]))
     np.testing.assert_allclose(res.solution, [3.0, -1.0, 2.0])
     assert res.converged and res.iterations == 1 and res.matvec_count == 1
+
+
+@pytest.mark.parametrize("restart", [0, -1])
+def test_gmres_rejects_restart_below_one(restart):
+    # restart=0 used to loop forever: every cycle ran zero iterations
+    with pytest.raises(InputError, match="restart"):
+        gmres(lambda v: 2 * v, np.ones(4), restart=restart, max_iter=5)
 
 
 def test_gmres_zero_rhs():

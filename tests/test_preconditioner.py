@@ -7,16 +7,19 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
+from eggmix.errors import FactorizationError
 from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
     build_two_patch_square
 from eggmix.io_cli import parse_geometry
 from eggmix.mapping import sampled_bijectivity, unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
-from eggmix.solver import NewtonState, SolverConfig, build_system_hierarchy, \
-    newton_solve, schur_matvec, schur_rhs, schur_solve
+from eggmix.solver import NewtonState, SolverConfig, SolverReport, \
+    build_system_hierarchy, newton_solve, schur_matvec, schur_rhs, schur_solve
 from eggmix.splines import TensorBasis, uniform_knots
 
 from conftest import knot_vectors, start
@@ -109,14 +112,57 @@ def test_frozen_laplacian_spd_on_folded_bat():
     np.linalg.cholesky(K)
 
 
-def test_preconditioner_solves_both_components(rng):
-    system, c = lbend_case(rng)
+def two_patch_square_case(rng):
+    system = geometry_system(build_two_patch_square())
+    return system, start(system)
+
+
+def band_widths(system):
+    """Bandwidths of the Laplacian pattern in the natural and the reverse
+    Cuthill-McKee order."""
+    lf = system._laplacian_factors
+    n = system.n_inner
+    rows = np.repeat(np.arange(n), np.diff(lf.indptr))
+    graph = sparse.csr_matrix((np.ones(len(lf.indices)), lf.indices, lf.indptr),
+                              shape=(n, n))
+    rank = np.empty(n, dtype=int)
+    rank[csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n)
+    return (int(np.abs(rows - lf.indices).max()),
+            int(np.abs(rank[rows] - rank[lf.indices]).max()))
+
+
+@pytest.mark.parametrize("case, natural", [
+    (lbend_case, True), (bat_folded_case, False), (two_patch_square_case, True),
+], ids=["lbend", "bat-folded", "two_patch_square"])
+def test_preconditioner_solves_both_components(case, natural, rng):
+    system, c = case(rng)
     K = system.frozen_laplacian(c).toarray()
     y = rng.standard_normal(system.c_size)
     z = system.laplace_preconditioner(c)(y)
     n = system.n_inner
     np.testing.assert_allclose(-K @ z[:n], y[:n], atol=1e-10)
     np.testing.assert_allclose(-K @ z[n:], y[n:], atol=1e-10)
+    # the band order is the narrower of the two candidates
+    lf = system._laplacian_factors
+    assert lf.bandwidth == min(band_widths(system))
+    assert np.array_equal(lf.order, np.arange(n)) == natural
+
+
+def test_preconditioner_of_a_patch_without_inner_dofs():
+    tb = TensorBasis(uniform_knots(1, 1), uniform_knots(1, 1))
+    system = single_patch_system(unit_square_map(tb))
+    assert system.n_inner == 0
+    assert system.laplace_preconditioner(np.zeros(0))(np.zeros(0)).shape == (0,)
+
+
+def test_preconditioner_refuses_indefinite_laplacian(monkeypatch, rng):
+    system, c = lbend_case(rng)
+    K = system.frozen_laplacian(c)
+    monkeypatch.setattr(system, "frozen_laplacian", lambda c: -K)
+    apply = None
+    with pytest.raises(FactorizationError):
+        apply = system.laplace_preconditioner(c)
+    assert apply is None
 
 
 @pytest.mark.parametrize("case", [lbend_case, bat_folded_case])
@@ -125,7 +171,8 @@ def test_right_preconditioning_keeps_true_residual_test(case, rng):
     cfg = SolverConfig()
     state = NewtonState(system, system.project_d(c), c)
     rhs = schur_rhs(system, state)
-    delta_c, gm = schur_solve(system, state, rhs, cfg.gmres_tol, cfg)
+    delta_c, gm = schur_solve(system, state, rhs, cfg.gmres_tol, cfg,
+                              system.laplace_preconditioner(c))
     assert gm.converged
     true_res = rhs - schur_matvec(system, state, delta_c)
     assert np.linalg.norm(true_res) <= cfg.gmres_tol * np.linalg.norm(rhs)
@@ -164,4 +211,20 @@ def test_report_records_gmres_residuals_and_denominators(capsys):
     lines = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
     assert [ln["gmres_residual"] for ln in lines] == rep.gmres_residuals
     assert [ln["min_denominator"] for ln in lines] == rep.min_denominators[:-1]
+
+
+def test_report_times_each_phase(capsys):
+    system = geometry_system(build_quarter_annulus())
+    c, rep = newton_solve(system, start(system), SolverConfig(verbose=True))
+    lines = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
+    assert len(lines) == rep.newton_iterations > 0
+    phases = ("precond_s", "gmres_s", "line_search_s")
+    assert set(rep.timings) == set(phases)
+    for phase in phases:
+        assert all(ln[phase] >= 0.0 for ln in lines)
+        assert rep.timings[phase] == pytest.approx(sum(ln[phase] for ln in lines))
+    # timings stay out of the solution file, which is deterministic
+    assert "timings" not in rep.to_dict()
+    merged = SolverReport.merge([rep, rep])
+    assert merged.timings == {p: 2 * rep.timings[p] for p in phases}
 

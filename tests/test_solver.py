@@ -182,6 +182,19 @@ def test_solver_config_rejects_bad_tolerances(key, value):
         SolverConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["max_newton", "gmres_restart", "gmres_max_iter"])
+@pytest.mark.parametrize("value", [0, -3, 2.0, True, "5", None])
+def test_solver_config_rejects_bad_counts(key, value):
+    with pytest.raises(InputError, match=key):
+        SolverConfig(**{key: value})
+
+
+def test_solver_config_accepts_numpy_counts():
+    cfg = SolverConfig(max_newton=np.int64(1), gmres_restart=np.int32(3),
+                       gmres_max_iter=1)
+    assert cfg.max_newton == 1
+
+
 def test_restart_from_converged_lbend_xi_l1():
     # a restart that used to iterate on roundoff until the line search
     # stagnated
