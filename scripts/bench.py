@@ -11,14 +11,19 @@ solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
 (frozen-metric Laplacian assembly and factorisation), of
 ``MixedSystem.eval_RL_tilde`` (the linear residual) and of
 ``MixedSystem.apply_ainv_b`` (the exact auxiliary-mass solve behind every
-Schur matvec) inside that solve, and the peak RSS. A restart case solves
+Schur matvec) inside that solve, the first Newton step's forcing term
+(its relative GMRES tolerance), the seconds of each phase that
+``SolverReport.timings`` sums (preconditioner build, GMRES, line search),
+and the peak RSS. A restart case solves
 from the transfinite start and then runs ``newton_solve`` again from the
 converged net, recording the Newton/GMRES/``rn_evals`` counts of that
-second solve, so that a restart that iterates on roundoff shows. A
-coarse-to-fine case solves a hierarchy with ``eggmix.io_cli.solve`` from a
-start on its coarsest level, the path ``eggmix solve --coarse-levels``
-takes, and records the totals and, per level, the same counts and per-call
-times as a solve case. A setup case times ``build_system_hierarchy``,
+second solve and the same first forcing term and phase seconds (None and
+zeros when it takes no step), so that a restart that iterates on roundoff
+shows. A coarse-to-fine case solves a hierarchy with
+``eggmix.io_cli.solve`` from a start on its coarsest level, the path
+``eggmix solve --coarse-levels`` takes, and records the totals and, per
+level, the same counts, per-call times, first forcing term and phase
+seconds as a solve case. A setup case times ``build_system_hierarchy``,
 within it the construction and the mass-solver build of the finest system
 (``MixedSystem._build_mass``: interior Kronecker factors and the factored
 interface Schur complement), and then the first-use pattern and pair
@@ -138,6 +143,17 @@ def mean_ms(seconds):
     return 1e3 * sum(seconds) / len(seconds) if seconds else None
 
 
+def forcing_and_timings(rep):
+    """The first forcing term of a report (None without a Newton step) and
+    its phase seconds."""
+    return {"first_forcing_term": rep.forcing_terms[0] if rep.forcing_terms else None,
+            "timings": dict(rep.timings)}
+
+
+def phases(r):
+    return " ".join(f"{k} {v:.3f}" for k, v in r["timings"].items())
+
+
 def run_case(key):
     """Solve one case in this process; returns its record."""
     build_s = []
@@ -159,6 +175,7 @@ def run_case(key):
         "rn_evals": rep.rn_evals,
         "gmres_all_converged": all(rep.gmres_converged),
         "max_gmres_per_step": max(rep.gmres_iterations),
+        **forcing_and_timings(rep),
         # the solved system is the finest, built last
         "system_build_s": build_s[-1],
         "solve_s": solve_s,
@@ -194,6 +211,7 @@ def run_coarse_to_fine_case(key):
         "gmres_all_converged": all(r.gmres_converged),
         "eval_rn_ms": mean_ms(rn_s),
         "laplace_preconditioner_ms": mean_ms(precond_s),
+        **forcing_and_timings(r),
     } for lv, r, (rn_s, precond_s) in zip(hierarchy, rep.levels, timers)]
     return {
         "n_sigma": levels[-1]["n_sigma"],
@@ -202,6 +220,7 @@ def run_coarse_to_fine_case(key):
         "gmres": int(sum(rep.gmres_iterations)),
         "rn_evals": rep.rn_evals,
         "solve_s": solve_s,
+        "timings": dict(rep.timings),
         "levels": levels,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
@@ -226,6 +245,7 @@ def run_restart_case(key):
         "rn_evals": rep.rn_evals,
         "max_net_change": float(np.abs(c_restart - c).max()),
         "solve_s": solve_s,
+        **forcing_and_timings(rep),
     }
 
 
@@ -330,7 +350,8 @@ def main(argv=None):
               f"eval_RN {r['eval_rn_ms']:7.2f} ms  "
               f"precond {r['laplace_preconditioner_ms']:7.2f} ms  "
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
-              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+              f"{r['peak_rss_mb']:7.1f} MB  eta0 {r['first_forcing_term']:.3g}  "
+              f"{phases(r)}", file=sys.stderr)
     for key in COARSE_TO_FINE_CASES:
         cases[key] = run_child(key)
         r = cases[key]
@@ -338,7 +359,7 @@ def main(argv=None):
               f"{r['solve_s']:7.2f} s  finest: eval_RN "
               f"{r['levels'][-1]['eval_rn_ms']:7.2f} ms  precond "
               f"{r['levels'][-1]['laplace_preconditioner_ms']:7.2f} ms "
-              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+              f"{r['peak_rss_mb']:7.1f} MB  {phases(r)}", file=sys.stderr)
     for key in RESTART_CASES:
         cases[key] = run_child(key)
         r = cases[key]

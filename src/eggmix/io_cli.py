@@ -546,19 +546,15 @@ def _write_vtk(path, patches_samples):
         if multi:
             stem, ext = os.path.splitext(path)
             out = f"{stem}_p{pi}{ext or '.vtk'}"
-        nx, ny = len(xs), len(ys)
-        lines = ["# vtk DataFile Version 3.0", "eggmix structured grid",
-                 "ASCII", "DATASET STRUCTURED_GRID",
-                 f"DIMENSIONS {ny} {nx} 1", f"POINTS {nx * ny} double"]
-        for i in range(nx):
-            for j in range(ny):
-                lines.append("%.17g %.17g 0" % (X[i, j, 0], X[i, j, 1]))
-        lines += [f"POINT_DATA {nx * ny}", "SCALARS detj double 1",
-                  "LOOKUP_TABLE default"]
-        for i in range(nx):
-            for j in range(ny):
-                lines.append("%.17g" % detj[i, j])
-        _atomic_write(out, "\n".join(lines) + "\n")
+        n = len(xs) * len(ys)
+        # one bulk format per block over Python floats, xi-major like the grid
+        _atomic_write(out, "".join([
+            "# vtk DataFile Version 3.0\neggmix structured grid\nASCII\n"
+            f"DATASET STRUCTURED_GRID\nDIMENSIONS {len(ys)} {len(xs)} 1\n"
+            f"POINTS {n} double\n",
+            ("%.17g %.17g 0\n" * n) % tuple(X.ravel().tolist()),
+            f"POINT_DATA {n}\nSCALARS detj double 1\nLOOKUP_TABLE default\n",
+            ("%.17g\n" * n) % tuple(detj.ravel().tolist())]))
 
 
 def svg_isolines(maps, resolution):

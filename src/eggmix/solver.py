@@ -12,11 +12,13 @@ frozen-metric Laplacian of the current iterate (its principal part, factored
 once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
 once per system), so its stopping test stays on the true Schur residual. Its
 relative tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17
-(1996), with Kelley's safeguard): ``gmres_tol`` for the first Newton step,
-then loose while the residual falls slowly and back down to ``gmres_tol`` in
-the fast local phase. A backtracking line search on the residual norm globalizes
-the iteration; the probe it accepts becomes the next iterate's state, so its
-residual is not evaluated twice.
+(1996), with Kelley's safeguard): loose while the residual falls slowly and
+back down to ``gmres_tol`` in the fast local phase. The first term measures
+the start's residual against the residual scale S below in place of a
+previous norm, so a cold start is solved loosely and a warm restart, whose
+residual is far below S, to ``gmres_tol``. A backtracking line search on the
+residual norm globalizes the iteration; the probe it accepts becomes the
+next iterate's state, so its residual is not evaluated twice.
 
 There is one stopping test, checked at every iterate before any Schur work:
 the iterate has converged when ||(R_L, R_N)|| <= ``newton_tol`` * S. The scale
@@ -77,9 +79,10 @@ class SolverConfig:
     ``newton_tol`` is the stopping test: an iterate has converged when
     ||(R_L, R_N)|| <= newton_tol * S, with S the residual scale of the
     boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
-    Newton steps. ``gmres_tol`` is the first and the smallest forcing term:
-    the relative GMRES tolerance of the first Newton step and the floor of
-    every later one (see ``forcing_term``). ``gmres_restart`` and
+    Newton steps. ``gmres_tol`` is the smallest forcing term: the floor of
+    the relative GMRES tolerance of every Newton step, met by the first step
+    of a warm restart and by the steps near the solution (see
+    ``forcing_term``). ``gmres_restart`` and
     ``gmres_max_iter`` bound each GMRES solve; these two and ``max_newton``
     are integers of at least 1. ``verbose`` writes one JSON line per Newton
     step to stderr, with the seconds of each phase in ``TIMED_PHASES``. The
@@ -268,22 +271,27 @@ def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
     return precond(gm.solution), gm
 
 
-def forcing_term(gmres_tol: float, residual_norms, forcing_terms) -> float:
+def forcing_term(gmres_tol: float, scale: float, residual_norms,
+                 forcing_terms) -> float:
     """Eisenstat-Walker (choice 2) GMRES tolerance of the next Newton step.
 
     ``residual_norms`` ends with the current ||R_k|| and ``forcing_terms``
-    holds the terms of the steps before it. The first term is ``gmres_tol``;
-    then eta_k = gamma (||R_k|| / ||R_k-1||)^alpha, raised to
-    gamma eta_k-1^alpha when that exceeds 0.1 (Kelley's safeguard against
-    a term falling faster than the residual), and clipped to
-    [gmres_tol, EW_ETA_MAX].
+    holds the terms of the steps before it. eta_k = gamma (||R_k|| /
+    ||R_k-1||)^alpha, raised to gamma eta_k-1^alpha when that exceeds 0.1
+    (Kelley's safeguard against a term falling faster than the residual),
+    and clipped to [gmres_tol, EW_ETA_MAX]. The first term has no previous
+    norm and takes the residual scale S = ``scale`` of the boundary data in
+    its place: a cold start (||R_0|| near S) is solved loosely, as Eisenstat
+    and Walker and Kelley start the sequence, while a warm restart
+    (||R_0|| << S) keeps ``gmres_tol``, so it gains no Newton steps.
     """
     if not forcing_terms:
-        return gmres_tol
-    eta = EW_GAMMA * (residual_norms[-1] / residual_norms[-2]) ** EW_ALPHA
-    safeguard = EW_GAMMA * forcing_terms[-1] ** EW_ALPHA
-    if safeguard > 0.1:
-        eta = max(eta, safeguard)
+        eta = EW_GAMMA * (residual_norms[-1] / scale) ** EW_ALPHA
+    else:
+        eta = EW_GAMMA * (residual_norms[-1] / residual_norms[-2]) ** EW_ALPHA
+        safeguard = EW_GAMMA * forcing_terms[-1] ** EW_ALPHA
+        if safeguard > 0.1:
+            eta = max(eta, safeguard)
     return min(max(eta, gmres_tol), EW_ETA_MAX)
 
 
@@ -347,7 +355,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         converged = state.r_norm <= r_tol
         if converged or it == config.max_newton:
             break
-        eta = forcing_term(config.gmres_tol, report.residual_norms,
+        eta = forcing_term(config.gmres_tol, scale, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
         rhs = schur_rhs(system, state)

@@ -9,7 +9,7 @@ relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -19,10 +19,17 @@ from .errors import DomainError, InputError
 KNOT_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], computed once per order.
+
+    Every caller of an order shares the two arrays, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _group_knots(knots):

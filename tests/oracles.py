@@ -477,6 +477,24 @@ def per_line_svg_isolines(maps, resolution):
     return polylines
 
 
+def per_point_vtk_text(xs, ys, X, detj):
+    """Structured-grid VTK text of one sampled patch, formatted one numpy
+    scalar at a time."""
+    nx, ny = len(xs), len(ys)
+    lines = ["# vtk DataFile Version 3.0", "eggmix structured grid",
+             "ASCII", "DATASET STRUCTURED_GRID",
+             f"DIMENSIONS {ny} {nx} 1", f"POINTS {nx * ny} double"]
+    for i in range(nx):
+        for j in range(ny):
+            lines.append("%.17g %.17g 0" % (X[i, j, 0], X[i, j, 1]))
+    lines += [f"POINT_DATA {nx * ny}", "SCALARS detj double 1",
+              "LOOKUP_TABLE default"]
+    for i in range(nx):
+        for j in range(ny):
+            lines.append("%.17g" % detj[i, j])
+    return "\n".join(lines) + "\n"
+
+
 def coons_loop_transfinite_global(system):
     """Control-net Coons interior of every patch, written out per patch
     with a per-DOF fill of the unknown DOFs; interface curves get the same

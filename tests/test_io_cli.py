@@ -14,8 +14,8 @@ from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
 from eggmix.errors import InputError
 from eggmix.mapping import SplineMap
 
-from oracles import per_line_svg_isolines, two_pass_quality_block, \
-    two_pass_quality_text
+from oracles import per_line_svg_isolines, per_point_vtk_text, \
+    two_pass_quality_block, two_pass_quality_text
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 RESTART = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart"
@@ -271,6 +271,19 @@ def test_svg_isolines_mirror_symmetric(lbend_solution):
                   or np.abs(q[::-1] - target).max() < 1e-6))
             for q in polylines)
         assert found
+
+
+@pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
+                         ids=lambda p: p.name.split(".")[0])
+def test_vtk_matches_per_point_format(solution, tmp_path):
+    _, maps = solution_patch_maps(load_solution(solution))
+    out = tmp_path / "grid.vtk"
+    assert run_cli("sample", solution, "--format", "vtk", "--resolution", 3,
+                   "--out", out) == 0
+    for pi, pmap in enumerate(maps):
+        path = out if len(maps) == 1 else tmp_path / f"grid_p{pi}.vtk"
+        want = per_point_vtk_text(*eggmix.io_cli._sample_patch(pmap, 3))
+        assert path.read_text(encoding="utf-8") == want
 
 
 @pytest.mark.parametrize("solution", RESTART_SOLUTIONS,

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 from eggmix.errors import DomainError, InputError
 from eggmix.geometries import BUILDERS
 from eggmix.io_cli import parse_geometry
-from eggmix.splines import KNOT_TOL, KnotVector, TensorBasis, uniform_knots
+from eggmix.splines import KNOT_TOL, KnotVector, TensorBasis, gauss_legendre, \
+    uniform_knots
 
 from oracles import knot_by_knot_refine, loop_collocation, naive_all_values
 
@@ -13,6 +14,22 @@ knot_vectors = st.builds(
     uniform_knots,
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_gauss_legendre_memoized_read_only(n):
+    q, w = gauss_legendre(n)
+    # one computation per order: later calls share the same arrays
+    again = gauss_legendre(n)
+    assert again[0] is q and again[1] is w
+    assert not q.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        q[0] = 0.5
+    x, v = np.polynomial.legendre.leggauss(n)
+    np.testing.assert_array_equal(q, 0.5 * (x + 1.0))
+    np.testing.assert_array_equal(w, 0.5 * v)
+    # exact for degree 2n - 1 on [0, 1]
+    assert w @ q ** (2 * n - 1) == pytest.approx(1.0 / (2 * n), rel=1e-13)
 
 
 def test_validation_rejects_bad_inputs():
