@@ -32,7 +32,9 @@ finest system, next to the DOF count, the interface DOF count, the element
 count and the pattern's nonzero count. A kernel case builds the
 finest system of a hierarchy at its start iterate, without solving, and
 records the median milliseconds over repeated calls of ``eval_RN``,
-``eval_RL_tilde``, ``apply_ainv_b`` and of the preconditioner in three
+``eval_RL_tilde``, ``apply_ainv_b``, ``ainv_exact`` (the coupled mass solve
+of every field alone, on the derivative moments of the start net) and of
+the preconditioner in three
 parts: the assembly of K (``frozen_laplacian``), the factor (the
 ``laplace_preconditioner`` build given an assembled K) and one apply to
 both components; ``build_plus_six_applies_ms`` adds the three as one
@@ -284,11 +286,13 @@ def run_kernel_case(key):
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
     y = np.random.default_rng(0).standard_normal(system.c_size)
+    moments = system._derivative_moments(system.full_control_net(c0))
     K = system.frozen_laplacian(c0)  # builds the Laplacian pattern and factors
     # the preconditioner build without the assembly of K: the factor alone
     system.frozen_laplacian = lambda c: K
     times = {k: [] for k in ("eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
-                             "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms")}
+                             "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms",
+                             "ainv_exact_ms")}
     for _ in range(calls):
         t0 = time.perf_counter()
         system.eval_RN(d0, c0)
@@ -303,7 +307,10 @@ def run_kernel_case(key):
         t5 = time.perf_counter()
         system.apply_ainv_b(c0)
         t6 = time.perf_counter()
-        for k, t, u in zip(times, (t0, t1, t2, t3, t4, t5), (t1, t2, t3, t4, t5, t6)):
+        system.ainv_exact(moments)
+        t7 = time.perf_counter()
+        for k, t, u in zip(times, (t0, t1, t2, t3, t4, t5, t6),
+                           (t1, t2, t3, t4, t5, t6, t7)):
             times[k].append(u - t)
     ms = {k: 1e3 * float(np.median(v)) for k, v in times.items()}
     return {
@@ -380,7 +387,8 @@ def main(argv=None):
               f"{r['frozen_laplacian_ms']:7.2f} ms  factor "
               f"{r['precond_factor_ms']:7.2f} ms  apply {r['precond_apply_ms']:6.2f} ms  "
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
-              f"{r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+              f"A^-1 {r['ainv_exact_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
+              file=sys.stderr)
     doc = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "scipy": scipy.__version__,

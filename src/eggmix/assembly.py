@@ -7,18 +7,20 @@ functions ``Bx.T @ (w U) @ By``. The constant blocks are separable: a patch's
 auxiliary mass moments are ``vol Mxi D Meta.T``, its derivative moments
 ``vol (ia[0, d] Kxi C Oeta.T + ia[1, d] Oxi C Keta.T)``, with dense
 univariate integral factors. The coupled auxiliary mass is solved exactly by
-static condensation onto the auxiliary DOFs that patches share (banded
-Kronecker solves on each patch's remaining tensor range, one dense Cholesky
-factor on the shared DOFs), and the frozen-metric Laplacian that
-preconditions the Schur GMRES is summed from univariate pair factors and
-factored by banded Cholesky, in a bandwidth-reducing order fixed once per
-system. A single patch is a 1-patch topology on the same code path.
+static condensation onto the auxiliary DOFs that patches share (Kronecker
+solves on each patch's remaining tensor range, as two dense products with
+the univariate inverses, and one dense Cholesky factor on the shared DOFs),
+and the frozen-metric Laplacian that preconditions the Schur GMRES is summed
+from univariate pair factors and factored by banded Cholesky, in a
+bandwidth-reducing order fixed once per system. A single patch is a 1-patch
+topology on the same code path.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -341,7 +343,7 @@ class _PatchContext:
     cols: slice = field(init=False)           # glued eta lines
     gx: np.ndarray = field(init=False)        # (|sx|, |rows|)
     gy: np.ndarray = field(init=False)        # (|sy|, |cols|)
-    inner_dofs: np.ndarray = field(init=False)  # (|sx| |sy|,) coupled DOFs of the range
+    inner_out: np.ndarray = field(init=False)   # (n_fields, |sx| |sy|) flat output positions
     face_dofs: np.ndarray = field(init=False)   # interface positions of the face DOFs
 
 
@@ -401,7 +403,11 @@ class MixedSystem:
                       for tb, bb in zip(topology.bases, topology.bar_bases)]
         self._build_patches(univariate)
         self._build_mass(univariate)
+        # calls of eval_RN, and the seconds spent in it and in the exact
+        # mass solve, summed over the life of the system
         self.rn_eval_count = 0
+        self.rn_eval_s = 0.0
+        self.mass_solve_s = 0.0
         self.last_min_denominator = np.inf
         self._buffers = {}
 
@@ -463,9 +469,11 @@ class MixedSystem:
         the auxiliary DOFs shared by more than one patch (Smith, Bjorstad &
         Gropp, Domain Decomposition, CUP 1996, ch. 4). The shared DOFs of a
         patch are those of its glued faces, so the others form a tensor
-        range sx x sy, whose block vol Mxi[sx, sx] (x) Meta[sy, sy] banded
-        Kronecker factors solve. As M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x)
-        Peta with Pxi = Mxi[:, sx] Gxi, the interface Schur complement sums
+        range sx x sy, whose block vol Mxi[sx, sx] (x) Meta[sy, sy] is
+        solved by the dense inverses of its univariate factors (``kron``);
+        the same inverses give Gxi = Mxi[sx, sx]^-1 Mxi[sx, :] and Geta. As
+        M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x) Peta with Pxi = Mxi[:, sx]
+        Gxi, the interface Schur complement sums
         vol (Mxi (x) Meta - Pxi (x) Peta) over patches. Pxi differs from Mxi
         only on the glued lines, by the univariate Schur complement Dxi, so
         each term is vol (Dxi (x) Meta + Mxi (x) Deta - Dxi (x) Deta),
@@ -485,10 +493,11 @@ class MixedSystem:
             ctx.cols, sy = _glued_lines(bb.n_eta, ("south", "north"), unglued)
             ctx.inner = sx, sy
             ctx.kron = KronSolver(mx[sx, sx], my[sy, sy], scale=ctx.vol)
-            ctx.gx = ctx.kron.chol_xi.solve(mx[sx, ctx.rows])
-            ctx.gy = ctx.kron.chol_eta.solve(my[sy, ctx.cols])
+            ctx.gx = ctx.kron.inv_xi @ mx[sx, ctx.rows]
+            ctx.gy = ctx.kron.inv_eta @ my[sy, ctx.cols]
             local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
-            ctx.inner_dofs = topo.bar_l2g[i][local[sx, sy].ravel()]
+            ctx.inner_out = (topo.n_sigbar * np.arange(self.n_fields)[:, None]
+                             + topo.bar_l2g[i][local[sx, sy].ravel()])
             # face DOFs: the glued xi lines whole, then the glued eta lines
             # inside the range sx
             face = np.concatenate([local[ctx.rows].ravel(),
@@ -511,7 +520,8 @@ class MixedSystem:
                 weights=np.concatenate([s.ravel() for s in blocks]),
                 minlength=n_gamma * n_gamma).reshape(n_gamma, n_gamma)
             self._gamma_factor = scipy.linalg.cho_factor(schur, lower=True)
-        self._face_dofs = np.concatenate([ctx.face_dofs for ctx in self.patches])
+        self._face_bins = (n_gamma * np.arange(self.n_fields)[:, None]
+                           + np.concatenate([ctx.face_dofs for ctx in self.patches]))
         self._tilde_bounds = list(zip(topo.tilde_offsets[:-1], topo.tilde_offsets[1:]))
 
     # -- shapes and layout -------------------------------------------------
@@ -641,6 +651,7 @@ class MixedSystem:
         tensor Gauss grid is a product of univariate collocation factors,
         Bx @ C @ By.T, and so are the moments against the test functions,
         Bx.T @ (w U) @ By."""
+        t0 = time.perf_counter()
         net = self.full_control_net(c).ravel()
         d = np.asarray(d, dtype=float).ravel()
         n_res = 2 * self.n_inner
@@ -671,6 +682,7 @@ class MixedSystem:
             res += np.bincount(ctx.out_idx.ravel(), weights=moments.ravel(),
                                minlength=n_res + 1)
         self.rn_eval_count += 1
+        self.rn_eval_s += time.perf_counter() - t0
         self.last_min_denominator = min_denom
         return res[:n_res]
 
@@ -806,17 +818,20 @@ class MixedSystem:
 
     def _mass_pcg(self, tilde):
         """Exact coupled A^-1 applied to every row of the union moments
-        ``tilde`` (one row per field), all fields batched, by the static
-        condensation of :meth:`_build_mass`.
+        ``tilde`` (one row per field, at most ``n_fields`` rows), all fields
+        batched, by the static condensation of :meth:`_build_mass`.
 
-        Per patch, the interior moments b_I are solved by one Kronecker
-        solve, z_I = M_II^-1 b_I, and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
+        Per patch, the interior moments b_I of every field are solved by one
+        batched Kronecker solve, z_I = M_II^-1 b_I (two dense products with
+        the univariate inverses), and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
         taken on the face DOFs alone, by contractions with the glued columns
-        of Gxi and Geta. One dense solve on Gamma gives the interface values
-        y, and the back-substitution x_I = z_I - (Gxi (x) Geta) y touches
-        the same columns. A patch without glued faces skips the face work,
-        so with no shared DOFs (a single patch) this is the plain Kronecker
-        solve. The name is that of the
+        of Gxi and Geta. The interface moments of all fields are summed by
+        one ``bincount``, one dense Cholesky solve on Gamma gives the
+        interface values y, and the back-substitution x_I = z_I - (Gxi (x)
+        Geta) y is one low-rank product per patch, scattered with the
+        interior values in one assignment per patch. A patch without glued
+        faces skips the face work, so with no shared DOFs (a single patch)
+        this is the plain Kronecker solve. The name is that of the
         conjugate-gradient solve this replaced; it stays because
         ``perfbench/tracing.py`` looks the method up by it, until the
         benchmark's hooks are renamed (ROADMAP item 5)."""
@@ -840,41 +855,46 @@ class MixedSystem:
                           (t[:, sx, ctx.cols] - b @ ctx.gy).reshape(k, -1)]
         out = np.empty((k, self.topology.n_sigbar))
         if faces:
-            faces = np.concatenate(faces, axis=1)
-            rhs = np.stack([np.bincount(self._face_dofs, weights=f,
-                                        minlength=len(self._gamma))
-                            for f in faces], axis=1)
-            y = scipy.linalg.cho_solve(self._gamma_factor, rhs, check_finite=False).T
+            n_gamma = len(self._gamma)
+            rhs = np.bincount(self._face_bins[:k].ravel(),
+                              weights=np.concatenate(faces, axis=1).ravel(),
+                              minlength=k * n_gamma).reshape(k, n_gamma)
+            y = scipy.linalg.cho_solve(self._gamma_factor, rhs.T, check_finite=False).T
             out[:, self._gamma] = y
             for ctx, x in zip(self.patches, interiors):
                 if not ctx.face_dofs.size:
                     continue
-                sx, sy = ctx.inner
+                sy = ctx.inner[1]
                 (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
                 split = n_rows * (n_eta + n_cols)
                 y_face = y[:, ctx.face_dofs]
                 y_rows = y_face[:, :split].reshape(k, n_rows, n_eta + n_cols)
-                y_cols = y_face[:, split:].reshape(k, n_xi, n_cols)
                 # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
                 # gy^T (the glued rows through both factors, the glued
-                # columns inside the range through Geta), one batched
-                # product of rank n_rows + n_cols
-                left = np.concatenate(
-                    [np.broadcast_to(ctx.gx, (k, n_xi, n_rows)), y_cols], axis=2)
-                right = np.concatenate(
-                    [y_rows[:, :, sy] + y_rows[:, :, ctx.cols] @ ctx.gy.T,
-                     np.broadcast_to(ctx.gy.T, (k, n_cols, n_eta))], axis=1)
+                # columns inside the range through Geta): one batched
+                # product [gx | Y_cols] [Y_rows Geta^T ; gy^T] of rank
+                # n_rows + n_cols, its factors written into reused buffers
+                left = self._scratch("mass_left", k, n_xi, n_rows + n_cols)
+                left[:, :, :n_rows] = ctx.gx
+                left[:, :, n_rows:] = y_face[:, split:].reshape(k, n_xi, n_cols)
+                right = self._scratch("mass_right", k, n_rows + n_cols, n_eta)
+                np.matmul(y_rows[:, :, ctx.cols], ctx.gy.T, out=right[:, :n_rows])
+                right[:, :n_rows] += y_rows[:, :, sy]
+                right[:, n_rows:] = ctx.gy.T
                 x -= left @ right
+        flat = out.reshape(-1)
         for ctx, x in zip(self.patches, interiors):
-            for row, x_row in zip(out, x.reshape(k, -1)):
-                row[ctx.inner_dofs] = x_row
+            flat[ctx.inner_out[:k]] = x.reshape(k, -1)
         return out
 
     def ainv_exact(self, tilde):
         """Exact coupled A^-1 applied to union moments, all fields in one
         call: the one mass solve, by static condensation onto the interface
         DOFs (:meth:`_mass_pcg`)."""
-        return self._mass_pcg(np.atleast_2d(tilde))
+        t0 = time.perf_counter()
+        out = self._mass_pcg(np.atleast_2d(tilde))
+        self.mass_solve_s += time.perf_counter() - t0
+        return out
 
     def apply_ainv_b(self, s):
         """A^-1 B s, solved exactly for all fields in one call of

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -644,7 +645,11 @@ def cmd_quality(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process: ``main`` may run
+    many commands in one process, and building the parser costs more than
+    parsing."""
     parser = argparse.ArgumentParser(
         prog="eggmix",
         description="Folding-free planar spline parameterization from "
@@ -682,9 +687,12 @@ def main(argv=None) -> int:
     pq = sub.add_parser("quality", help="report Winslow energy and bijectivity")
     pq.add_argument("input")
     pq.set_defaults(fn=cmd_quality)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error, after printing its message;
         # 2 is this program's non-convergence code, so report 1 instead

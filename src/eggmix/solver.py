@@ -2,12 +2,13 @@
 
 The constant auxiliary block is eliminated exactly by one solver on every
 topology: static condensation of the coupled mass onto the auxiliary DOFs
-that patches share, with banded Kronecker solves on each patch's remaining
-DOFs and a dense Cholesky factor of the interface Schur complement, built
-once with the system (a single patch has no shared DOFs, so it takes the
-plain Kronecker solve); all auxiliary fields are solved in one batched
-call. The Schur operator is applied by finite differencing the nonlinear
-residual only. GMRES solves the Schur equation right-preconditioned by the
+that patches share, with Kronecker solves on each patch's remaining DOFs
+(two dense products with the inverses of the univariate mass factors) and
+a dense Cholesky factor of the interface Schur complement, built once with
+the system (a single patch has no shared DOFs, so it takes the plain
+Kronecker solve); all auxiliary fields are solved in one batched call. The
+Schur operator is applied by finite differencing the nonlinear residual
+only. GMRES solves the Schur equation right-preconditioned by the
 frozen-metric Laplacian of the current iterate (its principal part, factored
 once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
 once per system), so its stopping test stays on the true Schur residual. Its
@@ -85,7 +86,7 @@ class SolverConfig:
     ``forcing_term``). ``gmres_restart`` and
     ``gmres_max_iter`` bound each GMRES solve; these two and ``max_newton``
     are integers of at least 1. ``verbose`` writes one JSON line per Newton
-    step to stderr, with the seconds of each phase in ``TIMED_PHASES``. The
+    step to stderr, with the seconds of each entry of ``TIMED_PHASES``. The
     line-search and finite-difference constants are module constants
     (``LS_*``, ``FD_FLOOR``).
     """
@@ -119,8 +120,9 @@ def fd_epsilon(state_norm: float, dir_norm: float) -> float:
 
 # the fields a multi-level report takes from its last level
 LAST_LEVEL_FIELDS = ("converged", "stagnated", "final_residual")
-# the phases of a Newton step that SolverReport.timings sums, in seconds
-TIMED_PHASES = ("precond_s", "gmres_s", "line_search_s")
+# the seconds of a Newton step that SolverReport.timings sums: three
+# consecutive phases, then two kernels that run inside them and between them
+TIMED_PHASES = ("precond_s", "gmres_s", "line_search_s", "residual_s", "mass_solve_s")
 
 
 @dataclass
@@ -132,9 +134,15 @@ class SolverReport:
     step and False when ``max_newton`` ran out. ``residual_norms`` and
     ``min_denominators`` hold one entry per iterate, the other lists one per
     Newton step; ``rn_evals`` counts ``eval_RN`` calls. ``timings`` sums
-    the seconds of each phase in ``TIMED_PHASES`` over the Newton steps: the
-    preconditioner build, the GMRES solve and the line search. A solve over
-    several levels reports in the form of :meth:`merge`.
+    the seconds of each entry of ``TIMED_PHASES`` over the Newton steps:
+    the preconditioner build, the GMRES solve and the line search, then the
+    seconds spent in ``eval_RN`` (``residual_s``) and in the exact mass
+    solve (``mass_solve_s``, :meth:`~eggmix.assembly.MixedSystem.ainv_exact`)
+    during the steps. The last two overlap the first three: the residual
+    runs in every GMRES matvec and line-search probe, the mass solve in
+    every matvec and in the Schur right-hand side and the delta_d recovery
+    around GMRES. A solve over several levels reports in the form of
+    :meth:`merge`.
     """
     converged: bool = False
     stagnated: bool = False
@@ -358,6 +366,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         eta = forcing_term(config.gmres_tol, scale, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
+        rn_s, mass_s = system.rn_eval_s, system.mass_solve_s
         rhs = schur_rhs(system, state)
         t_precond = time.perf_counter()
         precond = system.laplace_preconditioner(state.c)
@@ -393,7 +402,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
             nu = None
         step_timings = {"precond_s": t_gmres - t_precond,
                         "gmres_s": t_gmres_end - t_gmres,
-                        "line_search_s": time.perf_counter() - t_search}
+                        "line_search_s": time.perf_counter() - t_search,
+                        "residual_s": system.rn_eval_s - rn_s,
+                        "mass_solve_s": system.mass_solve_s - mass_s}
         for phase, seconds in step_timings.items():
             report.timings[phase] += seconds
         if config.verbose:

@@ -156,14 +156,6 @@ class KnotVector:
         """Knot vector of the same basis traversed in reverse parameter."""
         return KnotVector(self.degree, np.sort(1.0 - self.knots))
 
-    def span_offsets(self):
-        """Knot-span index of each nonempty element."""
-        return np.cumsum(self.multiplicities)[:-1] - 1
-
-    def find_span(self, x: float) -> int:
-        k = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(k, self.degree), self.dim - 1)
-
     def eval(self, x: float, nderiv: int = 0):
         """Nonzero basis values and derivatives at ``x``.
 

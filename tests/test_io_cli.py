@@ -244,6 +244,32 @@ def test_help_exits_0(capsys):
     assert "--tol" in capsys.readouterr().out
 
 
+def test_commands_in_one_process_read_as_alone(square_solution, tmp_path, capsys):
+    # main() builds its parser once per process: a usage error and the
+    # commands after it must give the exit codes and output that each gives
+    # with a fresh parser, as in a process of its own
+    square = bundled_path("square")
+    calls = [("solve", square, "--mu", "abc"), ("check", square),
+             ("quality", square_solution),
+             ("solve", square, "--out", tmp_path / "square.solution.json")]
+
+    def run(argv):
+        code = run_cli(*argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        eggmix.io_cli._parser.cache_clear()
+        alone.append(run(argv))
+    eggmix.io_cli._parser.cache_clear()
+    in_turn = [run(argv) for argv in calls]
+    assert eggmix.io_cli._parser.cache_info().misses == 1
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [1, 0, 0, 0]
+    assert "invalid float value: 'abc'" in alone[0][2]
+
+
 def test_sample_deterministic_bytes(square_solution, tmp_path):
     outs = []
     for name in ("s1.svg", "s2.svg"):

@@ -16,23 +16,24 @@ def univariate_mass(p, ne):
 
 def test_cholesky_identity():
     f = Banded1DCholesky(np.eye(4))
-    np.testing.assert_allclose(f.dense_factor(), np.eye(4))
+    assert f.bandwidth == 0
+    np.testing.assert_allclose(f.solve(np.eye(4)), np.eye(4))
 
 
 def test_cholesky_closed_form_2x2():
     f = Banded1DCholesky(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    L = f.dense_factor()
     np.testing.assert_allclose(
-        L, [[np.sqrt(2), 0], [1 / np.sqrt(2), np.sqrt(1.5)]], atol=1e-14)
+        f.solve(np.eye(2)), np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3, atol=1e-14)
 
 
-def test_cholesky_cubic_mass_reconstruction():
+def test_cholesky_cubic_mass_reconstruction(rng):
     M = univariate_mass(3, 9)
     assert M.shape == (12, 12)
     f = Banded1DCholesky(M)
     assert f.bandwidth == 3
-    L = f.dense_factor()
-    assert np.abs(L @ L.T - M).max() < 1e-13
+    rhs = rng.standard_normal((12, 3))
+    ref = np.linalg.solve(M, rhs)
+    assert np.abs(f.solve(rhs) - ref).max() < 1e-13 * np.abs(ref).max()
 
 
 def test_cholesky_rejects_non_spd():
@@ -116,6 +117,24 @@ def test_kron_dense_oracle_small_blocks(rng):
                 ref = np.linalg.solve(A, rhs)
                 assert np.abs(ks.solve_block(rhs) - ref).max() < 1e-11 * max(
                     1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kv_xi, kv_eta", [
+    (uniform_knots(2, 95), uniform_knots(2, 79)),    # the largest bat L2 block
+    (uniform_knots(2, 7), uniform_knots(2, 40)),
+    (uniform_knots(3, 40, c0_breaks=(0.5,)), uniform_knots(3, 80, c0_breaks=(0.5,))),
+], ids=["p2-97x81", "p2-9x42", "p3-c0-45x85"])
+def test_kron_solves_stacked_blocks_at_solver_sizes(kv_xi, kv_eta, rng):
+    # four stacked fields with a patch volume factor, as in the mass solve;
+    # the residual scale Mxi X Meta^T - B is formed block by block
+    mx = reference_univariate_integral(kv_xi, kv_xi)
+    me = reference_univariate_integral(kv_eta, kv_eta)
+    ks = KronSolver(mx, me, scale=0.37)
+    B = rng.standard_normal((4, len(mx), len(me)))
+    X = ks.solve_block(B.reshape(4, -1))
+    assert X.shape == (4, len(mx) * len(me)) and ks.solve_count == 4
+    residual = 0.37 * mx @ X.reshape(B.shape) @ me.T - B
+    assert np.abs(residual).max() <= 1e-12 * np.abs(B).max()
 
 
 def test_kron_scale_divides():

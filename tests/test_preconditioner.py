@@ -221,11 +221,15 @@ def test_report_times_each_phase(capsys):
     c, rep = newton_solve(system, start(system), SolverConfig(verbose=True))
     lines = [json.loads(ln) for ln in capsys.readouterr().err.splitlines()]
     assert len(lines) == rep.newton_iterations > 0
-    phases = ("precond_s", "gmres_s", "line_search_s")
+    phases = ("precond_s", "gmres_s", "line_search_s", "residual_s", "mass_solve_s")
     assert set(rep.timings) == set(phases)
     for phase in phases:
         assert all(ln[phase] >= 0.0 for ln in lines)
         assert rep.timings[phase] == pytest.approx(sum(ln[phase] for ln in lines))
+        assert 0.0 <= rep.timings[phase] <= rep.wall_time
+    # the residual runs in every matvec and probe, the mass solve in every
+    # matvec: both are nonzero in a solve that takes a step
+    assert rep.timings["residual_s"] > 0.0 and rep.timings["mass_solve_s"] > 0.0
     # timings stay out of the solution file, which is deterministic
     assert "timings" not in rep.to_dict()
     merged = SolverReport.merge([rep, rep])

@@ -71,9 +71,8 @@ def test_partition_of_unity_and_derivative_sum(kv, x):
 def test_derivatives_match_naive_recursion():
     kv = uniform_knots(3, 4)
     for deriv in range(3):
-        _, tab = kv.eval(0.3, deriv)
+        first, tab = kv.eval(0.3, deriv)
         ref = naive_all_values(kv, 0.3, deriv)
-        first = kv.find_span(0.3) - kv.degree
         dense = np.zeros(kv.dim)
         dense[first: first + 4] = tab[deriv]
         np.testing.assert_allclose(dense, ref, atol=1e-13)
@@ -103,8 +102,7 @@ def test_collocation_matches_pointwise_loop():
 @settings(max_examples=25, deadline=None)
 @given(knot_vectors, st.floats(min_value=1e-3, max_value=1.0 - 1e-3))
 def test_values_match_naive_recursion_randomized(kv, x):
-    _, tab = kv.eval(x, 1)
-    first = kv.find_span(x) - kv.degree
+    first, tab = kv.eval(x, 1)
     for k in range(2):
         ref = naive_all_values(kv, x, k)
         dense = np.zeros(kv.dim)
