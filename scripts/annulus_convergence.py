@@ -13,19 +13,15 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
-from eggmix.io_cli import parse_geometry  # noqa: E402
+from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.io_cli import parse_geometry, solve  # noqa: E402
 from eggmix.geometries import build_quarter_annulus, exact_annulus_map  # noqa: E402
-from eggmix.solver import SolverConfig, newton_solve, transfinite_global  # noqa: E402
-from eggmix.splines import gauss_legendre  # noqa: E402
+from eggmix.solver import SolverConfig, build_system_hierarchy  # noqa: E402
 
 
 def l2_error(topology, control):
     m = topology.patch_map(0, control)
-    q, w = gauss_legendre(6)
-    kx = m.basis.kv_xi
-    pts = (kx.breakpoints[:-1, None] + np.diff(kx.breakpoints)[:, None] * q).ravel()
-    wts = (np.diff(kx.breakpoints)[:, None] * w).ravel()
+    pts, wts = m.basis.kv_xi.gauss_grid(6)
     X = m.grid_jet(pts, pts, 0)["x"]
     exact = exact_annulus_map(pts[:, None] * np.ones_like(pts)[None, :],
                               np.ones_like(pts)[:, None] * pts[None, :])
@@ -40,10 +36,8 @@ def main():
         for ne in (4, 8, 16, 32):
             geo = parse_geometry(build_quarter_annulus(p, ne))
             bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
-            system = MixedSystem(geo.topology, bvals)
-            c0 = system.net_as_c(
-                transfinite_global(system)[geo.topology.inner_indices])
-            c, rep = newton_solve(system, c0, SolverConfig(newton_tol=1e-10))
+            system, c, rep = solve(build_system_hierarchy(geo.topology, bvals, 0),
+                                   "transfinite", SolverConfig(newton_tol=1e-10))
             err = l2_error(geo.topology, system.full_control_net(c))
             order = "" if prev is None else f"  order {np.log2(prev / err):.2f}"
             print(f"  {ne:3d}x{ne:<3d} elements: newton {rep.newton_iterations}"

@@ -11,11 +11,12 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
-from eggmix.io_cli import _write_svg, parse_geometry  # noqa: E402
+from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.io_cli import _write_svg, parse_geometry, solve  # noqa: E402
 from eggmix.geometries import build_bat  # noqa: E402
 from eggmix.mapping import sampled_bijectivity  # noqa: E402
-from eggmix.solver import SolverConfig, folded_initial_guess, newton_solve  # noqa: E402
+from eggmix.solver import (  # noqa: E402
+    SolverConfig, build_system_hierarchy, folded_initial_guess)
 
 
 def main():
@@ -24,18 +25,17 @@ def main():
     geo = parse_geometry(build_bat())
     topo = geo.topology
     bvals = boundary_values_from_faces(topo, geo.boundary_data)
-    system = MixedSystem(topo, bvals, mode="full")
+    hierarchy = build_system_hierarchy(topo, bvals, 0, mode="full")
 
-    net0 = folded_initial_guess(system)
+    net0 = folded_initial_guess(hierarchy[0].system)
     maps0 = [topo.patch_map(i, net0) for i in range(topo.n_patches)]
     folds = sum(sampled_bijectivity(m, 5).fold_count for m in maps0)
     print(f"initial guess     : {folds} folded samples across "
           f"{topo.n_patches} patches")
     _write_svg(outdir / "bat_initial.svg", maps0, 3)
 
-    c0 = system.net_as_c(net0[topo.inner_indices])
     t0 = time.perf_counter()
-    c, rep = newton_solve(system, c0, SolverConfig())
+    system, c, rep = solve(hierarchy, "folded", SolverConfig())
     print(f"newton iterations : {rep.newton_iterations}")
     print(f"R_N evaluations   : {rep.rn_evals}")
     print(f"final ||R||       : {rep.final_residual:.3e}")

@@ -14,11 +14,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
-from eggmix.io_cli import _write_svg, parse_geometry  # noqa: E402
+from eggmix.assembly import boundary_values_from_faces  # noqa: E402
+from eggmix.io_cli import _write_svg, parse_geometry, solve  # noqa: E402
 from eggmix.geometries import build_lbend  # noqa: E402
 from eggmix.mapping import sampled_bijectivity, winslow, winslow_descent  # noqa: E402
-from eggmix.solver import SolverConfig, newton_solve, transfinite_global  # noqa: E402
+from eggmix.solver import SolverConfig, build_system_hierarchy  # noqa: E402
 
 
 def main():
@@ -26,11 +26,10 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     geo = parse_geometry(build_lbend())
     bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
-    system = MixedSystem(geo.topology, bvals, mode="xi")
-    c0 = system.net_as_c(transfinite_global(system)[geo.topology.inner_indices])
+    hierarchy = build_system_hierarchy(geo.topology, bvals, 0, mode="xi")
 
     t0 = time.perf_counter()
-    c, rep = newton_solve(system, c0, SolverConfig(newton_tol=1e-10))
+    system, c, rep = solve(hierarchy, "transfinite", SolverConfig(newton_tol=1e-10))
     t_solve = time.perf_counter() - t0
     print(f"newton iterations : {rep.newton_iterations}")
     print(f"R_N evaluations   : {rep.rn_evals}")

@@ -6,14 +6,17 @@ By.T`` with univariate collocation factors, and its moments against the test
 functions ``Bx.T @ (w U) @ By``. The constant blocks are separable: a patch's
 auxiliary mass moments are ``vol Mxi D Meta.T``, its derivative moments
 ``vol (ia[0, d] Kxi C Oeta.T + ia[1, d] Oxi C Keta.T)``, with dense
-univariate integral factors. The coupled auxiliary mass is solved exactly by
-static condensation onto the auxiliary DOFs that patches share (Kronecker
-solves on each patch's remaining tensor range, as two dense products with
-the univariate inverses, and one dense Cholesky factor on the shared DOFs),
-and the frozen-metric Laplacian that preconditions the Schur GMRES is summed
-from univariate pair factors and factored by banded Cholesky, in a
-bandwidth-reducing order fixed once per system. A single patch is a 1-patch
-topology on the same code path.
+univariate integral factors. Every univariate factor of a patch
+direction, collocation and integral alike, comes from one B-spline table
+per knot vector (primal and auxiliary) on that direction's Gauss grid, made
+once per system by :func:`build_quadrature`. The coupled auxiliary mass is
+solved exactly by static condensation onto the auxiliary DOFs that patches
+share (Kronecker solves on each patch's remaining tensor range, as two
+dense products with the univariate inverses, and one dense Cholesky factor
+on the shared DOFs), and the frozen-metric Laplacian that preconditions the
+Schur GMRES is summed from univariate pair factors and factored by banded
+Cholesky, in a bandwidth-reducing order fixed once per system. A single
+patch is a 1-patch topology on the same code path.
 """
 
 from __future__ import annotations
@@ -31,22 +34,25 @@ from scipy.sparse import csgraph
 from .errors import CornerMismatchError, InputError, ModeError
 from .linalg import Banded1DCholesky, KronSolver
 from .multipatch import PatchTopology, single_patch_topology
-from .splines import KnotVector, TensorBasis, gauss_legendre
+from .splines import KnotVector, TensorBasis
 
 MODES = ("full", "xi", "eta")
 
 
 @dataclass
 class DirectionFactors:
-    """Univariate quadrature and collocation data of one parametric direction
-    of a patch, on the Gauss points of every span of the fine (auxiliary)
-    knot vector, span-major: point ``k`` lies in span ``k // nq``.
+    """Univariate quadrature, collocation and integral factors of one
+    parametric direction of a patch, all from one table per knot vector on
+    the Gauss points of every span of the fine (auxiliary) knot vector,
+    span-major: point ``k`` lies in span ``k // nq``.
 
     ``first_*``/``tab_*`` are the padded tables of :meth:`KnotVector.eval_many`
     per span (``tab[e, q, k, j]`` is the k-th derivative of function
     ``first[e] + j`` at point q of span e, zero above the degree); ``sig``
     and ``bar`` are the same values as dense collocation factors,
     ``sig[k, i, a]`` the k-th derivative of primal function a at point i.
+    The integral factors are ``mbar[i, j] = int wbar_i wbar_j``, ``obar[i,
+    j] = int wbar_i w_j`` and ``kbar[i, j] = int wbar_i w_j'``.
     """
     nq: int
     points: np.ndarray      # (n_spans * nq,), strictly span-interior
@@ -57,6 +63,9 @@ class DirectionFactors:
     tab_bar: np.ndarray     # (n_spans, nq, 2, p_bar + 1)
     sig: np.ndarray         # (nderiv + 1, n_spans * nq, n_sig)
     bar: np.ndarray         # (2, n_spans * nq, n_bar)
+    mbar: np.ndarray        # (n_bar, n_bar)
+    obar: np.ndarray        # (n_bar, n_sig)
+    kbar: np.ndarray        # (n_bar, n_sig)
 
     @property
     def n_spans(self) -> int:
@@ -80,42 +89,41 @@ class QuadratureCache:
         return self.xi.n_spans * self.eta.n_spans
 
 
-def _dense_factor(first, tab, dim):
-    """(nderiv + 1, n_points, dim) collocation factors from padded per-span
-    tables."""
-    n_spans, nq, nd1, width = tab.shape
-    out = np.zeros((nd1, n_spans * nq, dim))
-    rows = np.arange(n_spans * nq)[:, None]
-    cols = np.repeat(first, nq)[:, None] + np.arange(width)
-    out[:, rows, cols] = np.moveaxis(tab.reshape(n_spans * nq, nd1, width), 1, 0)
-    return out
-
-
 def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
-    """Univariate tables on every nonempty span of the fine knot vector.
+    """Univariate factors on every nonempty span of the fine knot vector,
+    from one :meth:`KnotVector.eval_many` table per knot vector.
 
-    Gauss order is degree+1 per span, which integrates the auxiliary mass
-    exactly."""
-    p = kv_sig.degree
-    nq = p + 1
-    q, wq = gauss_legendre(nq)
-    a = kv_bar.breakpoints[:-1]
-    h = np.diff(kv_bar.breakpoints)
-    n_es = len(h)
-    pts = (a[:, None] + h[:, None] * q[None, :]).ravel()
-    wts = (h[:, None] * wq[None, :]).ravel()
+    Gauss order is the larger degree + 1 per span, which integrates the
+    auxiliary mass exactly. Span integrals are batched products of the padded tables,
+    scattered with one ``bincount`` per factor."""
+    nq = max(kv_sig.degree, kv_bar.degree) + 1
+    pts, wts = kv_bar.gauss_grid(nq)
+    n_es = kv_bar.nelems
     first_s, tab_s = kv_sig.eval_many(pts, nderiv_sig)
     first_b, tab_b = kv_bar.eval_many(pts, 1)
+    sig, bar = kv_sig.dense(first_s, tab_s), kv_bar.dense(first_b, tab_b)
     # all Gauss points of a span share its active functions
-    first_s = first_s.reshape(n_es, nq)[:, 0]
-    first_b = first_b.reshape(n_es, nq)[:, 0]
-    tab_s = tab_s.reshape(n_es, nq, nderiv_sig + 1, p + 1)
+    first_s = first_s[::nq]
+    first_b = first_b[::nq]
+    tab_s = tab_s.reshape(n_es, nq, nderiv_sig + 1, kv_sig.degree + 1)
     tab_b = tab_b.reshape(n_es, nq, 2, kv_bar.degree + 1)
+    rows = first_b[:, None] + np.arange(kv_bar.degree + 1)
+    # (n_es, p_bar + 1, nq) weighted test functions of every span
+    w_tb = np.swapaxes(wts.reshape(n_es, nq, 1) * tab_b[:, :, 0], 1, 2)
+
+    def scatter(local, first, dim):
+        cols = first[:, None] + np.arange(local.shape[-1])
+        flat = rows[:, :, None] * dim + cols[:, None, :]
+        return np.bincount(flat.ravel(), weights=local.ravel(),
+                           minlength=kv_bar.dim * dim).reshape(kv_bar.dim, dim)
+
     return DirectionFactors(
         nq=nq, points=pts, weights=wts,
         first_sig=first_s, tab_sig=tab_s, first_bar=first_b, tab_bar=tab_b,
-        sig=_dense_factor(first_s, tab_s, kv_sig.dim),
-        bar=_dense_factor(first_b, tab_b, kv_bar.dim))
+        sig=sig, bar=bar,
+        mbar=scatter(w_tb @ tab_b[:, :, 0], first_b, kv_bar.dim),
+        obar=scatter(w_tb @ tab_s[:, :, 0], first_s, kv_sig.dim),
+        kbar=scatter(w_tb @ tab_s[:, :, 1], first_s, kv_sig.dim))
 
 
 def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
@@ -129,37 +137,6 @@ def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
     fx = _direction_tables(sigma.kv_xi, sigma_bar.kv_xi, nds)
     fy = _direction_tables(sigma.kv_eta, sigma_bar.kv_eta, nds)
     return QuadratureCache(xi=fx, eta=fy)
-
-
-def _univariate_matrices(kv_bar: KnotVector, kv_sig: KnotVector):
-    """Dense univariate integral factors over the fine span grid:
-    mbar[i,j] = int wbar_i wbar_j, obar[i,j] = int wbar_i w_j,
-    kbar[i,j] = int wbar_i w_j'. Span integrals are batched products of the
-    padded tables, scattered with one ``bincount`` per factor."""
-    p = max(kv_bar.degree, kv_sig.degree)
-    q, wq = gauss_legendre(p + 1)
-    a = kv_bar.breakpoints[:-1]
-    h = np.diff(kv_bar.breakpoints)
-    pts = a[:, None] + h[:, None] * q[None, :]
-    wts = h[:, None] * wq[None, :]
-    n_e, nq = pts.shape
-    first_b, tab_b = kv_bar.eval_many(pts.ravel(), 0)
-    first_s, tab_s = kv_sig.eval_many(pts.ravel(), 1)
-    tab_b = tab_b.reshape(n_e, nq, kv_bar.degree + 1)
-    tab_s = tab_s.reshape(n_e, nq, 2, kv_sig.degree + 1)
-    rows = first_b[::nq, None] + np.arange(kv_bar.degree + 1)
-    # (n_e, p_bar + 1, nq) weighted test functions of every span
-    w_tb = np.swapaxes(wts[:, :, None] * tab_b, 1, 2)
-
-    def scatter(local, first, dim):
-        cols = first[::nq, None] + np.arange(local.shape[-1])
-        flat = rows[:, :, None] * dim + cols[:, None, :]
-        return np.bincount(flat.ravel(), weights=local.ravel(),
-                           minlength=kv_bar.dim * dim).reshape(kv_bar.dim, dim)
-
-    return (scatter(w_tb @ tab_b, first_b, kv_bar.dim),
-            scatter(w_tb @ tab_s[:, :, 0], first_s, kv_sig.dim),
-            scatter(w_tb @ tab_s[:, :, 1], first_s, kv_sig.dim))
 
 
 # Primal jet rows of the residual kernel, grouped by eta-derivative order:
@@ -397,12 +374,8 @@ class MixedSystem:
         self._template = np.zeros((topology.n_sigma, 2))
         self._template[topology.boundary_indices] = boundary_values
 
-        # (mbar, obar, kbar) per patch and direction, shared by both builders
-        univariate = [(_univariate_matrices(bb.kv_xi, tb.kv_xi),
-                       _univariate_matrices(bb.kv_eta, tb.kv_eta))
-                      for tb, bb in zip(topology.bases, topology.bar_bases)]
-        self._build_patches(univariate)
-        self._build_mass(univariate)
+        self._build_patches()
+        self._build_mass()
         # calls of eval_RN, and the seconds spent in it and in the exact
         # mass solve, summed over the life of the system
         self.rn_eval_count = 0
@@ -429,7 +402,7 @@ class MixedSystem:
                 f"{'eta' if mode == 'xi' else 'xi'} direction, which requires "
                 "C>=1 continuity there (interior multiplicities <= degree-1)")
 
-    def _build_patches(self, univariate):
+    def _build_patches(self):
         topo = self.topology
         n_aux = self.n_fields // 2
         directions = [0] if self.mode == "xi" else [1] if self.mode == "eta" else [0, 1]
@@ -444,16 +417,17 @@ class MixedSystem:
             am = topo.maps[i]
             vol = abs(am.det)
             ia = am.inv
-            (mx, ox, kx), (my, oy, ky) = univariate[i]
+            fx, fy = cache.xi, cache.eta
             sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
             inner = inner_of[sig]
-            left = np.stack([vol * np.stack([ia[0, d] * kx, ia[1, d] * ox], axis=2)
+            left = np.stack([vol * np.stack([ia[0, d] * fx.kbar, ia[1, d] * fx.obar],
+                                            axis=2)
                              for d in directions]).reshape(len(directions), bb.n_xi, -1)
             self.patches.append(_PatchContext(
                 cache=cache,
                 inv_a=ia,
                 vol=vol,
-                wgrid=vol * np.multiply.outer(cache.xi.weights, cache.eta.weights),
+                wgrid=vol * np.multiply.outer(fx.weights, fy.weights),
                 sig_idx=2 * sig + comp,
                 bar_idx=fields * topo.n_sigbar
                 + topo.bar_l2g[i].reshape(1, bb.n_xi, 1, bb.n_eta),
@@ -461,10 +435,10 @@ class MixedSystem:
                                  2 * self.n_inner),
                 combo=_residual_combination(self.mode, self.chi, ia, n_aux),
                 left=left,
-                right=np.concatenate([oy.T, ky.T], axis=1),
-                mass=(vol * mx, my)))
+                right=np.concatenate([fy.obar.T, fy.kbar.T], axis=1),
+                mass=(vol * fx.mbar, fy.mbar)))
 
-    def _build_mass(self, univariate):
+    def _build_mass(self):
         """Static condensation of the coupled auxiliary mass A onto Gamma,
         the auxiliary DOFs shared by more than one patch (Smith, Bjorstad &
         Gropp, Domain Decomposition, CUP 1996, ch. 4). The shared DOFs of a
@@ -486,7 +460,8 @@ class MixedSystem:
         n_gamma = len(self._gamma)
         position = np.cumsum(shared) - 1
         keys, blocks = [], []
-        for i, (ctx, ((mx, _, _), (my, _, _))) in enumerate(zip(self.patches, univariate)):
+        for i, ctx in enumerate(self.patches):
+            mx, my = ctx.cache.xi.mbar, ctx.cache.eta.mbar
             bb = topo.bar_bases[i]
             unglued = topo.unglued_faces[i]
             ctx.rows, sx = _glued_lines(bb.n_xi, ("west", "east"), unglued)

@@ -28,7 +28,7 @@ from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
-from .solver import EW_ETA_MAX, SolverConfig, SolverReport, \
+from .solver import EW_ETA_MAX, NewtonState, SolverConfig, SolverReport, \
     build_system_hierarchy, folded_initial_guess, newton_solve, \
     transfinite_global
 from .splines import KnotVector, TensorBasis
@@ -272,13 +272,6 @@ def _quality_block(maps):
     return block, per_patch
 
 
-def _residual_norm_of_solution(system: MixedSystem, c):
-    d = system.project_d(c)
-    rl = system.eval_RL(d, c)
-    rn = system.eval_RN(d, c)
-    return float(np.sqrt(rl @ rl + rn @ rn))
-
-
 def geometry_doc_from_system(system: MixedSystem) -> dict:
     """Reconstruct a geometry document on the system's own basis (needed when
     the solve refined the file's basis through coarse-to-fine levels)."""
@@ -324,7 +317,7 @@ def solution_document(geometry_doc: dict, system: MixedSystem, c, report,
         "solver_settings": settings,
         "control_nets": nets,
         "converged": bool(report.converged),
-        "residual_norm": _residual_norm_of_solution(system, c),
+        "residual_norm": NewtonState(system, system.project_d(c), c).r_norm,
         "report": report.to_dict(),
         "quality": _quality_block(maps)[0],
     }

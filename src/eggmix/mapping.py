@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerMismatchError, InputError, NonbijectiveMapError
-from .splines import TensorBasis, gauss_legendre
+from .splines import TensorBasis
 
 CORNER_TOL = 1e-12
 
@@ -76,18 +76,9 @@ class SplineMap:
         return self.control.reshape(self.basis.n_xi, self.basis.n_eta, 2)
 
     def eval_jet(self, xi: float, eta: float, max_deriv: int = 1):
-        """Map value and parametric derivatives at one point, as a dict."""
-        te = self.basis.eval(xi, eta, max_deriv)
-        C = self.control[te.active]
-        jet = {"x": te.w @ C}
-        if max_deriv >= 1:
-            jet["x_xi"] = te.w_xi @ C
-            jet["x_eta"] = te.w_eta @ C
-        if max_deriv >= 2:
-            jet["x_xixi"] = te.w_xixi @ C
-            jet["x_xieta"] = te.w_xieta @ C
-            jet["x_etaeta"] = te.w_etaeta @ C
-        return jet
+        """Map value and parametric derivatives at one point, as a dict:
+        :meth:`grid_jet` on the 1 x 1 grid (xi, eta)."""
+        return {k: v[0, 0] for k, v in self.grid_jet([xi], [eta], max_deriv).items()}
 
     def grid_jet(self, xs, ys, nderiv: int = 1):
         """Batched evaluation on a tensor grid; returns dense (nx, ny, 2)
@@ -189,19 +180,9 @@ def metric_at(m: SplineMap, xi: float, eta: float) -> MetricSample:
         x_xi=a, x_eta=b)
 
 
-def _element_quad_points(kv, order):
-    """Gauss points/weights on every nonempty span, flattened."""
-    q, w = gauss_legendre(order)
-    a = kv.breakpoints[:-1]
-    b = kv.breakpoints[1:]
-    pts = (a[:, None] + np.diff(kv.breakpoints)[:, None] * q[None, :]).ravel()
-    wts = (np.diff(kv.breakpoints)[:, None] * w[None, :]).ravel()
-    return pts, wts
-
-
 def _winslow_fields(m: SplineMap, quad_order: int):
-    px, wx = _element_quad_points(m.basis.kv_xi, quad_order)
-    py, wy = _element_quad_points(m.basis.kv_eta, quad_order)
+    px, wx = m.basis.kv_xi.gauss_grid(quad_order)
+    py, wy = m.basis.kv_eta.gauss_grid(quad_order)
     jets = m.grid_jet(px, py, 1)
     a = jets["x_xi"]
     b = jets["x_eta"]

@@ -86,7 +86,8 @@ class SolverConfig:
     ``forcing_term``). ``gmres_restart`` and
     ``gmres_max_iter`` bound each GMRES solve; these two and ``max_newton``
     are integers of at least 1. ``verbose`` writes one JSON line per Newton
-    step to stderr, with the seconds of each entry of ``TIMED_PHASES``. The
+    step to stderr, with the seconds of each entry of ``TIMED_PHASES`` and
+    the step's own ``eval_RN`` calls (``rn_evals``). The
     line-search and finite-difference constants are module constants
     (``LS_*``, ``FD_FLOOR``).
     """
@@ -366,7 +367,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         eta = forcing_term(config.gmres_tol, scale, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
-        rn_s, mass_s = system.rn_eval_s, system.mass_solve_s
+        rn_count, rn_s, mass_s = (system.rn_eval_count, system.rn_eval_s,
+                                  system.mass_solve_s)
         rhs = schur_rhs(system, state)
         t_precond = time.perf_counter()
         precond = system.laplace_preconditioner(state.c)
@@ -383,7 +385,6 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         r0 = gm.residual_norms[0]
         gmres_residual = gm.residual_norms[-1] / r0 if r0 > 0.0 else 0.0
         report.gmres_residuals.append(gmres_residual)
-        rn_evals = system.rn_eval_count - rn0
         probe = {}
 
         def trial_norm(nu):
@@ -414,7 +415,8 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                 "gmres_converged": bool(gm.converged),
                 "gmres_residual": gmres_residual, "forcing_term": eta,
                 "min_denominator": state.min_denominator,
-                "rn_evals": rn_evals, **step_timings}, sort_keys=True),
+                "rn_evals": system.rn_eval_count - rn_count, **step_timings},
+                sort_keys=True),
                 file=sys.stderr)
         if nu is None:
             report.stagnated = True

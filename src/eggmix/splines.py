@@ -1,14 +1,14 @@
 """Univariate and tensor-product B-spline bases on [0, 1].
 
 Open (clamped) knot vectors, Cox-de Boor evaluation with derivatives,
-Greville abscissae, global h-refinement with exact prolongation, and the
-lexicographic (xi-major) tensor-product numbering that every other module
-relies on.
+per-span Gauss grids, dense collocation factors scattered from one
+evaluation table, Greville abscissae, global h-refinement with exact
+prolongation, and the lexicographic (xi-major) tensor-product numbering
+that every other module relies on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -164,17 +164,14 @@ class KnotVector:
         """
         if not 0 <= nderiv <= self.degree:
             raise InputError(f"derivative order {nderiv} not in [0, {self.degree}]")
-        return self.eval_padded(x, nderiv)
-
-    def eval_padded(self, x: float, nderiv: int):
-        """Like :meth:`eval` but zero-pads derivative orders above the degree."""
         first, tab = self.eval_many([float(x)], nderiv)
         return int(first[0]), tab[0]
 
     def eval_many(self, pts, nderiv: int):
-        """:meth:`eval_padded` at every point of ``pts`` at once: returns
-        ``(first, table)`` with ``table[i, k, j]`` the k-th derivative of
-        basis function ``first[i] + j`` at ``pts[i]``."""
+        """:meth:`eval` at every point of ``pts`` at once, derivative orders
+        above the degree zero-padded: returns ``(first, table)`` with
+        ``table[i, k, j]`` the k-th derivative of basis function ``first[i] +
+        j`` at ``pts[i]``."""
         pts = np.asarray(pts, dtype=float)
         outside = ~((pts >= 0.0) & (pts <= 1.0))
         if outside.any():
@@ -188,6 +185,26 @@ class KnotVector:
         n = min(nderiv, p)
         tab[:, : n + 1] = np.moveaxis(_ders_basis(self.knots, p, span, pts, n), 2, 0)
         return span - p, tab
+
+    def dense(self, first, tab):
+        """Dense (nderiv + 1, n_points, dim) collocation factors from the
+        ``(first, table)`` of :meth:`eval_many`: ``out[k, i]`` is the row of
+        k-th derivatives of every basis function at point i."""
+        n_points, nd1, width = tab.shape
+        out = np.zeros((nd1, n_points, self.dim))
+        rows = np.arange(n_points)[:, None]
+        cols = first[:, None] + np.arange(width)
+        out[:, rows, cols] = np.moveaxis(tab, 1, 0)
+        return out
+
+    def gauss_grid(self, n: int):
+        """Gauss-Legendre points and weights of order ``n`` on every nonempty
+        span, span-major: point ``k`` lies in span ``k // n``, and the
+        weights of a span sum to its length."""
+        q, w = gauss_legendre(n)
+        a = self.breakpoints[:-1]
+        h = np.diff(self.breakpoints)
+        return (a[:, None] + h[:, None] * q).ravel(), (h[:, None] * w).ravel()
 
     @cached_property
     def greville(self):
@@ -238,15 +255,9 @@ class KnotVector:
         return KnotVector(p, tau), P
 
     def collocation(self, pts, nderiv: int = 0):
-        """Dense collocation matrices: one (len(pts), dim) array per
-        derivative order 0..nderiv."""
-        first, tab = self.eval_many(pts, nderiv)
-        rows = np.arange(len(first))[:, None]
-        cols = first[:, None] + np.arange(self.degree + 1)
-        out = [np.zeros((len(first), self.dim)) for _ in range(nderiv + 1)]
-        for k in range(nderiv + 1):
-            out[k][rows, cols] = tab[:, k]
-        return out
+        """Dense collocation matrices at ``pts``: a (nderiv + 1, len(pts),
+        dim) array, one matrix per derivative order 0..nderiv."""
+        return self.dense(*self.eval_many(pts, nderiv))
 
     def interpolate(self, data):
         """Spline coefficients interpolating ``data`` at the Greville abscissae.
@@ -277,18 +288,6 @@ def uniform_knots(degree: int, nelems: int, c0_breaks=()) -> KnotVector:
         knots.extend([b] * rep)
     knots.extend([1.0] * (degree + 1))
     return KnotVector(degree, knots)
-
-
-@dataclass
-class TensorEval:
-    """Active indices and basis values/derivatives at one parametric point."""
-    active: np.ndarray
-    w: np.ndarray
-    w_xi: np.ndarray
-    w_eta: np.ndarray
-    w_xixi: np.ndarray | None = None
-    w_xieta: np.ndarray | None = None
-    w_etaeta: np.ndarray | None = None
 
 
 class TensorBasis:
@@ -361,25 +360,3 @@ class TensorBasis:
         kx, Px = self.kv_xi.refine()
         ky, Py = self.kv_eta.refine()
         return TensorBasis(kx, ky), sparse.kron(Px, Py).tocsr()
-
-    def eval(self, xi: float, eta: float, max_deriv: int = 1) -> TensorEval:
-        """Active basis values at (xi, eta) with derivatives up to
-        ``max_deriv`` (second derivatives only when requested)."""
-        nd = min(max_deriv, 2)
-        fx, tx = self.kv_xi.eval_padded(xi, nd)
-        fy, ty = self.kv_eta.eval_padded(eta, nd)
-        px, py = self.kv_xi.degree, self.kv_eta.degree
-        ax = fx + np.arange(px + 1)
-        ay = fy + np.arange(py + 1)
-        active = (ax[:, None] * self.n_eta + ay[None, :]).ravel()
-        out = TensorEval(
-            active=active,
-            w=np.outer(tx[0], ty[0]).ravel(),
-            w_xi=np.outer(tx[1], ty[0]).ravel() if nd >= 1 else None,
-            w_eta=np.outer(tx[0], ty[1]).ravel() if nd >= 1 else None,
-        )
-        if nd >= 2:
-            out.w_xixi = np.outer(tx[2], ty[0]).ravel()
-            out.w_xieta = np.outer(tx[1], ty[1]).ravel()
-            out.w_etaeta = np.outer(tx[0], ty[2]).ravel()
-        return out

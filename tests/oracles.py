@@ -56,22 +56,22 @@ def reference_univariate_integral(kv_a, kv_b, da=0, db=0, order=12):
 
 
 def dense_row(kv, x, deriv=0):
-    first, tab = kv.eval_padded(x, deriv)
+    first, tab = kv.eval_many([x], deriv)
     row = np.zeros(kv.dim)
-    row[first: first + kv.degree + 1] = tab[deriv]
+    row[first[0]: first[0] + kv.degree + 1] = tab[0, deriv]
     return row
 
 
 def loop_collocation(kv, pts, nderiv=0):
-    """Collocation matrices built point by point from ``eval_padded``: the
-    per-point loop the vectorised ``KnotVector.collocation`` replaced. It
-    checks span lookup and scatter; the recursion itself is checked against
-    ``naive_bspline``."""
+    """Collocation matrices built point by point from ``eval_many`` at one
+    point each: the per-point loop the vectorised ``KnotVector.collocation``
+    replaced. It checks span lookup and scatter; the recursion itself is
+    checked against ``naive_bspline``."""
     out = [np.zeros((len(pts), kv.dim)) for _ in range(nderiv + 1)]
     for i, x in enumerate(pts):
-        first, tab = kv.eval_padded(x, nderiv)
+        first, tab = kv.eval_many([x], nderiv)
         for k in range(nderiv + 1):
-            out[k][i, first: first + kv.degree + 1] = tab[k]
+            out[k][i, first[0]: first[0] + kv.degree + 1] = tab[0, k]
     return out
 
 
@@ -103,7 +103,7 @@ def constant_blocks(system):
     vol Mxi (x) Meta and vol (ia[0, d] Kxi (x) Oeta + ia[1, d] Oxi (x)
     Keta) of the univariate factors, scattered to the coupled auxiliary
     rows and the global primal columns."""
-    from eggmix.assembly import _univariate_matrices
+    from eggmix.assembly import build_quadrature
 
     topo = system.topology
     mglob = sparse.csr_matrix((topo.n_sigbar, topo.n_sigbar))
@@ -112,8 +112,9 @@ def constant_blocks(system):
     for i, (tb, bb) in enumerate(zip(topo.bases, topo.bar_bases)):
         am = topo.maps[i]
         vol, ia = abs(am.det), am.inv
-        mx, ox, kx = _univariate_matrices(bb.kv_xi, tb.kv_xi)
-        my, oy, ky = _univariate_matrices(bb.kv_eta, tb.kv_eta)
+        cache = build_quadrature(tb, bb)
+        mx, ox, kx = cache.xi.mbar, cache.xi.obar, cache.xi.kbar
+        my, oy, ky = cache.eta.mbar, cache.eta.obar, cache.eta.kbar
         rows = sparse.csr_matrix((np.ones(bb.dim), (topo.bar_l2g[i], np.arange(bb.dim))),
                                  shape=(topo.n_sigbar, bb.dim))
         cols = sparse.csr_matrix((np.ones(tb.dim), (np.arange(tb.dim), topo.sig_l2g[i])),
@@ -422,7 +423,8 @@ def element_union_laplacian_pattern(system):
 
 
 def loop_univariate_matrices(kv_bar, kv_sig):
-    """``assembly._univariate_matrices`` summed one Gauss point at a time
+    """The integral factors of ``assembly.build_quadrature`` (``mbar``,
+    ``obar``, ``kbar`` of a direction) summed one Gauss point at a time
     with ``np.outer`` (the loop the batched products replaced):
     mbar = int wbar wbar^T, obar = int wbar w^T, kbar = int wbar w'^T over
     the fine span grid."""
@@ -435,8 +437,8 @@ def loop_univariate_matrices(kv_bar, kv_sig):
     kbar = np.zeros((kv_bar.dim, kv_sig.dim))
     for a, b in zip(kv_bar.breakpoints[:-1], kv_bar.breakpoints[1:]):
         for x, wt in zip(a + (b - a) * q, (b - a) * wq):
-            fb, tb = kv_bar.eval_padded(x, 0)
-            fs, ts = kv_sig.eval_padded(x, 1)
+            fb, tb = kv_bar.eval(x, 0)
+            fs, ts = kv_sig.eval(x, 1)
             sb = slice(fb, fb + kv_bar.degree + 1)
             ss = slice(fs, fs + kv_sig.degree + 1)
             mbar[sb, sb] += wt * np.outer(tb[0], tb[0])

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from eggmix import assembly
-from eggmix.assembly import MixedSystem, build_quadrature, \
-    single_patch_system
+from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
+    build_quadrature, single_patch_system
 from eggmix.errors import InputError, ModeError
 from eggmix.io_cli import parse_geometry
-from eggmix.geometries import build_quarter_annulus, exact_annulus_map
+from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
+    exact_annulus_map
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
@@ -154,16 +155,20 @@ def test_eval_RL_matches_direct_quadrature_oracle(rng):
         for ay, by in zip(breaks[:-1], breaks[1:]):
             for qx, wx in zip(ax + (bx - ax) * pts, (bx - ax) * wts):
                 for qy, wy in zip(ay + (by - ay) * pts, (by - ay) * wts):
-                    te = tb.eval(qx, qy, 1)
-                    be = bb.eval(qx, qy, 0)
-                    x_xi = te.w_xi @ net[te.active]
-                    x_eta = te.w_eta @ net[te.active]
+                    # every basis function's value at (qx, qy), flat order
+                    w_xi = np.outer(dense_row(tb.kv_xi, qx, 1),
+                                    dense_row(tb.kv_eta, qy)).ravel()
+                    w_eta = np.outer(dense_row(tb.kv_xi, qx),
+                                     dense_row(tb.kv_eta, qy, 1)).ravel()
+                    wb = np.outer(dense_row(bb.kv_xi, qx),
+                                  dense_row(bb.kv_eta, qy)).ravel()
+                    x_xi = w_xi @ net
+                    x_eta = w_eta @ net
                     for f, (dcomp, comp) in enumerate(
                             [("xi", 0), ("xi", 1), ("eta", 0), ("eta", 1)]):
-                        dvals = d[f * nbar:(f + 1) * nbar][be.active]
-                        u = be.w @ dvals
+                        u = wb @ d[f * nbar:(f + 1) * nbar]
                         tgt = x_xi[comp] if dcomp == "xi" else x_eta[comp]
-                        ref[f * nbar + be.active] += wx * wy * be.w * (u - tgt)
+                        ref[f * nbar: (f + 1) * nbar] += wx * wy * wb * (u - tgt)
     np.testing.assert_allclose(got, ref, atol=1e-13)
 
 
@@ -305,10 +310,29 @@ def test_element_order_independence(rng):
 ], ids=["p1", "p2", "p3-C0", "p2-nonuniform"])
 def test_univariate_matrices_match_pointwise_loop(kv):
     kv_bar = kv.refine()[0]
-    got = assembly._univariate_matrices(kv_bar, kv)
-    for g, want in zip(got, loop_univariate_matrices(kv_bar, kv)):
+    f = build_quadrature(TensorBasis(kv, kv), TensorBasis(kv_bar, kv_bar)).xi
+    for g, want in zip((f.mbar, f.obar, f.kbar), loop_univariate_matrices(kv_bar, kv)):
         assert g.shape == want.shape
         assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("build, mode, calls", [
+    (build_bat, "full", 12), (build_lbend, "xi", 4)], ids=["bat", "lbend"])
+def test_system_build_tabulates_each_knot_vector_once(monkeypatch, build, mode, calls):
+    """One ``eval_many`` table per knot vector (primal and auxiliary) of
+    every patch direction, on its Gauss grid."""
+    geo = parse_geometry(build())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    real = KnotVector.eval_many
+    tabulated = []
+
+    def counting(self, pts, nderiv):
+        tabulated.append(self)
+        return real(self, pts, nderiv)
+
+    monkeypatch.setattr(KnotVector, "eval_many", counting)
+    MixedSystem(geo.topology, bv, mode=mode)
+    assert len(tabulated) == calls == 2 * 2 * geo.topology.n_patches
 
 
 def test_mode_validation():

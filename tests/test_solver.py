@@ -335,6 +335,22 @@ def test_verbose_emits_json_lines(capsys):
     assert {"newton_iteration", "residual_norm", "step_norm"} <= set(rec)
 
 
+def test_verbose_rn_evals_count_each_step_alone(capsys):
+    geo = parse_geometry(build_lbend())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    _, _, rep = solve(build_system_hierarchy(geo.topology, bv, 0, mode="xi"),
+                      "transfinite", SolverConfig(verbose=True))
+    assert rep.converged
+    import json
+    counts = [json.loads(ln)["rn_evals"]
+              for ln in capsys.readouterr().err.splitlines()]
+    assert len(counts) == rep.newton_iterations
+    # the start's evaluation, then each step's right-hand side, GMRES
+    # matvecs and line-search probes
+    assert sum(counts) + 1 == rep.rn_evals
+    assert all(n >= m + 1 for n, m in zip(counts, rep.gmres_matvecs))
+
+
 def test_coarse_to_fine_square_matches_direct():
     tb = TensorBasis(uniform_knots(2, 2), uniform_knots(2, 2))
     m = unit_square_map(tb)
