@@ -35,7 +35,9 @@ records the median milliseconds over repeated calls of ``eval_RN``,
 ``eval_RL_tilde``, ``apply_ainv_b``, ``ainv_exact`` (the coupled mass solve
 of every field alone, on the derivative moments of the start net) and of
 the preconditioner in three
-parts: the assembly of K (``frozen_laplacian``), the factor (the
+parts: the assembly of K (``frozen_laplacian``, timed right after
+``eval_RN`` at the same iterate, so that it takes the metric that call left
+behind, the path every Newton step takes), the factor (the
 ``laplace_preconditioner`` build given an assembled K) and one apply to
 both components; ``build_plus_six_applies_ms`` adds the three as one
 Newton step of six GMRES iterations pays them.
@@ -93,6 +95,7 @@ RESTART_CASES = {
 # key -> (geometry, mode, finest h-refinement level, folded start)
 COARSE_TO_FINE_CASES = {
     "bat-folded-L2-c2f": ("bat", "full", 2, True),
+    "bat-folded-L3-c2f": ("bat", "full", 3, True),
 }
 # key -> (geometry, mode, h-refinement level)
 SETUP_CASES = {
@@ -106,6 +109,12 @@ KERNEL_CASES = {
 }
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
+
+
+def machine():
+    """The machine and library versions a table was measured with."""
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__, **PINNED}
 
 
 def hierarchy_of(name, mode, level):
@@ -389,12 +398,7 @@ def main(argv=None):
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
               f"A^-1 {r['ainv_exact_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
-    doc = {
-        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__,
-                    **PINNED},
-        "cases": cases,
-    }
+    doc = {"machine": machine(), "cases": cases}
     text = json.dumps(doc, indent=1)
     if args.out:
         args.out.write_text(text + "\n", encoding="utf-8")

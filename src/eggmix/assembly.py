@@ -3,22 +3,27 @@ each patch's Gauss points form a tensor grid, so every block is applied
 patch by patch as products of univariate factors, and no global operator is
 assembled. Fields and derivatives of the nonlinear residual are ``Bx @ C @
 By.T`` with univariate collocation factors, and its moments against the test
-functions ``Bx.T @ (w U) @ By``. The constant blocks are separable: a patch's
-auxiliary mass moments are ``vol Mxi D Meta.T``, its derivative moments
-``vol (ia[0, d] Kxi C Oeta.T + ia[1, d] Oxi C Keta.T)``, with dense
-univariate integral factors. Every univariate factor of a patch
-direction, collocation and integral alike, comes from one B-spline table
-per knot vector (primal and auxiliary) on that direction's Gauss grid, made
-once per system by :func:`build_quadrature`. The coupled auxiliary mass is
-solved exactly by static condensation onto the auxiliary DOFs that patches
-share (Kronecker solves on each patch's remaining tensor range, as two
-dense products with the univariate inverses, and one dense Cholesky factor
-on the shared DOFs), and the frozen-metric Laplacian that preconditions the
-Schur GMRES is summed from univariate pair factors and factored by banded
-Cholesky, in a bandwidth-reducing order fixed once per system. A single
-patch is a 1-patch topology on the same code path.
+functions ``Bx.T @ (w U) @ By``. The residual contracts the eta direction
+first, on the coefficients, and then walks the xi Gauss points in strips of
+whole spans sized to the cache (``STRIP_BYTES``): each strip multiplies only
+the band of xi factor columns active on its spans, so its share of the xi
+contractions and all of its pointwise work stay on strip-sized arrays. The
+strips leave the metric of every Gauss point behind, tagged with its
+iterate, and the frozen-metric Laplacian takes it from there. The constant
+blocks are separable: a patch's auxiliary mass moments are ``vol Mxi D
+Meta.T``, its derivative moments ``vol (ia[0, d] Kxi C Oeta.T + ia[1, d]
+Oxi C Keta.T)``, with dense univariate integral factors. Every univariate
+factor of a patch direction, collocation and integral alike, comes from one
+B-spline table per knot vector (primal and auxiliary) on that direction's
+Gauss grid, made once per system by :func:`build_quadrature`. The coupled
+auxiliary mass is solved exactly by static condensation onto the auxiliary
+DOFs that patches share (Kronecker solves on each patch's remaining tensor
+range, as two dense products with the univariate inverses, and one dense
+Cholesky factor on the shared DOFs), and the frozen-metric Laplacian that
+preconditions the Schur GMRES is summed from univariate pair factors and
+factored by banded Cholesky, in a bandwidth-reducing order fixed once per
+system. A single patch is a 1-patch topology on the same code path.
 """
-
 from __future__ import annotations
 
 import functools
@@ -51,6 +56,10 @@ class DirectionFactors:
     ``first[e] + j`` at point q of span e, zero above the degree); ``sig``
     and ``bar`` are the same values as dense collocation factors,
     ``sig[k, i, a]`` the k-th derivative of primal function a at point i.
+    Each row has only p + 1 nonzeros, in the columns ``first[e]`` to
+    ``first[e] + p`` of its span: the residual contracts the eta factors
+    whole, on the coefficients, and reads the xi factors in bands, one
+    block of rows and columns per strip (:func:`_strip_layout`).
     The integral factors are ``mbar[i, j] = int wbar_i wbar_j``, ``obar[i,
     j] = int wbar_i w_j`` and ``kbar[i, j] = int wbar_i w_j'``.
     """
@@ -137,6 +146,35 @@ def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
     fx = _direction_tables(sigma.kv_xi, sigma_bar.kv_xi, nds)
     fy = _direction_tables(sigma.kv_eta, sigma_bar.kv_eta, nds)
     return QuadratureCache(xi=fx, eta=fy)
+
+
+# Bytes of the grid arrays that one strip of the per-iterate kernels works
+# on: the 2 MiB L2 cache per core of the machine the strip-budget sweep of
+# BENCH_iterate_strips.json was measured on. A patch is cut into as few
+# strips of whole xi spans as keep every strip within it.
+STRIP_BYTES = 2 << 20
+
+
+def _strip_layout(f: DirectionFactors, point_bytes: int):
+    """Strips of whole spans of the xi direction ``f`` of a patch, as few
+    as keep ``point_bytes`` per xi Gauss point within ``STRIP_BYTES``, the
+    spans spread evenly over them. Each strip is ``(points, cols,
+    bar_cols)``: the slice of its xi Gauss points and the slices of the
+    primal and auxiliary functions active on its spans, read off the span
+    tables alone."""
+    n = f.n_spans
+    per_strip = max(1, STRIP_BYTES // (f.nq * point_bytes))
+    n_strips = -(-n // per_strip)
+    start = np.arange(n_strips) * n // n_strips
+    stop = np.append(start[1:], n)
+
+    def band(first, width):
+        return zip(np.minimum.reduceat(first, start).tolist(),
+                   (np.maximum.reduceat(first, start) + width).tolist())
+    return [(slice(a * f.nq, b * f.nq), slice(*sig), slice(*bar))
+            for a, b, sig, bar in zip(start.tolist(), stop.tolist(),
+                                      band(f.first_sig, f.tab_sig.shape[-1]),
+                                      band(f.first_bar, f.tab_bar.shape[-1]))]
 
 
 # Primal jet rows of the residual kernel, grouped by eta-derivative order:
@@ -237,13 +275,17 @@ def _pair_factors(f: DirectionFactors, orders, diagonal: bool):
     return np.stack([uniq // dim, uniq % dim], axis=1), F
 
 
-def _patch_metric_map(ia):
-    """(4, 3) matrix taking the scaled (Q11, Q12, Q22) in (xi, eta) to the
+def _patch_metric_map(ia, mu):
+    """(4, 4) matrix taking (g11, g22, g12, 1) at a Gauss point to the
     entries (M_ss, M_st, M_ts, M_tt) of M = ia Q ia^T in the patch
-    coordinates, ``ia`` the inverse Jacobian of the affine patch map
-    (grad_(xi, eta) = ia^T grad_(s, t))."""
-    return np.array([[ia[a, 0] * ia[b, 0], ia[a, 0] * ia[b, 1] + ia[a, 1] * ia[b, 0],
-                      ia[a, 1] * ia[b, 1]] for a, b in PAIRINGS])
+    coordinates, with Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]] the
+    metric of the frozen Laplacian in (xi, eta) and ``ia`` the inverse
+    Jacobian of the affine patch map (grad_(xi, eta) = ia^T grad_(s, t))."""
+    # columns: the coefficients of Q11, Q12 and Q22
+    P = np.array([[ia[a, 0] * ia[b, 0], ia[a, 0] * ia[b, 1] + ia[a, 1] * ia[b, 0],
+                   ia[a, 1] * ia[b, 1]] for a, b in PAIRINGS])
+    return np.stack([P[:, 2], P[:, 0], -P[:, 1], 0.5 * mu * (P[:, 0] + P[:, 2])],
+                    axis=1)
 
 
 def _band_layout(indices, indptr):
@@ -294,7 +336,18 @@ class _LaplacianFactors:
 @dataclass
 class _PatchContext:
     """Per-patch data of the kernels. Grid arrays are indexed (xi Gauss
-    point, component, eta Gauss point).
+    point, component, eta Gauss point), or (xi Gauss point, eta Gauss point)
+    for scalars.
+
+    ``strips`` cuts the xi Gauss points into strips of whole spans, each
+    ``(points, cols, bar_cols)``: the slice of its points and the slices of
+    the primal and auxiliary functions active on them
+    (:func:`_strip_layout`). :meth:`MixedSystem._strip_pass` writes
+    ``metric`` strip by strip: g11, g22, g12 and w / (g11 + g22 + mu) on the
+    patch's grid. It holds the values of the control net
+    ``MixedSystem._metric_net``, the tag every pass sets, so that
+    :meth:`MixedSystem.frozen_laplacian` at the iterate of the last
+    ``eval_RN`` reuses them.
 
     The condensation fields are set by :meth:`MixedSystem._build_mass`. The
     auxiliary DOFs of the patch's glued faces lie on the lines ``rows`` (xi
@@ -311,6 +364,8 @@ class _PatchContext:
     bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
     out_idx: np.ndarray        # (n_xi, 2, n_eta) positions in R_N, 2 n_inner if fixed
     combo: np.ndarray          # _residual_combination of the patch
+    strips: list               # _strip_layout of the xi direction
+    metric: np.ndarray         # (4, n_xi points, n_eta points) g11, g22, g12, w / denom
     left: np.ndarray           # (n_dir, nbar_xi, 2 n_xi), see _derivative_moments
     right: np.ndarray          # (n_eta, 2 nbar_eta) [Oeta^T | Keta^T]
     mass: tuple                # (vol Mxi, Meta)
@@ -374,6 +429,7 @@ class MixedSystem:
         self._template = np.zeros((topology.n_sigma, 2))
         self._template[topology.boundary_indices] = boundary_values
 
+        self._jet_groups = FIRST_JET if mode == "full" else SECOND_JET
         self._build_patches()
         self._build_mass()
         # calls of eval_RN, and the seconds spent in it and in the exact
@@ -383,6 +439,8 @@ class MixedSystem:
         self.mass_solve_s = 0.0
         self.last_min_denominator = np.inf
         self._buffers = {}
+        # the flat control net the metric in the patch contexts belongs to
+        self._metric_net = None
 
     # -- construction ----------------------------------------------------
 
@@ -410,6 +468,7 @@ class MixedSystem:
         inner_of[topo.inner_indices] = np.arange(self.n_inner)
         comp = np.arange(2)[:, None]
         fields = 2 * np.arange(n_aux)[:, None, None, None] + comp
+        jet_rows = sum(k1 - k0 for _, k0, k1 in self._jet_groups)
         self.patches = []
         for i in range(topo.n_patches):
             tb, bb = topo.bases[i], topo.bar_bases[i]
@@ -420,6 +479,11 @@ class MixedSystem:
             fx, fy = cache.xi, cache.eta
             sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
             inner = inner_of[sig]
+            npx, npy = len(fx.points), len(fy.points)
+            # the doubles a strip's residual pass holds per grid point: the
+            # raw rows and their combination Z (both components), U, the
+            # metric and the weight
+            point_bytes = 8 * npy * (2 * (jet_rows + 2 * n_aux) + 2 * 5 + 2 + 4 + 1)
             left = np.stack([vol * np.stack([ia[0, d] * fx.kbar, ia[1, d] * fx.obar],
                                             axis=2)
                              for d in directions]).reshape(len(directions), bb.n_xi, -1)
@@ -434,6 +498,8 @@ class MixedSystem:
                 out_idx=np.where(inner < self.n_inner, comp * self.n_inner + inner,
                                  2 * self.n_inner),
                 combo=_residual_combination(self.mode, self.chi, ia, n_aux),
+                strips=_strip_layout(fx, point_bytes),
+                metric=np.empty((4, npx, npy)),
                 left=left,
                 right=np.concatenate([fy.obar.T, fy.kbar.T], axis=1),
                 mass=(vol * fx.mbar, fy.mbar)))
@@ -580,36 +646,9 @@ class MixedSystem:
 
     # -- nonlinear part ------------------------------------------------------
 
-    @staticmethod
-    def _jet(ctx, net, groups, out):
-        """Primal jet rows of ``groups`` on the patch's Gauss grid, written
-        into ``out`` (n_rows, n_xi points, 2, n_eta points): row (k, l) of
-        component c is xi.sig[k] @ C_c @ eta.sig[l].T, with C the patch's
-        control points from the flat control net ``net``."""
-        fx, fy = ctx.cache.xi, ctx.cache.eta
-        C = net[ctx.sig_idx]
-        nx, _, ny = C.shape
-        kmax = max(k1 for _, _, k1 in groups)
-        T = (fx.sig[:kmax].reshape(-1, nx) @ C.reshape(nx, -1)).reshape(kmax, -1, ny)
-        r = 0
-        for l, k0, k1 in groups:
-            n = k1 - k0
-            np.matmul(T[k0:k1].reshape(-1, ny), fy.sig[l].T,
-                      out=out[r: r + n].reshape(-1, out.shape[-1]))
-            r += n
-
-    def _metric(self, X):
-        """(3, n_xi points, n_eta points) scratch array of g11, g22, g12 from
-        the grid derivatives X = (x_xi, x_eta), each (n_xi points, 2, n_eta
-        points)."""
-        g, sq = self._scratch("g", 3, *X.shape[1::2]), self._scratch("gz", *X.shape)
-        np.sum(np.square(X, out=sq), axis=2, out=g[:2])
-        np.sum(np.multiply(X[0], X[1], out=sq[0]), axis=1, out=g[2])
-        return g
-
     def _scratch(self, name, *shape):
-        """A scratch array of the per-iterate kernels, reused across calls
-        and patches: their grid arrays have the same shapes at every
+        """A scratch array of the per-iterate kernels, reused across calls,
+        patches and strips: their arrays have the same shapes at every
         iterate, and fresh ones cost a page fault per 4 KB whenever the C
         allocator has handed the freed memory back to the system."""
         size = math.prod(shape)
@@ -618,44 +657,101 @@ class MixedSystem:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
+    def _strip_pass(self, ctx, net, d=None):
+        """One walk over the xi strips of a patch at the flat control net
+        ``net``, writing g11, g22, g12 and w / (g11 + g22 + mu) of every
+        Gauss point into ``ctx.metric``.
+
+        The eta direction is contracted first, on the coefficients: jet row
+        (k, l) is xi.sig[k] @ E_l with E_l = C @ eta.sig[l].T, and the
+        auxiliary derivatives are xi.bar[k] @ D @ eta.bar[l].T likewise.
+        Each strip then multiplies only the band of xi factor columns
+        active on its spans and does ``combo``, the metric and the weights
+        on strip-sized scratch. Without the auxiliary coefficients ``d``
+        the pass takes the first-order jet alone and stops there (the
+        frozen Laplacian needs only the metric). With them every strip also
+        forms the residual's pointwise values w U and adds their xi moments
+        into an accumulator; the pass then returns the patch's moments
+        (n_xi, 2, n_eta) against the test functions and its minimum
+        denominator g11 + g22 + mu."""
+        fx, fy = ctx.cache.xi, ctx.cache.eta
+        npy = ctx.wgrid.shape[1]
+        if d is None:
+            groups, combo, n_aux = FIRST_JET, ctx.inv_a.T, 0
+        else:
+            groups, combo, n_aux = self._jet_groups, ctx.combo, self.n_fields // 2
+        n_rows = sum(k1 - k0 for _, k0, k1 in groups) + 2 * n_aux
+        C = net[ctx.sig_idx]
+        nx, _, ny = C.shape
+        # groups list the eta orders l = 0, 1, ... in turn
+        E = self._scratch("eta_sig", len(groups), nx, 2 * npy)
+        np.matmul(C.reshape(2 * nx, ny), np.swapaxes(fy.sig[:len(groups)], 1, 2),
+                  out=E.reshape(len(groups), 2 * nx, npy))
+        if n_aux:
+            _, nbx, _, nby = ctx.bar_idx.shape
+            F = self._scratch("eta_bar", 2, n_aux, nbx, 2 * npy)
+            np.matmul(d[ctx.bar_idx].reshape(-1, nby), np.swapaxes(fy.bar, 1, 2),
+                      out=F.reshape(2, -1, npy))
+            acc = self._scratch("moments", nx, 2 * npy)
+            acc[:] = 0.0
+        min_denom = np.inf
+        for pts, cols, bar_cols in ctx.strips:
+            n_pts = pts.stop - pts.start
+            rows = self._scratch("rows", n_rows, n_pts, 2 * npy)
+            r = 0
+            for l, k0, k1 in groups:
+                np.matmul(fx.sig[k0:k1, pts, cols], E[l, cols], out=rows[r: r + k1 - k0])
+                r += k1 - k0
+            if n_aux:
+                # s-derivatives of the auxiliary fields, then t-derivatives
+                np.matmul(fx.bar[1, pts, bar_cols], F[0, :, bar_cols],
+                          out=rows[r: r + n_aux])
+                np.matmul(fx.bar[0, pts, bar_cols], F[1, :, bar_cols],
+                          out=rows[r + n_aux:])
+            Z = self._scratch("Z", len(combo), n_pts, 2, npy)
+            np.matmul(combo, rows.reshape(n_rows, -1), out=Z.reshape(len(combo), -1))
+            g = ctx.metric[:, pts]
+            U = self._scratch("U", n_pts, 2, npy)
+            np.sum(np.multiply(Z[0], Z[1], out=U), axis=1, out=g[2])
+            np.sum(np.square(Z[:2], out=Z[:2]), axis=2, out=g[:2])
+            denom = np.add(g[0], g[1], out=g[3])
+            denom += self.mu
+            min_denom = min(min_denom, float(denom.min()))
+            np.divide(ctx.wgrid[pts], denom, out=denom)
+            if not n_aux:
+                continue
+            # U = (g11 Y11 + g22 Y22 + g12 Y12) w / (g11 + g22 + mu)
+            np.sum(np.multiply(g[:3, :, None], Z[2:], out=Z[2:]), axis=0, out=U)
+            U *= denom[:, None]
+            moments = self._scratch("strip_moments", cols.stop - cols.start, 2 * npy)
+            np.matmul(fx.sig[0, pts, cols].T, U.reshape(n_pts, -1), out=moments)
+            acc[cols] += moments
+        if not n_aux:
+            return None, min_denom
+        return (acc.reshape(-1, npy) @ fy.sig[0]).reshape(nx, 2, ny), min_denom
+
     def eval_RN(self, d, c):
         """Nonlinear residual: moments of the scaled operator against every
         inner primal basis function, components stacked (x..., y...).
 
-        Sum factorisation: on each patch every field and derivative on the
-        tensor Gauss grid is a product of univariate collocation factors,
-        Bx @ C @ By.T, and so are the moments against the test functions,
-        Bx.T @ (w U) @ By."""
+        Sum factorisation by strips (:meth:`_strip_pass`): on each patch the
+        eta direction is contracted on the coefficients, then the xi Gauss
+        points are walked in strips of whole spans, and the moments against
+        the test functions are Bx.T @ (w U) @ By, xi strip by strip and
+        then eta. The metric of every Gauss point stays in the patch
+        contexts, tagged with this iterate, for :meth:`frozen_laplacian`."""
         t0 = time.perf_counter()
         net = self.full_control_net(c).ravel()
         d = np.asarray(d, dtype=float).ravel()
         n_res = 2 * self.n_inner
         res = np.zeros(n_res + 1)
         min_denom = np.inf
-        groups = FIRST_JET if self.mode == "full" else SECOND_JET
-        n_jet = sum(k1 - k0 for _, k0, k1 in groups)
         for ctx in self.patches:
-            fx, fy = ctx.cache.xi, ctx.cache.eta
-            npx, npy = ctx.wgrid.shape
-            n_aux, nbx, _, nby = ctx.bar_idx.shape
-            rows = self._scratch("rows", n_jet + 2 * n_aux, npx, 2, npy)
-            self._jet(ctx, net, groups, rows)
-            D = d[ctx.bar_idx].reshape(n_aux, nbx, -1)
-            for r0, (k, l) in ((n_jet, (1, 0)), (n_jet + n_aux, (0, 1))):
-                np.matmul((fx.bar[k] @ D).reshape(-1, nby), fy.bar[l].T,
-                          out=rows[r0: r0 + n_aux].reshape(-1, npy))
-            Z = self._scratch("Z", 5, npx, 2, npy)
-            np.matmul(ctx.combo, rows.reshape(len(rows), -1), out=Z.reshape(5, -1))
-            g = self._metric(Z[:2])
-            denom = np.add(g[0], g[1], out=self._scratch("denom", npx, npy))
-            denom += self.mu
-            min_denom = min(min_denom, float(denom.min()))
-            gz = np.multiply(g[:, :, None], Z[2:], out=self._scratch("gz", 3, npx, 2, npy))
-            wU = np.sum(gz, axis=0, out=self._scratch("wU", npx, 2, npy))
-            wU *= np.divide(ctx.wgrid, denom, out=denom)[:, None]
-            moments = (fx.sig[0].T @ wU.reshape(npx, -1)).reshape(-1, npy) @ fy.sig[0]
+            moments, patch_min = self._strip_pass(ctx, net, d)
+            min_denom = min(min_denom, patch_min)
             res += np.bincount(ctx.out_idx.ravel(), weights=moments.ravel(),
                                minlength=n_res + 1)
+        self._metric_net = net
         self.rn_eval_count += 1
         self.rn_eval_s += time.perf_counter() - t0
         self.last_min_denominator = min_denom
@@ -711,32 +807,30 @@ class MixedSystem:
         -K is the principal part of the Schur operator with the metric frozen
         (integrate the numerator of R_N by parts). The mu/2 shift makes Q
         positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
-        so K is SPD even on folded iterates. The metric comes from the jet
-        of :meth:`eval_RN`; in the patch coordinates the scaled Q is M = ia
-        Q ia^T (the patch map is affine), and the patch matrix is the sum
-        over the pairings (a, b) of X_ab^T M_ab Y_ab, products of the pair
-        factors of :meth:`_laplacian_factors`, summed by one ``bincount``
-        into the fixed CSR pattern. Returns a CSR matrix."""
+        so K is SPD even on folded iterates. The metric is the one the last
+        :meth:`eval_RN` left in the patch contexts when that call was at c,
+        as it is inside every Newton step; otherwise a metric-only
+        :meth:`_strip_pass` computes it. In the patch coordinates the
+        scaled Q is M = ia Q ia^T (the patch map is affine), and the patch
+        matrix is the sum over the pairings (a, b) of X_ab^T M_ab Y_ab,
+        products of the pair factors of :meth:`_laplacian_factors`, summed
+        by one ``bincount`` into the fixed CSR pattern. Returns a CSR
+        matrix."""
         lf = self._laplacian_factors
         net = self.full_control_net(c).ravel()
-        half_mu = 0.5 * self.mu
+        if not np.array_equal(net, self._metric_net):
+            for ctx in self.patches:
+                self._strip_pass(ctx, net)
+            self._metric_net = net
         entries = []
         for ctx, fx, fy in zip(self.patches, lf.x, lf.y):
             npx, npy = ctx.wgrid.shape
-            rows = self._scratch("rows", 2, npx, 2, npy)
-            self._jet(ctx, net, FIRST_JET, rows)
-            X = self._scratch("Z", 2, npx, 2, npy)
-            np.matmul(ctx.inv_a.T, rows.reshape(2, -1), out=X.reshape(2, -1))
-            g = self._metric(X)
-            scale = np.add(g[0], g[1], out=self._scratch("denom", npx, npy))
-            scale += self.mu
-            np.divide(ctx.wgrid, scale, out=scale)
-            q = self._scratch("q", 3, npx, npy)
-            np.multiply(scale, np.add(g[1], half_mu, out=q[0]), out=q[0])
-            np.multiply(scale, np.negative(g[2], out=q[1]), out=q[1])
-            np.multiply(scale, np.add(g[0], half_mu, out=q[2]), out=q[2])
-            M = np.matmul(_patch_metric_map(ctx.inv_a), q.reshape(3, -1),
-                          out=self._scratch("M", 4, npx * npy))
+            g = ctx.metric.reshape(4, -1)
+            to_m = _patch_metric_map(ctx.inv_a, self.mu)
+            # M takes the scratch of the residual's raw rows, idle here
+            M = np.matmul(to_m[:, :3], g[:3], out=self._scratch("rows", 4, npx * npy))
+            M += to_m[:, 3:]
+            M *= g[3]
             # (4 |S_xi|, n_eta points): X_ab^T M_ab for every pairing
             Z = fx @ M.reshape(len(PAIRINGS) * npx, npy)
             Z = Z.reshape(len(PAIRINGS), -1, npy).transpose(0, 2, 1)

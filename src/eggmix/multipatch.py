@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import InputError, KnotMismatchError
 from .splines import KNOT_TOL, TensorBasis
@@ -71,12 +70,28 @@ class Interface:
 
 
 def _components(n, edges):
-    """Connected-component labels of an undirected graph on ``n`` nodes;
-    components are numbered in order of their lowest node."""
-    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    graph = sparse.coo_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    return csgraph.connected_components(graph, directed=False)
+    """Connected components of an undirected graph on ``n`` nodes, numbered
+    in order of their lowest node; returns ``(n_components, labels)``.
+
+    Min-label propagation: every node starts labelled with its own index,
+    and each sweep lowers both ends of every edge to the smaller of their
+    labels and then takes every label's own label (pointer jumping), until
+    nothing changes. A label is always a node of the same component, so at
+    the fixed point each component is labelled with its lowest node."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    a, b = edges[:, 0], edges[:, 1]
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    roots = label == np.arange(n)
+    return int(roots.sum()), (np.cumsum(roots) - 1)[label]
 
 
 def _face_pairs(interfaces, basis_list):

@@ -286,15 +286,21 @@ def test_element_order_independence(rng):
     d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     r1 = sys_.eval_RN(d, c)
     K1 = sys_.frozen_laplacian(c).toarray()
-    # permute the xi Gauss points: factor rows and the point columns of the
-    # Laplacian's xi pair factors together with their weights
+    # permute whole xi spans: the span tables, the factor rows and the
+    # point columns of the Laplacian's xi pair factors together with their
+    # weights, and walk the permuted spans in strips of two spans each
     ctx = sys_.patches[0]
     fx = ctx.cache.xi
     n_points = len(fx.points)
-    perm = rng.permutation(n_points)
+    spans = rng.permutation(fx.n_spans)
+    perm = (spans[:, None] * fx.nq + np.arange(fx.nq)).ravel()
+    for name in ("first_sig", "tab_sig", "first_bar", "tab_bar"):
+        setattr(fx, name, getattr(fx, name)[spans])
     fx.sig = np.ascontiguousarray(fx.sig[:, perm])
     fx.bar = np.ascontiguousarray(fx.bar[:, perm])
     ctx.wgrid = np.ascontiguousarray(ctx.wgrid[perm])
+    ctx.strips = assembly._strip_layout(fx, assembly.STRIP_BYTES // (2 * fx.nq))
+    assert len(ctx.strips) == fx.n_spans // 2
     lf = sys_._laplacian_factors
     blocks = lf.x[0].shape[1] // n_points
     lf.x[0] = lf.x[0][:, np.concatenate([b * n_points + perm for b in range(blocks)])]

@@ -9,10 +9,11 @@ import pytest
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
-from eggmix.geometries import build_bat, build_lbend
+from eggmix.geometries import BUILDERS, build_bat, build_lbend
 from eggmix.io_cli import parse_geometry
 from eggmix.mapping import SplineMap, unit_square_map, winslow_gradient
-from eggmix.solver import build_system_hierarchy, transfinite_global
+from eggmix.solver import SolverConfig, build_system_hierarchy, newton_solve, \
+    transfinite_global
 from eggmix.splines import TensorBasis, uniform_knots
 
 from conftest import start
@@ -32,6 +33,13 @@ def geometry_system(doc, mode):
     geo = parse_geometry(doc)
     bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
     return MixedSystem(geo.topology, bvals, mode=mode)
+
+
+def refined_system(name, mode, level):
+    """Finest system of a bundled geometry's hierarchy."""
+    geo = parse_geometry(BUILDERS[name]())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    return build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
 
 
 def random_state(system, rng):
@@ -85,6 +93,8 @@ def test_eval_rn_matches_einsum_bat_l1_folded():
     geo = parse_geometry(build_bat())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
     system = build_system_hierarchy(geo.topology, bv, 1)[-1].system
+    # every patch is walked in more than one strip
+    assert min(len(ctx.strips) for ctx in system.patches) >= 2
     c = start(system)
     system.eval_RN(system.project_d(c), c)
     unfolded = system.last_min_denominator
@@ -92,6 +102,73 @@ def test_eval_rn_matches_einsum_bat_l1_folded():
     assert_eval_rn_matches(system, system.project_d(c), c)
     # the folded start has the smaller Winslow denominators
     assert system.last_min_denominator < 0.5 * unfolded
+
+
+@pytest.mark.parametrize("level, min_strips", [(1, 2), (2, 3)],
+                         ids=["lbend_xi_l1", "lbend_xi_l2"])
+def test_eval_rn_matches_einsum_in_strips(level, min_strips, rng):
+    # a patch walked in several strips: the xi moments of neighbouring
+    # strips overlap on the functions of their common span end
+    system = refined_system("lbend", "xi", level)
+    assert len(system.patches[0].strips) >= min_strips
+    c = start(system)
+    d = system.project_d(c) + 0.1 * rng.standard_normal(system.d_size)
+    assert_eval_rn_matches(system, d, c)
+
+
+@pytest.mark.parametrize("name, mode, level", [
+    ("bat", "full", 0), ("bat", "full", 1), ("lbend", "xi", 0), ("lbend", "xi", 2),
+])
+def test_strips_partition_spans_and_hold_active_columns(name, mode, level):
+    system = refined_system(name, mode, level)
+    for ctx in system.patches:
+        fx = ctx.cache.xi
+        points = [pts for pts, _, _ in ctx.strips]
+        # consecutive strips of whole spans, covering every point once
+        assert points[0].start == 0 and points[-1].stop == len(fx.points)
+        assert all(a.stop == b.start for a, b in zip(points, points[1:]))
+        assert all(pts.start % fx.nq == 0 for pts in points)
+        if level == 0:
+            assert len(ctx.strips) == 1
+        for pts, cols, bar_cols in ctx.strips:
+            # no function outside a strip's bands is active on its points
+            for factor, band in ((fx.sig, cols), (fx.bar, bar_cols)):
+                outside = np.ones(factor.shape[-1], dtype=bool)
+                outside[band] = False
+                assert not factor[:, pts][..., outside].any()
+
+
+@pytest.mark.parametrize("seen", [True, False], ids=["same_iterate", "unseen_iterate"])
+def test_frozen_laplacian_after_eval_rn_matches_pointwise_loop(seen, rng):
+    # after eval_RN at c the Laplacian reuses its metric; after eval_RN at
+    # another iterate it must compute the metric of c itself
+    system = refined_system("lbend", "xi", 1)
+    c = start(system)
+    other = c + 0.01 * rng.standard_normal(c.shape)
+    system.eval_RN(system.project_d(c), c if seen else other)
+    K = system.frozen_laplacian(c).toarray()
+    K_ref = loop_frozen_laplacian(system, c)
+    assert np.abs(K - K_ref).max() <= RTOL * np.abs(K_ref).max()
+
+
+def test_newton_solve_runs_no_metric_pass_in_frozen_laplacian(monkeypatch):
+    # every preconditioner build of a folded-bat solve follows an eval_RN
+    # at its iterate, so it takes the metric from there; a metric-only pass
+    # (no auxiliary coefficients) runs only at an iterate eval_RN has not seen
+    system = refined_system("bat", "full", 0)
+    passes = []
+    strip_pass = system._strip_pass
+
+    def counted(ctx, net, d=None):
+        passes.append(d is None)
+        return strip_pass(ctx, net, d)
+    monkeypatch.setattr(system, "_strip_pass", counted)
+    c, rep = newton_solve(system, start(system, folded=True), SolverConfig())
+    assert rep.converged and rep.newton_iterations == 10
+    assert passes.count(False) == rep.rn_evals * system.topology.n_patches
+    assert passes.count(True) == 0
+    system.frozen_laplacian(c + 1e-3)
+    assert passes.count(True) == system.topology.n_patches
 
 
 def test_frozen_laplacian_matches_pointwise_loop_lbend_xi_l1():

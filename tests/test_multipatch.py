@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
@@ -10,8 +12,8 @@ from eggmix.errors import InputError, KnotMismatchError, ModeError
 from eggmix.io_cli import parse_geometry, solve
 from eggmix.geometries import build_bat, build_two_patch_square
 from eggmix.mapping import unit_square_map
-from eggmix.multipatch import AffinePatchMap, Interface, build_restriction, \
-    build_topology, single_patch_topology
+from eggmix.multipatch import AffinePatchMap, Interface, _components, \
+    build_restriction, build_topology, single_patch_topology
 from eggmix.solver import SolverConfig, build_system_hierarchy, newton_solve
 from eggmix.splines import TensorBasis, uniform_knots
 
@@ -425,3 +427,22 @@ def test_convexity_warning_on_l_shaped_union():
         warnings.simplefilter("always")
         assert not topo2.convexity_warning()
     assert not caught2
+
+
+def test_components_match_csgraph():
+    # random graphs with isolated nodes, self-loops and repeated edges, a
+    # shuffled path (the longest label propagation) and the smallest graphs
+    rng = np.random.default_rng(3)
+    cases = [(1, []), (1, [(0, 0)]), (4, []), (2, [(1, 0)])]
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        cases.append((n, rng.integers(0, n, size=(int(rng.integers(0, n + 1)), 2))))
+    path = rng.permutation(500)
+    cases.append((500, np.stack([path[:-1], path[1:]], axis=1)))
+    for n, edges in cases:
+        e = np.asarray(edges, dtype=int).reshape(-1, 2)
+        graph = sparse.coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+        n_want, want = csgraph.connected_components(graph, directed=False)
+        n_got, got = _components(n, edges)
+        assert n_got == n_want
+        np.testing.assert_array_equal(got, want)
