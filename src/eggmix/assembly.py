@@ -345,7 +345,8 @@ class _PatchContext:
     (:func:`_strip_layout`). :meth:`MixedSystem._strip_pass` writes
     ``metric`` strip by strip: g11, g22, g12 and w / (g11 + g22 + mu) on the
     patch's grid. It holds the values of the control net
-    ``MixedSystem._metric_net``, the tag every pass sets, so that
+    ``MixedSystem._metric_net``, the tag every pass sets once all patches
+    are written (None until then), so that
     :meth:`MixedSystem.frozen_laplacian` at the iterate of the last
     ``eval_RN`` reuses them.
 
@@ -746,6 +747,8 @@ class MixedSystem:
         n_res = 2 * self.n_inner
         res = np.zeros(n_res + 1)
         min_denom = np.inf
+        # a call that fails part way leaves no tag on a half-written metric
+        self._metric_net = None
         for ctx in self.patches:
             moments, patch_min = self._strip_pass(ctx, net, d)
             min_denom = min(min_denom, patch_min)
@@ -819,6 +822,7 @@ class MixedSystem:
         lf = self._laplacian_factors
         net = self.full_control_net(c).ravel()
         if not np.array_equal(net, self._metric_net):
+            self._metric_net = None
             for ctx in self.patches:
                 self._strip_pass(ctx, net)
             self._metric_net = net

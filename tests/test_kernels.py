@@ -151,6 +151,22 @@ def test_frozen_laplacian_after_eval_rn_matches_pointwise_loop(seen, rng):
     assert np.abs(K - K_ref).max() <= RTOL * np.abs(K_ref).max()
 
 
+def test_failed_eval_rn_leaves_no_stale_metric():
+    # auxiliary coefficients too short for the last patch only: the call
+    # fails after the first patch's metric was overwritten at the new net,
+    # and the Laplacian at the earlier iterate must not take that metric
+    system = refined_system("bat", "full", 0)
+    c = start(system)
+    d = system.project_d(c)
+    system.eval_RN(d, c)
+    short = d[: system.patches[0].bar_idx.max() + 1]
+    with pytest.raises(IndexError):
+        system.eval_RN(short, start(system, folded=True))
+    K = system.frozen_laplacian(c).toarray()
+    K_ref = loop_frozen_laplacian(system, c)
+    assert np.abs(K - K_ref).max() <= RTOL * np.abs(K_ref).max()
+
+
 def test_newton_solve_runs_no_metric_pass_in_frozen_laplacian(monkeypatch):
     # every preconditioner build of a folded-bat solve follows an eval_RN
     # at its iterate, so it takes the metric from there; a metric-only pass
