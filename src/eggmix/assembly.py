@@ -658,29 +658,24 @@ class MixedSystem:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _strip_pass(self, ctx, net, d=None):
+    def _strip_pass(self, ctx, net, d):
         """One walk over the xi strips of a patch at the flat control net
-        ``net``, writing g11, g22, g12 and w / (g11 + g22 + mu) of every
-        Gauss point into ``ctx.metric``.
+        ``net`` and the auxiliary coefficients ``d``, writing g11, g22, g12
+        and w / (g11 + g22 + mu) of every Gauss point into ``ctx.metric``.
 
         The eta direction is contracted first, on the coefficients: jet row
         (k, l) is xi.sig[k] @ E_l with E_l = C @ eta.sig[l].T, and the
         auxiliary derivatives are xi.bar[k] @ D @ eta.bar[l].T likewise.
         Each strip then multiplies only the band of xi factor columns
         active on its spans and does ``combo``, the metric and the weights
-        on strip-sized scratch. Without the auxiliary coefficients ``d``
-        the pass takes the first-order jet alone and stops there (the
-        frozen Laplacian needs only the metric). With them every strip also
-        forms the residual's pointwise values w U and adds their xi moments
-        into an accumulator; the pass then returns the patch's moments
-        (n_xi, 2, n_eta) against the test functions and its minimum
-        denominator g11 + g22 + mu."""
+        on strip-sized scratch. Every strip also forms the residual's
+        pointwise values w U and adds their xi moments into an accumulator;
+        the pass returns the patch's moments (n_xi, 2, n_eta) against the
+        test functions and its minimum denominator g11 + g22 + mu. The
+        metric depends on x_xi and x_eta alone, not on ``d``."""
         fx, fy = ctx.cache.xi, ctx.cache.eta
         npy = ctx.wgrid.shape[1]
-        if d is None:
-            groups, combo, n_aux = FIRST_JET, ctx.inv_a.T, 0
-        else:
-            groups, combo, n_aux = self._jet_groups, ctx.combo, self.n_fields // 2
+        groups, combo, n_aux = self._jet_groups, ctx.combo, self.n_fields // 2
         n_rows = sum(k1 - k0 for _, k0, k1 in groups) + 2 * n_aux
         C = net[ctx.sig_idx]
         nx, _, ny = C.shape
@@ -688,13 +683,12 @@ class MixedSystem:
         E = self._scratch("eta_sig", len(groups), nx, 2 * npy)
         np.matmul(C.reshape(2 * nx, ny), np.swapaxes(fy.sig[:len(groups)], 1, 2),
                   out=E.reshape(len(groups), 2 * nx, npy))
-        if n_aux:
-            _, nbx, _, nby = ctx.bar_idx.shape
-            F = self._scratch("eta_bar", 2, n_aux, nbx, 2 * npy)
-            np.matmul(d[ctx.bar_idx].reshape(-1, nby), np.swapaxes(fy.bar, 1, 2),
-                      out=F.reshape(2, -1, npy))
-            acc = self._scratch("moments", nx, 2 * npy)
-            acc[:] = 0.0
+        _, nbx, _, nby = ctx.bar_idx.shape
+        F = self._scratch("eta_bar", 2, n_aux, nbx, 2 * npy)
+        np.matmul(d[ctx.bar_idx].reshape(-1, nby), np.swapaxes(fy.bar, 1, 2),
+                  out=F.reshape(2, -1, npy))
+        acc = self._scratch("moments", nx, 2 * npy)
+        acc[:] = 0.0
         min_denom = np.inf
         for pts, cols, bar_cols in ctx.strips:
             n_pts = pts.stop - pts.start
@@ -703,12 +697,11 @@ class MixedSystem:
             for l, k0, k1 in groups:
                 np.matmul(fx.sig[k0:k1, pts, cols], E[l, cols], out=rows[r: r + k1 - k0])
                 r += k1 - k0
-            if n_aux:
-                # s-derivatives of the auxiliary fields, then t-derivatives
-                np.matmul(fx.bar[1, pts, bar_cols], F[0, :, bar_cols],
-                          out=rows[r: r + n_aux])
-                np.matmul(fx.bar[0, pts, bar_cols], F[1, :, bar_cols],
-                          out=rows[r + n_aux:])
+            # s-derivatives of the auxiliary fields, then t-derivatives
+            np.matmul(fx.bar[1, pts, bar_cols], F[0, :, bar_cols],
+                      out=rows[r: r + n_aux])
+            np.matmul(fx.bar[0, pts, bar_cols], F[1, :, bar_cols],
+                      out=rows[r + n_aux:])
             Z = self._scratch("Z", len(combo), n_pts, 2, npy)
             np.matmul(combo, rows.reshape(n_rows, -1), out=Z.reshape(len(combo), -1))
             g = ctx.metric[:, pts]
@@ -719,16 +712,12 @@ class MixedSystem:
             denom += self.mu
             min_denom = min(min_denom, float(denom.min()))
             np.divide(ctx.wgrid[pts], denom, out=denom)
-            if not n_aux:
-                continue
             # U = (g11 Y11 + g22 Y22 + g12 Y12) w / (g11 + g22 + mu)
             np.sum(np.multiply(g[:3, :, None], Z[2:], out=Z[2:]), axis=0, out=U)
             U *= denom[:, None]
             moments = self._scratch("strip_moments", cols.stop - cols.start, 2 * npy)
             np.matmul(fx.sig[0, pts, cols].T, U.reshape(n_pts, -1), out=moments)
             acc[cols] += moments
-        if not n_aux:
-            return None, min_denom
         return (acc.reshape(-1, npy) @ fy.sig[0]).reshape(nx, 2, ny), min_denom
 
     def eval_RN(self, d, c):
@@ -812,8 +801,9 @@ class MixedSystem:
         positive definite at every point, det Q >= mu/2 (g11 + g22) + mu^2/4,
         so K is SPD even on folded iterates. The metric is the one the last
         :meth:`eval_RN` left in the patch contexts when that call was at c,
-        as it is inside every Newton step; otherwise a metric-only
-        :meth:`_strip_pass` computes it. In the patch coordinates the
+        as it is inside every Newton step; otherwise the residual's
+        :meth:`_strip_pass` computes it, at zero auxiliary coefficients (the
+        metric does not depend on them). In the patch coordinates the
         scaled Q is M = ia Q ia^T (the patch map is affine), and the patch
         matrix is the sum over the pairings (a, b) of X_ab^T M_ab Y_ab,
         products of the pair factors of :meth:`_laplacian_factors`, summed
@@ -823,8 +813,9 @@ class MixedSystem:
         net = self.full_control_net(c).ravel()
         if not np.array_equal(net, self._metric_net):
             self._metric_net = None
+            d = np.zeros(self.d_size)
             for ctx in self.patches:
-                self._strip_pass(ctx, net)
+                self._strip_pass(ctx, net, d)
             self._metric_net = net
         entries = []
         for ctx, fx, fy in zip(self.patches, lf.x, lf.y):
@@ -858,7 +849,7 @@ class MixedSystem:
         n, width = self.n_inner, lf.bandwidth + 1
         band = np.zeros(width * n + 1)      # the last slot takes the upper entries
         band[lf.band_places] = K.data
-        chol = Banded1DCholesky.from_band(band[:-1].reshape(n, width).T)
+        chol = Banded1DCholesky(band[:-1].reshape(n, width).T)
         order = lf.order
 
         def apply(y):

@@ -42,7 +42,6 @@ SOLVER_RANGES = {
     "newton_tol": (False, 0, True, math.inf),
     "max_newton": (True, 1, False, math.inf),
     "gmres_tol": (False, 0, True, EW_ETA_MAX),
-    "gmres_restart": (True, 1, False, math.inf),
     "gmres_max_iter": (True, 1, False, math.inf),
     # each level multiplies the element count by 4
     "coarse_levels": (True, 0, False, 4),
@@ -441,8 +440,8 @@ def cmd_solve(args) -> int:
                 return 1
             settings[key] = v  # CLI flags win over file settings
     config_kwargs = {k: settings[k] for k in
-                     ("newton_tol", "max_newton", "gmres_tol", "gmres_restart",
-                      "gmres_max_iter") if k in settings}
+                     ("newton_tol", "max_newton", "gmres_tol", "gmres_max_iter")
+                     if k in settings}
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
         config = SolverConfig(verbose=args.verbose, **config_kwargs)

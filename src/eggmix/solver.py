@@ -8,8 +8,9 @@ a dense Cholesky factor of the interface Schur complement, built once with
 the system (a single patch has no shared DOFs, so it takes the plain
 Kronecker solve); all auxiliary fields are solved in one batched call. The
 Schur operator is applied by finite differencing the nonlinear residual
-only. GMRES solves the Schur equation right-preconditioned by the
-frozen-metric Laplacian of the current iterate (its principal part, factored
+only. GMRES, one Krylov cycle of at most ``gmres_max_iter`` iterations,
+solves the Schur equation right-preconditioned by the frozen-metric
+Laplacian of the current iterate (its principal part, factored
 once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
 once per system), so its stopping test stays on the true Schur residual. Its
 relative tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17
@@ -83,18 +84,17 @@ class SolverConfig:
     Newton steps. ``gmres_tol`` is the smallest forcing term: the floor of
     the relative GMRES tolerance of every Newton step, met by the first step
     of a warm restart and by the steps near the solution (see
-    ``forcing_term``). ``gmres_restart`` and
-    ``gmres_max_iter`` bound each GMRES solve; these two and ``max_newton``
-    are integers of at least 1. ``verbose`` writes one JSON line per Newton
-    step to stderr, with the seconds of each entry of ``TIMED_PHASES`` and
-    the step's own ``eval_RN`` calls (``rn_evals``). The
-    line-search and finite-difference constants are module constants
+    ``forcing_term``). ``gmres_max_iter`` bounds the iterations of each
+    GMRES solve, one Krylov cycle; it and ``max_newton`` are integers of at
+    least 1. ``verbose`` writes one JSON line per Newton step to stderr,
+    with the seconds of each entry of ``TIMED_PHASES`` and the step's own
+    ``eval_RN`` calls (``rn_evals``). The line-search and
+    finite-difference constants are module constants
     (``LS_*``, ``FD_FLOOR``).
     """
     newton_tol: float = 1e-8
     max_newton: int = 50
     gmres_tol: float = 1e-3
-    gmres_restart: int = 50
     gmres_max_iter: int = 200
     verbose: bool = False
 
@@ -106,7 +106,7 @@ class SolverConfig:
         # at 1 or above GMRES returns the zero step, which reads as converged
         if self.gmres_tol > EW_ETA_MAX:
             raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
-        for name in ("max_newton", "gmres_restart", "gmres_max_iter"):
+        for name in ("max_newton", "gmres_max_iter"):
             v = getattr(self, name)
             # bool is an Integral too
             if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
@@ -134,7 +134,8 @@ class SolverReport:
     ``stagnated`` True when the line search found no descent along its last
     step and False when ``max_newton`` ran out. ``residual_norms`` and
     ``min_denominators`` hold one entry per iterate, the other lists one per
-    Newton step; ``rn_evals`` counts ``eval_RN`` calls. ``timings`` sums
+    Newton step; ``gmres_iterations`` are also the Schur matvecs of each
+    GMRES solve, and ``rn_evals`` counts ``eval_RN`` calls. ``timings`` sums
     the seconds of each entry of ``TIMED_PHASES`` over the Newton steps:
     the preconditioner build, the GMRES solve and the line search, then the
     seconds spent in ``eval_RN`` (``residual_s``) and in the exact mass
@@ -152,7 +153,6 @@ class SolverReport:
     step_norms: list = field(default_factory=list)
     nu_values: list = field(default_factory=list)
     gmres_iterations: list = field(default_factory=list)
-    gmres_matvecs: list = field(default_factory=list)
     gmres_converged: list = field(default_factory=list)
     gmres_residuals: list = field(default_factory=list)
     forcing_terms: list = field(default_factory=list)
@@ -188,28 +188,25 @@ class SolverReport:
         return cls(**merged)
 
     def to_dict(self):
-        # wall_time and timings are deliberately left out: solution files
-        # must be byte-identical across runs with identical inputs
-        out = {
-            "converged": bool(self.converged),
-            "stagnated": bool(self.stagnated),
-            "newton_iterations": self.newton_iterations,
-            "residual_norms": [float(v) for v in self.residual_norms],
-            "step_norms": [float(v) for v in self.step_norms],
-            "nu_values": [float(v) for v in self.nu_values],
-            "gmres_iterations": list(self.gmres_iterations),
-            "gmres_matvecs": list(self.gmres_matvecs),
-            "gmres_converged": [bool(v) for v in self.gmres_converged],
-            "gmres_residuals": [float(v) for v in self.gmres_residuals],
-            "forcing_terms": [float(v) for v in self.forcing_terms],
-            "min_denominators": [float(v) for v in self.min_denominators],
-            "rn_evals": self.rn_evals,
-            "line_search_evals": self.line_search_evals,
-            "final_residual": float(self.final_residual),
-        }
-        if self.levels:
-            out["levels"] = [lv.to_dict() for lv in self.levels]
+        """Every field as plain JSON values (numpy scalars as Python ones),
+        and ``levels`` as the dicts of the level reports when there are
+        any. ``wall_time`` and ``timings`` are left out: solution files
+        must be byte-identical across runs with identical inputs."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "levels":
+                if value:
+                    out[f.name] = [lv.to_dict() for lv in value]
+            elif f.name not in ("wall_time", "timings"):
+                out[f.name] = ([_plain(v) for v in value]
+                               if isinstance(value, list) else _plain(value))
         return out
+
+
+def _plain(value):
+    """A numpy scalar as the Python value it holds; any other value as is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 class NewtonState:
@@ -275,8 +272,7 @@ def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
     true Schur residual. Returns ``(delta_c, GmresResult)``.
     """
     gm = gmres(lambda y: schur_matvec(system, state, precond(y)), rhs,
-               tol=tol, restart=config.gmres_restart,
-               max_iter=config.gmres_max_iter)
+               tol=tol, max_iter=config.gmres_max_iter)
     return precond(gm.solution), gm
 
 
@@ -380,7 +376,6 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         report.newton_iterations = it + 1
         report.step_norms.append(n_norm)
         report.gmres_iterations.append(gm.iterations)
-        report.gmres_matvecs.append(gm.matvec_count)
         report.gmres_converged.append(bool(gm.converged))
         r0 = gm.residual_norms[0]
         gmres_residual = gm.residual_norms[-1] / r0 if r0 > 0.0 else 0.0

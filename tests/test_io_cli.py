@@ -533,7 +533,7 @@ def test_tube_solves(tmp_path):
     ("chi", None), ("chi", 1.5), ("chi", -0.1), ("newton_tol", "x"),
     ("newton_tol", -1e-8), ("newton_tol", float("nan")), ("max_newton", 2.5),
     ("max_newton", True), ("max_newton", 0), ("gmres_tol", 0.95),
-    ("gmres_tol", 0), ("gmres_restart", 0), ("gmres_max_iter", "10"),
+    ("gmres_tol", 0), ("gmres_max_iter", "10"),
     ("coarse_levels", -1), ("coarse_levels", False)])
 def test_malformed_solver_setting_exits_1(key, value, tmp_path, capsys):
     doc = build_square()
@@ -613,13 +613,23 @@ def test_initial_file_without_initial_file_mode_exits_1(square_solution, tmp_pat
 def test_solver_settings_at_their_bounds_accepted():
     doc = build_square()
     doc["solver"] = {"mode": "xi", "mu": 1e-6, "chi": 1, "newton_tol": 1e-6,
-                     "max_newton": 1, "gmres_tol": 0.9, "gmres_restart": 1,
-                     "gmres_max_iter": 1, "coarse_levels": 0}
+                     "max_newton": 1, "gmres_tol": 0.9, "gmres_max_iter": 1,
+                     "coarse_levels": 0}
     assert validate_geometry(doc) == []
     doc["solver"]["coarse_levels"] = 4
     assert validate_geometry(doc) == []
     doc["solver"]["chi"] = 0.0
     assert validate_geometry(doc) == []
+
+
+def test_retired_solver_setting_warns_and_is_ignored():
+    # GMRES runs one Krylov cycle: an older file's restart length is no
+    # setting any more
+    doc = build_square()
+    doc["solver"] = {"gmres_restart": 1}
+    assert [(f.severity, f.pointer) for f in validate_geometry(doc)] == [
+        ("warning", "/solver/gmres_restart")]
+    assert parse_geometry(doc).topology.n_patches == 1
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text"])

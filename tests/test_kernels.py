@@ -169,16 +169,25 @@ def test_failed_eval_rn_leaves_no_stale_metric():
 
 def test_newton_solve_runs_no_metric_pass_in_frozen_laplacian(monkeypatch):
     # every preconditioner build of a folded-bat solve follows an eval_RN
-    # at its iterate, so it takes the metric from there; a metric-only pass
-    # (no auxiliary coefficients) runs only at an iterate eval_RN has not seen
+    # at its iterate, so it takes the metric from there; frozen_laplacian
+    # walks the strips itself only at an iterate eval_RN has not seen
     system = refined_system("bat", "full", 0)
-    passes = []
-    strip_pass = system._strip_pass
+    passes = []         # per strip pass: was it inside frozen_laplacian?
+    inside = [False]
+    strip_pass, frozen_laplacian = system._strip_pass, system.frozen_laplacian
 
-    def counted(ctx, net, d=None):
-        passes.append(d is None)
+    def counted(ctx, net, d):
+        passes.append(inside[0])
         return strip_pass(ctx, net, d)
+
+    def laplacian(c):
+        inside[0] = True
+        try:
+            return frozen_laplacian(c)
+        finally:
+            inside[0] = False
     monkeypatch.setattr(system, "_strip_pass", counted)
+    monkeypatch.setattr(system, "frozen_laplacian", laplacian)
     c, rep = newton_solve(system, start(system, folded=True), SolverConfig())
     assert rep.converged and rep.newton_iterations == 10
     assert passes.count(False) == rep.rn_evals * system.topology.n_patches

@@ -182,7 +182,7 @@ def test_solver_config_rejects_bad_tolerances(key, value):
         SolverConfig(**{key: value})
 
 
-@pytest.mark.parametrize("key", ["max_newton", "gmres_restart", "gmres_max_iter"])
+@pytest.mark.parametrize("key", ["max_newton", "gmres_max_iter"])
 @pytest.mark.parametrize("value", [0, -3, 2.0, True, "5", None])
 def test_solver_config_rejects_bad_counts(key, value):
     with pytest.raises(InputError, match=key):
@@ -190,9 +190,8 @@ def test_solver_config_rejects_bad_counts(key, value):
 
 
 def test_solver_config_accepts_numpy_counts():
-    cfg = SolverConfig(max_newton=np.int64(1), gmres_restart=np.int32(3),
-                       gmres_max_iter=1)
-    assert cfg.max_newton == 1
+    cfg = SolverConfig(max_newton=np.int64(1), gmres_max_iter=np.int32(3))
+    assert cfg.max_newton == 1 and cfg.gmres_max_iter == 3
 
 
 def test_restart_from_converged_lbend_xi_l1():
@@ -311,7 +310,7 @@ def test_rn_eval_accounting():
     # one eval at the start (every later state is the accepted line-search
     # probe) + gmres matvecs + line-search probes + at most one rhs
     # finite-difference eval per iteration
-    base = 1 + sum(rep.gmres_matvecs) + rep.line_search_evals
+    base = 1 + sum(rep.gmres_iterations) + rep.line_search_evals
     assert base <= rep.rn_evals <= base + rep.newton_iterations
 
 
@@ -348,7 +347,7 @@ def test_verbose_rn_evals_count_each_step_alone(capsys):
     # the start's evaluation, then each step's right-hand side, GMRES
     # matvecs and line-search probes
     assert sum(counts) + 1 == rep.rn_evals
-    assert all(n >= m + 1 for n, m in zip(counts, rep.gmres_matvecs))
+    assert all(n >= m + 1 for n, m in zip(counts, rep.gmres_iterations))
 
 
 def test_coarse_to_fine_square_matches_direct():
