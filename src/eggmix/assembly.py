@@ -15,14 +15,16 @@ Meta.T``, its derivative moments ``vol (ia[0, d] Kxi C Oeta.T + ia[1, d]
 Oxi C Keta.T)``, with dense univariate integral factors. Every univariate
 factor of a patch direction, collocation and integral alike, comes from one
 B-spline table per knot vector (primal and auxiliary) on that direction's
-Gauss grid, made once per system by :func:`build_quadrature`. The coupled
-auxiliary mass is solved exactly by static condensation onto the auxiliary
-DOFs that patches share (Kronecker solves on each patch's remaining tensor
-range, as two dense products with the univariate inverses, and one dense
-Cholesky factor on the shared DOFs), and the frozen-metric Laplacian that
-preconditions the Schur GMRES is summed from univariate pair factors and
-factored by banded Cholesky, in a bandwidth-reducing order fixed once per
-system. A single patch is a 1-patch topology on the same code path.
+Gauss grid, made by :func:`build_quadrature` once per distinct knot vector
+of the system: patch directions with the same knots share one read-only
+:class:`DirectionFactors`. The coupled auxiliary mass is solved exactly by
+static condensation onto the auxiliary DOFs that patches share (Kronecker
+solves on each patch's remaining tensor range, as two dense products with
+the univariate inverses, and one dense Cholesky factor on the shared DOFs),
+and the frozen-metric Laplacian that preconditions the Schur GMRES is summed
+from univariate pair factors and factored by banded Cholesky, in a
+bandwidth-reducing order fixed once per system. A single patch is a 1-patch
+topology on the same code path.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .splines import KnotVector, TensorBasis
 MODES = ("full", "xi", "eta")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectionFactors:
     """Univariate quadrature, collocation and integral factors of one
     parametric direction of a patch, all from one table per knot vector on
@@ -62,6 +64,9 @@ class DirectionFactors:
     block of rows and columns per strip (:func:`_strip_layout`).
     The integral factors are ``mbar[i, j] = int wbar_i wbar_j``, ``obar[i,
     j] = int wbar_i w_j`` and ``kbar[i, j] = int wbar_i w_j'``.
+
+    Every patch direction of a system with the same knot vectors shares one
+    instance (:func:`build_quadrature`), so its arrays are read-only.
     """
     nq: int
     points: np.ndarray      # (n_spans * nq,), strictly span-interior
@@ -75,6 +80,11 @@ class DirectionFactors:
     mbar: np.ndarray        # (n_bar, n_bar)
     obar: np.ndarray        # (n_bar, n_sig)
     kbar: np.ndarray        # (n_bar, n_sig)
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_spans(self) -> int:
@@ -136,16 +146,28 @@ def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
 
 
 def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
-                     need_second: bool = False) -> QuadratureCache:
+                     need_second: bool = False, tables=None) -> QuadratureCache:
     """Quadrature cache on the union grid of primal and auxiliary knot lines
-    (the auxiliary grid, since it refines the primal one)."""
-    for kc, kf in ((sigma.kv_xi, sigma_bar.kv_xi), (sigma.kv_eta, sigma_bar.kv_eta)):
-        if not set(np.round(kc.breakpoints, 12)) <= set(np.round(kf.breakpoints, 12)):
-            raise InputError("auxiliary knot lines must contain the primal ones")
+    (the auxiliary grid, since it refines the primal one).
+
+    ``tables`` maps the exact knot vectors of a direction, primal and
+    auxiliary (degrees and knot values, not the tolerant
+    :meth:`KnotVector.__eq__`), to its :class:`DirectionFactors`; every
+    direction whose knot vectors are already there takes those factors, and
+    the others are built and added. The calls that build one system pass
+    one dict, so that each distinct knot vector of the system is tabulated
+    once."""
+    tables = {} if tables is None else tables
     nds = 2 if need_second else 1
-    fx = _direction_tables(sigma.kv_xi, sigma_bar.kv_xi, nds)
-    fy = _direction_tables(sigma.kv_eta, sigma_bar.kv_eta, nds)
-    return QuadratureCache(xi=fx, eta=fy)
+    factors = []
+    for kc, kf in ((sigma.kv_xi, sigma_bar.kv_xi), (sigma.kv_eta, sigma_bar.kv_eta)):
+        key = (kc.degree, kc.knots.tobytes(), kf.degree, kf.knots.tobytes(), nds)
+        if key not in tables:
+            if not set(np.round(kc.breakpoints, 12)) <= set(np.round(kf.breakpoints, 12)):
+                raise InputError("auxiliary knot lines must contain the primal ones")
+            tables[key] = _direction_tables(kc, kf, nds)
+        factors.append(tables[key])
+    return QuadratureCache(*factors)
 
 
 # Bytes of the grid arrays that one strip of the per-iterate kernels works
@@ -470,10 +492,11 @@ class MixedSystem:
         comp = np.arange(2)[:, None]
         fields = 2 * np.arange(n_aux)[:, None, None, None] + comp
         jet_rows = sum(k1 - k0 for _, k0, k1 in self._jet_groups)
+        tables = {}
         self.patches = []
         for i in range(topo.n_patches):
             tb, bb = topo.bases[i], topo.bar_bases[i]
-            cache = build_quadrature(tb, bb, self.mode != "full")
+            cache = build_quadrature(tb, bb, self.mode != "full", tables)
             am = topo.maps[i]
             vol = abs(am.det)
             ia = am.inv

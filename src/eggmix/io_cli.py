@@ -581,8 +581,9 @@ def _write_svg(path, maps, resolution):
         f'<g transform="scale(1,-1)" fill="none" stroke="black" '
         f'stroke-width="%.6f">' % (0.002 * max(w, h)),
     ]
+    # one bulk format per polyline over Python floats, as in _write_vtk
     for poly in polylines:
-        pts = " ".join("%.6f,%.6f" % (p[0], p[1]) for p in poly)
+        pts = " ".join(["%.6f,%.6f"] * len(poly)) % tuple(poly.ravel().tolist())
         lines.append(f'<polyline points="{pts}"/>')
     lines += ["</g>", "</svg>"]
     _atomic_write(path, "\n".join(lines) + "\n")

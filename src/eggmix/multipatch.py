@@ -129,10 +129,12 @@ class PatchTopology:
 
     The auxiliary side is built on first use, so that commands that only
     read the primal bases never refine them: each auxiliary basis
-    (``bar_bases``) is the global h-refinement of its primal basis,
-    ``bar_prolongations`` holds the matching prolongations (primal to
-    auxiliary coefficients), and ``bar_l2g``/``n_sigbar`` couple the
-    auxiliary DOFs along the same interfaces."""
+    (``bar_bases``) is the global h-refinement of its primal basis, by knot
+    bisection alone, and ``bar_l2g``/``n_sigbar`` couple the auxiliary DOFs
+    along the same interfaces. ``bar_prolongations`` holds the matching
+    prolongations (primal to auxiliary coefficients); only a
+    coarse-to-fine solve reads them, to carry an iterate to the next level,
+    so they are formed when first read and never on the finest level."""
     bases: list
     maps: list
     interfaces: list
@@ -143,16 +145,12 @@ class PatchTopology:
     unglued_faces: list
 
     @functools.cached_property
-    def _refined(self):
-        return [tb.refine() for tb in self.bases]
-
-    @functools.cached_property
     def bar_bases(self):
-        return [bb for bb, _ in self._refined]
+        return [tb.bisected() for tb in self.bases]
 
     @functools.cached_property
     def bar_prolongations(self):
-        return [prol for _, prol in self._refined]
+        return [tb.refine()[1] for tb in self.bases]
 
     @functools.cached_property
     def _bar_coupling(self):
@@ -264,7 +262,7 @@ def build_topology(patches, interfaces) -> PatchTopology:
 
     ``patches``: sequence of (TensorBasis, AffinePatchMap) pairs. The
     auxiliary basis of each patch is the global h-refinement of its primal
-    basis, refined and coupled on first use. Gluing requires identical knot
+    basis, bisected and coupled on first use. Gluing requires identical knot
     vectors along each interface (after the orientation flip); each face
     may be glued at most once.
     """

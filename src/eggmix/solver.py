@@ -514,7 +514,9 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
 
     The root is the coarsest level, and ``levels`` = 0 gives the root
     system alone; boundary data refines exactly through the prolongation
-    (clamped edge rows only mix edge coefficients).
+    (clamped edge rows only mix edge coefficients). Only the levels below
+    the finest read their topology's ``bar_prolongations``, so a direct
+    solve forms none.
     """
     out = [HierarchyLevel(MixedSystem(topology, boundary_values,
                                       mode=mode, chi=chi, mu=mu))]

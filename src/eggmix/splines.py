@@ -2,9 +2,9 @@
 
 Open (clamped) knot vectors, Cox-de Boor evaluation with derivatives,
 per-span Gauss grids, dense collocation factors scattered from one
-evaluation table, Greville abscissae, global h-refinement with exact
-prolongation, and the lexicographic (xi-major) tensor-product numbering
-that every other module relies on.
+evaluation table, Greville abscissae, global h-refinement by knot
+bisection, its exact prolongation formed apart, and the lexicographic
+(xi-major) tensor-product numbering that every other module relies on.
 """
 
 from __future__ import annotations
@@ -218,23 +218,32 @@ class KnotVector:
             return 0
         return int(self.multiplicities[1:-1].max())
 
-    def refine(self):
-        """Bisect every nonempty span.
+    def bisected(self) -> "KnotVector":
+        """The knot vector with every nonempty span bisected: all midpoints
+        inserted at once, by one sort of the knots and the midpoints. This
+        is the knot half of :meth:`refine`, and the auxiliary basis of the
+        mixed system is built from it alone."""
+        mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
+        return KnotVector(self.degree, np.sort(np.concatenate([self.knots, mids])))
 
-        Returns the refined knot vector and the sparse prolongation matrix
-        mapping coarse to fine coefficients exactly. All midpoints are
-        inserted at once (one sort), and the prolongation is formed directly
-        by the Oslo algorithm (Cohen, Lyche & Riesenfeld, "Discrete
-        B-splines and subdivision techniques in computer-aided geometric
-        design", CGIP 14 (1980)): fine row i, with t[mu] <= tau[i] <
-        t[mu + 1], holds the discrete B-splines of coarse coefficients
-        mu-p..mu, the product R_1(tau[i+1]) ... R_p(tau[i+p]) of the
-        B-spline recurrence matrices, evaluated for all rows in p passes.
+    def refine(self):
+        """Bisect every nonempty span, with the prolongation.
+
+        Returns the refined knot vector (:meth:`bisected`) and the sparse
+        prolongation matrix mapping coarse to fine coefficients exactly,
+        formed directly by the Oslo algorithm (Cohen, Lyche & Riesenfeld,
+        "Discrete B-splines and subdivision techniques in computer-aided
+        geometric design", CGIP 14 (1980)): fine row i, with t[mu] <=
+        tau[i] < t[mu + 1], holds the discrete B-splines of coarse
+        coefficients mu-p..mu, the product R_1(tau[i+1]) ... R_p(tau[i+p])
+        of the B-spline recurrence matrices, evaluated for all rows in p
+        passes. Only a coarse-to-fine solve needs the prolongation, to
+        carry an iterate up one level.
         """
         t, p = self.knots, self.degree
-        mids = 0.5 * (self.breakpoints[:-1] + self.breakpoints[1:])
-        tau = np.sort(np.concatenate([t, mids]))
-        n_fine = len(tau) - p - 1
+        fine = self.bisected()
+        tau = fine.knots
+        n_fine = fine.dim
         mu = np.clip(np.searchsorted(t, tau[:n_fine], side="right") - 1,
                      p, self.dim - 1)
         # after pass k, alpha[i, r] weighs coarse coefficient mu[i] - k + r
@@ -252,7 +261,7 @@ class KnotVector:
              np.arange(0, n_fine * (p + 1) + 1, p + 1)),
             shape=(n_fine, self.dim))
         P.eliminate_zeros()
-        return KnotVector(p, tau), P
+        return fine, P
 
     def collocation(self, pts, nderiv: int = 0):
         """Dense collocation matrices at ``pts``: a (nderiv + 1, len(pts),
@@ -355,8 +364,16 @@ class TensorBasis:
         out[:, 1] = np.tile(gy, self.n_xi)
         return out
 
+    def bisected(self) -> "TensorBasis":
+        """The global h-refinement: both knot vectors bisected
+        (:meth:`KnotVector.bisected`), without the prolongation."""
+        return TensorBasis(self.kv_xi.bisected(), self.kv_eta.bisected())
+
     def refine(self):
-        """Globally h-refine both directions; returns (fine basis, prolongation)."""
+        """Globally h-refine both directions; returns (fine basis,
+        prolongation), the fine basis that of :meth:`bisected` and the
+        prolongation the Kronecker product of the univariate ones of
+        :meth:`KnotVector.refine`."""
         kx, Px = self.kv_xi.refine()
         ky, Py = self.kv_eta.refine()
         return TensorBasis(kx, ky), sparse.kron(Px, Py).tocsr()

@@ -479,6 +479,12 @@ def per_line_svg_isolines(maps, resolution):
     return polylines
 
 
+def per_point_svg_points(polyline):
+    """The ``points`` attribute of one SVG polyline, formatted one numpy
+    scalar pair at a time."""
+    return " ".join("%.6f,%.6f" % (p[0], p[1]) for p in polyline)
+
+
 def per_point_vtk_text(xs, ys, X, detj):
     """Structured-grid VTK text of one sampled patch, formatted one numpy
     scalar at a time."""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -7,8 +9,8 @@ from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     build_quadrature, single_patch_system
 from eggmix.errors import InputError, ModeError
 from eggmix.io_cli import parse_geometry
-from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
-    exact_annulus_map
+from eggmix.geometries import BUILDERS, build_bat, build_lbend, \
+    build_quarter_annulus, exact_annulus_map
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
@@ -288,16 +290,21 @@ def test_element_order_independence(rng):
     K1 = sys_.frozen_laplacian(c).toarray()
     # permute whole xi spans: the span tables, the factor rows and the
     # point columns of the Laplacian's xi pair factors together with their
-    # weights, and walk the permuted spans in strips of two spans each
+    # weights, and walk the permuted spans in strips of two spans each; the
+    # square's xi and eta share their factors, so the xi side gets a
+    # permuted copy
     ctx = sys_.patches[0]
     fx = ctx.cache.xi
+    assert fx is ctx.cache.eta
     n_points = len(fx.points)
     spans = rng.permutation(fx.n_spans)
     perm = (spans[:, None] * fx.nq + np.arange(fx.nq)).ravel()
-    for name in ("first_sig", "tab_sig", "first_bar", "tab_bar"):
-        setattr(fx, name, getattr(fx, name)[spans])
-    fx.sig = np.ascontiguousarray(fx.sig[:, perm])
-    fx.bar = np.ascontiguousarray(fx.bar[:, perm])
+    fx = dataclasses.replace(
+        fx, **{name: getattr(fx, name)[spans]
+               for name in ("first_sig", "tab_sig", "first_bar", "tab_bar")},
+        sig=np.ascontiguousarray(fx.sig[:, perm]),
+        bar=np.ascontiguousarray(fx.bar[:, perm]))
+    ctx.cache = dataclasses.replace(ctx.cache, xi=fx)
     ctx.wgrid = np.ascontiguousarray(ctx.wgrid[perm])
     ctx.strips = assembly._strip_layout(fx, assembly.STRIP_BYTES // (2 * fx.nq))
     assert len(ctx.strips) == fx.n_spans // 2
@@ -323,10 +330,10 @@ def test_univariate_matrices_match_pointwise_loop(kv):
 
 
 @pytest.mark.parametrize("build, mode, calls", [
-    (build_bat, "full", 12), (build_lbend, "xi", 4)], ids=["bat", "lbend"])
+    (build_bat, "full", 6), (build_lbend, "xi", 4)], ids=["bat", "lbend"])
 def test_system_build_tabulates_each_knot_vector_once(monkeypatch, build, mode, calls):
-    """One ``eval_many`` table per knot vector (primal and auxiliary) of
-    every patch direction, on its Gauss grid."""
+    """One ``eval_many`` table per distinct knot vector (primal and
+    auxiliary) of the system's patch directions, on its Gauss grid."""
     geo = parse_geometry(build())
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
     real = KnotVector.eval_many
@@ -338,7 +345,54 @@ def test_system_build_tabulates_each_knot_vector_once(monkeypatch, build, mode, 
 
     monkeypatch.setattr(KnotVector, "eval_many", counting)
     MixedSystem(geo.topology, bv, mode=mode)
-    assert len(tabulated) == calls == 2 * 2 * geo.topology.n_patches
+    distinct = {(kv.degree, tuple(kv.knots)) for tb in geo.topology.bases
+                for kv in (tb.kv_xi, tb.kv_eta)}
+    assert len(tabulated) == calls == 2 * len(distinct)
+
+
+@pytest.mark.parametrize("name, mode, distinct", [
+    ("bat", "full", 3), ("two_patch_square", "full", 1), ("square", "full", 1),
+    ("quarter_annulus", "full", 1), ("lbend", "xi", 2), ("tube", "xi", 2)])
+def test_system_shares_direction_factors(name, mode, distinct):
+    # one DirectionFactors per distinct knot vector of the system, shared
+    # by every patch direction that has it
+    geo = parse_geometry(BUILDERS[name]())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    system = MixedSystem(geo.topology, bv, mode=mode)
+    factors = [f for ctx in system.patches for f in (ctx.cache.xi, ctx.cache.eta)]
+    assert len({id(f) for f in factors}) == distinct
+    for tb, ctx in zip(geo.topology.bases, system.patches):
+        for kv, f in ((tb.kv_xi, ctx.cache.xi), (tb.kv_eta, ctx.cache.eta)):
+            assert f.sig.shape[-1] == kv.dim
+
+
+def test_shared_direction_factors_are_read_only():
+    system, _ = square_system(2, 3)
+    f = system.patches[0].cache.xi
+    arrays = {k: v for k, v in vars(f).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 11
+    for name, value in arrays.items():
+        with pytest.raises(ValueError):
+            value.reshape(-1)[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.sig = f.bar
+
+
+def test_nearly_equal_knot_vectors_do_not_share_factors():
+    # KnotVector.__eq__ calls these two equal (within KNOT_TOL); the tables
+    # are keyed on exact values, so each keeps its own factors
+    kv = KnotVector(2, [0, 0, 0, 0.4, 1, 1, 1])
+    near = KnotVector(2, [0, 0, 0, 0.4 + 1e-14, 1, 1, 1])
+    assert kv == near
+    tables = {}
+    a = build_quadrature(TensorBasis(kv, kv), TensorBasis(kv, kv).bisected(),
+                         tables=tables)
+    b = build_quadrature(TensorBasis(near, kv), TensorBasis(near, kv).bisected(),
+                         tables=tables)
+    assert a.xi is a.eta is b.eta
+    assert b.xi is not a.xi
+    assert not np.array_equal(b.xi.points, a.xi.points)
+    assert len(tables) == 2
 
 
 def test_mode_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import stat
@@ -7,15 +8,16 @@ import numpy as np
 import pytest
 
 import eggmix.io_cli
-from eggmix.io_cli import load_solution, main, parse_geometry, \
-    solution_patch_maps, solution_system, svg_isolines, validate_geometry
+from eggmix.io_cli import SOLVER_KEYS, SOLVER_RANGES, load_solution, main, \
+    parse_geometry, solution_patch_maps, solution_system, svg_isolines, \
+    validate_geometry
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
 from eggmix.errors import InputError
 from eggmix.mapping import SplineMap
 
-from oracles import per_line_svg_isolines, per_point_vtk_text, \
-    two_pass_quality_block, two_pass_quality_text
+from oracles import per_line_svg_isolines, per_point_svg_points, \
+    per_point_vtk_text, two_pass_quality_block, two_pass_quality_text
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 RESTART = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart"
@@ -331,6 +333,17 @@ def test_svg_matches_per_line_isolines(solution, tmp_path, monkeypatch):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
+                         ids=lambda p: p.name.split(".")[0])
+def test_svg_points_match_per_point_format(solution, tmp_path):
+    _, maps = solution_patch_maps(load_solution(solution))
+    out = tmp_path / "grid.svg"
+    assert run_cli("sample", solution, "--format", "svg", "--out", out) == 0
+    got = [line.split('"')[1] for line in out.read_text(encoding="utf-8").splitlines()
+           if line.startswith("<polyline ")]
+    assert got == [per_point_svg_points(poly) for poly in svg_isolines(maps, 4)]
+
+
 def test_quality_identity(square_solution, capsys):
     assert run_cli("quality", square_solution) == 0
     out = capsys.readouterr().out
@@ -419,13 +432,13 @@ def test_auxiliary_bases_refined_only_for_a_system(tmp_path, monkeypatch):
     first = tmp_path / "two_patch_square.solution.json"
     assert run_cli("solve", bundled_path("two_patch_square"), "--out", first) == 0
     calls = []
-    refine = TensorBasis.refine
+    bisected = TensorBasis.bisected
 
-    def counting_refine(self):
+    def counting_bisected(self):
         calls.append(self)
-        return refine(self)
+        return bisected(self)
 
-    monkeypatch.setattr(TensorBasis, "refine", counting_refine)
+    monkeypatch.setattr(TensorBasis, "bisected", counting_bisected)
     assert run_cli("quality", first) == 0
     assert run_cli("sample", first, "--format", "csv",
                    "--out", tmp_path / "s.csv") == 0
@@ -435,6 +448,26 @@ def test_auxiliary_bases_refined_only_for_a_system(tmp_path, monkeypatch):
     assert run_cli("solve", bundled_path("two_patch_square"), "--initial", "file",
                    "--initial-file", first, "--out", tmp_path / "again.json") == 0
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("levels", [0, 1])
+def test_prolongations_formed_only_on_coarse_levels(levels, tmp_path, monkeypatch):
+    # a direct solve never prolongs; a coarse-to-fine solve forms the
+    # prolongation of each patch of every level but the finest
+    from eggmix.splines import TensorBasis
+    calls = []
+    refine = TensorBasis.refine
+
+    def counting_refine(self):
+        calls.append(self)
+        return refine(self)
+
+    monkeypatch.setattr(TensorBasis, "refine", counting_refine)
+    assert run_cli("solve", bundled_path("two_patch_square"), "--initial", "folded",
+                   "--coarse-levels", levels, "--out", tmp_path / "s.json") == 0
+    coarse = parse_geometry(load_bundled("two_patch_square")).topology.bases
+    assert [(tb.n_xi, tb.n_eta) for tb in calls] \
+        == [(tb.n_xi, tb.n_eta) for tb in coarse] * levels
 
 
 def test_coincident_boundary_points_exit_1(tmp_path, capsys):
@@ -630,6 +663,27 @@ def test_retired_solver_setting_warns_and_is_ignored():
     assert [(f.severity, f.pointer) for f in validate_geometry(doc)] == [
         ("warning", "/solver/gmres_restart")]
     assert parse_geometry(doc).topology.n_patches == 1
+
+
+def test_schema_solver_block_matches_validator():
+    # docs/geometry_schema.json read as plain JSON: the solver keys, the
+    # type and bounds of every numeric one, and unknown keys allowed, as
+    # validate_geometry only warns about them
+    schema = json.loads((pathlib.Path(__file__).parents[1] / "docs"
+                         / "geometry_schema.json").read_text())
+    solver = schema["properties"]["solver"]
+    assert solver["additionalProperties"] is not False
+    props = solver["properties"]
+    assert set(props) == set(SOLVER_KEYS)
+    assert props["mode"]["enum"] == ["full", "xi", "eta"]
+    bound_keys = {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"}
+    for key, (integer, lo, lo_open, hi) in SOLVER_RANGES.items():
+        entry = props[key]
+        assert entry["type"] == ("integer" if integer else "number"), key
+        want = {"exclusiveMinimum" if lo_open else "minimum": lo}
+        if hi < math.inf:
+            want["maximum"] = hi
+        assert {k: v for k, v in entry.items() if k in bound_keys} == want, key
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text"])

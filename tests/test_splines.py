@@ -167,6 +167,24 @@ def assert_refine_matches_insertion(kv):
     assert np.abs(P.toarray() - P_ref.toarray()).max() <= 1e-14
 
 
+@pytest.mark.parametrize("kv", [
+    uniform_knots(1, 3), uniform_knots(2, 5), uniform_knots(3, 4, c0_breaks=(0.5,)),
+    KnotVector(2, [0, 0, 0, 0.1, 0.45, 0.45, 0.7, 1, 1, 1]),
+], ids=["p1", "p2", "p3-C0", "p2-nonuniform"])
+def test_bisected_knots_equal_refined_knots(kv):
+    # the auxiliary basis comes from the bisection alone and a
+    # coarse-to-fine solve prolongs onto refine()'s knots: they must agree
+    # bit for bit, with each other and with midpoints inserted one by one
+    fine = kv.bisected()
+    assert fine.degree == kv.degree
+    assert fine.knots.tobytes() == kv.refine()[0].knots.tobytes()
+    assert fine.knots.tobytes() == knot_by_knot_refine(kv)[0].knots.tobytes()
+    tb = TensorBasis(kv, uniform_knots(2, 3)).bisected()
+    ref = TensorBasis(kv, uniform_knots(2, 3)).refine()[0]
+    for a, b in ((tb.kv_xi, ref.kv_xi), (tb.kv_eta, ref.kv_eta)):
+        assert a.knots.tobytes() == b.knots.tobytes()
+
+
 BUNDLED_KNOT_VECTORS = [
     pytest.param(kv, id=f"{name}-{i}")
     for name, build in sorted(BUILDERS.items())
