@@ -11,36 +11,37 @@ solve wall time, the mean milliseconds per call of ``MixedSystem.eval_RN``
 (frozen-metric Laplacian assembly and factorisation), of
 ``MixedSystem.eval_RL_tilde`` (the linear residual) and of
 ``MixedSystem.apply_ainv_b`` (the exact auxiliary-mass solve behind every
-Schur matvec) inside that solve, the first Newton step's forcing term
-(its relative GMRES tolerance), the seconds of each phase that
-``SolverReport.timings`` sums (preconditioner build, GMRES, line search),
-and the peak RSS. A restart case solves
-from the transfinite start and then runs ``newton_solve`` again from the
-converged net, recording the Newton/GMRES/``rn_evals`` counts of that
-second solve and the same first forcing term and phase seconds (None and
-zeros when it takes no step), so that a restart that iterates on roundoff
-shows. A coarse-to-fine case solves a hierarchy with
-``eggmix.io_cli.solve`` from a start on its coarsest level, the path
+Schur matvec) inside that solve, the first and the last Newton step's
+forcing term (its relative GMRES tolerance) and the GMRES iterations of the
+last step, which show whether the step that ends the solve is oversolved,
+the seconds of each phase that ``SolverReport.timings`` sums
+(preconditioner build, GMRES, line search), and the peak RSS. A restart
+case solves from the transfinite start and then runs ``newton_solve`` again
+from the converged net, recording the Newton/GMRES/``rn_evals`` counts of
+that second solve and the same forcing terms, last-step GMRES iterations
+and phase seconds (None and zeros when it takes no step), so that a restart
+that iterates on roundoff shows. A coarse-to-fine case solves a hierarchy
+with ``eggmix.io_cli.solve`` from a start on its coarsest level, the path
 ``eggmix solve --coarse-levels`` takes, and records the totals and, per
-level, the same counts, per-call times, first forcing term and phase
-seconds as a solve case. A setup case times ``build_system_hierarchy``,
-within it the construction and the mass-solver build of the finest system
-(``MixedSystem._build_mass``: interior Kronecker factors and the factored
-interface Schur complement), and then the first-use pattern and pair
-factors of the frozen Laplacian (``MixedSystem._laplacian_factors``) of the
-finest system, next to the DOF count, the interface DOF count, the element
-count and the pattern's nonzero count. A kernel case builds the
-finest system of a hierarchy at its start iterate, without solving, and
-records the median milliseconds over repeated calls of ``eval_RN``,
-``eval_RL_tilde``, ``apply_ainv_b``, ``ainv_exact`` (the coupled mass solve
-of every field alone, on the derivative moments of the start net) and of
-the preconditioner in three
-parts: the assembly of K (``frozen_laplacian``, timed right after
-``eval_RN`` at the same iterate, so that it takes the metric that call left
-behind, the path every Newton step takes), the factor (the
-``laplace_preconditioner`` build given an assembled K) and one apply to
-both components; ``build_plus_six_applies_ms`` adds the three as one
-Newton step of six GMRES iterations pays them.
+level, the same counts, per-call times, forcing terms, last-step GMRES
+iterations and phase seconds as a solve case. A setup case times
+``build_system_hierarchy``, within it the construction and the mass-solver
+build of the finest system (``MixedSystem._build_mass``: interior Kronecker
+factors and the factored interface Schur complement), and then the
+first-use pattern and pair factors of the frozen Laplacian
+(``MixedSystem._laplacian_factors``) of the finest system, next to the DOF
+count, the interface DOF count, the element count and the pattern's nonzero
+count. A kernel case builds the finest system of a hierarchy at its start
+iterate, without solving, and records the median milliseconds over repeated
+calls of ``eval_RN``, ``eval_RL_tilde``, ``apply_ainv_b``, ``ainv_exact``
+(the coupled mass solve of every field alone, on the derivative moments of
+the start net) and of the preconditioner in three parts: the assembly of K
+(``frozen_laplacian``, timed right after ``eval_RN`` at the same iterate,
+so that it takes the metric that call left behind, the path every Newton
+step takes), the factor (the ``laplace_preconditioner`` build given an
+assembled K) and one apply to both components;
+``build_plus_six_applies_ms`` adds the three as one Newton step of six
+GMRES iterations pays them.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -155,10 +156,22 @@ def mean_ms(seconds):
 
 
 def forcing_and_timings(rep):
-    """The first forcing term of a report (None without a Newton step) and
-    its phase seconds."""
-    return {"first_forcing_term": rep.forcing_terms[0] if rep.forcing_terms else None,
+    """The first and the last forcing term of a report, the GMRES iterations
+    of its last Newton step (None each without a Newton step) and its phase
+    seconds."""
+    steps = bool(rep.forcing_terms)
+    return {"first_forcing_term": rep.forcing_terms[0] if steps else None,
+            "last_forcing_term": rep.forcing_terms[-1] if steps else None,
+            "last_step_gmres": rep.gmres_iterations[-1] if steps else None,
             "timings": dict(rep.timings)}
+
+
+def last_step(records):
+    """The last forcing term and last-step GMRES iterations of each record,
+    as printed in the stderr table ("-" without a Newton step)."""
+    return " ".join("-" if r["last_forcing_term"] is None else
+                    f"{r['last_forcing_term']:.3g}/{r['last_step_gmres']}"
+                    for r in records)
 
 
 def phases(r):
@@ -367,7 +380,7 @@ def main(argv=None):
               f"precond {r['laplace_preconditioner_ms']:7.2f} ms  "
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
               f"{r['peak_rss_mb']:7.1f} MB  eta0 {r['first_forcing_term']:.3g}  "
-              f"{phases(r)}", file=sys.stderr)
+              f"last eta/gmres {last_step([r])}  {phases(r)}", file=sys.stderr)
     for key in COARSE_TO_FINE_CASES:
         cases[key] = run_child(key)
         r = cases[key]
@@ -375,12 +388,14 @@ def main(argv=None):
               f"{r['solve_s']:7.2f} s  finest: eval_RN "
               f"{r['levels'][-1]['eval_rn_ms']:7.2f} ms  precond "
               f"{r['levels'][-1]['laplace_preconditioner_ms']:7.2f} ms "
-              f"{r['peak_rss_mb']:7.1f} MB  {phases(r)}", file=sys.stderr)
+              f"{r['peak_rss_mb']:7.1f} MB  last eta/gmres per level "
+              f"{last_step(r['levels'])}  {phases(r)}", file=sys.stderr)
     for key in RESTART_CASES:
         cases[key] = run_child(key)
         r = cases[key]
         print(f"{key:24s} {r['newton']:3d}/{r['gmres']:4d}/{r['rn_evals']:4d} "
-              f"{r['solve_s']:7.2f} s  net change {r['max_net_change']:.1e}"
+              f"{r['solve_s']:7.2f} s  net change {r['max_net_change']:.1e}  "
+              f"last eta/gmres {last_step([r])}"
               f"{'  stagnated' if r['stagnated'] else ''}",
               file=sys.stderr)
     for key in SETUP_CASES:

@@ -792,10 +792,20 @@ class MixedSystem:
         inner_of = np.full(self.topology.n_sigma, -1)
         inner_of[self.topology.inner_indices] = np.arange(n)
         xs, ys, keys = [], [], []
+        # patch directions share their DirectionFactors, and so their pair
+        # factors: one _pair_factors call per (factor object, orders, diagonal)
+        memo = {}
+
+        def pair_factors(f, orders, diagonal):
+            key = (id(f), orders, diagonal)
+            if key not in memo:
+                memo[key] = _pair_factors(f, orders, diagonal)
+            return memo[key]
+
+        x_orders = tuple((1 - a, 1 - b) for a, b in PAIRINGS)
         for i, ctx in enumerate(self.patches):
-            px, fx = _pair_factors(ctx.cache.xi, [(1 - a, 1 - b) for a, b in PAIRINGS],
-                                   diagonal=True)
-            py, fy = _pair_factors(ctx.cache.eta, PAIRINGS, diagonal=False)
+            px, fx = pair_factors(ctx.cache.xi, x_orders, diagonal=True)
+            py, fy = pair_factors(ctx.cache.eta, PAIRINGS, diagonal=False)
             xs.append(fx)
             ys.append(fy)
             loc = inner_of[self.topology.sig_l2g[i]]

@@ -47,6 +47,13 @@ SOLVER_RANGES = {
     "coarse_levels": (True, 0, False, 4),
 }
 SOLVER_KEYS = ("mode",) + tuple(SOLVER_RANGES)
+# the keys of the other objects of docs/geometry_schema.json; the validator
+# warns about any other key, and parsing ignores it
+TOP_KEYS = ("version", "patches", "interfaces", "solver")
+PATCH_KEYS = ("degree_xi", "degree_eta", "knots_xi", "knots_eta", "affine",
+              "boundary")
+AFFINE_KEYS = ("A", "b")
+INTERFACE_KEYS = ("patch_a", "face_a", "patch_b", "face_b", "reversed")
 
 
 @dataclass
@@ -76,13 +83,24 @@ def _is_integer(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _unknown_keys(obj, known, ptr, what="key"):
+    """A warning for every key of the object ``obj`` (at JSON pointer
+    ``ptr``) that is not in ``known``."""
+    return [Finding("warning",
+                    f"{ptr}/" + str(key).replace("~", "~0").replace("/", "~1"),
+                    f"unknown {what} (ignored)")
+            for key in obj if key not in known]
+
+
 def validate_geometry(doc) -> list:
-    """Structural schema validation; returns findings with JSON-pointer paths."""
+    """Structural schema validation; returns findings with JSON-pointer
+    paths: errors, and a warning for each unknown key, which is ignored."""
     out = []
     err = lambda ptr, msg: out.append(Finding("error", ptr, msg))
     if not isinstance(doc, dict):
         err("", "document must be a JSON object")
         return out
+    out += _unknown_keys(doc, TOP_KEYS, "")
     if not (_is_integer(doc.get("version")) and doc["version"] == 1):
         err("/version", "expected format version 1")
     patches = doc.get("patches")
@@ -95,6 +113,7 @@ def validate_geometry(doc) -> list:
         if not isinstance(p, dict):
             err(ptr, "patch must be an object")
             continue
+        out += _unknown_keys(p, PATCH_KEYS, ptr)
         for key in ("degree_xi", "degree_eta"):
             if not _is_integer(p.get(key)) or p[key] < 1:
                 err(f"{ptr}/{key}", "expected an integer >= 1")
@@ -123,6 +142,8 @@ def validate_geometry(doc) -> list:
                 err(f"{ptr}/affine/b", "expected a 2-vector")
             if ok and A[0][0] * A[1][1] - A[0][1] * A[1][0] == 0:
                 err(f"{ptr}/affine/A", "matrix must be invertible")
+            if isinstance(aff, dict):
+                out += _unknown_keys(aff, AFFINE_KEYS, f"{ptr}/affine")
         bnd = p.get("boundary", {})
         if not isinstance(bnd, dict):
             err(f"{ptr}/boundary", "expected an object keyed by face name")
@@ -147,6 +168,7 @@ def validate_geometry(doc) -> list:
         if not isinstance(itf, dict):
             err(ptr, "interface must be an object")
             continue
+        out += _unknown_keys(itf, INTERFACE_KEYS, ptr)
         for key in ("patch_a", "patch_b"):
             v = itf.get(key)
             if not _is_integer(v) or not 0 <= v < len(patches):
@@ -160,10 +182,7 @@ def validate_geometry(doc) -> list:
     if not isinstance(solver, dict):
         err("/solver", "expected an object")
     else:
-        for key in solver:
-            if key not in SOLVER_KEYS:
-                out.append(Finding("warning", f"/solver/{key}",
-                                   "unknown solver setting (ignored)"))
+        out += _unknown_keys(solver, SOLVER_KEYS, "/solver", "solver setting")
         if "mode" in solver and solver["mode"] not in ("full", "xi", "eta"):
             err("/solver/mode", "expected full, xi or eta")
         for key in SOLVER_RANGES:

@@ -14,13 +14,19 @@ Laplacian of the current iterate (its principal part, factored
 once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
 once per system), so its stopping test stays on the true Schur residual. Its
 relative tolerance is an Eisenstat-Walker forcing term (choice 2, SISC 17
-(1996), with Kelley's safeguard): loose while the residual falls slowly and
-back down to ``gmres_tol`` in the fast local phase. The first term measures
-the start's residual against the residual scale S below in place of a
-previous norm, so a cold start is solved loosely and a warm restart, whose
-residual is far below S, to ``gmres_tol``. A backtracking line search on the
-residual norm globalizes the iteration; the probe it accepts becomes the
-next iterate's state, so its residual is not evaluated twice.
+(1996)) with both of Kelley's safeguards (Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, section 6.3): one keeps the term from falling
+much faster than the residual, the final one keeps it at least
+0.5 r_tol / ||R_k||, so that no step is solved far below what the stopping
+test r_tol asks of the next iterate. The term is loose while the residual
+falls slowly, down to ``gmres_tol`` in the fast local phase, and no tighter
+than the stopping test needs on the step that ends the solve. The first
+term measures the start's residual against the residual scale S below in
+place of a previous norm, so a cold start is solved loosely and a warm
+restart, whose residual is far below S, to ``gmres_tol``. A backtracking
+line search on the residual norm globalizes the iteration; the probe it
+accepts becomes the next iterate's state, so no piece of its residual is
+evaluated twice.
 
 There is one stopping test, checked at every iterate before any Schur work:
 the iterate has converged when ||(R_L, R_N)|| <= ``newton_tol`` * S. The scale
@@ -82,11 +88,13 @@ class SolverConfig:
     ||(R_L, R_N)|| <= newton_tol * S, with S the residual scale of the
     boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
     Newton steps. ``gmres_tol`` is the smallest forcing term: the floor of
-    the relative GMRES tolerance of every Newton step, met by the first step
-    of a warm restart and by the steps near the solution (see
-    ``forcing_term``). ``gmres_max_iter`` bounds the iterations of each
-    GMRES solve, one Krylov cycle; it and ``max_newton`` are integers of at
-    least 1. ``verbose`` writes one JSON line per Newton step to stderr,
+    the relative GMRES tolerance of every Newton step, which the first step
+    of a warm restart and the fast local phase may reach; no step is solved
+    below 0.5 newton_tol S / ||R_k||, which sets the term of the step that
+    ends the solve when it exceeds the floor (see ``forcing_term``).
+    ``gmres_max_iter`` bounds the iterations of each GMRES solve, one Krylov
+    cycle; it and ``max_newton`` are integers of at least 1. ``verbose``
+    writes one JSON line per Newton step to stderr,
     with the seconds of each entry of ``TIMED_PHASES`` and the step's own
     ``eval_RN`` calls (``rn_evals``). The line-search and
     finite-difference constants are module constants
@@ -209,29 +217,34 @@ def _plain(value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def residual_pieces(system: MixedSystem, d, c) -> dict:
+    """The residual of (d, c) in the pieces a :class:`NewtonState` holds:
+    the union moments ``rl_tilde`` of the linear residual and their coupled
+    sum ``r_l``, the nonlinear residual ``r_n``, the norm ``r_norm`` of
+    (R_L, R_N) and the minimum Winslow denominator of ``eval_RN``."""
+    rl_tilde = system.eval_RL_tilde(d, c)
+    r_l = system.reduce_tilde(rl_tilde).ravel()
+    r_n = system.eval_RN(d, c)
+    return {"rl_tilde": rl_tilde, "r_l": r_l, "r_n": r_n,
+            "r_norm": float(np.sqrt(r_l @ r_l + r_n @ r_n)),
+            "min_denominator": system.last_min_denominator}
+
+
 class NewtonState:
     """One (d, c) iterate with its residual pieces.
 
-    ``r_n`` and ``min_denominator`` may be passed in when ``eval_RN`` has
-    already run at (d, c) (the accepted line-search probe); otherwise they
-    are evaluated here. The linear pieces are always recomputed: they are
-    per-patch products of univariate factors, cheap next to ``eval_RN``,
-    and the Schur right-hand side needs the union moments.
+    ``pieces`` are the :func:`residual_pieces` of (d, c) when they have
+    already been evaluated (the accepted line-search probe); otherwise they
+    are evaluated here.
     """
 
-    def __init__(self, system: MixedSystem, d, c, r_n=None,
-                 min_denominator=None):
+    def __init__(self, system: MixedSystem, d, c, pieces=None):
         self.system = system
         self.d = np.asarray(d, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.rl_tilde = system.eval_RL_tilde(d, c)
-        self.r_l = system.reduce_tilde(self.rl_tilde).ravel()
-        if r_n is None:
-            r_n = system.eval_RN(d, c)
-            min_denominator = system.last_min_denominator
-        self.r_n = r_n
-        self.min_denominator = min_denominator
-        self.r_norm = float(np.sqrt(self.r_l @ self.r_l + self.r_n @ self.r_n))
+        p = residual_pieces(system, self.d, self.c) if pieces is None else pieces
+        self.rl_tilde, self.r_l, self.r_n = p["rl_tilde"], p["r_l"], p["r_n"]
+        self.r_norm, self.min_denominator = p["r_norm"], p["min_denominator"]
         self.state_norm = float(np.sqrt(self.d @ self.d + self.c @ self.c))
 
 
@@ -276,19 +289,23 @@ def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
     return precond(gm.solution), gm
 
 
-def forcing_term(gmres_tol: float, scale: float, residual_norms,
+def forcing_term(gmres_tol: float, scale: float, r_tol: float, residual_norms,
                  forcing_terms) -> float:
     """Eisenstat-Walker (choice 2) GMRES tolerance of the next Newton step.
 
     ``residual_norms`` ends with the current ||R_k|| and ``forcing_terms``
     holds the terms of the steps before it. eta_k = gamma (||R_k|| /
     ||R_k-1||)^alpha, raised to gamma eta_k-1^alpha when that exceeds 0.1
-    (Kelley's safeguard against a term falling faster than the residual),
-    and clipped to [gmres_tol, EW_ETA_MAX]. The first term has no previous
-    norm and takes the residual scale S = ``scale`` of the boundary data in
-    its place: a cold start (||R_0|| near S) is solved loosely, as Eisenstat
-    and Walker and Kelley start the sequence, while a warm restart
-    (||R_0|| << S) keeps ``gmres_tol``, so it gains no Newton steps.
+    (Kelley's safeguard against a term falling faster than the residual).
+    The first term has no previous norm and takes the residual scale S =
+    ``scale`` of the boundary data in its place: a cold start (||R_0|| near
+    S) is solved loosely, as Eisenstat and Walker and Kelley start the
+    sequence, while a warm restart (||R_0|| << S) keeps ``gmres_tol``, so it
+    gains no Newton steps. Kelley's final safeguard then raises the term to
+    0.5 ``r_tol`` / ||R_k||, with r_tol = newton_tol S the stopping test: a
+    step solved to it leaves a linearised residual of at most r_tol / 2, so
+    the step that ends the solve is not solved further. The result is
+    clipped to [gmres_tol, EW_ETA_MAX].
     """
     if not forcing_terms:
         eta = EW_GAMMA * (residual_norms[-1] / scale) ** EW_ALPHA
@@ -297,7 +314,7 @@ def forcing_term(gmres_tol: float, scale: float, residual_norms,
         safeguard = EW_GAMMA * forcing_terms[-1] ** EW_ALPHA
         if safeguard > 0.1:
             eta = max(eta, safeguard)
-    return min(max(eta, gmres_tol), EW_ETA_MAX)
+    return min(max(eta, gmres_tol, 0.5 * r_tol / residual_norms[-1]), EW_ETA_MAX)
 
 
 def _line_search(residual_norm_of, r_old: float):
@@ -360,7 +377,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         converged = state.r_norm <= r_tol
         if converged or it == config.max_newton:
             break
-        eta = forcing_term(config.gmres_tol, scale, report.residual_norms,
+        eta = forcing_term(config.gmres_tol, scale, r_tol, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
         rn_count, rn_s, mass_s = (system.rn_eval_count, system.rn_eval_s,
@@ -383,12 +400,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         probe = {}
 
         def trial_norm(nu):
-            rl = system.eval_RL(d + nu * delta_d,
-                                c + nu * delta_c)
-            rn = system.eval_RN(d + nu * delta_d, c + nu * delta_c)
             # the accepted probe is the last one: it becomes the next state
-            probe.update(r_n=rn, min_denominator=system.last_min_denominator)
-            return float(np.sqrt(rl @ rl + rn @ rn))
+            probe.update(residual_pieces(system, d + nu * delta_d, c + nu * delta_c))
+            return probe["r_norm"]
 
         t_search = time.perf_counter()
         try:
@@ -420,7 +434,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         report.nu_values.append(nu)
         d = d + nu * delta_d
         c = c + nu * delta_c
-        state = NewtonState(system, d, c, **probe)
+        state = NewtonState(system, d, c, pieces=probe)
 
     report.converged = converged
     report.rn_evals = system.rn_eval_count - rn0

@@ -42,6 +42,7 @@ def rng():
 class SolvedProblem:
     def __init__(self, geometry_doc, mode, config, initial="transfinite"):
         t0 = time.perf_counter()
+        self.config = config
         self.geo = parse_geometry(geometry_doc)
         self.topology = self.geo.topology
         bvals = boundary_values_from_faces(self.topology, self.geo.boundary_data)

@@ -19,24 +19,47 @@ from conftest import start
 
 def test_forcing_term_rule():
     tol, scale = 1e-3, 2.0
+    # the stopping test newton_tol * S: the final safeguard 0.5 r_tol / ||R_k||
+    # stays below gmres_tol in every case until the last block
+    r_tol = 1e-8 * scale
     # first Newton step: choice 2 with the residual scale S as the previous
     # norm; a cold start (||R_0|| near S) is clipped at 0.9
-    assert forcing_term(tol, scale, [5.0], []) == EW_ETA_MAX == 0.9
-    assert forcing_term(tol, scale, [2.0], []) == EW_ETA_MAX
+    assert forcing_term(tol, scale, r_tol, [5.0], []) == EW_ETA_MAX == 0.9
+    assert forcing_term(tol, scale, r_tol, [2.0], []) == EW_ETA_MAX
     # in between: 0.9 (0.5 / 2)^2
-    assert forcing_term(tol, scale, [0.5], []) == pytest.approx(0.9 / 16)
+    assert forcing_term(tol, scale, r_tol, [0.5], []) == pytest.approx(0.9 / 16)
     # a warm restart (||R_0|| << S) keeps gmres_tol
-    assert forcing_term(tol, scale, [2e-3], []) == tol
+    assert forcing_term(tol, scale, r_tol, [2e-3], []) == tol
     # choice 2: 0.9 (||R_k|| / ||R_k-1||)^2, whatever S is
-    assert forcing_term(tol, scale, [1.0, 0.5], [tol]) == pytest.approx(0.9 * 0.25)
+    assert forcing_term(tol, scale, r_tol, [1.0, 0.5], [tol]) == \
+        pytest.approx(0.9 * 0.25)
     # safeguard: 0.9 * 0.5^2 = 0.225 > 0.1 lifts 0.9 * 0.1^2 = 0.009
-    assert forcing_term(tol, scale, [1.0, 0.1], [0.5]) == pytest.approx(0.225)
+    assert forcing_term(tol, scale, r_tol, [1.0, 0.1], [0.5]) == pytest.approx(0.225)
     # no safeguard once 0.9 eta_k-1^2 <= 0.1
-    assert forcing_term(tol, scale, [1.0, 0.1], [0.3]) == pytest.approx(0.009)
+    assert forcing_term(tol, scale, r_tol, [1.0, 0.1], [0.3]) == pytest.approx(0.009)
     # clipped below at gmres_tol and above at 0.9
-    assert forcing_term(tol, scale, [1.0, 1e-4], [0.3]) == tol
-    assert forcing_term(tol, scale, [1.0, 2.0], [tol]) == EW_ETA_MAX
-    assert forcing_term(tol, scale, [1.0, 1.0], [0.9]) == EW_ETA_MAX
+    assert forcing_term(tol, scale, r_tol, [1.0, 1e-4], [0.3]) == tol
+    assert forcing_term(tol, scale, r_tol, [1.0, 2.0], [tol]) == EW_ETA_MAX
+    assert forcing_term(tol, scale, r_tol, [1.0, 1.0], [0.9]) == EW_ETA_MAX
+    # while 0.5 r_tol / ||R_k|| <= gmres_tol the final safeguard changes no
+    # term: each equals the term without it (r_tol = 0)
+    for norms, terms in [([5.0], []), ([0.5], []), ([1e-5], []),
+                         ([1.0, 0.5], [tol]), ([1.0, 0.1], [0.5]),
+                         ([1.0, 0.1], [0.3]), ([1.0, 1e-4], [0.3]),
+                         ([1e-3, 1e-5], [0.3])]:
+        assert 0.5 * r_tol / norms[-1] <= tol
+        assert forcing_term(tol, scale, r_tol, norms, terms) == \
+            forcing_term(tol, scale, 0.0, norms, terms)
+    # the final safeguard raises a small term to 0.5 r_tol / ||R_k||: here
+    # choice 2 gives 0.9 (1e-6 / 1e-3)^2 = 9e-7 and gmres_tol 1e-3, against
+    # 0.5 * 2e-8 / 1e-6 = 0.01
+    assert forcing_term(tol, scale, r_tol, [1e-3, 1e-6], [0.3]) == \
+        pytest.approx(0.01)
+    # ... on the first step too: 0.5 * 2e-8 / 4e-8 = 0.25
+    assert forcing_term(tol, scale, r_tol, [4e-8], []) == pytest.approx(0.25)
+    # and never above 0.9, even for a residual already below r_tol
+    assert forcing_term(tol, scale, r_tol, [1e-3, 1e-8], [0.3]) == EW_ETA_MAX
+    assert forcing_term(tol, scale, r_tol, [1e-8], []) == EW_ETA_MAX
 
 
 @pytest.mark.parametrize("tol", [0.95, 1.0, 2.0])
@@ -51,7 +74,7 @@ def test_gmres_tol_above_largest_forcing_term_rejected(tol):
 def test_gmres_meets_forcing_terms(solved, request):
     problem = request.getfixturevalue(solved)
     rep = problem.report
-    cfg = SolverConfig()
+    cfg = problem.config
     assert rep.converged and all(rep.gmres_converged)
     assert len(rep.forcing_terms) == rep.newton_iterations
     # the first term measures ||R_0|| against the residual scale S
@@ -60,10 +83,37 @@ def test_gmres_meets_forcing_terms(solved, request):
     assert rep.forcing_terms[0] == min(EW_ETA_MAX, max(cfg.gmres_tol, first))
     assert all(cfg.gmres_tol <= eta <= EW_ETA_MAX for eta in rep.forcing_terms)
     assert all(r <= eta for r, eta in zip(rep.gmres_residuals, rep.forcing_terms))
-    # the steps that end the solve are solved to the full tolerance
-    assert rep.forcing_terms[-1] == cfg.gmres_tol
-    # and the folded phase is not
+    # the step that ends the solve takes choice 2 with Kelley's first
+    # safeguard, raised by the final one to 0.5 r_tol / ||R_n-1||
+    norms, terms = rep.residual_norms, rep.forcing_terms
+    ew = EW_GAMMA * (norms[-2] / norms[-3]) ** EW_ALPHA
+    if EW_GAMMA * terms[-2] ** EW_ALPHA > 0.1:
+        ew = max(ew, EW_GAMMA * terms[-2] ** EW_ALPHA)
+    final = 0.5 * cfg.newton_tol * scale / norms[-2]
+    assert terms[-1] == min(EW_ETA_MAX, max(cfg.gmres_tol, ew, final))
+    # so it is not solved to gmres_tol, far below the stopping test
+    assert terms[-1] > 10 * cfg.gmres_tol
+    # and the folded phase is not either
     assert max(rep.forcing_terms) > 10 * cfg.gmres_tol
+
+
+# geometry, mode, level, folded start, Newton steps, most GMRES iterations
+@pytest.mark.parametrize("builder, mode, level, folded, newton, gmres", [
+    (build_bat, "full", 0, True, 10, 21),
+    (build_lbend, "xi", 1, False, 7, 26),
+])
+def test_final_safeguard_counts(builder, mode, level, folded, newton, gmres):
+    # the step that ends the solve is not solved far below the stopping
+    # test: fewer GMRES iterations, and no Newton step more
+    geo = parse_geometry(builder())
+    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
+    cfg = SolverConfig()
+    _, rep = newton_solve(system, start(system, folded=folded), cfg)
+    assert rep.converged and all(rep.gmres_converged)
+    assert rep.newton_iterations == newton
+    assert sum(rep.gmres_iterations) <= gmres
+    assert rep.final_residual <= cfg.newton_tol * system.residual_scale()
 
 
 def perturbed_boundary(doc, rel=5e-4):
@@ -132,16 +182,28 @@ def test_accepted_probe_state_matches_fresh_state(monkeypatch):
             super().__init__(*args, **kwargs)
             states.append((self, bool(kwargs)))
 
+    rl_calls = []
+    eval_rl_tilde = system.eval_RL_tilde
+
+    def counted(d, c):
+        rl_calls.append(1)
+        return eval_rl_tilde(d, c)
+
     monkeypatch.setattr(eggmix.solver, "NewtonState", Recorded)
+    monkeypatch.setattr(system, "eval_RL_tilde", counted)
     c, rep = newton_solve(system, start(system, folded=True), SolverConfig())
     assert rep.converged
     # one state evaluated from scratch, then one accepted probe per step
     assert [reused for _, reused in states] == \
         [False] + [True] * len(rep.nu_values)
+    # the linear residual is evaluated once per line-search probe and once
+    # for the start, not again for the state an accepted probe becomes
+    assert len(rl_calls) == rep.line_search_evals + 1
     for state, _ in states[1:]:
         fresh = NewtonState(system, state.d, state.c)
-        np.testing.assert_array_equal(state.r_n, fresh.r_n)
+        np.testing.assert_array_equal(state.rl_tilde, fresh.rl_tilde)
         np.testing.assert_array_equal(state.r_l, fresh.r_l)
+        np.testing.assert_array_equal(state.r_n, fresh.r_n)
         assert state.r_norm == fresh.r_norm
         assert state.min_denominator == fresh.min_denominator
     assert rep.min_denominators == [s.min_denominator for s, _ in states]

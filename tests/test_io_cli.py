@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import eggmix.io_cli
-from eggmix.io_cli import SOLVER_KEYS, SOLVER_RANGES, load_solution, main, \
-    parse_geometry, solution_patch_maps, solution_system, svg_isolines, \
-    validate_geometry
+from eggmix.assembly import boundary_values_from_faces
+from eggmix.io_cli import AFFINE_KEYS, INTERFACE_KEYS, PATCH_KEYS, SOLVER_KEYS, \
+    SOLVER_RANGES, TOP_KEYS, load_solution, main, parse_geometry, \
+    solution_patch_maps, solution_system, svg_isolines, validate_geometry
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
 from eggmix.errors import InputError
@@ -684,6 +685,56 @@ def test_schema_solver_block_matches_validator():
         if hi < math.inf:
             want["maximum"] = hi
         assert {k: v for k, v in entry.items() if k in bound_keys} == want, key
+
+
+def test_unknown_keys_warn_and_are_ignored(tmp_path, capsys):
+    # an extra key in the document, a patch, an affine block and an
+    # interface: each is warned about at its JSON pointer ("/" escaped as
+    # "~1"), and the geometry parses as it does without them
+    doc = build_two_patch_square()
+    doc["see/also"] = "x"
+    doc["patches"][0]["affine"]["c"] = [0.0, 0.0]
+    doc["patches"][1]["colour"] = "red"
+    doc["interfaces"][0]["tolerance"] = 1e-9
+    warn = "unknown key (ignored)"
+    assert [(f.severity, f.pointer, f.message) for f in validate_geometry(doc)] == [
+        ("warning", "/see~1also", warn),
+        ("warning", "/patches/0/affine/c", warn),
+        ("warning", "/patches/1/colour", warn),
+        ("warning", "/interfaces/0/tolerance", warn)]
+    plain = parse_geometry(build_two_patch_square())
+    geo = parse_geometry(doc)
+    assert geo.topology.n_sigma == plain.topology.n_sigma
+    np.testing.assert_array_equal(
+        boundary_values_from_faces(geo.topology, geo.boundary_data),
+        boundary_values_from_faces(plain.topology, plain.boundary_data))
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("check", path) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [f"warning: {ptr}: {warn}" for ptr in (
+        "/see~1also", "/patches/0/affine/c", "/patches/1/colour",
+        "/interfaces/0/tolerance")]
+
+
+@pytest.mark.parametrize("where, known", [
+    ((), TOP_KEYS),
+    (("properties", "patches", "items"), PATCH_KEYS),
+    (("properties", "patches", "items", "properties", "affine"), AFFINE_KEYS),
+    (("properties", "interfaces", "items"), INTERFACE_KEYS),
+], ids=["top", "patch", "affine", "interface"])
+def test_schema_objects_match_validator_keys(where, known):
+    # docs/geometry_schema.json read as plain JSON: each object lists the
+    # keys validate_geometry knows, and allows any other, which the
+    # validator only warns about (the solver block has its own test above)
+    schema = json.loads((pathlib.Path(__file__).parents[1] / "docs"
+                         / "geometry_schema.json").read_text())
+    obj = schema
+    for key in where:
+        obj = obj[key]
+    assert obj["type"] == "object"
+    assert set(obj["properties"]) == set(known)
+    assert obj["additionalProperties"] is not False
 
 
 @pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text"])

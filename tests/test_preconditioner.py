@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
+import eggmix.assembly
+from eggmix.assembly import PAIRINGS, MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.errors import FactorizationError
 from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
@@ -75,6 +76,35 @@ def test_laplacian_pattern_matches_union1d_loop(make_system):
     indices_ref, indptr_ref = element_union_laplacian_pattern(system)
     for got, want in ((lf.indices, indices_ref), (lf.indptr, indptr_ref)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("builder, calls", [
+    (build_two_patch_square, 2), (build_bat, 6)], ids=["two_patch_square", "bat"])
+def test_pair_factors_once_per_direction_factors(builder, calls, monkeypatch):
+    # patch directions that share their DirectionFactors share their pair
+    # factors: one _pair_factors call per (factors, orders, diagonal). The
+    # two-patch square shares both directions; the bat's xi knot vectors
+    # differ, so only its eta factors are shared.
+    real = eggmix.assembly._pair_factors
+    made = []
+
+    def counting(f, orders, diagonal):
+        made.append((id(f), tuple(orders), diagonal))
+        return real(f, orders, diagonal)
+
+    monkeypatch.setattr(eggmix.assembly, "_pair_factors", counting)
+    system = geometry_system(builder())
+    lf = system._laplacian_factors
+    assert len(made) == len(set(made)) == calls
+    # each patch's factors are bitwise those of its own call, so K is too
+    x_orders = [(1 - a, 1 - b) for a, b in PAIRINGS]
+    for ctx, fx, fy in zip(system.patches, lf.x, lf.y):
+        for got, (f, orders, diagonal) in ((fx, (ctx.cache.xi, x_orders, True)),
+                                           (fy, (ctx.cache.eta, PAIRINGS, False))):
+            want = real(f, orders, diagonal)[1]
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(got, attr),
+                                              getattr(want, attr))
 
 
 @settings(max_examples=25, deadline=None)
