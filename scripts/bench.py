@@ -28,18 +28,20 @@ iterations and phase seconds as a solve case. A setup case times
 ``build_system_hierarchy``, within it the construction and the mass-solver
 build of the finest system (``MixedSystem._build_mass``: interior Kronecker
 factors and the factored interface Schur complement), and then the
-first-use pattern and pair factors of the frozen Laplacian
+first-use pair factors and band layout of the frozen Laplacian
 (``MixedSystem._laplacian_factors``) of the finest system, next to the DOF
-count, the interface DOF count, the element count and the pattern's nonzero
-count. A kernel case builds the finest system of a hierarchy at its start
+count, the interface DOF count, the element count, the number of entries
+in the band that K's couplings fill (its lower triangle) and the
+bandwidth. A kernel case builds the finest system of a hierarchy at its start
 iterate, without solving, and records the median milliseconds over repeated
 calls of ``eval_RN``, ``eval_RL_tilde``, ``apply_ainv_b``, ``ainv_exact``
 (the coupled mass solve of every field alone, on the derivative moments of
 the start net) and of the preconditioner in three parts: the assembly of K
 (``frozen_laplacian``, timed right after ``eval_RN`` at the same iterate,
 so that it takes the metric that call left behind, the path every Newton
-step takes), the factor (the ``laplace_preconditioner`` build given an
-assembled K) and one apply to both components;
+step takes), the factor (the ``laplace_preconditioner`` build given the
+band that assembly returned, which it factors in place) and one apply to
+both components;
 ``build_plus_six_applies_ms`` adds the three as one Newton step of six
 GMRES iterations pays them.
 
@@ -105,6 +107,7 @@ SETUP_CASES = {
 }
 # key -> (geometry, mode, h-refinement level, folded start, calls timed)
 KERNEL_CASES = {
+    "lbend-xi-L1-kernels": ("lbend", "xi", 1, False, 40),
     "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
     "bat-folded-L3-kernels": ("bat", "full", 3, True, 5),
 }
@@ -285,19 +288,26 @@ def run_setup_case(key):
     t0 = time.perf_counter()
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
     t1 = time.perf_counter()
-    indices = system._laplacian_factors.indices
+    lf = system._laplacian_factors
     t2 = time.perf_counter()
+    # ru_maxrss is in KiB on Linux; read before the count below allocates
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    filled = np.zeros((lf.bandwidth + 1) * system.n_inner + 1, dtype=bool)
+    filled[lf.places] = True
     return {
         "n_sigma": system.topology.n_sigma,
         "n_gamma": len(system._gamma),
         "n_elements": sum(ctx.cache.n_el for ctx in system.patches),
-        "pattern_nnz": len(indices),
+        # the band slots K's entries are summed into, the slot past the
+        # band (dropped entries) left out
+        "band_entries": int(np.count_nonzero(filled[:-1])),
+        "bandwidth": lf.bandwidth,
         "hierarchy_s": t1 - t0,
         # the finest system is built last
         "system_build_s": build_s[-1],
         "mass_build_s": mass_s[-1],
-        "pattern_s": t2 - t1,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "laplacian_factors_s": t2 - t1,
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
@@ -309,8 +319,9 @@ def run_kernel_case(key):
     d0 = system.project_d(c0)
     y = np.random.default_rng(0).standard_normal(system.c_size)
     moments = system._derivative_moments(system.full_control_net(c0))
-    K = system.frozen_laplacian(c0)  # builds the Laplacian pattern and factors
-    # the preconditioner build without the assembly of K: the factor alone
+    K = system.frozen_laplacian(c0)  # builds the Laplacian's factors and layout
+    # the preconditioner build without the assembly of K: the factor alone,
+    # in place on the band the timed frozen_laplacian call before it returned
     system.frozen_laplacian = lambda c: K
     times = {k: [] for k in ("eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
                              "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms",
@@ -319,7 +330,7 @@ def run_kernel_case(key):
         t0 = time.perf_counter()
         system.eval_RN(d0, c0)
         t1 = time.perf_counter()
-        MixedSystem.frozen_laplacian(system, c0)
+        K = MixedSystem.frozen_laplacian(system, c0)
         t2 = time.perf_counter()
         precond = system.laplace_preconditioner(c0)
         t3 = time.perf_counter()
@@ -403,7 +414,8 @@ def main(argv=None):
         r = cases[key]
         print(f"{key:24s} {r['hierarchy_s']:7.2f} (finest {r['system_build_s']:5.3f}, "
               f"mass {r['mass_build_s']:5.3f}) "
-              f"+ {r['pattern_s']:5.2f} s {r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
+              f"+ {r['laplacian_factors_s']:5.2f} s  band {r['band_entries']} entries, "
+              f"bandwidth {r['bandwidth']} {r['peak_rss_mb']:7.1f} MB", file=sys.stderr)
     for key in KERNEL_CASES:
         cases[key] = run_child(key)
         r = cases[key]

@@ -22,9 +22,10 @@ static condensation onto the auxiliary DOFs that patches share (Kronecker
 solves on each patch's remaining tensor range, as two dense products with
 the univariate inverses, and one dense Cholesky factor on the shared DOFs),
 and the frozen-metric Laplacian that preconditions the Schur GMRES is summed
-from univariate pair factors and factored by banded Cholesky, in a
-bandwidth-reducing order fixed once per system. A single patch is a 1-patch
-topology on the same code path.
+from univariate pair factors, of the xi pairs i <= j alone since it is
+symmetric, straight into its lower band storage, in a bandwidth-reducing
+order fixed once per system, and factored there by banded Cholesky. A
+single patch is a 1-patch topology on the same code path.
 """
 from __future__ import annotations
 
@@ -262,38 +263,39 @@ def _residual_combination(mode, chi, ia, n_aux):
 PAIRINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pair_factors(f: DirectionFactors, orders, diagonal: bool):
+def _pair_factors(f: DirectionFactors, orders, half: bool):
     """Univariate pair factors of one direction of a patch for the frozen
     Laplacian, on its coupled pairs S = {(i, j): some span carries both
     primal functions i and j}.
 
-    Returns ``(pairs, F)``: ``pairs`` is the (|S|, 2) array of (i, j), sorted
-    by i * n + j, and ``F`` a CSR matrix with one block per entry
-    (k, l) of ``orders``, block b holding at row r and Gauss point m the
-    product d^k w_i(x_m) d^l w_j(x_m) of pair r = (i, j). Blocks are stacked
-    along the diagonal (``diagonal``, shape (n_blocks |S|, n_blocks n_points))
-    or side by side (shape (|S|, n_blocks n_points)). Each Gauss point only
-    meets the (p + 1)^2 pairs of its span, so F has n_points (p + 1)^2
-    entries per block."""
+    Returns ``(pairs, F)``: ``pairs`` is the (n_pairs, 2) array of the
+    pairs (i, j), sorted by i * n + j, and ``F`` a CSR matrix with one block
+    per entry (k, l) of ``orders``, block b holding at row r and Gauss point
+    m the product d^k w_i(x_m) d^l w_j(x_m) of pair r = (i, j). With
+    ``half``, for the xi factor of the Laplacian, the pairs are the (|S| +
+    n) / 2 with i <= j and the blocks are stacked along the diagonal (shape
+    (n_blocks n_pairs, n_blocks n_points)); otherwise the pairs are all of
+    S and the blocks lie side by side (shape (n_pairs, n_blocks n_points)).
+    A Gauss point only meets the pairs of the p + 1 functions of its span,
+    (p + 1)^2 of them or (p + 1)(p + 2) / 2 with ``half``, so F has as
+    many entries per point and block."""
     n_spans, nq, _, width = f.tab_sig.shape
     dim = f.sig.shape[-1]
-    loc = np.arange(width)
-    keys = ((f.first_sig[:, None, None] + loc[:, None]) * dim
-            + f.first_sig[:, None, None] + loc).reshape(n_spans, -1)
+    a, b = np.triu_indices(width) if half else np.indices((width, width)).reshape(2, -1)
+    keys = (f.first_sig[:, None] + a) * dim + f.first_sig[:, None] + b
     uniq, pair = np.unique(keys, return_inverse=True)
     n_pairs, n_points = len(uniq), n_spans * nq
-    shape = (n_spans, nq, width * width)
+    shape = (n_spans, nq, len(a))
     rows = np.broadcast_to(pair.reshape(n_spans, 1, -1), shape)
     cols = np.broadcast_to(np.arange(n_points).reshape(n_spans, nq, 1), shape)
     blocks = range(len(orders))
-    vals = [f.tab_sig[:, :, k, :, None] * f.tab_sig[:, :, l, None, :]
-            for k, l in orders]
+    vals = [f.tab_sig[:, :, k, a] * f.tab_sig[:, :, l, b] for k, l in orders]
     F = sparse.csr_matrix(
         (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([(b * n_pairs if diagonal else 0) + rows.ravel()
+         (np.concatenate([(b * n_pairs if half else 0) + rows.ravel()
                           for b in blocks]),
           np.concatenate([b * n_points + cols.ravel() for b in blocks]))),
-        shape=((len(orders) if diagonal else 1) * n_pairs, len(orders) * n_points))
+        shape=((len(orders) if half else 1) * n_pairs, len(orders) * n_points))
     return np.stack([uniq // dim, uniq % dim], axis=1), F
 
 
@@ -310,21 +312,27 @@ def _patch_metric_map(ia, mu):
                     axis=1)
 
 
-def _band_layout(indices, indptr):
-    """Band ordering of a symmetric CSR pattern on n unknowns: of the
-    natural order and the reverse Cuthill-McKee order (George & Liu,
-    Computer Solution of Large Sparse Positive Definite Systems, 1981), the
-    one with the smaller bandwidth, the natural one on a tie. Neither wins
-    everywhere: RCM narrows the multipatch band, whose interface DOFs come
-    last in the natural order, and widens a single patch's, whose natural
-    order is the tensor order. Returns ``(order, bandwidth, places)``:
-    ``order[k]`` is the unknown in band row k, and ``places`` the flat
-    position of every pattern entry in the Fortran-ordered (bandwidth + 1,
-    n) lower band storage of the reordered matrix, (bandwidth + 1) n for an
-    entry above the diagonal."""
-    n = len(indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    graph = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+def _band_layout(rows, cols, n):
+    """Band ordering of a symmetric matrix on n unknowns, given its
+    couplings as pairs of unknowns ``(rows[k], cols[k])``, each coupling
+    once or more in either orientation and -1 in ``rows`` for a pair to
+    drop: of the natural order and the reverse Cuthill-McKee order (George
+    & Liu, Computer Solution of Large Sparse Positive Definite Systems,
+    1981), the one with the smaller bandwidth, the natural one on a tie.
+    Neither wins everywhere: RCM narrows the multipatch band, whose
+    interface DOFs come last in the natural order, and widens a single
+    patch's, whose natural order is the tensor order. Returns ``(order,
+    bandwidth, places)``: ``order[k]`` is the unknown in band row k, and
+    ``places`` the flat position of every pair, or of its mirror when it
+    lies above the diagonal in band order, in the Fortran-ordered
+    (bandwidth + 1, n) lower band storage of the reordered matrix;
+    (bandwidth + 1) n for a dropped pair."""
+    keep = rows >= 0
+    r, s = rows[keep], cols[keep]
+    # RCM breaks ties in the order of a row's columns: a sorted pattern
+    # without duplicates, both triangles
+    graph = sparse.csr_matrix((np.ones(2 * len(r)), (np.r_[r, s], np.r_[s, r])),
+                              shape=(n, n))
     best = None
     # csgraph has no ordering of an empty graph
     candidates = [np.arange(n)] + (
@@ -332,27 +340,27 @@ def _band_layout(indices, indptr):
     for order in candidates:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n)
-        r, s = rank[rows], rank[indices]
-        bandwidth = int(np.abs(r - s).max(initial=0))
+        bandwidth = int(np.abs(rank[r] - rank[s]).max(initial=0))
         if best is None or bandwidth < best[1]:
-            best = order, bandwidth, r, s
-    order, bandwidth, r, s = best
-    places = np.where(r >= s, s * (bandwidth + 1) + r - s, (bandwidth + 1) * n)
+            best = order, bandwidth, rank
+    order, bandwidth, rank = best
+    lo, hi = np.minimum(rank[r], rank[s]), np.maximum(rank[r], rank[s])
+    places = np.full(len(rows), (bandwidth + 1) * n)
+    places[keep] = lo * (bandwidth + 1) + hi - lo
     return order, bandwidth, places
 
 
 @dataclass
 class _LaplacianFactors:
-    """Fixed CSR pattern of the frozen Laplacian, its band layout and the
-    pair factors of every patch, see :meth:`MixedSystem._laplacian_factors`."""
-    indices: np.ndarray     # (nnz,) int32 CSR column indices
-    indptr: np.ndarray      # (n_inner + 1,) int32 CSR row pointers
-    positions: np.ndarray   # CSR data position of every patch entry, nnz if dropped
-    x: list                 # per patch, block-diagonal xi factors (4 |S_xi|, 4 n_xi)
+    """Pair factors and metric maps of every patch and the band layout of
+    the frozen Laplacian, see :meth:`MixedSystem._laplacian_factors`."""
+    x: list                 # per patch, block-diagonal xi factors of the pairs i <= j
     y: list                 # per patch, side-by-side eta factors (|S_eta|, 4 n_eta)
+    metric_maps: list       # per patch, its _patch_metric_map
     order: np.ndarray       # (n_inner,) inner index of every band row
     bandwidth: int
-    band_places: np.ndarray  # (nnz,) band storage place of every CSR entry
+    places: np.ndarray      # band place of each patch entry, (bandwidth + 1) n if dropped
+    twice: np.ndarray       # entries that K also takes as their own mirror
 
 
 @dataclass
@@ -777,52 +785,64 @@ class MixedSystem:
     @functools.cached_property
     def _laplacian_factors(self):
         """Pair factors of every patch (:func:`_pair_factors`, the xi factors
-        block-diagonal in the order of ``PAIRINGS``, the eta factors side by
-        side), the fixed CSR pattern of the inner primal couplings and its
-        band layout (:func:`_band_layout`), built on first use.
+        of the pairs i <= j block-diagonal in the order of ``PAIRINGS``, the
+        eta factors side by side), its :func:`_patch_metric_map` and the
+        band layout (:func:`_band_layout`) of the inner primal couplings,
+        built on first use.
 
         The couplings of a patch are S_xi x S_eta: functions (i1, i2) and
         (j1, j2) share an element exactly when (i1, j1) is in S_xi and
-        (i2, j2) in S_eta. The pattern is their union over patches, mapped
-        to inner indices; ``positions`` holds the place in the CSR data of
-        every patch entry, laid out as the (|S_eta|, |S_xi|) products of
-        :meth:`frozen_laplacian` patch after patch (nnz for an entry in a
-        boundary row or column)."""
+        (i2, j2) in S_eta. K is symmetric, so one of a coupling and its
+        mirror is enough, and the xi pairs i1 <= j1 meet every coupling:
+        those with i1 < j1 once, as itself or as its mirror, and those with
+        i1 = j1 twice, once with i2 <= j2 and once, with i2 > j2, as the
+        mirror, which is dropped. ``places`` holds the place in K's lower
+        band storage of every patch entry, laid out as the (|S_eta|, (|S_xi|
+        + n_xi) / 2) products of :meth:`frozen_laplacian` patch after
+        patch; a dropped entry, or one in a boundary row or column, takes
+        the slot past the band. ``twice`` lists the kept entries of two
+        distinct functions on K's diagonal: a patch glued to itself across a
+        single span joins two functions of one span, and K takes both such
+        an entry and its mirror."""
         n = self.n_inner
         inner_of = np.full(self.topology.n_sigma, -1)
         inner_of[self.topology.inner_indices] = np.arange(n)
-        xs, ys, keys = [], [], []
+        xs, ys, rows, cols, twice = [], [], [], [], []
+        offset = 0
         # patch directions share their DirectionFactors, and so their pair
-        # factors: one _pair_factors call per (factor object, orders, diagonal)
+        # factors: one _pair_factors call per (factor object, orders, half)
         memo = {}
 
-        def pair_factors(f, orders, diagonal):
-            key = (id(f), orders, diagonal)
+        def pair_factors(f, orders, half):
+            key = (id(f), orders, half)
             if key not in memo:
-                memo[key] = _pair_factors(f, orders, diagonal)
+                memo[key] = _pair_factors(f, orders, half)
             return memo[key]
 
         x_orders = tuple((1 - a, 1 - b) for a, b in PAIRINGS)
         for i, ctx in enumerate(self.patches):
-            px, fx = pair_factors(ctx.cache.xi, x_orders, diagonal=True)
-            py, fy = pair_factors(ctx.cache.eta, PAIRINGS, diagonal=False)
+            px, fx = pair_factors(ctx.cache.xi, x_orders, half=True)
+            py, fy = pair_factors(ctx.cache.eta, PAIRINGS, half=False)
             xs.append(fx)
             ys.append(fy)
-            loc = inner_of[self.topology.sig_l2g[i]]
             n_eta = ctx.cache.eta.sig.shape[-1]
-            row = loc[px[:, 0] * n_eta + py[:, None, 0]]
-            col = loc[px[:, 1] * n_eta + py[:, None, 1]]
-            keys.append(np.where((row < 0) | (col < 0), n * n, row * n + col).ravel())
-        # one sentinel key n * n, past every coupling, takes the dropped entries
-        pattern, positions = np.unique(np.concatenate(keys + [[n * n]]),
-                                       return_inverse=True)
-        pattern = pattern[:-1]
-        indices = (pattern % n).astype(np.int32)
-        indptr = np.searchsorted(pattern // n, np.arange(n + 1)).astype(np.int32)
-        order, bandwidth, band_places = _band_layout(indices, indptr)
+            first, second = (px[:, k] * n_eta + py[:, None, k] for k in (0, 1))
+            loc = inner_of[self.topology.sig_l2g[i]]
+            col = loc[second]
+            mirror = (px[:, 0] == px[:, 1]) & (py[:, None, 0] > py[:, None, 1])
+            row = np.where(mirror | (col < 0), -1, loc[first])
+            rows.append(row.ravel())
+            cols.append(col.ravel())
+            twice.append(offset + np.flatnonzero((row == col) & (row >= 0)
+                                                 & (first != second)))
+            offset += row.size
+        order, bandwidth, places = _band_layout(np.concatenate(rows),
+                                                np.concatenate(cols), n)
         return _LaplacianFactors(
-            indices=indices, indptr=indptr, positions=positions[:-1], x=xs, y=ys,
-            order=order, bandwidth=bandwidth, band_places=band_places)
+            x=xs, y=ys,
+            metric_maps=[_patch_metric_map(ctx.inv_a, self.mu) for ctx in self.patches],
+            order=order, bandwidth=bandwidth, places=places,
+            twice=np.concatenate(twice))
 
     def frozen_laplacian(self, c):
         """Frozen-metric Laplacian on the inner primal basis at the iterate c:
@@ -839,9 +859,12 @@ class MixedSystem:
         metric does not depend on them). In the patch coordinates the
         scaled Q is M = ia Q ia^T (the patch map is affine), and the patch
         matrix is the sum over the pairings (a, b) of X_ab^T M_ab Y_ab,
-        products of the pair factors of :meth:`_laplacian_factors`, summed
-        by one ``bincount`` into the fixed CSR pattern. Returns a CSR
-        matrix."""
+        products of the pair factors of :meth:`_laplacian_factors` on the
+        xi pairs i <= j, summed by one ``bincount`` straight into the lower
+        band storage. Returns K's lower band ``ab`` in the band order
+        ``_laplacian_factors.order``, Fortran-ordered (bandwidth + 1, n),
+        ``ab[d, k]`` the entry of band rows k + d and k (zero past the last
+        row)."""
         lf = self._laplacian_factors
         net = self.full_control_net(c).ravel()
         if not np.array_equal(net, self._metric_net):
@@ -851,39 +874,34 @@ class MixedSystem:
                 self._strip_pass(ctx, net, d)
             self._metric_net = net
         entries = []
-        for ctx, fx, fy in zip(self.patches, lf.x, lf.y):
+        for ctx, fx, fy, to_m in zip(self.patches, lf.x, lf.y, lf.metric_maps):
             npx, npy = ctx.wgrid.shape
             g = ctx.metric.reshape(4, -1)
-            to_m = _patch_metric_map(ctx.inv_a, self.mu)
             # M takes the scratch of the residual's raw rows, idle here
             M = np.matmul(to_m[:, :3], g[:3], out=self._scratch("rows", 4, npx * npy))
             M += to_m[:, 3:]
             M *= g[3]
-            # (4 |S_xi|, n_eta points): X_ab^T M_ab for every pairing
+            # (4 (|S_xi| + n_xi) / 2, n_eta points): X_ab^T M_ab per pairing
             Z = fx @ M.reshape(len(PAIRINGS) * npx, npy)
             Z = Z.reshape(len(PAIRINGS), -1, npy).transpose(0, 2, 1)
             entries.append((fy @ Z.reshape(len(PAIRINGS) * npy, -1)).ravel())
-        nnz = len(lf.indices)
-        data = np.bincount(lf.positions, weights=np.concatenate(entries),
-                           minlength=nnz + 1)
-        n = self.n_inner
-        return sparse.csr_matrix((data[:nnz], lf.indices, lf.indptr), shape=(n, n))
+        entries = np.concatenate(entries)
+        n, width = self.n_inner, lf.bandwidth + 1
+        # the last slot takes the dropped entries
+        band = np.bincount(lf.places, weights=entries, minlength=width * n + 1)
+        np.add.at(band, lf.places[lf.twice], entries[lf.twice])
+        return band[:-1].reshape(n, width).T
 
     def laplace_preconditioner(self, c):
         """P^-1 for the Schur operator at the iterate c, with P = -K on each
-        component (K from :meth:`frozen_laplacian`): a callable taking and
-        returning vectors in the (x..., y...) layout. K is SPD, so its CSR
-        data is scattered into lower band storage in the band order of
-        :meth:`_laplacian_factors` and factored by one banded Cholesky; both
-        components are solved as two columns of one banded solve. Raises
-        FactorizationError when K is not SPD."""
-        K = self.frozen_laplacian(c)
-        lf = self._laplacian_factors
-        n, width = self.n_inner, lf.bandwidth + 1
-        band = np.zeros(width * n + 1)      # the last slot takes the upper entries
-        band[lf.band_places] = K.data
-        chol = Banded1DCholesky(band[:-1].reshape(n, width).T)
-        order = lf.order
+        component: the lower band of K from :meth:`frozen_laplacian`, SPD,
+        factored in place by one banded Cholesky; both components are
+        solved as two columns of one banded solve in the band order of
+        :meth:`_laplacian_factors`. Returns a callable taking and returning
+        vectors in the (x..., y...) layout. Raises FactorizationError when
+        K is not SPD."""
+        chol = Banded1DCholesky(self.frozen_laplacian(c))
+        n, order = self.n_inner, self._laplacian_factors.order
 
         def apply(y):
             z = chol.solve(np.reshape(y, (2, n))[:, order].T, overwrite=True)

@@ -11,6 +11,8 @@ from eggmix.solver import SolverConfig, newton_solve, transfinite_global, \
     folded_initial_guess
 from eggmix.splines import KnotVector
 
+from oracles import band_to_dense
+
 
 def start(system, folded=False):
     """Inner coefficients of the transfinite starting net, optionally
@@ -19,6 +21,12 @@ def start(system, folded=False):
     if folded:
         net = folded_initial_guess(system, net)
     return system.net_as_c(net[system.topology.inner_indices])
+
+
+def dense_laplacian(system, c):
+    """K at c from its band (:meth:`MixedSystem.frozen_laplacian`), dense in
+    the inner order."""
+    return band_to_dense(system.frozen_laplacian(c), system._laplacian_factors.order)
 
 
 @st.composite

@@ -355,12 +355,29 @@ def loop_frozen_laplacian(system, c):
                 x_eta = w_eta @ net[act]
                 g11, g12, g22 = x_xi @ x_xi, x_xi @ x_eta, x_eta @ x_eta
                 wt = ctx.vol * q["weights"][e, k] / (g11 + g22 + mu)
-                K[np.ix_(act, act)] += wt * (
+                # add.at: a patch glued to itself repeats a DOF in ``act``
+                np.add.at(K, np.ix_(act, act), wt * (
                     (g22 + 0.5 * mu) * np.outer(w_xi, w_xi)
                     - g12 * (np.outer(w_xi, w_eta) + np.outer(w_eta, w_xi))
-                    + (g11 + 0.5 * mu) * np.outer(w_eta, w_eta))
+                    + (g11 + 0.5 * mu) * np.outer(w_eta, w_eta)))
     inner = topo.inner_indices
     return K[np.ix_(inner, inner)]
+
+
+def band_to_dense(ab, order):
+    """Dense symmetric matrix in the inner order from its lower band storage
+    ``ab`` in the band order ``order`` (``ab[d, k]`` the entry of band rows
+    k + d and k, ``order[k]`` the inner index of band row k), mirrored
+    entry by entry. The storage past the last row must be zero."""
+    width, n = ab.shape
+    B = np.zeros((n, n))
+    for d in range(width):
+        k = np.arange(n - d)
+        assert not ab[d, n - d:].any()
+        B[k + d, k] = B[k, k + d] = ab[d, :n - d]
+    K = np.empty_like(B)
+    K[np.ix_(order, order)] = B
+    return K
 
 
 def insert_knot(kv, xbar):

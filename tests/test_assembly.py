@@ -15,7 +15,7 @@ from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
-from conftest import knot_vectors
+from conftest import dense_laplacian, knot_vectors
 from oracles import boundary_c, constant_blocks, dense_row, \
     greville_interpolate_2d, loop_univariate_matrices, \
     reference_univariate_integral
@@ -287,7 +287,7 @@ def test_element_order_independence(rng):
         + 0.1 * rng.standard_normal(sys_.c_size)
     d = sys_.project_d(c) + 0.05 * rng.standard_normal(sys_.d_size)
     r1 = sys_.eval_RN(d, c)
-    K1 = sys_.frozen_laplacian(c).toarray()
+    K1 = dense_laplacian(sys_, c)
     # permute whole xi spans: the span tables, the factor rows and the
     # point columns of the Laplacian's xi pair factors together with their
     # weights, and walk the permuted spans in strips of two spans each; the
@@ -313,7 +313,7 @@ def test_element_order_independence(rng):
     lf.x[0] = lf.x[0][:, np.concatenate([b * n_points + perm for b in range(blocks)])]
     r2 = sys_.eval_RN(d, c)
     assert np.abs(r1 - r2).max() < 1e-13
-    K2 = sys_.frozen_laplacian(c).toarray()
+    K2 = dense_laplacian(sys_, c)
     assert np.abs(K1 - K2).max() < 1e-13
 
 

@@ -18,13 +18,33 @@ from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus, \
     build_two_patch_square
 from eggmix.io_cli import parse_geometry
 from eggmix.mapping import sampled_bijectivity, unit_square_map
-from eggmix.multipatch import AffinePatchMap, build_topology
+from eggmix.multipatch import AffinePatchMap, Interface, build_topology
 from eggmix.solver import NewtonState, SolverConfig, SolverReport, \
     build_system_hierarchy, newton_solve, schur_matvec, schur_rhs, schur_solve
 from eggmix.splines import TensorBasis, uniform_knots
 
-from conftest import knot_vectors, start
+from conftest import dense_laplacian, knot_vectors, start
 from oracles import element_union_laplacian_pattern, loop_frozen_laplacian
+
+
+def union_band_places(system):
+    """Places in the lower band storage of the lower triangle, in band
+    order, of the element-union pattern of K, ascending."""
+    lf = system._laplacian_factors
+    indices, indptr = element_union_laplacian_pattern(system)
+    rank = np.empty(system.n_inner, dtype=int)
+    rank[lf.order] = np.arange(system.n_inner)
+    r = rank[np.repeat(np.arange(system.n_inner), np.diff(indptr))]
+    s = rank[indices]
+    lower = r >= s
+    return np.sort(s[lower] * (lf.bandwidth + 1) + r[lower] - s[lower])
+
+
+def structural_band_places(system):
+    """The distinct band places the Laplacian's entries are summed into."""
+    lf = system._laplacian_factors
+    places = lf.places
+    return np.unique(places[places < (lf.bandwidth + 1) * system.n_inner])
 
 
 def geometry_system(doc, mode="full"):
@@ -53,7 +73,7 @@ def bat_folded_case(rng):
 @pytest.mark.parametrize("case", [square_case, lbend_case, bat_folded_case])
 def test_frozen_laplacian_matches_pointwise_loop(case, rng):
     system, c = case(rng)
-    K = system.frozen_laplacian(c).toarray()
+    K = dense_laplacian(system, c)
     K_ref = loop_frozen_laplacian(system, c)
     assert K.shape == (system.n_inner, system.n_inner)
     assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
@@ -71,26 +91,41 @@ def lbend_xi_l1_system():
     lambda: geometry_system(build_two_patch_square()),
 ], ids=["bat", "lbend-xi-L1", "two_patch_square"])
 def test_laplacian_pattern_matches_union1d_loop(make_system):
+    # the band places K's entries go to are exactly the lower triangle, in
+    # band order, of the union of the element couplings
     system = make_system()
-    lf = system._laplacian_factors
-    indices_ref, indptr_ref = element_union_laplacian_pattern(system)
-    for got, want in ((lf.indices, indices_ref), (lf.indptr, indptr_ref)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(structural_band_places(system), union_band_places(system))
+
+
+@pytest.mark.parametrize("builder", [build_bat, build_lbend, build_two_patch_square])
+def test_xi_pair_factors_hold_the_pairs_i_le_j(builder):
+    system = geometry_system(builder(), "xi" if builder is build_lbend else "full")
+    for ctx, fx in zip(system.patches, system._laplacian_factors.x):
+        f = ctx.cache.xi
+        width = f.tab_sig.shape[-1]
+        coupled = {(int(a + i), int(a + j)) for a in f.first_sig
+                   for i in range(width) for j in range(width)}
+        upper = {(i, j) for i, j in coupled if i <= j}
+        assert len(upper) == (len(coupled) + f.sig.shape[-1]) // 2
+        pairs = eggmix.assembly._pair_factors(
+            f, [(1 - a, 1 - b) for a, b in PAIRINGS], half=True)[0]
+        assert {tuple(pr) for pr in pairs.tolist()} == upper
+        assert fx.shape == (len(PAIRINGS) * len(upper), len(PAIRINGS) * len(f.points))
 
 
 @pytest.mark.parametrize("builder, calls", [
     (build_two_patch_square, 2), (build_bat, 6)], ids=["two_patch_square", "bat"])
 def test_pair_factors_once_per_direction_factors(builder, calls, monkeypatch):
     # patch directions that share their DirectionFactors share their pair
-    # factors: one _pair_factors call per (factors, orders, diagonal). The
+    # factors: one _pair_factors call per (factors, orders, half). The
     # two-patch square shares both directions; the bat's xi knot vectors
     # differ, so only its eta factors are shared.
     real = eggmix.assembly._pair_factors
     made = []
 
-    def counting(f, orders, diagonal):
-        made.append((id(f), tuple(orders), diagonal))
-        return real(f, orders, diagonal)
+    def counting(f, orders, half):
+        made.append((id(f), tuple(orders), half))
+        return real(f, orders, half)
 
     monkeypatch.setattr(eggmix.assembly, "_pair_factors", counting)
     system = geometry_system(builder())
@@ -99,9 +134,9 @@ def test_pair_factors_once_per_direction_factors(builder, calls, monkeypatch):
     # each patch's factors are bitwise those of its own call, so K is too
     x_orders = [(1 - a, 1 - b) for a, b in PAIRINGS]
     for ctx, fx, fy in zip(system.patches, lf.x, lf.y):
-        for got, (f, orders, diagonal) in ((fx, (ctx.cache.xi, x_orders, True)),
-                                           (fy, (ctx.cache.eta, PAIRINGS, False))):
-            want = real(f, orders, diagonal)[1]
+        for got, (f, orders, half) in ((fx, (ctx.cache.xi, x_orders, True)),
+                                       (fy, (ctx.cache.eta, PAIRINGS, False))):
+            want = real(f, orders, half)[1]
             for attr in ("data", "indices", "indptr"):
                 np.testing.assert_array_equal(getattr(got, attr),
                                               getattr(want, attr))
@@ -123,12 +158,27 @@ def test_frozen_laplacian_on_random_patch(kv_xi, kv_eta, angle, s1, s2, shear, s
     net += 0.05 * rng.standard_normal(net.shape)
     system = MixedSystem(topo, net[topo.boundary_indices])
     c = system.net_as_c(net[topo.inner_indices])
-    K = system.frozen_laplacian(c)
+    K = dense_laplacian(system, c)
     K_ref = loop_frozen_laplacian(system, c)
-    assert np.abs(K.toarray() - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
-    indices_ref, indptr_ref = element_union_laplacian_pattern(system)
-    assert np.array_equal(K.indices, indices_ref)
-    assert np.array_equal(K.indptr, indptr_ref)
+    assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
+    assert np.array_equal(structural_band_places(system), union_band_places(system))
+
+
+def test_frozen_laplacian_of_a_patch_glued_to_itself(rng):
+    # west glued to east across a single xi span: two functions of that
+    # span are one DOF, and K's diagonal takes their coupling and its mirror
+    tb = TensorBasis(uniform_knots(2, 1), uniform_knots(2, 3))
+    topo = build_topology([(tb, AffinePatchMap.identity())],
+                          [Interface(0, "west", 0, "east")])
+    net = np.zeros((topo.n_sigma, 2))
+    net[topo.sig_l2g[0]] = unit_square_map(tb).control
+    net[topo.inner_indices] += 0.05 * rng.standard_normal((len(topo.inner_indices), 2))
+    system = MixedSystem(topo, net[topo.boundary_indices])
+    c = system.net_as_c(net[topo.inner_indices])
+    assert system._laplacian_factors.twice.size
+    K = dense_laplacian(system, c)
+    K_ref = loop_frozen_laplacian(system, c)
+    assert np.abs(K - K_ref).max() <= 1e-12 * np.abs(K_ref).max()
 
 
 def test_frozen_laplacian_spd_on_folded_bat():
@@ -136,7 +186,7 @@ def test_frozen_laplacian_spd_on_folded_bat():
     net = system.full_control_net(c)
     assert any(sampled_bijectivity(system.topology.patch_map(i, net), 5).fold_count
                for i in range(system.topology.n_patches))
-    K = system.frozen_laplacian(c).toarray()
+    K = dense_laplacian(system, c)
     # P = -K preconditions the Schur operator: -P must be SPD
     np.testing.assert_allclose(K, K.T, rtol=0.0, atol=1e-14 * np.abs(K).max())
     np.linalg.cholesky(K)
@@ -148,17 +198,16 @@ def two_patch_square_case(rng):
 
 
 def band_widths(system):
-    """Bandwidths of the Laplacian pattern in the natural and the reverse
-    Cuthill-McKee order."""
-    lf = system._laplacian_factors
+    """Bandwidths of the element-union pattern of the Laplacian in the
+    natural and the reverse Cuthill-McKee order."""
+    indices, indptr = element_union_laplacian_pattern(system)
     n = system.n_inner
-    rows = np.repeat(np.arange(n), np.diff(lf.indptr))
-    graph = sparse.csr_matrix((np.ones(len(lf.indices)), lf.indices, lf.indptr),
-                              shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    graph = sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     rank = np.empty(n, dtype=int)
     rank[csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] = np.arange(n)
-    return (int(np.abs(rows - lf.indices).max()),
-            int(np.abs(rank[rows] - rank[lf.indices]).max()))
+    return (int(np.abs(rows - indices).max()),
+            int(np.abs(rank[rows] - rank[indices]).max()))
 
 
 @pytest.mark.parametrize("case, natural", [
@@ -166,7 +215,7 @@ def band_widths(system):
 ], ids=["lbend", "bat-folded", "two_patch_square"])
 def test_preconditioner_solves_both_components(case, natural, rng):
     system, c = case(rng)
-    K = system.frozen_laplacian(c).toarray()
+    K = dense_laplacian(system, c)
     y = rng.standard_normal(system.c_size)
     z = system.laplace_preconditioner(c)(y)
     n = system.n_inner
@@ -187,6 +236,7 @@ def test_preconditioner_of_a_patch_without_inner_dofs():
 
 def test_preconditioner_refuses_indefinite_laplacian(monkeypatch, rng):
     system, c = lbend_case(rng)
+    # K's band, negated
     K = system.frozen_laplacian(c)
     monkeypatch.setattr(system, "frozen_laplacian", lambda c: -K)
     apply = None
