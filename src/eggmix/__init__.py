@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .splines import KnotVector, TensorBasis, uniform_knots
 from .mapping import SplineMap, make_map, transfinite_initial_guess, \
-    metric_at, winslow, sampled_bijectivity, unit_square_map
+    winslow, sampled_bijectivity, unit_square_map
 from .assembly import MixedSystem, single_patch_system
 from .multipatch import AffinePatchMap, Interface, PatchTopology, \
     build_topology, build_restriction, single_patch_topology
@@ -19,7 +19,7 @@ from .solver import SolverConfig, SolverReport, newton_solve, \
 
 __all__ = [
     "KnotVector", "TensorBasis", "uniform_knots",
-    "SplineMap", "make_map", "transfinite_initial_guess", "metric_at",
+    "SplineMap", "make_map", "transfinite_initial_guess",
     "winslow", "sampled_bijectivity", "unit_square_map",
     "MixedSystem", "single_patch_system",
     "AffinePatchMap", "Interface", "PatchTopology", "build_topology",

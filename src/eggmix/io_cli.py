@@ -28,7 +28,7 @@ from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
-from .solver import EW_ETA_MAX, NewtonState, SolverConfig, SolverReport, \
+from .solver import NewtonState, SolverConfig, SolverReport, \
     build_system_hierarchy, folded_initial_guess, newton_solve, \
     transfinite_global
 from .splines import KnotVector, TensorBasis
@@ -41,8 +41,6 @@ SOLVER_RANGES = {
     "chi": (False, 0, False, 1),
     "newton_tol": (False, 0, True, math.inf),
     "max_newton": (True, 1, False, math.inf),
-    "gmres_tol": (False, 0, True, EW_ETA_MAX),
-    "gmres_max_iter": (True, 1, False, math.inf),
     # each level multiplies the element count by 4
     "coarse_levels": (True, 0, False, 4),
 }
@@ -74,13 +72,14 @@ class GeometryFile:
     solver: dict
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _is_integer(v):
     # JSON true and false load as bool, which Python counts as an int
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    # json.load reads NaN, Infinity and -Infinity as floats
+    return _is_integer(v) or (isinstance(v, float) and math.isfinite(v))
 
 
 def _unknown_keys(obj, known, ptr, what="key"):
@@ -197,7 +196,7 @@ def _solver_setting_error(key, v):
     """Why ``v`` is not a valid value of the numeric solver setting ``key``
     (see ``SOLVER_RANGES``), or None when it is."""
     integer, lo, lo_open, hi = SOLVER_RANGES[key]
-    ok = _is_integer(v) if integer else (_is_number(v) and math.isfinite(v))
+    ok = _is_integer(v) if integer else _is_number(v)
     if ok and (v > lo if lo_open else v >= lo) and v <= hi:
         return None
     kind = "an integer" if integer else "a finite number"
@@ -209,7 +208,7 @@ def parse_geometry(doc) -> GeometryFile:
     """Build the topology and boundary data from a validated document."""
     findings = [f for f in validate_geometry(doc) if f.severity == "error"]
     if findings:
-        raise InputError("; ".join(str(f) for f in findings))
+        raise InputError("; ".join(f"{f.pointer}: {f.message}" for f in findings))
     patches = []
     for p in doc["patches"]:
         tb = TensorBasis(KnotVector(p["degree_xi"], p["knots_xi"]),
@@ -389,6 +388,8 @@ def solution_patch_maps(sol: dict):
             maps.append(SplineMap(tb, net))
         except (InputError, TypeError, ValueError) as exc:
             raise InputError(f"/control_nets/{i}: {exc}") from None
+        if not np.isfinite(maps[-1].control).all():
+            raise InputError(f"/control_nets/{i}: control points must be finite")
     return geo, maps
 
 
@@ -434,6 +435,13 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
 
 # -- commands --------------------------------------------------------------------
 
+def _write_error(path, exc) -> int:
+    """Report an output file that could not be written; the exit code 1."""
+    print(f"input error: cannot write {path}: {exc.strerror or exc}",
+          file=sys.stderr)
+    return 1
+
+
 def cmd_solve(args) -> int:
     if args.initial == "file" and not args.initial_file:
         print("input error: --initial file needs --initial-file", file=sys.stderr)
@@ -458,8 +466,7 @@ def cmd_solve(args) -> int:
                 print(f"input error: {flag}: {problem}", file=sys.stderr)
                 return 1
             settings[key] = v  # CLI flags win over file settings
-    config_kwargs = {k: settings[k] for k in
-                     ("newton_tol", "max_newton", "gmres_tol", "gmres_max_iter")
+    config_kwargs = {k: settings[k] for k in ("newton_tol", "max_newton")
                      if k in settings}
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
@@ -479,7 +486,10 @@ def cmd_solve(args) -> int:
     geometry_doc = geo.doc if system.topology is geo.topology \
         else geometry_doc_from_system(system)
     sol = solution_document(geometry_doc, system, c, report, settings)
-    write_solution(out_path, sol)
+    try:
+        write_solution(out_path, sol)
+    except OSError as exc:
+        return _write_error(out_path, exc)
     print(f"wrote {out_path}")
     print(f"converged: {report.converged}  newton_iterations: "
           f"{report.newton_iterations}  rn_evals: {report.rn_evals}  "
@@ -622,12 +632,15 @@ def cmd_sample(args) -> int:
         print(f"input error: unknown format {args.format!r}", file=sys.stderr)
         return 1
     out = args.out or os.path.splitext(args.input)[0] + "." + args.format
-    if args.format == "svg":
-        _write_svg(out, maps, args.resolution)
-    elif args.format == "csv":
-        _write_csv(out, [_sample_patch(m, args.resolution) for m in maps])
-    else:
-        _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
+    try:
+        if args.format == "svg":
+            _write_svg(out, maps, args.resolution)
+        elif args.format == "csv":
+            _write_csv(out, [_sample_patch(m, args.resolution) for m in maps])
+        else:
+            _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
+    except OSError as exc:
+        return _write_error(out, exc)
     print(f"wrote {out}")
     return 0
 

@@ -125,7 +125,7 @@ class GmresResult:
     residual_norms: list = field(default_factory=list)
 
 
-def gmres(matvec, rhs, tol: float = 1e-3, max_iter: int = 200) -> GmresResult:
+def gmres(matvec, rhs, tol: float, max_iter: int) -> GmresResult:
     """GMRES with modified Gram-Schmidt and Givens rotations, in one Krylov
     cycle of at most ``max_iter`` iterations (one matvec each).
 

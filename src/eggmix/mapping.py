@@ -1,6 +1,7 @@
 """Planar spline maps: boundary-contour ingestion, transfinite (Coons) initial
-guesses, the metric tensor, the Winslow energy with a projected gradient
-descent, and sampled bijectivity diagnostics.
+guesses, tensor-grid evaluation of the map and its first derivatives, the
+Winslow energy with a projected gradient descent, and sampled bijectivity
+diagnostics.
 
 Boundary contours arrive as spline coefficient sequences for the four faces
 of the unit square; fitting of point data is out of scope.
@@ -18,16 +19,6 @@ from .splines import TensorBasis
 CORNER_TOL = 1e-12
 
 FACES = ("south", "north", "west", "east")
-
-
-@dataclass
-class MetricSample:
-    g11: float
-    g12: float
-    g22: float
-    detj: float
-    x_xi: np.ndarray
-    x_eta: np.ndarray
 
 
 @dataclass
@@ -75,25 +66,17 @@ class SplineMap:
         """Control net viewed as an (n_xi, n_eta, 2) array (shares memory)."""
         return self.control.reshape(self.basis.n_xi, self.basis.n_eta, 2)
 
-    def eval_jet(self, xi: float, eta: float, max_deriv: int = 1):
-        """Map value and parametric derivatives at one point, as a dict:
-        :meth:`grid_jet` on the 1 x 1 grid (xi, eta)."""
-        return {k: v[0, 0] for k, v in self.grid_jet([xi], [eta], max_deriv).items()}
-
     def grid_jet(self, xs, ys, nderiv: int = 1):
-        """Batched evaluation on a tensor grid; returns dense (nx, ny, 2)
-        arrays keyed like :meth:`eval_jet`."""
+        """The map on the tensor grid ``xs`` x ``ys`` as dense (nx, ny, 2)
+        arrays: its value ``"x"`` and, for ``nderiv`` 1, its parametric
+        derivatives ``"x_xi"`` and ``"x_eta"``."""
         Bx = self.basis.kv_xi.collocation(xs, nderiv)
         By = self.basis.kv_eta.collocation(ys, nderiv)
         C = self.net()
         out = {"x": _tensor_apply(Bx[0], By[0], C)}
-        if nderiv >= 1:
+        if nderiv:
             out["x_xi"] = _tensor_apply(Bx[1], By[0], C)
             out["x_eta"] = _tensor_apply(Bx[0], By[1], C)
-        if nderiv >= 2:
-            out["x_xixi"] = _tensor_apply(Bx[2], By[0], C)
-            out["x_xieta"] = _tensor_apply(Bx[1], By[1], C)
-            out["x_etaeta"] = _tensor_apply(Bx[0], By[2], C)
         return out
 
     def copy(self):
@@ -168,16 +151,6 @@ def transfinite_initial_guess(m: SplineMap):
          - ((1 - S) * (1 - T) * C[0, 0] + S * (1 - T) * C[-1, 0]
             + (1 - S) * T * C[0, -1] + S * T * C[-1, -1]))
     return F.reshape(m.basis.dim, 2)[m.inner_indices]
-
-
-def metric_at(m: SplineMap, xi: float, eta: float) -> MetricSample:
-    """Metric tensor entries and Jacobian determinant at one point."""
-    jet = m.eval_jet(xi, eta, 1)
-    a, b = jet["x_xi"], jet["x_eta"]
-    return MetricSample(
-        g11=float(a @ a), g12=float(a @ b), g22=float(b @ b),
-        detj=float(a[0] * b[1] - a[1] * b[0]),
-        x_xi=a, x_eta=b)
 
 
 def _winslow_fields(m: SplineMap, quad_order: int):

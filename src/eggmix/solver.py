@@ -8,7 +8,7 @@ a dense Cholesky factor of the interface Schur complement, built once with
 the system (a single patch has no shared DOFs, so it takes the plain
 Kronecker solve); all auxiliary fields are solved in one batched call. The
 Schur operator is applied by finite differencing the nonlinear residual
-only. GMRES, one Krylov cycle of at most ``gmres_max_iter`` iterations,
+only. GMRES, one Krylov cycle of at most ``GMRES_MAX_ITER`` iterations,
 solves the Schur equation right-preconditioned by the frozen-metric
 Laplacian of the current iterate (its principal part, factored
 once per Newton step by banded Cholesky in a bandwidth-reducing order fixed
@@ -19,11 +19,11 @@ Nonlinear Equations, SIAM 1995, section 6.3): one keeps the term from falling
 much faster than the residual, the final one keeps it at least
 0.5 r_tol / ||R_k||, so that no step is solved far below what the stopping
 test r_tol asks of the next iterate. The term is loose while the residual
-falls slowly, down to ``gmres_tol`` in the fast local phase, and no tighter
+falls slowly, down to ``GMRES_TOL`` in the fast local phase, and no tighter
 than the stopping test needs on the step that ends the solve. The first
 term measures the start's residual against the residual scale S below in
 place of a previous norm, so a cold start is solved loosely and a warm
-restart, whose residual is far below S, to ``gmres_tol``. A backtracking
+restart, whose residual is far below S, to ``GMRES_TOL``. A backtracking
 line search on the residual norm globalizes the iteration; the probe it
 accepts becomes the next iterate's state, so no piece of its residual is
 evaluated twice.
@@ -65,6 +65,11 @@ from .assembly import MixedSystem
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
+# the smallest forcing term (the floor of every GMRES tolerance), and the
+# most iterations of each GMRES solve, one Krylov cycle
+GMRES_TOL = 1e-3
+GMRES_MAX_ITER = 200
+
 # Eisenstat-Walker choice 2: eta_k = EW_GAMMA (||R_k|| / ||R_k-1||)^EW_ALPHA,
 # at most EW_ETA_MAX
 EW_GAMMA = 0.9
@@ -87,38 +92,25 @@ class SolverConfig:
     ``newton_tol`` is the stopping test: an iterate has converged when
     ||(R_L, R_N)|| <= newton_tol * S, with S the residual scale of the
     boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
-    Newton steps. ``gmres_tol`` is the smallest forcing term: the floor of
-    the relative GMRES tolerance of every Newton step, which the first step
-    of a warm restart and the fast local phase may reach; no step is solved
-    below 0.5 newton_tol S / ||R_k||, which sets the term of the step that
-    ends the solve when it exceeds the floor (see ``forcing_term``).
-    ``gmres_max_iter`` bounds the iterations of each GMRES solve, one Krylov
-    cycle; it and ``max_newton`` are integers of at least 1. ``verbose``
-    writes one JSON line per Newton step to stderr,
-    with the seconds of each entry of ``TIMED_PHASES`` and the step's own
-    ``eval_RN`` calls (``rn_evals``). The line-search and
-    finite-difference constants are module constants
-    (``LS_*``, ``FD_FLOOR``).
+    Newton steps; it is an integer of at least 1. ``verbose`` writes one
+    JSON line per Newton step to stderr, with the seconds of each entry of
+    ``TIMED_PHASES`` and the step's own ``eval_RN`` calls (``rn_evals``).
+    The GMRES, forcing-term, line-search and finite-difference constants
+    are module constants (``GMRES_TOL``, ``GMRES_MAX_ITER``, ``EW_*``,
+    ``LS_*``, ``FD_FLOOR``).
     """
     newton_tol: float = 1e-8
     max_newton: int = 50
-    gmres_tol: float = 1e-3
-    gmres_max_iter: int = 200
     verbose: bool = False
 
     def __post_init__(self):
-        for name in ("newton_tol", "gmres_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise InputError(f"{name} must be positive and finite, got {v}")
-        # at 1 or above GMRES returns the zero step, which reads as converged
-        if self.gmres_tol > EW_ETA_MAX:
-            raise InputError(f"gmres_tol must lie in (0, {EW_ETA_MAX:g}]")
-        for name in ("max_newton", "gmres_max_iter"):
-            v = getattr(self, name)
-            # bool is an Integral too
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise InputError(f"{name} must be an integer of at least 1, got {v!r}")
+        v = self.newton_tol
+        if not (math.isfinite(v) and v > 0):
+            raise InputError(f"newton_tol must be positive and finite, got {v}")
+        v = self.max_newton
+        # bool is an Integral too
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise InputError(f"max_newton must be an integer of at least 1, got {v!r}")
 
 
 def fd_epsilon(state_norm: float, dir_norm: float) -> float:
@@ -275,17 +267,18 @@ def schur_rhs(system: MixedSystem, state: NewtonState):
 
 
 def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
-                config: SolverConfig, precond):
+                precond):
     """Newton step delta_c of the Schur equation S delta_c = rhs.
 
-    GMRES runs on the right-preconditioned operator y -> S P^-1 y, with
-    ``precond`` applying P^-1 (P the frozen-metric Laplacian of the iterate,
+    GMRES, one cycle of at most ``GMRES_MAX_ITER`` iterations, runs on the
+    right-preconditioned operator y -> S P^-1 y, with ``precond`` applying
+    P^-1 (P the frozen-metric Laplacian of the iterate,
     ``system.laplace_preconditioner(state.c)``), and delta_c = P^-1 y. Its
     stopping test ||rhs - S delta_c|| <= tol ||rhs|| is therefore on the
     true Schur residual. Returns ``(delta_c, GmresResult)``.
     """
     gm = gmres(lambda y: schur_matvec(system, state, precond(y)), rhs,
-               tol=tol, max_iter=config.gmres_max_iter)
+               tol=tol, max_iter=GMRES_MAX_ITER)
     return precond(gm.solution), gm
 
 
@@ -305,7 +298,8 @@ def forcing_term(gmres_tol: float, scale: float, r_tol: float, residual_norms,
     0.5 ``r_tol`` / ||R_k||, with r_tol = newton_tol S the stopping test: a
     step solved to it leaves a linearised residual of at most r_tol / 2, so
     the step that ends the solve is not solved further. The result is
-    clipped to [gmres_tol, EW_ETA_MAX].
+    clipped to [gmres_tol, EW_ETA_MAX]; ``newton_solve`` passes
+    ``GMRES_TOL`` as ``gmres_tol``.
     """
     if not forcing_terms:
         eta = EW_GAMMA * (residual_norms[-1] / scale) ** EW_ALPHA
@@ -377,7 +371,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         converged = state.r_norm <= r_tol
         if converged or it == config.max_newton:
             break
-        eta = forcing_term(config.gmres_tol, scale, r_tol, report.residual_norms,
+        eta = forcing_term(GMRES_TOL, scale, r_tol, report.residual_norms,
                            report.forcing_terms)
         report.forcing_terms.append(eta)
         rn_count, rn_s, mass_s = (system.rn_eval_count, system.rn_eval_s,
@@ -386,7 +380,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         t_precond = time.perf_counter()
         precond = system.laplace_preconditioner(state.c)
         t_gmres = time.perf_counter()
-        delta_c, gm = schur_solve(system, state, rhs, eta, config, precond)
+        delta_c, gm = schur_solve(system, state, rhs, eta, precond)
         t_gmres_end = time.perf_counter()
         delta_d = system.solve_delta_d(-state.rl_tilde, delta_c)
         n_norm = float(np.sqrt(delta_d @ delta_d + delta_c @ delta_c))

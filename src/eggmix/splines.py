@@ -110,6 +110,8 @@ class KnotVector:
         knots = np.array(knots, dtype=float)
         if knots.ndim != 1 or len(knots) < 2 * (degree + 1):
             raise InputError("knot sequence too short for the degree")
+        if not np.isfinite(knots).all():
+            raise InputError("knots must be finite")
         if np.any(np.diff(knots) < 0):
             raise InputError("knots must be nondecreasing")
         if abs(knots[0]) > KNOT_TOL or abs(knots[-1] - 1.0) > KNOT_TOL:
@@ -156,22 +158,11 @@ class KnotVector:
         """Knot vector of the same basis traversed in reverse parameter."""
         return KnotVector(self.degree, np.sort(1.0 - self.knots))
 
-    def eval(self, x: float, nderiv: int = 0):
-        """Nonzero basis values and derivatives at ``x``.
-
-        Returns ``(first, table)``: ``table[k, j]`` holds the k-th derivative
-        of basis function ``first + j``, j = 0..degree.
-        """
-        if not 0 <= nderiv <= self.degree:
-            raise InputError(f"derivative order {nderiv} not in [0, {self.degree}]")
-        first, tab = self.eval_many([float(x)], nderiv)
-        return int(first[0]), tab[0]
-
     def eval_many(self, pts, nderiv: int):
-        """:meth:`eval` at every point of ``pts`` at once, derivative orders
-        above the degree zero-padded: returns ``(first, table)`` with
-        ``table[i, k, j]`` the k-th derivative of basis function ``first[i] +
-        j`` at ``pts[i]``."""
+        """Nonzero basis values and derivatives at every point of ``pts``,
+        derivative orders above the degree zero-padded: returns ``(first,
+        table)`` with ``table[i, k, j]`` the k-th derivative of basis
+        function ``first[i] + j`` at ``pts[i]``, j = 0..degree."""
         pts = np.asarray(pts, dtype=float)
         outside = ~((pts >= 0.0) & (pts <= 1.0))
         if outside.any():
@@ -321,9 +312,6 @@ class TensorBasis:
 
     def __repr__(self):
         return f"TensorBasis({self.kv_xi!r} x {self.kv_eta!r})"
-
-    def flat(self, i_xi, i_eta):
-        return i_xi * self.n_eta + i_eta
 
     @cached_property
     def boundary_indices(self):

@@ -261,24 +261,24 @@ def einsum_eval_RN(system, d, c):
             x_ss = np.einsum("eqa,eac->eqc", q["w_ss"], C)
             x_st = np.einsum("eqa,eac->eqc", q["w_st"], C)
             x_tt = np.einsum("eqa,eac->eqc", q["w_tt"], C)
-            x_xieta = (ia[0, 0] * ia[0, 1] * x_ss
+            d_xieta = (ia[0, 0] * ia[0, 1] * x_ss
                        + (ia[0, 0] * ia[1, 1] + ia[1, 0] * ia[0, 1]) * x_st
                        + ia[1, 0] * ia[1, 1] * x_tt)
             if system.mode == "xi":
                 u_xi, u_eta = aux_derivs(0)
-                x_etaeta = (ia[0, 1] ** 2 * x_ss
+                d_etaeta = (ia[0, 1] ** 2 * x_ss
                             + 2.0 * ia[0, 1] * ia[1, 1] * x_st
                             + ia[1, 1] ** 2 * x_tt)
                 num = (g22 * u_xi
-                       - 2.0 * g12 * (chi * u_eta + (1 - chi) * x_xieta)
-                       + g11 * x_etaeta)
+                       - 2.0 * g12 * (chi * u_eta + (1 - chi) * d_xieta)
+                       + g11 * d_etaeta)
             else:
                 v_xi, v_eta = aux_derivs(0)
-                x_xixi = (ia[0, 0] ** 2 * x_ss
+                d_xixi = (ia[0, 0] ** 2 * x_ss
                           + 2.0 * ia[0, 0] * ia[1, 0] * x_st
                           + ia[1, 0] ** 2 * x_tt)
-                num = (g22 * x_xixi
-                       - 2.0 * g12 * (chi * x_xieta + (1 - chi) * v_xi)
+                num = (g22 * d_xixi
+                       - 2.0 * g12 * (chi * d_xieta + (1 - chi) * v_xi)
                        + g11 * v_eta)
         denom = g11 + g22 + system.mu
         min_denom = min(min_denom, float(denom.min()))
@@ -294,8 +294,7 @@ def einsum_grid_jet(m, xs, ys, nderiv=1):
     Bx = m.basis.kv_xi.collocation(xs, nderiv)
     By = m.basis.kv_eta.collocation(ys, nderiv)
     C = m.net()
-    keys = {(0, 0): "x", (1, 0): "x_xi", (0, 1): "x_eta",
-            (2, 0): "x_xixi", (1, 1): "x_xieta", (0, 2): "x_etaeta"}
+    keys = {(0, 0): "x", (1, 0): "x_xi", (0, 1): "x_eta"}
     return {key: np.einsum("xi,yj,ijc->xyc", Bx[i], By[j], C)
             for (i, j), key in keys.items() if i + j <= nderiv}
 
@@ -454,8 +453,8 @@ def loop_univariate_matrices(kv_bar, kv_sig):
     kbar = np.zeros((kv_bar.dim, kv_sig.dim))
     for a, b in zip(kv_bar.breakpoints[:-1], kv_bar.breakpoints[1:]):
         for x, wt in zip(a + (b - a) * q, (b - a) * wq):
-            fb, tb = kv_bar.eval(x, 0)
-            fs, ts = kv_sig.eval(x, 1)
+            (fb,), (tb,) = kv_bar.eval_many([x], 0)
+            (fs,), (ts,) = kv_sig.eval_many([x], 1)
             sb = slice(fb, fb + kv_bar.degree + 1)
             ss = slice(fs, fs + kv_sig.degree + 1)
             mbar[sb, sb] += wt * np.outer(tb[0], tb[0])

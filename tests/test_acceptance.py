@@ -237,15 +237,18 @@ def test_criterion_8_property_suites(lbend_solved):
     # primal values on the tensor grid: products of the univariate factors
     w = np.einsum("pa,qb->pqab", cache.xi.sig[0], cache.eta.sig[0])
     assert np.abs(w.sum(axis=(2, 3)) - 1.0).max() < 1e-12
-    # metric identity on a random net
-    from eggmix.mapping import metric_at
+    # metric identity on a random net, on the grid of the sampled
+    # coordinates (the sampled points among its nodes)
     m = unit_square_map(TensorBasis(uniform_knots(3, 3), uniform_knots(3, 3)))
     rng = np.random.default_rng(5)
     m.control += 0.1 * rng.standard_normal(m.control.shape)
-    for x, y in rng.uniform(0, 1, size=(40, 2)):
-        s = metric_at(m, x, y)
-        assert abs(s.g11 * s.g22 - s.g12 ** 2 - s.detj ** 2) \
-            < 1e-11 * max(1.0, s.detj ** 2)
+    pts = rng.uniform(0, 1, size=(40, 2))
+    jet = m.grid_jet(pts[:, 0], pts[:, 1], 1)
+    a, b = jet["x_xi"], jet["x_eta"]
+    g11, g12, g22 = (a * a).sum(-1), (a * b).sum(-1), (b * b).sum(-1)
+    detj = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    assert (np.abs(g11 * g22 - g12 ** 2 - detj ** 2)
+            < 1e-11 * np.maximum(1.0, detj ** 2)).all()
     # restriction weights sum to one exactly
     geo = parse_geometry(__import__("eggmix.geometries",
                                     fromlist=["build_bat"]).build_bat(2, 3, 3, 3))

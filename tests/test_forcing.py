@@ -8,11 +8,11 @@ import pytest
 
 import eggmix.solver
 from eggmix.assembly import MixedSystem, boundary_values_from_faces
-from eggmix.errors import InputError
 from eggmix.geometries import build_bat, build_lbend, build_quarter_annulus
 from eggmix.io_cli import parse_geometry, solve
-from eggmix.solver import EW_ALPHA, EW_ETA_MAX, EW_GAMMA, NewtonState, \
-    SolverConfig, build_system_hierarchy, forcing_term, newton_solve
+from eggmix.solver import EW_ALPHA, EW_ETA_MAX, EW_GAMMA, GMRES_TOL, \
+    NewtonState, SolverConfig, build_system_hierarchy, forcing_term, \
+    newton_solve
 
 from conftest import start
 
@@ -62,14 +62,6 @@ def test_forcing_term_rule():
     assert forcing_term(tol, scale, r_tol, [1e-8], []) == EW_ETA_MAX
 
 
-@pytest.mark.parametrize("tol", [0.95, 1.0, 2.0])
-def test_gmres_tol_above_largest_forcing_term_rejected(tol):
-    # a tolerance of 1 accepted the zero GMRES step as Newton convergence
-    with pytest.raises(InputError):
-        SolverConfig(gmres_tol=tol)
-    assert SolverConfig(gmres_tol=EW_ETA_MAX).gmres_tol == EW_ETA_MAX
-
-
 @pytest.mark.parametrize("solved", ["bat_solved", "lbend_solved"])
 def test_gmres_meets_forcing_terms(solved, request):
     problem = request.getfixturevalue(solved)
@@ -80,8 +72,8 @@ def test_gmres_meets_forcing_terms(solved, request):
     # the first term measures ||R_0|| against the residual scale S
     scale = problem.system.residual_scale()
     first = EW_GAMMA * (rep.residual_norms[0] / scale) ** EW_ALPHA
-    assert rep.forcing_terms[0] == min(EW_ETA_MAX, max(cfg.gmres_tol, first))
-    assert all(cfg.gmres_tol <= eta <= EW_ETA_MAX for eta in rep.forcing_terms)
+    assert rep.forcing_terms[0] == min(EW_ETA_MAX, max(GMRES_TOL, first))
+    assert all(GMRES_TOL <= eta <= EW_ETA_MAX for eta in rep.forcing_terms)
     assert all(r <= eta for r, eta in zip(rep.gmres_residuals, rep.forcing_terms))
     # the step that ends the solve takes choice 2 with Kelley's first
     # safeguard, raised by the final one to 0.5 r_tol / ||R_n-1||
@@ -90,11 +82,11 @@ def test_gmres_meets_forcing_terms(solved, request):
     if EW_GAMMA * terms[-2] ** EW_ALPHA > 0.1:
         ew = max(ew, EW_GAMMA * terms[-2] ** EW_ALPHA)
     final = 0.5 * cfg.newton_tol * scale / norms[-2]
-    assert terms[-1] == min(EW_ETA_MAX, max(cfg.gmres_tol, ew, final))
-    # so it is not solved to gmres_tol, far below the stopping test
-    assert terms[-1] > 10 * cfg.gmres_tol
+    assert terms[-1] == min(EW_ETA_MAX, max(GMRES_TOL, ew, final))
+    # so it is not solved to GMRES_TOL, far below the stopping test
+    assert terms[-1] > 10 * GMRES_TOL
     # and the folded phase is not either
-    assert max(rep.forcing_terms) > 10 * cfg.gmres_tol
+    assert max(rep.forcing_terms) > 10 * GMRES_TOL
 
 
 # geometry, mode, level, folded start, Newton steps, most GMRES iterations
@@ -139,7 +131,7 @@ def doc_system(doc, mode):
 
 
 # geometry, mode, Newton steps and GMRES per step of the warm restart, and
-# its rn_evals: the counts of the gmres_tol first term
+# its rn_evals: the counts of the GMRES_TOL first term
 @pytest.mark.parametrize("builder, mode, newton, gmres, rn_evals", [
     (build_lbend, "xi", 2, [5, 6], 14),
     (build_bat, "full", 2, [5, 5], 13),
@@ -155,7 +147,7 @@ def test_warm_restart_first_term_is_gmres_tol(builder, mode, newton, gmres,
     _, rep = newton_solve(warm, c, SolverConfig())
     assert rep.converged and all(rep.gmres_converged)
     assert rep.residual_norms[0] < 0.02 * warm.residual_scale()
-    assert rep.forcing_terms[0] == SolverConfig().gmres_tol
+    assert rep.forcing_terms[0] == GMRES_TOL
     assert rep.newton_iterations == newton
     assert rep.gmres_iterations == gmres
     assert rep.rn_evals == rn_evals

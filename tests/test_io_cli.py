@@ -144,7 +144,12 @@ def test_solve_exit_1_on_bad_input(tmp_path, capsys):
     assert run_cli("solve", missing) == 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 7}))
+    capsys.readouterr()
     assert run_cli("solve", bad) == 1
+    # each finding once, as pointer and message, after one prefix
+    assert capsys.readouterr().err == (
+        "input error: /version: expected format version 1; "
+        "/patches: expected a nonempty array of patches\n")
 
 
 def test_solve_exit_2_and_writes_on_nonconvergence(tmp_path, capsys):
@@ -566,8 +571,7 @@ def test_tube_solves(tmp_path):
     ("mode", "diagonal"), ("mu", "abc"), ("mu", 0.0), ("mu", True),
     ("chi", None), ("chi", 1.5), ("chi", -0.1), ("newton_tol", "x"),
     ("newton_tol", -1e-8), ("newton_tol", float("nan")), ("max_newton", 2.5),
-    ("max_newton", True), ("max_newton", 0), ("gmres_tol", 0.95),
-    ("gmres_tol", 0), ("gmres_max_iter", "10"),
+    ("max_newton", True), ("max_newton", 0),
     ("coarse_levels", -1), ("coarse_levels", False)])
 def test_malformed_solver_setting_exits_1(key, value, tmp_path, capsys):
     doc = build_square()
@@ -647,8 +651,7 @@ def test_initial_file_without_initial_file_mode_exits_1(square_solution, tmp_pat
 def test_solver_settings_at_their_bounds_accepted():
     doc = build_square()
     doc["solver"] = {"mode": "xi", "mu": 1e-6, "chi": 1, "newton_tol": 1e-6,
-                     "max_newton": 1, "gmres_tol": 0.9, "gmres_max_iter": 1,
-                     "coarse_levels": 0}
+                     "max_newton": 1, "coarse_levels": 0}
     assert validate_geometry(doc) == []
     doc["solver"]["coarse_levels"] = 4
     assert validate_geometry(doc) == []
@@ -657,13 +660,38 @@ def test_solver_settings_at_their_bounds_accepted():
 
 
 def test_retired_solver_setting_warns_and_is_ignored():
-    # GMRES runs one Krylov cycle: an older file's restart length is no
-    # setting any more
-    doc = build_square()
-    doc["solver"] = {"gmres_restart": 1}
-    assert [(f.severity, f.pointer) for f in validate_geometry(doc)] == [
-        ("warning", "/solver/gmres_restart")]
-    assert parse_geometry(doc).topology.n_patches == 1
+    # GMRES runs one Krylov cycle of at most GMRES_MAX_ITER iterations to a
+    # tolerance floored at GMRES_TOL: an older file's restart length,
+    # tolerance and iteration limit are no settings any more
+    for key in ("gmres_restart", "gmres_tol", "gmres_max_iter"):
+        doc = build_square()
+        doc["solver"] = {key: 1}
+        assert [(f.severity, f.pointer) for f in validate_geometry(doc)] == [
+            ("warning", f"/solver/{key}")]
+        assert parse_geometry(doc).topology.n_patches == 1
+
+
+@pytest.mark.parametrize("key, value", [("gmres_tol", 0.5), ("gmres_max_iter", 1)])
+def test_retired_gmres_setting_leaves_the_solve_unchanged(key, value, tmp_path,
+                                                          capsys):
+    # values that would change every Newton step if they were still read
+    doc = load_bundled("quarter_annulus")
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc))
+    doc["solver"][key] = value
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert run_cli("check", old) == 0
+    assert capsys.readouterr().out == \
+        f"warning: /solver/{key}: unknown solver setting (ignored)\n"
+    nets = []
+    for p in (plain, old):
+        out = tmp_path / f"{p.stem}.solution.json"
+        assert run_cli("solve", p, "--out", out) == 0
+        sol = load_solution(out)
+        assert sol["report"]["newton_iterations"] > 0
+        nets.append(sol["control_nets"])
+    assert nets[0] == nets[1]
 
 
 def test_schema_solver_block_matches_validator():
@@ -737,7 +765,8 @@ def test_schema_objects_match_validator_keys(where, known):
     assert obj["additionalProperties"] is not False
 
 
-@pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text"])
+@pytest.mark.parametrize("damage", ["truncated", "missing", "extra", "text",
+                                    "nonfinite"])
 def test_malformed_solution_nets_exit_1(damage, tmp_path, capsys):
     sol = load_solution(RESTART / "bat.solution.json")
     nets = sol["control_nets"]
@@ -747,8 +776,11 @@ def test_malformed_solution_nets_exit_1(damage, tmp_path, capsys):
         nets.pop()
     elif damage == "extra":
         nets.append(nets[0])
-    else:
+    elif damage == "text":
         nets[2][4] = ["x", "y"]
+    else:
+        # json.dumps writes NaN, and json.load reads it back
+        nets[1][5][0] = float("nan")
     p = tmp_path / "bad.solution.json"
     p.write_text(json.dumps(sol))
     assert run_cli("quality", p) == 1
@@ -847,6 +879,62 @@ def test_json_booleans_are_not_integers(doc, damage, pointer, tmp_path, capsys):
     assert run_cli("solve", p, "--out", out) == 1
     assert pointer in capsys.readouterr().err
     assert not out.exists()
+
+
+def _nan_knot(doc):
+    doc["patches"][0]["knots_xi"][3] = float("nan")
+
+
+def _infinite_affine_entry(doc):
+    doc["patches"][1]["affine"]["A"][0][0] = float("inf")
+
+
+def _nan_affine_shift(doc):
+    doc["patches"][1]["affine"]["b"][1] = float("nan")
+
+
+def _nan_boundary_point(doc):
+    doc["patches"][0]["boundary"]["south"][2][0] = float("nan")
+
+
+@pytest.mark.parametrize("damage, pointer", [
+    (_nan_knot, "/patches/0/knots_xi"),
+    (_infinite_affine_entry, "/patches/1/affine/A"),
+    (_nan_affine_shift, "/patches/1/affine/b"),
+    (_nan_boundary_point, "/patches/0/boundary/south")],
+    ids=["knot", "affine_A", "affine_b", "boundary"])
+def test_non_finite_numbers_are_refused(damage, pointer, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity, and json.load reads them back
+    doc = build_two_patch_square()
+    damage(doc)
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", p) == 1
+    assert f"error: {pointer}: " in capsys.readouterr().out
+    out = tmp_path / "nonfinite.solution.json"
+    assert run_cli("solve", p, "--out", out) == 1
+    assert pointer in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_output_exits_1(target, square_solution, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    assert run_cli("solve", bundled_path("square"), "--out", out) == 1
+    cap = capsys.readouterr()
+    assert f"input error: cannot write {out}: " in cap.err
+    assert "wrote" not in cap.out
+    for fmt in ("vtk", "svg", "csv"):
+        assert run_cli("sample", square_solution, "--format", fmt,
+                       "--out", out) == 1
+        cap = capsys.readouterr()
+        assert f"input error: cannot write {out}: " in cap.err
+        assert "wrote" not in cap.out
+    # no temporary file is left behind
+    assert list(tmp_path.rglob("*")) == ([out] if target == "directory" else [])
 
 
 def test_output_files_take_the_mode_of_open(tmp_path):

@@ -226,7 +226,7 @@ def test_iterate_kernels_reuse_scratch_memory(rng):
     assert peak < 4 * max(ctx.wgrid.nbytes for ctx in system.patches)
 
 
-@pytest.mark.parametrize("nderiv", [0, 1, 2])
+@pytest.mark.parametrize("nderiv", [0, 1])
 def test_grid_jet_matches_einsum(nderiv, rng):
     tb = TensorBasis(uniform_knots(3, 4, c0_breaks=(0.5,)), uniform_knots(2, 5))
     m = SplineMap(tb, rng.standard_normal((tb.dim, 2)))

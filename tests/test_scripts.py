@@ -1,5 +1,6 @@
 """Smoke runs of the example scripts, each started as its usage line says,
-and of single cases of the benchmark script."""
+of single cases of the benchmark script, and of the README's library
+examples."""
 
 import json
 import os
@@ -10,7 +11,23 @@ import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```$",
+                           (ROOT / "README.md").read_text(encoding="utf-8"),
+                           re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("index", range(len(README_BLOCKS)))
+def test_readme_python_block_converges(index, monkeypatch):
+    # each block runs as written, from the repository root, and ends with
+    # the report of a converged solve
+    assert len(README_BLOCKS) >= 2  # the two library entry points at least
+    monkeypatch.chdir(ROOT)
+    namespace = {}
+    exec(compile(README_BLOCKS[index], f"README.md block {index}", "exec"),
+         namespace)
+    assert namespace["report"].converged
 
 
 @pytest.mark.parametrize("script, patches, svgs", [

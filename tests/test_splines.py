@@ -44,11 +44,20 @@ def test_validation_rejects_bad_inputs():
         KnotVector(2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1])   # interior mult > p
     with pytest.raises(InputError):
         KnotVector(1, [0, 0, 2, 2])         # not normalized
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="finite"):
+            KnotVector(1, [0, 0, bad, 1, 1])
+
+
+def eval_at(kv, x, nderiv=0):
+    """``(first, table)`` of ``kv.eval_many`` at the one point ``x``."""
+    first, tab = kv.eval_many([x], nderiv)
+    return int(first[0]), tab[0]
 
 
 def test_hat_function_midpoint():
     kv = KnotVector(1, [0, 0, 0.5, 1, 1])
-    first, tab = kv.eval(0.25, 0)
+    first, tab = eval_at(kv, 0.25, 0)
     assert first == 0
     np.testing.assert_allclose(tab[0], [0.5, 0.5])
 
@@ -56,15 +65,15 @@ def test_hat_function_midpoint():
 def test_eval_domain_and_order_errors():
     kv = uniform_knots(2, 2)
     with pytest.raises(DomainError):
-        kv.eval(1.5)
+        eval_at(kv, 1.5)
     with pytest.raises(InputError):
-        kv.eval(0.5, 3)
+        eval_at(kv, 0.5, -1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(knot_vectors, st.floats(min_value=0.0, max_value=1.0))
 def test_partition_of_unity_and_derivative_sum(kv, x):
-    _, tab = kv.eval(x, 1)
+    _, tab = eval_at(kv, x, 1)
     assert abs(tab[0].sum() - 1.0) < 1e-12
     assert abs(tab[1].sum()) < 1e-10
 
@@ -72,7 +81,7 @@ def test_partition_of_unity_and_derivative_sum(kv, x):
 def test_derivatives_match_naive_recursion():
     kv = uniform_knots(3, 4)
     for deriv in range(3):
-        first, tab = kv.eval(0.3, deriv)
+        first, tab = eval_at(kv, 0.3, deriv)
         ref = naive_all_values(kv, 0.3, deriv)
         dense = np.zeros(kv.dim)
         dense[first: first + 4] = tab[deriv]
@@ -103,7 +112,7 @@ def test_collocation_matches_pointwise_loop():
 @settings(max_examples=25, deadline=None)
 @given(knot_vectors, st.floats(min_value=1e-3, max_value=1.0 - 1e-3))
 def test_values_match_naive_recursion_randomized(kv, x):
-    first, tab = kv.eval(x, 1)
+    first, tab = eval_at(kv, x, 1)
     for k in range(2):
         ref = naive_all_values(kv, x, k)
         dense = np.zeros(kv.dim)
@@ -118,7 +127,7 @@ def test_derivatives_match_finite_differences():
     h = 1e-5
     for x in rng.uniform(0.05, 0.45, size=100):
         def val(t, deriv=0):
-            first, tab = kv.eval(t, deriv)
+            first, tab = eval_at(kv, t, deriv)
             return coeffs[first: first + 4] @ tab[deriv]
         fd = (val(x + h) - val(x - h)) / (2 * h)
         assert abs(fd - val(x, 1)) < 1e-6 * max(1.0, abs(val(x, 1)))
@@ -228,17 +237,16 @@ def test_prolongation_exactness(kv, seed):
     fine_kv, P = kv.refine()
     fine = P @ coarse
     for x in rng.uniform(0, 1, size=50):
-        fc, tc = kv.eval(x)
-        ff, tf = fine_kv.eval(x)
+        fc, tc = eval_at(kv, x)
+        ff, tf = eval_at(fine_kv, x)
         vc = coarse[fc: fc + kv.degree + 1] @ tc[0]
         vf = fine[ff: ff + fine_kv.degree + 1] @ tf[0]
         assert abs(vc - vf) < 1e-12
 
 
-def test_tensor_flat_index_bijection():
-    tb = TensorBasis(uniform_knots(2, 3), uniform_knots(1, 4))
-    seen = {tb.flat(i, j) for i in range(tb.n_xi) for j in range(tb.n_eta)}
-    assert seen == set(range(tb.dim))
+def point_jet(m, x, y, nderiv=0):
+    """``m.grid_jet`` on the 1 x 1 grid (x, y), each entry a 2-vector."""
+    return {k: v[0, 0] for k, v in m.grid_jet([x], [y], nderiv).items()}
 
 
 def basis_jets(tb, x, y, nderiv):
@@ -248,7 +256,7 @@ def basis_jets(tb, x, y, nderiv):
     for i in range(tb.dim):
         control = np.zeros((tb.dim, 2))
         control[i, 0] = 1.0
-        jets.append(SplineMap(tb, control).eval_jet(x, y, nderiv))
+        jets.append(point_jet(SplineMap(tb, control), x, y, nderiv))
     return {key: np.array([jet[key][0] for jet in jets]) for key in jets[0]}
 
 
@@ -256,7 +264,7 @@ def test_tensor_eval_bezier_corner():
     tb = TensorBasis(KnotVector(2, [0, 0, 0, 1, 1, 1]),
                      KnotVector(2, [0, 0, 0, 1, 1, 1]))
     values = basis_jets(tb, 0.0, 0.0, 0)["x"]
-    corner = tb.flat(0, 0)
+    corner = 0  # the flat index i_xi * n_eta + i_eta of (0, 0)
     assert abs(values[corner] - 1.0) < 1e-14
     assert all(abs(v) < 1e-14 for k, v in enumerate(values) if k != corner)
 
@@ -266,7 +274,7 @@ def test_tensor_partition_of_unity():
     m = SplineMap(tb, np.ones((tb.dim, 2)))
     rng = np.random.default_rng(2)
     for x, y in rng.uniform(0, 1, size=(20, 2)):
-        assert abs(m.eval_jet(x, y, 0)["x"][0] - 1.0) < 1e-13
+        assert abs(point_jet(m, x, y)["x"][0] - 1.0) < 1e-13
 
 
 def test_tensor_mixed_derivative_fd_oracle():
@@ -274,12 +282,15 @@ def test_tensor_mixed_derivative_fd_oracle():
     rng = np.random.default_rng(3)
     h = 1e-5
     for x, y in rng.uniform(0.1, 0.9, size=(10, 2)):
-        te = basis_jets(tb, x, y, 2)
+        # the mixed derivative of every basis function, in flat order: the
+        # product of the univariate first derivatives
+        mixed = np.kron(tb.kv_xi.collocation([x], 1)[1, 0],
+                        tb.kv_eta.collocation([y], 1)[1, 0])
         up = basis_jets(tb, x, y + h, 1)
         dn = basis_jets(tb, x, y - h, 1)
         fd = (up["x_xi"] - dn["x_xi"]) / (2 * h)
-        scale = max(1.0, np.abs(te["x_xieta"]).max())
-        assert np.abs(fd - te["x_xieta"]).max() < 1e-6 * scale
+        scale = max(1.0, np.abs(mixed).max())
+        assert np.abs(fd - mixed).max() < 1e-6 * scale
 
 
 def test_boundary_classification():
@@ -309,5 +320,5 @@ def test_tensor_refine_prolongs_exactly():
     mc = SplineMap(tb, coarse)
     mf = SplineMap(fine_tb, fine)
     for x, y in rng.uniform(0, 1, size=(20, 2)):
-        np.testing.assert_allclose(mc.eval_jet(x, y, 0)["x"],
-                                   mf.eval_jet(x, y, 0)["x"], atol=1e-12)
+        np.testing.assert_allclose(point_jet(mc, x, y)["x"],
+                                   point_jet(mf, x, y)["x"], atol=1e-12)
