@@ -43,7 +43,15 @@ step takes), the factor (the ``laplace_preconditioner`` build given the
 band that assembly returned, which it factors in place) and one apply to
 both components;
 ``build_plus_six_applies_ms`` adds the three as one Newton step of six
-GMRES iterations pays them.
+GMRES iterations pays them. The post-processing case solves each bundled
+geometry once, untimed, from the transfinite start in the mode of its file,
+and then records per geometry the median milliseconds over repeated calls
+of what the commands pay around the solve: loading a solution file into
+per-patch maps (``load_solution`` and ``solution_patch_maps``), the
+quality block (``_quality_block``), the solution document
+(``solution_document``), its write (``write_solution``) and the VTK and SVG
+exports (``_write_vtk`` with its sampling, ``_write_svg``), with the bytes
+each write leaves.
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -61,6 +69,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -70,7 +79,10 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
-from eggmix.io_cli import parse_geometry, solve  # noqa: E402
+from eggmix.geometries import load as load_bundled  # noqa: E402
+from eggmix.io_cli import _quality_block, _sample_patch, _write_svg, \
+    _write_vtk, load_solution, parse_geometry, solution_document, \
+    solution_patch_maps, solve, write_solution  # noqa: E402
 from eggmix.solver import SolverConfig, build_system_hierarchy, \
     folded_initial_guess, newton_solve, transfinite_global  # noqa: E402
 
@@ -111,6 +123,8 @@ KERNEL_CASES = {
     "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
     "bat-folded-L3-kernels": ("bat", "full", 3, True, 5),
 }
+# key -> calls timed per step and geometry
+POST_CASES = {"post-L0": 20}
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
@@ -356,11 +370,66 @@ def run_kernel_case(key):
     }
 
 
+def median_ms(fn, calls):
+    """Median milliseconds of ``calls`` calls of ``fn()``."""
+    seconds = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        seconds.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(seconds))
+
+
+def run_post_case(key):
+    """Time the post-processing of one solve of every bundled geometry in
+    this process; returns its record."""
+    calls = POST_CASES[key]
+    geometries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(BUILDERS):
+            doc = load_bundled(name)
+            mode = doc["solver"]["mode"]
+            system, c, rep = solve(hierarchy_of(name, mode, 0), "transfinite",
+                                   SolverConfig())
+            settings = {"mode": mode, "mu": system.mu, "chi": system.chi,
+                        "coarse_levels": 0}
+            paths = {k: os.path.join(tmp, f"{name}.{k}")
+                     for k in ("solution.json", "vtk", "svg")}
+            sol = solution_document(doc, system, c, rep, settings)
+            write_solution(paths["solution.json"], sol)
+            maps = solution_patch_maps(load_solution(paths["solution.json"]))[1]
+            r = {
+                "load_maps_ms": median_ms(lambda: solution_patch_maps(
+                    load_solution(paths["solution.json"])), calls),
+                "quality_ms": median_ms(lambda: _quality_block(maps), calls),
+                "document_ms": median_ms(lambda: solution_document(
+                    doc, system, c, rep, settings), calls),
+                "write_solution_ms": median_ms(lambda: write_solution(
+                    paths["solution.json"], sol), calls),
+                "vtk_ms": median_ms(lambda: _write_vtk(
+                    paths["vtk"], [_sample_patch(m, 4) for m in maps]), calls),
+                "svg_ms": median_ms(lambda: _write_svg(paths["svg"], maps, 4),
+                                    calls),
+            }
+            # a multipatch VTK export writes one file per patch
+            vtk_files = [paths["vtk"]] if len(maps) == 1 else \
+                [os.path.join(tmp, f"{name}_p{i}.vtk") for i in range(len(maps))]
+            size = os.path.getsize
+            r.update(solution_bytes=size(paths["solution.json"]),
+                     vtk_bytes=sum(map(size, vtk_files)),
+                     svg_bytes=size(paths["svg"]))
+            geometries[name] = {"n_patches": len(maps),
+                                "converged": bool(rep.converged), **r}
+    return {"calls": calls, "geometries": geometries,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 RUNNERS = {**dict.fromkeys(CASES, run_case),
            **dict.fromkeys(COARSE_TO_FINE_CASES, run_coarse_to_fine_case),
            **dict.fromkeys(RESTART_CASES, run_restart_case),
            **dict.fromkeys(SETUP_CASES, run_setup_case),
-           **dict.fromkeys(KERNEL_CASES, run_kernel_case)}
+           **dict.fromkeys(KERNEL_CASES, run_kernel_case),
+           **dict.fromkeys(POST_CASES, run_post_case)}
 
 
 def run_child(key):
@@ -425,6 +494,14 @@ def main(argv=None):
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
               f"A^-1 {r['ainv_exact_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
+    for key in POST_CASES:
+        cases[key] = run_child(key)
+        for name, r in cases[key]["geometries"].items():
+            print(f"{key:8s} {name:16s} load {r['load_maps_ms']:6.2f}  quality "
+                  f"{r['quality_ms']:6.2f}  document {r['document_ms']:6.2f}  "
+                  f"write {r['write_solution_ms']:6.2f} ({r['solution_bytes']} B)  "
+                  f"vtk {r['vtk_ms']:6.2f} ({r['vtk_bytes']} B)  svg "
+                  f"{r['svg_ms']:6.2f} ms ({r['svg_bytes']} B)", file=sys.stderr)
     doc = {"machine": machine(), "cases": cases}
     text = json.dumps(doc, indent=1)
     if args.out:

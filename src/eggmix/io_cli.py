@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import errno
 import functools
 import json
 import math
@@ -28,7 +29,7 @@ from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
-from .solver import NewtonState, SolverConfig, SolverReport, \
+from .solver import SolverConfig, SolverReport, \
     build_system_hierarchy, folded_initial_guess, newton_solve, \
     transfinite_global
 from .splines import KnotVector, TensorBasis
@@ -61,7 +62,13 @@ class Finding:
     message: str
 
     def __str__(self):
-        return f"{self.severity}: {self.pointer}: {self.message}"
+        return f"{self.severity}: {_located(self.pointer, self.message)}"
+
+
+def _located(pointer, message):
+    """``message`` prefixed with the JSON pointer it is about, unless that
+    is the document root ``""``."""
+    return f"{pointer}: {message}" if pointer else message
 
 
 @dataclass
@@ -79,7 +86,7 @@ def _is_integer(v):
 
 def _is_number(v):
     # json.load reads NaN, Infinity and -Infinity as floats
-    return _is_integer(v) or (isinstance(v, float) and math.isfinite(v))
+    return (isinstance(v, float) and math.isfinite(v)) or _is_integer(v)
 
 
 def _unknown_keys(obj, known, ptr, what="key"):
@@ -91,14 +98,30 @@ def _unknown_keys(obj, known, ptr, what="key"):
             for key in obj if key not in known]
 
 
+def _is_point_array(arr):
+    """Whether ``arr`` is an array of [x, y] pairs of numbers, checked in
+    one pass over the pairs."""
+    return isinstance(arr, list) and all(
+        isinstance(q, list) and len(q) == 2 and _is_number(q[0])
+        and _is_number(q[1]) for q in arr)
+
+
 def validate_geometry(doc) -> list:
     """Structural schema validation; returns findings with JSON-pointer
     paths: errors, and a warning for each unknown key, which is ignored."""
+    return _validate(doc)[0]
+
+
+def _validate(doc):
+    """The findings of :func:`validate_geometry` and the knot vectors it
+    built while checking them, ``{(patch index, "knots_xi" or
+    "knots_eta"): KnotVector}`` for each valid one."""
     out = []
+    knots = {}
     err = lambda ptr, msg: out.append(Finding("error", ptr, msg))
     if not isinstance(doc, dict):
         err("", "document must be a JSON object")
-        return out
+        return out, knots
     out += _unknown_keys(doc, TOP_KEYS, "")
     if not (_is_integer(doc.get("version")) and doc["version"] == 1):
         err("/version", "expected format version 1")
@@ -118,13 +141,13 @@ def validate_geometry(doc) -> list:
                 err(f"{ptr}/{key}", "expected an integer >= 1")
         for key in ("knots_xi", "knots_eta"):
             kn = p.get(key)
-            if not isinstance(kn, list) or not all(_is_number(v) for v in kn):
+            if not isinstance(kn, list) or not all(map(_is_number, kn)):
                 err(f"{ptr}/{key}", "expected an array of numbers")
                 continue
             deg = p.get("degree_xi" if key == "knots_xi" else "degree_eta")
             if _is_integer(deg) and deg >= 1:
                 try:
-                    KnotVector(deg, kn)
+                    knots[i, key] = KnotVector(deg, kn)
                 except InputError as exc:
                     err(f"{ptr}/{key}", str(exc))
         aff = p.get("affine")
@@ -150,12 +173,10 @@ def validate_geometry(doc) -> list:
             for face, arr in bnd.items():
                 if face not in FACE_NAMES:
                     err(f"{ptr}/boundary/{face}", "unknown face name")
-                elif not (isinstance(arr, list)
-                          and all(isinstance(q, list) and len(q) == 2
-                                  and all(_is_number(v) for v in q) for q in arr)):
+                elif not _is_point_array(arr):
                     err(f"{ptr}/boundary/{face}", "expected an array of [x, y] pairs")
                 else:
-                    points.update(tuple(q) for q in arr)
+                    points.update(map(tuple, arr))
     if len(points) == 1:
         err("/patches", "all boundary points coincide")
     itfs = doc.get("interfaces", [])
@@ -189,7 +210,7 @@ def validate_geometry(doc) -> list:
                 problem = _solver_setting_error(key, solver[key])
                 if problem:
                     err(f"/solver/{key}", problem)
-    return out
+    return out, knots
 
 
 def _solver_setting_error(key, v):
@@ -205,14 +226,16 @@ def _solver_setting_error(key, v):
 
 
 def parse_geometry(doc) -> GeometryFile:
-    """Build the topology and boundary data from a validated document."""
-    findings = [f for f in validate_geometry(doc) if f.severity == "error"]
-    if findings:
-        raise InputError("; ".join(f"{f.pointer}: {f.message}" for f in findings))
+    """Build the topology and boundary data from a validated document; the
+    patch bases share the knot vectors that validation built."""
+    findings, knots = _validate(doc)
+    errors = [_located(f.pointer, f.message) for f in findings
+              if f.severity == "error"]
+    if errors:
+        raise InputError("; ".join(errors))
     patches = []
-    for p in doc["patches"]:
-        tb = TensorBasis(KnotVector(p["degree_xi"], p["knots_xi"]),
-                         KnotVector(p["degree_eta"], p["knots_eta"]))
+    for i, p in enumerate(doc["patches"]):
+        tb = TensorBasis(knots[i, "knots_xi"], knots[i, "knots_eta"])
         aff = p.get("affine")
         am = (AffinePatchMap(np.array(aff["A"]), np.array(aff["b"]))
               if aff else AffinePatchMap.identity())
@@ -245,20 +268,57 @@ def load_geometry(path) -> GeometryFile:
     return parse_geometry(doc)
 
 
-def _atomic_write(path, text: str):
+def _unwritable(path):
+    """The OSError that writing ``path`` would meet for want of its
+    directory, of write access to it, or because ``path`` is a directory;
+    None when none of these applies. It names ``path``."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(d):
+        code = errno.ENOENT
+    elif not os.access(d, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
+
+
+def _atomic_write(files):
+    """Write the ``(path, text)`` pairs of ``files`` all or nothing.
+
+    Each text goes to a temporary file in its path's directory; the
+    temporary files move into place only when every one is written and no
+    path is a directory. On failure no temporary file and no file of this
+    call is left behind, and the OSError raised names the path that could
+    not be written."""
+    # mkstemp creates its files 0600; give them the mode open() would
+    umask = os.umask(0)
+    os.umask(umask)
+    written, moved = [], []  # (temporary, path) pairs; paths in place
+    path = None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # mkstemp creates the file 0600; give it the mode open() would
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       suffix=".tmp")
+            written.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+        for _, path in written:
+            if os.path.isdir(path):
+                raise _unwritable(path)
+        for tmp, path in written:
+            os.replace(tmp, path)
+            moved.append(path)
+    except BaseException as exc:
+        for tmp, _ in written:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+        for done in moved:
+            os.unlink(done)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -322,26 +382,33 @@ def geometry_doc_from_system(system: MixedSystem) -> dict:
 
 def solution_document(geometry_doc: dict, system: MixedSystem, c, report,
                       settings) -> dict:
+    """The solution file's document for the iterate ``c`` of ``system`` that
+    the solve behind ``report`` returned: the per-patch control nets as
+    nested lists, the report, its quality block, and as ``residual_norm``
+    the solve's ``report.final_residual``, the residual norm of (R_L, R_N)
+    at the returned iterate (not evaluated again here)."""
     topo = system.topology
     control = system.full_control_net(c)
     maps = [topo.patch_map(i, control) for i in range(topo.n_patches)]
-    nets = [[[float(x), float(y)] for x, y in m.control] for m in maps]
     return {
         "format": "eggmix-solution",
         "version": 1,
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "geometry": geometry_doc,
         "solver_settings": settings,
-        "control_nets": nets,
+        "control_nets": [m.control.tolist() for m in maps],
         "converged": bool(report.converged),
-        "residual_norm": NewtonState(system, system.project_d(c), c).r_norm,
+        "residual_norm": float(report.final_residual),
         "report": report.to_dict(),
         "quality": _quality_block(maps)[0],
     }
 
 
 def write_solution(path, sol: dict):
-    _atomic_write(path, json.dumps(sol, indent=1, sort_keys=True) + "\n")
+    """Write a solution document as one line of compact JSON with sorted
+    keys (json's C encoder; ``python -m json.tool FILE`` pretty-prints
+    it), atomically: see :func:`_atomic_write`."""
+    _atomic_write([(path, json.dumps(sol, sort_keys=True) + "\n")])
 
 
 def load_solution(path) -> dict:
@@ -435,9 +502,10 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
 
 # -- commands --------------------------------------------------------------------
 
-def _write_error(path, exc) -> int:
-    """Report an output file that could not be written; the exit code 1."""
-    print(f"input error: cannot write {path}: {exc.strerror or exc}",
+def _write_error(exc) -> int:
+    """Report the output file that an OSError of :func:`_atomic_write` or
+    :func:`_unwritable` names; the exit code 1."""
+    print(f"input error: cannot write {exc.filename}: {exc.strerror or exc}",
           file=sys.stderr)
     return 1
 
@@ -449,6 +517,11 @@ def cmd_solve(args) -> int:
     if args.initial_file and args.initial != "file":
         print("input error: --initial-file needs --initial file", file=sys.stderr)
         return 1
+    out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
+    # refuse an output that cannot be written before any load or solve
+    problem = _unwritable(out_path)
+    if problem:
+        return _write_error(problem)
     try:
         geo = load_geometry(args.input)
     except (InputError, json.JSONDecodeError, OSError) as exc:
@@ -468,7 +541,6 @@ def cmd_solve(args) -> int:
             settings[key] = v  # CLI flags win over file settings
     config_kwargs = {k: settings[k] for k in ("newton_tol", "max_newton")
                      if k in settings}
-    out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     try:
         config = SolverConfig(verbose=args.verbose, **config_kwargs)
         start = args.initial
@@ -489,7 +561,7 @@ def cmd_solve(args) -> int:
     try:
         write_solution(out_path, sol)
     except OSError as exc:
-        return _write_error(out_path, exc)
+        return _write_error(exc)
     print(f"wrote {out_path}")
     print(f"converged: {report.converged}  newton_iterations: "
           f"{report.newton_iterations}  rn_evals: {report.rn_evals}  "
@@ -552,16 +624,22 @@ def _sample_patch(pmap, resolution):
 
 
 def _write_csv(path, patches_samples):
-    lines = ["patch,i,j,s,t,x,y,detj"]
+    parts = ["patch,i,j,s,t,x,y,detj\n"]
     for pi, (xs, ys, X, detj) in enumerate(patches_samples):
-        for i in range(len(xs)):
-            for j in range(len(ys)):
-                lines.append("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
-                    pi, i, j, xs[i], ys[j], X[i, j, 0], X[i, j, 1], detj[i, j]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+        # one bulk format per patch over Python floats, xi-major like the
+        # grid; %d prints the integral floats of the index columns exactly
+        n = len(xs) * len(ys)
+        i, j = np.divmod(np.arange(n), len(ys))
+        rows = np.column_stack([np.full(n, pi), i, j, xs[i], ys[j],
+                                X.reshape(n, 2), detj.reshape(n)])
+        parts.append(("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g\n" * n)
+                     % tuple(rows.ravel().tolist()))
+    _atomic_write([(path, "".join(parts))])
 
 
-def _write_vtk(path, patches_samples):
+def _vtk_files(path, patches_samples):
+    """The (path, text) pair of each patch's structured-grid file: ``path``
+    itself for one patch, ``STEM_pI.EXT`` for patch I of several."""
     multi = len(patches_samples) > 1
     for pi, (xs, ys, X, detj) in enumerate(patches_samples):
         out = path
@@ -570,13 +648,18 @@ def _write_vtk(path, patches_samples):
             out = f"{stem}_p{pi}{ext or '.vtk'}"
         n = len(xs) * len(ys)
         # one bulk format per block over Python floats, xi-major like the grid
-        _atomic_write(out, "".join([
+        yield out, "".join([
             "# vtk DataFile Version 3.0\neggmix structured grid\nASCII\n"
             f"DATASET STRUCTURED_GRID\nDIMENSIONS {len(ys)} {len(xs)} 1\n"
             f"POINTS {n} double\n",
             ("%.17g %.17g 0\n" * n) % tuple(X.ravel().tolist()),
             f"POINT_DATA {n}\nSCALARS detj double 1\nLOOKUP_TABLE default\n",
-            ("%.17g\n" * n) % tuple(detj.ravel().tolist())]))
+            ("%.17g\n" * n) % tuple(detj.ravel().tolist())])
+
+
+def _write_vtk(path, patches_samples):
+    """Write every patch's file of :func:`_vtk_files`, all or nothing."""
+    _atomic_write(_vtk_files(path, patches_samples))
 
 
 def svg_isolines(maps, resolution):
@@ -615,23 +698,27 @@ def _write_svg(path, maps, resolution):
         pts = " ".join(["%.6f,%.6f"] * len(poly)) % tuple(poly.ravel().tolist())
         lines.append(f'<polyline points="{pts}"/>')
     lines += ["</g>", "</svg>"]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write([(path, "\n".join(lines) + "\n")])
 
 
 def cmd_sample(args) -> int:
     if args.resolution < 1:
         print("input error: --resolution: expected an integer >= 1", file=sys.stderr)
         return 1
+    if args.format not in ("vtk", "svg", "csv"):
+        print(f"input error: unknown format {args.format!r}", file=sys.stderr)
+        return 1
+    out = args.out or os.path.splitext(args.input)[0] + "." + args.format
+    # refuse an output that cannot be written before the solution is loaded
+    problem = _unwritable(out)
+    if problem:
+        return _write_error(problem)
     try:
         sol = load_solution(args.input)
         geo, maps = solution_patch_maps(sol)
     except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    if args.format not in ("vtk", "svg", "csv"):
-        print(f"input error: unknown format {args.format!r}", file=sys.stderr)
-        return 1
-    out = args.out or os.path.splitext(args.input)[0] + "." + args.format
     try:
         if args.format == "svg":
             _write_svg(out, maps, args.resolution)
@@ -640,7 +727,7 @@ def cmd_sample(args) -> int:
         else:
             _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
     except OSError as exc:
-        return _write_error(out, exc)
+        return _write_error(exc)
     print(f"wrote {out}")
     return 0
 

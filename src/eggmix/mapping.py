@@ -34,9 +34,10 @@ class BijectivityReport:
 
 
 def _tensor_apply(Ax, Ay, C):
-    """out[x, y, c] = sum_ij Ax[x, i] Ay[y, j] C[i, j, c], one direction at
-    a time (sum factorisation over the tensor grid)."""
-    return np.tensordot(Ax, np.tensordot(Ay, C, axes=(1, 1)), axes=(1, 1))
+    """out[c, x, y] = sum_ij Ax[x, i] Ay[y, j] C[c, i, j] on a
+    component-major C, one direction at a time (sum factorisation over the
+    tensor grid): two matmuls, the eta direction first."""
+    return Ax @ (C @ Ay.T)
 
 
 class SplineMap:
@@ -67,17 +68,19 @@ class SplineMap:
         return self.control.reshape(self.basis.n_xi, self.basis.n_eta, 2)
 
     def grid_jet(self, xs, ys, nderiv: int = 1):
-        """The map on the tensor grid ``xs`` x ``ys`` as dense (nx, ny, 2)
-        arrays: its value ``"x"`` and, for ``nderiv`` 1, its parametric
-        derivatives ``"x_xi"`` and ``"x_eta"``."""
+        """The map on the tensor grid ``xs`` x ``ys`` as (nx, ny, 2) arrays:
+        its value ``"x"`` and, for ``nderiv`` 1, its parametric derivatives
+        ``"x_xi"`` and ``"x_eta"``. Each is computed component-major, by
+        two matmuls on the (2, n_xi, n_eta) net, and returned as an (nx, ny,
+        2) view of that (2, nx, ny) array."""
         Bx = self.basis.kv_xi.collocation(xs, nderiv)
         By = self.basis.kv_eta.collocation(ys, nderiv)
-        C = self.net()
+        C = self.control.T.reshape(2, self.basis.n_xi, self.basis.n_eta)
         out = {"x": _tensor_apply(Bx[0], By[0], C)}
         if nderiv:
             out["x_xi"] = _tensor_apply(Bx[1], By[0], C)
             out["x_eta"] = _tensor_apply(Bx[0], By[1], C)
-        return out
+        return {k: np.moveaxis(v, 0, -1) for k, v in out.items()}
 
     def copy(self):
         return SplineMap(self.basis, self.control.copy())
@@ -201,9 +204,9 @@ def winslow_gradient(m: SplineMap, quad_order: int = None):
     Bx = m.basis.kv_xi.collocation(px, 1)
     By = m.basis.kv_eta.collocation(py, 1)
     W2e = W2[..., None]
-    grad = (_tensor_apply(Bx[1].T, By[0].T, W2e * Fa)
-            + _tensor_apply(Bx[0].T, By[1].T, W2e * Fb))
-    return W, grad.reshape(m.basis.dim, 2)[m.inner_indices]
+    grad = (_tensor_apply(Bx[1].T, By[0].T, np.moveaxis(W2e * Fa, -1, 0))
+            + _tensor_apply(Bx[0].T, By[1].T, np.moveaxis(W2e * Fb, -1, 0)))
+    return W, grad.reshape(2, m.basis.dim).T[m.inner_indices]
 
 
 def winslow_descent(m: SplineMap, quad_order: int = None, max_iter: int = 400,

@@ -495,6 +495,18 @@ def per_line_svg_isolines(maps, resolution):
     return polylines
 
 
+def per_point_csv_text(patches_samples):
+    """CSV point table of sampled patches, formatted one numpy scalar row
+    at a time."""
+    lines = ["patch,i,j,s,t,x,y,detj"]
+    for pi, (xs, ys, X, detj) in enumerate(patches_samples):
+        for i in range(len(xs)):
+            for j in range(len(ys)):
+                lines.append("%d,%d,%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+                    pi, i, j, xs[i], ys[j], X[i, j, 0], X[i, j, 1], detj[i, j]))
+    return "\n".join(lines) + "\n"
+
+
 def per_point_svg_points(polyline):
     """The ``points`` attribute of one SVG polyline, formatted one numpy
     scalar pair at a time."""

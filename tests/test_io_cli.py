@@ -17,8 +17,8 @@ from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
 from eggmix.errors import InputError
 from eggmix.mapping import SplineMap
 
-from oracles import per_line_svg_isolines, per_point_svg_points, \
-    per_point_vtk_text, two_pass_quality_block, two_pass_quality_text
+from oracles import per_line_svg_isolines, per_point_csv_text, \
+    per_point_svg_points, per_point_vtk_text, two_pass_quality_block, two_pass_quality_text
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 RESTART = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "restart"
@@ -318,6 +318,17 @@ def test_vtk_matches_per_point_format(solution, tmp_path):
         path = out if len(maps) == 1 else tmp_path / f"grid_p{pi}.vtk"
         want = per_point_vtk_text(*eggmix.io_cli._sample_patch(pmap, 3))
         assert path.read_text(encoding="utf-8") == want
+
+
+@pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
+                         ids=lambda p: p.name.split(".")[0])
+def test_csv_matches_per_point_format(solution, tmp_path):
+    _, maps = solution_patch_maps(load_solution(solution))
+    out = tmp_path / "grid.csv"
+    assert run_cli("sample", solution, "--format", "csv", "--resolution", 3,
+                   "--out", out) == 0
+    want = per_point_csv_text([eggmix.io_cli._sample_patch(m, 3) for m in maps])
+    assert out.read_text(encoding="utf-8") == want
 
 
 @pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
@@ -996,3 +1007,99 @@ def test_stalled_level_ends_a_coarse_to_fine_run(tmp_path, monkeypatch):
     for key in ("residual_norms", "gmres_iterations", "nu_values"):
         assert rep[key] == [v for lv in levels for v in lv[key]], key
     assert rep["final_residual"] == levels[1]["final_residual"]
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing_dir", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("read_only_dir", "Permission denied")])
+def test_unwritable_output_refused_before_any_work(target, reason, square_solution,
+                                                   tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "out.json"
+    if target == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+    elif target == "read_only_dir":
+        out.parent.mkdir()
+        # a directory without write access, also when the tests run as root
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+
+    def never(*args, **kwargs):
+        raise AssertionError("called with an output that cannot be written")
+
+    monkeypatch.setattr(eggmix.io_cli, "newton_solve", never)
+    monkeypatch.setattr(eggmix.io_cli, "load_geometry", never)
+    monkeypatch.setattr(eggmix.io_cli, "load_solution", never)
+    assert run_cli("solve", bundled_path("bat"), "--coarse-levels", 1,
+                   "--out", out) == 1
+    assert capsys.readouterr().err == f"input error: cannot write {out}: {reason}\n"
+    for fmt in ("vtk", "svg", "csv"):
+        assert run_cli("sample", square_solution, "--format", fmt,
+                       "--out", out) == 1
+        assert capsys.readouterr().err == \
+            f"input error: cannot write {out}: {reason}\n"
+    assert list(tmp_path.rglob("*")) == ([] if target == "missing_dir" else
+                                         [out if target == "directory" else out.parent])
+
+
+def test_multipatch_vtk_export_is_all_or_nothing(tmp_path, capsys):
+    # the bat has three patches; the second one's file cannot be written
+    blocked = tmp_path / "vt_p1.vtk"
+    blocked.mkdir()
+    earlier = tmp_path / "vt_p2.vtk"
+    earlier.write_text("earlier run\n")
+    assert run_cli("sample", RESTART / "bat.solution.json", "--format", "vtk",
+                   "--out", tmp_path / "vt.vtk") == 1
+    cap = capsys.readouterr()
+    assert cap.err == f"input error: cannot write {blocked}: Is a directory\n"
+    assert "wrote" not in cap.out
+    assert sorted(tmp_path.rglob("*")) == [blocked, earlier]
+    assert earlier.read_text() == "earlier run\n"
+
+
+def test_root_finding_has_no_empty_pointer(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1]")
+    assert run_cli("check", p) == 1
+    assert capsys.readouterr().out == "error: document must be a JSON object\n"
+    assert run_cli("solve", p, "--out", tmp_path / "list.solution.json") == 1
+    assert capsys.readouterr().err == \
+        "input error: document must be a JSON object\n"
+
+
+def test_solution_file_is_one_compact_line(tmp_path):
+    out = tmp_path / "bat.solution.json"
+    assert run_cli("solve", bundled_path("bat"), "--out", out) == 0
+    text = out.read_text(encoding="utf-8")
+    sol = json.loads(text)
+    assert text == json.dumps(sol, sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    # the residual of the returned iterate, as the solve reported it
+    assert sol["residual_norm"] == sol["report"]["final_residual"]
+    system, c, _ = solution_system(sol)
+    d = system.project_d(c)
+    rl = system.eval_RL(d, c)
+    rn = system.eval_RN(d, c)
+    norm = float(np.sqrt(rl @ rl + rn @ rn))
+    assert abs(norm - sol["residual_norm"]) <= 1e-7 * norm
+
+
+def test_parse_reuses_the_knot_vectors_of_validation(monkeypatch):
+    from eggmix.splines import KnotVector
+    built = []
+    init = KnotVector.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KnotVector, "__init__", counting)
+    doc = load_bundled("bat")
+    validate_geometry(doc)
+    n_validate = len(built)
+    built.clear()
+    geo = parse_geometry(doc)
+    assert n_validate == 2 * len(doc["patches"])
+    assert len(built) == n_validate
+    assert {id(kv) for tb in geo.topology.bases
+            for kv in (tb.kv_xi, tb.kv_eta)} <= {id(kv) for kv in built}

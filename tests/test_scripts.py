@@ -59,7 +59,11 @@ BENCH_RECORD_KEYS = {
         "n_sigma", "calls", "eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
         "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms", "ainv_exact_ms",
         "build_plus_six_applies_ms", "peak_rss_mb"},
+    "post-L0": {"calls", "geometries", "peak_rss_mb"},
 }
+POST_KEYS = {"n_patches", "converged", "load_maps_ms", "quality_ms", "document_ms",
+             "write_solution_ms", "vtk_ms", "svg_ms", "solution_bytes", "vtk_bytes",
+             "svg_bytes"}
 
 
 @pytest.mark.parametrize("case", sorted(BENCH_RECORD_KEYS))
@@ -79,3 +83,10 @@ def test_bench_case_prints_one_record(case):
     if case == "lbend-xi-L0":
         assert (record["newton"], record["gmres"], record["rn_evals"]) == (6, 23, 30)
         assert record["converged"] and record["gmres_all_converged"]
+    if case == "post-L0":
+        geometries = record["geometries"]
+        assert set(geometries) == {"bat", "lbend", "quarter_annulus", "square",
+                                   "tube", "two_patch_square"}
+        for r in geometries.values():
+            assert set(r) == POST_KEYS and r["converged"]
+            assert min(r["solution_bytes"], r["vtk_bytes"], r["svg_bytes"]) > 0
