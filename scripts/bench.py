@@ -119,6 +119,8 @@ SETUP_CASES = {
 }
 # key -> (geometry, mode, h-refinement level, folded start, calls timed)
 KERNEL_CASES = {
+    "lbend-xi-L0-kernels": ("lbend", "xi", 0, False, 200),
+    "bat-folded-L0-kernels": ("bat", "full", 0, True, 200),
     "lbend-xi-L1-kernels": ("lbend", "xi", 1, False, 40),
     "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
     "bat-folded-L3-kernels": ("bat", "full", 3, True, 5),
@@ -332,7 +334,7 @@ def run_kernel_case(key):
     system, c0 = start_system(name, mode, level, folded)
     d0 = system.project_d(c0)
     y = np.random.default_rng(0).standard_normal(system.c_size)
-    moments = system._derivative_moments(system.full_control_net(c0))
+    moments = system._derivative_moments(system._flat_net(c0))
     K = system.frozen_laplacian(c0)  # builds the Laplacian's factors and layout
     # the preconditioner build without the assembly of K: the factor alone,
     # in place on the band the timed frozen_laplacian call before it returned

@@ -7,25 +7,35 @@ functions ``Bx.T @ (w U) @ By``. The residual contracts the eta direction
 first, on the coefficients, and then walks the xi Gauss points in strips of
 whole spans sized to the cache (``STRIP_BYTES``): each strip multiplies only
 the band of xi factor columns active on its spans, so its share of the xi
-contractions and all of its pointwise work stay on strip-sized arrays. The
-strips leave the metric of every Gauss point behind, tagged with its
-iterate, and the frozen-metric Laplacian takes it from there. The constant
-blocks are separable: a patch's auxiliary mass moments are ``vol Mxi D
-Meta.T``, its derivative moments ``vol (ia[0, d] Kxi C Oeta.T + ia[1, d]
-Oxi C Keta.T)``, with dense univariate integral factors. Every univariate
-factor of a patch direction, collocation and integral alike, comes from one
-B-spline table per knot vector (primal and auxiliary) on that direction's
-Gauss grid, made by :func:`build_quadrature` once per distinct knot vector
-of the system: patch directions with the same knots share one read-only
-:class:`DirectionFactors`. The coupled auxiliary mass is solved exactly by
-static condensation onto the auxiliary DOFs that patches share (Kronecker
-solves on each patch's remaining tensor range, as two dense products with
-the univariate inverses, and one dense Cholesky factor on the shared DOFs),
-and the frozen-metric Laplacian that preconditions the Schur GMRES is summed
-from univariate pair factors, of the xi pairs i <= j alone since it is
+contractions and all of its pointwise work stay on strip-sized arrays. Grid
+arrays are component-major, (component, xi point, eta point), so that the
+metric g11, g22, g12 and the pointwise residual are sums of products of
+whole planes. The strips leave the metric of every Gauss point behind,
+tagged with its iterate, and the frozen-metric Laplacian takes it from
+there. The constant blocks are separable: a patch's auxiliary mass moments
+are ``vol Mxi D Meta.T``, its derivative moments ``vol (ia[0, d] Kxi C
+Oeta.T + ia[1, d] Oxi C Keta.T)``, with dense univariate integral factors.
+Every univariate factor of a patch direction, collocation and integral
+alike, comes from one B-spline table per knot vector (primal and
+auxiliary) on that direction's Gauss grid, made by :func:`build_quadrature`
+once per distinct knot vector of the system: patch directions with the same
+knots share one read-only :class:`DirectionFactors`. The coupled auxiliary
+mass is solved exactly by static condensation onto the auxiliary DOFs that
+patches share (Kronecker solves on each patch's remaining tensor range, as
+two dense products with the univariate inverses, and one dense Cholesky
+factor on the shared DOFs, solved by LAPACK ``potrs``), and the
+frozen-metric Laplacian that preconditions the Schur GMRES is summed from
+univariate pair factors, of the xi pairs i <= j alone since it is
 symmetric, straight into its lower band storage, in a bandwidth-reducing
 order fixed once per system, and factored there by banded Cholesky. A
 single patch is a 1-patch topology on the same code path.
+
+The per-iterate kernels, the residual pass, the derivative moments and the
+mass solve, run on plans built on first use (:meth:`MixedSystem._plans`):
+per patch and strip the views of the factor blocks, the gather and scatter
+positions, and every ``out=`` view into scratch arrays that all patches and
+kernels share, so that a call sets nothing up and allocates no grid-sized
+array. Every kernel returns a fresh array, never a view of the scratch.
 """
 from __future__ import annotations
 
@@ -33,14 +43,14 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy import sparse
 from scipy.sparse import csgraph
 
 from .errors import CornerMismatchError, InputError, ModeError
-from .linalg import Banded1DCholesky, KronSolver
+from .linalg import Banded1DCholesky, DenseCholesky, KronSolver
 from .multipatch import PatchTopology, single_patch_topology
 from .splines import KnotVector, TensorBasis
 
@@ -365,9 +375,14 @@ class _LaplacianFactors:
 
 @dataclass
 class _PatchContext:
-    """Per-patch data of the kernels. Grid arrays are indexed (xi Gauss
-    point, component, eta Gauss point), or (xi Gauss point, eta Gauss point)
-    for scalars.
+    """Per-patch data of the kernels. Grid arrays are component-major,
+    indexed (component, xi Gauss point, eta Gauss point), or (xi Gauss
+    point, eta Gauss point) for scalars, so that the metric and the
+    residual's pointwise values are sums of products of whole planes.
+    Coefficient arrays are indexed (component or field, xi function, eta
+    function), like the flat control net (component after component, see
+    :meth:`MixedSystem._flat_net`) and the flat auxiliary coefficients
+    (field after field).
 
     ``strips`` cuts the xi Gauss points into strips of whole spans, each
     ``(points, cols, bar_cols)``: the slice of its points and the slices of
@@ -386,14 +401,13 @@ class _PatchContext:
     ``inner`` = (sx, sy), whose mass vol Mxi[sx, sx] (x) Meta[sy, sy] ``kron``
     solves. ``gx`` holds the columns ``rows`` of Gxi = Mxi[sx, sx]^-1
     Mxi[sx, :], the identity on every other column, and ``gy`` those of
-    Geta."""
+    Geta. The face DOFs are ordered rows x sy, rows x cols, sx x cols."""
     cache: QuadratureCache
     inv_a: np.ndarray
     vol: float
     wgrid: np.ndarray          # (n_xi points, n_eta points) vol * w_xi (x) w_eta
-    sig_idx: np.ndarray        # (n_xi, 2, n_eta) positions in the flat control net
-    bar_idx: np.ndarray        # (n_aux, nbar_xi, 2, nbar_eta) positions in flat d
-    out_idx: np.ndarray        # (n_xi, 2, n_eta) positions in R_N, 2 n_inner if fixed
+    sig_idx: np.ndarray        # (2, n_xi, n_eta) positions in the flat control net
+    bar_idx: np.ndarray        # (n_fields, nbar_xi, nbar_eta) positions in flat d
     combo: np.ndarray          # _residual_combination of the patch
     strips: list               # _strip_layout of the xi direction
     metric: np.ndarray         # (4, n_xi points, n_eta points) g11, g22, g12, w / denom
@@ -406,8 +420,122 @@ class _PatchContext:
     cols: slice = field(init=False)           # glued eta lines
     gx: np.ndarray = field(init=False)        # (|sx|, |rows|)
     gy: np.ndarray = field(init=False)        # (|sy|, |cols|)
-    inner_out: np.ndarray = field(init=False)   # (n_fields, |sx| |sy|) flat output positions
-    face_dofs: np.ndarray = field(init=False)   # interface positions of the face DOFs
+    face_local: np.ndarray = field(init=False)  # positions of the face DOFs in the patch
+    face_dofs: np.ndarray = field(init=False)   # their positions on the interface
+
+
+@dataclass
+class _StripPlan:
+    """The operands of one strip of :meth:`MixedSystem._strip_pass`, fixed
+    on first use: views of the strip's xi factor blocks, of the system's
+    shared scratch and of the patch's metric and weights, every ``out=`` of
+    the pass among them. (Contiguous copies of the factor blocks measured no
+    faster, and took 6.9 MB at bat L3.)
+
+    ``products`` are the xi products (factor, operand, out) into the raw
+    rows: one per primal jet group, the factor ``xi.sig[k0:k1]`` on the
+    strip's block with a broadcast component axis and the operand that
+    group's eta-contracted coefficients on the strip's columns, and one for
+    the auxiliary fields, s-derivatives then t-derivatives. ``test`` is
+    ``xi.sig[0]`` on the strip's block, transposed, and ``acc`` the strip's
+    columns of the patch's moment accumulator."""
+    products: list
+    rows: np.ndarray        # (n_rows, 2 n_pts npy) raw rows
+    Z: np.ndarray           # (5, 2 n_pts npy) combo @ rows
+    # Z as (5, 2, n_pts, npy): [0], [1], [:2], [:2, 0], [:2, 1], [2:], [2], [3], [4]
+    z: tuple
+    # the metric on the strip, (4, n_pts, npy): [0], [1], [2], [3], [:2], [:3, None]
+    g: tuple
+    weights: np.ndarray     # (n_pts, npy) strip of wgrid
+    U: tuple                # (2, n_pts, npy) and its two planes
+    test: np.ndarray        # (n_cols, n_pts)
+    moments: np.ndarray     # (2, n_cols, npy)
+    acc: np.ndarray         # (2, n_cols, npy) view of the accumulator
+
+
+@dataclass
+class _PatchPlan:
+    """The residual pass and the derivative moments of one patch, fixed on
+    first use (:meth:`MixedSystem._plans`): the gather positions, the
+    transposed eta factors, the views of the shared scratch
+    that hold the gathered and eta-contracted coefficients and the xi
+    moments, the patch's segment of the residual moments of all patches,
+    and one :class:`_StripPlan` per strip. ``laplacian`` is the scratch of
+    :meth:`MixedSystem.frozen_laplacian`'s metric products on the patch,
+    ``derivatives`` that of :meth:`MixedSystem._derivative_moments` (its
+    products C [Oeta^T | Keta^T], as they are and as the right operand of
+    the left factor, and the left factor with a broadcast component axis)."""
+    ctx: _PatchContext
+    sig_take: np.ndarray    # (2 n_xi, n_eta) sig_idx
+    bar_take: np.ndarray    # (n_fields nbar_xi, nbar_eta) bar_idx
+    C: np.ndarray           # (2 n_xi, n_eta) gathered control net
+    E: np.ndarray           # (n_groups, 2 n_xi, npy) C @ eta.sig[l].T
+    eta_sig: np.ndarray     # (n_groups, n_eta, npy)
+    F: np.ndarray           # (2, n_fields nbar_xi, npy) D @ eta.bar[l].T
+    eta_bar: np.ndarray     # (2, nbar_eta, npy)
+    acc: np.ndarray         # (2 n_xi, npy) xi moments
+    eta_test: np.ndarray    # (npy, n_eta) eta.sig[0]
+    out: np.ndarray         # (2 n_xi, n_eta) segment of the moments of all patches
+    strips: list
+    laplacian: np.ndarray   # (4, npx npy)
+    derivatives: tuple
+
+
+@dataclass
+class _MassPatch:
+    """The condensed mass solve of one patch, fixed on first use
+    (:meth:`MixedSystem._plans`). ``b`` is the patch's segment of the
+    interior moments of all patches, overwritten by its interior values.
+    The face fields are None on a patch without glued faces:
+    ``corr`` and ``y`` are the views, on the face blocks rows x sy, rows x
+    cols and sx x cols, of the patch's segments of M_GammaI z_I and of the
+    interface values; ``left`` = [gx | Y_cols] holds gx for good and
+    ``right`` = [Y_rows Geta^T ; gy^T] holds gy^T, and ``update`` takes
+    their product."""
+    kron: KronSolver
+    b: np.ndarray                 # (n_fields, |sx| |sy|)
+    b3: np.ndarray                # b as (n_fields, |sx|, |sy|)
+    # the patch's columns of the union moments, as (nbar_xi, nbar_eta)
+    # blocks of every field, and the range sx x sy in them
+    block: tuple
+    gx_t: np.ndarray = None       # (|rows|, |sx|)
+    gy: np.ndarray = None         # (|sy|, |cols|)
+    gy_t: np.ndarray = None       # (|cols|, |sy|)
+    corr: tuple = None
+    y: tuple = None
+    left: np.ndarray = None       # (n_fields, |sx|, |rows| + |cols|)
+    left_y: np.ndarray = None     # its Y_cols columns
+    right: np.ndarray = None      # (n_fields, |rows| + |cols|, |sy|)
+    right_y: np.ndarray = None    # its Y_rows Geta^T rows
+    update: np.ndarray = None     # (n_fields, |sx|, |sy|)
+
+
+@dataclass
+class _MassPlan:
+    """The condensed mass solve of :meth:`MixedSystem._mass_pcg`, fixed on
+    first use (:meth:`MixedSystem._plans`): one :class:`_MassPatch` per
+    patch, the moments and values of all patches in flat arrays, patch
+    after patch and field after field within a patch, the positions that
+    gather the face moments from the flat union moments, and those that
+    scatter the values into the flat solution, field after field."""
+    patches: list
+    faced: list                   # the patches with glued faces
+    interiors: np.ndarray         # interior moments, then values
+    interior_put: np.ndarray      # their positions in the solution
+    faces: np.ndarray             # face moments, then minus M_GammaI z_I
+    corr: np.ndarray              # M_GammaI z_I, laid out as ``faces``
+    face_take: np.ndarray         # positions of the face moments in the union moments
+    face_bins: np.ndarray         # their positions on the interface, (n_fields, n_gamma)
+    y_faces: np.ndarray           # the interface values on the faces
+    gamma_put: np.ndarray         # positions of the interface values in the solution
+
+
+class _Plans(NamedTuple):
+    """The plans of the per-iterate kernels of a system
+    (:meth:`MixedSystem._plans`)."""
+    patches: list           # one _PatchPlan per patch
+    moments: np.ndarray     # residual moments of all patches, laid out as _rn_bins
+    mass: _MassPlan
 
 
 def _glued_lines(n, faces, unglued):
@@ -457,8 +585,11 @@ class MixedSystem:
         boundary_values = np.asarray(boundary_values, dtype=float)
         if boundary_values.shape != (len(topology.boundary_indices), 2):
             raise InputError("boundary value array shape mismatch")
-        self._template = np.zeros((topology.n_sigma, 2))
-        self._template[topology.boundary_indices] = boundary_values
+        # the boundary data with zero inner points, in the kernels' flat
+        # layout (_flat_net)
+        template = np.zeros((2, topology.n_sigma))
+        template[:, topology.boundary_indices] = boundary_values.T
+        self._flat_template = template.ravel()
 
         self._jet_groups = FIRST_JET if mode == "full" else SECOND_JET
         self._build_patches()
@@ -497,11 +628,12 @@ class MixedSystem:
         directions = [0] if self.mode == "xi" else [1] if self.mode == "eta" else [0, 1]
         inner_of = np.full(topo.n_sigma, 2 * self.n_inner)
         inner_of[topo.inner_indices] = np.arange(self.n_inner)
-        comp = np.arange(2)[:, None]
-        fields = 2 * np.arange(n_aux)[:, None, None, None] + comp
+        comp = np.arange(2)[:, None, None]
+        fields = np.arange(self.n_fields)[:, None, None]
         jet_rows = sum(k1 - k0 for _, k0, k1 in self._jet_groups)
         tables = {}
         self.patches = []
+        bins = []
         for i in range(topo.n_patches):
             tb, bb = topo.bases[i], topo.bar_bases[i]
             cache = build_quadrature(tb, bb, self.mode != "full", tables)
@@ -509,8 +641,11 @@ class MixedSystem:
             vol = abs(am.det)
             ia = am.inv
             fx, fy = cache.xi, cache.eta
-            sig = topo.sig_l2g[i].reshape(tb.n_xi, 1, tb.n_eta)
+            sig = topo.sig_l2g[i].reshape(tb.n_xi, tb.n_eta)
+            # positions in R_N of the patch's moments, 2 n_inner if fixed
             inner = inner_of[sig]
+            bins.append(np.where(inner < self.n_inner, comp * self.n_inner + inner,
+                                 2 * self.n_inner).ravel())
             npx, npy = len(fx.points), len(fy.points)
             # the doubles a strip's residual pass holds per grid point: the
             # raw rows and their combination Z (both components), U, the
@@ -524,17 +659,16 @@ class MixedSystem:
                 inv_a=ia,
                 vol=vol,
                 wgrid=vol * np.multiply.outer(fx.weights, fy.weights),
-                sig_idx=2 * sig + comp,
+                sig_idx=comp * topo.n_sigma + sig,
                 bar_idx=fields * topo.n_sigbar
-                + topo.bar_l2g[i].reshape(1, bb.n_xi, 1, bb.n_eta),
-                out_idx=np.where(inner < self.n_inner, comp * self.n_inner + inner,
-                                 2 * self.n_inner),
+                + topo.bar_l2g[i].reshape(bb.n_xi, bb.n_eta),
                 combo=_residual_combination(self.mode, self.chi, ia, n_aux),
                 strips=_strip_layout(fx, point_bytes),
                 metric=np.empty((4, npx, npy)),
                 left=left,
                 right=np.concatenate([fy.obar.T, fy.kbar.T], axis=1),
                 mass=(vol * fx.mbar, fy.mbar)))
+        self._rn_bins = np.concatenate(bins)
 
     def _build_mass(self):
         """Static condensation of the coupled auxiliary mass A onto Gamma,
@@ -569,12 +703,12 @@ class MixedSystem:
             ctx.gx = ctx.kron.inv_xi @ mx[sx, ctx.rows]
             ctx.gy = ctx.kron.inv_eta @ my[sy, ctx.cols]
             local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
-            ctx.inner_out = (topo.n_sigbar * np.arange(self.n_fields)[:, None]
-                             + topo.bar_l2g[i][local[sx, sy].ravel()])
-            # face DOFs: the glued xi lines whole, then the glued eta lines
-            # inside the range sx
-            face = np.concatenate([local[ctx.rows].ravel(),
+            # face DOFs: the glued xi lines, in the range sy and then on the
+            # glued eta lines, then the glued eta lines inside the range sx
+            face = np.concatenate([local[ctx.rows, sy].ravel(),
+                                   local[ctx.rows, ctx.cols].ravel(),
                                    local[sx, ctx.cols].ravel()])
+            ctx.face_local = face
             ctx.face_dofs = position[topo.bar_l2g[i][face]]
             if not face.size:
                 continue
@@ -592,9 +726,7 @@ class MixedSystem:
                 np.concatenate([k.ravel() for k in keys]),
                 weights=np.concatenate([s.ravel() for s in blocks]),
                 minlength=n_gamma * n_gamma).reshape(n_gamma, n_gamma)
-            self._gamma_factor = scipy.linalg.cho_factor(schur, lower=True)
-        self._face_bins = (n_gamma * np.arange(self.n_fields)[:, None]
-                           + np.concatenate([ctx.face_dofs for ctx in self.patches]))
+            self._gamma_factor = DenseCholesky(schur)
         self._tilde_bounds = list(zip(topo.tilde_offsets[:-1], topo.tilde_offsets[1:]))
 
     # -- shapes and layout -------------------------------------------------
@@ -629,9 +761,27 @@ class MixedSystem:
         net = np.asarray(net, dtype=float)
         return np.concatenate([net[:, 0], net[:, 1]])
 
+    @property
+    def _template(self):
+        """The boundary data as a full (n_sigma, 2) control net with zero
+        inner points, for the readers of the point-major layout (the
+        command line, the coarse-to-fine solve): a view of the flat one."""
+        return self._flat_template.reshape(2, -1).T
+
     def full_control_net(self, c):
-        net = self._template.copy()
-        net[self.topology.inner_indices] = self.c_as_net(c)
+        return self._flat_net(c).reshape(2, -1).T.copy()
+
+    def _flat_net(self, c, boundary=True):
+        """The full control net of the inner coefficients c as one flat
+        array, component after component: the layout the kernels gather
+        their coefficients from (``sig_idx``). Its boundary points are the
+        boundary data, or zero when not ``boundary``."""
+        net = self._flat_template.copy() if boundary \
+            else np.zeros(2 * self.topology.n_sigma)
+        inner, c = self.topology.inner_indices, self.c_as_net(c)
+        components = net.reshape(2, -1)
+        components[0, inner] = c[:, 0]
+        components[1, inner] = c[:, 1]
         return net
 
     # -- linear part -------------------------------------------------------
@@ -648,7 +798,7 @@ class MixedSystem:
             shape = (self.n_fields, len(mx), len(my))
             np.matmul(mx, (d[:, l2g].reshape(-1, len(my)) @ my).reshape(shape),
                       out=out[:, lo:hi].reshape(shape))
-        out -= self._derivative_moments(self.full_control_net(c))
+        out -= self._derivative_moments(self._flat_net(c))
         return out
 
     def reduce_tilde(self, tilde):
@@ -671,85 +821,150 @@ class MixedSystem:
         the boundary data and the discretisation, scales with the domain,
         and is zero when all boundary points coincide."""
         bnd = self.topology.boundary_indices
-        net = np.zeros_like(self._template)
-        net[bnd] = self._template[bnd] - self._template[bnd[0]]
+        template = self._flat_template.reshape(2, -1)
+        net = np.zeros((2, self.topology.n_sigma))
+        net[:, bnd] = template[:, bnd] - template[:, bnd[:1]]
         return float(np.linalg.norm(
             self.reduce_tilde(self._derivative_moments(net))))
 
     # -- nonlinear part ------------------------------------------------------
 
     def _scratch(self, name, *shape):
-        """A scratch array of the per-iterate kernels, reused across calls,
-        patches and strips: their arrays have the same shapes at every
-        iterate, and fresh ones cost a page fault per 4 KB whenever the C
-        allocator has handed the freed memory back to the system."""
+        """A view of a scratch array shared by the per-iterate kernels of
+        all patches, grown to ``shape`` if it is smaller: their arrays have
+        the same shapes at every iterate, and fresh ones cost a page fault
+        per 4 KB whenever the C allocator has handed the freed memory back
+        to the system. The plans (:meth:`_plans`) take every view once."""
         size = math.prod(shape)
         buf = self._buffers.get(name)
         if buf is None or buf.size < size:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _strip_pass(self, ctx, net, d):
-        """One walk over the xi strips of a patch at the flat control net
-        ``net`` and the auxiliary coefficients ``d``, writing g11, g22, g12
-        and w / (g11 + g22 + mu) of every Gauss point into ``ctx.metric``.
+    def _patch_plan(self, ctx, out):
+        """The :class:`_PatchPlan` of one patch, its residual moments
+        written to ``out``."""
+        fx, fy = ctx.cache.xi, ctx.cache.eta
+        groups, n_fields = self._jet_groups, self.n_fields
+        _, nx, ny = ctx.sig_idx.shape
+        _, nbx, nby = ctx.bar_idx.shape
+        npx, npy = ctx.wgrid.shape
+        n_rows = sum(k1 - k0 for _, k0, k1 in groups) + n_fields
+        E = self._scratch("eta_sig", len(groups), 2, nx, npy)
+        F = self._scratch("eta_bar", 2, n_fields, nbx, npy)
+        acc = self._scratch("moments", 2, nx, npy)
+        # the derivative moments take the scratch of the raw rows, idle there
+        T = self._scratch("rows", 2 * nx, 2 * nby)
+        strips = []
+        for pts, cols, bar_cols in ctx.strips:
+            n_pts = pts.stop - pts.start
+            rows = self._scratch("rows", n_rows, 2, n_pts, npy)
+            products, r = [], 0
+            for l, k0, k1 in groups:
+                products.append((fx.sig[k0:k1, pts, cols][:, None], E[l][:, cols],
+                                 rows[r: r + k1 - k0]))
+                r += k1 - k0
+            # s-derivatives of the auxiliary fields, then t-derivatives
+            products.append((fx.bar[::-1, pts, bar_cols][:, None], F[:, :, bar_cols],
+                             rows[r:].reshape(2, n_fields, n_pts, npy)))
+            Z = self._scratch("Z", len(ctx.combo), 2 * n_pts * npy)
+            z = Z.reshape(len(ctx.combo), 2, n_pts, npy)
+            g = ctx.metric[:, pts]
+            U = self._scratch("U", 2, n_pts, npy)
+            strips.append(_StripPlan(
+                products=products, rows=rows.reshape(n_rows, -1), Z=Z,
+                z=(z[0], z[1], z[:2], z[:2, 0], z[:2, 1], z[2:], z[2], z[3], z[4]),
+                g=(g[0], g[1], g[2], g[3], g[:2], g[:3, None]),
+                weights=ctx.wgrid[pts], U=(U, U[0], U[1]),
+                test=fx.sig[0, pts, cols].T,
+                moments=self._scratch("strip_moments", 2, cols.stop - cols.start, npy),
+                acc=acc[:, cols]))
+        return _PatchPlan(
+            ctx=ctx,
+            sig_take=ctx.sig_idx.reshape(2 * nx, ny),
+            bar_take=ctx.bar_idx.reshape(-1, nby),
+            C=self._scratch("net", 2 * nx, ny),
+            E=E.reshape(len(groups), 2 * nx, npy),
+            eta_sig=np.swapaxes(fy.sig[:len(groups)], 1, 2),
+            F=F.reshape(2, -1, npy),
+            eta_bar=np.swapaxes(fy.bar, 1, 2),
+            acc=acc.reshape(2 * nx, npy),
+            eta_test=fy.sig[0],
+            out=out.reshape(2 * nx, ny),
+            strips=strips,
+            laplacian=self._scratch("rows", 4, npx * npy),
+            derivatives=(T, T.reshape(1, 2, 2 * nx, nby), ctx.left[:, None]))
+
+    @functools.cached_property
+    def _plans(self):
+        """The :class:`_Plans`, built on first use: the
+        :class:`_PatchPlan` of every patch, the residual moments of all
+        patches, patch after patch as the positions ``_rn_bins``, so that
+        one ``bincount`` sums them, and the :class:`_MassPlan`. The
+        kernels share their scratch, so the plans are made twice: the first
+        pass grows each scratch array to the largest need of any patch and
+        kernel, and the second takes its views of the grown arrays. The
+        mass plan is made once, after its work is reserved."""
+        moments = np.empty(len(self._rn_bins))
+        bounds = np.cumsum([0] + [ctx.sig_idx.size for ctx in self.patches])
+        segments = [moments[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        for ctx, out in zip(self.patches, segments):
+            self._patch_plan(ctx, out)
+        work = self._mass_work()
+        self._scratch("rows", work.sum())
+        plans = [self._patch_plan(ctx, out) for ctx, out in zip(self.patches, segments)]
+        return _Plans(plans, moments, self._mass_plan(work))
+
+    def _strip_pass(self, plan, net, d):
+        """One walk over the xi strips of the patch of ``plan`` at the flat
+        control net ``net`` (:meth:`_flat_net`) and the auxiliary
+        coefficients ``d``, writing g11, g22, g12 and w / (g11 + g22 + mu)
+        of every Gauss point into the patch's ``metric`` and its residual
+        moments (2 n_xi, n_eta) against the test functions into
+        ``plan.out``; returns the patch's minimum denominator g11 + g22 +
+        mu.
 
         The eta direction is contracted first, on the coefficients: jet row
         (k, l) is xi.sig[k] @ E_l with E_l = C @ eta.sig[l].T, and the
         auxiliary derivatives are xi.bar[k] @ D @ eta.bar[l].T likewise.
         Each strip then multiplies only the band of xi factor columns
         active on its spans and does ``combo``, the metric and the weights
-        on strip-sized scratch. Every strip also forms the residual's
-        pointwise values w U and adds their xi moments into an accumulator;
-        the pass returns the patch's moments (n_xi, 2, n_eta) against the
-        test functions and its minimum denominator g11 + g22 + mu. The
-        metric depends on x_xi and x_eta alone, not on ``d``."""
-        fx, fy = ctx.cache.xi, ctx.cache.eta
-        npy = ctx.wgrid.shape[1]
-        groups, combo, n_aux = self._jet_groups, ctx.combo, self.n_fields // 2
-        n_rows = sum(k1 - k0 for _, k0, k1 in groups) + 2 * n_aux
-        C = net[ctx.sig_idx]
-        nx, _, ny = C.shape
-        # groups list the eta orders l = 0, 1, ... in turn
-        E = self._scratch("eta_sig", len(groups), nx, 2 * npy)
-        np.matmul(C.reshape(2 * nx, ny), np.swapaxes(fy.sig[:len(groups)], 1, 2),
-                  out=E.reshape(len(groups), 2 * nx, npy))
-        _, nbx, _, nby = ctx.bar_idx.shape
-        F = self._scratch("eta_bar", 2, n_aux, nbx, 2 * npy)
-        np.matmul(d[ctx.bar_idx].reshape(-1, nby), np.swapaxes(fy.bar, 1, 2),
-                  out=F.reshape(2, -1, npy))
-        acc = self._scratch("moments", nx, 2 * npy)
-        acc[:] = 0.0
+        on strip-sized scratch, every array component-major, so that each
+        pointwise step is one product or sum of whole planes. Every strip
+        also forms the residual's pointwise values w U and adds their xi
+        moments into an accumulator. The metric depends on x_xi and x_eta
+        alone, not on ``d``. Every operand and ``out=`` view is fixed in the
+        plan (:meth:`_patch_plan`)."""
+        ctx, mu = plan.ctx, self.mu
+        np.take(net, plan.sig_take, out=plan.C, mode="clip")
+        np.matmul(plan.C, plan.eta_sig, out=plan.E)
+        np.matmul(d[plan.bar_take], plan.eta_bar, out=plan.F)
+        plan.acc.fill(0.0)
         min_denom = np.inf
-        for pts, cols, bar_cols in ctx.strips:
-            n_pts = pts.stop - pts.start
-            rows = self._scratch("rows", n_rows, n_pts, 2 * npy)
-            r = 0
-            for l, k0, k1 in groups:
-                np.matmul(fx.sig[k0:k1, pts, cols], E[l, cols], out=rows[r: r + k1 - k0])
-                r += k1 - k0
-            # s-derivatives of the auxiliary fields, then t-derivatives
-            np.matmul(fx.bar[1, pts, bar_cols], F[0, :, bar_cols],
-                      out=rows[r: r + n_aux])
-            np.matmul(fx.bar[0, pts, bar_cols], F[1, :, bar_cols],
-                      out=rows[r + n_aux:])
-            Z = self._scratch("Z", len(combo), n_pts, 2, npy)
-            np.matmul(combo, rows.reshape(n_rows, -1), out=Z.reshape(len(combo), -1))
-            g = ctx.metric[:, pts]
-            U = self._scratch("U", n_pts, 2, npy)
-            np.sum(np.multiply(Z[0], Z[1], out=U), axis=1, out=g[2])
-            np.sum(np.square(Z[:2], out=Z[:2]), axis=2, out=g[:2])
-            denom = np.add(g[0], g[1], out=g[3])
-            denom += self.mu
-            min_denom = min(min_denom, float(denom.min()))
-            np.divide(ctx.wgrid[pts], denom, out=denom)
+        for st in plan.strips:
+            for factor, operand, out in st.products:
+                np.matmul(factor, operand, out=out)
+            np.matmul(ctx.combo, st.rows, out=st.Z)
+            x_xi, x_eta, xs, xs0, xs1, Y, Y11, Y22, Y12 = st.z
+            g11, g22, g12, w, g_diag, g_y = st.g
+            U, U0, U1 = st.U
+            np.multiply(x_xi, x_eta, out=U)
+            np.add(U0, U1, out=g12)
+            np.square(xs, out=xs)
+            np.add(xs0, xs1, out=g_diag)
+            np.add(g11, g22, out=w)
+            w += mu
+            min_denom = min(min_denom, float(w.min()))
+            np.divide(st.weights, w, out=w)
             # U = (g11 Y11 + g22 Y22 + g12 Y12) w / (g11 + g22 + mu)
-            np.sum(np.multiply(g[:3, :, None], Z[2:], out=Z[2:]), axis=0, out=U)
-            U *= denom[:, None]
-            moments = self._scratch("strip_moments", cols.stop - cols.start, 2 * npy)
-            np.matmul(fx.sig[0, pts, cols].T, U.reshape(n_pts, -1), out=moments)
-            acc[cols] += moments
-        return (acc.reshape(-1, npy) @ fy.sig[0]).reshape(nx, 2, ny), min_denom
+            np.multiply(Y, g_y, out=Y)
+            np.add(Y11, Y22, out=U)
+            U += Y12
+            U *= w
+            np.matmul(st.test, U, out=st.moments)
+            st.acc += st.moments
+        np.matmul(plan.acc, plan.eta_test, out=plan.out)
+        return min_denom
 
     def eval_RN(self, d, c):
         """Nonlinear residual: moments of the scaled operator against every
@@ -759,21 +974,19 @@ class MixedSystem:
         eta direction is contracted on the coefficients, then the xi Gauss
         points are walked in strips of whole spans, and the moments against
         the test functions are Bx.T @ (w U) @ By, xi strip by strip and
-        then eta. The metric of every Gauss point stays in the patch
-        contexts, tagged with this iterate, for :meth:`frozen_laplacian`."""
+        then eta; one ``bincount`` sums the moments of all patches. The
+        metric of every Gauss point stays in the patch contexts, tagged
+        with this iterate, for :meth:`frozen_laplacian`. The result is a
+        fresh array."""
         t0 = time.perf_counter()
-        net = self.full_control_net(c).ravel()
+        plans = self._plans
+        net = self._flat_net(c)
         d = np.asarray(d, dtype=float).ravel()
         n_res = 2 * self.n_inner
-        res = np.zeros(n_res + 1)
-        min_denom = np.inf
         # a call that fails part way leaves no tag on a half-written metric
         self._metric_net = None
-        for ctx in self.patches:
-            moments, patch_min = self._strip_pass(ctx, net, d)
-            min_denom = min(min_denom, patch_min)
-            res += np.bincount(ctx.out_idx.ravel(), weights=moments.ravel(),
-                               minlength=n_res + 1)
+        min_denom = min(self._strip_pass(plan, net, d) for plan in plans.patches)
+        res = np.bincount(self._rn_bins, weights=plans.moments, minlength=n_res + 1)
         self._metric_net = net
         self.rn_eval_count += 1
         self.rn_eval_s += time.perf_counter() - t0
@@ -866,19 +1079,21 @@ class MixedSystem:
         ``ab[d, k]`` the entry of band rows k + d and k (zero past the last
         row)."""
         lf = self._laplacian_factors
-        net = self.full_control_net(c).ravel()
+        plans = self._plans.patches
+        net = self._flat_net(c)
         if not np.array_equal(net, self._metric_net):
             self._metric_net = None
             d = np.zeros(self.d_size)
-            for ctx in self.patches:
-                self._strip_pass(ctx, net, d)
+            for plan in plans:
+                self._strip_pass(plan, net, d)
             self._metric_net = net
         entries = []
-        for ctx, fx, fy, to_m in zip(self.patches, lf.x, lf.y, lf.metric_maps):
+        for plan, fx, fy, to_m in zip(plans, lf.x, lf.y, lf.metric_maps):
+            ctx = plan.ctx
             npx, npy = ctx.wgrid.shape
             g = ctx.metric.reshape(4, -1)
             # M takes the scratch of the residual's raw rows, idle here
-            M = np.matmul(to_m[:, :3], g[:3], out=self._scratch("rows", 4, npx * npy))
+            M = np.matmul(to_m[:, :3], g[:3], out=plan.laplacian)
             M += to_m[:, 3:]
             M *= g[3]
             # (4 (|S_xi| + n_xi) / 2, n_eta points): X_ab^T M_ab per pairing
@@ -913,126 +1128,183 @@ class MixedSystem:
     # -- A^-1 products -------------------------------------------------------
 
     def _derivative_moments(self, net):
-        """Union moments of the (x_xi, x_eta) fields of a full control net,
-        one row per auxiliary field: on patch i, field (direction d,
-        component k) has vol (ia[0, d] Kxi C_k Oeta^T + ia[1, d] Oxi C_k
-        Keta^T). Both components take the right factor [Oeta^T | Keta^T] in
-        one product, then each direction its left factor [vol ia[0, d] Kxi |
-        vol ia[1, d] Oxi], columns interleaved (column 2a + r meets half r
-        at xi function a), in one product written into the union layout."""
-        net = net.ravel()
+        """Union moments of the (x_xi, x_eta) fields of a flat control net
+        (:meth:`_flat_net`), one row per auxiliary field: on patch i, field
+        (direction d, component k) has vol (ia[0, d] Kxi C_k Oeta^T +
+        ia[1, d] Oxi C_k Keta^T). Both components take the right factor
+        [Oeta^T | Keta^T] in one product, then each direction its left
+        factor [vol ia[0, d] Kxi | vol ia[1, d] Oxi], columns interleaved
+        (column 2a + r meets half r at xi function a), in one product
+        written into the union layout."""
+        net = np.ravel(net)
         out = np.empty((self.n_fields, self.topology.n_tilde))
-        for ctx, (lo, hi) in zip(self.patches, self._tilde_bounds):
-            n_dir, nbx, _ = ctx.left.shape
-            C = net[ctx.sig_idx.transpose(1, 0, 2)]
-            T = C.reshape(-1, C.shape[-1]) @ ctx.right
-            nby = T.shape[1] // 2
-            np.matmul(ctx.left[:, None], T.reshape(1, 2, -1, nby),
-                      out=out[:, lo:hi].reshape(n_dir, 2, nbx, nby))
+        for plan, (lo, hi) in zip(self._plans.patches, self._tilde_bounds):
+            T, T4, left = plan.derivatives
+            np.take(net, plan.sig_take, out=plan.C, mode="clip")
+            np.matmul(plan.C, plan.ctx.right, out=T)
+            n_dir, _, nbx, _ = left.shape
+            np.matmul(left, T4, out=out[:, lo:hi].reshape(n_dir, 2, nbx, -1))
         return out
 
+    def _mass_work(self):
+        """Sizes of the flat work arrays of the mass solve: the interior
+        moments of all patches, their face moments, M_GammaI z_I and the
+        interface values on their faces, and the largest patch's update."""
+        n_interior = [ctx.kron.n_xi * ctx.kron.n_eta for ctx in self.patches]
+        n_face = sum(ctx.face_dofs.size for ctx in self.patches)
+        return self.n_fields * np.array([sum(n_interior), n_face, n_face, n_face,
+                                         max(n_interior)])
+
+    def _mass_plan(self, work):
+        """The :class:`_MassPlan` of the condensation of
+        :meth:`_build_mass`. Its work arrays (sizes ``work``, see
+        :meth:`_mass_work`) take the scratch of the residual's raw rows,
+        idle in the mass solve."""
+        topo, k = self.topology, self.n_fields
+        fields = np.arange(k)[:, None]
+        n_gamma = len(self._gamma)
+        interiors, faces, corr, y_faces, update = np.split(
+            self._scratch("rows", work.sum()), np.cumsum(work)[:-1])
+        interior_put = np.empty(len(interiors), dtype=np.int64)
+        face_take, face_bins, patches = [], [], []
+        i_off = f_off = 0
+        for i, (ctx, (lo, hi)) in enumerate(zip(self.patches, self._tilde_bounds)):
+            (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
+            n_face = ctx.face_dofs.size
+            bb = topo.bar_bases[i]
+            local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)[ctx.inner].ravel()
+            segment = slice(i_off, i_off + k * len(local))
+            i_off = segment.stop
+            np.add(topo.n_sigbar * fields, topo.bar_l2g[i][local],
+                   out=interior_put[segment].reshape(k, -1))
+            b = interiors[segment].reshape(k, -1)
+            mp = _MassPatch(kron=ctx.kron, b=b, b3=b.reshape(k, n_xi, n_eta),
+                            block=(slice(lo, hi), (k, bb.n_xi, bb.n_eta),
+                                   (slice(None), *ctx.inner)))
+            patches.append(mp)
+            if not n_face:
+                continue
+            face_take.append(topo.n_tilde * fields + lo + ctx.face_local)
+            face_bins.append(n_gamma * fields + ctx.face_dofs)
+            split = np.cumsum([0, n_rows * n_eta, n_rows * n_cols, n_xi * n_cols])
+            shapes = ((k, n_rows, n_eta), (k, n_rows, n_cols), (k, n_xi, n_cols))
+
+            def blocks(flat):
+                seg = flat[f_off: f_off + k * n_face].reshape(k, -1)
+                return tuple(seg[:, a:z].reshape(shape)
+                             for a, z, shape in zip(split[:-1], split[1:], shapes))
+            mp.corr, mp.y = blocks(corr), blocks(y_faces)
+            f_off += k * n_face
+            mp.gx_t = ctx.gx.T
+            mp.gy = ctx.gy
+            mp.gy_t = ctx.gy.T
+            mp.left = np.empty((k, n_xi, n_rows + n_cols))
+            mp.left[:, :, :n_rows] = ctx.gx
+            mp.left_y = mp.left[:, :, n_rows:]
+            mp.right = np.empty((k, n_rows + n_cols, n_eta))
+            mp.right[:, n_rows:] = ctx.gy.T
+            mp.right_y = mp.right[:, :n_rows]
+            mp.update = update[:b.size].reshape(mp.b3.shape)
+
+        def joined(parts):
+            return np.concatenate([p.ravel() for p in parts] + [np.zeros(0, np.int64)])
+        return _MassPlan(
+            patches=patches, faced=[mp for mp in patches if mp.left is not None],
+            interiors=interiors, interior_put=interior_put,
+            faces=faces, corr=corr, face_take=joined(face_take),
+            face_bins=joined(face_bins), y_faces=y_faces,
+            gamma_put=(topo.n_sigbar * fields + self._gamma).ravel())
+
     def _mass_pcg(self, tilde):
-        """Exact coupled A^-1 applied to every row of the union moments
-        ``tilde`` (one row per field, at most ``n_fields`` rows), all fields
-        batched, by the static condensation of :meth:`_build_mass`.
+        """Exact coupled A^-1 applied to the union moments ``tilde``, one
+        C-ordered row per field, all fields batched, by the static
+        condensation of :meth:`_build_mass`; every operand and index is
+        fixed in :meth:`_mass_plan`.
 
         Per patch, the interior moments b_I of every field are solved by one
         batched Kronecker solve, z_I = M_II^-1 b_I (two dense products with
         the univariate inverses), and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
         taken on the face DOFs alone, by contractions with the glued columns
         of Gxi and Geta. The interface moments of all fields are summed by
-        one ``bincount``, one dense Cholesky solve on Gamma gives the
-        interface values y, and the back-substitution x_I = z_I - (Gxi (x)
-        Geta) y is one low-rank product per patch, scattered with the
-        interior values in one assignment per patch. A patch without glued
+        one ``bincount``, one dense Cholesky solve on Gamma (LAPACK
+        ``potrs``) gives the interface values y, and the back-substitution
+        x_I = z_I - (Gxi (x) Geta) y is one low-rank product per patch. One
+        gather takes the face moments of all patches and one scatter puts
+        the interior values of all patches. A patch without glued
         faces skips the face work, so with no shared DOFs (a single patch)
         this is the plain Kronecker solve. The name is that of the
         conjugate-gradient solve this replaced; it stays because
         ``perfbench/tracing.py`` looks the method up by it, until the
-        benchmark's hooks are renamed (ROADMAP item 5)."""
-        k = len(tilde)
-        interiors, faces = [], []
-        for ctx, (lo, hi) in zip(self.patches, self._tilde_bounds):
-            sx, sy = ctx.inner
-            (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
-            t = tilde[:, lo:hi].reshape(k, n_xi + n_rows, n_eta + n_cols)
-            b = t[:, sx, sy]
-            interiors.append(
-                ctx.kron.solve_block(b.reshape(k, -1)).reshape(k, n_xi, n_eta))
-            if ctx.face_dofs.size:
-                # face moments minus M_GammaI z_I, in the face order of
-                # _build_mass
-                g_b = ctx.gx.T @ b
-                f_rows = t[:, ctx.rows].copy()
-                f_rows[:, :, sy] -= g_b
-                f_rows[:, :, ctx.cols] -= g_b @ ctx.gy
-                faces += [f_rows.reshape(k, -1),
-                          (t[:, sx, ctx.cols] - b @ ctx.gy).reshape(k, -1)]
-        out = np.empty((k, self.topology.n_sigbar))
-        if faces:
-            n_gamma = len(self._gamma)
-            rhs = np.bincount(self._face_bins[:k].ravel(),
-                              weights=np.concatenate(faces, axis=1).ravel(),
-                              minlength=k * n_gamma).reshape(k, n_gamma)
-            y = scipy.linalg.cho_solve(self._gamma_factor, rhs.T, check_finite=False).T
-            out[:, self._gamma] = y
-            for ctx, x in zip(self.patches, interiors):
-                if not ctx.face_dofs.size:
-                    continue
-                sy = ctx.inner[1]
-                (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
-                split = n_rows * (n_eta + n_cols)
-                y_face = y[:, ctx.face_dofs]
-                y_rows = y_face[:, :split].reshape(k, n_rows, n_eta + n_cols)
-                # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
-                # gy^T (the glued rows through both factors, the glued
-                # columns inside the range through Geta): one batched
-                # product [gx | Y_cols] [Y_rows Geta^T ; gy^T] of rank
-                # n_rows + n_cols, its factors written into reused buffers
-                left = self._scratch("mass_left", k, n_xi, n_rows + n_cols)
-                left[:, :, :n_rows] = ctx.gx
-                left[:, :, n_rows:] = y_face[:, split:].reshape(k, n_xi, n_cols)
-                right = self._scratch("mass_right", k, n_rows + n_cols, n_eta)
-                np.matmul(y_rows[:, :, ctx.cols], ctx.gy.T, out=right[:, :n_rows])
-                right[:, :n_rows] += y_rows[:, :, sy]
-                right[:, n_rows:] = ctx.gy.T
-                x -= left @ right
+        benchmark's hooks are renamed (ROADMAP item 6)."""
+        mp = self._plans.mass
+        for p in mp.patches:
+            span, shape, inner = p.block
+            p.b3[...] = tilde[:, span].reshape(shape)[inner]
+        if mp.faced:
+            np.take(tilde.ravel(), mp.face_take, out=mp.faces, mode="clip")
+            for p in mp.faced:
+                # M_GammaI z_I on the faces: gx^T b_I, (gx^T b_I) gy, b_I gy
+                np.matmul(p.gx_t, p.b3, out=p.corr[0])
+                np.matmul(p.corr[0], p.gy, out=p.corr[1])
+                np.matmul(p.b3, p.gy, out=p.corr[2])
+            mp.faces -= mp.corr
+        for p in mp.patches:
+            p.b[...] = p.kron.solve_block(p.b)
+        out = np.empty((self.n_fields, self.topology.n_sigbar))
         flat = out.reshape(-1)
-        for ctx, x in zip(self.patches, interiors):
-            flat[ctx.inner_out[:k]] = x.reshape(k, -1)
+        if mp.faced:
+            rhs = np.bincount(mp.face_bins, weights=mp.faces,
+                              minlength=self.n_fields * len(self._gamma))
+            # the columns of the solve are the fields: y.T is C-ordered
+            # (n_fields, n_gamma), the layout of the summed moments
+            y = self._gamma_factor.solve(rhs.reshape(self.n_fields, -1).T).T.ravel()
+            flat[mp.gamma_put] = y
+            np.take(y, mp.face_bins, out=mp.y_faces, mode="clip")
+            for p in mp.faced:
+                # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
+                # gy^T: one batched product [gx | Y_cols] [Y_rows Geta^T ;
+                # gy^T] of rank |rows| + |cols|
+                y_rows, y_glued, y_cols = p.y
+                p.left_y[...] = y_cols
+                np.matmul(y_glued, p.gy_t, out=p.right_y)
+                p.right_y += y_rows
+                np.matmul(p.left, p.right, out=p.update)
+                p.b3 -= p.update
+        flat[mp.interior_put] = mp.interiors
         return out
 
     def ainv_exact(self, tilde):
-        """Exact coupled A^-1 applied to union moments, all fields in one
-        call: the one mass solve, by static condensation onto the interface
-        DOFs (:meth:`_mass_pcg`)."""
+        """Exact coupled A^-1 applied to union moments, one row per field,
+        all fields in one call: the one mass solve, by static condensation
+        onto the interface DOFs (:meth:`_mass_pcg`). The result is a fresh
+        (n_fields, n_sigbar) array."""
         t0 = time.perf_counter()
-        out = self._mass_pcg(np.atleast_2d(tilde))
+        tilde = np.ascontiguousarray(tilde, dtype=float)
+        shape = (self.n_fields, self.topology.n_tilde)
+        if tilde.shape != shape:
+            raise InputError(f"union moments of shape {tilde.shape}, expected {shape}")
+        out = self._mass_pcg(tilde)
         self.mass_solve_s += time.perf_counter() - t0
         return out
 
     def apply_ainv_b(self, s):
         """A^-1 B s, solved exactly for all fields in one call of
         :meth:`ainv_exact`."""
-        net = np.zeros((self.topology.n_sigma, 2))
-        net[self.topology.inner_indices] = self.c_as_net(s)
+        net = self._flat_net(s, boundary=False)
         return self.ainv_exact(self._derivative_moments(net)).ravel()
 
     def project_d(self, c):
         """Auxiliary coefficients from the L2 projection of x_xi and x_eta of
         the current map (boundary included) onto the coupled auxiliary
         basis, solved exactly by :meth:`ainv_exact`."""
-        net = self.full_control_net(c)
-        return self.ainv_exact(self._derivative_moments(net)).ravel()
+        return self.ainv_exact(self._derivative_moments(self._flat_net(c))).ravel()
 
     def solve_delta_d(self, a_tilde, delta_c):
         """A delta_d = a + B delta_c, solved exactly for all fields in one
         call of :meth:`ainv_exact`; ``a_tilde`` are the union moments of a
         (sign already applied)."""
-        net = np.zeros((self.topology.n_sigma, 2))
-        net[self.topology.inner_indices] = self.c_as_net(delta_c)
-        return self.ainv_exact(
-            a_tilde + self._derivative_moments(net)).ravel()
+        net = self._flat_net(delta_c, boundary=False)
+        return self.ainv_exact(a_tilde + self._derivative_moments(net)).ravel()
 
 
 def single_patch_system(m, *, mode: str = "full", chi: float = 0.5,

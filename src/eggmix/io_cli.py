@@ -419,19 +419,21 @@ def load_solution(path) -> dict:
     return sol
 
 
-def solution_control(sol: dict):
-    """The parsed geometry of a solution and its global (n_sigma, 2) control
-    net."""
-    geo, maps = solution_patch_maps(sol)
-    control = np.zeros((geo.topology.n_sigma, 2))
-    for l2g, m in zip(geo.topology.sig_l2g, maps):
+def solution_start(sol: dict, topology):
+    """The global (n_sigma, 2) control net of ``topology`` assembled from
+    the per-patch control nets of a solution, each checked against the
+    patch basis of ``topology`` (see :func:`_solution_maps`). The solution's
+    embedded geometry is not read: a start needs its nets alone."""
+    control = np.zeros((topology.n_sigma, 2))
+    for l2g, m in zip(topology.sig_l2g, _solution_maps(sol, topology.bases)):
         control[l2g] = m.control
-    return geo, control
+    return control
 
 
 def solution_system(sol: dict):
     """Rebuild the mixed system and coefficient vector stored in a solution."""
-    geo, control = solution_control(sol)
+    geo = parse_geometry(sol.get("geometry"))
+    control = solution_start(sol, geo.topology)
     settings = sol["solver_settings"]
     bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
     system = MixedSystem(geo.topology, bvals, mode=settings["mode"],
@@ -444,7 +446,13 @@ def solution_patch_maps(sol: dict):
     """The parsed geometry of a solution and its per-patch maps, each
     control net checked against its patch basis."""
     geo = parse_geometry(sol.get("geometry"))
-    bases = geo.topology.bases
+    return geo, _solution_maps(sol, geo.topology.bases)
+
+
+def _solution_maps(sol: dict, bases):
+    """The per-patch maps of the control nets of a solution on ``bases``:
+    one net per basis, each of the basis's shape and finite, or InputError
+    at the pointer of the first that is not."""
     nets = sol.get("control_nets")
     if not isinstance(nets, list) or len(nets) != len(bases):
         raise InputError(f"/control_nets: expected {len(bases)} control nets, "
@@ -457,7 +465,7 @@ def solution_patch_maps(sol: dict):
             raise InputError(f"/control_nets/{i}: {exc}") from None
         if not np.isfinite(maps[-1].control).all():
             raise InputError(f"/control_nets/{i}: control points must be finite")
-    return geo, maps
+    return maps
 
 
 def solve(hierarchy, start, config: SolverConfig | None = None):
@@ -486,14 +494,15 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
             raise InputError(f"the start control net has shape {net.shape}, "
                              f"not the {want} of the coarsest level")
     reports = []
-    for level in hierarchy:
+    for i, level in enumerate(hierarchy):
         if reports:
             net = level.prolong(system.full_control_net(c))
             system = level.system
         # called through this module, so that a wrapper set here sees every
         # Newton entry
         c, report = newton_solve(
-            system, system.net_as_c(net[system.topology.inner_indices]), config)
+            system, system.net_as_c(net[system.topology.inner_indices]), config,
+            level=i)
         reports.append(report)
         if not report.converged:
             break
@@ -545,7 +554,7 @@ def cmd_solve(args) -> int:
         config = SolverConfig(verbose=args.verbose, **config_kwargs)
         start = args.initial
         if start == "file":
-            _, start = solution_control(load_solution(args.initial_file))
+            start = solution_start(load_solution(args.initial_file), geo.topology)
         bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
         hierarchy = build_system_hierarchy(
             geo.topology, bvals, int(settings["coarse_levels"]),

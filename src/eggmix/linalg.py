@@ -1,5 +1,6 @@
 """Structured linear algebra: banded Cholesky factors in LAPACK band storage
-(the frozen-metric Laplacian of the preconditioner), Kronecker-product
+(the frozen-metric Laplacian of the preconditioner), dense Cholesky factors
+(the interface Schur complement of the auxiliary mass), Kronecker-product
 solves for the tensor blocks of the auxiliary mass (two dense products with
 the univariate inverses, each formed once by LAPACK ``potrf`` and
 ``potri``), and GMRES (Saad & Schultz, SISC 7, 1986) for the
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotri
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotri, dpotrs
 
 from .errors import FactorizationError, InputError
 
@@ -55,21 +56,42 @@ class Banded1DCholesky:
         return x
 
 
+class DenseCholesky:
+    """Lower Cholesky factor of a dense SPD matrix, by one LAPACK ``potrf``
+    call; ``lower`` is the factor, Fortran-ordered with a zero strict upper
+    triangle, and never mutated. Solves call LAPACK ``potrs`` directly: at
+    the sizes of the interface Schur complement of the auxiliary mass,
+    scipy's ``cho_solve`` wrapper costs as much again as the solve. Raises
+    FactorizationError when the matrix is not SPD or not finite."""
+
+    def __init__(self, matrix):
+        M = np.asarray(matrix, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise InputError("expected a square matrix")
+        # clean: the factor's strict upper triangle is zero
+        L, info = dpotrf(M, lower=1, clean=1)
+        # NaN can pass the pivot test of potrf and spreads to the diagonal
+        if info > 0 or not np.isfinite(np.diagonal(L)).all():
+            raise FactorizationError("matrix is not SPD or not finite")
+        L.setflags(write=False)
+        self.lower = L
+
+    def solve(self, rhs):
+        """Solve M x = rhs for the columns of a matrix, by one LAPACK
+        ``potrs`` call; ``rhs`` is left as it is and x is returned."""
+        x, info = dpotrs(self.lower, rhs, lower=1)
+        if info:
+            raise InputError(f"potrs rejected argument {-info}")
+        return x
+
+
 def _spd_inverse(matrix):
-    """Inverse of a dense SPD matrix by one LAPACK ``potrf`` and one
-    ``potri`` on its lower triangle, mirrored so that it is exactly
-    symmetric. Raises FactorizationError when the matrix is not SPD."""
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError("expected a square matrix")
-    # clean: the factor's strict upper triangle is zero
-    L, info = dpotrf(M, lower=1, clean=1)
-    # NaN can pass the pivot test of potrf and spreads to the diagonal
-    if info > 0 or not np.isfinite(np.diagonal(L)).all():
-        raise FactorizationError("matrix is not SPD or not finite")
+    """Inverse of a dense SPD matrix from its :class:`DenseCholesky` factor
+    by one LAPACK ``potri``, mirrored so that it is exactly symmetric.
+    Raises FactorizationError when the matrix is not SPD."""
     # a factor with a positive diagonal always inverts; potri writes the
     # lower triangle alone, so adding the transpose mirrors it exactly
-    inv, _ = dpotri(L, lower=1, overwrite_c=1)
+    inv, _ = dpotri(DenseCholesky(matrix).lower, lower=1)
     out = inv + inv.T
     np.fill_diagonal(out, np.diagonal(inv))
     return out

@@ -94,7 +94,9 @@ class SolverConfig:
     boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
     Newton steps; it is an integer of at least 1. ``verbose`` writes one
     JSON line per Newton step to stderr, with the seconds of each entry of
-    ``TIMED_PHASES`` and the step's own ``eval_RN`` calls (``rn_evals``).
+    ``TIMED_PHASES``, the step's own ``eval_RN`` calls (``rn_evals``), the
+    accepted line-search step ``nu`` (null when the line search stagnated)
+    and the coarse-to-fine ``level`` of the solve.
     The GMRES, forcing-term, line-search and finite-difference constants
     are module constants (``GMRES_TOL``, ``GMRES_MAX_ITER``, ``EW_*``,
     ``LS_*``, ``FD_FLOOR``).
@@ -331,7 +333,8 @@ def _line_search(residual_norm_of, r_old: float):
         f"from ||R|| = {r_old:.3e}")
 
 
-def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = None):
+def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = None,
+                 *, level: int = 0):
     """Run the Newton-Krylov iteration.
 
     ``initial`` is a SplineMap (single patch; its inner control points seed
@@ -340,8 +343,10 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     (x..., y...) layout: the converged iterate, or the last accepted one
     when the solve stagnates or runs out of ``max_newton`` steps (see
     :class:`SolverReport`). Bijectivity of the start is not required.
-    Raises InputError when the residual scale is zero (all boundary points
-    coincide).
+    ``level`` is the coarse-to-fine level the solve runs on, 0 for the
+    coarsest and for a direct solve; it only labels the ``verbose``
+    records. Raises InputError when the residual scale is zero (all
+    boundary points coincide).
     """
     config = config or SolverConfig()
     target_map = initial if isinstance(initial, SplineMap) else None
@@ -417,8 +422,9 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                 "step_norm": n_norm, "gmres_iterations": gm.iterations,
                 "gmres_converged": bool(gm.converged),
                 "gmres_residual": gmres_residual, "forcing_term": eta,
-                "min_denominator": state.min_denominator,
-                "rn_evals": system.rn_eval_count - rn_count, **step_timings},
+                "min_denominator": state.min_denominator, "nu": nu,
+                "level": level, "rn_evals": system.rn_eval_count - rn_count,
+                **step_timings},
                 sort_keys=True),
                 file=sys.stderr)
         if nu is None:

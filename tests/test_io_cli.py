@@ -808,12 +808,39 @@ def test_malformed_solution_nets_exit_1(damage, tmp_path, capsys):
 @pytest.mark.parametrize("levels", [0, 1])
 def test_initial_file_on_another_basis_exits_1(square_solution, levels,
                                                tmp_path, capsys):
+    # the stored nets are checked against the patches of the input
+    # geometry: their number, then each net's shape
     out = tmp_path / "bat.solution.json"
     assert run_cli("solve", bundled_path("bat"), "--initial", "file",
                    "--initial-file", square_solution, "--coarse-levels",
                    levels, "--out", out) == 1
-    assert "start control net has shape (36, 2)" in capsys.readouterr().err
+    assert "/control_nets: expected 3 control nets" in capsys.readouterr().err
     assert not out.exists()
+    fine = tmp_path / "fine.solution.json"
+    assert run_cli("solve", bundled_path("square"), "--coarse-levels", 1,
+                   "--out", fine) == 0
+    capsys.readouterr()
+    out = tmp_path / "square.solution.json"
+    assert run_cli("solve", bundled_path("square"), "--initial", "file",
+                   "--initial-file", fine, "--coarse-levels", levels,
+                   "--out", out) == 1
+    assert "/control_nets/0: control net shape (100, 2) != (36, 2)" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verbose_records_name_level_and_step(tmp_path, capsys):
+    # one --verbose line per Newton step, the coarsest level's steps first,
+    # each with its level and the line-search step it accepted
+    out = tmp_path / "lbend.solution.json"
+    assert run_cli("solve", bundled_path("lbend"), "--mode", "xi",
+                   "--coarse-levels", 1, "--verbose", "--out", out) == 0
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    report = load_solution(out)["report"]
+    steps = [lv["newton_iterations"] for lv in report["levels"]]
+    assert len(steps) == 2 and min(steps) > 0
+    assert [r["level"] for r in records] == [0] * steps[0] + [1] * steps[1]
+    assert [r["nu"] for r in records] == report["nu_values"]
 
 
 def test_non_object_solution_file_exits_1(tmp_path):

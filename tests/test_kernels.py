@@ -17,8 +17,8 @@ from eggmix.solver import SolverConfig, build_system_hierarchy, newton_solve, \
 from eggmix.splines import TensorBasis, uniform_knots
 
 from conftest import dense_laplacian, start
-from oracles import einsum_eval_RN, einsum_grid_jet, einsum_winslow_gradient, \
-    loop_frozen_laplacian
+from oracles import constant_blocks, einsum_eval_RN, einsum_grid_jet, \
+    einsum_winslow_gradient, loop_frozen_laplacian
 
 RTOL = 1e-12
 
@@ -207,20 +207,42 @@ def test_frozen_laplacian_matches_pointwise_loop_lbend_xi_l1():
 
 
 def test_iterate_kernels_reuse_scratch_memory(rng):
-    # eval_RN and frozen_laplacian share their grid arrays across patches
-    # (of three sizes on the bat) and calls: interleaved calls at two
-    # iterates still match the oracles, and after the first call eval_RN
-    # allocates no grid-sized array, since every fresh one costs page
-    # faults once the allocator has returned its memory to the system
-    system = geometry_system(build_bat(), "full")
-    states = [random_state(system, rng) for _ in range(2)]
-    for d, c in states:
-        assert_eval_rn_matches(system, d, c)
-        K = dense_laplacian(system, c)
-        assert np.abs(K - loop_frozen_laplacian(system, c)).max() \
-            <= RTOL * np.abs(K).max()
+    # the kernels share their scratch across patches (of three sizes on the
+    # bat) and calls: interleaved calls at two iterates of the bat and of
+    # the lbend, a system of another patch size, still match the oracles,
+    # every result stays what its call returned, so none is a scratch array
+    # a later call writes, and after the first call eval_RN allocates no
+    # grid-sized array, since every fresh one costs page faults once the
+    # allocator has returned its memory to the system
+    systems = [geometry_system(build_bat(), "full"),
+               geometry_system(build_lbend(), "xi")]
+    calls = []
+    for _ in range(2):
+        for system in systems:
+            d, c = random_state(system, rng)
+            tilde = rng.standard_normal((system.n_fields, system.topology.n_tilde))
+            got = (system.eval_RN(d, c), system.ainv_exact(tilde),
+                   system.apply_ainv_b(c))
+            want, min_denom = einsum_eval_RN(system, d, c)
+            assert abs(system.last_min_denominator - min_denom) <= RTOL * min_denom
+            K = dense_laplacian(system, c)
+            assert np.abs(K - loop_frozen_laplacian(system, c)).max() \
+                <= RTOL * np.abs(K).max()
+            calls.append((system, c, tilde, want, got, [g.copy() for g in got]))
+    for system, c, tilde, want, got, kept in calls:
+        assert all(np.array_equal(g, k) for g, k in zip(got, kept))
+        rn, ainv, ainv_b = got
+        assert_rel_close(rn, want)
+        A, B, _ = constant_blocks(system)
+        n = system.topology.n_sigbar
+        mass = A[:n, :n].toarray()
+        assert_rel_close(ainv, np.linalg.solve(mass, system.reduce_tilde(tilde).T).T)
+        assert_rel_close(ainv_b, np.linalg.solve(
+            mass, (B @ c).reshape(system.n_fields, n).T).T.ravel())
+    system = systems[0]
+    d, c = random_state(system, rng)
     tracemalloc.start()
-    system.eval_RN(*states[1])
+    system.eval_RN(d, c)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 4 * max(ctx.wgrid.nbytes for ctx in system.patches)

@@ -218,13 +218,33 @@ def test_ainv_b_coupled_projection_residual_ratio(capsys):
     assert np.isfinite(ratio) and ratio < 1e-12
 
 
-@pytest.mark.parametrize("builder", [build_bat, build_two_patch_square])
-def test_ainv_exact_matches_dense_coupled_mass(builder, rng):
-    geo = parse_geometry(builder())
-    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
-    sys_ = MixedSystem(geo.topology, bv)
-    n = geo.topology.n_sigbar
-    tilde = rng.standard_normal((sys_.n_fields, geo.topology.n_tilde))
+def self_glued_system(pairs):
+    """One patch glued to itself across each pair of its faces."""
+    tb = TensorBasis(uniform_knots(2, 3), uniform_knots(2, 4))
+    topo = build_topology([(tb, AffinePatchMap.identity())],
+                          [Interface(0, a, 0, b) for a, b in pairs])
+    net = np.zeros((topo.n_sigma, 2))
+    net[topo.sig_l2g[0]] = unit_square_map(tb).control
+    return MixedSystem(topo, net[topo.boundary_indices])
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: geometry_system(build_bat()), id="build_bat"),
+    pytest.param(lambda: geometry_system(build_two_patch_square()),
+                 id="build_two_patch_square"),
+    pytest.param(lambda: single_patch_system(unit_square_map(TensorBasis(
+        uniform_knots(2, 3), uniform_knots(2, 4)))), id="single_patch"),
+    pytest.param(lambda: self_glued_system([("west", "east")]), id="glued_to_itself"),
+    pytest.param(lambda: self_glued_system([("west", "east"), ("south", "north")]),
+                 id="glued_to_itself_twice"),
+])
+def test_ainv_exact_matches_dense_coupled_mass(make, rng):
+    # every glue pattern of the condensation: no shared DOFs, faces glued
+    # between patches, a valence-3 vertex, and a patch's faces glued to its
+    # own, on one line pair or on both
+    sys_ = make()
+    n = sys_.topology.n_sigbar
+    tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
     calls = []
     solve = sys_._mass_pcg
 
@@ -235,7 +255,7 @@ def test_ainv_exact_matches_dense_coupled_mass(builder, rng):
     sys_._mass_pcg = counting_solve
     got = sys_.ainv_exact(tilde)
     # every field in one call of the one solve entry
-    assert calls == [(sys_.n_fields, geo.topology.n_tilde)]
+    assert calls == [(sys_.n_fields, sys_.topology.n_tilde)]
     A, _, _ = constant_blocks(sys_)
     mass = A.toarray()[:n, :n]
     ref = np.linalg.solve(mass, sys_.reduce_tilde(tilde).T).T
@@ -315,7 +335,7 @@ def test_interface_schur_complement_is_spd(level, n_gamma):
     gamma = sys_._gamma
     assert len(gamma) == n_gamma
     # the factored S_Gamma against A_GG - A_GI A_II^-1 A_IG of the coupled mass
-    factor = np.tril(sys_._gamma_factor[0])
+    factor = sys_._gamma_factor.lower
     mass = coupled_mass(sys_)
     inner = np.setdiff1d(np.arange(mass.shape[0]), gamma)
     a_ig = mass[inner][:, gamma].toarray()

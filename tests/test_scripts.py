@@ -49,16 +49,19 @@ def test_script_solves_fold_free(script, patches, svgs, tmp_path):
 
 COUNTS = {"n_sigma", "converged", "newton", "gmres", "rn_evals"}
 STEPS = {"first_forcing_term", "last_forcing_term", "last_step_gmres", "timings"}
+KERNEL_KEYS = {
+    "n_sigma", "calls", "eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
+    "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms", "ainv_exact_ms",
+    "build_plus_six_applies_ms", "peak_rss_mb"}
 BENCH_RECORD_KEYS = {
     "lbend-xi-L0": COUNTS | STEPS | {
         "gmres_all_converged", "max_gmres_per_step", "system_build_s", "solve_s",
         "eval_rn_ms", "laplace_preconditioner_ms", "eval_rl_ms", "apply_ainv_b_ms",
         "peak_rss_mb"},
     "square-restart": COUNTS | STEPS | {"stagnated", "max_net_change", "solve_s"},
-    "lbend-xi-L1-kernels": {
-        "n_sigma", "calls", "eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
-        "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms", "ainv_exact_ms",
-        "build_plus_six_applies_ms", "peak_rss_mb"},
+    "lbend-xi-L0-kernels": KERNEL_KEYS,
+    "bat-folded-L0-kernels": KERNEL_KEYS,
+    "lbend-xi-L1-kernels": KERNEL_KEYS,
     "post-L0": {"calls", "geometries", "peak_rss_mb"},
 }
 POST_KEYS = {"n_patches", "converged", "load_maps_ms", "quality_ms", "document_ms",

@@ -1,3 +1,4 @@
+import json
 import numpy as np
 import pytest
 
@@ -251,9 +252,10 @@ def test_converged_solve_records_gmres_flags():
     assert rep.gmres_converged == [True] * rep.newton_iterations
 
 
-def test_stagnation_error_declares_system(monkeypatch):
+def test_stagnation_error_declares_system(monkeypatch, capsys):
     # a line search without descent ends the solve with a stagnated report
-    # and the last accepted iterate, not an exception
+    # and the last accepted iterate, not an exception; the step's --verbose
+    # record has no accepted step
     sys_, geo = annulus_system(2, 4)
     c0 = sys_.net_as_c(transfinite_global(sys_)[geo.topology.inner_indices])
 
@@ -261,8 +263,11 @@ def test_stagnation_error_declares_system(monkeypatch):
         raise StagnationError("stuck")
 
     monkeypatch.setattr("eggmix.solver._line_search", stuck)
-    c, rep = newton_solve(sys_, c0, SolverConfig())
+    c, rep = newton_solve(sys_, c0, SolverConfig(verbose=True))
     assert rep.stagnated and not rep.converged and rep.newton_iterations == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["nu"] is None and record["level"] == 0
     assert rep.final_residual == rep.residual_norms[-1]
     np.testing.assert_array_equal(c, c0)
 
