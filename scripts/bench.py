@@ -26,8 +26,10 @@ with ``eggmix.io_cli.solve`` from a start on its coarsest level, the path
 level, the same counts, per-call times, forcing terms, last-step GMRES
 iterations and phase seconds as a solve case. A setup case times
 ``build_system_hierarchy``, within it the construction and the mass-solver
-build of the finest system (``MixedSystem._build_mass``: interior Kronecker
-factors and the factored interface Schur complement), and then the
+build of the finest system (``assembly._CondensedMass``: interior Kronecker
+factors, the factored interface Schur complement and the layout and work
+arrays of the solve, which before that class were built on the first solve
+and so left out of ``mass_build_s``), and then the
 first-use pair factors and band layout of the frozen Laplacian
 (``MixedSystem._laplacian_factors``) of the finest system, next to the DOF
 count, the interface DOF count, the element count, the number of entries
@@ -77,7 +79,8 @@ import scipy
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from eggmix.assembly import MixedSystem, boundary_values_from_faces  # noqa: E402
+from eggmix.assembly import MixedSystem, _CondensedMass, \
+    boundary_values_from_faces  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
 from eggmix.geometries import load as load_bundled  # noqa: E402
 from eggmix.io_cli import _quality_block, _sample_patch, _write_svg, \
@@ -300,7 +303,7 @@ def run_setup_case(key):
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
     build_s, mass_s = [], []
     time_calls(MixedSystem, "__init__", build_s)
-    time_calls(MixedSystem, "_build_mass", mass_s)
+    time_calls(_CondensedMass, "__init__", mass_s)
     t0 = time.perf_counter()
     system = build_system_hierarchy(geo.topology, bv, level, mode=mode)[-1].system
     t1 = time.perf_counter()
@@ -312,7 +315,7 @@ def run_setup_case(key):
     filled[lf.places] = True
     return {
         "n_sigma": system.topology.n_sigma,
-        "n_gamma": len(system._gamma),
+        "n_gamma": len(system._mass.gamma),
         "n_elements": sum(ctx.cache.n_el for ctx in system.patches),
         # the band slots K's entries are summed into, the slot past the
         # band (dropped entries) left out

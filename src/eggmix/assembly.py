@@ -30,12 +30,14 @@ symmetric, straight into its lower band storage, in a bandwidth-reducing
 order fixed once per system, and factored there by banded Cholesky. A
 single patch is a 1-patch topology on the same code path.
 
-The per-iterate kernels, the residual pass, the derivative moments and the
-mass solve, run on plans built on first use (:meth:`MixedSystem._plans`):
-per patch and strip the views of the factor blocks, the gather and scatter
-positions, and every ``out=`` view into scratch arrays that all patches and
-kernels share, so that a call sets nothing up and allocates no grid-sized
-array. Every kernel returns a fresh array, never a view of the scratch.
+The per-iterate kernels, the residual pass and the derivative moments, run
+on plans built on first use (:meth:`MixedSystem._plans`): per patch and
+strip the views of the factor blocks, the gather and scatter positions, and
+every ``out=`` view into scratch arrays that all patches and kernels share,
+so that a call sets nothing up and allocates no grid-sized array. The mass
+solve is one object built with the system (:class:`_CondensedMass`), its
+factors, positions and work arrays its own. Every kernel returns a fresh
+array, never a view of the scratch or of the work arrays.
 """
 from __future__ import annotations
 
@@ -395,13 +397,9 @@ class _PatchContext:
     :meth:`MixedSystem.frozen_laplacian` at the iterate of the last
     ``eval_RN`` reuses them.
 
-    The condensation fields are set by :meth:`MixedSystem._build_mass`. The
-    auxiliary DOFs of the patch's glued faces lie on the lines ``rows`` (xi
-    index) and ``cols`` (eta index); the others form the tensor range
-    ``inner`` = (sx, sy), whose mass vol Mxi[sx, sx] (x) Meta[sy, sy] ``kron``
-    solves. ``gx`` holds the columns ``rows`` of Gxi = Mxi[sx, sx]^-1
-    Mxi[sx, :], the identity on every other column, and ``gy`` those of
-    Geta. The face DOFs are ordered rows x sy, rows x cols, sx x cols."""
+    ``kron`` is the Kronecker solver of the patch's interior auxiliary
+    range, made and used by :class:`_CondensedMass`; the per-layer counts
+    of ``perfbench/layers.py`` read its ``solve_count`` here."""
     cache: QuadratureCache
     inv_a: np.ndarray
     vol: float
@@ -415,13 +413,6 @@ class _PatchContext:
     right: np.ndarray          # (n_eta, 2 nbar_eta) [Oeta^T | Keta^T]
     mass: tuple                # (vol Mxi, Meta)
     kron: KronSolver = field(init=False)
-    inner: tuple = field(init=False)          # (sx, sy) slices
-    rows: slice = field(init=False)           # glued xi lines, among 0 and nbar_xi - 1
-    cols: slice = field(init=False)           # glued eta lines
-    gx: np.ndarray = field(init=False)        # (|sx|, |rows|)
-    gy: np.ndarray = field(init=False)        # (|sy|, |cols|)
-    face_local: np.ndarray = field(init=False)  # positions of the face DOFs in the patch
-    face_dofs: np.ndarray = field(init=False)   # their positions on the interface
 
 
 @dataclass
@@ -481,17 +472,38 @@ class _PatchPlan:
     derivatives: tuple
 
 
+class _Plans(NamedTuple):
+    """The plans of the per-iterate kernels of a system
+    (:meth:`MixedSystem._plans`)."""
+    patches: list           # one _PatchPlan per patch
+    moments: np.ndarray     # residual moments of all patches, laid out as _rn_bins
+
+
+def _glued_lines(n, faces, unglued):
+    """Slices of the glued grid lines of one direction of an auxiliary basis
+    with ``n`` functions, ``faces`` its (first, last) face names, and of the
+    other lines. Glued lines are first and/or last, so both are slices;
+    first and last together are the stride n - 1."""
+    first, last = (face not in unglued for face in faces)
+    glued = {(True, True): slice(0, n, n - 1), (True, False): slice(0, 1),
+             (False, True): slice(n - 1, n), (False, False): slice(0, 0)}
+    return glued[first, last], slice(int(first), n - int(last))
+
+
 @dataclass
 class _MassPatch:
-    """The condensed mass solve of one patch, fixed on first use
-    (:meth:`MixedSystem._plans`). ``b`` is the patch's segment of the
-    interior moments of all patches, overwritten by its interior values.
-    The face fields are None on a patch without glued faces:
-    ``corr`` and ``y`` are the views, on the face blocks rows x sy, rows x
-    cols and sx x cols, of the patch's segments of M_GammaI z_I and of the
-    interface values; ``left`` = [gx | Y_cols] holds gx for good and
-    ``right`` = [Y_rows Geta^T ; gy^T] holds gy^T, and ``update`` takes
-    their product."""
+    """The condensed mass solve of one patch (:class:`_CondensedMass`). The
+    auxiliary DOFs of its glued faces lie on the lines ``rows`` (xi index)
+    and ``cols`` (eta index); the others form the tensor range sx x sy,
+    whose mass vol Mxi[sx, sx] (x) Meta[sy, sy] ``kron`` solves. ``b`` is the
+    patch's segment of the interior moments of all patches, overwritten by
+    its interior values. The face fields are None on a patch without glued
+    faces: ``corr`` and ``y`` are the views, on the face blocks rows x sy,
+    rows x cols and sx x cols, of the patch's segments of M_GammaI z_I and
+    of the interface values; gx holds the columns ``rows`` of Gxi = Mxi[sx,
+    sx]^-1 Mxi[sx, :] and gy those of Geta; ``left`` = [gx | Y_cols] holds
+    gx for good and ``right`` = [Y_rows Geta^T ; gy^T] holds gy^T, and
+    ``update`` takes their product."""
     kron: KronSolver
     b: np.ndarray                 # (n_fields, |sx| |sy|)
     b3: np.ndarray                # b as (n_fields, |sx|, |sy|)
@@ -510,43 +522,171 @@ class _MassPatch:
     update: np.ndarray = None     # (n_fields, |sx|, |sy|)
 
 
-@dataclass
-class _MassPlan:
-    """The condensed mass solve of :meth:`MixedSystem._mass_pcg`, fixed on
-    first use (:meth:`MixedSystem._plans`): one :class:`_MassPatch` per
-    patch, the moments and values of all patches in flat arrays, patch
-    after patch and field after field within a patch, the positions that
-    gather the face moments from the flat union moments, and those that
-    scatter the values into the flat solution, field after field."""
-    patches: list
-    faced: list                   # the patches with glued faces
-    interiors: np.ndarray         # interior moments, then values
-    interior_put: np.ndarray      # their positions in the solution
-    faces: np.ndarray             # face moments, then minus M_GammaI z_I
-    corr: np.ndarray              # M_GammaI z_I, laid out as ``faces``
-    face_take: np.ndarray         # positions of the face moments in the union moments
-    face_bins: np.ndarray         # their positions on the interface, (n_fields, n_gamma)
-    y_faces: np.ndarray           # the interface values on the faces
-    gamma_put: np.ndarray         # positions of the interface values in the solution
+class _CondensedMass:
+    """The exact coupled auxiliary mass solve, built once with the system:
+    static condensation of the mass A onto Gamma, the auxiliary DOFs shared
+    by more than one patch (Smith, Bjorstad & Gropp, Domain Decomposition,
+    CUP 1996, ch. 4).
 
+    The shared DOFs of a patch are those of its glued faces, so the others
+    form a tensor range sx x sy, whose block vol Mxi[sx, sx] (x) Meta[sy, sy]
+    is solved by the dense inverses of its univariate factors (``kron``);
+    the same inverses give Gxi = Mxi[sx, sx]^-1 Mxi[sx, :] and Geta. As
+    M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x) Peta with Pxi = Mxi[:, sx] Gxi,
+    the interface Schur complement sums vol (Mxi (x) Meta - Pxi (x) Peta)
+    over patches. Pxi differs from Mxi only on the glued lines, by the
+    univariate Schur complement Dxi, so each term is vol (Dxi (x) Meta + Mxi
+    (x) Deta - Dxi (x) Deta), formed on the face DOFs alone in
+    O(n_Gamma^2). The sum is dense in n_Gamma and factored once by dense
+    Cholesky (``factor``, None when no DOF is shared).
 
-class _Plans(NamedTuple):
-    """The plans of the per-iterate kernels of a system
-    (:meth:`MixedSystem._plans`)."""
-    patches: list           # one _PatchPlan per patch
-    moments: np.ndarray     # residual moments of all patches, laid out as _rn_bins
-    mass: _MassPlan
+    The object holds one :class:`_MassPatch` per patch and its own work
+    arrays: the moments and values of all patches in flat arrays, patch
+    after patch and field after field within a patch. ``face_take`` gathers
+    the face moments from the flat union moments, ``face_bins`` sums them
+    onto the interface, and ``interior_put`` and ``gamma_put`` scatter the
+    values into the flat solution, field after field."""
 
+    def __init__(self, topology: PatchTopology, patches, n_fields: int):
+        topo, k = topology, n_fields
+        fields = np.arange(k)[:, None]
+        self.n_fields, self.n_sigbar = k, topo.n_sigbar
+        shared = np.bincount(topo.tilde_to_global(), minlength=topo.n_sigbar) > 1
+        self.gamma = np.flatnonzero(shared)
+        self.gamma_put = (topo.n_sigbar * fields + self.gamma).ravel()
+        n_gamma = len(self.gamma)
+        position = np.cumsum(shared) - 1
+        lines = [(_glued_lines(bb.n_xi, ("west", "east"), unglued),
+                  _glued_lines(bb.n_eta, ("south", "north"), unglued))
+                 for bb, unglued in zip(topo.bar_bases, topo.unglued_faces)]
+        n_interior = [k * (sx.stop - sx.start) * (sy.stop - sy.start)
+                      for (_, sx), (_, sy) in lines]
+        # the face DOFs of a patch are all but its interior ones
+        n_face = k * topo.n_tilde - sum(n_interior)
+        self.interiors = np.empty(sum(n_interior))   # interior moments, then values
+        self.interior_put = np.empty(len(self.interiors), dtype=np.int64)
+        # face moments, then minus M_GammaI z_I; M_GammaI z_I; the interface
+        # values on the faces
+        self.faces, self.corr, self.y_faces = np.empty((3, n_face))
+        self.face_take, self.face_bins = np.empty((2, n_face), dtype=np.int64)
+        update = np.empty(max(n_interior))
+        self.patches, keys, blocks = [], [], []
+        i_off = f_off = 0
+        for i, (ctx, ((rows, sx), (cols, sy))) in enumerate(zip(patches, lines)):
+            mx, my = ctx.cache.xi.mbar, ctx.cache.eta.mbar
+            bb = topo.bar_bases[i]
+            lo = topo.tilde_offsets[i]
+            ctx.kron = kron = KronSolver(mx[sx, sx], my[sy, sy], scale=ctx.vol)
+            local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
+            segment = slice(i_off, i_off + n_interior[i])
+            i_off = segment.stop
+            np.add(topo.n_sigbar * fields, topo.bar_l2g[i][local[sx, sy].ravel()],
+                   out=self.interior_put[segment].reshape(k, -1))
+            b = self.interiors[segment].reshape(k, -1)
+            p = _MassPatch(kron=kron, b=b, b3=b.reshape(k, kron.n_xi, kron.n_eta),
+                           block=(slice(lo, lo + bb.dim), (k, bb.n_xi, bb.n_eta),
+                                  (slice(None), sx, sy)))
+            self.patches.append(p)
+            # face DOFs: the glued xi lines, in the range sy and then on the
+            # glued eta lines, then the glued eta lines inside the range sx
+            face = np.concatenate([local[rows, sy].ravel(), local[rows, cols].ravel(),
+                                   local[sx, cols].ravel()])
+            if not face.size:
+                continue
+            dofs = position[topo.bar_l2g[i][face]]
+            gx = kron.inv_xi @ mx[sx, rows]
+            gy = kron.inv_eta @ my[sy, cols]
+            dx = np.zeros_like(mx)
+            dx[rows, rows] = mx[rows, rows] - mx[rows, sx] @ gx
+            dy = np.zeros_like(my)
+            dy[cols, cols] = my[cols, cols] - my[cols, sy] @ gy
+            fa, fb = np.divmod(face, bb.n_eta)
+            a, c = np.ix_(fa, fa), np.ix_(fb, fb)
+            blocks.append(ctx.vol * (dx[a] * my[c] + mx[a] * dy[c] - dx[a] * dy[c]))
+            keys.append(dofs[:, None] * n_gamma + dofs)
+            segment = slice(f_off, f_off + k * face.size)
+            f_off = segment.stop
+            np.add(topo.n_tilde * fields, lo + face,
+                   out=self.face_take[segment].reshape(k, -1))
+            np.add(n_gamma * fields, dofs, out=self.face_bins[segment].reshape(k, -1))
+            (n_xi, n_rows), (n_eta, n_cols) = gx.shape, gy.shape
+            split = np.cumsum([0, n_rows * n_eta, n_rows * n_cols, n_xi * n_cols])
+            shapes = ((k, n_rows, n_eta), (k, n_rows, n_cols), (k, n_xi, n_cols))
 
-def _glued_lines(n, faces, unglued):
-    """Slices of the glued grid lines of one direction of an auxiliary basis
-    with ``n`` functions, ``faces`` its (first, last) face names, and of the
-    other lines. Glued lines are first and/or last, so both are slices;
-    first and last together are the stride n - 1."""
-    first, last = (face not in unglued for face in faces)
-    glued = {(True, True): slice(0, n, n - 1), (True, False): slice(0, 1),
-             (False, True): slice(n - 1, n), (False, False): slice(0, 0)}
-    return glued[first, last], slice(int(first), n - int(last))
+            def face_blocks(flat):
+                seg = flat[segment].reshape(k, -1)
+                return tuple(seg[:, start:stop].reshape(shape)
+                             for start, stop, shape in zip(split[:-1], split[1:], shapes))
+            p.corr, p.y = face_blocks(self.corr), face_blocks(self.y_faces)
+            p.gx_t, p.gy, p.gy_t = gx.T, gy, gy.T
+            p.left = np.empty((k, n_xi, n_rows + n_cols))
+            p.left[:, :, :n_rows] = gx
+            p.left_y = p.left[:, :, n_rows:]
+            p.right = np.empty((k, n_rows + n_cols, n_eta))
+            p.right[:, n_rows:] = gy.T
+            p.right_y = p.right[:, :n_rows]
+            p.update = update[:b.size].reshape(p.b3.shape)
+        self.faced = [p for p in self.patches if p.left is not None]
+        self.factor = None
+        if keys:
+            schur = np.bincount(
+                np.concatenate([key.ravel() for key in keys]),
+                weights=np.concatenate([s.ravel() for s in blocks]),
+                minlength=n_gamma * n_gamma).reshape(n_gamma, n_gamma)
+            self.factor = DenseCholesky(schur)
+
+    def solve(self, tilde):
+        """Exact coupled A^-1 applied to the union moments ``tilde``, one
+        C-ordered row per field, all fields batched.
+
+        Per patch, the interior moments b_I of every field are solved by one
+        batched Kronecker solve, z_I = M_II^-1 b_I (two dense products with
+        the univariate inverses), and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
+        taken on the face DOFs alone, by contractions with the glued columns
+        of Gxi and Geta. The interface moments of all fields are summed by
+        one ``bincount``, one dense Cholesky solve on Gamma (LAPACK
+        ``potrs``) gives the interface values y, and the back-substitution
+        x_I = z_I - (Gxi (x) Geta) y is one low-rank product per patch. One
+        gather takes the face moments of all patches and one scatter puts
+        the interior values of all patches. A patch without glued faces
+        skips the face work, so with no shared DOFs (a single patch) this is
+        the plain Kronecker solve. Returns a fresh (n_fields, n_sigbar)
+        array."""
+        for p in self.patches:
+            span, shape, inner = p.block
+            p.b3[...] = tilde[:, span].reshape(shape)[inner]
+        if self.faced:
+            np.take(tilde.ravel(), self.face_take, out=self.faces, mode="clip")
+            for p in self.faced:
+                # M_GammaI z_I on the faces: gx^T b_I, (gx^T b_I) gy, b_I gy
+                np.matmul(p.gx_t, p.b3, out=p.corr[0])
+                np.matmul(p.corr[0], p.gy, out=p.corr[1])
+                np.matmul(p.b3, p.gy, out=p.corr[2])
+            self.faces -= self.corr
+        for p in self.patches:
+            p.b[...] = p.kron.solve_block(p.b)
+        out = np.empty((self.n_fields, self.n_sigbar))
+        flat = out.reshape(-1)
+        if self.faced:
+            rhs = np.bincount(self.face_bins, weights=self.faces,
+                              minlength=self.n_fields * len(self.gamma))
+            # the columns of the solve are the fields: y.T is C-ordered
+            # (n_fields, n_gamma), the layout of the summed moments
+            y = self.factor.solve(rhs.reshape(self.n_fields, -1).T).T.ravel()
+            flat[self.gamma_put] = y
+            np.take(y, self.face_bins, out=self.y_faces, mode="clip")
+            for p in self.faced:
+                # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
+                # gy^T: one batched product [gx | Y_cols] [Y_rows Geta^T ;
+                # gy^T] of rank |rows| + |cols|
+                y_rows, y_glued, y_cols = p.y
+                p.left_y[...] = y_cols
+                np.matmul(y_glued, p.gy_t, out=p.right_y)
+                p.right_y += y_rows
+                np.matmul(p.left, p.right, out=p.update)
+                p.b3 -= p.update
+        flat[self.interior_put] = self.interiors
+        return out
 
 
 class MixedSystem:
@@ -593,13 +733,15 @@ class MixedSystem:
 
         self._jet_groups = FIRST_JET if mode == "full" else SECOND_JET
         self._build_patches()
-        self._build_mass()
+        self._tilde2g = topology.tilde_to_global()
+        self._tilde_bounds = list(zip(topology.tilde_offsets[:-1],
+                                      topology.tilde_offsets[1:]))
+        self._mass = _CondensedMass(topology, self.patches, self.n_fields)
         # calls of eval_RN, and the seconds spent in it and in the exact
         # mass solve, summed over the life of the system
         self.rn_eval_count = 0
         self.rn_eval_s = 0.0
         self.mass_solve_s = 0.0
-        self.last_min_denominator = np.inf
         self._buffers = {}
         # the flat control net the metric in the patch contexts belongs to
         self._metric_net = None
@@ -669,65 +811,6 @@ class MixedSystem:
                 right=np.concatenate([fy.obar.T, fy.kbar.T], axis=1),
                 mass=(vol * fx.mbar, fy.mbar)))
         self._rn_bins = np.concatenate(bins)
-
-    def _build_mass(self):
-        """Static condensation of the coupled auxiliary mass A onto Gamma,
-        the auxiliary DOFs shared by more than one patch (Smith, Bjorstad &
-        Gropp, Domain Decomposition, CUP 1996, ch. 4). The shared DOFs of a
-        patch are those of its glued faces, so the others form a tensor
-        range sx x sy, whose block vol Mxi[sx, sx] (x) Meta[sy, sy] is
-        solved by the dense inverses of its univariate factors (``kron``);
-        the same inverses give Gxi = Mxi[sx, sx]^-1 Mxi[sx, :] and Geta. As
-        M[:, I] M[I, I]^-1 M[I, :] = vol Pxi (x) Peta with Pxi = Mxi[:, sx]
-        Gxi, the interface Schur complement sums
-        vol (Mxi (x) Meta - Pxi (x) Peta) over patches. Pxi differs from Mxi
-        only on the glued lines, by the univariate Schur complement Dxi, so
-        each term is vol (Dxi (x) Meta + Mxi (x) Deta - Dxi (x) Deta),
-        formed on the face DOFs alone in O(n_Gamma^2). The sum is dense in
-        n_Gamma and factored once by dense Cholesky."""
-        topo = self.topology
-        self._tilde2g = topo.tilde_to_global()
-        shared = np.bincount(self._tilde2g, minlength=topo.n_sigbar) > 1
-        self._gamma = np.flatnonzero(shared)
-        n_gamma = len(self._gamma)
-        position = np.cumsum(shared) - 1
-        keys, blocks = [], []
-        for i, ctx in enumerate(self.patches):
-            mx, my = ctx.cache.xi.mbar, ctx.cache.eta.mbar
-            bb = topo.bar_bases[i]
-            unglued = topo.unglued_faces[i]
-            ctx.rows, sx = _glued_lines(bb.n_xi, ("west", "east"), unglued)
-            ctx.cols, sy = _glued_lines(bb.n_eta, ("south", "north"), unglued)
-            ctx.inner = sx, sy
-            ctx.kron = KronSolver(mx[sx, sx], my[sy, sy], scale=ctx.vol)
-            ctx.gx = ctx.kron.inv_xi @ mx[sx, ctx.rows]
-            ctx.gy = ctx.kron.inv_eta @ my[sy, ctx.cols]
-            local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
-            # face DOFs: the glued xi lines, in the range sy and then on the
-            # glued eta lines, then the glued eta lines inside the range sx
-            face = np.concatenate([local[ctx.rows, sy].ravel(),
-                                   local[ctx.rows, ctx.cols].ravel(),
-                                   local[sx, ctx.cols].ravel()])
-            ctx.face_local = face
-            ctx.face_dofs = position[topo.bar_l2g[i][face]]
-            if not face.size:
-                continue
-            dx = np.zeros_like(mx)
-            dx[ctx.rows, ctx.rows] = mx[ctx.rows, ctx.rows] - mx[ctx.rows, sx] @ ctx.gx
-            dy = np.zeros_like(my)
-            dy[ctx.cols, ctx.cols] = my[ctx.cols, ctx.cols] - my[ctx.cols, sy] @ ctx.gy
-            fa, fb = np.divmod(face, bb.n_eta)
-            a, b = np.ix_(fa, fa), np.ix_(fb, fb)
-            blocks.append(ctx.vol * (dx[a] * my[b] + mx[a] * dy[b] - dx[a] * dy[b]))
-            keys.append(ctx.face_dofs[:, None] * n_gamma + ctx.face_dofs)
-        self._gamma_factor = None
-        if keys:
-            schur = np.bincount(
-                np.concatenate([k.ravel() for k in keys]),
-                weights=np.concatenate([s.ravel() for s in blocks]),
-                minlength=n_gamma * n_gamma).reshape(n_gamma, n_gamma)
-            self._gamma_factor = DenseCholesky(schur)
-        self._tilde_bounds = list(zip(topo.tilde_offsets[:-1], topo.tilde_offsets[1:]))
 
     # -- shapes and layout -------------------------------------------------
 
@@ -898,22 +981,19 @@ class MixedSystem:
     @functools.cached_property
     def _plans(self):
         """The :class:`_Plans`, built on first use: the
-        :class:`_PatchPlan` of every patch, the residual moments of all
+        :class:`_PatchPlan` of every patch and the residual moments of all
         patches, patch after patch as the positions ``_rn_bins``, so that
-        one ``bincount`` sums them, and the :class:`_MassPlan`. The
-        kernels share their scratch, so the plans are made twice: the first
-        pass grows each scratch array to the largest need of any patch and
-        kernel, and the second takes its views of the grown arrays. The
-        mass plan is made once, after its work is reserved."""
+        one ``bincount`` sums them. The kernels share their scratch, so the
+        plans are made twice: the first pass grows each scratch array to the
+        largest need of any patch and kernel, and the second takes its views
+        of the grown arrays."""
         moments = np.empty(len(self._rn_bins))
         bounds = np.cumsum([0] + [ctx.sig_idx.size for ctx in self.patches])
         segments = [moments[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
         for ctx, out in zip(self.patches, segments):
             self._patch_plan(ctx, out)
-        work = self._mass_work()
-        self._scratch("rows", work.sum())
         plans = [self._patch_plan(ctx, out) for ctx, out in zip(self.patches, segments)]
-        return _Plans(plans, moments, self._mass_plan(work))
+        return _Plans(plans, moments)
 
     def _strip_pass(self, plan, net, d):
         """One walk over the xi strips of the patch of ``plan`` at the flat
@@ -921,8 +1001,7 @@ class MixedSystem:
         coefficients ``d``, writing g11, g22, g12 and w / (g11 + g22 + mu)
         of every Gauss point into the patch's ``metric`` and its residual
         moments (2 n_xi, n_eta) against the test functions into
-        ``plan.out``; returns the patch's minimum denominator g11 + g22 +
-        mu.
+        ``plan.out``.
 
         The eta direction is contracted first, on the coefficients: jet row
         (k, l) is xi.sig[k] @ E_l with E_l = C @ eta.sig[l].T, and the
@@ -940,7 +1019,6 @@ class MixedSystem:
         np.matmul(plan.C, plan.eta_sig, out=plan.E)
         np.matmul(d[plan.bar_take], plan.eta_bar, out=plan.F)
         plan.acc.fill(0.0)
-        min_denom = np.inf
         for st in plan.strips:
             for factor, operand, out in st.products:
                 np.matmul(factor, operand, out=out)
@@ -954,7 +1032,6 @@ class MixedSystem:
             np.add(xs0, xs1, out=g_diag)
             np.add(g11, g22, out=w)
             w += mu
-            min_denom = min(min_denom, float(w.min()))
             np.divide(st.weights, w, out=w)
             # U = (g11 Y11 + g22 Y22 + g12 Y12) w / (g11 + g22 + mu)
             np.multiply(Y, g_y, out=Y)
@@ -964,7 +1041,6 @@ class MixedSystem:
             np.matmul(st.test, U, out=st.moments)
             st.acc += st.moments
         np.matmul(plan.acc, plan.eta_test, out=plan.out)
-        return min_denom
 
     def eval_RN(self, d, c):
         """Nonlinear residual: moments of the scaled operator against every
@@ -985,13 +1061,27 @@ class MixedSystem:
         n_res = 2 * self.n_inner
         # a call that fails part way leaves no tag on a half-written metric
         self._metric_net = None
-        min_denom = min(self._strip_pass(plan, net, d) for plan in plans.patches)
+        for plan in plans.patches:
+            self._strip_pass(plan, net, d)
         res = np.bincount(self._rn_bins, weights=plans.moments, minlength=n_res + 1)
         self._metric_net = net
         self.rn_eval_count += 1
         self.rn_eval_s += time.perf_counter() - t0
-        self.last_min_denominator = min_denom
         return res[:n_res]
+
+    def min_denominator(self):
+        """The minimum Winslow denominator g11 + g22 + mu over the Gauss
+        points of all patches, read from the metric the last residual pass
+        left in the patch contexts, that of the control net
+        ``_metric_net``: the last :meth:`eval_RN`, unless
+        :meth:`frozen_laplacian` has passed at another net since. Rounding
+        is monotone, so this is the least of the denominators that pass
+        divided by. Raises RuntimeError when no pass has left a whole
+        metric."""
+        if self._metric_net is None:
+            raise RuntimeError("no residual pass has left a metric: call eval_RN first")
+        return min(float((ctx.metric[0] + ctx.metric[1]).min())
+                   for ctx in self.patches) + self.mu
 
     # -- Schur preconditioner ------------------------------------------------
 
@@ -1119,7 +1209,7 @@ class MixedSystem:
         n, order = self.n_inner, self._laplacian_factors.order
 
         def apply(y):
-            z = chol.solve(np.reshape(y, (2, n))[:, order].T, overwrite=True)
+            z = chol.solve(np.reshape(y, (2, n))[:, order].T)
             out = np.empty((2, n))
             out[:, order] = z.T
             return np.negative(out, out=out).ravel()
@@ -1146,137 +1236,18 @@ class MixedSystem:
             np.matmul(left, T4, out=out[:, lo:hi].reshape(n_dir, 2, nbx, -1))
         return out
 
-    def _mass_work(self):
-        """Sizes of the flat work arrays of the mass solve: the interior
-        moments of all patches, their face moments, M_GammaI z_I and the
-        interface values on their faces, and the largest patch's update."""
-        n_interior = [ctx.kron.n_xi * ctx.kron.n_eta for ctx in self.patches]
-        n_face = sum(ctx.face_dofs.size for ctx in self.patches)
-        return self.n_fields * np.array([sum(n_interior), n_face, n_face, n_face,
-                                         max(n_interior)])
-
-    def _mass_plan(self, work):
-        """The :class:`_MassPlan` of the condensation of
-        :meth:`_build_mass`. Its work arrays (sizes ``work``, see
-        :meth:`_mass_work`) take the scratch of the residual's raw rows,
-        idle in the mass solve."""
-        topo, k = self.topology, self.n_fields
-        fields = np.arange(k)[:, None]
-        n_gamma = len(self._gamma)
-        interiors, faces, corr, y_faces, update = np.split(
-            self._scratch("rows", work.sum()), np.cumsum(work)[:-1])
-        interior_put = np.empty(len(interiors), dtype=np.int64)
-        face_take, face_bins, patches = [], [], []
-        i_off = f_off = 0
-        for i, (ctx, (lo, hi)) in enumerate(zip(self.patches, self._tilde_bounds)):
-            (n_xi, n_rows), (n_eta, n_cols) = ctx.gx.shape, ctx.gy.shape
-            n_face = ctx.face_dofs.size
-            bb = topo.bar_bases[i]
-            local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)[ctx.inner].ravel()
-            segment = slice(i_off, i_off + k * len(local))
-            i_off = segment.stop
-            np.add(topo.n_sigbar * fields, topo.bar_l2g[i][local],
-                   out=interior_put[segment].reshape(k, -1))
-            b = interiors[segment].reshape(k, -1)
-            mp = _MassPatch(kron=ctx.kron, b=b, b3=b.reshape(k, n_xi, n_eta),
-                            block=(slice(lo, hi), (k, bb.n_xi, bb.n_eta),
-                                   (slice(None), *ctx.inner)))
-            patches.append(mp)
-            if not n_face:
-                continue
-            face_take.append(topo.n_tilde * fields + lo + ctx.face_local)
-            face_bins.append(n_gamma * fields + ctx.face_dofs)
-            split = np.cumsum([0, n_rows * n_eta, n_rows * n_cols, n_xi * n_cols])
-            shapes = ((k, n_rows, n_eta), (k, n_rows, n_cols), (k, n_xi, n_cols))
-
-            def blocks(flat):
-                seg = flat[f_off: f_off + k * n_face].reshape(k, -1)
-                return tuple(seg[:, a:z].reshape(shape)
-                             for a, z, shape in zip(split[:-1], split[1:], shapes))
-            mp.corr, mp.y = blocks(corr), blocks(y_faces)
-            f_off += k * n_face
-            mp.gx_t = ctx.gx.T
-            mp.gy = ctx.gy
-            mp.gy_t = ctx.gy.T
-            mp.left = np.empty((k, n_xi, n_rows + n_cols))
-            mp.left[:, :, :n_rows] = ctx.gx
-            mp.left_y = mp.left[:, :, n_rows:]
-            mp.right = np.empty((k, n_rows + n_cols, n_eta))
-            mp.right[:, n_rows:] = ctx.gy.T
-            mp.right_y = mp.right[:, :n_rows]
-            mp.update = update[:b.size].reshape(mp.b3.shape)
-
-        def joined(parts):
-            return np.concatenate([p.ravel() for p in parts] + [np.zeros(0, np.int64)])
-        return _MassPlan(
-            patches=patches, faced=[mp for mp in patches if mp.left is not None],
-            interiors=interiors, interior_put=interior_put,
-            faces=faces, corr=corr, face_take=joined(face_take),
-            face_bins=joined(face_bins), y_faces=y_faces,
-            gamma_put=(topo.n_sigbar * fields + self._gamma).ravel())
-
     def _mass_pcg(self, tilde):
-        """Exact coupled A^-1 applied to the union moments ``tilde``, one
-        C-ordered row per field, all fields batched, by the static
-        condensation of :meth:`_build_mass`; every operand and index is
-        fixed in :meth:`_mass_plan`.
-
-        Per patch, the interior moments b_I of every field are solved by one
-        batched Kronecker solve, z_I = M_II^-1 b_I (two dense products with
-        the univariate inverses), and M_GammaI z_I = (Gxi (x) Geta)^T b_I is
-        taken on the face DOFs alone, by contractions with the glued columns
-        of Gxi and Geta. The interface moments of all fields are summed by
-        one ``bincount``, one dense Cholesky solve on Gamma (LAPACK
-        ``potrs``) gives the interface values y, and the back-substitution
-        x_I = z_I - (Gxi (x) Geta) y is one low-rank product per patch. One
-        gather takes the face moments of all patches and one scatter puts
-        the interior values of all patches. A patch without glued
-        faces skips the face work, so with no shared DOFs (a single patch)
-        this is the plain Kronecker solve. The name is that of the
-        conjugate-gradient solve this replaced; it stays because
-        ``perfbench/tracing.py`` looks the method up by it, until the
-        benchmark's hooks are renamed (ROADMAP item 6)."""
-        mp = self._plans.mass
-        for p in mp.patches:
-            span, shape, inner = p.block
-            p.b3[...] = tilde[:, span].reshape(shape)[inner]
-        if mp.faced:
-            np.take(tilde.ravel(), mp.face_take, out=mp.faces, mode="clip")
-            for p in mp.faced:
-                # M_GammaI z_I on the faces: gx^T b_I, (gx^T b_I) gy, b_I gy
-                np.matmul(p.gx_t, p.b3, out=p.corr[0])
-                np.matmul(p.corr[0], p.gy, out=p.corr[1])
-                np.matmul(p.b3, p.gy, out=p.corr[2])
-            mp.faces -= mp.corr
-        for p in mp.patches:
-            p.b[...] = p.kron.solve_block(p.b)
-        out = np.empty((self.n_fields, self.topology.n_sigbar))
-        flat = out.reshape(-1)
-        if mp.faced:
-            rhs = np.bincount(mp.face_bins, weights=mp.faces,
-                              minlength=self.n_fields * len(self._gamma))
-            # the columns of the solve are the fields: y.T is C-ordered
-            # (n_fields, n_gamma), the layout of the summed moments
-            y = self._gamma_factor.solve(rhs.reshape(self.n_fields, -1).T).T.ravel()
-            flat[mp.gamma_put] = y
-            np.take(y, mp.face_bins, out=mp.y_faces, mode="clip")
-            for p in mp.faced:
-                # (Gxi (x) Geta) y on the range is gx Y_rows Geta^T + Y_cols
-                # gy^T: one batched product [gx | Y_cols] [Y_rows Geta^T ;
-                # gy^T] of rank |rows| + |cols|
-                y_rows, y_glued, y_cols = p.y
-                p.left_y[...] = y_cols
-                np.matmul(y_glued, p.gy_t, out=p.right_y)
-                p.right_y += y_rows
-                np.matmul(p.left, p.right, out=p.update)
-                p.b3 -= p.update
-        flat[mp.interior_put] = mp.interiors
-        return out
+        """:meth:`_CondensedMass.solve`. The name is that of the
+        conjugate-gradient solve the condensation replaced; it stays
+        because ``perfbench/tracing.py`` looks the method up by it, until
+        the benchmark's hooks are renamed (ROADMAP item 6)."""
+        return self._mass.solve(tilde)
 
     def ainv_exact(self, tilde):
         """Exact coupled A^-1 applied to union moments, one row per field,
         all fields in one call: the one mass solve, by static condensation
-        onto the interface DOFs (:meth:`_mass_pcg`). The result is a fresh
+        onto the interface DOFs (:class:`_CondensedMass`, through
+        :meth:`_mass_pcg`). The result is a fresh
         (n_fields, n_sigbar) array."""
         t0 = time.perf_counter()
         tilde = np.ascontiguousarray(tilde, dtype=float)

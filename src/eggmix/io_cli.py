@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MixedSystem, boundary_values_from_faces
+from .assembly import MODES, MixedSystem, boundary_values_from_faces
 from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
@@ -32,9 +32,8 @@ from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
 from .solver import SolverConfig, SolverReport, \
     build_system_hierarchy, folded_initial_guess, newton_solve, \
     transfinite_global
-from .splines import KnotVector, TensorBasis
+from .splines import FACES, KnotVector, TensorBasis
 
-FACE_NAMES = ("south", "north", "west", "east")
 # the numeric solver settings of docs/geometry_schema.json:
 # key -> (integer, minimum, minimum excluded, maximum)
 SOLVER_RANGES = {
@@ -171,7 +170,7 @@ def _validate(doc):
             err(f"{ptr}/boundary", "expected an object keyed by face name")
         else:
             for face, arr in bnd.items():
-                if face not in FACE_NAMES:
+                if face not in FACES:
                     err(f"{ptr}/boundary/{face}", "unknown face name")
                 elif not _is_point_array(arr):
                     err(f"{ptr}/boundary/{face}", "expected an array of [x, y] pairs")
@@ -194,8 +193,8 @@ def _validate(doc):
             if not _is_integer(v) or not 0 <= v < len(patches):
                 err(f"{ptr}/{key}", "expected a valid patch index")
         for key in ("face_a", "face_b"):
-            if itf.get(key) not in FACE_NAMES:
-                err(f"{ptr}/{key}", f"expected one of {FACE_NAMES}")
+            if itf.get(key) not in FACES:
+                err(f"{ptr}/{key}", f"expected one of {FACES}")
         if "reversed" in itf and not isinstance(itf["reversed"], bool):
             err(f"{ptr}/reversed", "expected a boolean")
     solver = doc.get("solver", {})
@@ -203,7 +202,7 @@ def _validate(doc):
         err("/solver", "expected an object")
     else:
         out += _unknown_keys(solver, SOLVER_KEYS, "/solver", "solver setting")
-        if "mode" in solver and solver["mode"] not in ("full", "xi", "eta"):
+        if "mode" in solver and solver["mode"] not in MODES:
             err("/solver/mode", "expected full, xi or eta")
         for key in SOLVER_RANGES:
             if key in solver:
@@ -780,7 +779,7 @@ def _parser():
     ps = sub.add_parser("solve", help="solve a geometry file")
     ps.add_argument("input")
     ps.add_argument("--out", default=None)
-    ps.add_argument("--mode", choices=("full", "xi", "eta"), default=None)
+    ps.add_argument("--mode", choices=MODES, default=None)
     ps.add_argument("--mu", type=float, default=None)
     ps.add_argument("--chi", type=float, default=None)
     ps.add_argument("--coarse-levels", dest="coarse_levels", type=int, default=None)

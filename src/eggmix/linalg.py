@@ -43,14 +43,15 @@ class Banded1DCholesky:
         self._cb = cb
         cb.setflags(write=False)
 
-    def solve(self, rhs, overwrite=False):
+    def solve(self, rhs):
         """Solve M x = rhs for a vector or the columns of a matrix, by one
-        LAPACK ``pbtrs`` call. With ``overwrite`` a Fortran-ordered float
-        ``rhs`` is solved in place."""
+        LAPACK ``pbtrs`` call, and return x. A Fortran-ordered float
+        ``rhs`` is solved in place and holds x afterwards; any other is
+        copied first. Callers use the returned x."""
         if self.n == 0:
             # LAPACK refuses the leading dimension 0 of an empty rhs
             return np.array(rhs, dtype=float)
-        x, info = dpbtrs(self._cb, rhs, lower=1, overwrite_b=overwrite)
+        x, info = dpbtrs(self._cb, rhs, lower=1, overwrite_b=1)
         if info:
             raise InputError(f"pbtrs rejected argument {-info}")
         return x

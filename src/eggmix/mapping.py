@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CornerMismatchError, InputError, NonbijectiveMapError
-from .splines import TensorBasis
+from .splines import FACES, TensorBasis
 
 CORNER_TOL = 1e-12
-
-FACES = ("south", "north", "west", "east")
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InputError, KnotMismatchError
-from .splines import KNOT_TOL, TensorBasis
+from .splines import FACES, KNOT_TOL, TensorBasis
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ def build_topology(patches, interfaces) -> PatchTopology:
         for p, f in ((itf.patch_a, itf.face_a), (itf.patch_b, itf.face_b)):
             if not 0 <= p < len(bases):
                 raise InputError(f"interface {itf} references unknown patch {p}")
-            if f not in ("south", "north", "west", "east"):
+            if f not in FACES:
                 raise InputError(f"interface {itf} references unknown face {f!r}")
             if (p, f) in used:
                 raise InputError(f"face {p}.{f} glued more than once")
@@ -306,8 +306,7 @@ def build_topology(patches, interfaces) -> PatchTopology:
     unglued = []
     boundary = np.zeros(n_sigma, dtype=bool)
     for p, tb in enumerate(bases):
-        faces = [f for f in ("south", "north", "west", "east")
-                 if (p, f) not in glued]
+        faces = [f for f in FACES if (p, f) not in glued]
         unglued.append(faces)
         for f in faces:
             boundary[sig_l2g[p][tb.face_indices(f)]] = True

@@ -215,13 +215,14 @@ def residual_pieces(system: MixedSystem, d, c) -> dict:
     """The residual of (d, c) in the pieces a :class:`NewtonState` holds:
     the union moments ``rl_tilde`` of the linear residual and their coupled
     sum ``r_l``, the nonlinear residual ``r_n``, the norm ``r_norm`` of
-    (R_L, R_N) and the minimum Winslow denominator of ``eval_RN``."""
+    (R_L, R_N) and the minimum Winslow denominator of ``eval_RN``
+    (:meth:`MixedSystem.min_denominator`)."""
     rl_tilde = system.eval_RL_tilde(d, c)
     r_l = system.reduce_tilde(rl_tilde).ravel()
     r_n = system.eval_RN(d, c)
     return {"rl_tilde": rl_tilde, "r_l": r_l, "r_n": r_n,
             "r_norm": float(np.sqrt(r_l @ r_l + r_n @ r_n)),
-            "min_denominator": system.last_min_denominator}
+            "min_denominator": system.min_denominator()}
 
 
 class NewtonState:

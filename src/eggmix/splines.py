@@ -17,6 +17,9 @@ from scipy import sparse
 from .errors import DomainError, InputError
 
 KNOT_TOL = 1e-12
+# the faces of a patch, by the parameter line each lies on: eta = 0, eta =
+# 1, xi = 0, xi = 1
+FACES = ("south", "north", "west", "east")
 
 
 @lru_cache(maxsize=None)

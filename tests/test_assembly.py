@@ -260,7 +260,14 @@ def test_denominator_floor(rng):
     c = rng.standard_normal(sys_.c_size)
     d = rng.standard_normal(sys_.d_size)
     sys_.eval_RN(d, c)
-    assert sys_.last_min_denominator >= sys_.mu
+    assert sys_.min_denominator() >= sys_.mu
+
+
+def test_min_denominator_refuses_without_a_residual_pass():
+    # the minimum is read from the metric a residual pass leaves behind
+    sys_, _ = square_system(2, 3, mode="full", mu=1e-4)
+    with pytest.raises(RuntimeError, match="call eval_RN first"):
+        sys_.min_denominator()
 
 
 def test_scaling_consistency():

@@ -56,7 +56,7 @@ def assert_eval_rn_matches(system, d, c):
     got = system.eval_RN(d, c)
     want, min_denom = einsum_eval_RN(system, d, c)
     assert_rel_close(got, want)
-    assert abs(system.last_min_denominator - min_denom) <= RTOL * min_denom
+    assert abs(system.min_denominator() - min_denom) <= RTOL * min_denom
 
 
 @pytest.mark.parametrize("mode", ["full", "xi", "eta"])
@@ -97,11 +97,11 @@ def test_eval_rn_matches_einsum_bat_l1_folded():
     assert min(len(ctx.strips) for ctx in system.patches) >= 2
     c = start(system)
     system.eval_RN(system.project_d(c), c)
-    unfolded = system.last_min_denominator
+    unfolded = system.min_denominator()
     c = start(system, folded=True)
     assert_eval_rn_matches(system, system.project_d(c), c)
     # the folded start has the smaller Winslow denominators
-    assert system.last_min_denominator < 0.5 * unfolded
+    assert system.min_denominator() < 0.5 * unfolded
 
 
 @pytest.mark.parametrize("level, min_strips", [(1, 2), (2, 3)],
@@ -224,7 +224,7 @@ def test_iterate_kernels_reuse_scratch_memory(rng):
             got = (system.eval_RN(d, c), system.ainv_exact(tilde),
                    system.apply_ainv_b(c))
             want, min_denom = einsum_eval_RN(system, d, c)
-            assert abs(system.last_min_denominator - min_denom) <= RTOL * min_denom
+            assert abs(system.min_denominator() - min_denom) <= RTOL * min_denom
             K = dense_laplacian(system, c)
             assert np.abs(K - loop_frozen_laplacian(system, c)).max() \
                 <= RTOL * np.abs(K).max()

@@ -228,6 +228,20 @@ def self_glued_system(pairs):
     return MixedSystem(topo, net[topo.boundary_indices])
 
 
+def two_patch_system(pairs, A=((1.5, 0.3), (0.2, 0.8))):
+    """Two patches of degree 3 in xi and 2 in eta, glued across each
+    (face of patch 0, face of patch 1, reversed) of ``pairs``; patch 1 is
+    the unit square under the affine map with matrix ``A``."""
+    tb = TensorBasis(uniform_knots(3, 3), uniform_knots(2, 4))
+    maps = [AffinePatchMap.identity(), AffinePatchMap(np.array(A), np.array([1.0, 0.5]))]
+    topo = build_topology([(tb, m) for m in maps],
+                          [Interface(0, a, 1, b, reversed=r) for a, b, r in pairs])
+    net = np.zeros((topo.n_sigma, 2))
+    for p, m in enumerate(maps):
+        net[topo.sig_l2g[p]] = m.apply(unit_square_map(tb).control)
+    return MixedSystem(topo, net[topo.boundary_indices])
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: geometry_system(build_bat()), id="build_bat"),
     pytest.param(lambda: geometry_system(build_two_patch_square()),
@@ -237,11 +251,29 @@ def self_glued_system(pairs):
     pytest.param(lambda: self_glued_system([("west", "east")]), id="glued_to_itself"),
     pytest.param(lambda: self_glued_system([("west", "east"), ("south", "north")]),
                  id="glued_to_itself_twice"),
+    # two patches: the glued lines of a direction are none, the first, the
+    # last or both, in xi and in eta
+    pytest.param(lambda: two_patch_system([("east", "west", False)]),
+                 id="xi_last_and_first"),
+    pytest.param(lambda: two_patch_system([("north", "south", False)]),
+                 id="eta_last_and_first"),
+    pytest.param(lambda: two_patch_system([("east", "west", False),
+                                           ("west", "east", False)]),
+                 id="xi_both_ring"),
+    pytest.param(lambda: two_patch_system([("north", "south", False),
+                                           ("south", "north", False)]),
+                 id="eta_both_ring"),
+    pytest.param(lambda: two_patch_system([("east", "east", True)],
+                                          A=((-2.0, 0.5), (0.0, -1.5))),
+                 id="reversed_rotated"),
 ])
 def test_ainv_exact_matches_dense_coupled_mass(make, rng):
     # every glue pattern of the condensation: no shared DOFs, faces glued
-    # between patches, a valence-3 vertex, and a patch's faces glued to its
-    # own, on one line pair or on both
+    # between patches, a valence-3 vertex, a patch's faces glued to its
+    # own, on one line pair or on both, and two patches of unequal degrees
+    # in the two directions, one under a non-identity affine map, glued on
+    # every combination of first and last lines and across a reversed
+    # interface
     sys_ = make()
     n = sys_.topology.n_sigbar
     tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
@@ -316,7 +348,7 @@ def coupled_mass(system):
 @pytest.mark.parametrize("case", sorted(MASS_CASES))
 def test_condensed_mass_matches_direct_solve(case, rng):
     sys_ = MASS_CASES[case]()
-    assert len(sys_._gamma) > 0
+    assert len(sys_._mass.gamma) > 0
     tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
     got = sys_.ainv_exact(tilde)
     mass = coupled_mass(sys_)
@@ -332,10 +364,10 @@ def test_condensed_mass_matches_direct_solve(case, rng):
 @pytest.mark.parametrize("level, n_gamma", [(0, 70), (1, 136)])
 def test_interface_schur_complement_is_spd(level, n_gamma):
     sys_ = geometry_system(build_bat(), level)
-    gamma = sys_._gamma
+    gamma = sys_._mass.gamma
     assert len(gamma) == n_gamma
     # the factored S_Gamma against A_GG - A_GI A_II^-1 A_IG of the coupled mass
-    factor = sys_._gamma_factor.lower
+    factor = sys_._mass.factor.lower
     mass = coupled_mass(sys_)
     inner = np.setdiff1d(np.arange(mass.shape[0]), gamma)
     a_ig = mass[inner][:, gamma].toarray()
@@ -352,7 +384,7 @@ def test_single_patch_mass_solve_is_the_kronecker_solve(mode, rng):
     sys_ = single_patch_system(unit_square_map(tb), mode=mode)
     ctx = sys_.patches[0]
     bb = sys_.topology.bar_bases[0]
-    assert len(sys_._gamma) == 0
+    assert len(sys_._mass.gamma) == 0
     assert (ctx.kron.n_xi, ctx.kron.n_eta) == (bb.n_xi, bb.n_eta)
     tilde = rng.standard_normal((sys_.n_fields, sys_.topology.n_tilde))
     want = ctx.kron.solve_block(tilde)

@@ -63,6 +63,9 @@ BENCH_RECORD_KEYS = {
     "bat-folded-L0-kernels": KERNEL_KEYS,
     "lbend-xi-L1-kernels": KERNEL_KEYS,
     "post-L0": {"calls", "geometries", "peak_rss_mb"},
+    "bat-L2-setup": {"n_sigma", "n_gamma", "n_elements", "band_entries", "bandwidth",
+                     "hierarchy_s", "system_build_s", "mass_build_s",
+                     "laplacian_factors_s", "peak_rss_mb"},
 }
 POST_KEYS = {"n_patches", "converged", "load_maps_ms", "quality_ms", "document_ms",
              "write_solution_ms", "vtk_ms", "svg_ms", "solution_bytes", "vtk_bytes",
