@@ -30,7 +30,7 @@ build of the finest system (``assembly._CondensedMass``: interior Kronecker
 factors, the factored interface Schur complement and the layout and work
 arrays of the solve, which before that class were built on the first solve
 and so left out of ``mass_build_s``), and then the
-first-use pair factors and band layout of the frozen Laplacian
+first-use pair tables and band layout of the frozen Laplacian
 (``MixedSystem._laplacian_factors``) of the finest system, next to the DOF
 count, the interface DOF count, the element count, the number of entries
 in the band that K's couplings fill (its lower triangle) and the
@@ -45,10 +45,14 @@ step takes), the factor (the ``laplace_preconditioner`` build given the
 band that assembly returned, which it factors in place) and one apply to
 both components;
 ``build_plus_six_applies_ms`` adds the three as one Newton step of six
-GMRES iterations pays them. The post-processing case solves each bundled
-geometry once, untimed, from the transfinite start in the mode of its file,
-and then records per geometry the median milliseconds over repeated calls
-of what the commands pay around the solve: loading a solution file into
+GMRES iterations pays them, and ``laplacian_factors_ms`` is the one-time
+set-up of the Laplacian's tables and band layout
+(``MixedSystem._laplacian_factors``), the median over fresh systems on the
+same topology, timed after the peak RSS is read. The post-processing case
+solves each bundled geometry once, untimed, from the transfinite start in
+the mode of its file, and then records per geometry the median
+milliseconds over repeated calls of what the commands pay around the
+solve: loading a solution file into
 per-patch maps (``load_solution`` and ``solution_patch_maps``), the
 quality block (``_quality_block``), the solution document
 (``solution_document``), its write (``write_solution``) and the VTK and SVG
@@ -128,6 +132,8 @@ KERNEL_CASES = {
     "bat-folded-L2-kernels": ("bat", "full", 2, True, 20),
     "bat-folded-L3-kernels": ("bat", "full", 3, True, 5),
 }
+# fresh systems a kernel case times the Laplacian's set-up on, at most
+FRESH_SYSTEMS = 10
 # key -> calls timed per step and geometry
 POST_CASES = {"post-L0": 20}
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -365,13 +371,23 @@ def run_kernel_case(key):
                            (t1, t2, t3, t4, t5, t6, t7)):
             times[k].append(u - t)
     ms = {k: 1e3 * float(np.median(v)) for k, v in times.items()}
+    # ru_maxrss is in KiB on Linux; read before the fresh systems below
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    boundary = system._template[system.topology.boundary_indices]
+    setup_s = []
+    for _ in range(min(calls, FRESH_SYSTEMS)):
+        fresh = MixedSystem(system.topology, boundary, mode=mode)
+        t0 = time.perf_counter()
+        fresh._laplacian_factors
+        setup_s.append(time.perf_counter() - t0)
     return {
         "n_sigma": system.topology.n_sigma,
         "calls": calls,
         **ms,
         "build_plus_six_applies_ms": ms["frozen_laplacian_ms"] + ms["precond_factor_ms"]
         + 6 * ms["precond_apply_ms"],
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "laplacian_factors_ms": 1e3 * float(np.median(setup_s)),
+        "peak_rss_mb": peak_rss_mb,
     }
 
 
@@ -497,7 +513,8 @@ def main(argv=None):
               f"{r['frozen_laplacian_ms']:7.2f} ms  factor "
               f"{r['precond_factor_ms']:7.2f} ms  apply {r['precond_apply_ms']:6.2f} ms  "
               f"R_L {r['eval_rl_ms']:6.3f} ms  A^-1 B {r['apply_ainv_b_ms']:6.2f} ms "
-              f"A^-1 {r['ainv_exact_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
+              f"A^-1 {r['ainv_exact_ms']:6.2f} ms  K set-up "
+              f"{r['laplacian_factors_ms']:6.2f} ms {r['peak_rss_mb']:7.1f} MB",
               file=sys.stderr)
     for key in POST_CASES:
         cases[key] = run_child(key)

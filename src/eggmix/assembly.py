@@ -23,12 +23,16 @@ knots share one read-only :class:`DirectionFactors`. The coupled auxiliary
 mass is solved exactly by static condensation onto the auxiliary DOFs that
 patches share (Kronecker solves on each patch's remaining tensor range, as
 two dense products with the univariate inverses, and one dense Cholesky
-factor on the shared DOFs, solved by LAPACK ``potrs``), and the
-frozen-metric Laplacian that preconditions the Schur GMRES is summed from
-univariate pair factors, of the xi pairs i <= j alone since it is
-symmetric, straight into its lower band storage, in a bandwidth-reducing
-order fixed once per system, and factored there by banded Cholesky. A
-single patch is a 1-patch topology on the same code path.
+factor on the shared DOFs, solved by LAPACK ``potrs``). The frozen-metric
+Laplacian that preconditions the Schur GMRES is sum-factorised span by
+span: dense tables of univariate function-pair products per cell of
+auxiliary spans, of the xi pairs i <= j alone since it is symmetric, are
+contracted with the metric in batched dense products, one direction at a
+time, each followed by one sparse sum that merges the cells onto the
+coupled pairs that meet an inner DOF; the entries go straight into K's
+lower band storage, in a bandwidth-reducing order fixed once per system,
+and are factored there by banded Cholesky. A single patch is a 1-patch
+topology on the same code path.
 
 The per-iterate kernels, the residual pass and the derivative moments, run
 on plans built on first use (:meth:`MixedSystem._plans`): per patch and
@@ -36,8 +40,12 @@ strip the views of the factor blocks, the gather and scatter positions, and
 every ``out=`` view into scratch arrays that all patches and kernels share,
 so that a call sets nothing up and allocates no grid-sized array. The mass
 solve is one object built with the system (:class:`_CondensedMass`), its
-factors, positions and work arrays its own. Every kernel returns a fresh
-array, never a view of the scratch or of the work arrays.
+factors, positions and work arrays its own. The frozen Laplacian's tables,
+summing matrices and band layout are built on its first use
+(:meth:`MixedSystem._laplacian_factors`), inside the first Newton step,
+and it works in the shared scratch, idle in the other kernels while it
+runs. Every kernel returns a fresh array, never a view of the scratch or
+of the work arrays.
 """
 from __future__ import annotations
 
@@ -275,51 +283,91 @@ def _residual_combination(mode, chi, ia, n_aux):
 PAIRINGS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pair_factors(f: DirectionFactors, orders, half: bool):
-    """Univariate pair factors of one direction of a patch for the frozen
-    Laplacian, on its coupled pairs S = {(i, j): some span carries both
-    primal functions i and j}.
+class _SpanTables(NamedTuple):
+    """Pair tables of one direction of a patch for the frozen Laplacian, per
+    cell: a run of ``k`` consecutive auxiliary spans that share their p + 1
+    active primal functions (:func:`_span_tables`)."""
+    first: np.ndarray       # (n_cells,) first active primal function of each cell
+    pairs: np.ndarray       # (2, n_local) local functions (a, b) of each local pair
+    table: np.ndarray       # (4, n_cells, n_local, k nq), pairings as PAIRINGS
 
-    Returns ``(pairs, F)``: ``pairs`` is the (n_pairs, 2) array of the
-    pairs (i, j), sorted by i * n + j, and ``F`` a CSR matrix with one block
-    per entry (k, l) of ``orders``, block b holding at row r and Gauss point
-    m the product d^k w_i(x_m) d^l w_j(x_m) of pair r = (i, j). With
-    ``half``, for the xi factor of the Laplacian, the pairs are the (|S| +
-    n) / 2 with i <= j and the blocks are stacked along the diagonal (shape
-    (n_blocks n_pairs, n_blocks n_points)); otherwise the pairs are all of
-    S and the blocks lie side by side (shape (n_pairs, n_blocks n_points)).
-    A Gauss point only meets the pairs of the p + 1 functions of its span,
-    (p + 1)^2 of them or (p + 1)(p + 2) / 2 with ``half``, so F has as
-    many entries per point and block."""
+
+def _cell_shape(f: DirectionFactors, half: bool):
+    """(n_cells, n_local, points per cell) of the pair tables of ``f``
+    (:func:`_span_tables`): a cell is k consecutive auxiliary spans, k the
+    gcd of the lengths of the runs of equal ``first_sig``, so that every
+    cell lies in one run and holds k nq points."""
     n_spans, nq, _, width = f.tab_sig.shape
-    dim = f.sig.shape[-1]
-    a, b = np.triu_indices(width) if half else np.indices((width, width)).reshape(2, -1)
-    keys = (f.first_sig[:, None] + a) * dim + f.first_sig[:, None] + b
-    uniq, pair = np.unique(keys, return_inverse=True)
-    n_pairs, n_points = len(uniq), n_spans * nq
-    shape = (n_spans, nq, len(a))
-    rows = np.broadcast_to(pair.reshape(n_spans, 1, -1), shape)
-    cols = np.broadcast_to(np.arange(n_points).reshape(n_spans, nq, 1), shape)
-    blocks = range(len(orders))
-    vals = [f.tab_sig[:, :, k, a] * f.tab_sig[:, :, l, b] for k, l in orders]
-    F = sparse.csr_matrix(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([(b * n_pairs if half else 0) + rows.ravel()
-                          for b in blocks]),
-          np.concatenate([b * n_points + cols.ravel() for b in blocks]))),
-        shape=((len(orders) if half else 1) * n_pairs, len(orders) * n_points))
-    return np.stack([uniq // dim, uniq % dim], axis=1), F
+    starts = np.flatnonzero(np.diff(f.first_sig, prepend=-1))
+    k = int(np.gcd.reduce(np.diff(starts, append=n_spans)))
+    return n_spans // k, width * (width + 1) // 2 if half else width * width, k * nq
+
+
+def _span_tables(f: DirectionFactors, half: bool) -> _SpanTables:
+    """Pair tables of the direction ``f`` for the frozen Laplacian, straight
+    from its span table ``tab_sig``: ``table[o, c, h, m]`` is the product
+    d^k w_a(x_m) d^l w_b(x_m) of the local pair h = (a, b) at point m of
+    cell c, (k, l) the derivative orders of pairing o in this direction.
+
+    The auxiliary spans of a primal span share its p + 1 active functions,
+    so every cell (:func:`_cell_shape`; the auxiliary spans of one primal
+    span on the bisected auxiliary basis of a system) has one set of them.
+    With ``half``, for the xi factor (orders (1 - a, 1 - b) of each pairing
+    (a, b)), the local pairs are the (p + 1)(p + 2) / 2 with a <= b;
+    otherwise, for the eta factor (orders (a, b)), all (p + 1)^2."""
+    n_cells, _, kq = _cell_shape(f, half)
+    width = f.tab_sig.shape[-1]
+    tab = f.tab_sig.reshape(n_cells, kq, -1, width)
+    a, b = np.indices((width, width)).reshape(2, -1)
+    # (4, 1) derivative orders of the first and of the second function
+    r, s = np.array(PAIRINGS).T[:, :, None]
+    if half:
+        a, b, r, s = a[a <= b], b[a <= b], 1 - r, 1 - s
+    table = tab[:, :, r, a] * tab[:, :, s, b]     # (n_cells, k nq, 4, n_local)
+    return _SpanTables(first=f.first_sig[::len(f.first_sig) // n_cells],
+                       pairs=np.stack([a, b]),
+                       table=np.ascontiguousarray(table.transpose(2, 0, 3, 1)))
+
+
+def _coupled_pairs(t: _SpanTables, dim, live):
+    """The coupled pairs (i, j) of one direction that join two functions
+    with ``live`` set, the functions of its grid lines that hold an inner
+    DOF, as a (2, n_pairs) array sorted by i * dim + j, and the row of the
+    pair of every local pair of every cell of ``t`` (cell-major), -1 for a
+    pair that is left out. A pair left out meets no inner DOF on one side,
+    so every coupling it carries lies in a boundary row or column of K."""
+    a, b = t.pairs
+    keys = ((t.first[:, None] + a) * dim + t.first[:, None] + b).ravel()
+    pairs, local = np.unique(keys, return_inverse=True)
+    i, j = np.divmod(pairs, dim)
+    kept = live[i] & live[j]
+    row = np.where(kept, np.cumsum(kept) - 1, -1)[local]
+    return np.stack([i[kept], j[kept]]), row
+
+
+def _summing_matrix(rows, n_rows):
+    """CSR matrix (n_rows, len(rows)) with a 1 at (rows[c], c) for every
+    column c with rows[c] >= 0: its product sums the rows of the right
+    operand onto ``rows``. Built from its (data, indices, indptr)."""
+    cols = np.flatnonzero(rows >= 0).astype(np.int32)
+    indices = cols[np.argsort(rows[cols], kind="stable")]
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[cols], minlength=n_rows), out=indptr[1:])
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                             shape=(n_rows, len(rows)))
 
 
 def _patch_metric_map(ia, mu):
-    """(4, 4) matrix taking (g11, g22, g12, 1) at a Gauss point to the
-    entries (M_ss, M_st, M_ts, M_tt) of M = ia Q ia^T in the patch
-    coordinates, with Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]] the
-    metric of the frozen Laplacian in (xi, eta) and ``ia`` the inverse
-    Jacobian of the affine patch map (grad_(xi, eta) = ia^T grad_(s, t))."""
+    """(3, 4) matrix taking (g11, g22, g12, 1) at a Gauss point to the
+    entries (M_ss, M_st, M_tt) of M = ia Q ia^T in the patch coordinates,
+    with Q = [[g22 + mu/2, -g12], [-g12, g11 + mu/2]] the metric of the
+    frozen Laplacian in (xi, eta) and ``ia`` the inverse Jacobian of the
+    affine patch map (grad_(xi, eta) = ia^T grad_(s, t)). M is symmetric, so
+    M_ts is M_st, bitwise: its row would take the same products in the
+    other order."""
     # columns: the coefficients of Q11, Q12 and Q22
     P = np.array([[ia[a, 0] * ia[b, 0], ia[a, 0] * ia[b, 1] + ia[a, 1] * ia[b, 0],
-                   ia[a, 1] * ia[b, 1]] for a, b in PAIRINGS])
+                   ia[a, 1] * ia[b, 1]] for a, b in ((0, 0), (0, 1), (1, 1))])
     return np.stack([P[:, 2], P[:, 0], -P[:, 1], 0.5 * mu * (P[:, 0] + P[:, 2])],
                     axis=1)
 
@@ -342,9 +390,19 @@ def _band_layout(rows, cols, n):
     keep = rows >= 0
     r, s = rows[keep], cols[keep]
     # RCM breaks ties in the order of a row's columns: a sorted pattern
-    # without duplicates, both triangles
-    graph = sparse.csr_matrix((np.ones(2 * len(r)), (np.r_[r, s], np.r_[s, r])),
+    # without duplicates, both triangles, as (data, indices, indptr)
+    m = len(r)
+    keys = np.empty(2 * m, dtype=np.int64)
+    for out, (u, v) in zip((keys[:m], keys[m:]), ((r, s), (s, r))):
+        np.multiply(u, n, out=out)
+        out += v
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    graph = sparse.csr_matrix((np.ones(len(keys), dtype=np.int8),
+                               (keys % max(n, 1)).astype(np.int32), indptr),
                               shape=(n, n))
+    del keys
     best = None
     # csgraph has no ordering of an empty graph
     candidates = [np.arange(n)] + (
@@ -363,12 +421,32 @@ def _band_layout(rows, cols, n):
 
 
 @dataclass
+class _LaplacianPatch:
+    """The frozen Laplacian of one patch (:meth:`MixedSystem._laplacian_factors`):
+    its pair tables, its metric map, the summing matrices of its xi and eta
+    cells and views of the system's shared scratch
+    (:meth:`MixedSystem._laplacian_scratch`). ``M`` holds the three metric
+    planes, span-major like the metric, and ``W`` the products of the eta
+    stage, in the same memory; ``Z`` the products of the xi stage, ``Zt``
+    the same array with the pairings first."""
+    x: _SpanTables
+    y: _SpanTables
+    to_m: np.ndarray        # (3, 4) _patch_metric_map
+    sum_x: sparse.csr_matrix    # (n_rx, n_cells_xi n_local_xi)
+    sum_y: sparse.csr_matrix    # (n_ry, 4 n_cells_eta n_local_eta), pairings side by side
+    M: np.ndarray           # (3, npx npy)
+    M_cells: np.ndarray     # M as (3, n_cells_xi, k nq, npy)
+    Z: np.ndarray           # (n_cells_xi n_local_xi, 4 npy)
+    Zt: np.ndarray          # Z as (4, n_cells_xi, n_local_xi, npy)
+    W: np.ndarray           # (4, n_cells_eta, n_local_eta, n_rx)
+    shape: tuple            # (n_rx, 4, n_cells_eta, k nq) of the merged xi products
+
+
+@dataclass
 class _LaplacianFactors:
-    """Pair factors and metric maps of every patch and the band layout of
-    the frozen Laplacian, see :meth:`MixedSystem._laplacian_factors`."""
-    x: list                 # per patch, block-diagonal xi factors of the pairs i <= j
-    y: list                 # per patch, side-by-side eta factors (|S_eta|, 4 n_eta)
-    metric_maps: list       # per patch, its _patch_metric_map
+    """Per-patch tables and the band layout of the frozen Laplacian, see
+    :meth:`MixedSystem._laplacian_factors`."""
+    patches: list           # one _LaplacianPatch per patch
     order: np.ndarray       # (n_inner,) inner index of every band row
     bandwidth: int
     places: np.ndarray      # band place of each patch entry, (bandwidth + 1) n if dropped
@@ -451,11 +529,10 @@ class _PatchPlan:
     transposed eta factors, the views of the shared scratch
     that hold the gathered and eta-contracted coefficients and the xi
     moments, the patch's segment of the residual moments of all patches,
-    and one :class:`_StripPlan` per strip. ``laplacian`` is the scratch of
-    :meth:`MixedSystem.frozen_laplacian`'s metric products on the patch,
-    ``derivatives`` that of :meth:`MixedSystem._derivative_moments` (its
-    products C [Oeta^T | Keta^T], as they are and as the right operand of
-    the left factor, and the left factor with a broadcast component axis)."""
+    and one :class:`_StripPlan` per strip. ``derivatives`` is the scratch
+    of :meth:`MixedSystem._derivative_moments` (its products C [Oeta^T |
+    Keta^T], as they are and as the right operand of the left factor, and
+    the left factor with a broadcast component axis)."""
     ctx: _PatchContext
     sig_take: np.ndarray    # (2 n_xi, n_eta) sig_idx
     bar_take: np.ndarray    # (n_fields nbar_xi, nbar_eta) bar_idx
@@ -468,7 +545,6 @@ class _PatchPlan:
     eta_test: np.ndarray    # (npy, n_eta) eta.sig[0]
     out: np.ndarray         # (2 n_xi, n_eta) segment of the moments of all patches
     strips: list
-    laplacian: np.ndarray   # (4, npx npy)
     derivatives: tuple
 
 
@@ -924,6 +1000,21 @@ class MixedSystem:
             buf = self._buffers[name] = np.empty(size)
         return buf[:size].reshape(shape)
 
+    def _laplacian_scratch(self, ctx):
+        """The scratch of :meth:`frozen_laplacian` on the patch ``ctx``,
+        idle in the residual kernels while it runs: the metric planes, and
+        then the eta products, in that of the raw rows, sized for the eta
+        products of all cell-local xi pairs (those of the pairs kept are
+        fewer); the xi products in that of the eta-contracted auxiliary
+        coefficients. Flat views."""
+        npx, npy = ctx.wgrid.shape
+        n_cells, n_local, _ = _cell_shape(ctx.cache.xi, True)
+        n_cells_eta, n_local_eta, _ = _cell_shape(ctx.cache.eta, False)
+        rows = max(3 * npx * npy,
+                   len(PAIRINGS) * n_cells_eta * n_local_eta * n_cells * n_local)
+        return (self._scratch("rows", rows),
+                self._scratch("eta_bar", n_cells * n_local * len(PAIRINGS) * npy))
+
     def _patch_plan(self, ctx, out):
         """The :class:`_PatchPlan` of one patch, its residual moments
         written to ``out``."""
@@ -931,13 +1022,15 @@ class MixedSystem:
         groups, n_fields = self._jet_groups, self.n_fields
         _, nx, ny = ctx.sig_idx.shape
         _, nbx, nby = ctx.bar_idx.shape
-        npx, npy = ctx.wgrid.shape
+        npy = ctx.wgrid.shape[1]
         n_rows = sum(k1 - k0 for _, k0, k1 in groups) + n_fields
         E = self._scratch("eta_sig", len(groups), 2, nx, npy)
         F = self._scratch("eta_bar", 2, n_fields, nbx, npy)
         acc = self._scratch("moments", 2, nx, npy)
         # the derivative moments take the scratch of the raw rows, idle there
         T = self._scratch("rows", 2 * nx, 2 * nby)
+        # grown for the frozen Laplacian too, which takes its views later
+        self._laplacian_scratch(ctx)
         strips = []
         for pts, cols, bar_cols in ctx.strips:
             n_pts = pts.stop - pts.start
@@ -975,7 +1068,6 @@ class MixedSystem:
             eta_test=fy.sig[0],
             out=out.reshape(2 * nx, ny),
             strips=strips,
-            laplacian=self._scratch("rows", 4, npx * npy),
             derivatives=(T, T.reshape(1, 2, 2 * nx, nby), ctx.left[:, None]))
 
     @functools.cached_property
@@ -1076,22 +1168,28 @@ class MixedSystem:
         ``_metric_net``: the last :meth:`eval_RN`, unless
         :meth:`frozen_laplacian` has passed at another net since. Rounding
         is monotone, so this is the least of the denominators that pass
-        divided by. Raises RuntimeError when no pass has left a whole
-        metric."""
+        divided by. The sums g11 + g22 go strip by strip into the idle
+        scratch of the residual pass. Raises RuntimeError when no pass has
+        left a whole metric."""
         if self._metric_net is None:
             raise RuntimeError("no residual pass has left a metric: call eval_RN first")
-        return min(float((ctx.metric[0] + ctx.metric[1]).min())
-                   for ctx in self.patches) + self.mu
+        least = math.inf
+        for plan in self._plans.patches:
+            for st in plan.strips:
+                _, U0, _ = st.U
+                least = min(least, float(np.add(st.g[0], st.g[1], out=U0).min()))
+        return least + self.mu
 
     # -- Schur preconditioner ------------------------------------------------
 
     @functools.cached_property
     def _laplacian_factors(self):
-        """Pair factors of every patch (:func:`_pair_factors`, the xi factors
-        of the pairs i <= j block-diagonal in the order of ``PAIRINGS``, the
-        eta factors side by side), its :func:`_patch_metric_map` and the
-        band layout (:func:`_band_layout`) of the inner primal couplings,
-        built on first use.
+        """The per-patch pair tables (:func:`_span_tables`, shared by the
+        patch directions that share their :class:`DirectionFactors`), the
+        summing matrices of the coupled pairs, the metric maps and the band
+        layout (:func:`_band_layout`) of the inner primal couplings, built
+        on first use, with the views of the scratch that
+        :meth:`frozen_laplacian` works in.
 
         The couplings of a patch are S_xi x S_eta: functions (i1, i2) and
         (j1, j2) share an element exactly when (i1, j1) is in S_xi and
@@ -1099,53 +1197,74 @@ class MixedSystem:
         mirror is enough, and the xi pairs i1 <= j1 meet every coupling:
         those with i1 < j1 once, as itself or as its mirror, and those with
         i1 = j1 twice, once with i2 <= j2 and once, with i2 > j2, as the
-        mirror, which is dropped. ``places`` holds the place in K's lower
-        band storage of every patch entry, laid out as the (|S_eta|, (|S_xi|
-        + n_xi) / 2) products of :meth:`frozen_laplacian` patch after
-        patch; a dropped entry, or one in a boundary row or column, takes
-        the slot past the band. ``twice`` lists the kept entries of two
-        distinct functions on K's diagonal: a patch glued to itself across a
-        single span joins two functions of one span, and K takes both such
-        an entry and its mirror."""
+        mirror, which is dropped. The pairs of either direction that meet
+        no inner DOF are left out (:func:`_coupled_pairs`). ``places`` holds
+        the place in K's lower band storage of every patch entry, laid out
+        as the (|S_eta|, |S_xi|) products of :meth:`frozen_laplacian` over
+        the pairs kept, patch after patch; a dropped entry, or one in a
+        boundary row or column, takes the slot past the band. ``twice``
+        lists the kept entries of two distinct functions on K's diagonal: a
+        patch glued to itself across a single span joins two functions of
+        one span, and K takes both such an entry and its mirror."""
         n = self.n_inner
         inner_of = np.full(self.topology.n_sigma, -1)
         inner_of[self.topology.inner_indices] = np.arange(n)
-        xs, ys, rows, cols, twice = [], [], [], [], []
-        offset = 0
-        # patch directions share their DirectionFactors, and so their pair
-        # factors: one _pair_factors call per (factor object, orders, half)
+        # patch directions share their DirectionFactors, and so their
+        # tables: one _span_tables call per (factor object, half)
         memo = {}
 
-        def pair_factors(f, orders, half):
-            key = (id(f), orders, half)
-            if key not in memo:
-                memo[key] = _pair_factors(f, orders, half)
-            return memo[key]
+        def span_tables(f, half):
+            if (id(f), half) not in memo:
+                memo[id(f), half] = _span_tables(f, half)
+            return memo[id(f), half]
 
-        x_orders = tuple((1 - a, 1 - b) for a, b in PAIRINGS)
+        # the coupled pairs and the entries of every patch
+        parts, rows, cols, twice = [], [], [], []
+        offset = 0
         for i, ctx in enumerate(self.patches):
-            px, fx = pair_factors(ctx.cache.xi, x_orders, half=True)
-            py, fy = pair_factors(ctx.cache.eta, PAIRINGS, half=False)
-            xs.append(fx)
-            ys.append(fy)
-            n_eta = ctx.cache.eta.sig.shape[-1]
-            first, second = (px[:, k] * n_eta + py[:, None, k] for k in (0, 1))
-            loc = inner_of[self.topology.sig_l2g[i]]
-            col = loc[second]
-            mirror = (px[:, 0] == px[:, 1]) & (py[:, None, 0] > py[:, None, 1])
-            row = np.where(mirror | (col < 0), -1, loc[first])
+            tx, ty = span_tables(ctx.cache.xi, True), span_tables(ctx.cache.eta, False)
+            loc = inner_of[self.topology.sig_l2g[i]].reshape(ctx.sig_idx.shape[1:])
+            px, row_x = _coupled_pairs(tx, loc.shape[0], (loc >= 0).any(axis=1))
+            py, row_y = _coupled_pairs(ty, loc.shape[1], (loc >= 0).any(axis=0))
+            parts.append((tx, ty, px.shape[1], _summing_matrix(row_x, px.shape[1]),
+                          _summing_matrix(np.tile(row_y, len(PAIRINGS)), py.shape[1]),
+                          _patch_metric_map(ctx.inv_a, self.mu)))
+            # (|S_eta|, |S_xi|) inner indices of the first and the second
+            # function of every entry
+            first, col = (loc.T[py[k]][:, px[k]] for k in (0, 1))
+            mirror = (py[0] > py[1])[:, None] & (px[0] == px[1])
+            row = np.where(mirror | (col < 0), -1, first)
             rows.append(row.ravel())
             cols.append(col.ravel())
-            twice.append(offset + np.flatnonzero((row == col) & (row >= 0)
-                                                 & (first != second)))
+            # two distinct functions of one DOF: an entry off the diagonal
+            # of the patch matrix whose row and column are equal
+            off = (py[0] != py[1])[:, None] | (px[0] != px[1])
+            twice.append(offset + np.flatnonzero((row == col) & off))
             offset += row.size
         order, bandwidth, places = _band_layout(np.concatenate(rows),
                                                 np.concatenate(cols), n)
-        return _LaplacianFactors(
-            x=xs, y=ys,
-            metric_maps=[_patch_metric_map(ctx.inv_a, self.mu) for ctx in self.patches],
-            order=order, bandwidth=bandwidth, places=places,
-            twice=np.concatenate(twice))
+        del rows, cols
+        # the heap hands back only its top: a copy made once the layout's
+        # temporaries are freed lands beneath them, so they do not stay
+        # resident under the one array that outlives them
+        places = places.copy()
+        patches = []
+        for ctx, (tx, ty, n_rx, sum_x, sum_y, to_m) in zip(self.patches, parts):
+            npx, npy = ctx.wgrid.shape
+            work, cells = self._laplacian_scratch(ctx)
+            _, n_cells, n_local, kq = tx.table.shape
+            _, n_cells_eta, n_local_eta, kq_eta = ty.table.shape
+            M = work[:3 * npx * npy].reshape(3, -1)
+            Z = cells.reshape(n_cells, n_local, len(PAIRINGS), npy)
+            patches.append(_LaplacianPatch(
+                x=tx, y=ty, to_m=to_m, sum_x=sum_x, sum_y=sum_y,
+                M=M, M_cells=M.reshape(3, n_cells, kq, npy),
+                Z=Z.reshape(n_cells * n_local, -1), Zt=Z.transpose(2, 0, 1, 3),
+                W=work[:ty.table[..., 0].size * n_rx].reshape(
+                    len(PAIRINGS), n_cells_eta, n_local_eta, n_rx),
+                shape=(n_rx, len(PAIRINGS), n_cells_eta, kq_eta)))
+        return _LaplacianFactors(patches=patches, order=order, bandwidth=bandwidth,
+                                 places=places, twice=np.concatenate(twice))
 
     def frozen_laplacian(self, c):
         """Frozen-metric Laplacian on the inner primal basis at the iterate c:
@@ -1159,15 +1278,23 @@ class MixedSystem:
         :meth:`eval_RN` left in the patch contexts when that call was at c,
         as it is inside every Newton step; otherwise the residual's
         :meth:`_strip_pass` computes it, at zero auxiliary coefficients (the
-        metric does not depend on them). In the patch coordinates the
-        scaled Q is M = ia Q ia^T (the patch map is affine), and the patch
-        matrix is the sum over the pairings (a, b) of X_ab^T M_ab Y_ab,
-        products of the pair factors of :meth:`_laplacian_factors` on the
-        xi pairs i <= j, summed by one ``bincount`` straight into the lower
-        band storage. Returns K's lower band ``ab`` in the band order
-        ``_laplacian_factors.order``, Fortran-ordered (bandwidth + 1, n),
-        ``ab[d, k]`` the entry of band rows k + d and k (zero past the last
-        row)."""
+        metric does not depend on them).
+
+        In the patch coordinates the scaled Q is M = ia Q ia^T (the patch
+        map is affine), and the patch matrix sums X_ab^T M_ab Y_ab over the
+        pairings (a, b), by sum factorisation on the cells of
+        :meth:`_laplacian_factors` (Bressan & Takacs, Sum factorization
+        techniques in isogeometric analysis, CMAME 352, 2019): the three
+        planes M_ss, M_st = M_ts and M_tt take one product of the metric,
+        the xi stage contracts each xi cell's points with its pair table in
+        batched dense products, one sparse sum takes the cells onto the
+        coupled xi pairs, the eta stage contracts the eta cells likewise,
+        and one sparse sum takes them, and the four pairings, onto the
+        coupled eta pairs. One ``bincount`` sums the entries of all patches
+        straight into the lower band storage. Returns K's lower band ``ab``
+        in the band order ``_laplacian_factors.order``, Fortran-ordered
+        (bandwidth + 1, n), ``ab[d, k]`` the entry of band rows k + d and k
+        (zero past the last row)."""
         lf = self._laplacian_factors
         plans = self._plans.patches
         net = self._flat_net(c)
@@ -1178,23 +1305,23 @@ class MixedSystem:
                 self._strip_pass(plan, net, d)
             self._metric_net = net
         entries = []
-        for plan, fx, fy, to_m in zip(plans, lf.x, lf.y, lf.metric_maps):
-            ctx = plan.ctx
-            npx, npy = ctx.wgrid.shape
-            g = ctx.metric.reshape(4, -1)
-            # M takes the scratch of the residual's raw rows, idle here
-            M = np.matmul(to_m[:, :3], g[:3], out=plan.laplacian)
-            M += to_m[:, 3:]
+        for plan, lp in zip(plans, lf.patches):
+            g = plan.ctx.metric.reshape(4, -1)
+            M = np.matmul(lp.to_m[:, :3], g[:3], out=lp.M)
+            M += lp.to_m[:, 3:]
             M *= g[3]
-            # (4 (|S_xi| + n_xi) / 2, n_eta points): X_ab^T M_ab per pairing
-            Z = fx @ M.reshape(len(PAIRINGS) * npx, npy)
-            Z = Z.reshape(len(PAIRINGS), -1, npy).transpose(0, 2, 1)
-            entries.append((fy @ Z.reshape(len(PAIRINGS) * npy, -1)).ravel())
+            # pairings (0, 1) and (1, 0) both take the plane M_st
+            np.matmul(lp.x.table[:2], lp.M_cells[:2], out=lp.Zt[:2])
+            np.matmul(lp.x.table[2:], lp.M_cells[1:], out=lp.Zt[2:])
+            Zx = (lp.sum_x @ lp.Z).reshape(lp.shape)
+            np.matmul(lp.y.table, Zx.transpose(1, 2, 3, 0), out=lp.W)
+            entries.append((lp.sum_y @ lp.W.reshape(lp.sum_y.shape[1], -1)).ravel())
         entries = np.concatenate(entries)
         n, width = self.n_inner, lf.bandwidth + 1
         # the last slot takes the dropped entries
         band = np.bincount(lf.places, weights=entries, minlength=width * n + 1)
-        np.add.at(band, lf.places[lf.twice], entries[lf.twice])
+        if lf.twice.size:
+            np.add.at(band, lf.places[lf.twice], entries[lf.twice])
         return band[:-1].reshape(n, width).T
 
     def laplace_preconditioner(self, c):

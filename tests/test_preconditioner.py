@@ -70,7 +70,53 @@ def bat_folded_case(rng):
     return system, start(system, folded=True)
 
 
-@pytest.mark.parametrize("case", [square_case, lbend_case, bat_folded_case])
+def perturbed_case(name, patches, interfaces=()):
+    """A case named ``name``: the system on the given (TensorBasis,
+    AffinePatchMap) patches, its net the mapped unit-square nets with
+    perturbed inner points, and that iterate."""
+    def case(rng):
+        topo = build_topology(patches, interfaces)
+        net = np.zeros((topo.n_sigma, 2))
+        for l2g, (tb, am) in zip(topo.sig_l2g, patches):
+            net[l2g] = am.apply(unit_square_map(tb).control)
+        inner = topo.inner_indices
+        net[inner] += 0.03 * rng.standard_normal((len(inner), 2))
+        system = MixedSystem(topo, net[topo.boundary_indices])
+        return system, system.net_as_c(net[inner])
+    case.__name__ = name
+    return case
+
+
+SHEAR = AffinePatchMap(np.array([[1.0, 0.3], [-0.2, 0.8]]), np.array([0.1, -0.2]))
+TURN = AffinePatchMap(np.array([[0.0, -1.2], [0.9, 0.1]]), np.array([1.5, 0.3]))
+# two patches under non-identity maps, glued along a xi line, an eta line,
+# reversed, and an eta line to a xi line, of degrees 2 and 3; and one patch
+# with a C0 line in each direction, which splits the active functions of
+# the spans on either side of it
+GLUED_CASES = [
+    perturbed_case("xi_line_p2_case", [
+        (TensorBasis(uniform_knots(2, 3), uniform_knots(2, 4)), SHEAR),
+        (TensorBasis(uniform_knots(2, 2), uniform_knots(2, 4)), TURN)],
+        [Interface(0, "east", 1, "west")]),
+    perturbed_case("eta_line_p3_case", [
+        (TensorBasis(uniform_knots(3, 3), uniform_knots(3, 2)), TURN),
+        (TensorBasis(uniform_knots(3, 3), uniform_knots(3, 4)), SHEAR)],
+        [Interface(0, "north", 1, "south")]),
+    perturbed_case("reversed_p2_p3_case", [
+        (TensorBasis(uniform_knots(2, 3), uniform_knots(3, 3)), SHEAR),
+        (TensorBasis(uniform_knots(3, 2), uniform_knots(3, 3)), TURN)],
+        [Interface(0, "east", 1, "east", reversed=True)]),
+    perturbed_case("eta_to_xi_reversed_case", [
+        (TensorBasis(uniform_knots(3, 2), uniform_knots(2, 3)), TURN),
+        (TensorBasis(uniform_knots(2, 3), uniform_knots(3, 2)), SHEAR)],
+        [Interface(0, "north", 1, "west", reversed=True)]),
+    perturbed_case("c0_lines_case", [
+        (TensorBasis(uniform_knots(2, 4, c0_breaks=(0.5,)),
+                     uniform_knots(3, 3, c0_breaks=(1 / 3,))), SHEAR)]),
+]
+
+
+@pytest.mark.parametrize("case", [square_case, lbend_case, bat_folded_case, *GLUED_CASES])
 def test_frozen_laplacian_matches_pointwise_loop(case, rng):
     system, c = case(rng)
     K = dense_laplacian(system, c)
@@ -89,7 +135,9 @@ def lbend_xi_l1_system():
     lambda: geometry_system(build_bat()),
     lbend_xi_l1_system,
     lambda: geometry_system(build_two_patch_square()),
-], ids=["bat", "lbend-xi-L1", "two_patch_square"])
+    *[lambda case=case: case(np.random.default_rng(0))[0] for case in GLUED_CASES],
+], ids=["bat", "lbend-xi-L1", "two_patch_square",
+        *[case.__name__.removesuffix("_case") for case in GLUED_CASES]])
 def test_laplacian_pattern_matches_union1d_loop(make_system):
     # the band places K's entries go to are exactly the lower triangle, in
     # band order, of the union of the element couplings
@@ -100,46 +148,49 @@ def test_laplacian_pattern_matches_union1d_loop(make_system):
 @pytest.mark.parametrize("builder", [build_bat, build_lbend, build_two_patch_square])
 def test_xi_pair_factors_hold_the_pairs_i_le_j(builder):
     system = geometry_system(builder(), "xi" if builder is build_lbend else "full")
-    for ctx, fx in zip(system.patches, system._laplacian_factors.x):
+    for ctx, lp in zip(system.patches, system._laplacian_factors.patches):
         f = ctx.cache.xi
         width = f.tab_sig.shape[-1]
         coupled = {(int(a + i), int(a + j)) for a in f.first_sig
                    for i in range(width) for j in range(width)}
         upper = {(i, j) for i, j in coupled if i <= j}
         assert len(upper) == (len(coupled) + f.sig.shape[-1]) // 2
-        pairs = eggmix.assembly._pair_factors(
-            f, [(1 - a, 1 - b) for a, b in PAIRINGS], half=True)[0]
-        assert {tuple(pr) for pr in pairs.tolist()} == upper
-        assert fx.shape == (len(PAIRINGS) * len(upper), len(PAIRINGS) * len(f.points))
+        a, b = lp.x.pairs
+        assert np.all(a <= b) and len(a) == width * (width + 1) // 2
+        assert {(int(c + i), int(c + j)) for c in lp.x.first
+                for i, j in zip(a, b)} == upper
+        # one table per pairing, cell, local pair and point of the cell
+        n_cells = len(lp.x.first)
+        assert lp.x.table.shape == (len(PAIRINGS), n_cells, len(a),
+                                    len(f.points) // n_cells)
 
 
 @pytest.mark.parametrize("builder, calls", [
     (build_two_patch_square, 2), (build_bat, 6)], ids=["two_patch_square", "bat"])
 def test_pair_factors_once_per_direction_factors(builder, calls, monkeypatch):
-    # patch directions that share their DirectionFactors share their pair
-    # factors: one _pair_factors call per (factors, orders, half). The
-    # two-patch square shares both directions; the bat's xi knot vectors
-    # differ, so only its eta factors are shared.
-    real = eggmix.assembly._pair_factors
+    # patch directions that share their DirectionFactors share their span
+    # tables: one _span_tables call per (factors, half). The two-patch
+    # square shares both directions; the bat's xi knot vectors differ, so
+    # only its eta factors are shared.
+    real = eggmix.assembly._span_tables
     made = []
 
-    def counting(f, orders, half):
-        made.append((id(f), tuple(orders), half))
-        return real(f, orders, half)
+    def counting(f, half):
+        made.append((id(f), half))
+        return real(f, half)
 
-    monkeypatch.setattr(eggmix.assembly, "_pair_factors", counting)
+    monkeypatch.setattr(eggmix.assembly, "_span_tables", counting)
     system = geometry_system(builder())
     lf = system._laplacian_factors
     assert len(made) == len(set(made)) == calls
-    # each patch's factors are bitwise those of its own call, so K is too
-    x_orders = [(1 - a, 1 - b) for a, b in PAIRINGS]
-    for ctx, fx, fy in zip(system.patches, lf.x, lf.y):
-        for got, (f, orders, half) in ((fx, (ctx.cache.xi, x_orders, True)),
-                                       (fy, (ctx.cache.eta, PAIRINGS, False))):
-            want = real(f, orders, half)[1]
-            for attr in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(got, attr),
-                                              getattr(want, attr))
+    # each patch takes the one table of its factors, equal to a fresh call
+    tables = {}
+    for ctx, lp in zip(system.patches, lf.patches):
+        for got, key in ((lp.x, (ctx.cache.xi, True)), (lp.y, (ctx.cache.eta, False))):
+            assert tables.setdefault((id(key[0]), key[1]), got) is got
+            want = real(*key)
+            for attr in ("first", "pairs", "table"):
+                np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
 
 @settings(max_examples=25, deadline=None)

@@ -52,7 +52,7 @@ STEPS = {"first_forcing_term", "last_forcing_term", "last_step_gmres", "timings"
 KERNEL_KEYS = {
     "n_sigma", "calls", "eval_rn_ms", "frozen_laplacian_ms", "precond_factor_ms",
     "precond_apply_ms", "eval_rl_ms", "apply_ainv_b_ms", "ainv_exact_ms",
-    "build_plus_six_applies_ms", "peak_rss_mb"}
+    "build_plus_six_applies_ms", "laplacian_factors_ms", "peak_rss_mb"}
 BENCH_RECORD_KEYS = {
     "lbend-xi-L0": COUNTS | STEPS | {
         "gmres_all_converged", "max_gmres_per_step", "system_build_s", "solve_s",
