@@ -31,7 +31,9 @@ factors, the factored interface Schur complement and the layout and work
 arrays of the solve, which before that class were built on the first solve
 and so left out of ``mass_build_s``), and then the
 first-use pair tables and band layout of the frozen Laplacian
-(``MixedSystem._laplacian_factors``) of the finest system, next to the DOF
+(``MixedSystem._laplacian_factors``) of the finest system, which on a
+fresh system first builds the residual's plans (``MixedSystem._plans``),
+whose scratch it works in, next to the DOF
 count, the interface DOF count, the element count, the number of entries
 in the band that K's couplings fill (its lower triangle) and the
 bandwidth. A kernel case builds the finest system of a hierarchy at its start
@@ -48,7 +50,8 @@ both components;
 GMRES iterations pays them, and ``laplacian_factors_ms`` is the one-time
 set-up of the Laplacian's tables and band layout
 (``MixedSystem._laplacian_factors``), the median over fresh systems on the
-same topology, timed after the peak RSS is read. The post-processing case
+same topology whose residual plans are built first, as in a solve, timed
+after the peak RSS is read. The post-processing case
 solves each bundled geometry once, untimed, from the transfinite start in
 the mode of its file, and then records per geometry the median
 milliseconds over repeated calls of what the commands pay around the
@@ -377,6 +380,7 @@ def run_kernel_case(key):
     setup_s = []
     for _ in range(min(calls, FRESH_SYSTEMS)):
         fresh = MixedSystem(system.topology, boundary, mode=mode)
+        fresh._plans
         t0 = time.perf_counter()
         fresh._laplacian_factors
         setup_s.append(time.perf_counter() - t0)

@@ -472,11 +472,12 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
     hierarchy of one level is the direct solve.
 
     ``start`` is "transfinite", "folded" or a full (n_sigma, 2) control net
-    of the coarsest level. Each finer level starts from the c-component of
-    the level below, prolonged; ``newton_solve`` recomputes the auxiliary
-    part by L2 projection. The solve stops at the first level that does not
-    converge. Returns ``(system, c, report)``: the last level run, its
-    iterate and ``SolverReport.merge`` of the level reports.
+    of the coarsest level. Each finer level starts from the level's
+    ``transfer`` times the c-component of the level below; ``newton_solve``
+    recomputes the auxiliary part by L2 projection. The solve stops at the
+    first level that does not converge. Returns ``(system, c, report)``:
+    the last level run, its iterate and ``SolverReport.merge`` of the level
+    reports.
     """
     config = config or SolverConfig()
     system = hierarchy[0].system
@@ -495,7 +496,7 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
     reports = []
     for i, level in enumerate(hierarchy):
         if reports:
-            net = level.prolong(system.full_control_net(c))
+            net = level.transfer @ system.full_control_net(c)
             system = level.system
         # called through this module, so that a wrapper set here sees every
         # Newton entry

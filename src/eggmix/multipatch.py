@@ -131,10 +131,7 @@ class PatchTopology:
     read the primal bases never refine them: each auxiliary basis
     (``bar_bases``) is the global h-refinement of its primal basis, by knot
     bisection alone, and ``bar_l2g``/``n_sigbar`` couple the auxiliary DOFs
-    along the same interfaces. ``bar_prolongations`` holds the matching
-    prolongations (primal to auxiliary coefficients); only a
-    coarse-to-fine solve reads them, to carry an iterate to the next level,
-    so they are formed when first read and never on the finest level."""
+    along the same interfaces."""
     bases: list
     maps: list
     interfaces: list
@@ -147,10 +144,6 @@ class PatchTopology:
     @functools.cached_property
     def bar_bases(self):
         return [tb.bisected() for tb in self.bases]
-
-    @functools.cached_property
-    def bar_prolongations(self):
-        return [tb.refine()[1] for tb in self.bases]
 
     @functools.cached_property
     def _bar_coupling(self):

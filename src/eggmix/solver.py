@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InputError, StagnationError
 from .linalg import gmres
@@ -285,8 +286,7 @@ def schur_solve(system: MixedSystem, state: NewtonState, rhs, tol: float,
     return precond(gm.solution), gm
 
 
-def forcing_term(gmres_tol: float, scale: float, r_tol: float, residual_norms,
-                 forcing_terms) -> float:
+def forcing_term(scale: float, r_tol: float, residual_norms, forcing_terms) -> float:
     """Eisenstat-Walker (choice 2) GMRES tolerance of the next Newton step.
 
     ``residual_norms`` ends with the current ||R_k|| and ``forcing_terms``
@@ -296,13 +296,12 @@ def forcing_term(gmres_tol: float, scale: float, r_tol: float, residual_norms,
     The first term has no previous norm and takes the residual scale S =
     ``scale`` of the boundary data in its place: a cold start (||R_0|| near
     S) is solved loosely, as Eisenstat and Walker and Kelley start the
-    sequence, while a warm restart (||R_0|| << S) keeps ``gmres_tol``, so it
+    sequence, while a warm restart (||R_0|| << S) keeps ``GMRES_TOL``, so it
     gains no Newton steps. Kelley's final safeguard then raises the term to
     0.5 ``r_tol`` / ||R_k||, with r_tol = newton_tol S the stopping test: a
     step solved to it leaves a linearised residual of at most r_tol / 2, so
     the step that ends the solve is not solved further. The result is
-    clipped to [gmres_tol, EW_ETA_MAX]; ``newton_solve`` passes
-    ``GMRES_TOL`` as ``gmres_tol``.
+    clipped to [GMRES_TOL, EW_ETA_MAX].
     """
     if not forcing_terms:
         eta = EW_GAMMA * (residual_norms[-1] / scale) ** EW_ALPHA
@@ -311,7 +310,7 @@ def forcing_term(gmres_tol: float, scale: float, r_tol: float, residual_norms,
         safeguard = EW_GAMMA * forcing_terms[-1] ** EW_ALPHA
         if safeguard > 0.1:
             eta = max(eta, safeguard)
-    return min(max(eta, gmres_tol, 0.5 * r_tol / residual_norms[-1]), EW_ETA_MAX)
+    return min(max(eta, GMRES_TOL, 0.5 * r_tol / residual_norms[-1]), EW_ETA_MAX)
 
 
 def _line_search(residual_norm_of, r_old: float):
@@ -377,8 +376,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
         converged = state.r_norm <= r_tol
         if converged or it == config.max_newton:
             break
-        eta = forcing_term(GMRES_TOL, scale, r_tol, report.residual_norms,
-                           report.forcing_terms)
+        eta = forcing_term(scale, r_tol, report.residual_norms, report.forcing_terms)
         report.forcing_terms.append(eta)
         rn_count, rn_s, mass_s = (system.rn_eval_count, system.rn_eval_s,
                                   system.mass_solve_s)
@@ -503,24 +501,33 @@ def folded_initial_guess(system: MixedSystem, c_full=None):
 
 @dataclass
 class HierarchyLevel:
+    """One level of :func:`build_system_hierarchy`: its system, and the
+    sparse (n_sigma, n_sigma of the level below) matrix that carries a
+    control net of the level below up to it, None at level 0."""
     system: MixedSystem
-    prolong: object = None  # callable net_coarse -> net_fine, None at level 0
+    transfer: sparse.csr_matrix | None
 
 
-def _refined_topology(topo):
-    patches = list(zip(topo.bar_bases, topo.maps))
-    return build_topology(patches, topo.interfaces)
-
-
-def _prolong_net(topo_c, topo_f, prolongations, net):
-    """Fine control net from a coarse one: each global fine DOF takes its
-    value from the first (patch, local index) that holds it."""
-    fine = np.concatenate([P @ net[l2g] for P, l2g
-                           in zip(prolongations, topo_c.sig_l2g)])
-    dofs, first = np.unique(np.concatenate(topo_f.sig_l2g), return_index=True)
-    out = np.zeros((topo_f.n_sigma, 2))
-    out[dofs] = fine[first]
-    return out
+def _transfer_matrix(topo_c, topo_f):
+    """The transfer from the primal DOFs of ``topo_c`` to those of its
+    refinement ``topo_f``. Row g is the row of the Oslo prolongation
+    (:meth:`~eggmix.splines.TensorBasis.refine`) of the first (patch, local
+    index) that holds fine DOF g, its columns mapped to the coarse global
+    DOFs. Each row keeps its entries in their order, so a product sums as
+    the per-patch products do. The rows are picked patch by patch, with no
+    array of all the patches' rows: global DOFs are numbered in order of
+    first appearance (:func:`~eggmix.multipatch.build_topology`), so the
+    rows kept, patch after patch, are already in global order."""
+    owners = np.concatenate(topo_f.sig_l2g)
+    first = np.zeros(len(owners), dtype=bool)
+    first[np.unique(owners, return_index=True)[1]] = True
+    bounds = np.cumsum([len(l2g) for l2g in topo_f.sig_l2g])[:-1]
+    parts = []
+    for tb, l2g, rows in zip(topo_c.bases, topo_c.sig_l2g, np.split(first, bounds)):
+        P = tb.refine()[1][rows]
+        parts.append(sparse.csr_matrix((P.data, l2g[P.indices], P.indptr),
+                                       shape=(P.shape[0], topo_c.n_sigma)))
+    return sparse.vstack(parts, format="csr")
 
 
 def build_system_hierarchy(topology, boundary_values, levels: int, *,
@@ -528,26 +535,21 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
     """Nested systems from ``levels`` global refinements of a root topology.
 
     The root is the coarsest level, and ``levels`` = 0 gives the root
-    system alone; boundary data refines exactly through the prolongation
-    (clamped edge rows only mix edge coefficients). Only the levels below
-    the finest read their topology's ``bar_prolongations``, so a direct
-    solve forms none.
+    system alone. The primal bases of each finer level are the auxiliary
+    bases of the level below, its global h-refinement, and the level's
+    ``transfer`` (:func:`_transfer_matrix`) carries the boundary data up
+    exactly (clamped edge rows only mix edge coefficients); a direct solve
+    forms no transfer.
     """
     out = [HierarchyLevel(MixedSystem(topology, boundary_values,
-                                      mode=mode, chi=chi, mu=mu))]
-    topo = topology
+                                      mode=mode, chi=chi, mu=mu), None)]
     for _ in range(levels):
-        # the auxiliary bases of a topology are the global h-refinement of
-        # its primal bases, so they are the next level's primal bases
-        prol = topo.bar_prolongations
-        topo_f = _refined_topology(topo)
-        net_f = _prolong_net(topo, topo_f, prol, out[-1].system._template)
-        sysf = MixedSystem(topo_f, net_f[topo_f.boundary_indices],
-                           mode=mode, chi=chi, mu=mu)
-
-        def make_prolong(tc, tf, pr):
-            return lambda net: _prolong_net(tc, tf, pr, net)
-
-        out.append(HierarchyLevel(sysf, make_prolong(topo, topo_f, prol)))
-        topo = topo_f
+        coarse = out[-1].system
+        topo_c = coarse.topology
+        topo = build_topology(list(zip(topo_c.bar_bases, topo_c.maps)),
+                              topo_c.interfaces)
+        transfer = _transfer_matrix(topo_c, topo)
+        net = transfer @ coarse._template
+        out.append(HierarchyLevel(MixedSystem(topo, net[topo.boundary_indices],
+                                              mode=mode, chi=chi, mu=mu), transfer))
     return out

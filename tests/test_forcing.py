@@ -18,48 +18,48 @@ from conftest import start
 
 
 def test_forcing_term_rule():
-    tol, scale = 1e-3, 2.0
+    scale = 2.0
     # the stopping test newton_tol * S: the final safeguard 0.5 r_tol / ||R_k||
-    # stays below gmres_tol in every case until the last block
+    # stays below GMRES_TOL in every case until the last block
     r_tol = 1e-8 * scale
     # first Newton step: choice 2 with the residual scale S as the previous
     # norm; a cold start (||R_0|| near S) is clipped at 0.9
-    assert forcing_term(tol, scale, r_tol, [5.0], []) == EW_ETA_MAX == 0.9
-    assert forcing_term(tol, scale, r_tol, [2.0], []) == EW_ETA_MAX
+    assert forcing_term(scale, r_tol, [5.0], []) == EW_ETA_MAX == 0.9
+    assert forcing_term(scale, r_tol, [2.0], []) == EW_ETA_MAX
     # in between: 0.9 (0.5 / 2)^2
-    assert forcing_term(tol, scale, r_tol, [0.5], []) == pytest.approx(0.9 / 16)
-    # a warm restart (||R_0|| << S) keeps gmres_tol
-    assert forcing_term(tol, scale, r_tol, [2e-3], []) == tol
+    assert forcing_term(scale, r_tol, [0.5], []) == pytest.approx(0.9 / 16)
+    # a warm restart (||R_0|| << S) keeps GMRES_TOL
+    assert forcing_term(scale, r_tol, [2e-3], []) == GMRES_TOL
     # choice 2: 0.9 (||R_k|| / ||R_k-1||)^2, whatever S is
-    assert forcing_term(tol, scale, r_tol, [1.0, 0.5], [tol]) == \
+    assert forcing_term(scale, r_tol, [1.0, 0.5], [GMRES_TOL]) == \
         pytest.approx(0.9 * 0.25)
     # safeguard: 0.9 * 0.5^2 = 0.225 > 0.1 lifts 0.9 * 0.1^2 = 0.009
-    assert forcing_term(tol, scale, r_tol, [1.0, 0.1], [0.5]) == pytest.approx(0.225)
+    assert forcing_term(scale, r_tol, [1.0, 0.1], [0.5]) == pytest.approx(0.225)
     # no safeguard once 0.9 eta_k-1^2 <= 0.1
-    assert forcing_term(tol, scale, r_tol, [1.0, 0.1], [0.3]) == pytest.approx(0.009)
-    # clipped below at gmres_tol and above at 0.9
-    assert forcing_term(tol, scale, r_tol, [1.0, 1e-4], [0.3]) == tol
-    assert forcing_term(tol, scale, r_tol, [1.0, 2.0], [tol]) == EW_ETA_MAX
-    assert forcing_term(tol, scale, r_tol, [1.0, 1.0], [0.9]) == EW_ETA_MAX
-    # while 0.5 r_tol / ||R_k|| <= gmres_tol the final safeguard changes no
+    assert forcing_term(scale, r_tol, [1.0, 0.1], [0.3]) == pytest.approx(0.009)
+    # clipped below at GMRES_TOL and above at 0.9
+    assert forcing_term(scale, r_tol, [1.0, 1e-4], [0.3]) == GMRES_TOL
+    assert forcing_term(scale, r_tol, [1.0, 2.0], [GMRES_TOL]) == EW_ETA_MAX
+    assert forcing_term(scale, r_tol, [1.0, 1.0], [0.9]) == EW_ETA_MAX
+    # while 0.5 r_tol / ||R_k|| <= GMRES_TOL the final safeguard changes no
     # term: each equals the term without it (r_tol = 0)
     for norms, terms in [([5.0], []), ([0.5], []), ([1e-5], []),
-                         ([1.0, 0.5], [tol]), ([1.0, 0.1], [0.5]),
+                         ([1.0, 0.5], [GMRES_TOL]), ([1.0, 0.1], [0.5]),
                          ([1.0, 0.1], [0.3]), ([1.0, 1e-4], [0.3]),
                          ([1e-3, 1e-5], [0.3])]:
-        assert 0.5 * r_tol / norms[-1] <= tol
-        assert forcing_term(tol, scale, r_tol, norms, terms) == \
-            forcing_term(tol, scale, 0.0, norms, terms)
+        assert 0.5 * r_tol / norms[-1] <= GMRES_TOL
+        assert forcing_term(scale, r_tol, norms, terms) == \
+            forcing_term(scale, 0.0, norms, terms)
     # the final safeguard raises a small term to 0.5 r_tol / ||R_k||: here
-    # choice 2 gives 0.9 (1e-6 / 1e-3)^2 = 9e-7 and gmres_tol 1e-3, against
+    # choice 2 gives 0.9 (1e-6 / 1e-3)^2 = 9e-7 and GMRES_TOL 1e-3, against
     # 0.5 * 2e-8 / 1e-6 = 0.01
-    assert forcing_term(tol, scale, r_tol, [1e-3, 1e-6], [0.3]) == \
+    assert forcing_term(scale, r_tol, [1e-3, 1e-6], [0.3]) == \
         pytest.approx(0.01)
     # ... on the first step too: 0.5 * 2e-8 / 4e-8 = 0.25
-    assert forcing_term(tol, scale, r_tol, [4e-8], []) == pytest.approx(0.25)
+    assert forcing_term(scale, r_tol, [4e-8], []) == pytest.approx(0.25)
     # and never above 0.9, even for a residual already below r_tol
-    assert forcing_term(tol, scale, r_tol, [1e-3, 1e-8], [0.3]) == EW_ETA_MAX
-    assert forcing_term(tol, scale, r_tol, [1e-8], []) == EW_ETA_MAX
+    assert forcing_term(scale, r_tol, [1e-3, 1e-8], [0.3]) == EW_ETA_MAX
+    assert forcing_term(scale, r_tol, [1e-8], []) == EW_ETA_MAX
 
 
 @pytest.mark.parametrize("solved", ["bat_solved", "lbend_solved"])

@@ -248,6 +248,26 @@ def test_iterate_kernels_reuse_scratch_memory(rng):
     assert peak < 4 * max(ctx.wgrid.nbytes for ctx in system.patches)
 
 
+def test_laplacian_views_share_the_residual_scratch_in_either_call_order(rng):
+    # the frozen Laplacian works in views of the residual kernels' scratch,
+    # whether it is called before or after the first eval_RN of a fresh
+    # system: a view taken while the plans still grow the scratch would be
+    # of a dropped array. K is the same in either order
+    doc = build_bat()
+    d, c = random_state(geometry_system(doc, "full"), rng)
+    bands = []
+    for rn_first in (True, False):
+        system = geometry_system(doc, "full")
+        if rn_first:
+            system.eval_RN(d, c)
+        bands.append(system.frozen_laplacian(c).copy())
+        system.eval_RN(d, c)
+        for lp in system._laplacian_factors.patches:
+            assert np.shares_memory(lp.M, system._buffers["rows"])
+            assert np.shares_memory(lp.Z, system._buffers["eta_bar"])
+    assert np.array_equal(bands[0], bands[1])
+
+
 @pytest.mark.parametrize("nderiv", [0, 1])
 def test_grid_jet_matches_einsum(nderiv, rng):
     tb = TensorBasis(uniform_knots(3, 4, c0_breaks=(0.5,)), uniform_knots(2, 5))

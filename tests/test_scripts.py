@@ -59,6 +59,7 @@ BENCH_RECORD_KEYS = {
         "eval_rn_ms", "laplace_preconditioner_ms", "eval_rl_ms", "apply_ainv_b_ms",
         "peak_rss_mb"},
     "square-restart": COUNTS | STEPS | {"stagnated", "max_net_change", "solve_s"},
+    "bat-folded-L2-c2f": COUNTS | {"solve_s", "timings", "levels", "peak_rss_mb"},
     "lbend-xi-L0-kernels": KERNEL_KEYS,
     "bat-folded-L0-kernels": KERNEL_KEYS,
     "lbend-xi-L1-kernels": KERNEL_KEYS,
@@ -89,6 +90,12 @@ def test_bench_case_prints_one_record(case):
     if case == "lbend-xi-L0":
         assert (record["newton"], record["gmres"], record["rn_evals"]) == (6, 23, 30)
         assert record["converged"] and record["gmres_all_converged"]
+    if case == "bat-folded-L2-c2f":
+        assert (record["newton"], record["gmres"], record["rn_evals"]) == (16, 50, 69)
+        assert [(lv["newton"], lv["gmres"], lv["rn_evals"]) for lv in record["levels"]] \
+            == [(10, 21, 32), (3, 16, 20), (3, 13, 17)]
+        assert all(lv["converged"] and lv["gmres_all_converged"]
+                   for lv in record["levels"])
     if case == "post-L0":
         geometries = record["geometries"]
         assert set(geometries) == {"bat", "lbend", "quarter_annulus", "square",

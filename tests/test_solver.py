@@ -19,6 +19,8 @@ from eggmix.splines import TensorBasis, uniform_knots, gauss_legendre
 
 from oracles import boundary_c, constant_blocks, \
     coons_loop_transfinite_global, explicit_schur, loop_prolong_net
+from test_multipatch import self_glued_system
+from test_preconditioner import GLUED_CASES
 
 
 def square_system(p=2, ne=3, mode="full"):
@@ -392,7 +394,7 @@ def test_coarse_to_fine_prolongation_reproduces_coarse_map():
     c0 = sys_c.net_as_c(transfinite_global(sys_c)[geo.topology.inner_indices])
     c_c, rep_c = newton_solve(sys_c, c0, SolverConfig())
     net_c = sys_c.full_control_net(c_c)
-    net_f = hier[1].prolong(net_c)
+    net_f = hier[1].transfer @ net_c
     mc = geo.topology.patch_map(0, net_c)
     mf = hier[1].system.topology.patch_map(0, net_f)
     rng = np.random.default_rng(8)
@@ -401,23 +403,49 @@ def test_coarse_to_fine_prolongation_reproduces_coarse_map():
                                    mf.grid_jet([x], [y], 0)["x"], atol=1e-12)
 
 
-@pytest.mark.parametrize("build, levels", [(build_bat, 1),
-                                            (build_two_patch_square, 2)])
-def test_hierarchy_reuses_auxiliary_refinement(build, levels, rng):
-    geo = parse_geometry(build())
-    bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
-    hier = build_system_hierarchy(geo.topology, bv, levels)
+def geometry_root(doc):
+    """The topology and boundary values of a geometry document."""
+    geo = parse_geometry(doc)
+    return geo.topology, boundary_values_from_faces(geo.topology, geo.boundary_data)
+
+
+def system_root(system):
+    """The topology and boundary values a system was built from."""
+    return system.topology, system._template[system.topology.boundary_indices]
+
+
+REVERSED_P2_P3 = next(case for case in GLUED_CASES
+                      if case.__name__ == "reversed_p2_p3_case")
+
+
+@pytest.mark.parametrize("root, mode, levels", [
+    pytest.param(lambda: geometry_root(build_bat()), "full", 1, id="build_bat-1"),
+    pytest.param(lambda: geometry_root(build_two_patch_square()), "full", 2,
+                 id="build_two_patch_square-2"),
+    # a C0 line
+    pytest.param(lambda: geometry_root(build_lbend()), "xi", 2, id="lbend_xi-2"),
+    pytest.param(lambda: system_root(REVERSED_P2_P3(np.random.default_rng(0))[0]),
+                 "full", 2, id="reversed_p2_p3-2"),
+    # a patch glued to itself holds a fine DOF at two of its local indices
+    pytest.param(lambda: system_root(self_glued_system([("west", "east")])),
+                 "full", 2, id="glued_to_itself-2"),
+    pytest.param(lambda: system_root(self_glued_system([("west", "east"),
+                                                        ("south", "north")])),
+                 "full", 2, id="glued_twice_to_itself-2"),
+])
+def test_hierarchy_reuses_auxiliary_refinement(root, mode, levels, rng):
+    hier = build_system_hierarchy(*root(), levels, mode=mode)
+    assert hier[0].transfer is None
     for coarse, fine in zip(hier[:-1], hier[1:]):
         tc, tf = coarse.system.topology, fine.system.topology
         assert all(b is bb for b, bb in zip(tf.bases, tc.bar_bases))
-        for tb, P in zip(tc.bases, tc.bar_prolongations):
-            assert np.array_equal(P.toarray(), tb.refine()[1].toarray())
+        assert fine.transfer.shape == (tf.n_sigma, tc.n_sigma)
+        prolongations = [tb.refine()[1] for tb in tc.bases]
         net = rng.standard_normal((tc.n_sigma, 2))
-        want = loop_prolong_net(tc, tf, tc.bar_prolongations, net)
-        assert np.array_equal(fine.prolong(net), want)
+        want = loop_prolong_net(tc, tf, prolongations, net)
+        assert np.array_equal(fine.transfer @ net, want)
         bnd = tf.boundary_indices
-        want = loop_prolong_net(tc, tf, tc.bar_prolongations,
-                                coarse.system._template)
+        want = loop_prolong_net(tc, tf, prolongations, coarse.system._template)
         assert np.array_equal(fine.system._template[bnd], want[bnd])
 
 
