@@ -60,7 +60,16 @@ per-patch maps (``load_solution`` and ``solution_patch_maps``), the
 quality block (``_quality_block``), the solution document
 (``solution_document``), its write (``write_solution``) and the VTK and SVG
 exports (``_write_vtk`` with its sampling, ``_write_svg``), with the bytes
-each write leaves.
+each write leaves. The system set-up case records, for every bundled
+geometry in the mode of its file and for the L-bend in xi mode once
+refined, the median milliseconds over ``FRESH_SYSTEMS`` fresh systems of
+``MixedSystem.__init__``, of the first build of the residual's plans
+(``MixedSystem._plans``), of the frozen Laplacian's one-time tables and
+band layout (``MixedSystem._laplacian_factors``) and of their sum: the
+quadrature and table-build layer of a command. It also records the
+median microseconds over ``COLLOCATION_CALLS`` calls of collocating every
+distinct primal knot vector of the system with first derivatives on the
+Gauss points of its bisection (``KnotVector.collocation``).
 
 Usage: python scripts/bench.py [--out FILE]
 
@@ -137,8 +146,17 @@ KERNEL_CASES = {
 }
 # fresh systems a kernel case times the Laplacian's set-up on, at most
 FRESH_SYSTEMS = 10
+# calls the system set-up case times the collocation of a system's knot
+# vectors over
+COLLOCATION_CALLS = 200
 # key -> calls timed per step and geometry
 POST_CASES = {"post-L0": 20}
+# key -> the (geometry, mode, h-refinement level) systems whose one-time
+# set-up is timed: every bundled geometry in the mode of its file, and the
+# L-bend once refined
+SYSTEM_SETUP_CASES = {"setup-L0": [
+    (name, load_bundled(name)["solver"]["mode"], 0) for name in sorted(BUILDERS)]
+    + [("lbend", "xi", 1)]}
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1"}
 
@@ -449,12 +467,48 @@ def run_post_case(key):
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
+def run_system_setup_case(key):
+    """Time the one-time set-up of fresh systems in this process; returns
+    its record, one entry per system of ``SYSTEM_SETUP_CASES``."""
+    systems = {}
+    for name, mode, level in SYSTEM_SETUP_CASES[key]:
+        # the hierarchy's own systems warm every first-use path up
+        system = hierarchy_of(name, mode, level)[-1].system
+        boundary = system._template[system.topology.boundary_indices]
+        seconds = []
+        for _ in range(FRESH_SYSTEMS):
+            t0 = time.perf_counter()
+            fresh = MixedSystem(system.topology, boundary, mode=mode)
+            t1 = time.perf_counter()
+            fresh._plans
+            t2 = time.perf_counter()
+            fresh._laplacian_factors
+            seconds.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+        init, plans, factors = (1e3 * np.array(s) for s in zip(*seconds))
+        # every distinct primal knot vector, collocated with first
+        # derivatives on the Gauss points of its bisection, as the
+        # quadrature tables and the samplers of the post-processing do
+        knots = {(kv.degree, kv.knots.tobytes()): kv for tb in system.topology.bases
+                 for kv in (tb.kv_xi, tb.kv_eta)}
+        grids = [(kv, kv.bisected().gauss_grid(kv.degree + 1)[0]) for kv in knots.values()]
+        systems[name if level == 0 else f"{name}-{mode}-L{level}"] = {
+            "mode": mode, "level": level, "n_sigma": system.topology.n_sigma,
+            "init_ms": float(np.median(init)), "plans_ms": float(np.median(plans)),
+            "laplacian_factors_ms": float(np.median(factors)),
+            "setup_ms": float(np.median(init + plans + factors)),
+            "collocation_us": 1e3 * median_ms(
+                lambda: [kv.collocation(pts, 1) for kv, pts in grids], COLLOCATION_CALLS)}
+    return {"fresh_systems": FRESH_SYSTEMS, "systems": systems,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 RUNNERS = {**dict.fromkeys(CASES, run_case),
            **dict.fromkeys(COARSE_TO_FINE_CASES, run_coarse_to_fine_case),
            **dict.fromkeys(RESTART_CASES, run_restart_case),
            **dict.fromkeys(SETUP_CASES, run_setup_case),
            **dict.fromkeys(KERNEL_CASES, run_kernel_case),
-           **dict.fromkeys(POST_CASES, run_post_case)}
+           **dict.fromkeys(POST_CASES, run_post_case),
+           **dict.fromkeys(SYSTEM_SETUP_CASES, run_system_setup_case)}
 
 
 def run_child(key):
@@ -528,6 +582,14 @@ def main(argv=None):
                   f"write {r['write_solution_ms']:6.2f} ({r['solution_bytes']} B)  "
                   f"vtk {r['vtk_ms']:6.2f} ({r['vtk_bytes']} B)  svg "
                   f"{r['svg_ms']:6.2f} ms ({r['svg_bytes']} B)", file=sys.stderr)
+    for key in SYSTEM_SETUP_CASES:
+        cases[key] = run_child(key)
+        for name, r in cases[key]["systems"].items():
+            print(f"{key:8s} {name:16s} {r['mode']:4s} L{r['level']}  init "
+                  f"{r['init_ms']:6.3f}  plans {r['plans_ms']:6.3f}  K set-up "
+                  f"{r['laplacian_factors_ms']:6.3f}  sum {r['setup_ms']:6.3f} ms  "
+                  f"collocation {r['collocation_us']:6.1f} us",
+                  file=sys.stderr)
     doc = {"machine": machine(), "cases": cases}
     text = json.dumps(doc, indent=1)
     if args.out:

@@ -46,6 +46,13 @@ summing matrices and band layout are built on its first use
 and it works in the shared scratch, idle in the other kernels while it
 runs. Every kernel returns a fresh array, never a view of the scratch or
 of the work arrays.
+
+Each of these one-time tables is built once per system, in one pass and
+with as few numpy and scipy calls as its layout allows: the plans size
+every scratch array before they take a view of it, a direction's cell
+length is found when its factors are made, and small index keys are
+sorted in the narrowest integer type that holds them. At the benchmark's
+sizes this set-up is call overhead, not arithmetic.
 """
 from __future__ import annotations
 
@@ -67,6 +74,14 @@ from .splines import KnotVector, TensorBasis
 MODES = ("full", "xi", "eta")
 
 
+def _spans_per_cell(first_sig):
+    """The spans of one cell of the frozen Laplacian's pair tables: the gcd
+    of the lengths of the runs of equal ``first_sig``, which is that of the
+    positions where a run starts and of the span count."""
+    starts = np.flatnonzero(first_sig[1:] != first_sig[:-1]) + 1
+    return int(np.gcd.reduce(starts, initial=len(first_sig)))
+
+
 @dataclass(frozen=True)
 class DirectionFactors:
     """Univariate quadrature, collocation and integral factors of one
@@ -86,6 +101,10 @@ class DirectionFactors:
     The integral factors are ``mbar[i, j] = int wbar_i wbar_j``, ``obar[i,
     j] = int wbar_i w_j`` and ``kbar[i, j] = int wbar_i w_j'``.
 
+    ``cell`` is the number of consecutive spans in one cell of the frozen
+    Laplacian's pair tables (:meth:`cell_shape`), set from ``first_sig``
+    once, when the instance is made (:func:`_spans_per_cell`).
+
     Every patch direction of a system with the same knot vectors shares one
     instance (:func:`build_quadrature`), so its arrays are read-only.
     """
@@ -101,15 +120,27 @@ class DirectionFactors:
     mbar: np.ndarray        # (n_bar, n_bar)
     obar: np.ndarray        # (n_bar, n_sig)
     kbar: np.ndarray        # (n_bar, n_sig)
+    cell: int = field(init=False)
 
     def __post_init__(self):
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        object.__setattr__(self, "cell", _spans_per_cell(self.first_sig))
 
     @property
     def n_spans(self) -> int:
         return len(self.first_sig)
+
+    def cell_shape(self, half: bool):
+        """(n_cells, n_local, points per cell) of the pair tables of this
+        direction (:func:`_span_tables`): a cell is k = ``cell`` consecutive
+        spans, the gcd of the lengths of the runs of equal ``first_sig``, so
+        that every cell lies in one run and holds k nq points. With ``half``
+        the local pairs are those a <= b. Arithmetic on the fields alone."""
+        width = self.tab_sig.shape[-1]
+        return (self.n_spans // self.cell,
+                width * (width + 1) // 2 if half else width * width, self.cell * self.nq)
 
 
 @dataclass
@@ -134,8 +165,9 @@ def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
     from one :meth:`KnotVector.eval_many` table per knot vector.
 
     Gauss order is the larger degree + 1 per span, which integrates the
-    auxiliary mass exactly. Span integrals are batched products of the padded tables,
-    scattered with one ``bincount`` per factor."""
+    auxiliary mass exactly. Span integrals are batched products of the
+    padded tables, and one ``bincount`` scatters all three integral
+    factors, each onto its own range of bins."""
     nq = max(kv_sig.degree, kv_bar.degree) + 1
     pts, wts = kv_bar.gauss_grid(nq)
     n_es = kv_bar.nelems
@@ -147,23 +179,25 @@ def _direction_tables(kv_sig: KnotVector, kv_bar: KnotVector, nderiv_sig: int):
     first_b = first_b[::nq]
     tab_s = tab_s.reshape(n_es, nq, nderiv_sig + 1, kv_sig.degree + 1)
     tab_b = tab_b.reshape(n_es, nq, 2, kv_bar.degree + 1)
-    rows = first_b[:, None] + np.arange(kv_bar.degree + 1)
+    n_bar, n_sig = kv_bar.dim, kv_sig.dim
     # (n_es, p_bar + 1, nq) weighted test functions of every span
     w_tb = np.swapaxes(wts.reshape(n_es, nq, 1) * tab_b[:, :, 0], 1, 2)
-
-    def scatter(local, first, dim):
-        cols = first[:, None] + np.arange(local.shape[-1])
-        flat = rows[:, :, None] * dim + cols[:, None, :]
-        return np.bincount(flat.ravel(), weights=local.ravel(),
-                           minlength=kv_bar.dim * dim).reshape(kv_bar.dim, dim)
-
+    rows = first_b[:, None, None] + np.arange(kv_bar.degree + 1)[:, None]
+    # the bins of mbar, then of obar, then of kbar
+    to_bar = rows * n_bar + rows.transpose(0, 2, 1)
+    to_sig = rows * n_sig + (first_s[:, None, None] + np.arange(kv_sig.degree + 1)
+                             + n_bar * n_bar)
+    size = n_bar * n_sig
+    local = (w_tb @ tab_b[:, :, 0], w_tb @ tab_s[:, :, 0], w_tb @ tab_s[:, :, 1])
+    bins = np.concatenate([to_bar.ravel(), to_sig.ravel(), (to_sig + size).ravel()])
+    flat = np.bincount(bins, weights=np.concatenate([v.ravel() for v in local]),
+                       minlength=n_bar * n_bar + 2 * size)
+    obar_kbar = flat[n_bar * n_bar:].reshape(2, n_bar, n_sig)
     return DirectionFactors(
         nq=nq, points=pts, weights=wts,
         first_sig=first_s, tab_sig=tab_s, first_bar=first_b, tab_bar=tab_b,
-        sig=sig, bar=bar,
-        mbar=scatter(w_tb @ tab_b[:, :, 0], first_b, kv_bar.dim),
-        obar=scatter(w_tb @ tab_s[:, :, 0], first_s, kv_sig.dim),
-        kbar=scatter(w_tb @ tab_s[:, :, 1], first_s, kv_sig.dim))
+        sig=sig, bar=bar, mbar=flat[:n_bar * n_bar].reshape(n_bar, n_bar),
+        obar=obar_kbar[0], kbar=obar_kbar[1])
 
 
 def build_quadrature(sigma: TensorBasis, sigma_bar: TensorBasis,
@@ -208,16 +242,14 @@ def _strip_layout(f: DirectionFactors, point_bytes: int):
     n = f.n_spans
     per_strip = max(1, STRIP_BYTES // (f.nq * point_bytes))
     n_strips = -(-n // per_strip)
-    start = np.arange(n_strips) * n // n_strips
-    stop = np.append(start[1:], n)
+    bounds = [k * n // n_strips for k in range(n_strips + 1)]
+    first_sig, first_bar = f.first_sig.tolist(), f.first_bar.tolist()
 
-    def band(first, width):
-        return zip(np.minimum.reduceat(first, start).tolist(),
-                   (np.maximum.reduceat(first, start) + width).tolist())
-    return [(slice(a * f.nq, b * f.nq), slice(*sig), slice(*bar))
-            for a, b, sig, bar in zip(start.tolist(), stop.tolist(),
-                                      band(f.first_sig, f.tab_sig.shape[-1]),
-                                      band(f.first_bar, f.tab_bar.shape[-1]))]
+    def band(first, a, b, width):
+        return slice(min(first[a:b]), max(first[a:b]) + width)
+    return [(slice(a * f.nq, b * f.nq), band(first_sig, a, b, f.tab_sig.shape[-1]),
+             band(first_bar, a, b, f.tab_bar.shape[-1]))
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # Primal jet rows of the residual kernel, grouped by eta-derivative order:
@@ -242,8 +274,10 @@ def _residual_combination(mode, chi, ia, n_aux):
     labels += [("a", f, 1, 0) for f in range(n_aux)]
     labels += [("a", f, 0, 1) for f in range(n_aux)]
     col = {label: j for j, label in enumerate(labels)}
-    d_xi = {(1, 0): ia[0, 0], (0, 1): ia[1, 0]}
-    d_eta = {(1, 0): ia[0, 1], (0, 1): ia[1, 1]}
+    # Python floats: the same double arithmetic as numpy's scalars, faster
+    (a00, a01), (a10, a11) = np.asarray(ia, dtype=float).tolist()
+    d_xi = {(1, 0): a00, (0, 1): a10}
+    d_eta = {(1, 0): a01, (0, 1): a11}
 
     def prod(p, q):
         out = {}
@@ -254,7 +288,7 @@ def _residual_combination(mode, chi, ia, n_aux):
 
     def row(*terms):
         """Sum of scale * op(field) over (scale, field, op) terms."""
-        r = np.zeros(len(labels))
+        r = [0.0] * len(labels)
         for scale, field, op in terms:
             for kl, coef in op.items():
                 r[col[field + kl]] += scale * coef
@@ -289,18 +323,30 @@ class _SpanTables(NamedTuple):
     active primal functions (:func:`_span_tables`)."""
     first: np.ndarray       # (n_cells,) first active primal function of each cell
     pairs: np.ndarray       # (2, n_local) local functions (a, b) of each local pair
+    width: int              # p + 1 active functions per cell
+    keys: np.ndarray        # (n_local,) key of each local pair, see _local_pairs
     table: np.ndarray       # (4, n_cells, n_local, k nq), pairings as PAIRINGS
 
 
-def _cell_shape(f: DirectionFactors, half: bool):
-    """(n_cells, n_local, points per cell) of the pair tables of ``f``
-    (:func:`_span_tables`): a cell is k consecutive auxiliary spans, k the
-    gcd of the lengths of the runs of equal ``first_sig``, so that every
-    cell lies in one run and holds k nq points."""
-    n_spans, nq, _, width = f.tab_sig.shape
-    starts = np.flatnonzero(np.diff(f.first_sig, prepend=-1))
-    k = int(np.gcd.reduce(np.diff(starts, append=n_spans)))
-    return n_spans // k, width * (width + 1) // 2 if half else width * width, k * nq
+@functools.lru_cache(maxsize=None)
+def _local_pairs(width: int, half: bool):
+    """The local pairs (a, b) of a cell with ``width`` active functions, a
+    <= b with ``half``, as a (2, n_local) array; for each pairing the
+    positions r width + a and s width + b of its two factors in a span
+    table row flattened over (derivative order, function), as (4,
+    n_local) arrays: (r, s) = (1 - a, 1 - b) for the pairing (a, b) with
+    ``half``, for the xi factor, otherwise (a, b); and the key a (2 width -
+    1) + b - a + width - 1 of each local pair (:func:`_coupled_pairs`).
+    Computed once per argument pair; the arrays are read-only."""
+    a, b = np.indices((width, width)).reshape(2, -1)
+    r, s = np.array(PAIRINGS).T[:, :, None]
+    if half:
+        a, b, r, s = a[a <= b], b[a <= b], 1 - r, 1 - s
+    out = (np.stack([a, b]), r * width + a, s * width + b,
+           a * (2 * width - 1) + b - a + width - 1)
+    for value in out:
+        value.flags.writeable = False
+    return out
 
 
 def _span_tables(f: DirectionFactors, half: bool) -> _SpanTables:
@@ -310,51 +356,61 @@ def _span_tables(f: DirectionFactors, half: bool) -> _SpanTables:
     cell c, (k, l) the derivative orders of pairing o in this direction.
 
     The auxiliary spans of a primal span share its p + 1 active functions,
-    so every cell (:func:`_cell_shape`; the auxiliary spans of one primal
-    span on the bisected auxiliary basis of a system) has one set of them.
-    With ``half``, for the xi factor (orders (1 - a, 1 - b) of each pairing
-    (a, b)), the local pairs are the (p + 1)(p + 2) / 2 with a <= b;
-    otherwise, for the eta factor (orders (a, b)), all (p + 1)^2."""
-    n_cells, _, kq = _cell_shape(f, half)
+    so every cell (:meth:`DirectionFactors.cell_shape`; the auxiliary spans
+    of one primal span on the bisected auxiliary basis of a system) has one
+    set of them. With ``half``, for the xi factor (orders (1 - a, 1 - b) of
+    each pairing (a, b)), the local pairs are the (p + 1)(p + 2) / 2 with a
+    <= b (:func:`_local_pairs`); otherwise, for the eta factor (orders (a,
+    b)), all (p + 1)^2. The products are written in the table's own order."""
+    n_cells, n_local, kq = f.cell_shape(half)
     width = f.tab_sig.shape[-1]
-    tab = f.tab_sig.reshape(n_cells, kq, -1, width)
-    a, b = np.indices((width, width)).reshape(2, -1)
-    # (4, 1) derivative orders of the first and of the second function
-    r, s = np.array(PAIRINGS).T[:, :, None]
-    if half:
-        a, b, r, s = a[a <= b], b[a <= b], 1 - r, 1 - s
-    table = tab[:, :, r, a] * tab[:, :, s, b]     # (n_cells, k nq, 4, n_local)
-    return _SpanTables(first=f.first_sig[::len(f.first_sig) // n_cells],
-                       pairs=np.stack([a, b]),
-                       table=np.ascontiguousarray(table.transpose(2, 0, 3, 1)))
+    pairs, first, second, keys = _local_pairs(width, half)
+    tab = f.tab_sig.reshape(n_cells, kq, -1)
+    table = np.empty((len(PAIRINGS), n_cells, n_local, kq))
+    np.multiply(tab.take(first, axis=2), tab.take(second, axis=2),
+                out=table.transpose(1, 3, 0, 2))
+    return _SpanTables(first=f.first_sig[::f.cell], pairs=pairs, width=width, keys=keys,
+                       table=table)
 
 
-def _coupled_pairs(t: _SpanTables, dim, live):
+def _coupled_pairs(t: _SpanTables, dim, live, blocks=1):
     """The coupled pairs (i, j) of one direction that join two functions
     with ``live`` set, the functions of its grid lines that hold an inner
-    DOF, as a (2, n_pairs) array sorted by i * dim + j, and the row of the
-    pair of every local pair of every cell of ``t`` (cell-major), -1 for a
-    pair that is left out. A pair left out meets no inner DOF on one side,
-    so every coupling it carries lies in a boundary row or column of K."""
-    a, b = t.pairs
-    keys = ((t.first[:, None] + a) * dim + t.first[:, None] + b).ravel()
-    pairs, local = np.unique(keys, return_inverse=True)
-    i, j = np.divmod(pairs, dim)
-    kept = live[i] & live[j]
-    row = np.where(kept, np.cumsum(kept) - 1, -1)[local]
-    return np.stack([i[kept], j[kept]]), row
+    DOF, as a (2, n_pairs) array in the order of (i, j), and the CSR matrix
+    (n_pairs, blocks n_cols) whose product sums the rows of the right
+    operand onto the pairs: column c of block o (of ``blocks`` side by
+    side) is local pair c % n_local of cell c // n_local of ``t``, each row
+    takes its columns in ascending order, and a pair that is left out has
+    no row. A pair left out meets no inner DOF on one side, so every
+    coupling it carries lies in a boundary row or column of K.
 
-
-def _summing_matrix(rows, n_rows):
-    """CSR matrix (n_rows, len(rows)) with a 1 at (rows[c], c) for every
-    column c with rows[c] >= 0: its product sums the rows of the right
-    operand onto ``rows``. Built from its (data, indices, indptr)."""
-    cols = np.flatnonzero(rows >= 0).astype(np.int32)
-    indices = cols[np.argsort(rows[cols], kind="stable")]
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows[cols], minlength=n_rows), out=indptr[1:])
-    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
-                             shape=(n_rows, len(rows)))
+    One stable argsort of the pair keys of every column gives both: the
+    distinct keys in order, and the columns of each pair in order. The two
+    functions of a pair lie within p of each other, so the key i (2p + 1) +
+    j - i + p orders the pairs as (i, j) does, and it fits the narrowest
+    unsigned integer that holds dim (2p + 1): numpy sorts those of 16 bits
+    or fewer by radix."""
+    span = 2 * t.width - 1
+    keys = np.empty((blocks, len(t.first), len(t.keys)),
+                    dtype=np.min_scalar_type(max(dim, 1) * span))
+    np.add(span * t.first[:, None], t.keys, out=keys, casting="unsafe")
+    keys = keys.ravel()
+    cols = np.argsort(keys, kind="stable")
+    keys = keys[cols]
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    i, j = np.divmod(keys[start], span, dtype=np.intp)
+    j += i
+    j -= t.width - 1
+    pairs = np.stack([i, j])
+    kept = np.logical_and(*live[pairs])
+    # the columns of the pairs kept, and where each pair's run starts
+    take = kept[np.cumsum(start) - 1]
+    indptr = np.flatnonzero(np.append(start[take], True)).astype(np.int32)
+    summing = sparse.csr_matrix((np.ones(indptr[-1]), cols[take].astype(np.int32), indptr),
+                                shape=(len(indptr) - 1, len(keys)))
+    return pairs[:, kept], summing
 
 
 def _patch_metric_map(ia, mu):
@@ -365,11 +421,12 @@ def _patch_metric_map(ia, mu):
     affine patch map (grad_(xi, eta) = ia^T grad_(s, t)). M is symmetric, so
     M_ts is M_st, bitwise: its row would take the same products in the
     other order."""
-    # columns: the coefficients of Q11, Q12 and Q22
-    P = np.array([[ia[a, 0] * ia[b, 0], ia[a, 0] * ia[b, 1] + ia[a, 1] * ia[b, 0],
-                   ia[a, 1] * ia[b, 1]] for a, b in ((0, 0), (0, 1), (1, 1))])
-    return np.stack([P[:, 2], P[:, 0], -P[:, 1], 0.5 * mu * (P[:, 0] + P[:, 2])],
-                    axis=1)
+    ia = np.asarray(ia, dtype=float).tolist()
+    # the coefficients of Q11, Q12 and Q22 in each row, in Python floats:
+    # the same double arithmetic as numpy's scalars, faster
+    rows = [(ia[a][0] * ia[b][0], ia[a][0] * ia[b][1] + ia[a][1] * ia[b][0],
+             ia[a][1] * ia[b][1]) for a, b in ((0, 0), (0, 1), (1, 1))]
+    return np.array([[q22, q11, -q12, 0.5 * mu * (q11 + q22)] for q11, q12, q22 in rows])
 
 
 def _band_layout(rows, cols, n):
@@ -387,36 +444,44 @@ def _band_layout(rows, cols, n):
     lies above the diagonal in band order, in the Fortran-ordered
     (bandwidth + 1, n) lower band storage of the reordered matrix;
     (bandwidth + 1) n for a dropped pair."""
-    keep = rows >= 0
-    r, s = rows[keep], cols[keep]
+    keep = np.flatnonzero(rows >= 0)
     # RCM breaks ties in the order of a row's columns: a sorted pattern
-    # without duplicates, both triangles, as (data, indices, indptr)
+    # without duplicates, both triangles, as (data, indices, indptr). The
+    # keys r n + s sort fastest in the narrowest integer that holds them
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    r, s = rows.take(keep).astype(index), cols.take(keep).astype(index)
     m = len(r)
-    keys = np.empty(2 * m, dtype=np.int64)
+    keys = np.empty(2 * m, dtype=index)
     for out, (u, v) in zip((keys[:m], keys[m:]), ((r, s), (s, r))):
         np.multiply(u, n, out=out)
         out += v
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    # the column of a key is the key less its row's first key
+    keys -= np.repeat(np.arange(n, dtype=keys.dtype) * n, np.diff(indptr))
     graph = sparse.csr_matrix((np.ones(len(keys), dtype=np.int8),
-                               (keys % max(n, 1)).astype(np.int32), indptr),
+                               keys.astype(np.int32, copy=False), indptr.astype(np.int32)),
                               shape=(n, n))
     del keys
-    best = None
+    # the natural order's ranks are the unknowns themselves
+    order, lo, hi = np.arange(n), np.minimum(r, s), np.maximum(r, s)
+    bandwidth = int((hi - lo).max(initial=0))
     # csgraph has no ordering of an empty graph
-    candidates = [np.arange(n)] + (
-        [csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)] if n else [])
-    for order in candidates:
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        bandwidth = int(np.abs(rank[r] - rank[s]).max(initial=0))
-        if best is None or bandwidth < best[1]:
-            best = order, bandwidth, rank
-    order, bandwidth, rank = best
-    lo, hi = np.minimum(rank[r], rank[s]), np.maximum(rank[r], rank[s])
+    if n:
+        rcm = csgraph.reverse_cuthill_mckee(graph, symmetric_mode=True)
+        rank = np.empty(n, dtype=index)
+        rank[rcm] = np.arange(n)
+        ranked = rank[r], rank[s]
+        width = int(np.abs(ranked[0] - ranked[1]).max(initial=0))
+        if width < bandwidth:
+            order, bandwidth = rcm, width
+            lo, hi = np.minimum(*ranked), np.maximum(*ranked)
     places = np.full(len(rows), (bandwidth + 1) * n)
-    places[keep] = lo * (bandwidth + 1) + hi - lo
+    places[keep] = lo * bandwidth + hi
     return order, bandwidth, places
 
 
@@ -425,7 +490,7 @@ class _LaplacianPatch:
     """The frozen Laplacian of one patch (:meth:`MixedSystem._laplacian_factors`):
     its pair tables, its metric map, the summing matrices of its xi and eta
     cells and views of the system's shared scratch
-    (:meth:`MixedSystem._laplacian_scratch`). ``M`` holds the three metric
+    (:meth:`MixedSystem._laplacian_sizes`). ``M`` holds the three metric
     planes, span-major like the metric, and ``W`` the products of the eta
     stage, in the same memory; ``Z`` the products of the xi stage, ``Zt``
     the same array with the pairings first."""
@@ -629,7 +694,8 @@ class _CondensedMass:
         self.n_fields, self.n_sigbar = k, topo.n_sigbar
         shared = np.bincount(topo.tilde_to_global(), minlength=topo.n_sigbar) > 1
         self.gamma = np.flatnonzero(shared)
-        self.gamma_put = (topo.n_sigbar * fields + self.gamma).ravel()
+        field_base = topo.n_sigbar * fields
+        self.gamma_put = (field_base + self.gamma).ravel()
         n_gamma = len(self.gamma)
         position = np.cumsum(shared) - 1
         lines = [(_glued_lines(bb.n_xi, ("west", "east"), unglued),
@@ -637,8 +703,9 @@ class _CondensedMass:
                  for bb, unglued in zip(topo.bar_bases, topo.unglued_faces)]
         n_interior = [k * (sx.stop - sx.start) * (sy.stop - sy.start)
                       for (_, sx), (_, sy) in lines]
+        offsets = topo.tilde_offsets.tolist()
         # the face DOFs of a patch are all but its interior ones
-        n_face = k * topo.n_tilde - sum(n_interior)
+        n_face = k * offsets[-1] - sum(n_interior)
         self.interiors = np.empty(sum(n_interior))   # interior moments, then values
         self.interior_put = np.empty(len(self.interiors), dtype=np.int64)
         # face moments, then minus M_GammaI z_I; M_GammaI z_I; the interface
@@ -651,24 +718,24 @@ class _CondensedMass:
         for i, (ctx, ((rows, sx), (cols, sy))) in enumerate(zip(patches, lines)):
             mx, my = ctx.cache.xi.mbar, ctx.cache.eta.mbar
             bb = topo.bar_bases[i]
-            lo = topo.tilde_offsets[i]
+            lo = offsets[i]
             ctx.kron = kron = KronSolver(mx[sx, sx], my[sy, sy], scale=ctx.vol)
             local = np.arange(bb.dim).reshape(bb.n_xi, bb.n_eta)
             segment = slice(i_off, i_off + n_interior[i])
             i_off = segment.stop
-            np.add(topo.n_sigbar * fields, topo.bar_l2g[i][local[sx, sy].ravel()],
+            np.add(field_base, topo.bar_l2g[i][local[sx, sy].ravel()],
                    out=self.interior_put[segment].reshape(k, -1))
             b = self.interiors[segment].reshape(k, -1)
             p = _MassPatch(kron=kron, b=b, b3=b.reshape(k, kron.n_xi, kron.n_eta),
                            block=(slice(lo, lo + bb.dim), (k, bb.n_xi, bb.n_eta),
                                   (slice(None), sx, sy)))
             self.patches.append(p)
+            if rows == cols == slice(0, 0):
+                continue
             # face DOFs: the glued xi lines, in the range sy and then on the
             # glued eta lines, then the glued eta lines inside the range sx
             face = np.concatenate([local[rows, sy].ravel(), local[rows, cols].ravel(),
                                    local[sx, cols].ravel()])
-            if not face.size:
-                continue
             dofs = position[topo.bar_l2g[i][face]]
             gx = kron.inv_xi @ mx[sx, rows]
             gy = kron.inv_eta @ my[sy, cols]
@@ -677,22 +744,25 @@ class _CondensedMass:
             dy = np.zeros_like(my)
             dy[cols, cols] = my[cols, cols] - my[cols, sy] @ gy
             fa, fb = np.divmod(face, bb.n_eta)
-            a, c = np.ix_(fa, fa), np.ix_(fb, fb)
-            blocks.append(ctx.vol * (dx[a] * my[c] + mx[a] * dy[c] - dx[a] * dy[c]))
+            dxa, dyb = dx.take(fa, 0).take(fa, 1), dy.take(fb, 0).take(fb, 1)
+            blocks.append(ctx.vol * (dxa * my.take(fb, 0).take(fb, 1)
+                                     + mx.take(fa, 0).take(fa, 1) * dyb - dxa * dyb))
             keys.append(dofs[:, None] * n_gamma + dofs)
             segment = slice(f_off, f_off + k * face.size)
             f_off = segment.stop
-            np.add(topo.n_tilde * fields, lo + face,
+            np.add(offsets[-1] * fields, lo + face,
                    out=self.face_take[segment].reshape(k, -1))
             np.add(n_gamma * fields, dofs, out=self.face_bins[segment].reshape(k, -1))
             (n_xi, n_rows), (n_eta, n_cols) = gx.shape, gy.shape
-            split = np.cumsum([0, n_rows * n_eta, n_rows * n_cols, n_xi * n_cols])
-            shapes = ((k, n_rows, n_eta), (k, n_rows, n_cols), (k, n_xi, n_cols))
+            shapes = ((n_rows, n_eta), (n_rows, n_cols), (n_xi, n_cols))
 
             def face_blocks(flat):
-                seg = flat[segment].reshape(k, -1)
-                return tuple(seg[:, start:stop].reshape(shape)
-                             for start, stop, shape in zip(split[:-1], split[1:], shapes))
+                seg, start, out = flat[segment].reshape(k, -1), 0, []
+                for shape in shapes:
+                    stop = start + shape[0] * shape[1]
+                    out.append(seg[:, start:stop].reshape(k, *shape))
+                    start = stop
+                return tuple(out)
             p.corr, p.y = face_blocks(self.corr), face_blocks(self.y_faces)
             p.gx_t, p.gy, p.gy_t = gx.T, gy, gy.T
             p.left = np.empty((k, n_xi, n_rows + n_cols))
@@ -810,8 +880,8 @@ class MixedSystem:
         self._jet_groups = FIRST_JET if mode == "full" else SECOND_JET
         self._build_patches()
         self._tilde2g = topology.tilde_to_global()
-        self._tilde_bounds = list(zip(topology.tilde_offsets[:-1],
-                                      topology.tilde_offsets[1:]))
+        offsets = topology.tilde_offsets.tolist()
+        self._tilde_bounds = list(zip(offsets[:-1], offsets[1:]))
         self._mass = _CondensedMass(topology, self.patches, self.n_fields)
         # calls of eval_RN, and the seconds spent in it and in the exact
         # mass solve, summed over the life of the system
@@ -869,9 +939,12 @@ class MixedSystem:
             # raw rows and their combination Z (both components), U, the
             # metric and the weight
             point_bytes = 8 * npy * (2 * (jet_rows + 2 * n_aux) + 2 * 5 + 2 + 4 + 1)
-            left = np.stack([vol * np.stack([ia[0, d] * fx.kbar, ia[1, d] * fx.obar],
-                                            axis=2)
-                             for d in directions]).reshape(len(directions), bb.n_xi, -1)
+            left = np.empty((len(directions), bb.n_xi, fx.kbar.shape[1], 2))
+            for out, d in zip(left, directions):
+                np.multiply(ia[0, d], fx.kbar, out=out[..., 0])
+                np.multiply(ia[1, d], fx.obar, out=out[..., 1])
+            left *= vol
+            left = left.reshape(len(directions), bb.n_xi, -1)
             self.patches.append(_PatchContext(
                 cache=cache,
                 inv_a=ia,
@@ -989,31 +1062,49 @@ class MixedSystem:
     # -- nonlinear part ------------------------------------------------------
 
     def _scratch(self, name, *shape):
-        """A view of a scratch array shared by the per-iterate kernels of
-        all patches, grown to ``shape`` if it is smaller: their arrays have
-        the same shapes at every iterate, and fresh ones cost a page fault
-        per 4 KB whenever the C allocator has handed the freed memory back
-        to the system. The plans (:meth:`_plans`) take every view once."""
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].reshape(shape)
+        """A view of the scratch array ``name`` shared by the per-iterate
+        kernels of all patches, allocated by :meth:`_plans` at the largest
+        need of any patch (:meth:`_scratch_sizes`): their arrays have the
+        same shapes at every iterate, and fresh ones cost a page fault per 4
+        KB whenever the C allocator has handed the freed memory back to the
+        system. The plans take every view once."""
+        return self._buffers[name][:math.prod(shape)].reshape(shape)
 
-    def _laplacian_scratch(self, ctx):
-        """The scratch of :meth:`frozen_laplacian` on the patch ``ctx``,
-        idle in the residual kernels while it runs: the metric planes, and
-        then the eta products, in that of the raw rows, sized for the eta
-        products of all cell-local xi pairs (those of the pairs kept are
-        fewer); the xi products in that of the eta-contracted auxiliary
-        coefficients. Flat views."""
+    def _laplacian_sizes(self, ctx):
+        """Doubles of the two scratch arrays :meth:`frozen_laplacian` works
+        in on the patch ``ctx``, idle in the residual kernels while it runs:
+        the metric planes, and then the eta products, in that of the raw
+        rows, sized for the eta products of all cell-local xi pairs (those
+        of the pairs kept are fewer); the xi products in that of the
+        eta-contracted auxiliary coefficients."""
         npx, npy = ctx.wgrid.shape
-        n_cells, n_local, _ = _cell_shape(ctx.cache.xi, True)
-        n_cells_eta, n_local_eta, _ = _cell_shape(ctx.cache.eta, False)
-        rows = max(3 * npx * npy,
-                   len(PAIRINGS) * n_cells_eta * n_local_eta * n_cells * n_local)
-        return (self._scratch("rows", rows),
-                self._scratch("eta_bar", n_cells * n_local * len(PAIRINGS) * npy))
+        n_cells, n_local, _ = ctx.cache.xi.cell_shape(True)
+        n_cells_eta, n_local_eta, _ = ctx.cache.eta.cell_shape(False)
+        return {"rows": max(3 * npx * npy, len(PAIRINGS) * n_cells_eta * n_local_eta
+                            * n_cells * n_local),
+                "eta_bar": n_cells * n_local * len(PAIRINGS) * npy}
+
+    def _scratch_sizes(self, ctx):
+        """Doubles of each shared scratch array that the kernels of the
+        patch ``ctx`` take views of: its residual pass and derivative
+        moments (:meth:`_patch_plan`, whose shapes these are, the strips at
+        their largest) and its frozen Laplacian (:meth:`_laplacian_sizes`)."""
+        groups, n_fields = self._jet_groups, self.n_fields
+        _, nx, ny = ctx.sig_idx.shape
+        _, nbx, nby = ctx.bar_idx.shape
+        npy = ctx.wgrid.shape[1]
+        n_rows = sum(k1 - k0 for _, k0, k1 in groups) + n_fields
+        n_pts = max(pts.stop - pts.start for pts, _, _ in ctx.strips)
+        n_cols = max(cols.stop - cols.start for _, cols, _ in ctx.strips)
+        laplacian = self._laplacian_sizes(ctx)
+        return {"eta_sig": len(groups) * 2 * nx * npy,
+                "eta_bar": max(2 * n_fields * nbx * npy, laplacian["eta_bar"]),
+                "moments": 2 * nx * npy,
+                "rows": max(2 * nx * 2 * nby, n_rows * 2 * n_pts * npy, laplacian["rows"]),
+                "Z": len(ctx.combo) * 2 * n_pts * npy,
+                "U": 2 * n_pts * npy,
+                "strip_moments": 2 * n_cols * npy,
+                "net": 2 * nx * ny}
 
     def _patch_plan(self, ctx, out):
         """The :class:`_PatchPlan` of one patch, its residual moments
@@ -1029,8 +1120,6 @@ class MixedSystem:
         acc = self._scratch("moments", 2, nx, npy)
         # the derivative moments take the scratch of the raw rows, idle there
         T = self._scratch("rows", 2 * nx, 2 * nby)
-        # grown for the frozen Laplacian too, which takes its views later
-        self._laplacian_scratch(ctx)
         strips = []
         for pts, cols, bar_cols in ctx.strips:
             n_pts = pts.stop - pts.start
@@ -1072,20 +1161,21 @@ class MixedSystem:
 
     @functools.cached_property
     def _plans(self):
-        """The :class:`_Plans`, built on first use: the
-        :class:`_PatchPlan` of every patch and the residual moments of all
-        patches, patch after patch as the positions ``_rn_bins``, so that
-        one ``bincount`` sums them. The kernels share their scratch, so the
-        plans are made twice: the first pass grows each scratch array to the
-        largest need of any patch and kernel, and the second takes its views
-        of the grown arrays."""
+        """The :class:`_Plans`, built on first use, in one pass: the shared
+        scratch arrays are allocated first, each at the largest need of any
+        patch and kernel (:meth:`_scratch_sizes`), and then the
+        :class:`_PatchPlan` of every patch takes its views of them. The
+        residual moments of all patches lie patch after patch as the
+        positions ``_rn_bins``, so that one ``bincount`` sums them."""
+        sizes = {}
+        for ctx in self.patches:
+            for name, size in self._scratch_sizes(ctx).items():
+                sizes[name] = max(size, sizes.get(name, 0))
+        self._buffers = {name: np.empty(size) for name, size in sizes.items()}
         moments = np.empty(len(self._rn_bins))
         bounds = np.cumsum([0] + [ctx.sig_idx.size for ctx in self.patches])
-        segments = [moments[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        for ctx, out in zip(self.patches, segments):
-            self._patch_plan(ctx, out)
-        plans = [self._patch_plan(ctx, out) for ctx, out in zip(self.patches, segments)]
-        return _Plans(plans, moments)
+        return _Plans([self._patch_plan(ctx, moments[a:b]) for ctx, a, b
+                       in zip(self.patches, bounds[:-1], bounds[1:])], moments)
 
     def _strip_pass(self, plan, net, d):
         """One walk over the xi strips of the patch of ``plan`` at the flat
@@ -1186,10 +1276,14 @@ class MixedSystem:
     def _laplacian_factors(self):
         """The per-patch pair tables (:func:`_span_tables`, shared by the
         patch directions that share their :class:`DirectionFactors`), the
-        summing matrices of the coupled pairs, the metric maps and the band
-        layout (:func:`_band_layout`) of the inner primal couplings, built
-        on first use, with the views of the scratch that
-        :meth:`frozen_laplacian` works in.
+        coupled pairs and their summing matrices (one stable argsort per
+        direction, :func:`_coupled_pairs`), the metric maps and the band
+        layout (:func:`_band_layout`, one reverse Cuthill-McKee order and
+        one rank pass) of the inner primal couplings, built once, on first
+        use, with the views of the scratch that :meth:`frozen_laplacian`
+        works in: the plans (:meth:`_plans`) allocate that scratch, and are
+        built here, once the layout's temporaries are freed, unless the
+        residual has built them already.
 
         The couplings of a patch are S_xi x S_eta: functions (i1, i2) and
         (j1, j2) share an element exactly when (i1, j1) is in S_xi and
@@ -1224,14 +1318,15 @@ class MixedSystem:
         for i, ctx in enumerate(self.patches):
             tx, ty = span_tables(ctx.cache.xi, True), span_tables(ctx.cache.eta, False)
             loc = inner_of[self.topology.sig_l2g[i]].reshape(ctx.sig_idx.shape[1:])
-            px, row_x = _coupled_pairs(tx, loc.shape[0], (loc >= 0).any(axis=1))
-            py, row_y = _coupled_pairs(ty, loc.shape[1], (loc >= 0).any(axis=0))
-            parts.append((tx, ty, px.shape[1], _summing_matrix(row_x, px.shape[1]),
-                          _summing_matrix(np.tile(row_y, len(PAIRINGS)), py.shape[1]),
+            live = loc >= 0
+            px, sum_x = _coupled_pairs(tx, loc.shape[0], live.any(axis=1))
+            py, sum_y = _coupled_pairs(ty, loc.shape[1], live.any(axis=0), len(PAIRINGS))
+            parts.append((tx, ty, px.shape[1], sum_x, sum_y,
                           _patch_metric_map(ctx.inv_a, self.mu)))
             # (|S_eta|, |S_xi|) inner indices of the first and the second
-            # function of every entry
-            first, col = (loc.T[py[k]][:, px[k]] for k in (0, 1))
+            # function of every entry, by flat positions in loc
+            first, col = (loc.take(np.add.outer(py[k], px[k] * loc.shape[1]))
+                          for k in (0, 1))
             mirror = (py[0] > py[1])[:, None] & (px[0] == px[1])
             row = np.where(mirror | (col < 0), -1, first)
             rows.append(row.ravel())
@@ -1248,15 +1343,17 @@ class MixedSystem:
         # temporaries are freed lands beneath them, so they do not stay
         # resident under the one array that outlives them
         places = places.copy()
-        # the plans' first pass grows every scratch for both kernels, so the
-        # views taken below are of the arrays the residual works in, whichever
+        # the plans allocate every scratch for both kernels, so the views
+        # taken below are of the arrays the residual works in, whichever
         # kernel runs first; built once the layout's temporaries are freed,
         # as built before them the set-up peaks 2 to 4 MB higher at bat L3
         self._plans
         patches = []
         for ctx, (tx, ty, n_rx, sum_x, sum_y, to_m) in zip(self.patches, parts):
             npx, npy = ctx.wgrid.shape
-            work, cells = self._laplacian_scratch(ctx)
+            sizes = self._laplacian_sizes(ctx)
+            work, cells = self._scratch("rows", sizes["rows"]), \
+                self._scratch("eta_bar", sizes["eta_bar"])
             _, n_cells, n_local, kq = tx.table.shape
             _, n_cells_eta, n_local_eta, kq_eta = ty.table.shape
             M = work[:3 * npx * npy].reshape(3, -1)

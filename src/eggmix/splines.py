@@ -1,10 +1,14 @@
 """Univariate and tensor-product B-spline bases on [0, 1].
 
-Open (clamped) knot vectors, Cox-de Boor evaluation with derivatives,
-per-span Gauss grids, dense collocation factors scattered from one
-evaluation table, Greville abscissae, global h-refinement by knot
-bisection, its exact prolongation formed apart, and the lexicographic
-(xi-major) tensor-product numbering that every other module relies on.
+Open (clamped) knot vectors; one tabulation kernel for the nonzero basis
+functions and their derivatives, the recursion of Piegl & Tiller's
+algorithm A2.3 run on all points at once and batched over the basis index,
+bit for bit the scalar algorithm (:func:`_ders_basis`,
+:meth:`KnotVector.eval_many`); dense collocation factors put from its table
+by one flat scatter; per-span Gauss grids, Greville abscissae, global
+h-refinement by knot bisection, its exact prolongation formed apart, and
+the lexicographic (xi-major) tensor-product numbering that every other
+module relies on.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from scipy import sparse
 from .errors import DomainError, InputError
 
 KNOT_TOL = 1e-12
+# the first-derivative coefficients of A2.3 before their division
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
+_SIGNS.flags.writeable = False
 # the faces of a patch, by the parameter line each lies on: eta = 0, eta =
 # 1, xi = 0, xi = 1
 FACES = ("south", "north", "west", "east")
@@ -48,54 +55,70 @@ def _group_knots(knots):
     return np.asarray(breaks, dtype=float), np.asarray(mult, dtype=int)
 
 
-def _ders_basis(t, p, span, x, n):
+def _ders_basis(t, p, first, x, n, out):
     """Values and first ``n`` derivatives of the p+1 basis functions active
-    on knot span ``span[i]`` at ``x[i]`` (the A2.3 triangular-table
-    recursion, vectorised over the points). Returns an array of shape
-    (n + 1, p + 1, len(x))."""
+    at each point ``x[i]``, the knot span of ``x[i]`` being ``first[i] +
+    p``: the triangular-table recursion of Piegl & Tiller, The NURBS Book,
+    algorithm A2.3, run on every point at once and batched over the basis
+    index r, with the same floating-point operations in the same order on
+    every point as the scalar algorithm, so its results are the same bits
+    (the one addition it adds, of +0.0 to a value >= +0, changes nothing).
+    Writes ``out[k, r, i]``, k = 0..n, into a zero-filled (>= n + 1, p + 1,
+    len(x)) array or view.
+
+    Row j of the table holds the knot differences ``right[r + 1] + left[j -
+    r]`` of its r = 0..j-1, and its column j the basis functions of degree
+    j: one step per j for all r. In the derivative stage, level k holds the
+    coefficients a_kj of every r at the sheared position (j, c), c = r - k
+    + j: all of them divide by the same difference of column c, so a level
+    is a few slab operations, and the sum over j of every r is one shifted
+    add per j, in the order of j."""
     m = len(x)
+    # left[j] = x - t[span + 1 - j] in row p - j, right[j] = t[span + j] - x
+    # in row p - 1 + j, j = 1..p: the knots first + 1 .. first + 2p
+    lr = t[first + np.arange(1, 2 * p + 1)[:, None]]
+    np.subtract(x, lr[:p], out=lr[:p])
+    lr[p:] -= x
     ndu = np.empty((p + 1, p + 1, m))
-    left = np.empty((p + 1, m))
-    right = np.empty((p + 1, m))
     ndu[0, 0] = 1.0
+    # column j is saved + right[r + 1] temp[r], r = 0..j: rows 0..j of
+    # ``terms`` hold the saved terms, 0 for r = 0, and rows j + 1..2j + 1
+    # the products, 0 for r = j, which leaves ndu[j, j] = saved + 0.0
+    # exactly: every value of the table is >= +0
+    terms = np.zeros((2 * p + 2, m))
     for j in range(1, p + 1):
-        left[j] = x - t[span + 1 - j]
-        right[j] = t[span + j] - x
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    ders = np.zeros((n + 1, p + 1, m))
-    ders[0] = ndu[:, p]
-    a = np.empty((2, p + 1, m))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, n + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d = d + a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d = d + a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
+        # (left[j - r], right[r + 1]) for r = 0..j-1
+        both = lr[p - j: p + j].reshape(2, j, m)
+        np.add(both[1], both[0], out=ndu[j, :j])
+        temp = ndu[:j, j - 1] / ndu[j, :j]
+        np.multiply(both, temp, out=terms[1: 2 * j + 1].reshape(2, j, m))
+        # the last column, the values, is read no further
+        np.add(terms[:j + 1], terms[j + 1: 2 * j + 2],
+               out=ndu[:j + 1, j] if j < p else out[0])
+    if not n:
+        return
+    # level 1: a_10 = 1 / diff for r >= 1 and a_11 = -1 / diff for r <= p - 1
+    a = np.divide(_SIGNS, ndu[p, :p])
     fac = float(p)
     for k in range(1, n + 1):
-        ders[k] *= fac
+        pk = p - k
+        if k > 1:
+            # a_kj = (a_k-1,j - a_k-1,j-1) / diff, the first and the last
+            # terms of the difference left out where they vanish: j = 0
+            # for r >= k, 0 < j < k, and j = k for r <= p - k
+            nxt = np.empty((k + 1, pk + 1, m))
+            nxt[0] = a[0, 1:]
+            np.subtract(a[1:k, 1:], a[:k - 1, :-1], out=nxt[1:k])
+            np.negative(a[k - 1, :-1], out=nxt[k])
+            a = np.divide(nxt, ndu[pk + 1, :pk + 1], out=nxt)
+        terms = a * ndu[:pk + 1, pk]
+        d = out[k]
+        # term j of the derivative of function r = c + k - j
+        d[k:] = terms[0]
+        for j in range(1, k + 1):
+            d[k - j: p + 1 - j] += terms[j]
+        d *= fac
         fac *= p - k
-    return ders
 
 
 class KnotVector:
@@ -165,30 +188,35 @@ class KnotVector:
         """Nonzero basis values and derivatives at every point of ``pts``,
         derivative orders above the degree zero-padded: returns ``(first,
         table)`` with ``table[i, k, j]`` the k-th derivative of basis
-        function ``first[i] + j`` at ``pts[i]``, j = 0..degree."""
+        function ``first[i] + j`` at ``pts[i]``, j = 0..degree.
+
+        One call of the batched A2.3 kernel (:func:`_ders_basis`) tabulates
+        every point, and it writes the table in place: a C-ordered
+        (n_points, nderiv + 1, degree + 1) array."""
         pts = np.asarray(pts, dtype=float)
-        outside = ~((pts >= 0.0) & (pts <= 1.0))
-        if outside.any():
-            raise DomainError(f"evaluation point {pts[outside][0]} outside [0, 1]")
+        # NaN fails both tests
+        if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+            bad = pts[~((pts >= 0.0) & (pts <= 1.0))][0]
+            raise DomainError(f"evaluation point {bad} outside [0, 1]")
         if nderiv < 0:
             raise InputError(f"derivative order {nderiv} is negative")
         p = self.degree
-        span = np.clip(np.searchsorted(self.knots, pts, side="right") - 1,
-                       p, self.dim - 1)
+        # the span of x is p plus the number of interior knots <= x
+        first = np.searchsorted(self.knots[p + 1: self.dim], pts, side="right")
         tab = np.zeros((len(pts), nderiv + 1, p + 1))
-        n = min(nderiv, p)
-        tab[:, : n + 1] = np.moveaxis(_ders_basis(self.knots, p, span, pts, n), 2, 0)
-        return span - p, tab
+        _ders_basis(self.knots, p, first, pts, min(nderiv, p), tab.transpose(1, 2, 0))
+        return first, tab
 
     def dense(self, first, tab):
         """Dense (nderiv + 1, n_points, dim) collocation factors from the
         ``(first, table)`` of :meth:`eval_many`: ``out[k, i]`` is the row of
-        k-th derivatives of every basis function at point i."""
+        k-th derivatives of every basis function at point i. One flat
+        scatter puts the table, in its own order, at the positions ``k
+        n_points dim + i dim + first[i] + j``."""
         n_points, nd1, width = tab.shape
         out = np.zeros((nd1, n_points, self.dim))
-        rows = np.arange(n_points)[:, None]
-        cols = first[:, None] + np.arange(width)
-        out[:, rows, cols] = np.moveaxis(tab, 1, 0)
+        offsets = np.add.outer(np.arange(nd1) * out[0].size, np.arange(width))
+        np.put(out, np.add.outer(first + np.arange(n_points) * self.dim, offsets), tab)
         return out
 
     def gauss_grid(self, n: int):

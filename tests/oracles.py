@@ -38,6 +38,72 @@ def naive_all_values(kv, x, deriv=0):
                      for i in range(kv.dim)])
 
 
+def a23_ders_basis(t, p, span, x, n):
+    """Values and first ``n`` derivatives of the p+1 basis functions active
+    on knot span ``span[i]`` at ``x[i]``: algorithm A2.3 of Piegl & Tiller,
+    The NURBS Book, one basis index r at a time as the book writes it,
+    vectorised over the points only. Returns an array of shape (n + 1, p +
+    1, len(x)). The batched kernel of ``KnotVector.eval_many`` must match
+    it bit for bit."""
+    m = len(x)
+    ndu = np.empty((p + 1, p + 1, m))
+    left = np.empty((p + 1, m))
+    right = np.empty((p + 1, m))
+    ndu[0, 0] = 1.0
+    for j in range(1, p + 1):
+        left[j] = x - t[span + 1 - j]
+        right[j] = t[span + j] - x
+        saved = 0.0
+        for r in range(j):
+            ndu[j, r] = right[r + 1] + left[j - r]
+            temp = ndu[r, j - 1] / ndu[j, r]
+            ndu[r, j] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        ndu[j, j] = saved
+    ders = np.zeros((n + 1, p + 1, m))
+    ders[0] = ndu[:, p]
+    a = np.empty((2, p + 1, m))
+    for r in range(p + 1):
+        s1, s2 = 0, 1
+        a[0, 0] = 1.0
+        for k in range(1, n + 1):
+            d = 0.0
+            rk = r - k
+            pk = p - k
+            if r >= k:
+                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
+                d = a[s2, 0] * ndu[rk, pk]
+            j1 = 1 if rk >= -1 else -rk
+            j2 = k - 1 if r - 1 <= pk else p - r
+            for j in range(j1, j2 + 1):
+                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
+                d = d + a[s2, j] * ndu[rk + j, pk]
+            if r <= pk:
+                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
+                d = d + a[s2, k] * ndu[r, pk]
+            ders[k, r] = d
+            s1, s2 = s2, s1
+    fac = float(p)
+    for k in range(1, n + 1):
+        ders[k] *= fac
+        fac *= p - k
+    return ders
+
+
+def a23_eval_many(kv, pts, nderiv):
+    """``(first, table)`` as ``KnotVector.eval_many`` returns it, from the
+    span search the library used with :func:`a23_ders_basis`: the last
+    knot <= x, clipped to the spans p .. dim - 1, derivative orders above
+    the degree zero-padded."""
+    pts = np.asarray(pts, dtype=float)
+    p = kv.degree
+    span = np.clip(np.searchsorted(kv.knots, pts, side="right") - 1, p, kv.dim - 1)
+    tab = np.zeros((len(pts), nderiv + 1, p + 1))
+    n = min(nderiv, p)
+    tab[:, : n + 1] = np.moveaxis(a23_ders_basis(kv.knots, p, span, pts, n), 2, 0)
+    return span - p, tab
+
+
 def reference_univariate_integral(kv_a, kv_b, da=0, db=0, order=12):
     """Dense matrix of integrals of the da-th derivative of kv_a's basis
     against the db-th derivative of kv_b's basis, with a high-order

@@ -3,6 +3,8 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +100,18 @@ def test_check_ok_on_bundled(capsys):
     for name in BUILDERS:
         assert run_cli("check", bundled_path(name)) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_python_m_eggmix_runs_the_command_line(tmp_path):
+    # a checkout has no installed console script: python -m eggmix is the
+    # same command line, run here from outside the repository
+    src = pathlib.Path(eggmix.io_cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "eggmix", "check", str(bundled_path("bat"))],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_check_malformed_json(tmp_path, capsys):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eggmix.assembly
 from eggmix.assembly import MixedSystem, boundary_values_from_faces, \
     single_patch_system
 from eggmix.geometries import BUILDERS, build_bat, build_lbend
@@ -266,6 +267,41 @@ def test_laplacian_views_share_the_residual_scratch_in_either_call_order(rng):
             assert np.shares_memory(lp.M, system._buffers["rows"])
             assert np.shares_memory(lp.Z, system._buffers["eta_bar"])
     assert np.array_equal(bands[0], bands[1])
+
+
+@pytest.mark.parametrize("rn_first", [True, False], ids=["eval_RN", "frozen_laplacian"])
+def test_system_tables_are_built_once_in_either_call_order(rn_first, rng, monkeypatch):
+    # a fresh system makes one plan per patch, whichever kernel runs first,
+    # and finds the cell length of each DirectionFactors once, when the
+    # factors are made: a second plan pass or a recount is wasted set-up
+    plans, cells = [], []
+    real_plan, real_cells = MixedSystem._patch_plan, eggmix.assembly._spans_per_cell
+
+    def plan(self, ctx, out):
+        plans.append(id(ctx))
+        return real_plan(self, ctx, out)
+
+    def spans_per_cell(first_sig):
+        cells.append(first_sig)
+        return real_cells(first_sig)
+
+    monkeypatch.setattr(MixedSystem, "_patch_plan", plan)
+    monkeypatch.setattr(eggmix.assembly, "_spans_per_cell", spans_per_cell)
+    system = geometry_system(build_bat(), "full")
+    d, c = random_state(system, rng)
+    for kernel in ((lambda: system.eval_RN(d, c), lambda: system.frozen_laplacian(c))
+                   if rn_first else
+                   (lambda: system.frozen_laplacian(c), lambda: system.eval_RN(d, c))):
+        kernel()
+    assert sorted(plans) == sorted(id(ctx) for ctx in system.patches)
+    factors = {id(f): f for ctx in system.patches for f in (ctx.cache.xi, ctx.cache.eta)}
+    assert len(cells) == len(factors)
+    for f in factors.values():
+        runs = np.diff(np.flatnonzero(np.diff(f.first_sig, prepend=-1, append=-1)))
+        assert f.cell == np.gcd.reduce(runs)
+        for half in (True, False):
+            n_cells, n_local, kq = f.cell_shape(half)
+            assert n_cells * f.cell == f.n_spans and kq == f.cell * f.nq
 
 
 @pytest.mark.parametrize("nderiv", [0, 1])

@@ -64,6 +64,7 @@ BENCH_RECORD_KEYS = {
     "bat-folded-L0-kernels": KERNEL_KEYS,
     "lbend-xi-L1-kernels": KERNEL_KEYS,
     "post-L0": {"calls", "geometries", "peak_rss_mb"},
+    "setup-L0": {"fresh_systems", "systems", "peak_rss_mb"},
     "bat-L2-setup": {"n_sigma", "n_gamma", "n_elements", "band_entries", "bandwidth",
                      "hierarchy_s", "system_build_s", "mass_build_s",
                      "laplacian_factors_s", "peak_rss_mb"},
@@ -71,6 +72,8 @@ BENCH_RECORD_KEYS = {
 POST_KEYS = {"n_patches", "converged", "load_maps_ms", "quality_ms", "document_ms",
              "write_solution_ms", "vtk_ms", "svg_ms", "solution_bytes", "vtk_bytes",
              "svg_bytes"}
+SETUP_KEYS = {"mode", "level", "n_sigma", "init_ms", "plans_ms", "laplacian_factors_ms",
+              "setup_ms", "collocation_us"}
 
 
 @pytest.mark.parametrize("case", sorted(BENCH_RECORD_KEYS))
@@ -103,3 +106,11 @@ def test_bench_case_prints_one_record(case):
         for r in geometries.values():
             assert set(r) == POST_KEYS and r["converged"]
             assert min(r["solution_bytes"], r["vtk_bytes"], r["svg_bytes"]) > 0
+    if case == "setup-L0":
+        systems = record["systems"]
+        assert set(systems) == {"bat", "lbend", "quarter_annulus", "square", "tube",
+                                "two_patch_square", "lbend-xi-L1"}
+        for r in systems.values():
+            assert set(r) == SETUP_KEYS
+            assert 0 < max(r["init_ms"], r["plans_ms"], r["laplacian_factors_ms"]) \
+                <= r["setup_ms"]

@@ -9,7 +9,8 @@ from eggmix.mapping import SplineMap
 from eggmix.splines import KNOT_TOL, KnotVector, TensorBasis, gauss_legendre, \
     uniform_knots
 
-from oracles import knot_by_knot_refine, loop_collocation, naive_all_values
+from oracles import a23_eval_many, knot_by_knot_refine, loop_collocation, \
+    naive_all_values
 
 knot_vectors = st.builds(
     uniform_knots,
@@ -107,6 +108,46 @@ def test_collocation_matches_pointwise_loop():
                 assert np.abs(g - naive).max() <= 1e-11 * max(1.0, np.abs(naive).max())
     with pytest.raises(DomainError):
         uniform_knots(2, 2).collocation([0.5, 1.5])
+
+
+def same_bits(a, b):
+    """Equal shapes and equal bit patterns, signed zeros and NaNs told apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint8), b.view(np.uint8))
+
+
+def random_open_knots(rng, degree):
+    """An open knot vector of ``degree`` with up to six interior breakpoints,
+    each of multiplicity 1 to ``degree``."""
+    breaks = np.unique(np.round(rng.uniform(0.02, 0.98, rng.integers(0, 7)), 6))
+    interior = np.repeat(breaks, rng.integers(1, degree + 1, len(breaks)))
+    return KnotVector(degree, np.concatenate([np.zeros(degree + 1), interior,
+                                              np.ones(degree + 1)]))
+
+
+def test_tabulation_matches_the_a23_oracle_bit_for_bit():
+    # the batched kernel of eval_many runs the A2.3 recursion on every basis
+    # index at once with the same operations per point: tables, dense
+    # factors and collocation equal the scalar algorithm bit for bit
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        kv = random_open_knots(rng, 1 + trial % 4)
+        pts = np.concatenate([[0.0, 1.0], kv.breakpoints, rng.uniform(0.0, 1.0, 25)])
+        for nderiv in range(kv.degree + 2):
+            for x in (pts, pts[2:3], pts[:0]):
+                first, tab = kv.eval_many(x, nderiv)
+                want_first, want = a23_eval_many(kv, x, nderiv)
+                assert same_bits(first, want_first) and same_bits(tab, want)
+                assert tab.flags.c_contiguous
+                dense = np.zeros((nderiv + 1, len(x), kv.dim))
+                for i, f in enumerate(want_first):
+                    dense[:, i, f: f + kv.degree + 1] = want[i]
+                assert same_bits(kv.dense(first, tab), dense)
+                assert same_bits(kv.collocation(x, nderiv), dense)
+    for bad in (-1e-300, 1.0 + 2.0 ** -52, np.nan):
+        with pytest.raises(DomainError):
+            uniform_knots(2, 3).eval_many([0.5, bad], 1)
 
 
 @settings(max_examples=25, deadline=None)
