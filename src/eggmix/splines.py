@@ -191,8 +191,9 @@ class KnotVector:
         function ``first[i] + j`` at ``pts[i]``, j = 0..degree.
 
         One call of the batched A2.3 kernel (:func:`_ders_basis`) tabulates
-        every point, and it writes the table in place: a C-ordered
-        (n_points, nderiv + 1, degree + 1) array."""
+        every point, point-last so that its slab operations run on
+        contiguous memory, and one copy gives the C-ordered (n_points,
+        nderiv + 1, degree + 1) table."""
         pts = np.asarray(pts, dtype=float)
         # NaN fails both tests
         if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
@@ -203,9 +204,9 @@ class KnotVector:
         p = self.degree
         # the span of x is p plus the number of interior knots <= x
         first = np.searchsorted(self.knots[p + 1: self.dim], pts, side="right")
-        tab = np.zeros((len(pts), nderiv + 1, p + 1))
-        _ders_basis(self.knots, p, first, pts, min(nderiv, p), tab.transpose(1, 2, 0))
-        return first, tab
+        ders = np.zeros((nderiv + 1, p + 1, len(pts)))
+        _ders_basis(self.knots, p, first, pts, min(nderiv, p), ders)
+        return first, np.ascontiguousarray(ders.transpose(2, 0, 1))
 
     def dense(self, first, tab):
         """Dense (nderiv + 1, n_points, dim) collocation factors from the
