@@ -58,17 +58,18 @@ milliseconds over repeated calls of what the commands pay around the
 solve: loading a solution file into
 per-patch maps (``load_solution`` and ``solution_patch_maps``), the
 quality block (``_quality_block``), the solution document
-(``solution_document``), its write (``write_solution``) and the VTK and SVG
-exports (``_write_vtk`` with its sampling, ``_write_svg``), with the bytes
-each write leaves. The system set-up case records, for every bundled
-geometry in the mode of its file and for the L-bend in xi mode once
-refined, the median milliseconds over ``FRESH_SYSTEMS`` fresh systems of
-``MixedSystem.__init__``, of the first build of the residual's plans
-(``MixedSystem._plans``), of the frozen Laplacian's one-time tables and
-band layout (``MixedSystem._laplacian_factors``) and of their sum: the
-quadrature and table-build layer of a command. It also records the
-median microseconds over ``COLLOCATION_CALLS`` calls of collocating every
-distinct primal knot vector of the system with first derivatives on the
+(``solution_document``), its write (``write_solution``) and the VTK, SVG
+and CSV exports (``_write_vtk`` and ``_write_csv`` with their sampling,
+``_write_svg``), with the bytes each write leaves. The system set-up
+case records, for every bundled geometry in the mode of its file and for
+the L-bend in xi mode once refined, the median milliseconds over
+``FRESH_SYSTEMS`` fresh systems of ``MixedSystem.__init__``, of the
+first build of the residual's plans (``MixedSystem._plans``), of the
+frozen Laplacian's one-time tables and band layout
+(``MixedSystem._laplacian_factors``) and of their sum: the quadrature and
+table-build layer of a command. It also records the median microseconds
+over ``COLLOCATION_CALLS`` calls of collocating every distinct primal
+knot vector of the system with first derivatives on the
 Gauss points of its bisection (``KnotVector.collocation``).
 
 Usage: python scripts/bench.py [--out FILE]
@@ -99,8 +100,8 @@ from eggmix.assembly import MixedSystem, _CondensedMass, \
     boundary_values_from_faces  # noqa: E402
 from eggmix.geometries import BUILDERS  # noqa: E402
 from eggmix.geometries import load as load_bundled  # noqa: E402
-from eggmix.io_cli import _quality_block, _sample_patch, _write_svg, \
-    _write_vtk, load_solution, parse_geometry, solution_document, \
+from eggmix.io_cli import _quality_block, _sample_patch, _write_csv, \
+    _write_svg, _write_vtk, load_solution, parse_geometry, solution_document, \
     solution_patch_maps, solve, write_solution  # noqa: E402
 from eggmix.solver import SolverConfig, build_system_hierarchy, \
     folded_initial_guess, newton_solve, transfinite_global  # noqa: E402
@@ -437,7 +438,7 @@ def run_post_case(key):
             settings = {"mode": mode, "mu": system.mu, "chi": system.chi,
                         "coarse_levels": 0}
             paths = {k: os.path.join(tmp, f"{name}.{k}")
-                     for k in ("solution.json", "vtk", "svg")}
+                     for k in ("solution.json", "vtk", "svg", "csv")}
             sol = solution_document(doc, system, c, rep, settings)
             write_solution(paths["solution.json"], sol)
             maps = solution_patch_maps(load_solution(paths["solution.json"]))[1]
@@ -453,6 +454,8 @@ def run_post_case(key):
                     paths["vtk"], [_sample_patch(m, 4) for m in maps]), calls),
                 "svg_ms": median_ms(lambda: _write_svg(paths["svg"], maps, 4),
                                     calls),
+                "csv_ms": median_ms(lambda: _write_csv(
+                    paths["csv"], [_sample_patch(m, 4) for m in maps]), calls),
             }
             # a multipatch VTK export writes one file per patch
             vtk_files = [paths["vtk"]] if len(maps) == 1 else \
@@ -460,7 +463,7 @@ def run_post_case(key):
             size = os.path.getsize
             r.update(solution_bytes=size(paths["solution.json"]),
                      vtk_bytes=sum(map(size, vtk_files)),
-                     svg_bytes=size(paths["svg"]))
+                     svg_bytes=size(paths["svg"]), csv_bytes=size(paths["csv"]))
             geometries[name] = {"n_patches": len(maps),
                                 "converged": bool(rep.converged), **r}
     return {"calls": calls, "geometries": geometries,
@@ -581,7 +584,8 @@ def main(argv=None):
                   f"{r['quality_ms']:6.2f}  document {r['document_ms']:6.2f}  "
                   f"write {r['write_solution_ms']:6.2f} ({r['solution_bytes']} B)  "
                   f"vtk {r['vtk_ms']:6.2f} ({r['vtk_bytes']} B)  svg "
-                  f"{r['svg_ms']:6.2f} ms ({r['svg_bytes']} B)", file=sys.stderr)
+                  f"{r['svg_ms']:6.2f} ({r['svg_bytes']} B)  csv "
+                  f"{r['csv_ms']:6.2f} ms ({r['csv_bytes']} B)", file=sys.stderr)
     for key in SYSTEM_SETUP_CASES:
         cases[key] = run_child(key)
         for name, r in cases[key]["systems"].items():

@@ -382,6 +382,7 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                                   system.mass_solve_s)
         rhs = schur_rhs(system, state)
         t_precond = time.perf_counter()
+        precond = None  # free the last step's factor before the next is built
         precond = system.laplace_preconditioner(state.c)
         t_gmres = time.perf_counter()
         delta_c, gm = schur_solve(system, state, rhs, eta, precond)

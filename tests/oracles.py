@@ -588,12 +588,12 @@ def per_point_vtk_text(xs, ys, X, detj):
              f"DIMENSIONS {ny} {nx} 1", f"POINTS {nx * ny} double"]
     for i in range(nx):
         for j in range(ny):
-            lines.append("%.17g %.17g 0" % (X[i, j, 0], X[i, j, 1]))
+            lines.append("%.9g %.9g 0" % (X[i, j, 0], X[i, j, 1]))
     lines += [f"POINT_DATA {nx * ny}", "SCALARS detj double 1",
               "LOOKUP_TABLE default"]
     for i in range(nx):
         for j in range(ny):
-            lines.append("%.17g" % detj[i, j])
+            lines.append("%.9g" % detj[i, j])
     return "\n".join(lines) + "\n"
 
 

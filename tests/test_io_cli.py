@@ -336,6 +336,34 @@ def test_vtk_matches_per_point_format(solution, tmp_path):
 
 @pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
                          ids=lambda p: p.name.split(".")[0])
+def test_vtk_round_trip(solution, tmp_path):
+    # each file reads back as perfbench's check_sample reads it (UTF-8 text,
+    # the POINTS line, 2n finite coordinates in lines[6:6 + n]), and every
+    # value is the sampled double to the 9 significant digits of the format
+    _, maps = solution_patch_maps(load_solution(solution))
+    out = tmp_path / "grid.vtk"
+    assert run_cli("sample", solution, "--format", "vtk", "--out", out) == 0
+    for pi, pmap in enumerate(maps):
+        path = out if len(maps) == 1 else tmp_path / f"grid_p{pi}.vtk"
+        xs, ys, X, detj = eggmix.io_cli._sample_patch(pmap, 4)
+        n = len(xs) * len(ys)
+        lines = path.read_bytes().decode("utf-8").splitlines()
+        assert len(lines) == 9 + 2 * n
+        assert lines[:6] == ["# vtk DataFile Version 3.0", "eggmix structured grid",
+                             "ASCII", "DATASET STRUCTURED_GRID",
+                             f"DIMENSIONS {len(ys)} {len(xs)} 1", f"POINTS {n} double"]
+        assert lines[6 + n:9 + n] == [f"POINT_DATA {n}", "SCALARS detj double 1",
+                                      "LOOKUP_TABLE default"]
+        coords = np.array([float(v) for ln in lines[6:6 + n] for v in ln.split()[:2]])
+        assert coords.size == 2 * n and np.all(np.isfinite(coords))
+        assert all(ln.split()[2:] == ["0"] for ln in lines[6:6 + n])
+        values = np.array([float(ln) for ln in lines[9 + n:]])
+        for got, want in ((coords, X.ravel()), (values, detj.ravel())):
+            assert np.all(np.abs(got - want) <= 5e-9 * np.abs(want))
+
+
+@pytest.mark.parametrize("solution", RESTART_SOLUTIONS,
+                         ids=lambda p: p.name.split(".")[0])
 def test_csv_matches_per_point_format(solution, tmp_path):
     _, maps = solution_patch_maps(load_solution(solution))
     out = tmp_path / "grid.csv"

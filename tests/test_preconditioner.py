@@ -3,6 +3,7 @@ assembly against a pointwise oracle, definiteness on a folded iterate, the
 true-residual stopping test and iteration-count regression guards."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -323,6 +324,25 @@ def test_bat_folded_gmres_total_bounded(bat_solved):
     assert rep.converged and rep.newton_iterations == 10
     assert sum(rep.gmres_iterations) <= 40
     assert all(rep.gmres_converged)
+
+
+def test_newton_holds_one_preconditioner_at_a_time(monkeypatch):
+    # the last step's factor is freed before the next one is built, so a
+    # solve never holds two bands at once
+    system = geometry_system(build_quarter_annulus())
+    build = system.laplace_preconditioner
+    built, alive_at_build = [], []
+
+    def tracked(c):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        precond = build(c)
+        built.append(weakref.ref(precond))
+        return precond
+
+    monkeypatch.setattr(system, "laplace_preconditioner", tracked)
+    c, rep = newton_solve(system, start(system), SolverConfig())
+    assert rep.converged and len(built) == rep.newton_iterations == 3
+    assert alive_at_build == [0, 0, 0]
 
 
 def test_report_records_gmres_residuals_and_denominators(capsys):

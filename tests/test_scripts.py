@@ -70,8 +70,8 @@ BENCH_RECORD_KEYS = {
                      "laplacian_factors_s", "peak_rss_mb"},
 }
 POST_KEYS = {"n_patches", "converged", "load_maps_ms", "quality_ms", "document_ms",
-             "write_solution_ms", "vtk_ms", "svg_ms", "solution_bytes", "vtk_bytes",
-             "svg_bytes"}
+             "write_solution_ms", "vtk_ms", "svg_ms", "csv_ms", "solution_bytes",
+             "vtk_bytes", "svg_bytes", "csv_bytes"}
 SETUP_KEYS = {"mode", "level", "n_sigma", "init_ms", "plans_ms", "laplacian_factors_ms",
               "setup_ms", "collocation_us"}
 
@@ -105,7 +105,8 @@ def test_bench_case_prints_one_record(case):
                                    "tube", "two_patch_square"}
         for r in geometries.values():
             assert set(r) == POST_KEYS and r["converged"]
-            assert min(r["solution_bytes"], r["vtk_bytes"], r["svg_bytes"]) > 0
+            assert min(r["solution_bytes"], r["vtk_bytes"], r["svg_bytes"],
+                       r["csv_bytes"]) > 0
     if case == "setup-L0":
         systems = record["systems"]
         assert set(systems) == {"bat", "lbend", "quarter_annulus", "square", "tube",
