@@ -9,7 +9,7 @@ extraordinary vertices are supported.
 __version__ = "0.1.0"
 
 from .splines import KnotVector, TensorBasis, uniform_knots
-from .mapping import SplineMap, make_map, transfinite_initial_guess, \
+from .mapping import SplineMap, transfinite_initial_guess, \
     winslow, sampled_bijectivity, unit_square_map
 from .assembly import MixedSystem, single_patch_system
 from .multipatch import AffinePatchMap, Interface, PatchTopology, \
@@ -19,7 +19,7 @@ from .solver import SolverConfig, SolverReport, newton_solve, \
 
 __all__ = [
     "KnotVector", "TensorBasis", "uniform_knots",
-    "SplineMap", "make_map", "transfinite_initial_guess",
+    "SplineMap", "transfinite_initial_guess",
     "winslow", "sampled_bijectivity", "unit_square_map",
     "MixedSystem", "single_patch_system",
     "AffinePatchMap", "Interface", "PatchTopology", "build_topology",

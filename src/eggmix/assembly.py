@@ -69,9 +69,8 @@ from scipy.sparse import csgraph
 from .errors import CornerMismatchError, InputError, ModeError
 from .linalg import Banded1DCholesky, DenseCholesky, KronSolver
 from .multipatch import PatchTopology, single_patch_topology
+from .settings import DEFAULTS, check_settings
 from .splines import KnotVector, TensorBasis
-
-MODES = ("full", "xi", "eta")
 
 
 def _spans_per_cell(first_sig):
@@ -843,17 +842,15 @@ class MixedSystem:
     them and keep the second derivatives of x in the other direction, which
     requires C>=1 primal continuity there. ``chi`` splits the mixed
     second-derivative term between the two available representatives; the
-    metric entries are always computed from the x-derivatives.
+    metric entries are always computed from the x-derivatives. The defaults
+    and valid values of ``mode``, ``chi`` and ``mu`` are those of
+    :mod:`eggmix.settings`.
     """
 
     def __init__(self, topology: PatchTopology, boundary_values, *,
-                 mode: str = "full", chi: float = 0.5, mu: float = 1e-4):
-        if mode not in MODES:
-            raise InputError(f"mode must be one of {MODES}, got {mode!r}")
-        if not 0.0 <= chi <= 1.0:
-            raise InputError(f"chi must lie in [0, 1], got {chi}")
-        if not (math.isfinite(mu) and mu > 0.0):
-            raise InputError(f"mu must be positive and finite, got {mu}")
+                 mode: str = DEFAULTS["mode"], chi: float = DEFAULTS["chi"],
+                 mu: float = DEFAULTS["mu"]):
+        check_settings(mode=mode, chi=chi, mu=mu)
         self._validate_mode(topology, mode)
         self.topology = topology
         self.mode = mode
@@ -1469,7 +1466,7 @@ class MixedSystem:
         """:meth:`_CondensedMass.solve`. The name is that of the
         conjugate-gradient solve the condensation replaced; it stays
         because ``perfbench/tracing.py`` looks the method up by it, until
-        the benchmark's hooks are renamed (ROADMAP item 6)."""
+        the benchmark's hooks are renamed."""
         return self._mass.solve(tilde)
 
     def ainv_exact(self, tilde):
@@ -1507,24 +1504,24 @@ class MixedSystem:
         return self.ainv_exact(a_tilde + self._derivative_moments(net)).ravel()
 
 
-def single_patch_system(m, *, mode: str = "full", chi: float = 0.5,
-                        mu: float = 1e-4) -> MixedSystem:
-    """Mixed system for a single-patch SplineMap (identity affine map)."""
+def single_patch_system(m, **settings) -> MixedSystem:
+    """Mixed system for a single-patch SplineMap (identity affine map);
+    ``settings`` are the keywords of :class:`MixedSystem`."""
     topo = single_patch_topology(m.basis)
-    return MixedSystem(topo, m.control[topo.boundary_indices],
-                       mode=mode, chi=chi, mu=mu)
+    return MixedSystem(topo, m.control[topo.boundary_indices], **settings)
 
 
 def boundary_values_from_faces(topology: PatchTopology, boundary_data):
-    """Global boundary coefficient array from per-(patch, face) curve data.
+    """Global boundary coefficient array from per-(patch, face) curve data:
+    the one check of boundary contours.
 
-    Every unglued face needs an entry; coefficients meeting at shared corner
-    DOFs (including across patches) must agree to 1e-12.
+    Every unglued face needs an entry of one point per DOF of the face;
+    coefficients meeting at shared corner DOFs (including across patches)
+    must agree to 1e-12. Every boundary DOF lies on an unglued face, so
+    each receives a value.
     """
-    n = topology.n_sigma
-    values = np.zeros((n, 2))
-    assigned = np.zeros(n, dtype=bool)
-    source = {}
+    values = np.zeros((topology.n_sigma, 2))
+    source = {}  # global DOF -> the curve point that set its value
     for p in range(topology.n_patches):
         for face in topology.unglued_faces[p]:
             key = (p, face)
@@ -1537,17 +1534,13 @@ def boundary_values_from_faces(topology: PatchTopology, boundary_data):
                     f"patch {p} face {face!r}: curve shape {arr.shape}, "
                     f"expected ({len(idx_local)}, 2)")
             for k, g in enumerate(topology.sig_l2g[p][idx_local]):
-                if assigned[g]:
+                if g in source:
                     gap = float(np.linalg.norm(values[g] - arr[k]))
                     if gap > 1e-12:
                         raise CornerMismatchError(
                             f"patch {p}.{face}[{k}] vs {source[g]}", gap)
                 else:
                     values[g] = arr[k]
-                    assigned[g] = True
                     source[g] = f"patch {p}.{face}[{k}]"
-    missing = set(topology.boundary_indices) - set(np.flatnonzero(assigned))
-    if missing:
-        raise InputError(f"{len(missing)} boundary DOFs received no curve data")
     return values[topology.boundary_indices]
 

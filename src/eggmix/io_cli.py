@@ -11,11 +11,9 @@ of Newton steps, or stagnated) or converged to a folded map.
 from __future__ import annotations
 
 import argparse
-import datetime
 import errno
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -24,29 +22,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import MODES, MixedSystem, boundary_values_from_faces
+from .assembly import MixedSystem, boundary_values_from_faces
 from .errors import CornerMismatchError, EggmixError, InputError, \
     KnotMismatchError, NonbijectiveMapError
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
+from .settings import DEFAULTS, MODES, is_integer, is_number, setting_problem
 from .solver import SolverConfig, SolverReport, \
     build_system_hierarchy, folded_initial_guess, newton_solve, \
     transfinite_global
 from .splines import FACES, KnotVector, TensorBasis
 
-# the numeric solver settings of docs/geometry_schema.json:
-# key -> (integer, minimum, minimum excluded, maximum)
-SOLVER_RANGES = {
-    "mu": (False, 0, True, math.inf),
-    "chi": (False, 0, False, 1),
-    "newton_tol": (False, 0, True, math.inf),
-    "max_newton": (True, 1, False, math.inf),
-    # each level multiplies the element count by 4
-    "coarse_levels": (True, 0, False, 4),
-}
-SOLVER_KEYS = ("mode",) + tuple(SOLVER_RANGES)
-# the keys of the other objects of docs/geometry_schema.json; the validator
-# warns about any other key, and parsing ignores it
+# the keys of the objects of docs/geometry_schema.json (the solver keys are
+# those of settings.DEFAULTS); the validator warns about any other key, and
+# parsing ignores it
 TOP_KEYS = ("version", "patches", "interfaces", "solver")
 PATCH_KEYS = ("degree_xi", "degree_eta", "knots_xi", "knots_eta", "affine",
               "boundary")
@@ -78,16 +67,6 @@ class GeometryFile:
     solver: dict
 
 
-def _is_integer(v):
-    # JSON true and false load as bool, which Python counts as an int
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    # json.load reads NaN, Infinity and -Infinity as floats
-    return (isinstance(v, float) and math.isfinite(v)) or _is_integer(v)
-
-
 def _unknown_keys(obj, known, ptr, what="key"):
     """A warning for every key of the object ``obj`` (at JSON pointer
     ``ptr``) that is not in ``known``."""
@@ -101,8 +80,8 @@ def _is_point_array(arr):
     """Whether ``arr`` is an array of [x, y] pairs of numbers, checked in
     one pass over the pairs."""
     return isinstance(arr, list) and all(
-        isinstance(q, list) and len(q) == 2 and _is_number(q[0])
-        and _is_number(q[1]) for q in arr)
+        isinstance(q, list) and len(q) == 2 and is_number(q[0])
+        and is_number(q[1]) for q in arr)
 
 
 def validate_geometry(doc) -> list:
@@ -122,7 +101,7 @@ def _validate(doc):
         err("", "document must be a JSON object")
         return out, knots
     out += _unknown_keys(doc, TOP_KEYS, "")
-    if not (_is_integer(doc.get("version")) and doc["version"] == 1):
+    if not (is_integer(doc.get("version")) and doc["version"] == 1):
         err("/version", "expected format version 1")
     patches = doc.get("patches")
     if not isinstance(patches, list) or not patches:
@@ -136,15 +115,15 @@ def _validate(doc):
             continue
         out += _unknown_keys(p, PATCH_KEYS, ptr)
         for key in ("degree_xi", "degree_eta"):
-            if not _is_integer(p.get(key)) or p[key] < 1:
+            if not is_integer(p.get(key)) or p[key] < 1:
                 err(f"{ptr}/{key}", "expected an integer >= 1")
         for key in ("knots_xi", "knots_eta"):
             kn = p.get(key)
-            if not isinstance(kn, list) or not all(map(_is_number, kn)):
+            if not isinstance(kn, list) or not all(map(is_number, kn)):
                 err(f"{ptr}/{key}", "expected an array of numbers")
                 continue
             deg = p.get("degree_xi" if key == "knots_xi" else "degree_eta")
-            if _is_integer(deg) and deg >= 1:
+            if is_integer(deg) and deg >= 1:
                 try:
                     knots[i, key] = KnotVector(deg, kn)
                 except InputError as exc:
@@ -155,11 +134,11 @@ def _validate(doc):
             b = aff.get("b") if isinstance(aff, dict) else None
             ok = (isinstance(A, list) and len(A) == 2
                   and all(isinstance(r, list) and len(r) == 2
-                          and all(_is_number(v) for v in r) for r in A))
+                          and all(is_number(v) for v in r) for r in A))
             if not ok:
                 err(f"{ptr}/affine/A", "expected a 2x2 number matrix")
             if not (isinstance(b, list) and len(b) == 2
-                    and all(_is_number(v) for v in b)):
+                    and all(is_number(v) for v in b)):
                 err(f"{ptr}/affine/b", "expected a 2-vector")
             if ok and A[0][0] * A[1][1] - A[0][1] * A[1][0] == 0:
                 err(f"{ptr}/affine/A", "matrix must be invertible")
@@ -190,7 +169,7 @@ def _validate(doc):
         out += _unknown_keys(itf, INTERFACE_KEYS, ptr)
         for key in ("patch_a", "patch_b"):
             v = itf.get(key)
-            if not _is_integer(v) or not 0 <= v < len(patches):
+            if not is_integer(v) or not 0 <= v < len(patches):
                 err(f"{ptr}/{key}", "expected a valid patch index")
         for key in ("face_a", "face_b"):
             if itf.get(key) not in FACES:
@@ -201,27 +180,12 @@ def _validate(doc):
     if not isinstance(solver, dict):
         err("/solver", "expected an object")
     else:
-        out += _unknown_keys(solver, SOLVER_KEYS, "/solver", "solver setting")
-        if "mode" in solver and solver["mode"] not in MODES:
-            err("/solver/mode", "expected full, xi or eta")
-        for key in SOLVER_RANGES:
-            if key in solver:
-                problem = _solver_setting_error(key, solver[key])
-                if problem:
-                    err(f"/solver/{key}", problem)
+        out += _unknown_keys(solver, DEFAULTS, "/solver", "solver setting")
+        for key in DEFAULTS:
+            problem = setting_problem(key, solver[key]) if key in solver else None
+            if problem:
+                err(f"/solver/{key}", problem)
     return out, knots
-
-
-def _solver_setting_error(key, v):
-    """Why ``v`` is not a valid value of the numeric solver setting ``key``
-    (see ``SOLVER_RANGES``), or None when it is."""
-    integer, lo, lo_open, hi = SOLVER_RANGES[key]
-    ok = _is_integer(v) if integer else _is_number(v)
-    if ok and (v > lo if lo_open else v >= lo) and v <= hi:
-        return None
-    kind = "an integer" if integer else "a finite number"
-    upper = f" and <= {hi:g}" if hi < math.inf else ""
-    return f"expected {kind} {'>' if lo_open else '>='} {lo:g}{upper}"
 
 
 def parse_geometry(doc) -> GeometryFile:
@@ -392,7 +356,6 @@ def solution_document(geometry_doc: dict, system: MixedSystem, c, report,
     return {
         "format": "eggmix-solution",
         "version": 1,
-        "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "geometry": geometry_doc,
         "solver_settings": settings,
         "control_nets": [m.control.tolist() for m in maps],
@@ -536,14 +499,16 @@ def cmd_solve(args) -> int:
     except (InputError, json.JSONDecodeError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    settings = {"mode": "full", "mu": 1e-4, "chi": 0.5, "coarse_levels": 0}
-    settings.update({k: v for k, v in geo.solver.items() if k in SOLVER_KEYS})
+    # the solution file records the system's settings and the levels always,
+    # the Newton settings when the file or a flag sets them
+    settings = {k: DEFAULTS[k] for k in ("mode", "mu", "chi", "coarse_levels")}
+    settings.update({k: v for k, v in geo.solver.items() if k in DEFAULTS})
     for key, flag in (("mode", "--mode"), ("mu", "--mu"), ("chi", "--chi"),
                       ("coarse_levels", "--coarse-levels"),
                       ("newton_tol", "--tol")):
         v = getattr(args, key)
         if v is not None:
-            problem = None if key == "mode" else _solver_setting_error(key, v)
+            problem = setting_problem(key, v)
             if problem:
                 print(f"input error: {flag}: {problem}", file=sys.stderr)
                 return 1
@@ -557,7 +522,7 @@ def cmd_solve(args) -> int:
             start = solution_start(load_solution(args.initial_file), geo.topology)
         bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
         hierarchy = build_system_hierarchy(
-            geo.topology, bvals, int(settings["coarse_levels"]),
+            geo.topology, bvals, settings["coarse_levels"],
             mode=settings["mode"], chi=settings["chi"], mu=settings["mu"])
         system, c, report = solve(hierarchy, start, config)
     except (InputError, EggmixError, json.JSONDecodeError, OSError) as exc:
@@ -793,7 +758,7 @@ def _parser():
     ps.add_argument("--tol", dest="newton_tol", type=float, default=None,
                     help="stop when the residual norm is at most TOL times "
                          "the residual scale of the boundary data "
-                         "(default 1e-8)")
+                         f"(default {DEFAULTS['newton_tol']:g})")
     ps.add_argument("--initial", choices=("transfinite", "file", "folded"),
                     default="transfinite")
     ps.add_argument("--initial-file", default=None)

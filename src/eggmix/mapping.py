@@ -1,10 +1,11 @@
-"""Planar spline maps: boundary-contour ingestion, transfinite (Coons) initial
-guesses, tensor-grid evaluation of the map and its first derivatives, the
-Winslow energy with a projected gradient descent, and sampled bijectivity
-diagnostics.
+"""Planar spline maps: transfinite (Coons) initial guesses, tensor-grid
+evaluation of the map and its first derivatives, the Winslow energy with a
+projected gradient descent, and sampled bijectivity diagnostics.
 
-Boundary contours arrive as spline coefficient sequences for the four faces
-of the unit square; fitting of point data is out of scope.
+Boundary contours arrive as spline coefficient sequences, one per unglued
+patch face, and enter through one function,
+:func:`~eggmix.assembly.boundary_values_from_faces`, which checks them;
+fitting of point data is out of scope.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CornerMismatchError, InputError, NonbijectiveMapError
-from .splines import FACES, TensorBasis
-
-CORNER_TOL = 1e-12
+from .errors import InputError, NonbijectiveMapError
+from .splines import TensorBasis
 
 
 @dataclass
@@ -84,55 +83,9 @@ class SplineMap:
         return SplineMap(self.basis, self.control.copy())
 
 
-def make_map(basis: TensorBasis, boundary_curves) -> SplineMap:
-    """Populate the boundary rows of a control net from four contour curves.
-
-    ``boundary_curves`` maps face names to coefficient arrays: south/north of
-    length n_xi, west/east of length n_eta. Corner coefficients of adjacent
-    curves must agree to 1e-12. Inner rows start at zero.
-    """
-    curves = {}
-    for face in FACES:
-        if face not in boundary_curves:
-            raise InputError(f"missing boundary curve for face {face!r}")
-        arr = np.asarray(boundary_curves[face], dtype=float)
-        want = basis.n_xi if face in ("south", "north") else basis.n_eta
-        if arr.shape != (want, 2):
-            raise InputError(
-                f"{face} curve has shape {arr.shape}, expected ({want}, 2)")
-        curves[face] = arr
-    corners = [
-        ("south-west", curves["south"][0], curves["west"][0]),
-        ("south-east", curves["south"][-1], curves["east"][0]),
-        ("north-west", curves["north"][0], curves["west"][-1]),
-        ("north-east", curves["north"][-1], curves["east"][-1]),
-    ]
-    for name, a, b in corners:
-        gap = float(np.linalg.norm(a - b))
-        if gap > CORNER_TOL:
-            raise CornerMismatchError(name, gap)
-    control = np.zeros((basis.dim, 2))
-    C = control.reshape(basis.n_xi, basis.n_eta, 2)
-    C[:, 0] = curves["south"]
-    C[:, -1] = curves["north"]
-    C[0, :] = curves["west"]
-    C[-1, :] = curves["east"]
-    return SplineMap(basis, control)
-
-
 def unit_square_map(basis: TensorBasis) -> SplineMap:
     """Identity map of the unit square: the control net is the Greville grid."""
-    gx = basis.kv_xi.greville
-    gy = basis.kv_eta.greville
-    curves = {
-        "south": np.column_stack([gx, np.zeros_like(gx)]),
-        "north": np.column_stack([gx, np.ones_like(gx)]),
-        "west": np.column_stack([np.zeros_like(gy), gy]),
-        "east": np.column_stack([np.ones_like(gy), gy]),
-    }
-    m = make_map(basis, curves)
-    m.control[m.inner_indices] = basis.greville_grid()[m.inner_indices]
-    return m
+    return SplineMap(basis, basis.greville_grid())
 
 
 def transfinite_initial_guess(m: SplineMap):

@@ -49,8 +49,6 @@ the command line and the library.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -60,9 +58,10 @@ from scipy import sparse
 
 from .errors import InputError, StagnationError
 from .linalg import gmres
-from .mapping import SplineMap, transfinite_initial_guess
+from .mapping import transfinite_initial_guess
 from .multipatch import build_topology
 from .assembly import MixedSystem
+from .settings import DEFAULTS, check_settings
 
 SQRT_EPS = float(np.sqrt(np.finfo(float).eps))
 
@@ -93,8 +92,9 @@ class SolverConfig:
     ``newton_tol`` is the stopping test: an iterate has converged when
     ||(R_L, R_N)|| <= newton_tol * S, with S the residual scale of the
     boundary data (``MixedSystem.residual_scale``). ``max_newton`` caps the
-    Newton steps; it is an integer of at least 1. ``verbose`` writes one
-    JSON line per Newton step to stderr, with the seconds of each entry of
+    Newton steps. Their defaults and valid values are those of
+    :mod:`eggmix.settings`. ``verbose`` writes one JSON line per Newton
+    step to stderr, with the seconds of each entry of
     ``TIMED_PHASES``, the step's own ``eval_RN`` calls (``rn_evals``), the
     accepted line-search step ``nu`` (null when the line search stagnated)
     and the coarse-to-fine ``level`` of the solve.
@@ -102,18 +102,12 @@ class SolverConfig:
     are module constants (``GMRES_TOL``, ``GMRES_MAX_ITER``, ``EW_*``,
     ``LS_*``, ``FD_FLOOR``).
     """
-    newton_tol: float = 1e-8
-    max_newton: int = 50
+    newton_tol: float = DEFAULTS["newton_tol"]
+    max_newton: int = DEFAULTS["max_newton"]
     verbose: bool = False
 
     def __post_init__(self):
-        v = self.newton_tol
-        if not (math.isfinite(v) and v > 0):
-            raise InputError(f"newton_tol must be positive and finite, got {v}")
-        v = self.max_newton
-        # bool is an Integral too
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise InputError(f"max_newton must be an integer of at least 1, got {v!r}")
+        check_settings(newton_tol=self.newton_tol, max_newton=self.max_newton)
 
 
 def fd_epsilon(state_norm: float, dir_norm: float) -> float:
@@ -337,26 +331,23 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
                  *, level: int = 0):
     """Run the Newton-Krylov iteration.
 
-    ``initial`` is a SplineMap (single patch; its inner control points seed
-    the iteration and receive the solution on success) or an inner
-    coefficient array. Returns ``(c_final, report)`` with c in the flat
-    (x..., y...) layout: the converged iterate, or the last accepted one
-    when the solve stagnates or runs out of ``max_newton`` steps (see
-    :class:`SolverReport`). Bijectivity of the start is not required.
+    ``initial`` is the start's inner coefficients in the flat (x..., y...)
+    layout of :meth:`~eggmix.assembly.MixedSystem.net_as_c`. Returns
+    ``(c_final, report)`` with c in the same layout: the converged iterate,
+    or the last accepted one when the solve stagnates or runs out of
+    ``max_newton`` steps (see :class:`SolverReport`). Bijectivity of the
+    start is not required.
     ``level`` is the coarse-to-fine level the solve runs on, 0 for the
     coarsest and for a direct solve; it only labels the ``verbose``
-    records. Raises InputError when the residual scale is zero (all
-    boundary points coincide).
+    records. Raises InputError when ``initial`` is not of shape
+    (c_size,), or when the residual scale is zero (all boundary points
+    coincide).
     """
     config = config or SolverConfig()
-    target_map = initial if isinstance(initial, SplineMap) else None
-    if target_map is not None:
-        c = system.net_as_c(target_map.control[target_map.inner_indices])
-    else:
-        c = np.asarray(initial, dtype=float)
-        if c.shape == (system.n_inner, 2):
-            c = system.net_as_c(c)
-    c = c.copy()
+    c = np.array(initial, dtype=float)
+    if c.shape != (system.c_size,):
+        raise InputError(f"the start has shape {c.shape}, expected "
+                         f"({system.c_size},): the flat inner coefficients")
     scale = system.residual_scale()
     if scale == 0.0:
         raise InputError("all boundary points coincide: the residual scale "
@@ -440,8 +431,6 @@ def newton_solve(system: MixedSystem, initial, config: SolverConfig | None = Non
     report.rn_evals = system.rn_eval_count - rn0
     report.wall_time = time.perf_counter() - t0
     report.final_residual = state.r_norm
-    if converged and target_map is not None:
-        target_map.control[target_map.inner_indices] = system.c_as_net(c)
     return c, report
 
 
@@ -532,7 +521,8 @@ def _transfer_matrix(topo_c, topo_f):
 
 
 def build_system_hierarchy(topology, boundary_values, levels: int, *,
-                           mode="full", chi=0.5, mu=1e-4):
+                           mode=DEFAULTS["mode"], chi=DEFAULTS["chi"],
+                           mu=DEFAULTS["mu"]):
     """Nested systems from ``levels`` global refinements of a root topology.
 
     The root is the coarsest level, and ``levels`` = 0 gives the root
@@ -540,8 +530,10 @@ def build_system_hierarchy(topology, boundary_values, levels: int, *,
     bases of the level below, its global h-refinement, and the level's
     ``transfer`` (:func:`_transfer_matrix`) carries the boundary data up
     exactly (clamped edge rows only mix edge coefficients); a direct solve
-    forms no transfer.
+    forms no transfer. ``levels`` takes the values of the ``coarse_levels``
+    setting.
     """
+    check_settings(coarse_levels=levels)
     out = [HierarchyLevel(MixedSystem(topology, boundary_values,
                                       mode=mode, chi=chi, mu=mu), None)]
     for _ in range(levels):

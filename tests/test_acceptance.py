@@ -37,7 +37,8 @@ def test_criterion_1_identity_exactness():
             tb = TensorBasis(uniform_knots(p, ne), uniform_knots(p, ne))
             m = unit_square_map(tb)
             sys_ = single_patch_system(m, mode=mode)
-            c, rep = newton_solve(sys_, m, SolverConfig())
+            c, rep = newton_solve(sys_, sys_.net_as_c(m.control[m.inner_indices]),
+                                  SolverConfig())
             assert rep.converged, (p, mode)
             assert rep.newton_iterations <= 2, (p, mode)
             assert rep.final_residual < 1e-10, (p, mode)

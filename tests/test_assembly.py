@@ -13,6 +13,7 @@ from eggmix.geometries import BUILDERS, build_bat, build_lbend, \
     build_quarter_annulus, exact_annulus_map
 from eggmix.mapping import unit_square_map
 from eggmix.multipatch import AffinePatchMap, build_topology
+from eggmix.settings import MODES
 from eggmix.splines import KnotVector, TensorBasis, uniform_knots
 
 from conftest import dense_laplacian, knot_vectors
@@ -192,7 +193,7 @@ def test_eval_RL_linearity(alpha, beta, seed):
 
 @pytest.mark.filterwarnings("ignore:affine patch map reverses orientation")
 @settings(max_examples=25, deadline=None)
-@given(knot_vectors(), knot_vectors(), st.sampled_from(assembly.MODES),
+@given(knot_vectors(), knot_vectors(), st.sampled_from(MODES),
        st.floats(0.0, 2 * np.pi), st.floats(0.5, 2.0), st.floats(0.5, 2.0),
        st.floats(-0.5, 0.5), st.booleans(), st.integers(0, 2 ** 31 - 1))
 def test_linear_blocks_on_random_patch(kv_xi, kv_eta, mode, angle, s1, s2, shear,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -11,13 +12,14 @@ import pytest
 
 import eggmix.io_cli
 from eggmix.assembly import boundary_values_from_faces
-from eggmix.io_cli import AFFINE_KEYS, INTERFACE_KEYS, PATCH_KEYS, SOLVER_KEYS, \
-    SOLVER_RANGES, TOP_KEYS, load_solution, main, parse_geometry, \
-    solution_patch_maps, solution_system, svg_isolines, validate_geometry
+from eggmix.io_cli import AFFINE_KEYS, INTERFACE_KEYS, PATCH_KEYS, TOP_KEYS, \
+    load_solution, main, parse_geometry, solution_patch_maps, solution_system, \
+    svg_isolines, validate_geometry
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
 from eggmix.errors import InputError
 from eggmix.mapping import SplineMap
+from eggmix.settings import DEFAULTS, MODES, RANGES
 
 from oracles import per_line_svg_isolines, per_point_csv_text, \
     per_point_svg_points, per_point_vtk_text, two_pass_quality_block, two_pass_quality_text
@@ -192,11 +194,7 @@ def test_solution_determinism(tmp_path):
     out2 = tmp_path / "b.json"
     assert run_cli("solve", bundled_path("square"), "--out", out1) == 0
     assert run_cli("solve", bundled_path("square"), "--out", out2) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    a.pop("created_at")
-    b.pop("created_at")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_sample_csv_row_count_and_corners(square_solution, tmp_path):
@@ -748,24 +746,29 @@ def test_retired_gmres_setting_leaves_the_solve_unchanged(key, value, tmp_path,
 
 
 def test_schema_solver_block_matches_validator():
-    # docs/geometry_schema.json read as plain JSON: the solver keys, the
-    # type and bounds of every numeric one, and unknown keys allowed, as
+    # docs/geometry_schema.json read as plain JSON against eggmix.settings:
+    # the solver keys, the type and bounds of every numeric one, the
+    # "(default ...)" of every description, and unknown keys allowed, as
     # validate_geometry only warns about them
     schema = json.loads((pathlib.Path(__file__).parents[1] / "docs"
                          / "geometry_schema.json").read_text())
     solver = schema["properties"]["solver"]
     assert solver["additionalProperties"] is not False
     props = solver["properties"]
-    assert set(props) == set(SOLVER_KEYS)
-    assert props["mode"]["enum"] == ["full", "xi", "eta"]
+    assert set(props) == set(DEFAULTS)
+    assert props["mode"]["enum"] == list(MODES)
     bound_keys = {"minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum"}
-    for key, (integer, lo, lo_open, hi) in SOLVER_RANGES.items():
+    for key, (_, integer, lo, lo_open, hi) in RANGES.items():
         entry = props[key]
         assert entry["type"] == ("integer" if integer else "number"), key
         want = {"exclusiveMinimum" if lo_open else "minimum": lo}
         if hi < math.inf:
             want["maximum"] = hi
         assert {k: v for k, v in entry.items() if k in bound_keys} == want, key
+    for key, default in DEFAULTS.items():
+        stated = re.findall(r"\(default ([^)]+)\)", props[key]["description"])
+        assert len(stated) == 1, key
+        assert (stated[0] if key == "mode" else float(stated[0])) == default, key
 
 
 def test_unknown_keys_warn_and_are_ignored(tmp_path, capsys):

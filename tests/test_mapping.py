@@ -2,16 +2,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eggmix.assembly import boundary_values_from_faces
 from eggmix.errors import CornerMismatchError, InputError, NonbijectiveMapError
 from eggmix.io_cli import parse_geometry
 from eggmix.geometries import build_lbend, _lbend_inner, _lbend_outer
-from eggmix.mapping import make_map, sampled_bijectivity, \
+from eggmix.mapping import sampled_bijectivity, \
     transfinite_initial_guess, unit_square_map, winslow, winslow_gradient
+from eggmix.multipatch import single_patch_topology
 from eggmix.splines import TensorBasis, uniform_knots
 
 
 def square_basis(p=2, ne=3):
     return TensorBasis(uniform_knots(p, ne), uniform_knots(p, ne))
+
+
+def greville_curves(tb):
+    """The four boundary curves of the identity map of ``tb``."""
+    gx = tb.kv_xi.greville
+    gy = tb.kv_eta.greville
+    return {
+        "south": np.column_stack([gx, np.zeros_like(gx)]),
+        "north": np.column_stack([gx, np.ones_like(gx)]),
+        "west": np.column_stack([np.zeros_like(gy), gy]),
+        "east": np.column_stack([np.ones_like(gy), gy]),
+    }
+
+
+def contour_map(tb, curves):
+    """The single-patch map of ``tb`` with the boundary ``curves``, checked
+    and placed by boundary_values_from_faces, and zero inner points."""
+    topo = single_patch_topology(tb)
+    net = np.zeros((topo.n_sigma, 2))
+    net[topo.boundary_indices] = boundary_values_from_faces(
+        topo, {(0, face): curve for face, curve in curves.items()})
+    return topo.patch_map(0, net)
 
 
 def metric(m, x, y):
@@ -22,51 +46,46 @@ def metric(m, x, y):
     return a @ a, a @ b, b @ b, a[0] * b[1] - a[1] * b[0]
 
 
-def test_make_map_identity_boundary():
+def test_boundary_values_identity_boundary():
     tb = square_basis()
-    m = unit_square_map(tb)
+    m = contour_map(tb, greville_curves(tb))
     grid = tb.greville_grid()
     np.testing.assert_allclose(m.control[tb.boundary_indices],
                                grid[tb.boundary_indices], atol=1e-15)
+    np.testing.assert_array_equal(unit_square_map(tb).control, grid)
 
 
-def test_make_map_corner_mismatch_named():
+def test_boundary_values_corner_mismatch_named():
     tb = square_basis()
-    gx = tb.kv_xi.greville
-    gy = tb.kv_eta.greville
-    curves = {
-        "south": np.column_stack([gx, np.zeros_like(gx)]),
-        "north": np.column_stack([gx, np.ones_like(gx)]),
-        "west": np.column_stack([np.zeros_like(gy), gy]),
-        "east": np.column_stack([np.ones_like(gy), gy]),
-    }
+    curves = greville_curves(tb)
     curves["east"][0] += 1e-3
     with pytest.raises(CornerMismatchError) as exc:
-        make_map(tb, curves)
-    assert exc.value.corner == "south-east"
+        contour_map(tb, curves)
+    # the south-east corner, named by the two curve points that meet there
+    assert exc.value.corner == f"patch 0.east[0] vs patch 0.south[{tb.n_xi - 1}]"
     assert abs(exc.value.gap - np.sqrt(2) * 1e-3) < 1e-6
 
 
-def test_make_map_dimension_mismatch():
+def test_boundary_values_dimension_mismatch():
     tb = square_basis()
     gx = tb.kv_xi.greville
     curves = {f: np.column_stack([gx, np.zeros_like(gx)])
               for f in ("south", "north", "west", "east")}
     curves["west"] = curves["west"][:-1]
-    with pytest.raises(InputError):
-        make_map(tb, curves)
+    with pytest.raises(InputError, match="west"):
+        contour_map(tb, curves)
 
 
 def test_lbend_boundary_reproduces_contours():
     geo = parse_geometry(build_lbend())
     m = geo.topology.patch_map(0, np.zeros((geo.topology.n_sigma, 2)))
     m.control[geo.topology.boundary_indices] = 0.0
-    # rebuild directly through make_map to stay in the single-patch API
+    # rebuild directly from the contours on the single-patch topology
     doc = build_lbend()
     tb = geo.topology.bases[0]
     curves = {f: np.asarray(doc["patches"][0]["boundary"][f])
               for f in ("south", "north", "west", "east")}
-    m = make_map(tb, curves)
+    m = contour_map(tb, curves)
     ts = np.linspace(0.0, 1.0, 100)
     south = m.grid_jet(ts, [0.0], 0)["x"][:, 0]
     north = m.grid_jet(ts, [1.0], 0)["x"][:, 0]
@@ -105,7 +124,7 @@ def test_transfinite_lbend_fold_count_recorded():
     doc = build_lbend()
     curves = {f: np.asarray(doc["patches"][0]["boundary"][f])
               for f in ("south", "north", "west", "east")}
-    m = make_map(tb, curves)
+    m = contour_map(tb, curves)
     m.control[tb.inner_indices] = transfinite_initial_guess(m)
     rep = sampled_bijectivity(m)
     assert rep.fold_count >= 0 and rep.n_samples > 0

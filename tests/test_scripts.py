@@ -115,3 +115,22 @@ def test_bench_case_prints_one_record(case):
             assert set(r) == SETUP_KEYS
             assert 0 < max(r["init_ms"], r["plans_ms"], r["laplacian_factors_ms"]) \
                 <= r["setup_ms"]
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # a module of 4 code lines: its docstring, the function's docstring,
+    # comments and blank lines do not count, and the two lines of the
+    # string assigned to TEXT do
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nTEXT = """two\nlines"""\n\n\n'
+        'def f():\n    """Docstring."""\n    return 1  # trailing comment\n',
+        encoding="utf-8")
+    (tmp_path / "pkg" / "empty.py").write_text("# nothing\n", encoding="utf-8")
+    done = subprocess.run([sys.executable, str(SCRIPTS / "code_lines.py"),
+                           str(tmp_path / "pkg")],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", str(tmp_path / "pkg" / "empty.py"),
+                                   "4", str(tmp_path / "pkg" / "mod.py"),
+                                   "4", "total"]

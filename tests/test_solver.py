@@ -85,7 +85,7 @@ def test_schur_matvec_and_rhs_match_explicit_oracle(rng):
 
 
 def test_schur_matvec_matches_oracle_under_coupling(rng):
-    # coupled topology: the mass inverses run through the preconditioned CG
+    # coupled topology: the mass inverses run through static condensation
     from eggmix.geometries import build_two_patch_square
     geo = parse_geometry(build_two_patch_square(2, 2))
     bv = boundary_values_from_faces(geo.topology, geo.boundary_data)
@@ -147,7 +147,8 @@ def test_newton_identity_converges_immediately():
     # the stopping test, so no step and no Schur solve is taken
     sys_, m = square_system(3, 3)
     before = m.control[m.boundary_indices].tobytes()
-    c, rep = newton_solve(sys_, m, SolverConfig())
+    c, rep = newton_solve(sys_, sys_.net_as_c(m.control[m.inner_indices]),
+                          SolverConfig())
     assert rep.converged and rep.newton_iterations == 0
     assert rep.rn_evals == 1 and rep.gmres_iterations == []
     assert len(rep.residual_norms) == len(rep.min_denominators) == 1
@@ -155,6 +156,13 @@ def test_newton_identity_converges_immediately():
     assert m.control[m.boundary_indices].tobytes() == before  # bitwise fixed
     np.testing.assert_allclose(
         sys_.c_as_net(c), m.basis.greville_grid()[m.inner_indices], atol=1e-9)
+
+
+def test_newton_start_is_the_flat_inner_coefficients():
+    # one form of start: the (n_inner, 2) net it flattens to is refused
+    sys_, m = square_system(3, 3)
+    with pytest.raises(InputError, match="flat inner coefficients"):
+        newton_solve(sys_, m.control[m.inner_indices], SolverConfig())
 
 
 def test_residual_scale_is_the_boundary_net_residual(rng):
@@ -325,7 +333,8 @@ def test_rn_eval_accounting():
 
 def test_solver_report_serializable():
     sys_, m = square_system(1, 2)
-    c, rep = newton_solve(sys_, m, SolverConfig())
+    c, rep = newton_solve(sys_, sys_.net_as_c(m.control[m.inner_indices]),
+                          SolverConfig())
     import json
     json.dumps(rep.to_dict())
 
