@@ -976,16 +976,6 @@ class MixedSystem:
     def c_size(self) -> int:
         return 2 * self.n_inner
 
-    def c_as_net(self, c):
-        """Inner coefficients as an (n_inner, 2) array from the flat
-        (c_x..., c_y...) layout."""
-        c = np.asarray(c, dtype=float)
-        if c.shape == (self.n_inner, 2):
-            return c
-        if c.shape != (self.c_size,):
-            raise InputError(f"c has shape {c.shape}, expected ({self.c_size},)")
-        return c.reshape(2, self.n_inner).T
-
     def net_as_c(self, net):
         net = np.asarray(net, dtype=float)
         return np.concatenate([net[:, 0], net[:, 1]])
@@ -1003,14 +993,18 @@ class MixedSystem:
     def _flat_net(self, c, boundary=True):
         """The full control net of the inner coefficients c as one flat
         array, component after component: the layout the kernels gather
-        their coefficients from (``sig_idx``). Its boundary points are the
-        boundary data, or zero when not ``boundary``."""
+        their coefficients from (``sig_idx``). ``c`` is flat too, (c_x...,
+        c_y...) of :meth:`net_as_c`. Its boundary points are the boundary
+        data, or zero when not ``boundary``."""
+        c = np.asarray(c, dtype=float)
+        if c.shape != (self.c_size,):
+            raise InputError(f"c has shape {c.shape}, expected ({self.c_size},)")
         net = self._flat_template.copy() if boundary \
             else np.zeros(2 * self.topology.n_sigma)
-        inner, c = self.topology.inner_indices, self.c_as_net(c)
-        components = net.reshape(2, -1)
-        components[0, inner] = c[:, 0]
-        components[1, inner] = c[:, 1]
+        # one component at a time: two 1-D scatters take half the time of
+        # one 2-D scatter
+        inner, (x, y) = self.topology.inner_indices, net.reshape(2, -1)
+        x[inner], y[inner] = c.reshape(2, -1)
         return net
 
     # -- linear part -------------------------------------------------------

@@ -37,7 +37,12 @@ def _curve(kv: KnotVector, fn):
     return coeffs
 
 
-def _patch_doc(kv_xi, kv_eta, boundary=None, affine=None):
+def patch_doc(kv_xi, kv_eta, boundary=None, affine=None):
+    """One patch object of a geometry document: the degrees and knot vectors
+    of ``kv_xi`` and ``kv_eta``; ``affine``, an ``(A, b)`` pair, when given;
+    and ``boundary``, a dict of (n, 2) curve control points per face name,
+    whenever it is given, also when it is empty. Knots and coordinates
+    become Python floats, so the object is ready for ``json.dumps``."""
     doc = {
         "degree_xi": kv_xi.degree,
         "degree_eta": kv_eta.degree,
@@ -48,7 +53,7 @@ def _patch_doc(kv_xi, kv_eta, boundary=None, affine=None):
         A, b = affine
         doc["affine"] = {"A": [[float(v) for v in row] for row in np.asarray(A)],
                          "b": [float(v) for v in np.asarray(b)]}
-    if boundary:
+    if boundary is not None:
         doc["boundary"] = {face: [[float(x), float(y)] for x, y in arr]
                            for face, arr in boundary.items()}
     return doc
@@ -66,7 +71,7 @@ def build_square(degree: int = 2, nelems: int = 4) -> dict:
         "east": np.column_stack([np.ones_like(gy), gy]),
     }
     return {"version": 1,
-            "patches": [_patch_doc(kx, ky, boundary)],
+            "patches": [patch_doc(kx, ky, boundary)],
             "interfaces": [],
             "solver": {"mode": "full"}}
 
@@ -92,7 +97,7 @@ def build_quarter_annulus(degree: int = 2, nelems: int = 4) -> dict:
         "east": _curve(ky, lambda t: exact_annulus_map(1.0, t)),
     }
     return {"version": 1,
-            "patches": [_patch_doc(kx, ky, boundary)],
+            "patches": [patch_doc(kx, ky, boundary)],
             "interfaces": [],
             "solver": {"mode": "full"}}
 
@@ -121,7 +126,7 @@ def build_lbend(degree: int = 3, nelems_xi: int = 8, nelems_eta: int = 8) -> dic
         "east": np.column_stack([1.0 - gy, np.full_like(gy, 2.0)]),
     }
     return {"version": 1,
-            "patches": [_patch_doc(kx, ky, boundary)],
+            "patches": [patch_doc(kx, ky, boundary)],
             "interfaces": [],
             "solver": {"mode": "xi"}}
 
@@ -162,7 +167,7 @@ def build_tube(degree: int = 3, nelems_xi: int = 10, nelems_eta: int = 4) -> dic
         "east": _curve(ky, cap(np.pi)),
     }
     return {"version": 1,
-            "patches": [_patch_doc(kx, ky, boundary)],
+            "patches": [patch_doc(kx, ky, boundary)],
             "interfaces": [],
             "solver": {"mode": "xi"}}
 
@@ -202,7 +207,7 @@ def build_bat(degree: int = 2, n1: int = 10, n2: int = 11, n3: int = 12) -> dict
             "east": _curve(ky, target_on_segment(corner_e, corner_ne)),
             "north": _curve(kx, target_on_segment(corner_n, corner_ne)),
         }
-        patches.append(_patch_doc(
+        patches.append(patch_doc(
             kx, ky, boundary, affine=(np.column_stack([vs, vt]), O)))
     interfaces = [
         {"patch_a": 0, "face_a": "west", "patch_b": 1, "face_b": "south",
@@ -233,7 +238,7 @@ def build_two_patch_square(degree: int = 2, nelems: int = 4) -> dict:
         }
         cap = np.column_stack([np.full_like(gy, x0 if x0 == 0.0 else 1.0), gy])
         boundary["west" if x0 == 0.0 else "east"] = cap
-        patches.append(_patch_doc(
+        patches.append(patch_doc(
             kx, ky, boundary,
             affine=(np.array([[0.5, 0.0], [0.0, 1.0]]), np.array([x0, 0.0]))))
     interfaces = [{"patch_a": 0, "face_a": "east", "patch_b": 1,

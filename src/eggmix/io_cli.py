@@ -5,7 +5,9 @@ mesh export writes legacy-VTK structured grids, SVG isoline plots or CSV
 point tables. :func:`solve` is the one solve path of the command line and
 the library: a direct solve is a hierarchy of one level. Exit codes: 0
 converged to a bijective map, 1 input or usage error, 2 not converged (out
-of Newton steps, or stagnated) or converged to a folded map.
+of Newton steps, or stagnated) or converged to a folded map. The commands
+raise on failure; :func:`main` alone maps an error to its exit code and its
+one ``input error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import MixedSystem, boundary_values_from_faces
-from .errors import CornerMismatchError, EggmixError, InputError, \
-    KnotMismatchError, NonbijectiveMapError
+from .errors import EggmixError, InputError, NonbijectiveMapError
+from .geometries import patch_doc
 from .mapping import SplineMap, sampled_bijectivity, winslow
 from .multipatch import AffinePatchMap, Interface, PatchTopology, build_topology
 from .settings import DEFAULTS, MODES, is_integer, is_number, setting_problem
@@ -231,10 +233,14 @@ def load_geometry(path) -> GeometryFile:
     return parse_geometry(doc)
 
 
+class _WriteError(OSError):
+    """An output file that cannot be written; ``filename`` names it."""
+
+
 def _unwritable(path):
-    """The OSError that writing ``path`` would meet for want of its
-    directory, of write access to it, or because ``path`` is a directory;
-    None when none of these applies. It names ``path``."""
+    """Raise the :class:`_WriteError` that writing ``path`` would meet for
+    want of its directory, of write access to it, or because ``path`` is a
+    directory; return when none of these applies."""
     d = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         code = errno.EISDIR
@@ -243,8 +249,8 @@ def _unwritable(path):
     elif not os.access(d, os.W_OK | os.X_OK):
         code = errno.EACCES
     else:
-        return None
-    return OSError(code, os.strerror(code), path)
+        return
+    raise _WriteError(code, os.strerror(code), path)
 
 
 def _atomic_write(files):
@@ -253,8 +259,8 @@ def _atomic_write(files):
     Each text goes to a temporary file in its path's directory; the
     temporary files move into place only when every one is written and no
     path is a directory. On failure no temporary file and no file of this
-    call is left behind, and the OSError raised names the path that could
-    not be written."""
+    call is left behind, and the :class:`_WriteError` raised names the path
+    that could not be written."""
     # mkstemp creates its files 0600; give them the mode open() would
     umask = os.umask(0)
     os.umask(umask)
@@ -269,8 +275,7 @@ def _atomic_write(files):
                 os.fchmod(fh.fileno(), 0o666 & ~umask)
                 fh.write(text)
         for _, path in written:
-            if os.path.isdir(path):
-                raise _unwritable(path)
+            _unwritable(path)
         for tmp, path in written:
             os.replace(tmp, path)
             moved.append(path)
@@ -281,7 +286,7 @@ def _atomic_write(files):
         for done in moved:
             os.unlink(done)
         if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, path) from None
+            raise _WriteError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -314,27 +319,18 @@ def _quality_block(maps):
 
 def geometry_doc_from_system(system: MixedSystem) -> dict:
     """Reconstruct a geometry document on the system's own basis (needed when
-    the solve refined the file's basis through coarse-to-fine levels)."""
+    the solve refined the file's basis through coarse-to-fine levels). Each
+    patch is written by :func:`eggmix.geometries.patch_doc`, as the bundled
+    builders write theirs."""
     topo = system.topology
     patches = []
-    for i, tb in enumerate(topo.bases):
-        p = {
-            "degree_xi": tb.kv_xi.degree,
-            "degree_eta": tb.kv_eta.degree,
-            "knots_xi": [float(v) for v in tb.kv_xi.knots],
-            "knots_eta": [float(v) for v in tb.kv_eta.knots],
-        }
-        am = topo.maps[i]
-        if not (np.array_equal(am.A, np.eye(2)) and np.array_equal(am.b, np.zeros(2))):
-            p["affine"] = {"A": [[float(v) for v in row] for row in am.A],
-                           "b": [float(v) for v in am.b]}
-        boundary = {}
-        for face in topo.unglued_faces[i]:
-            gl = topo.sig_l2g[i][tb.face_indices(face)]
-            boundary[face] = [[float(x), float(y)]
-                              for x, y in system._template[gl]]
-        p["boundary"] = boundary
-        patches.append(p)
+    for i, (tb, am) in enumerate(zip(topo.bases, topo.maps)):
+        identity = np.array_equal(am.A, np.eye(2)) \
+            and np.array_equal(am.b, np.zeros(2))
+        boundary = {face: system._template[topo.sig_l2g[i][tb.face_indices(face)]]
+                    for face in topo.unglued_faces[i]}
+        patches.append(patch_doc(tb.kv_xi, tb.kv_eta, boundary,
+                                 None if identity else (am.A, am.b)))
     interfaces = [{"patch_a": itf.patch_a, "face_a": itf.face_a,
                    "patch_b": itf.patch_b, "face_b": itf.face_b,
                    "reversed": itf.reversed} for itf in topo.interfaces]
@@ -474,31 +470,15 @@ def solve(hierarchy, start, config: SolverConfig | None = None):
 
 # -- commands --------------------------------------------------------------------
 
-def _write_error(exc) -> int:
-    """Report the output file that an OSError of :func:`_atomic_write` or
-    :func:`_unwritable` names; the exit code 1."""
-    print(f"input error: cannot write {exc.filename}: {exc.strerror or exc}",
-          file=sys.stderr)
-    return 1
-
-
 def cmd_solve(args) -> int:
     if args.initial == "file" and not args.initial_file:
-        print("input error: --initial file needs --initial-file", file=sys.stderr)
-        return 1
+        raise InputError("--initial file needs --initial-file")
     if args.initial_file and args.initial != "file":
-        print("input error: --initial-file needs --initial file", file=sys.stderr)
-        return 1
+        raise InputError("--initial-file needs --initial file")
     out_path = args.out or os.path.splitext(args.input)[0] + ".solution.json"
     # refuse an output that cannot be written before any load or solve
-    problem = _unwritable(out_path)
-    if problem:
-        return _write_error(problem)
-    try:
-        geo = load_geometry(args.input)
-    except (InputError, json.JSONDecodeError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    _unwritable(out_path)
+    geo = load_geometry(args.input)
     # the solution file records the system's settings and the levels always,
     # the Newton settings when the file or a flag sets them
     settings = {k: DEFAULTS[k] for k in ("mode", "mu", "chi", "coarse_levels")}
@@ -510,32 +490,24 @@ def cmd_solve(args) -> int:
         if v is not None:
             problem = setting_problem(key, v)
             if problem:
-                print(f"input error: {flag}: {problem}", file=sys.stderr)
-                return 1
+                raise InputError(f"{flag}: {problem}")
             settings[key] = v  # CLI flags win over file settings
     config_kwargs = {k: settings[k] for k in ("newton_tol", "max_newton")
                      if k in settings}
-    try:
-        config = SolverConfig(verbose=args.verbose, **config_kwargs)
-        start = args.initial
-        if start == "file":
-            start = solution_start(load_solution(args.initial_file), geo.topology)
-        bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
-        hierarchy = build_system_hierarchy(
-            geo.topology, bvals, settings["coarse_levels"],
-            mode=settings["mode"], chi=settings["chi"], mu=settings["mu"])
-        system, c, report = solve(hierarchy, start, config)
-    except (InputError, EggmixError, json.JSONDecodeError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    config = SolverConfig(verbose=args.verbose, **config_kwargs)
+    start = args.initial
+    if start == "file":
+        start = solution_start(load_solution(args.initial_file), geo.topology)
+    bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    hierarchy = build_system_hierarchy(
+        geo.topology, bvals, settings["coarse_levels"],
+        mode=settings["mode"], chi=settings["chi"], mu=settings["mu"])
+    system, c, report = solve(hierarchy, start, config)
     # the embedded geometry must describe the basis the control nets live on
     geometry_doc = geo.doc if system.topology is geo.topology \
         else geometry_doc_from_system(system)
     sol = solution_document(geometry_doc, system, c, report, settings)
-    try:
-        write_solution(out_path, sol)
-    except OSError as exc:
-        return _write_error(exc)
+    write_solution(out_path, sol)
     print(f"wrote {out_path}")
     print(f"converged: {report.converged}  newton_iterations: "
           f"{report.newton_iterations}  rn_evals: {report.rn_evals}  "
@@ -553,12 +525,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
+    with open(args.input, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
     findings = validate_geometry(doc)
     if not any(f.severity == "error" for f in findings):
         with warnings.catch_warnings(record=True) as caught:
@@ -567,7 +535,7 @@ def cmd_check(args) -> int:
                 geo = parse_geometry(doc)
                 boundary_values_from_faces(geo.topology, geo.boundary_data)
                 geo.topology.convexity_warning()
-            except (KnotMismatchError, CornerMismatchError, InputError) as exc:
+            except InputError as exc:
                 findings.append(Finding("error", "", str(exc)))
             for w in caught:
                 if issubclass(w.category, UserWarning):
@@ -666,6 +634,9 @@ def _write_svg(path, maps, resolution):
     lo -= margin
     hi += margin
     w, h = hi - lo
+    if not (np.isfinite([*lo, *hi, w, h]).all() and w > 0 and h > 0):
+        raise InputError("cannot draw the map: its sampled image is not "
+                         "finite or has zero extent")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.6f %.6f %.6f %.6f" '
@@ -683,42 +654,23 @@ def _write_svg(path, maps, resolution):
 
 def cmd_sample(args) -> int:
     if args.resolution < 1:
-        print("input error: --resolution: expected an integer >= 1", file=sys.stderr)
-        return 1
-    if args.format not in ("vtk", "svg", "csv"):
-        print(f"input error: unknown format {args.format!r}", file=sys.stderr)
-        return 1
+        raise InputError("--resolution: expected an integer >= 1")
     out = args.out or os.path.splitext(args.input)[0] + "." + args.format
     # refuse an output that cannot be written before the solution is loaded
-    problem = _unwritable(out)
-    if problem:
-        return _write_error(problem)
-    try:
-        sol = load_solution(args.input)
-        geo, maps = solution_patch_maps(sol)
-    except (InputError, json.JSONDecodeError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.format == "svg":
-            _write_svg(out, maps, args.resolution)
-        elif args.format == "csv":
-            _write_csv(out, [_sample_patch(m, args.resolution) for m in maps])
-        else:
-            _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
-    except OSError as exc:
-        return _write_error(exc)
+    _unwritable(out)
+    _, maps = solution_patch_maps(load_solution(args.input))
+    if args.format == "svg":
+        _write_svg(out, maps, args.resolution)
+    elif args.format == "csv":
+        _write_csv(out, [_sample_patch(m, args.resolution) for m in maps])
+    else:
+        _write_vtk(out, [_sample_patch(m, args.resolution) for m in maps])
     print(f"wrote {out}")
     return 0
 
 
 def cmd_quality(args) -> int:
-    try:
-        sol = load_solution(args.input)
-        geo, maps = solution_patch_maps(sol)
-    except (InputError, json.JSONDecodeError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    _, maps = solution_patch_maps(load_solution(args.input))
     block, per_patch = _quality_block(maps)
     for i, (rep, energy) in enumerate(per_patch):
         if rep.fold_count:
@@ -789,7 +741,15 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, after printing its message;
         # 2 is this program's non-convergence code, so report 1 instead
         return 1 if exc.code else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _WriteError as exc:
+        print(f"input error: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+    except (EggmixError, json.JSONDecodeError, UnicodeDecodeError,
+            OSError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+    return 1
 
 
 def console_main():

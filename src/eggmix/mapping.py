@@ -123,13 +123,14 @@ def _winslow_fields(m: SplineMap, quad_order: int):
 def winslow(m: SplineMap, quad_order: int = None) -> float:
     """Quadrature value of the Winslow energy (g11 + g22) / det J.
 
-    Raises :class:`NonbijectiveMapError` when det J <= 0 at any quadrature
-    point; the energy is only defined on folding-free maps.
+    Raises :class:`NonbijectiveMapError` unless det J > 0 at every
+    quadrature point (a NaN det J is a fold); the energy is only defined on
+    folding-free maps.
     """
     if quad_order is None:
         quad_order = max(m.basis.kv_xi.degree, m.basis.kv_eta.degree) + 2
     _, _, W2, _, _, g11, g22, detj = _winslow_fields(m, quad_order)
-    if detj.min() <= 0.0:
+    if not (detj > 0.0).all():
         raise NonbijectiveMapError(
             f"det J <= 0 at a quadrature point (min {detj.min():.3e})")
     return float(np.sum(W2 * (g11 + g22) / detj))
@@ -141,7 +142,7 @@ def winslow_gradient(m: SplineMap, quad_order: int = None):
     if quad_order is None:
         quad_order = max(m.basis.kv_xi.degree, m.basis.kv_eta.degree) + 2
     px, py, W2, a, b, g11, g22, detj = _winslow_fields(m, quad_order)
-    if detj.min() <= 0.0:
+    if not (detj > 0.0).all():
         raise NonbijectiveMapError("det J <= 0 at a quadrature point")
     F = (g11 + g22) / detj
     W = float(np.sum(W2 * F))
@@ -221,7 +222,8 @@ def sampled_bijectivity(m: SplineMap, samples_per_element: int = 5) -> Bijectivi
     a, b = jets["x_xi"], jets["x_eta"]
     detj = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
     folds = []
-    bad = np.argwhere(detj <= 0.0)
+    # a sample folds unless det J > 0 there: a NaN det J folds too
+    bad = np.argwhere(~(detj > 0.0))
     for i, j in bad:
         folds.append((float(xs[i]), float(ys[j]), float(detj[i, j])))
     return BijectivityReport(

@@ -204,8 +204,16 @@ class PatchTopology:
     def convexity_warning(self):
         """Warn when the union of patches is visibly nonconvex (hull area of
         the patch corners exceeds the summed patch areas). Heuristic only."""
+        # imported here: scipy.spatial adds 5 MB to the memory of every
+        # command that imports this module, and only `check` calls this
+        from scipy.spatial import ConvexHull, QhullError
         pts = np.vstack([self.patch_corners(i) for i in range(self.n_patches)])
-        hull = _convex_hull_area(pts)
+        try:
+            hull = ConvexHull(pts).volume
+        except QhullError:
+            # the corners lie on one line to rounding: a patch is that thin
+            # when det A, though nonzero, is tiny; its union is not nonconvex
+            return False
         area = self.total_area()
         if hull > area * (1.0 + 1e-9) + 1e-12:
             warnings.warn(
@@ -214,30 +222,6 @@ class PatchTopology:
                 "inverse-harmonic bijectivity argument needs a convex domain")
             return True
         return False
-
-
-def _convex_hull_area(pts):
-    pts = np.unique(np.round(pts, 12), axis=0)
-    if len(pts) < 3:
-        return 0.0
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def half(points):
-        out = []
-        for q in points:
-            while len(out) >= 2:
-                u = out[-1] - out[-2]
-                v = q - out[-2]
-                if u[0] * v[1] - u[1] * v[0] > 0:
-                    break
-                out.pop()
-            out.append(q)
-        return out
-
-    hull = half(pts)[:-1] + half(pts[::-1])[:-1]
-    hull = np.asarray(hull)
-    x, y = hull[:, 0], hull[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
 def _check_interface_knots(tb_a, face_a, tb_b, face_b, flip, label):

@@ -43,7 +43,7 @@ def test_criterion_1_identity_exactness():
             assert rep.newton_iterations <= 2, (p, mode)
             assert rep.final_residual < 1e-10, (p, mode)
             if len(tb.inner_indices):  # p=1 Bezier mesh has no inner DOFs
-                err = np.abs(sys_.c_as_net(c)
+                err = np.abs(c.reshape(2, -1).T
                              - tb.greville_grid()[tb.inner_indices]).max()
                 assert err < 1e-9, (p, mode, err)
     # the invalid combination is rejected, not silently mis-assembled

@@ -13,13 +13,15 @@ import pytest
 import eggmix.io_cli
 from eggmix.assembly import boundary_values_from_faces
 from eggmix.io_cli import AFFINE_KEYS, INTERFACE_KEYS, PATCH_KEYS, TOP_KEYS, \
-    load_solution, main, parse_geometry, solution_patch_maps, solution_system, \
-    svg_isolines, validate_geometry
+    _quality_block, geometry_doc_from_system, load_solution, main, \
+    parse_geometry, solution_patch_maps, solution_system, svg_isolines, \
+    validate_geometry
 from eggmix.geometries import BUILDERS, build_square, build_two_patch_square, \
     load as load_bundled, path as bundled_path
-from eggmix.errors import InputError
-from eggmix.mapping import SplineMap
+from eggmix.errors import FactorizationError, InputError, NonbijectiveMapError
+from eggmix.mapping import SplineMap, winslow
 from eggmix.settings import DEFAULTS, MODES, RANGES
+from eggmix.solver import build_system_hierarchy
 
 from oracles import per_line_svg_isolines, per_point_csv_text, \
     per_point_svg_points, per_point_vtk_text, two_pass_quality_block, two_pass_quality_text
@@ -104,6 +106,37 @@ def test_check_ok_on_bundled(capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_geometry_doc_from_system_matches_bundled_file(name):
+    # perfbench writes its refined L-bend input with this function
+    doc = load_bundled(name)
+    geo = parse_geometry(doc)
+    bvals = boundary_values_from_faces(geo.topology, geo.boundary_data)
+    coarse, fine = (level.system for level in build_system_hierarchy(
+        geo.topology, bvals, 1, mode=doc["solver"]["mode"]))
+    got = geometry_doc_from_system(coarse)
+    assert got["patches"] == doc["patches"]
+    assert got["interfaces"] == doc["interfaces"]
+    refined = parse_geometry(json.loads(json.dumps(geometry_doc_from_system(fine))))
+    assert refined.topology.n_sigma == fine.topology.n_sigma
+
+
+def test_solve_leaves_scipy_spatial_unimported(tmp_path):
+    # scipy.spatial adds 5 MB to a process; only `check` needs it
+    src = pathlib.Path(eggmix.io_cli.__file__).resolve().parents[1]
+    out = tmp_path / "square.solution.json"
+    code = ("import sys, eggmix.io_cli\n"
+            f"code = eggmix.io_cli.main(['solve', {str(bundled_path('square'))!r}, "
+            f"'--out', {str(out)!r}])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out.exists()
+
+
 def test_python_m_eggmix_runs_the_command_line(tmp_path):
     # a checkout has no installed console script: python -m eggmix is the
     # same command line, run here from outside the repository
@@ -120,6 +153,19 @@ def test_check_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("check", bad) == 1
+
+
+@pytest.mark.parametrize("text", [b"{not json", b"\xff\xfe{"],
+                         ids=["json", "utf8"])
+def test_unreadable_file_exits_1_on_one_line(text, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    for argv in (["check", bad], ["quality", bad],
+                 ["solve", bad, "--out", tmp_path / "out.json"],
+                 ["sample", bad, "--out", tmp_path / "out.vtk"]):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, argv
 
 
 def test_check_reports_interface_knot_mismatch(tmp_path, capsys):
@@ -592,6 +638,48 @@ def _fold_between_samples(sol):
     assert np.allclose(net[corner], [0.125, 0.125])
     net[corner] = [-0.1, -0.1]
     return geo, net
+
+
+def _collapsed_solution(path, value, tmp_path):
+    """The solution file at ``path`` with every control point moved to
+    (value, value), written to a new file under ``tmp_path``."""
+    sol = load_solution(path)
+    sol["control_nets"] = [[[value, value]] * len(net)
+                           for net in sol["control_nets"]]
+    p = tmp_path / f"collapsed_{value:g}.solution.json"
+    p.write_text(json.dumps(sol))
+    return p
+
+
+@pytest.mark.parametrize("value", [0.0, 1e308])
+def test_svg_of_degenerate_image_exits_1(value, square_solution, tmp_path,
+                                         capsys):
+    # at 0 every sampled point coincides; at 1e308 the control points are
+    # finite but the sampled points overflow
+    p = _collapsed_solution(square_solution, value, tmp_path)
+    out = tmp_path / "collapsed.svg"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_cli("sample", p, "--format", "svg", "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "input error: cannot draw the map: its sampled image is not finite "
+        "or has zero extent\n")
+    assert not out.exists()
+
+
+def test_nan_det_j_is_a_fold(square_solution, tmp_path, capsys):
+    # control points near 1e308 are finite, but det J overflows to NaN
+    p = _collapsed_solution(square_solution, 1e308, tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, maps = solution_patch_maps(load_solution(p))
+        with pytest.raises(NonbijectiveMapError):
+            winslow(maps[0])
+        block, _ = _quality_block(maps)
+        assert run_cli("quality", p) == 0
+    assert block["nonbijective"] and block["winslow_total"] is None
+    assert block["fold_count"] == 400  # every sample of the 4 x 4 elements
+    out = capsys.readouterr().out
+    assert "patch 0: nonbijective (400 folded samples)" in out
+    assert "winslow" not in out
 
 
 def test_quality_reports_fold_between_samples(square_solution, tmp_path,
@@ -1127,6 +1215,28 @@ def test_multipatch_vtk_export_is_all_or_nothing(tmp_path, capsys):
     assert "wrote" not in cap.out
     assert sorted(tmp_path.rglob("*")) == [blocked, earlier]
     assert earlier.read_text() == "earlier run\n"
+
+
+@pytest.mark.parametrize("command, target", [
+    ("solve", "build_system_hierarchy"),
+    ("check", "parse_geometry"),
+    ("sample", "load_solution"),
+    ("quality", "_quality_block")])
+def test_main_maps_a_package_error_to_one_line_and_exit_1(
+        command, target, square_solution, tmp_path, capsys, monkeypatch):
+    # FactorizationError is an EggmixError that is not an InputError
+    def fail(*args, **kwargs):
+        raise FactorizationError("matrix is not SPD")
+
+    monkeypatch.setattr(eggmix.io_cli, target, fail)
+    argv = {"solve": ["solve", bundled_path("square"),
+                      "--out", tmp_path / "square.solution.json"],
+            "check": ["check", bundled_path("square")],
+            "sample": ["sample", square_solution, "--out", tmp_path / "s.vtk"],
+            "quality": ["quality", square_solution]}[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "input error: matrix is not SPD\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_root_finding_has_no_empty_pointer(tmp_path, capsys):

@@ -481,6 +481,17 @@ def test_convexity_warning_on_l_shaped_union():
     assert not caught2
 
 
+def test_convexity_warning_quiet_on_a_flat_patch():
+    # det A = 1e-20 is invertible, but the corners lie on one line to
+    # rounding, where qhull finds no hull
+    flat = AffinePatchMap(np.diag([1.0, 1e-20]), np.zeros(2))
+    topo = build_topology([(linear_patch(2), flat)], [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert not topo.convexity_warning()
+    assert not caught
+
+
 def test_components_match_csgraph():
     # random graphs with isolated nodes, self-loops and repeated edges, a
     # shuffled path (the longest label propagation) and the smallest graphs

@@ -155,7 +155,7 @@ def test_newton_identity_converges_immediately():
     assert rep.final_residual < 1e-10
     assert m.control[m.boundary_indices].tobytes() == before  # bitwise fixed
     np.testing.assert_allclose(
-        sys_.c_as_net(c), m.basis.greville_grid()[m.inner_indices], atol=1e-9)
+        c.reshape(2, -1).T, m.basis.greville_grid()[m.inner_indices], atol=1e-9)
 
 
 def test_newton_start_is_the_flat_inner_coefficients():
@@ -163,6 +163,18 @@ def test_newton_start_is_the_flat_inner_coefficients():
     sys_, m = square_system(3, 3)
     with pytest.raises(InputError, match="flat inner coefficients"):
         newton_solve(sys_, m.control[m.inner_indices], SolverConfig())
+
+
+def test_kernels_take_only_the_flat_inner_coefficients():
+    # one layout for c below newton_solve too: the (n_inner, 2) net is refused
+    sys_, m = square_system(3, 3)
+    net = m.control[m.inner_indices]
+    d = np.zeros(sys_.d_size)
+    for kernel in (sys_.full_control_net, sys_.project_d,
+                   lambda c: sys_.eval_RN(d, c),
+                   lambda c: sys_.eval_RL_tilde(d, c)):
+        with pytest.raises(InputError, match=r"expected \(%d,\)" % sys_.c_size):
+            kernel(net)
 
 
 def test_residual_scale_is_the_boundary_net_residual(rng):
